@@ -138,6 +138,7 @@ def _cmd_lab(args):
         sc = symbolic_from_json(_read_json(args.char))
     else:
         sc = RationalPower(args.power)
+    _check_level(args.a)
     theta = truncate(sc, args.p, args.a)
     module = InducedModule(args.p, args.a, theta)
     out = {

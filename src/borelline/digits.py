@@ -16,14 +16,49 @@ class ArgumentError(ValueError):
     """Malformed input to a combinatorial routine."""
 
 
+class CapabilityError(RuntimeError):
+    """The request is beyond the deliberately small scale of this library."""
+
+
+# Miller-Rabin with the first 13 prime bases is deterministic below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_CAP = 3317044064679887385961981
+
+
 def require_prime(p) -> int:
+    """Return p if it is prime; raise ArgumentError if not, and
+    CapabilityError at or above PRIMALITY_CAP, where primality is unproven."""
     if not isinstance(p, int) or p < 2:
         raise ArgumentError(f"p must be a prime, got {p!r}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p < 1 << 16:
+        # trial division, at most 255 steps here, is cheapest for the small
+        # primes that nearly every call passes
+        d = 2
+        while d * d <= p:
+            if p % d == 0:
+                raise ArgumentError(f"p must be a prime, got {p}")
+            d += 1
+        return p
+    if p >= PRIMALITY_CAP:
+        raise CapabilityError(
+            f"primality is proven only below the cap {PRIMALITY_CAP}, got p = {p}"
+        )
+    # base 2 alone rejects every even p here
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ArgumentError(f"p must be a prime, got {p}")
-        d += 1
     return p
 
 

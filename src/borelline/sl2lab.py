@@ -38,7 +38,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .towers import CapabilityError, FieldTower, make_tower
+from .towers import LEVEL_CAP, CapabilityError, FieldTower, make_tower
 
 SPIN_GATE = 2 ** 22
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
@@ -90,6 +90,10 @@ class InducedModule:
             coeff_level = a
         if coeff_level < a:
             raise ArgumentError("coefficient level must contain the group level")
+        if a < 1:
+            raise ArgumentError("the group level must be at least 1")
+        if a > LEVEL_CAP:
+            raise CapabilityError(f"group level {a} exceeds the tower cap {LEVEL_CAP}")
         self.p = p
         self.a = a
         self.q = p ** factorial(a)

@@ -6,6 +6,16 @@ of degree n! in the base-p enumeration whose root generates the units.
 Embeddings between levels are fixed once, at construction, by sending the
 lower root to the lexicographically least root upstairs, and their pairwise
 compatibility is asserted rather than assumed.
+
+Field representation. Elements are interned: each (tower, level, value) has
+exactly one FieldElement, so equality is identity. An element carries its
+coordinate vector and its discrete logarithm to the base of the level's
+generator. Each level keeps an antilog table and a Zech table,
+z[d] = log(1 + g^d), so every same-level operation is one table lookup that
+returns a canonical element. A level's tables are built the first time one
+of its elements is requested, from q - 1 products by the generator on the
+polynomial route (`polyfp` multiplication modulo f_n); that route is used
+only to construct the tower and its tables.
 """
 
 from __future__ import annotations
@@ -15,87 +25,100 @@ from functools import lru_cache
 from math import factorial
 
 from . import polyfp
-from .digits import ArgumentError, require_prime
+from .digits import ArgumentError, CapabilityError, require_prime
 
 LEVEL_CAP = 3
 
 
-class CapabilityError(RuntimeError):
-    """The request is beyond the deliberately small scale of this library."""
+class _Level:
+    """Lookup tables of one level of a tower, with q - 1 units.
+
+    Units have logs 0..q-2 and zero has log -(q-1). `exp` lists g^i for
+    0 <= i < 2(q-1) and then zero 2(q-1) times, so a sum of two logs,
+    including a zero's, indexes it directly (negative indices land in the
+    zeros). `zech[d]` is log(1 + g^d), or -(q-1) where 1 + g^d = 0, listed
+    twice so that differences of logs index it directly.
+    """
+
+    __slots__ = ("units", "neg", "exp", "zech", "zero", "by_coords")
 
 
 class FieldElement:
-    """An element of one level of a tower, as a coordinate vector over F_p."""
+    """An element of one level of a tower.
 
-    __slots__ = ("tower", "level", "coords")
+    Elements are interned; obtain them from their FieldTower. `coords` is the
+    coordinate vector over F_p in the power basis of the defining polynomial.
+    """
 
-    def __init__(self, tower, level, coords):
+    __slots__ = ("tower", "level", "coords", "log", "_f")
+
+    def __init__(self, tower, level, coords, log, tables):
         self.tower = tower
         self.level = level
         self.coords = coords
+        self.log = log
+        self._f = tables
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.log < 0
 
     def _pair(self, other):
+        """Both operands at one level of one tower, embedding the lower one."""
         if not isinstance(other, FieldElement):
-            return NotImplemented
+            raise TypeError(f"cannot combine a field element with {type(other).__name__}")
         if other.tower is not self.tower:
             raise ArgumentError("elements belong to different towers")
-        if self.level == other.level:
-            return self, other
         if self.level < other.level:
             return self.embed(other.level), other
         return self, other.embed(self.level)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        p = a.tower.p
-        return FieldElement(
-            a.tower, a.level, tuple((x + y) % p for x, y in zip(a.coords, b.coords))
-        )
+        if other.__class__ is not FieldElement or other._f is not self._f:
+            self, other = self._pair(other)
+        la, lb = self.log, other.log
+        if la < 0:
+            return other
+        if lb < 0:
+            return self
+        f = self._f
+        return f.exp[la + f.zech[lb - la]]
 
     def __neg__(self):
-        p = self.tower.p
-        return FieldElement(self.tower, self.level, tuple((-x) % p for x in self.coords))
+        f = self._f
+        return f.exp[self.log + f.neg]
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        p = a.tower.p
-        return FieldElement(
-            a.tower, a.level, tuple((x - y) % p for x, y in zip(a.coords, b.coords))
-        )
+        if other.__class__ is not FieldElement or other._f is not self._f:
+            self, other = self._pair(other)
+        la, lb = self.log, other.log
+        if lb < 0:
+            return self
+        f = self._f
+        lb += f.neg
+        if la < 0:
+            return f.exp[lb]
+        return f.exp[la + f.zech[lb - la]]
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        return FieldElement(
-            a.tower, a.level, a.tower._mul_coords(a.level, a.coords, b.coords)
-        )
+        if other.__class__ is not FieldElement or other._f is not self._f:
+            self, other = self._pair(other)
+        return self._f.exp[self.log + other.log]
 
     def inverse(self):
-        if self.is_zero():
+        if self.log < 0:
             raise ZeroDivisionError("inverse of zero")
-        return FieldElement(
-            self.tower, self.level, self.tower._inv_coords(self.level, self.coords)
-        )
+        f = self._f
+        return f.exp[f.units - self.log]
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        if self.is_zero():
-            return self.tower.one(self.level) if e == 0 else self
-        q = self.tower.order(self.level)
-        e %= q - 1
-        result = self.tower.one(self.level)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self._f
+        if self.log < 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return f.exp[0] if e == 0 else self
+        return f.exp[self.log * e % f.units]
 
     def frobenius(self, k=1):
         """Apply x -> x^(p^k); k reduces mod the level degree."""
@@ -113,26 +136,16 @@ class FieldElement:
         if level == self.level:
             return self
         coords = self.tower._embed_coords(self.coords, self.level, level)
-        return FieldElement(self.tower, level, coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return (
-            self.tower is other.tower
-            and self.level == other.level
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.tower), self.level, self.coords))
+        return self.tower._tables(level).by_coords[coords]
 
     def __repr__(self):
         return f"FieldElement(p={self.tower.p}, level={self.level}, coords={self.coords})"
 
 
 class FieldTower:
-    """Immutable after construction; safe to share across computations."""
+    """Immutable after construction, apart from the lookup tables that each
+    level builds on first use. That build takes no lock, so request an
+    element of every level needed before sharing a tower between threads."""
 
     def __init__(self, p, levels):
         require_prime(p)
@@ -145,7 +158,7 @@ class FieldTower:
         self._degrees = {n: factorial(n) for n in range(1, levels + 1)}
         self._polys = {}
         self._mul_cache = {n: {} for n in range(1, levels + 1)}
-        self._inv_cache = {n: {} for n in range(1, levels + 1)}
+        self._levels = {}
         self._embed_basis = {}
         for n in range(1, levels + 1):
             self._polys[n] = polyfp.least_irreducible(p, self._degrees[n], primitive=True)
@@ -214,6 +227,37 @@ class FieldTower:
             if self._pow_coords(n, gen, (q - 1) // ell) == self._one_coords(n):
                 raise RuntimeError(f"generator is not primitive at level {n}")
 
+    def _tables(self, n):
+        f = self._levels.get(n)
+        if f is None:
+            f = self._levels[n] = self._build_tables(n)
+        return f
+
+    def _build_tables(self, n):
+        """Log, antilog and Zech tables of level n, from q - 1 products by
+        the generator on the polynomial route."""
+        units = self.order(n) - 1
+        gen = self._gen_coords(n)
+        one = self._one_coords(n)
+        powers = [one]
+        for _ in range(units - 1):
+            powers.append(self._mul_coords(n, powers[-1], gen))
+        log = {c: i for i, c in enumerate(powers)}
+        if (len(log) != units or self._zero_coords(n) in log
+                or self._mul_coords(n, powers[-1], gen) != one):
+            raise RuntimeError(f"the logarithm is not a bijection onto the units at level {n}")
+        f = _Level()
+        f.units = units
+        f.neg = 0 if self.p == 2 else units // 2
+        f.zero = FieldElement(self, n, self._zero_coords(n), -units, f)
+        elems = [FieldElement(self, n, c, i, f) for i, c in enumerate(powers)]
+        f.exp = elems + elems + [f.zero] * (2 * units)
+        f.by_coords = {e.coords: e for e in elems}
+        f.by_coords[f.zero.coords] = f.zero
+        zech = [log.get(((c[0] + 1) % self.p,) + c[1:], -units) for c in powers]
+        f.zech = zech + zech
+        return f
+
     # -- coordinate kernels ----------------------------------------------
 
     def _zero_coords(self, n):
@@ -250,16 +294,6 @@ class FieldTower:
             e >>= 1
         return result
 
-    def _inv_coords(self, n, a):
-        cache = self._inv_cache[n]
-        hit = cache.get(a)
-        if hit is not None:
-            return hit
-        out = self._pow_coords(n, a, self.order(n) - 2)
-        cache[a] = out
-        cache[out] = a
-        return out
-
     def _eval_poly_at(self, n, poly, point):
         acc = self._zero_coords(n)
         for c in reversed(poly):
@@ -292,36 +326,35 @@ class FieldTower:
         return self._polys[level]
 
     def zero(self, level):
-        return FieldElement(self, level, self._zero_coords(level))
+        return self._tables(level).zero
 
     def one(self, level):
-        return FieldElement(self, level, self._one_coords(level))
+        return self._tables(level).exp[0]
 
     def scalar(self, c, level):
         """The prime-field scalar c at the given level."""
         c %= self.p
-        return FieldElement(
-            self, level, (c,) + (0,) * (self.degree(level) - 1)
-        )
+        return self.element((c,) + (0,) * (self.degree(level) - 1), level)
 
     def element(self, coords, level):
         coords = tuple(c % self.p for c in coords)
         if len(coords) != self.degree(level):
             raise ArgumentError("coordinate length does not match the level degree")
-        return FieldElement(self, level, coords)
+        return self._tables(level).by_coords[coords]
 
     def multiplicative_generator(self, level):
-        return FieldElement(self, level, self._gen_coords(level))
+        return self._tables(level).exp[1]
 
     def enumerate_elements(self, level):
         """All p^(n!) elements, in lexicographic coordinate order."""
+        by_coords = self._tables(level).by_coords
         for coords in itertools.product(range(self.p), repeat=self.degree(level)):
-            yield FieldElement(self, level, coords)
+            yield by_coords[coords]
 
     def standard_basis(self, level):
         d = self.degree(level)
         return tuple(
-            FieldElement(self, level, tuple(1 if i == j else 0 for i in range(d)))
+            self.element(tuple(1 if i == j else 0 for i in range(d)), level)
             for j in range(d)
         )
 

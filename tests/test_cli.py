@@ -189,6 +189,27 @@ def test_lab_capability_exit(capsys):
     assert "capability:" in err
 
 
+def test_lab_level_past_tower_cap_exits_before_truncating(capsys):
+    code, out, err = run_cli(capsys, "lab", "--p", "3", "--a", "10", "--power", "1")
+    assert code == 3
+    assert out == ""
+    assert "capability:" in err and "Traceback" not in err
+
+
+def test_verify_large_prime_is_a_vacuous_pass(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--p", "1000000000000000003")
+    assert code == 0
+    _, out7, _ = run_cli(capsys, "verify", "--p", "7")
+    assert out == out7
+
+
+def test_verify_prime_past_primality_cap_is_capability_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p", str(10 ** 25 + 13))
+    assert code == 3
+    assert out == ""
+    assert "3317044064679887385961981" in err
+
+
 def test_lab_char_file(tmp_path, capsys):
     path = tmp_path / "char.json"
     path.write_text(json.dumps({"kind": "trivial"}), encoding="utf-8")

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from borelline.digits import (
+    PRIMALITY_CAP,
     ArgumentError,
+    CapabilityError,
     DigitExpansion,
     check_digit_lemma,
     digit_class_sums,
@@ -55,9 +57,15 @@ def test_digit_expansion_validates():
 def test_require_prime():
     assert require_prime(2) == 2
     assert require_prime(13) == 13
-    for bad in (0, 1, 4, 9, 15):
+    assert require_prime(65537) == 65537
+    assert require_prime(10 ** 18 + 3) == 10 ** 18 + 3
+    # 10^18 + 1 = 101 * 9901 * 999999000001; 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7; 561 is a Carmichael number
+    for bad in (0, 1, 4, 9, 15, 561, 65536, 3215031751, 10 ** 18 + 1):
         with pytest.raises(ArgumentError):
             require_prime(bad)
+    with pytest.raises(CapabilityError, match="3317044064679887385961981"):
+        require_prime(PRIMALITY_CAP)
 
 
 def test_prime_power_base():

@@ -73,6 +73,8 @@ def test_character_level_requirements():
         InducedModule(2, 1, power_char(1, 3))
     with pytest.raises(CapabilityError):
         InducedModule(3, 3, trivial_character(3, 3))  # 3^3! = 729 cells
+    with pytest.raises(CapabilityError):
+        InducedModule(3, 10, trivial_character(3, 10))  # past the tower cap
 
 
 def test_group_element_words():
@@ -166,6 +168,15 @@ def test_socle_head_on_grid():
         assert rep.maximal_ok
         assert rep.head_dim == rep.head_digit_product == 2
         assert head_dimension(module) == 2
+
+
+def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
+    # once the module is built, every field operation is a table lookup
+    module = InducedModule(2, 2, power_char(1, 2))
+    built = len(polyfp_mul_calls)
+    rep = socle_head_report(module)
+    assert rep.head_dim == 2
+    assert len(polyfp_mul_calls) == built
 
 
 def test_socle_is_simple_and_minimal():

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from borelline.towers import CapabilityError, make_tower
+from borelline import polyfp
+from borelline.towers import CapabilityError, FieldTower, make_tower
 
 
 def test_defining_polynomials_are_least():
@@ -155,3 +156,57 @@ def test_scalar_reduces_mod_p():
     assert t.scalar(2, 1) + t.one(1) == t.zero(1)
     assert t.scalar(3, 1).is_zero()
     assert t.scalar(-1, 1) == t.scalar(2, 1)
+
+
+def _padded(poly, d):
+    return poly + (0,) * (d - len(poly))
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_tables_agree_with_the_polynomial_route(p, levels):
+    t = FieldTower(p, levels)
+    for n in range(1, levels + 1):
+        f, d, q = t.defining_polynomial(n), t.degree(n), t.order(n)
+        elems = list(t.enumerate_elements(n))
+        polys = [polyfp.trim(a.coords) for a in elems]
+        for a, pa in zip(elems, polys):
+            for b, pb in zip(elems, polys):
+                prod = polyfp.poly_mod(polyfp.mul(pa, pb, p), f, p)
+                assert (a * b).coords == _padded(prod, d)
+                assert (a + b).coords == tuple((x + y) % p for x, y in zip(a.coords, b.coords))
+                assert (a - b).coords == tuple((x - y) % p for x, y in zip(a.coords, b.coords))
+            assert (-a).coords == tuple((-x) % p for x in a.coords)
+            if a.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+            else:
+                inv = polyfp.pow_mod(pa, q - 2, f, p)
+                assert a.inverse().coords == _padded(inv, d)
+                assert (a ** -3).coords == _padded(polyfp.pow_mod(inv, 3, f, p), d)
+            for e in (0, 1, 2, 3, p, q - 2, q - 1, q, 2 * q + 1):
+                assert (a ** e).coords == _padded(polyfp.pow_mod(pa, e, f, p), d)
+
+
+def test_elements_are_interned():
+    t = make_tower(2)
+    assert t.one(2) is t.one(2)
+    assert t.zero(3) is t.element((0,) * 6, 3)
+    assert t.scalar(3, 1) is t.one(1)
+    for a in t.enumerate_elements(2):
+        up = a.embed(3)
+        assert up is t.element(up.coords, 3)
+        if not a.is_zero():
+            assert a * a.inverse() is t.one(2)
+    g = t.multiplicative_generator(3)
+    assert g ** 64 is g
+    assert g + t.one(1) is t.one(3) + g
+
+
+def test_tables_are_built_lazily(polyfp_mul_calls):
+    t = FieldTower(5, 3)
+    assert t.order(3) == 5 ** 6
+    assert t.one(1) is not None and t.one(2) is not None
+    assert len(polyfp_mul_calls) < 5 ** 6 // 10
+    before = len(polyfp_mul_calls)
+    t.one(3)
+    assert len(polyfp_mul_calls) - before >= 5 ** 6 // 2
