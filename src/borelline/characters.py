@@ -166,6 +166,8 @@ def truncate(sc: SymbolicCharacter, p, level) -> TruncatedCharacter:
     require_prime(p)
     if level < 1:
         raise ArgumentError("truncation level must be at least 1")
+    if level > LEVEL_CAP:
+        raise CapabilityError(f"truncation level {level} exceeds the tower cap {LEVEL_CAP}")
     residues = []
     if isinstance(sc, Trivial):
         residues = [0] * level

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial
 
 from . import __version__
 from .characters import (
@@ -36,6 +37,7 @@ from .sl2lab import (
     hecke_operators,
     is_irreducible,
     socle_head_report,
+    spin_gate_refusal,
 )
 from .suites import SUITES, run_suites
 from .towers import CapabilityError, LEVEL_CAP
@@ -140,6 +142,12 @@ def _cmd_lab(args):
         sc = RationalPower(args.power)
     _check_level(args.a)
     theta = truncate(sc, args.p, args.a)
+    if not args.randomized:
+        # the whole module has q + 1 coordinates, q = p^(a!); refuse before building it
+        q = args.p ** factorial(args.a)
+        refusal = spin_gate_refusal(args.p, args.a, q + 1, args.gate)
+        if refusal is not None:
+            raise CapabilityError(f"{refusal}; pass --randomized for a non-proof check")
     module = InducedModule(args.p, args.a, theta)
     out = {
         "schema": "v1",

@@ -289,10 +289,6 @@ def trivial_character(p, level) -> TruncatedCharacter:
     return TruncatedCharacter(p, (0,) * level)
 
 
-def build_induced(p, a, theta, coeff_level=None) -> InducedModule:
-    return InducedModule(p, a, theta, coeff_level)
-
-
 # -- subspace machinery ------------------------------------------------------
 
 
@@ -356,6 +352,55 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
+def _orbit_spins(module, rows):
+    """(v, spin(v)) for the first line of each group orbit, in the order
+    `_projective_vectors` walks the lines of the span of rows.
+
+    spin(g v) = spin(v) for every group element g, so every other line has
+    the spin of an earlier yielded one. Each spin is followed by a walk of
+    its line's orbit under the generators, images scaled to a leading one;
+    the lines it reaches are skipped when the enumeration meets them. A
+    consumer that stops early skips the walk of the last orbit.
+    """
+    gens = module.generators()
+    one = module.one_scalar()
+    ahead = set()
+    for v in _projective_vectors(module, rows):
+        if v in ahead:
+            ahead.discard(v)
+            continue
+        yield v, spin(module, v)
+        ahead.add(v)
+        frontier = [v]
+        while frontier:
+            w = frontier.pop()
+            for g in gens:
+                u = g.apply(w)
+                for x in u:
+                    if not x.is_zero():
+                        break
+                if x is not one:
+                    inv = x.inverse()
+                    u = tuple(inv * c for c in u)
+                if u not in ahead:
+                    ahead.add(u)
+                    frontier.append(u)
+        ahead.discard(v)
+
+
+def spin_gate_refusal(p, level, dim, gate=SPIN_GATE) -> str | None:
+    """Why the |F|^dim vectors of F^dim, |F| = p^(level!), are too many to
+    search exhaustively under the gate; None when they are not.
+
+    The order is named as p^e. It is never built when its lower bound
+    2^(e (bits(p) - 1)) already exceeds the gate.
+    """
+    e = factorial(level) * dim
+    if e * (p.bit_length() - 1) < gate.bit_length() and p ** e <= gate:
+        return None
+    return f"|F|^dim = {p}^{e} exceeds the spin gate {gate}"
+
+
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     irreducible: bool
@@ -380,11 +425,13 @@ def is_irreducible(
     seed=None,
     trials=16,
 ) -> IrreducibilityVerdict:
-    """Spin every line of the (sub)module and compare with the whole.
+    """Compare the spin of every line of the (sub)module with the whole.
 
-    Exhaustive only under the gate |F|^dim <= gate; the randomized fallback
-    samples vectors and kernels of group-algebra elements and its positive
-    verdict is not a proof.
+    Every line is accounted for, with one spin per group orbit of lines,
+    because spin(g v) = spin(v); the witness is the first line, in
+    enumeration order, whose spin is proper. Exhaustive only under the gate
+    |F|^dim <= gate; the randomized fallback samples vectors and kernels of
+    group-algebra elements and its positive verdict is not a proof.
     """
     target = subspace if subspace is not None else Subspace(
         module, rref([module.unit_vector(i) for i in range(module.dim)])
@@ -392,17 +439,14 @@ def is_irreducible(
     d = target.dim
     if d == 0:
         return IrreducibilityVerdict(False, "exhaustive", 0, None)
-    size = module.tower.order(module.coeff_level) ** d
-    if size <= gate:
-        for v in _projective_vectors(module, target.rows):
-            if spin(module, v) != target:
+    refusal = spin_gate_refusal(module.p, module.coeff_level, d, gate)
+    if refusal is None:
+        for v, sp in _orbit_spins(module, target.rows):
+            if sp != target:
                 return IrreducibilityVerdict(False, "exhaustive", d, v)
         return IrreducibilityVerdict(True, "exhaustive", d)
     if not randomized:
-        raise CapabilityError(
-            f"|F|^dim = {size} exceeds the spin gate {gate}; "
-            "pass randomized=True for a non-proof check"
-        )
+        raise CapabilityError(f"{refusal}; pass randomized=True for a non-proof check")
     rng = random.Random(seed)
     field = list(module.tower.enumerate_elements(module.coeff_level))
     gens = module.generators()
@@ -462,13 +506,15 @@ def _require_nontrivial(module):
 def socle_head_report(module) -> SocleHeadReport:
     """One pass over all spins: unique minimal and unique maximal submodule.
 
-    Needs theta nontrivial at the module's level. The expected head dimension
-    is the product of (digit + 1) over the base-p digits of the exponent.
+    Every line of the module is accounted for, with one spin per group
+    orbit of lines, because spin(g v) = spin(v). Needs theta nontrivial at
+    the module's level. The expected head dimension is the product of
+    (digit + 1) over the base-p digits of the exponent.
     """
     _require_nontrivial(module)
-    size = module.tower.order(module.coeff_level) ** module.dim
-    if size > SPIN_GATE:
-        raise CapabilityError("module too large for exhaustive spinning")
+    refusal = spin_gate_refusal(module.p, module.coeff_level, module.dim)
+    if refusal is not None:
+        raise CapabilityError(f"{refusal}; the socle and head need exhaustive spinning")
     whole = Subspace(
         module, rref([module.unit_vector(i) for i in range(module.dim)])
     )
@@ -476,8 +522,7 @@ def socle_head_report(module) -> SocleHeadReport:
     socle_ok = is_irreducible(module, socle).irreducible
     socle_witness = None
     proper = {}
-    for v in _projective_vectors(module, whole.rows):
-        sp = spin(module, v)
+    for v, sp in _orbit_spins(module, whole.rows):
         if socle_ok and not (socle <= sp):
             socle_ok = False
             socle_witness = v
@@ -658,10 +703,6 @@ class CostandardModule:
             )
             if lhs != rhs:
                 raise RelationError("the s-conjugation relation fails on the costandard module")
-
-
-def build_costandard(n, p, coeff_level, check_level=None) -> CostandardModule:
-    return CostandardModule(n, p, coeff_level, check_level)
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:

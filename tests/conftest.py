@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from borelline import polyfp
+from borelline import polyfp, sl2lab
 
 
 @pytest.fixture
@@ -21,3 +23,33 @@ def polyfp_mul_calls(monkeypatch):
 
     monkeypatch.setattr(polyfp, "mul", counting)
     return calls
+
+
+@pytest.fixture
+def spin_calls(monkeypatch):
+    """A list whose length counts the calls of sl2lab.spin from now on."""
+    calls = []
+    real = sl2lab.spin
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(sl2lab, "spin", counting)
+    return calls
+
+
+@pytest.fixture
+def enumerated_lines(monkeypatch):
+    """A Counter of the lines walked by the exhaustive searches from now on,
+    keyed by the dimension of the span whose lines are walked."""
+    lines = Counter()
+    real = sl2lab._projective_vectors
+
+    def counting(module, rows):
+        for v in real(module, rows):
+            lines[len(rows)] += 1
+            yield v
+
+    monkeypatch.setattr(sl2lab, "_projective_vectors", counting)
+    return lines

@@ -55,6 +55,14 @@ def test_truncate_rational_powers():
     assert tc.residues == (1, 5)
 
 
+def test_truncate_refuses_levels_past_the_tower_cap():
+    # refused before any p^(n!) is computed; 3^(10!) alone would not fit in memory
+    with pytest.raises(CapabilityError):
+        truncate(RationalPower(1), 3, 10)
+    with pytest.raises(CapabilityError):
+        truncate(Trivial(), 2, 4)
+
+
 def test_truncate_trivial_and_twisted():
     assert truncate(Trivial(), 5, 2).residues == (0, 0)
     sc = TwistedDigitSum(((1, GaloisTwist.from_position(1, 3)),))

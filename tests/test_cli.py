@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from borelline import cli
 from borelline.cli import main
 
 
@@ -181,12 +182,18 @@ def test_lab_requires_exactly_one_character(capsys):
     assert "exactly one" in err
 
 
-def test_lab_capability_exit(capsys):
-    # the level-3 module is past the exhaustive spin gate
+def test_lab_capability_exit(capsys, monkeypatch):
+    # the level-3 module is past the exhaustive spin gate: 64^65 = 2^390
+    # vectors. The gate is checked before the module is built.
+    def never_built(*args, **kwargs):
+        raise AssertionError("InducedModule was constructed")
+
+    monkeypatch.setattr(cli, "InducedModule", never_built)
     code, out, err = run_cli(capsys, "lab", "--p", "2", "--a", "3", "--power", "0")
     assert code == 3
     assert out == ""
     assert "capability:" in err
+    assert "2^390" in err
 
 
 def test_lab_level_past_tower_cap_exits_before_truncating(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from borelline import sl2lab
 from borelline.characters import RationalPower, truncate
 from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import rref
@@ -177,6 +178,79 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     rep = socle_head_report(module)
     assert rep.head_dim == 2
     assert len(polyfp_mul_calls) == built
+
+
+def _direct_spins(module, rows):
+    # the direct route: one spin for every line, none shared along orbits
+    for v in sl2lab._projective_vectors(module, rows):
+        yield v, spin(module, v)
+
+
+def _both_routes(monkeypatch, search, *args):
+    shared = search(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(sl2lab, "_orbit_spins", _direct_spins)
+        direct = search(*args)
+    return shared, direct
+
+
+NONTRIVIAL_UP_TO_5 = ((3, 1, 1), (2, 2, 1), (2, 2, 2), (5, 1, 1), (5, 1, 2), (5, 1, 3))
+
+
+def test_orbit_shared_spins_match_direct_route(monkeypatch):
+    # every report field, witnesses and maximal_witnesses included, on every
+    # nontrivial (p, a, m) with q <= 5
+    for p, a, m in NONTRIVIAL_UP_TO_5:
+        module = InducedModule(p, a, power_char(m, p, max(a, 2)))
+        assert module.m == m
+        shared, direct = _both_routes(monkeypatch, socle_head_report, module)
+        assert shared == direct
+        shared, direct = _both_routes(monkeypatch, is_irreducible, module)
+        assert shared == direct
+        assert shared.witness is not None
+
+
+def test_orbit_shared_spins_match_direct_route_on_hecke_pieces(monkeypatch):
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        module = InducedModule(p, a, trivial_character(p, a))
+        for piece in hecke_operators(module).idempotent_split():
+            shared, direct = _both_routes(monkeypatch, is_irreducible, module, piece)
+            assert shared == direct
+            assert shared.irreducible
+        # the whole module is reducible, with a witness past the first line
+        shared, direct = _both_routes(monkeypatch, is_irreducible, module)
+        assert shared == direct
+        assert shared.witness != module.unit_vector(0)
+
+
+def test_orbit_shared_spins_match_direct_route_on_split_modules(monkeypatch):
+    # with the trivial character the module splits into the two Hecke pieces,
+    # so the report carries a socle witness and two maximal witnesses
+    monkeypatch.setattr(sl2lab, "_require_nontrivial", lambda module: None)
+    for p, a in ((2, 1), (3, 1), (2, 2)):
+        module = InducedModule(p, a, trivial_character(p, a))
+        shared, direct = _both_routes(monkeypatch, socle_head_report, module)
+        assert shared == direct
+        assert shared.socle_witness is not None
+        assert [s.dim for s in shared.maximal_witnesses] == [module.q, 1]
+
+
+def test_orbit_shared_spins_match_direct_route_on_costandard_modules(monkeypatch):
+    for n, p, level in ((4, 3, 1), (3, 2, 2), (4, 3, 2)):
+        cm = CostandardModule(n, p, coeff_level=level)
+        sub = l_submodule(cm)
+        shared, direct = _both_routes(monkeypatch, is_irreducible, cm, sub)
+        assert shared == direct
+
+
+def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
+    # the direct route spins 1 + 156 + 3906 = 4063 times on this module
+    module = InducedModule(5, 1, power_char(1, 5))
+    rep = socle_head_report(module)
+    assert rep.socle.dim == 4 and rep.head_dim == 2
+    assert len(spin_calls) == 94
+    # every line is still visited: 156 in the socle, 3906 in the module
+    assert enumerated_lines == {4: 156, 6: 3906}
 
 
 def test_socle_is_simple_and_minimal():
