@@ -36,6 +36,7 @@ from .classify import (
 )
 from .digits import (
     ArgumentError,
+    RelationError,
     check_digit_lemma,
     digit_class_sums,
     digit_sum,
@@ -47,16 +48,13 @@ from .sl2lab import (
     CostandardModule,
     InducedModule,
     PreconditionError,
-    RelationError,
+    case_verdict,
     hecke_operators,
-    head_dimension,
     is_irreducible,
     l_submodule,
     pi_image,
     socle_head_report,
-    span_equality_search,
     spin,
-    unique_minimal_submodule,
     verify_irreducibility_chain,
 )
 from .towers import CapabilityError, FieldElement, FieldTower, make_tower
@@ -90,13 +88,13 @@ __all__ = [
     "WeylGroup",
     "X0Pattern",
     "build_root_system",
+    "case_verdict",
     "check_digit_lemma",
     "classify_exact",
     "digit_class_sums",
     "digit_sum",
     "extract_pattern",
     "hecke_operators",
-    "head_dimension",
     "is_compatible",
     "is_irreducible",
     "l_submodule",
@@ -110,12 +108,10 @@ __all__ = [
     "report",
     "report_to_json",
     "socle_head_report",
-    "span_equality_search",
     "spin",
     "steinberg_decompose",
     "torus_character_from_json",
     "truncate",
-    "unique_minimal_submodule",
     "verify_irreducibility_chain",
     "weyl_group",
     "x0_support",

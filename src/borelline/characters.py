@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .digits import ArgumentError, digit_sum, expand, lucas_binom, nonzero_digit_count, require_prime
+from .digits import ArgumentError, RelationError, digit_sum, expand, lucas_binom, nonzero_digit_count, require_prime
 from .towers import CapabilityError, LEVEL_CAP
 
 
@@ -283,7 +283,7 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     pattern = X0Pattern(tc.p, n_top, n0, factors)
     for n in range(1, n_top + 1):
         if pattern.residue_at(n) != tc.residue(n):
-            raise RuntimeError("extracted pattern does not reproduce its source")
+            raise RelationError("extracted pattern does not reproduce its source")
     return pattern
 
 

@@ -22,7 +22,7 @@ from .characters import (
     symbolic_to_json,
     truncate,
 )
-from .digits import ArgumentError, require_prime
+from .digits import ArgumentError, RelationError, require_prime
 from .towers import CapabilityError, LEVEL_CAP
 from .weyl import RootDatum, datum_from_json, datum_to_json
 
@@ -110,7 +110,7 @@ def steinberg_decompose(
         for theta, twist in cls.pattern.factors:
             slot = pooled.setdefault(twist.residues, {})
             if i in slot:
-                raise RuntimeError("twist collision inside a single index")
+                raise RelationError("twist collision inside a single index")
             slot[i] = theta
     factors = []
     for residues in sorted(pooled):
@@ -118,7 +118,7 @@ def steinberg_decompose(
         for i, theta in pooled[residues].items():
             weights[i] = theta
         if any(w >= p for w in weights):
-            raise RuntimeError("weight entry escaped [0, p-1]")
+            raise RelationError("weight entry escaped [0, p-1]")
         factors.append(X1Factor(tuple(weights), GaloisTwist(residues)))
     _assert_roundtrip(tchar, p, level, indices, factors)
     return tuple(factors)
@@ -134,7 +134,7 @@ def _assert_roundtrip(tchar, p, level, indices, factors):
                 f.weights[i] * p ** f.twist.residue(n) for f in factors
             )
             if total % mod != tc.residue(n):
-                raise RuntimeError(
+                raise RelationError(
                     f"factor round trip failed at index {i + 1}, level {n}"
                 )
 
@@ -161,14 +161,14 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
     j0 = x0_support(tchar, p, level)
     triv = trivial_support(tchar)
     if not triv <= j0:
-        raise RuntimeError("trivial restrictions must have bounded digit sums")
+        raise RelationError("trivial restrictions must have bounded digit sums")
     factors = steinberg_decompose(tchar, p, level, indices=j0)
     j_sorted = sorted(j0)
     levi = datum.sub_datum(j_sorted) if j_sorted else None
     finite = len(j0) == rank
     # consistency between the support path and the verdict path
     if finite != (x0_support(tchar, p, level) == frozenset(range(rank))):
-        raise RuntimeError("finiteness verdict disagrees with the support set")
+        raise RelationError("finiteness verdict disagrees with the support set")
     if not j0:
         statement = "L(theta) = M(theta) = Ind_B^G(theta), irreducible"
     elif finite:

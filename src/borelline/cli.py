@@ -28,15 +28,13 @@ from .characters import (
     truncate,
 )
 from .classify import report, report_to_json, torus_character_from_json
-from .digits import ArgumentError, require_prime
+from .digits import ArgumentError, RelationError, require_prime
 from .sl2lab import (
     InducedModule,
     PreconditionError,
-    RelationError,
     SPIN_GATE,
-    hecke_operators,
+    case_verdict,
     is_irreducible,
-    socle_head_report,
     spin_gate_refusal,
 )
 from .suites import SUITES, run_suites
@@ -142,12 +140,16 @@ def _cmd_lab(args):
         sc = RationalPower(args.power)
     _check_level(args.a)
     theta = truncate(sc, args.p, args.a)
-    if not args.randomized:
-        # the whole module has q + 1 coordinates, q = p^(a!); refuse before building it
+    trivial = theta.residue(args.a) == 0
+    if not (args.randomized and trivial):
+        # the whole module has q + 1 coordinates, q = p^(a!); refuse before
+        # building it. Only the trivial-character case has a randomized route.
         q = args.p ** factorial(args.a)
         refusal = spin_gate_refusal(args.p, args.a, q + 1, args.gate)
         if refusal is not None:
-            raise CapabilityError(f"{refusal}; pass --randomized for a non-proof check")
+            if trivial:
+                raise CapabilityError(f"{refusal}; pass --randomized for a non-proof check")
+            raise CapabilityError(f"{refusal}; the socle and head need exhaustive spinning")
     module = InducedModule(args.p, args.a, theta)
     out = {
         "schema": "v1",
@@ -168,37 +170,10 @@ def _cmd_lab(args):
         "mode": verdict.mode,
         "proof": verdict.proof,
     }
-    if module.m == 0:
-        ops = hecke_operators(module)
-        y_full, y_empty = ops.idempotent_split()
-        v_full = is_irreducible(module, y_full, gate=args.gate,
-                                randomized=args.randomized, seed=args.seed,
-                                trials=args.trials)
-        v_empty = is_irreducible(module, y_empty, gate=args.gate,
-                                 randomized=args.randomized, seed=args.seed,
-                                 trials=args.trials)
-        out["hecke"] = {
-            "dims": [y_full.dim, y_empty.dim],
-            "irreducible": [v_full.irreducible, v_empty.irreducible],
-            "proof": [v_full.proof, v_empty.proof],
-        }
-        out["ok"] = (
-            y_full.dim == 1 and y_empty.dim == module.q
-            and v_full.irreducible and v_empty.irreducible
-        )
-    else:
-        rep = socle_head_report(module)
-        out["socle_head"] = {
-            "socle_dim": rep.socle.dim if rep.socle else None,
-            "socle_ok": rep.socle_ok,
-            "maximal_ok": rep.maximal_ok,
-            "head_dim": rep.head_dim,
-            "digit_product": rep.head_digit_product,
-        }
-        out["ok"] = (
-            rep.socle_ok and rep.maximal_ok
-            and rep.head_dim == rep.head_digit_product
-        )
+    key, section, out["ok"] = case_verdict(
+        module, args.gate, args.randomized, args.seed, args.trials
+    )
+    out[key] = section
     return out
 
 

@@ -20,6 +20,11 @@ class CapabilityError(RuntimeError):
     """The request is beyond the deliberately small scale of this library."""
 
 
+class RelationError(RuntimeError):
+    """An exact identity the computation relies on fails: a defining relation
+    of the constructed matrices, or an internal invariant checked on the way."""
+
+
 # Miller-Rabin with the first 13 prime bases is deterministic below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -191,7 +196,7 @@ def power_sum_direct(q, k, include_zero=True) -> int:
         total = polyfp.add(total, tk, p)
     # the sum is Galois invariant, so it must sit in the prime field
     if polyfp.degree(total) > 0:
-        raise RuntimeError("power sum escaped the prime field")
+        raise RelationError("power sum escaped the prime field")
     return total[0] if total else 0
 
 

@@ -208,6 +208,10 @@ class DenseMap:
     def apply(self, v):
         return mat_vec(self.rows, v)
 
+    def compose(self, other):
+        """self after other."""
+        return DenseMap(mat_mul(self.rows, other.rows))
+
     def __eq__(self, other):
         if not isinstance(other, DenseMap):
             return NotImplemented

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, expand, lucas_binom, power_sum
+from .digits import ArgumentError, RelationError, expand, lucas_binom, power_sum
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -46,10 +46,6 @@ GROUP_ORDER_CAP = 64        # largest q for which modules are built
 
 class PreconditionError(ValueError):
     """A stated hypothesis of the requested operation fails."""
-
-
-class RelationError(RuntimeError):
-    """The constructed matrices do not satisfy the defining relations."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,69 @@ class Subspace:
         return hash(self.rows)
 
 
-class InducedModule:
-    """kG_a tensor theta, with cell basis {line} + {eps(t) s line : t in F_q}."""
+class _SL2Module:
+    """What both module kinds share: vectors over the coefficient field, and
+    actions eps(x), h(u), s() of SL_2 over the field at `group_level`, as
+    maps with `apply`, `compose` and `==`, checked by `_check_relations`."""
+
+    def zero_scalar(self):
+        return self.tower.zero(self.coeff_level)
+
+    def one_scalar(self):
+        return self.tower.one(self.coeff_level)
+
+    def zero_vector(self):
+        return (self.zero_scalar(),) * self.dim
+
+    def unit_vector(self, i):
+        z, o = self.zero_scalar(), self.one_scalar()
+        return tuple(o if j == i else z for j in range(self.dim))
+
+    def generators(self):
+        """eps over an F_p-basis of F_q, h at a generator of the units, and s."""
+        gens = [self.eps(b) for b in self.tower.standard_basis(self.group_level)]
+        gens.append(self.h(self.tower.multiplicative_generator(self.group_level)))
+        gens.append(self.s())
+        return tuple(gens)
+
+    def _check_relations(self):
+        """The defining relations of SL_2(F_q), as exact identities between
+        the actions of every element of F_q: eps additive, h multiplicative,
+        h normalizing eps, s^2 = h(-1), and the s-conjugation word."""
+        elems = tuple(self.tower.enumerate_elements(self.group_level))
+        units = [u for u in elems if not u.is_zero()]
+        eps = {x: self.eps(x) for x in elems}
+        h = {u: self.h(u) for u in units}
+        for x in elems:
+            for y in elems:
+                if eps[x].compose(eps[y]) != eps[x + y]:
+                    raise RelationError("eps is not additive")
+        for u in units:
+            hu = h[u]
+            for v in units:
+                if hu.compose(h[v]) != h[u * v]:
+                    raise RelationError("h is not multiplicative")
+            hu_inv = h[u.inverse()]
+            for x in elems:
+                if hu.compose(eps[x]).compose(hu_inv) != eps[u * u * x]:
+                    raise RelationError("torus does not normalize eps correctly")
+        s = self.s()
+        minus_one = -self.tower.one(self.group_level)
+        if s.compose(s) != h[minus_one]:
+            raise RelationError("s^2 must equal h(-1)")
+        s_inv = h[minus_one].compose(s)
+        for t in units:
+            w = -t.inverse()
+            lhs = s_inv.compose(eps[t]).compose(s)
+            if lhs != eps[w].compose(s).compose(h[t]).compose(eps[w]):
+                raise RelationError("the s-conjugation relation fails")
+
+
+class InducedModule(_SL2Module):
+    """kG_a tensor theta, with cell basis {line} + {eps(t) s line : t in F_q}.
+
+    An `_SL2Module` with monomial actions; the group acts at level a.
+    """
 
     def __init__(self, p, a, theta: TruncatedCharacter, coeff_level=None, tower=None):
         if theta.p != p:
@@ -95,7 +152,7 @@ class InducedModule:
         if a > LEVEL_CAP:
             raise CapabilityError(f"group level {a} exceeds the tower cap {LEVEL_CAP}")
         self.p = p
-        self.a = a
+        self.a = self.group_level = a
         self.q = p ** factorial(a)
         if self.q > GROUP_ORDER_CAP:
             raise CapabilityError(
@@ -120,19 +177,6 @@ class InducedModule:
         if t.level != self.a:
             raise ArgumentError("cell labels live at the group level")
         return self._index[t.coords]
-
-    def zero_scalar(self):
-        return self.tower.zero(self.coeff_level)
-
-    def one_scalar(self):
-        return self.tower.one(self.coeff_level)
-
-    def zero_vector(self):
-        return (self.zero_scalar(),) * self.dim
-
-    def unit_vector(self, i):
-        z, o = self.zero_scalar(), self.one_scalar()
-        return tuple(o if j == i else z for j in range(self.dim))
 
     def theta_value(self, u):
         """theta(h(u)) = u^m, evaluated in the coefficient field."""
@@ -211,28 +255,6 @@ class InducedModule:
         self._s_map = MonomialMap(perm, scale)
         return self._s_map
 
-    def generators(self):
-        """eps over an F_p-basis of F_q, h at a generator of the units, and s."""
-        gens = [self.eps(b) for b in self.tower.standard_basis(self.a)]
-        gens.append(self.h(self.tower.multiplicative_generator(self.a)))
-        gens.append(self.s())
-        return tuple(gens)
-
-    def group_element(self, word):
-        """Compose generator actions named by ('eps', x) / ('h', u) / ('s',)."""
-        out = MonomialMap.identity(self.dim, self.one_scalar())
-        for item in word:
-            if item[0] == "eps":
-                g = self.eps(item[1])
-            elif item[0] == "h":
-                g = self.h(item[1])
-            elif item[0] == "s":
-                g = self.s()
-            else:
-                raise ArgumentError(f"unknown generator {item[0]!r}")
-            out = out.compose(g)
-        return out
-
     def line_sum_vector(self, subfield_level=None):
         """sum over u in the chosen subfield of u . s . line, one cell each."""
         if subfield_level is None:
@@ -248,41 +270,15 @@ class InducedModule:
         return tuple(vec)
 
     def _check_relations(self):
-        """All defining relations, as exact matrix identities over F_q."""
-        units = [t for t in self.labels if not t.is_zero()]
+        """The B-stable line, then the presentation of SL_2(F_q)."""
         line = self.unit_vector(0)
         for x in self.labels:
             if self.eps(x).apply(line) != line:
                 raise RelationError("eps must fix the stable line")
-        for u in units:
-            expected = vec_scale(self.theta_value(u), line)
-            if self.h(u).apply(line) != expected:
+        for u in self.labels:
+            if not u.is_zero() and self.h(u).apply(line) != vec_scale(self.theta_value(u), line):
                 raise RelationError("h must scale the line by theta")
-        for x in self.labels:
-            ex = self.eps(x)
-            for y in self.labels:
-                if ex.compose(self.eps(y)) != self.eps(x + y):
-                    raise RelationError("eps is not additive")
-        for u in units:
-            hu = self.h(u)
-            for v in units:
-                if hu.compose(self.h(v)) != self.h(u * v):
-                    raise RelationError("h is not multiplicative")
-            for x in self.labels:
-                lhs = hu.compose(self.eps(x)).compose(self.h(u.inverse()))
-                if lhs != self.eps(u * u * x):
-                    raise RelationError("torus does not normalize eps correctly")
-        s = self.s()
-        minus_one = -self.tower.one(self.a)
-        if s.compose(s) != self.h(minus_one):
-            raise RelationError("s^2 must equal h(-1)")
-        s_inv = self.h(minus_one).compose(s)
-        for t in units:
-            w = -t.inverse()
-            lhs = s_inv.compose(self.eps(t)).compose(s)
-            rhs = self.eps(w).compose(s).compose(self.h(t)).compose(self.eps(w))
-            if lhs != rhs:
-                raise RelationError("the s-conjugation relation fails")
+        super()._check_relations()
 
 
 def trivial_character(p, level) -> TruncatedCharacter:
@@ -503,23 +499,24 @@ def _require_nontrivial(module):
         )
 
 
-def socle_head_report(module) -> SocleHeadReport:
+def socle_head_report(module, gate=SPIN_GATE) -> SocleHeadReport:
     """One pass over all spins: unique minimal and unique maximal submodule.
 
     Every line of the module is accounted for, with one spin per group
-    orbit of lines, because spin(g v) = spin(v). Needs theta nontrivial at
-    the module's level. The expected head dimension is the product of
-    (digit + 1) over the base-p digits of the exponent.
+    orbit of lines, because spin(g v) = spin(v); so |F|^dim must sit under
+    the gate. Needs theta nontrivial at the module's level. The expected
+    head dimension is the product of (digit + 1) over the base-p digits of
+    the exponent.
     """
     _require_nontrivial(module)
-    refusal = spin_gate_refusal(module.p, module.coeff_level, module.dim)
+    refusal = spin_gate_refusal(module.p, module.coeff_level, module.dim, gate)
     if refusal is not None:
         raise CapabilityError(f"{refusal}; the socle and head need exhaustive spinning")
     whole = Subspace(
         module, rref([module.unit_vector(i) for i in range(module.dim)])
     )
     socle = spin(module, module.line_sum_vector())
-    socle_ok = is_irreducible(module, socle).irreducible
+    socle_ok = is_irreducible(module, socle, gate).irreducible
     socle_witness = None
     proper = {}
     for v, sp in _orbit_spins(module, whole.rows):
@@ -535,26 +532,17 @@ def socle_head_report(module) -> SocleHeadReport:
         product *= d + 1
     if len(union) == module.dim:
         # two proper spins already covering everything witness non-uniqueness
-        wits = _cover_witnesses(module, proper.values(), whole)
-        return SocleHeadReport(
-            socle if socle_ok else None,
-            socle_ok,
-            socle_witness,
-            None,
-            False,
-            wits,
-            None,
-            product,
-        )
-    maximal = Subspace(module, union)
+        maximal, wits = None, _cover_witnesses(module, proper.values(), whole)
+    else:
+        maximal, wits = Subspace(module, union), None
     return SocleHeadReport(
         socle if socle_ok else None,
         socle_ok,
         socle_witness,
         maximal,
-        True,
-        None,
-        module.dim - maximal.dim,
+        maximal is not None,
+        wits,
+        None if maximal is None else module.dim - maximal.dim,
         product,
     )
 
@@ -568,23 +556,35 @@ def _cover_witnesses(module, spins, whole):
     return None
 
 
-def unique_minimal_submodule(module):
-    """The socle when it is simple and contained in every nonzero submodule."""
-    rep = socle_head_report(module)
-    return rep.socle, rep.socle_witness
+def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=None,
+                 trials=16):
+    """The rank-one statement on one induced module, as (key, section, ok)
+    with a JSON-ready section.
 
-
-def head_dimension(module):
-    """Codimension of the unique maximal submodule; checked against digits."""
-    rep = socle_head_report(module)
-    if not rep.maximal_ok:
-        raise PreconditionError("no unique maximal submodule; see witnesses")
-    if rep.head_dim != rep.head_digit_product:
-        raise RelationError(
-            f"head dimension {rep.head_dim} disagrees with the digit product "
-            f"{rep.head_digit_product}"
-        )
-    return rep.head_dim
+    With theta trivial at the module's level, "hecke": the two Hecke pieces
+    have dims (1, q) and are irreducible (randomized past the gate if asked).
+    Otherwise "socle_head": a unique simple socle, a unique maximal
+    submodule, and a head of digit-product dimension.
+    """
+    if module.m == 0:
+        pieces = hecke_operators(module).idempotent_split()
+        verdicts = [is_irreducible(module, y, gate, randomized, seed, trials) for y in pieces]
+        section = {
+            "dims": [y.dim for y in pieces],
+            "irreducible": [v.irreducible for v in verdicts],
+            "proof": [v.proof for v in verdicts],
+        }
+        return "hecke", section, section["dims"] == [1, module.q] and all(section["irreducible"])
+    rep = socle_head_report(module, gate)
+    section = {
+        "socle_dim": rep.socle.dim if rep.socle else None,
+        "socle_ok": rep.socle_ok,
+        "maximal_ok": rep.maximal_ok,
+        "head_dim": rep.head_dim,
+        "digit_product": rep.head_digit_product,
+    }
+    ok = rep.socle_ok and rep.maximal_ok and rep.head_dim == rep.head_digit_product
+    return "socle_head", section, ok
 
 
 # -- costandard modules ------------------------------------------------------
@@ -592,9 +592,12 @@ def head_dimension(module):
 RELATION_WORK_CAP = 6 * 10 ** 7
 
 
-class CostandardModule:
+class CostandardModule(_SL2Module):
     """The (n+1)-dimensional module with basis v_0..v_n and
-    eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j."""
+    eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
+
+    An `_SL2Module` with dense actions; the group acts at check_level.
+    """
 
     def __init__(self, n, p, coeff_level, check_level=None, tower=None):
         if n < 0:
@@ -602,12 +605,12 @@ class CostandardModule:
         self.n = n
         self.p = p
         self.coeff_level = coeff_level
-        self.check_level = coeff_level if check_level is None else check_level
-        if self.check_level > coeff_level:
+        self.group_level = coeff_level if check_level is None else check_level
+        if self.group_level > coeff_level:
             raise ArgumentError("relations can only be checked inside the coefficient field")
         self.tower = tower if tower is not None else make_tower(p, coeff_level)
         self.dim = n + 1
-        q_check = self.tower.order(self.check_level)
+        q_check = self.tower.order(self.group_level)
         if q_check * q_check * self.dim ** 3 > RELATION_WORK_CAP:
             raise CapabilityError(
                 "relation verification at this size is beyond desk scale; "
@@ -617,19 +620,6 @@ class CostandardModule:
             tuple(lucas_binom(i, j, p) for j in range(self.dim)) for i in range(self.dim)
         )
         self._check_relations()
-
-    def zero_scalar(self):
-        return self.tower.zero(self.coeff_level)
-
-    def one_scalar(self):
-        return self.tower.one(self.coeff_level)
-
-    def zero_vector(self):
-        return (self.zero_scalar(),) * self.dim
-
-    def unit_vector(self, i):
-        z, o = self.zero_scalar(), self.one_scalar()
-        return tuple(o if j == i else z for j in range(self.dim))
 
     def eps(self, t) -> DenseMap:
         tt = t.embed(self.coeff_level)
@@ -663,46 +653,6 @@ class CostandardModule:
             sign = one if (self.n - i) % 2 == 0 else -one
             rows[self.n - i][i] = sign
         return DenseMap(rows)
-
-    def generators(self):
-        gens = [self.eps(b) for b in self.tower.standard_basis(self.check_level)]
-        gens.append(self.h(self.tower.multiplicative_generator(self.check_level)))
-        gens.append(self.s())
-        return tuple(gens)
-
-    def _check_relations(self):
-        elems = list(self.tower.enumerate_elements(self.check_level))
-        units = [u for u in elems if not u.is_zero()]
-        eps_of = {x.coords: self.eps(x) for x in elems}
-        for x in elems:
-            mx = eps_of[x.coords]
-            for y in elems:
-                if DenseMap(mat_mul(mx.rows, eps_of[y.coords].rows)) != eps_of[(x + y).coords]:
-                    raise RelationError("eps is not additive on the costandard module")
-        for u in units:
-            hu = self.h(u)
-            for v in units:
-                if DenseMap(mat_mul(hu.rows, self.h(v).rows)) != self.h(u * v):
-                    raise RelationError("h is not multiplicative on the costandard module")
-            hinv = self.h(u.inverse())
-            for x in elems:
-                lhs = mat_mul(mat_mul(hu.rows, eps_of[x.coords].rows), hinv.rows)
-                if DenseMap(lhs) != eps_of[((u * u) * x).coords]:
-                    raise RelationError("torus normalization fails on the costandard module")
-        s = self.s()
-        minus_one = -self.tower.one(self.check_level)
-        if DenseMap(mat_mul(s.rows, s.rows)) != self.h(minus_one):
-            raise RelationError("s^2 must equal h(-1) on the costandard module")
-        s_inv = DenseMap(mat_mul(self.h(minus_one).rows, s.rows))
-        for t in units:
-            w = -t.inverse()
-            lhs = mat_mul(mat_mul(s_inv.rows, self.eps(t).rows), s.rows)
-            rhs = mat_mul(
-                mat_mul(mat_mul(self.eps(w).rows, s.rows), self.h(t).rows),
-                self.eps(w).rows,
-            )
-            if lhs != rhs:
-                raise RelationError("the s-conjugation relation fails on the costandard module")
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:
@@ -795,21 +745,6 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
     return ChainRecord(theta.p, r, t, pi.m_t, sub.dim == module.dim, not pi.is_zero)
 
 
-def span_equality_search(theta: TruncatedCharacter, a, cap=None):
-    """Smallest level b in (a, cap] where the level-a averaged vector spans
-    the whole level-b module; absence is absence below the cap only."""
-    if cap is None:
-        cap = theta.level
-    found = None
-    for b in range(a + 1, cap + 1):
-        module = InducedModule(theta.p, b, theta)
-        sub = spin(module, module.line_sum_vector(subfield_level=a))
-        if sub.dim == module.dim:
-            found = b
-            break
-    return {"found": found is not None, "b": found, "cap": cap}
-
-
 # -- endomorphisms for the trivial character ---------------------------------
 
 
@@ -824,10 +759,7 @@ class HeckeOperators:
             )
         self.module = module
         n = module.dim
-        zero, one = module.zero_scalar(), module.one_scalar()
-        self.identity_rows = tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        )
+        self.identity_rows = tuple(module.unit_vector(i) for i in range(n))
         # t_s sends the line to the sum of all cells and is extended to the
         # cell eps(t) s line by equivariance under eps(t) s
         image_of_line = module.line_sum_vector()
@@ -885,3 +817,4 @@ class HeckeOperators:
 
 def hecke_operators(module) -> HeckeOperators:
     return HeckeOperators(module)
+

@@ -29,10 +29,8 @@ from .sl2lab import (
     InducedModule,
     CostandardModule,
     RelationError,
-    hecke_operators,
-    is_irreducible,
+    case_verdict,
     l_submodule,
-    socle_head_report,
     trivial_character,
     verify_irreducibility_chain,
 )
@@ -201,17 +199,15 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            module = InducedModule(p, a, theta)
-            rep = socle_head_report(module)
-            bad = {}
-            if not rep.socle_ok:
-                bad["socle"] = "not contained in every nonzero submodule"
-            if not rep.maximal_ok:
-                bad["maximal"] = "no unique maximal submodule"
-            elif rep.head_dim != rep.head_digit_product:
-                bad["head"] = {"dim": rep.head_dim, "digit_product": rep.head_digit_product}
-            if bad:
-                bad.update({"p": p, "a": a, "lambda": lam})
+            _, sec, ok = case_verdict(InducedModule(p, a, theta))
+            if not ok:
+                bad = {"p": p, "a": a, "lambda": lam}
+                if not sec["socle_ok"]:
+                    bad["socle"] = "not contained in every nonzero submodule"
+                if not sec["maximal_ok"]:
+                    bad["maximal"] = "no unique maximal submodule"
+                elif sec["head_dim"] != sec["digit_product"]:
+                    bad["head"] = {"dim": sec["head_dim"], "digit_product": sec["digit_product"]}
                 failures.append(bad)
     return _record("sl2-socle-head", cases, failures, skipped)
 
@@ -245,21 +241,10 @@ def suite_hecke_split(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        module = InducedModule(p, a, trivial_character(p, a))
-        ops = hecke_operators(module)
-        y_full, y_empty = ops.idempotent_split()
-        v_full = is_irreducible(module, y_full)
-        v_empty = is_irreducible(module, y_empty)
-        ok = (
-            y_full.dim == 1
-            and y_empty.dim == module.q
-            and v_full.irreducible and v_full.proof
-            and v_empty.irreducible and v_empty.proof
-        )
-        if not ok:
+        _, sec, ok = case_verdict(InducedModule(p, a, trivial_character(p, a)))
+        if not (ok and all(sec["proof"])):
             failures.append(
-                {"p": p, "a": a, "dims": [y_full.dim, y_empty.dim],
-                 "irreducible": [v_full.irreducible, v_empty.irreducible]}
+                {"p": p, "a": a, "dims": sec["dims"], "irreducible": sec["irreducible"]}
             )
     return _record("hecke-split", cases, failures)
 

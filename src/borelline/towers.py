@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import polyfp
-from .digits import ArgumentError, CapabilityError, require_prime
+from .digits import ArgumentError, CapabilityError, RelationError, require_prime
 
 LEVEL_CAP = 3
 
@@ -194,7 +194,7 @@ class FieldTower:
         if self._eval_poly_at(n, self._polys[m], zero) is None:
             roots.append(zero)
         if len(roots) != dm:
-            raise RuntimeError("embedding root count mismatch")
+            raise RelationError("embedding root count mismatch")
         rho = min(roots)
         images = [self._one_coords(n)]
         for _ in range(dm - 1):
@@ -214,7 +214,7 @@ class FieldTower:
                         )
                         direct = self._embed_coords(basis, m, n)
                         if via_k != direct:
-                            raise RuntimeError(
+                            raise RelationError(
                                 f"incompatible embeddings {m}->{k}->{n}"
                             )
 
@@ -222,10 +222,10 @@ class FieldTower:
         q = self.order(n)
         gen = self._gen_coords(n)
         if self._pow_coords(n, gen, q - 1) != self._one_coords(n):
-            raise RuntimeError("generator order check failed")
+            raise RelationError("generator order check failed")
         for ell in polyfp.prime_factors(q - 1):
             if self._pow_coords(n, gen, (q - 1) // ell) == self._one_coords(n):
-                raise RuntimeError(f"generator is not primitive at level {n}")
+                raise RelationError(f"generator is not primitive at level {n}")
 
     def _tables(self, n):
         f = self._levels.get(n)
@@ -245,7 +245,7 @@ class FieldTower:
         log = {c: i for i, c in enumerate(powers)}
         if (len(log) != units or self._zero_coords(n) in log
                 or self._mul_coords(n, powers[-1], gen) != one):
-            raise RuntimeError(f"the logarithm is not a bijection onto the units at level {n}")
+            raise RelationError(f"the logarithm is not a bijection onto the units at level {n}")
         f = _Level()
         f.units = units
         f.neg = 0 if self.p == 2 else units // 2

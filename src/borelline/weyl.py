@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .digits import ArgumentError
+from .digits import ArgumentError, RelationError
 from .towers import CapabilityError
 
 ROOT_GENERATION_CAP = 4096
@@ -203,10 +203,10 @@ class WeylGroup:
         )
         for w in self.elements:
             if len(w.inversion_set()) != w.length:
-                raise RuntimeError("word length disagrees with inversion count")
+                raise RelationError("word length disagrees with inversion count")
         longest = [w for w in self.elements if w.length == self.elements[-1].length]
         if len(longest) != 1:
-            raise RuntimeError("longest element is not unique")
+            raise RelationError("longest element is not unique")
         self.longest = longest[0]
         self.identity = identity
 

@@ -97,6 +97,23 @@ def test_relation_error_exits_one(capsys, monkeypatch):
     assert err.startswith("verification:")
 
 
+def test_classify_invariant_failure_exits_one(tmp_path, capsys, monkeypatch):
+    from borelline import classify
+
+    # trivial restrictions outside the bounded support break an invariant
+    monkeypatch.setattr(classify, "trivial_support", lambda tchar: frozenset({99}))
+    path = tmp_path / "in.json"
+    path.write_text(
+        json.dumps({"cartan": [[2]], "restrictions": {"1": {"kind": "trivial"}}}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "classify", str(path), "--p", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification:")
+    assert "Traceback" not in err
+
+
 def test_classify_bad_input_is_usage_error(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(
@@ -194,6 +211,21 @@ def test_lab_capability_exit(capsys, monkeypatch):
     assert out == ""
     assert "capability:" in err
     assert "2^390" in err
+
+
+def test_lab_randomized_nontrivial_character_refused_before_building(capsys, monkeypatch):
+    # --randomized only reaches the Hecke pieces of a trivial character; the
+    # socle and head of a nontrivial one have no randomized route
+    def never_built(*args, **kwargs):
+        raise AssertionError("InducedModule was constructed")
+
+    monkeypatch.setattr(cli, "InducedModule", never_built)
+    code, out, err = run_cli(capsys, "lab", "--p", "3", "--a", "2", "--power", "1",
+                             "--randomized", "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "capability:" in err
+    assert "3^20" in err and "the socle and head need exhaustive spinning" in err
 
 
 def test_lab_level_past_tower_cap_exits_before_truncating(capsys):

@@ -1,27 +1,28 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from borelline import sl2lab
 from borelline.characters import RationalPower, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import rref
+from borelline.linalg import DenseMap, MonomialMap, rref
 from borelline.sl2lab import (
     CostandardModule,
     InducedModule,
     PreconditionError,
+    RelationError,
     Subspace,
+    case_verdict,
     fixed_subspace,
-    head_dimension,
     hecke_operators,
     is_irreducible,
     l_submodule,
     pi_image,
     socle_head_report,
-    span_equality_search,
     spin,
     trivial_character,
-    unique_minimal_submodule,
     verify_irreducibility_chain,
 )
 from borelline.towers import CapabilityError
@@ -38,6 +39,69 @@ def test_construction_checks_relations_across_grid():
         for lam in (0, 1, -1, 2):
             module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
             assert module.dim == module.q + 1
+
+
+def _negated(g, cols):
+    """g with the given columns (all when None) negated: another map for odd p."""
+    def sign(j, c):
+        return -c if cols is None or j in cols else c
+
+    if isinstance(g, MonomialMap):
+        return MonomialMap(g.perm, [sign(j, c) for j, c in enumerate(g.scale)])
+    return DenseMap([[sign(j, c) for j, c in enumerate(row)] for row in g.rows])
+
+
+def _one(module):
+    return module.tower.one(module.group_level)
+
+
+def _zero(module):
+    return module.tower.zero(module.group_level)
+
+
+# (generator, element it is broken at, columns negated, relation named). At
+# p = 3 a negated column is a different map; at p = 2 it is the same one.
+# Column 0 of an induced module is the stable line, so breaking column 1
+# leaves the line checks passing.
+BROKEN_GENERATORS = (
+    ("eps", _zero, {1}, "eps is not additive"),
+    ("h", _one, {1}, "h is not multiplicative"),
+    ("s", None, {0}, "s^2 must equal h(-1)"),
+    # -s still squares to h(-1), but negates one side of the conjugation word
+    ("s", None, None, "the s-conjugation relation fails"),
+)
+
+
+def _break_generator(monkeypatch, cls, name, at, cols):
+    real = getattr(cls, name)
+    if name == "s":
+        monkeypatch.setattr(cls, name, lambda self: _negated(real(self), cols))
+        return
+
+    def broken(self, x):
+        g = real(self, x)
+        return _negated(g, cols) if x is at(self) else g
+
+    monkeypatch.setattr(cls, name, broken)
+
+
+BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _one, {0}, "h must scale the line by theta"),)
+
+
+@pytest.mark.parametrize("name, at, cols, relation", BROKEN_INDUCED,
+                         ids=[case[-1] for case in BROKEN_INDUCED])
+def test_relation_checker_catches_a_broken_induced_module(monkeypatch, name, at, cols, relation):
+    _break_generator(monkeypatch, InducedModule, name, at, cols)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        InducedModule(3, 1, power_char(1, 3))
+
+
+@pytest.mark.parametrize("name, at, cols, relation", BROKEN_GENERATORS,
+                         ids=[case[-1] for case in BROKEN_GENERATORS])
+def test_relation_checker_catches_a_broken_costandard_module(monkeypatch, name, at, cols, relation):
+    _break_generator(monkeypatch, CostandardModule, name, at, cols)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        CostandardModule(2, 3, coeff_level=1)
 
 
 def test_s_action_closed_form():
@@ -78,16 +142,6 @@ def test_character_level_requirements():
         InducedModule(3, 10, trivial_character(3, 10))  # past the tower cap
 
 
-def test_group_element_words():
-    module = InducedModule(2, 2, power_char(1, 2))
-    g = module.tower.multiplicative_generator(2)
-    word = module.group_element([("h", g), ("s",), ("eps", g)])
-    direct = module.h(g).compose(module.s()).compose(module.eps(g))
-    assert word == direct
-    with pytest.raises(ArgumentError):
-        module.group_element([("x", g)])
-
-
 def test_spin_of_line_for_generic_character_is_whole():
     module = InducedModule(3, 1, power_char(1, 3))
     sub = spin(module, module.unit_vector(0))
@@ -123,7 +177,7 @@ def test_fixed_subspace_of_unipotent():
 def test_fixed_subspace_within():
     module = InducedModule(2, 2, power_char(1, 2))
     maps = [module.eps(b) for b in module.tower.standard_basis(2)]
-    socle, _ = unique_minimal_submodule(module)
+    socle = socle_head_report(module).socle
     inside = fixed_subspace(module, maps, within=socle)
     assert inside.dim == 1
     assert inside <= socle
@@ -168,7 +222,18 @@ def test_socle_head_on_grid():
         assert rep.socle.dim == 2
         assert rep.maximal_ok
         assert rep.head_dim == rep.head_digit_product == 2
-        assert head_dimension(module) == 2
+        key, section, ok = case_verdict(module)
+        assert (key, section["head_dim"], ok) == ("socle_head", 2, True)
+
+
+def test_socle_head_report_honours_the_gate():
+    # 3^4 = 81 vectors: over a gate of 80, under a gate of 81
+    module = InducedModule(3, 1, power_char(1, 3))
+    with pytest.raises(CapabilityError, match=r"3\^4 exceeds the spin gate 80;"):
+        socle_head_report(module, gate=80)
+    with pytest.raises(CapabilityError, match=r"3\^4 exceeds the spin gate 80;"):
+        case_verdict(module, gate=80)
+    assert socle_head_report(module, gate=81).head_dim == 2
 
 
 def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
@@ -255,7 +320,8 @@ def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
 
 def test_socle_is_simple_and_minimal():
     module = InducedModule(3, 1, power_char(1, 3))
-    socle, witness = unique_minimal_submodule(module)
+    rep = socle_head_report(module)
+    socle, witness = rep.socle, rep.socle_witness
     assert witness is None
     assert is_irreducible(module, socle).irreducible
 
@@ -265,8 +331,8 @@ def test_socle_head_requires_nontrivial_character():
     assert module.m == 0
     with pytest.raises(PreconditionError):
         socle_head_report(module)
-    with pytest.raises(PreconditionError):
-        head_dimension(module)
+    # the shared verdict takes the Hecke route instead
+    assert case_verdict(module)[0] == "hecke"
 
 
 def test_costandard_actions_and_relations():
@@ -385,6 +451,8 @@ def test_hecke_split_dims_and_irreducibility():
         assert (y_full.dim, y_empty.dim) == (1, module.q)
         assert is_irreducible(module, y_full).irreducible
         assert is_irreducible(module, y_empty).irreducible
+        section = {"dims": [1, module.q], "irreducible": [True, True], "proof": [True, True]}
+        assert case_verdict(module) == ("hecke", section, True)
 
 
 def test_hecke_t_s_squares_to_minus_itself():
@@ -397,9 +465,3 @@ def test_hecke_t_s_squares_to_minus_itself():
     neg = tuple(tuple(-x for x in row) for row in t_s)
     assert square == neg
 
-
-def test_span_equality_search_bounded_semantics():
-    found = span_equality_search(power_char(-1, 2), 1, cap=2)
-    assert found == {"found": True, "b": 2, "cap": 2}
-    absent = span_equality_search(trivial_character(2, 2), 1, cap=2)
-    assert absent == {"found": False, "b": None, "cap": 2}
