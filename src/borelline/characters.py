@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .digits import ArgumentError, RelationError, digit_sum, expand, lucas_binom, nonzero_digit_count, require_prime
+from .digits import (
+    ArgumentError, RelationError, digit_class_sums, digit_sum, expand, lucas_binom,
+    nonzero_digit_count, require_prime,
+)
 from .towers import CapabilityError, LEVEL_CAP
 
 
@@ -46,9 +49,6 @@ class TruncatedCharacter:
 
     def residue(self, n) -> int:
         return self.residues[n - 1]
-
-    def is_trivial_at(self, n) -> bool:
-        return self.residues[n - 1] == 0
 
 
 @dataclass(frozen=True)
@@ -263,13 +263,9 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     # inside the window, positions of each residue must refine the previous
     # level's digits class by class
     for n in range(n0, n_top):
-        digits_lo = expand(tc.residue(n), tc.p).digits
         mod = factorial(n)
-        sums = [0] * mod
-        for pos, d in enumerate(expand(tc.residue(n + 1), tc.p).digits):
-            sums[pos % mod] += d
-        lo = list(digits_lo) + [0] * (mod - len(digits_lo))
-        if sums != lo[:mod]:
+        lo = (expand(tc.residue(n), tc.p).digits + (0,) * mod)[:mod]
+        if digit_class_sums(tc.residue(n + 1), tc.p, mod) != lo:
             return NoStablePattern(
                 n + 1, "digit classes do not refine the level below", fs, counts
             )

@@ -34,7 +34,6 @@ from .sl2lab import (
     PreconditionError,
     SPIN_GATE,
     case_verdict,
-    is_irreducible,
     spin_gate_refusal,
 )
 from .suites import SUITES, run_suites
@@ -161,18 +160,14 @@ def _cmd_lab(args):
         "character": symbolic_to_json(sc),
         "relations": "ok",
     }
-    verdict = is_irreducible(
-        module, gate=args.gate, randomized=args.randomized, seed=args.seed,
-        trials=args.trials,
-    )
-    out["whole_irreducible"] = {
-        "irreducible": verdict.irreducible,
-        "mode": verdict.mode,
-        "proof": verdict.proof,
-    }
-    key, section, out["ok"] = case_verdict(
+    whole, key, section, out["ok"] = case_verdict(
         module, args.gate, args.randomized, args.seed, args.trials
     )
+    out["whole_irreducible"] = {
+        "irreducible": whole.irreducible,
+        "mode": whole.mode,
+        "proof": whole.proof,
+    }
     out[key] = section
     return out
 

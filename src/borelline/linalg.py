@@ -169,13 +169,6 @@ class MonomialMap:
         )
         return MonomialMap(perm, scale)
 
-    def to_dense(self, zero):
-        n = len(self.perm)
-        rows = [[zero] * n for _ in range(n)]
-        for j in range(n):
-            rows[self.perm[j]][j] = self.scale[j]
-        return tuple(tuple(r) for r in rows)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
             return NotImplemented
@@ -187,10 +180,6 @@ class MonomialMap:
 
     def __hash__(self):
         return hash((self.perm, self.scale))
-
-    @staticmethod
-    def identity(n, one):
-        return MonomialMap(tuple(range(n)), (one,) * n)
 
 
 class DenseMap:

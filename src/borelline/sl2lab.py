@@ -446,6 +446,7 @@ def is_irreducible(
     rng = random.Random(seed)
     field = list(module.tower.enumerate_elements(module.coeff_level))
     gens = module.generators()
+    basis = [module.unit_vector(i) for i in range(module.dim)]
     done = 0
     for _ in range(trials):
         v = module.zero_vector()
@@ -455,19 +456,17 @@ def is_irreducible(
                 v = vec_add(v, vec_scale(c, row))
         if not vec_is_zero(v) and spin(module, v) != target:
             return IrreducibilityVerdict(False, "randomized", d, v, done + 1)
-        # a random group-algebra element; proper kernels expose submodules
-        mat = None
+        # a random group-algebra element, read off column by column through
+        # apply; proper kernels expose submodules
+        cols = [module.zero_vector()] * module.dim
         for _ in range(3):
-            g = MonomialMap.identity(module.dim, module.one_scalar())
-            for _ in range(rng.randrange(1, 4)):
+            length = rng.randrange(1, 4)
+            g = rng.choice(gens)
+            for _ in range(length - 1):
                 g = g.compose(rng.choice(gens))
-            dense = g.to_dense(module.zero_scalar())
             c = rng.choice(field)
-            scaled = tuple(tuple(c * x for x in row) for row in dense)
-            mat = scaled if mat is None else tuple(
-                tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(mat, scaled)
-            )
-        ker = kernel(mat, module.dim, module.one_scalar(), module.zero_scalar())
+            cols = [vec_add(x, vec_scale(c, g.apply(e))) for x, e in zip(cols, basis)]
+        ker = kernel(tuple(zip(*cols)), module.dim, module.one_scalar(), module.zero_scalar())
         for kv in ker:
             if target.contains(kv) and not vec_is_zero(kv):
                 if spin(module, kv) != target:
@@ -481,6 +480,7 @@ def is_irreducible(
 
 @dataclass(frozen=True)
 class SocleHeadReport:
+    whole: IrreducibilityVerdict
     socle: Subspace | None
     socle_ok: bool
     socle_witness: tuple | None   # a vector whose spin misses the socle
@@ -500,13 +500,15 @@ def _require_nontrivial(module):
 
 
 def socle_head_report(module, gate=SPIN_GATE) -> SocleHeadReport:
-    """One pass over all spins: unique minimal and unique maximal submodule.
+    """One pass over all spins: irreducibility of the whole module, and its
+    unique minimal and unique maximal submodule.
 
     Every line of the module is accounted for, with one spin per group
     orbit of lines, because spin(g v) = spin(v); so |F|^dim must sit under
-    the gate. Needs theta nontrivial at the module's level. The expected
-    head dimension is the product of (digit + 1) over the base-p digits of
-    the exponent.
+    the gate. The whole-module verdict is the one `is_irreducible` gives:
+    exhaustive, witnessed by the first line whose spin is proper. Needs
+    theta nontrivial at the module's level. The expected head dimension is
+    the product of (digit + 1) over the base-p digits of the exponent.
     """
     _require_nontrivial(module)
     refusal = spin_gate_refusal(module.p, module.coeff_level, module.dim, gate)
@@ -516,14 +518,17 @@ def socle_head_report(module, gate=SPIN_GATE) -> SocleHeadReport:
         module, rref([module.unit_vector(i) for i in range(module.dim)])
     )
     socle = spin(module, module.line_sum_vector())
-    socle_ok = is_irreducible(module, socle, gate).irreducible
-    socle_witness = None
+    # if every spin contains the socle it is simple: v in socle gives socle <= spin(v) <= socle
+    socle_ok = True
+    socle_witness = whole_witness = None
     proper = {}
     for v, sp in _orbit_spins(module, whole.rows):
         if socle_ok and not (socle <= sp):
             socle_ok = False
             socle_witness = v
         if sp != whole:
+            if whole_witness is None:
+                whole_witness = v
             proper[sp.rows] = sp
     union = rref([row for rows in proper for row in rows])
     digits = expand(module.m, module.p).digits
@@ -536,6 +541,7 @@ def socle_head_report(module, gate=SPIN_GATE) -> SocleHeadReport:
     else:
         maximal, wits = Subspace(module, union), None
     return SocleHeadReport(
+        IrreducibilityVerdict(whole_witness is None, "exhaustive", module.dim, whole_witness),
         socle if socle_ok else None,
         socle_ok,
         socle_witness,
@@ -558,15 +564,18 @@ def _cover_witnesses(module, spins, whole):
 
 def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=None,
                  trials=16):
-    """The rank-one statement on one induced module, as (key, section, ok)
-    with a JSON-ready section.
+    """The rank-one statement on one induced module, as (whole, key, section,
+    ok): the whole-module `IrreducibilityVerdict` and a JSON-ready section.
 
     With theta trivial at the module's level, "hecke": the two Hecke pieces
-    have dims (1, q) and are irreducible (randomized past the gate if asked).
-    Otherwise "socle_head": a unique simple socle, a unique maximal
-    submodule, and a head of digit-product dimension.
+    have dims (1, q) and are irreducible, and the whole module is checked
+    apart (randomized past the gate if asked). Otherwise "socle_head": a
+    unique simple socle, a unique maximal submodule, and a head of
+    digit-product dimension, all from the one census of `socle_head_report`
+    that also gives the whole-module verdict.
     """
     if module.m == 0:
+        whole = is_irreducible(module, None, gate, randomized, seed, trials)
         pieces = hecke_operators(module).idempotent_split()
         verdicts = [is_irreducible(module, y, gate, randomized, seed, trials) for y in pieces]
         section = {
@@ -574,7 +583,8 @@ def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=N
             "irreducible": [v.irreducible for v in verdicts],
             "proof": [v.proof for v in verdicts],
         }
-        return "hecke", section, section["dims"] == [1, module.q] and all(section["irreducible"])
+        ok = section["dims"] == [1, module.q] and all(section["irreducible"])
+        return whole, "hecke", section, ok
     rep = socle_head_report(module, gate)
     section = {
         "socle_dim": rep.socle.dim if rep.socle else None,
@@ -584,7 +594,7 @@ def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=N
         "digit_product": rep.head_digit_product,
     }
     ok = rep.socle_ok and rep.maximal_ok and rep.head_dim == rep.head_digit_product
-    return "socle_head", section, ok
+    return rep.whole, "socle_head", section, ok
 
 
 # -- costandard modules ------------------------------------------------------
@@ -773,11 +783,12 @@ class HeckeOperators:
         self._assert_idempotents()
 
     def _assert_endomorphism(self, rows):
-        zero = self.module.zero_scalar()
+        """t_s(g e_j) = g(t_s e_j) for every generator g and basis vector e_j."""
+        t_s = DenseMap(rows)
         for g in self.module.generators():
-            g_rows = g.to_dense(zero)
-            if mat_mul(rows, g_rows) != mat_mul(g_rows, rows):
-                raise RelationError("the cell-averaging operator is not equivariant")
+            for e in self.identity_rows:
+                if t_s.apply(g.apply(e)) != g.apply(t_s.apply(e)):
+                    raise RelationError("the cell-averaging operator is not equivariant")
 
     def _assert_idempotents(self):
         e = self.e_rows()

@@ -199,7 +199,7 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            _, sec, ok = case_verdict(InducedModule(p, a, theta))
+            _, _, sec, ok = case_verdict(InducedModule(p, a, theta))
             if not ok:
                 bad = {"p": p, "a": a, "lambda": lam}
                 if not sec["socle_ok"]:
@@ -241,7 +241,7 @@ def suite_hecke_split(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        _, sec, ok = case_verdict(InducedModule(p, a, trivial_character(p, a)))
+        _, _, sec, ok = case_verdict(InducedModule(p, a, trivial_character(p, a)))
         if not (ok and all(sec["proof"])):
             failures.append(
                 {"p": p, "a": a, "dims": sec["dims"], "irreducible": sec["irreducible"]}

@@ -118,9 +118,6 @@ class RootSystem:
             raise CapabilityError("generated vectors are not split by sign; not finite type")
         self.positive_roots = tuple(sorted(pos, key=lambda r: (sum(r), r)))
 
-    def height(self, root) -> int:
-        return sum(root)
-
     def reflect(self, root, j):
         A = self.datum.cartan
         pairing = sum(c * A[k][j] for k, c in enumerate(root))

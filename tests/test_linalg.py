@@ -103,20 +103,23 @@ def test_monomial_apply_and_compose():
     assert b.compose(a).apply(v) == b.apply(a.apply(v))
 
 
-def test_monomial_identity_and_dense():
+def test_monomial_and_dense_maps_agree_through_apply():
     t = field()
-    ident = MonomialMap.identity(3, t.one(1))
+    two = t.scalar(2, 1)
+    mono = MonomialMap((2, 0, 1), (two, t.one(1), two))
+    # the dense matrix read off column by column from the images of unit vectors
+    cols = [mono.apply(fe(t, *(int(i == j) for i in range(3)))) for j in range(3)]
+    dense = DenseMap(zip(*cols))
+    other = MonomialMap((1, 2, 0), (t.one(1), two, two))
     v = fe(t, 2, 0, 1)
-    assert ident.apply(v) == v
-    dense = ident.to_dense(t.zero(1))
-    assert DenseMap(dense).apply(v) == v
+    assert dense.apply(v) == mono.apply(v)
+    assert dense.apply(other.apply(v)) == mono.compose(other).apply(v)
 
 
 def test_mat_mul_matches_composition():
     t = field()
-    two = t.scalar(2, 1)
-    a = MonomialMap((1, 0), (two, t.one(1))).to_dense(t.zero(1))
-    b = MonomialMap((0, 1), (two, two)).to_dense(t.zero(1))
+    a = (fe(t, 0, 1), fe(t, 2, 0))
+    b = (fe(t, 2, 0), fe(t, 0, 2))
     v = fe(t, 1, 2)
     assert mat_vec(mat_mul(a, b), v) == mat_vec(a, mat_vec(b, v))
 

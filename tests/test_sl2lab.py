@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from borelline import sl2lab
+from borelline import cli, sl2lab
 from borelline.characters import RationalPower, truncate
 from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import DenseMap, MonomialMap, rref
@@ -222,7 +222,7 @@ def test_socle_head_on_grid():
         assert rep.socle.dim == 2
         assert rep.maximal_ok
         assert rep.head_dim == rep.head_digit_product == 2
-        key, section, ok = case_verdict(module)
+        _, key, section, ok = case_verdict(module)
         assert (key, section["head_dim"], ok) == ("socle_head", 2, True)
 
 
@@ -268,11 +268,13 @@ def test_orbit_shared_spins_match_direct_route(monkeypatch):
     for p, a, m in NONTRIVIAL_UP_TO_5:
         module = InducedModule(p, a, power_char(m, p, max(a, 2)))
         assert module.m == m
-        shared, direct = _both_routes(monkeypatch, socle_head_report, module)
-        assert shared == direct
+        report, direct = _both_routes(monkeypatch, socle_head_report, module)
+        assert report == direct
         shared, direct = _both_routes(monkeypatch, is_irreducible, module)
         assert shared == direct
         assert shared.witness is not None
+        # the report's whole-module verdict is the one is_irreducible gives
+        assert report.whole == shared
 
 
 def test_orbit_shared_spins_match_direct_route_on_hecke_pieces(monkeypatch):
@@ -309,13 +311,21 @@ def test_orbit_shared_spins_match_direct_route_on_costandard_modules(monkeypatch
 
 
 def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
-    # the direct route spins 1 + 156 + 3906 = 4063 times on this module
+    # the direct route spins 1 + 3906 = 3907 times on this module
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
     assert rep.socle.dim == 4 and rep.head_dim == 2
-    assert len(spin_calls) == 94
-    # every line is still visited: 156 in the socle, 3906 in the module
-    assert enumerated_lines == {4: 156, 6: 3906}
+    assert len(spin_calls) == 86
+    # every line of the module is visited once; the socle's are not walked
+    assert enumerated_lines == {6: 3906}
+
+
+def test_lab_takes_one_census(spin_calls, enumerated_lines, capsys):
+    # the whole-module, socle and head verdicts come from one orbit pass
+    assert cli.main(["lab", "--p", "5", "--a", "1", "--power", "3"]) == 0
+    assert '"socle_ok": true' in capsys.readouterr().out
+    assert len(spin_calls) == 86
+    assert enumerated_lines == {6: 3906}
 
 
 def test_socle_is_simple_and_minimal():
@@ -332,7 +342,7 @@ def test_socle_head_requires_nontrivial_character():
     with pytest.raises(PreconditionError):
         socle_head_report(module)
     # the shared verdict takes the Hecke route instead
-    assert case_verdict(module)[0] == "hecke"
+    assert case_verdict(module)[1] == "hecke"
 
 
 def test_costandard_actions_and_relations():
@@ -398,6 +408,20 @@ def test_l_submodule_reducible_past_field_order():
     assert verdict.witness is not None
 
 
+def test_randomized_route_on_a_costandard_module():
+    # group-algebra elements are built from the generators alone, so the
+    # dense actions of a costandard module serve as well as monomial ones
+    cm = CostandardModule(4, 3, coeff_level=1)
+    sub = l_submodule(cm)
+    verdict = is_irreducible(cm, sub, gate=2, randomized=True, seed=1, trials=2)
+    assert verdict.mode == "randomized"
+    assert verdict.irreducible and not verdict.proof
+    # the digit span is reducible (see above); a third trial finds a witness
+    verdict = is_irreducible(cm, sub, gate=2, randomized=True, seed=1, trials=4)
+    assert not verdict.irreducible and verdict.proof and verdict.trials == 3
+    assert spin(cm, verdict.witness).dim < sub.dim
+
+
 def test_pi_image_trivial_character_vanishes():
     rec = pi_image(trivial_character(2, 2), 1, 2)
     assert rec.is_zero
@@ -452,7 +476,10 @@ def test_hecke_split_dims_and_irreducibility():
         assert is_irreducible(module, y_full).irreducible
         assert is_irreducible(module, y_empty).irreducible
         section = {"dims": [1, module.q], "irreducible": [True, True], "proof": [True, True]}
-        assert case_verdict(module) == ("hecke", section, True)
+        whole, key, sec, ok = case_verdict(module)
+        assert (key, sec, ok) == ("hecke", section, True)
+        # the module splits, so the whole is reducible
+        assert not whole.irreducible and whole.proof
 
 
 def test_hecke_t_s_squares_to_minus_itself():
