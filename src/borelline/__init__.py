@@ -48,6 +48,7 @@ from .sl2lab import (
     CostandardModule,
     InducedModule,
     PreconditionError,
+    b_stable_lines,
     case_verdict,
     hecke_operators,
     is_irreducible,
@@ -87,6 +88,7 @@ __all__ = [
     "TwistedDigitSum",
     "WeylGroup",
     "X0Pattern",
+    "b_stable_lines",
     "build_root_system",
     "case_verdict",
     "check_digit_lemma",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import factorial
 
 from . import __version__
 from .characters import (
@@ -29,13 +28,7 @@ from .characters import (
 )
 from .classify import report, report_to_json, torus_character_from_json
 from .digits import ArgumentError, RelationError, require_prime
-from .sl2lab import (
-    InducedModule,
-    PreconditionError,
-    SPIN_GATE,
-    case_verdict,
-    spin_gate_refusal,
-)
+from .sl2lab import InducedModule, PreconditionError, case_verdict
 from .suites import SUITES, run_suites
 from .towers import CapabilityError, LEVEL_CAP
 
@@ -139,16 +132,6 @@ def _cmd_lab(args):
         sc = RationalPower(args.power)
     _check_level(args.a)
     theta = truncate(sc, args.p, args.a)
-    trivial = theta.residue(args.a) == 0
-    if not (args.randomized and trivial):
-        # the whole module has q + 1 coordinates, q = p^(a!); refuse before
-        # building it. Only the trivial-character case has a randomized route.
-        q = args.p ** factorial(args.a)
-        refusal = spin_gate_refusal(args.p, args.a, q + 1, args.gate)
-        if refusal is not None:
-            if trivial:
-                raise CapabilityError(f"{refusal}; pass --randomized for a non-proof check")
-            raise CapabilityError(f"{refusal}; the socle and head need exhaustive spinning")
     module = InducedModule(args.p, args.a, theta)
     out = {
         "schema": "v1",
@@ -160,9 +143,7 @@ def _cmd_lab(args):
         "character": symbolic_to_json(sc),
         "relations": "ok",
     }
-    whole, key, section, out["ok"] = case_verdict(
-        module, args.gate, args.randomized, args.seed, args.trials
-    )
+    whole, key, section, out["ok"] = case_verdict(module)
     out["whole_irreducible"] = {
         "irreducible": whole.irreducible,
         "mode": whole.mode,
@@ -208,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--a", type=int, required=True, help="group level: the field has p^(a!) elements")
     p_lab.add_argument("--char", help="JSON file with a symbolic character, or -")
     p_lab.add_argument("--power", type=int, help="shortcut for the character t -> t^power")
-    p_lab.add_argument("--gate", type=int, default=SPIN_GATE,
-                       help="largest |F|^dim for exhaustive spinning")
-    p_lab.add_argument("--randomized", action="store_true",
-                       help="allow a seeded non-proof check past the gate")
-    p_lab.add_argument("--seed", type=int, default=None, help="seed for --randomized")
-    p_lab.add_argument("--trials", type=int, default=16, help="sample count for --randomized")
     p_lab.add_argument("--out", help="also write the JSON document to this file")
     p_lab.set_defaults(handler=_cmd_lab)
     return parser

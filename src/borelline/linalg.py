@@ -100,10 +100,9 @@ def rref_insert(rows, v):
 
 
 def mat_vec(rows, v):
-    return tuple(
-        sum((a * b for a, b in zip(row, v) if not a.is_zero()), start=row[0] - row[0])
-        for row in rows
-    )
+    support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
+    zero = v[0] - v[0]
+    return tuple(sum((row[j] * b for j, b in support), start=zero) for row in rows)
 
 
 def mat_mul(a, b):
@@ -169,6 +168,12 @@ class MonomialMap:
         )
         return MonomialMap(perm, scale)
 
+    def transpose(self):
+        perm, scale = [0] * len(self.perm), [None] * len(self.perm)
+        for j, i in enumerate(self.perm):
+            perm[i], scale[i] = j, self.scale[j]
+        return MonomialMap(perm, scale)
+
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
             return NotImplemented
@@ -200,6 +205,9 @@ class DenseMap:
     def compose(self, other):
         """self after other."""
         return DenseMap(mat_mul(self.rows, other.rows))
+
+    def transpose(self):
+        return DenseMap(zip(*self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, DenseMap):

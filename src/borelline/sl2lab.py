@@ -19,9 +19,8 @@ closed form; the relation suite then validates the construction.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .characters import TruncatedCharacter
 from .digits import ArgumentError, RelationError, expand, lucas_binom, power_sum
@@ -34,13 +33,11 @@ from .linalg import (
     rref_insert,
     span_contains,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
 from .towers import LEVEL_CAP, CapabilityError, FieldTower, make_tower
 
-SPIN_GATE = 2 ** 22
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
 
 
@@ -99,6 +96,9 @@ class _SL2Module:
         gens.append(self.s())
         return tuple(gens)
 
+    def dual(self):
+        return _Dual(self)
+
     def _check_relations(self):
         """The defining relations of SL_2(F_q), as exact identities between
         the actions of every element of F_q: eps additive, h multiplicative,
@@ -130,6 +130,29 @@ class _SL2Module:
             lhs = s_inv.compose(eps[t]).compose(s)
             if lhs != eps[w].compose(s).compose(h[t]).compose(eps[w]):
                 raise RelationError("the s-conjugation relation fails")
+
+
+class _Dual(_SL2Module):
+    """The dual module, on the dual basis: g acts by the transpose of g^-1,
+    so a monomial map keeps its perm and inverts its scales. Every other
+    attribute (p, a, m, levels, tower, dim) is the module's own."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def eps(self, x):
+        return self.module.eps(-x).transpose()
+
+    def h(self, u):
+        return self.module.h(u.inverse()).transpose()
+
+    def s(self):
+        # s^-1 = s^3 = h(-1) s
+        minus_one = -self.tower.one(self.group_level)
+        return self.module.h(minus_one).compose(self.module.s()).transpose()
 
 
 class InducedModule(_SL2Module):
@@ -295,7 +318,7 @@ def spin(module, vec) -> Subspace:
         return Subspace(module, ())
     gens = module.generators()
     queue = [first]
-    while queue:
+    while queue and len(basis) < module.dim:
         v = queue.pop()
         for g in gens:
             basis, residual = rref_insert(basis, g.apply(v))
@@ -348,131 +371,68 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
-def _orbit_spins(module, rows):
-    """(v, spin(v)) for the first line of each group orbit, in the order
-    `_projective_vectors` walks the lines of the span of rows.
+class _Scaled:
+    """c times the map g: its fixed space is the 1/c-eigenspace of g."""
 
-    spin(g v) = spin(v) for every group element g, so every other line has
-    the spin of an earlier yielded one. Each spin is followed by a walk of
-    its line's orbit under the generators, images scaled to a leading one;
-    the lines it reaches are skipped when the enumeration meets them. A
-    consumer that stops early skips the walk of the last orbit.
+    def __init__(self, c, g):
+        self.c, self.g = c, g
+
+    def apply(self, v):
+        return vec_scale(self.c, self.g.apply(v))
+
+
+def b_stable_lines(module, within: Subspace | None = None):
+    """One vector per B-stable line of the module, or of its submodule
+    `within`: the lines of the eigenspaces of h(g), g a generator of the
+    units, inside the fixed space of U = {eps(x)}.
+
+    Every nonzero submodule N contains one: U is a p-group, so N^U != 0,
+    and T normalises U and has order q - 1 prime to p, so it acts
+    diagonalisably on N^U. Hence every minimal submodule is the spin of a
+    B-stable line.
     """
-    gens = module.generators()
-    one = module.one_scalar()
-    ahead = set()
-    for v in _projective_vectors(module, rows):
-        if v in ahead:
-            ahead.discard(v)
-            continue
-        yield v, spin(module, v)
-        ahead.add(v)
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for g in gens:
-                u = g.apply(w)
-                for x in u:
-                    if not x.is_zero():
-                        break
-                if x is not one:
-                    inv = x.inverse()
-                    u = tuple(inv * c for c in u)
-                if u not in ahead:
-                    ahead.add(u)
-                    frontier.append(u)
-        ahead.discard(v)
-
-
-def spin_gate_refusal(p, level, dim, gate=SPIN_GATE) -> str | None:
-    """Why the |F|^dim vectors of F^dim, |F| = p^(level!), are too many to
-    search exhaustively under the gate; None when they are not.
-
-    The order is named as p^e. It is never built when its lower bound
-    2^(e (bits(p) - 1)) already exceeds the gate.
-    """
-    e = factorial(level) * dim
-    if e * (p.bit_length() - 1) < gate.bit_length() and p ** e <= gate:
-        return None
-    return f"|F|^dim = {p}^{e} exceeds the spin gate {gate}"
+    tower, level = module.tower, module.group_level
+    fixed = fixed_subspace(module, [module.eps(b) for b in tower.standard_basis(level)], within)
+    hg = module.h(tower.multiplicative_generator(level))
+    for lam in tower.enumerate_elements(level):
+        if not lam.is_zero():
+            scaled = _Scaled(lam.inverse().embed(module.coeff_level), hg)
+            yield from _projective_vectors(module, fixed_subspace(module, [scaled], fixed).rows)
 
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
+    """Every submodule is accounted for through its B-stable lines, so the
+    verdict is exhaustive and a proof either way."""
+
     irreducible: bool
-    mode: str                    # "exhaustive" or "randomized"
     dimension: int
     witness: tuple | None = None  # a vector spinning to a proper submodule
-    trials: int = 0
 
-    @property
-    def proof(self) -> bool:
-        """A randomized reducible verdict still carries an exact witness."""
-        if self.mode == "exhaustive":
-            return True
-        return not self.irreducible and self.witness is not None
+    mode = "exhaustive"
+    proof = True
 
 
-def is_irreducible(
-    module,
-    subspace: Subspace | None = None,
-    gate=SPIN_GATE,
-    randomized=False,
-    seed=None,
-    trials=16,
-) -> IrreducibilityVerdict:
-    """Compare the spin of every line of the (sub)module with the whole.
+def _is_stable(module, sub: Subspace) -> bool:
+    return all(sub.contains(g.apply(r)) for g in module.generators() for r in sub.rows)
 
-    Every line is accounted for, with one spin per group orbit of lines,
-    because spin(g v) = spin(v); the witness is the first line, in
-    enumeration order, whose spin is proper. Exhaustive only under the gate
-    |F|^dim <= gate; the randomized fallback samples vectors and kernels of
-    group-algebra elements and its positive verdict is not a proof.
+
+def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVerdict:
+    """Irreducible iff every B-stable line of the (sub)module spins to all
+    of it; the witness is the first line whose spin is proper. The census
+    is a proof only for submodules, so a given subspace must be stable.
     """
+    if subspace is not None and not _is_stable(module, subspace):
+        raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else Subspace(
         module, rref([module.unit_vector(i) for i in range(module.dim)])
     )
-    d = target.dim
-    if d == 0:
-        return IrreducibilityVerdict(False, "exhaustive", 0, None)
-    refusal = spin_gate_refusal(module.p, module.coeff_level, d, gate)
-    if refusal is None:
-        for v, sp in _orbit_spins(module, target.rows):
-            if sp != target:
-                return IrreducibilityVerdict(False, "exhaustive", d, v)
-        return IrreducibilityVerdict(True, "exhaustive", d)
-    if not randomized:
-        raise CapabilityError(f"{refusal}; pass randomized=True for a non-proof check")
-    rng = random.Random(seed)
-    field = list(module.tower.enumerate_elements(module.coeff_level))
-    gens = module.generators()
-    basis = [module.unit_vector(i) for i in range(module.dim)]
-    done = 0
-    for _ in range(trials):
-        v = module.zero_vector()
-        for row in target.rows:
-            c = rng.choice(field)
-            if not c.is_zero():
-                v = vec_add(v, vec_scale(c, row))
-        if not vec_is_zero(v) and spin(module, v) != target:
-            return IrreducibilityVerdict(False, "randomized", d, v, done + 1)
-        # a random group-algebra element, read off column by column through
-        # apply; proper kernels expose submodules
-        cols = [module.zero_vector()] * module.dim
-        for _ in range(3):
-            length = rng.randrange(1, 4)
-            g = rng.choice(gens)
-            for _ in range(length - 1):
-                g = g.compose(rng.choice(gens))
-            c = rng.choice(field)
-            cols = [vec_add(x, vec_scale(c, g.apply(e))) for x, e in zip(cols, basis)]
-        ker = kernel(tuple(zip(*cols)), module.dim, module.one_scalar(), module.zero_scalar())
-        for kv in ker:
-            if target.contains(kv) and not vec_is_zero(kv):
-                if spin(module, kv) != target:
-                    return IrreducibilityVerdict(False, "randomized", d, kv, done + 1)
-        done += 1
-    return IrreducibilityVerdict(True, "randomized", d, None, done)
+    if target.dim == 0:
+        return IrreducibilityVerdict(False, 0)
+    for v in b_stable_lines(module, subspace):
+        if spin(module, v) != target:
+            return IrreducibilityVerdict(False, target.dim, v)
+    return IrreducibilityVerdict(True, target.dim)
 
 
 # -- socle and head ----------------------------------------------------------
@@ -499,85 +459,68 @@ def _require_nontrivial(module):
         )
 
 
-def socle_head_report(module, gate=SPIN_GATE) -> SocleHeadReport:
-    """One pass over all spins: irreducibility of the whole module, and its
-    unique minimal and unique maximal submodule.
+def _census_socle(module):
+    """(spins, least, miss): the (v, spin(v)) pairs over the B-stable lines
+    v of the module, the smallest spin, and the first pair whose spin
+    misses it, or None. With miss None the smallest spin is the simple
+    socle: it lies in every minimal submodule, each the spin of a B-stable
+    line, and each of its nonzero submodules holds a line spinning onto it.
+    """
+    spins = [(v, spin(module, v)) for v in b_stable_lines(module)]
+    least = min((sp for _, sp in spins), key=lambda sp: sp.dim)
+    miss = next(((v, sp) for v, sp in spins if not least <= sp), None)
+    return spins, least, miss
 
-    Every line of the module is accounted for, with one spin per group
-    orbit of lines, because spin(g v) = spin(v); so |F|^dim must sit under
-    the gate. The whole-module verdict is the one `is_irreducible` gives:
-    exhaustive, witnessed by the first line whose spin is proper. Needs
-    theta nontrivial at the module's level. The expected head dimension is
-    the product of (digit + 1) over the base-p digits of the exponent.
+
+def socle_head_report(module) -> SocleHeadReport:
+    """Irreducibility of the whole module, its unique minimal and its unique
+    maximal submodule, from the census of the module and of its dual.
+
+    Maximal submodules are the annihilators of the minimal submodules of the
+    dual: so the maximal submodule is the annihilator of the dual's socle,
+    and the head has that socle's dimension. Otherwise two annihilators
+    that sum to the whole witness non-uniqueness. Needs theta nontrivial at
+    the module's level. The expected head dimension is the product of
+    (digit + 1) over the base-p digits of the exponent.
     """
     _require_nontrivial(module)
-    refusal = spin_gate_refusal(module.p, module.coeff_level, module.dim, gate)
-    if refusal is not None:
-        raise CapabilityError(f"{refusal}; the socle and head need exhaustive spinning")
-    whole = Subspace(
-        module, rref([module.unit_vector(i) for i in range(module.dim)])
-    )
-    socle = spin(module, module.line_sum_vector())
-    # if every spin contains the socle it is simple: v in socle gives socle <= spin(v) <= socle
-    socle_ok = True
-    socle_witness = whole_witness = None
-    proper = {}
-    for v, sp in _orbit_spins(module, whole.rows):
-        if socle_ok and not (socle <= sp):
-            socle_ok = False
-            socle_witness = v
-        if sp != whole:
-            if whole_witness is None:
-                whole_witness = v
-            proper[sp.rows] = sp
-    union = rref([row for rows in proper for row in rows])
-    digits = expand(module.m, module.p).digits
-    product = 1
-    for d in digits:
-        product *= d + 1
-    if len(union) == module.dim:
-        # two proper spins already covering everything witness non-uniqueness
-        maximal, wits = None, _cover_witnesses(module, proper.values(), whole)
-    else:
-        maximal, wits = Subspace(module, union), None
+    spins, socle, miss = _census_socle(module)
+    _, dual_socle, dual_miss = _census_socle(module.dual())
+    whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
+
+    def annihilator(sub):
+        zero, one = module.zero_scalar(), module.one_scalar()
+        return Subspace(module, kernel(sub.rows, module.dim, one, zero))
+
+    maximal = annihilator(dual_socle) if dual_miss is None else None
     return SocleHeadReport(
-        IrreducibilityVerdict(whole_witness is None, "exhaustive", module.dim, whole_witness),
-        socle if socle_ok else None,
-        socle_ok,
-        socle_witness,
+        IrreducibilityVerdict(whole_witness is None, module.dim, whole_witness),
+        socle if miss is None else None,
+        miss is None,
+        None if miss is None else miss[0],
         maximal,
         maximal is not None,
-        wits,
-        None if maximal is None else module.dim - maximal.dim,
-        product,
+        None if dual_miss is None else (annihilator(dual_socle), annihilator(dual_miss[1])),
+        None if maximal is None else dual_socle.dim,
+        prod(d + 1 for d in expand(module.m, module.p).digits),
     )
 
 
-def _cover_witnesses(module, spins, whole):
-    spins = sorted(spins, key=lambda s: -s.dim)
-    for i, s1 in enumerate(spins):
-        for s2 in spins[i + 1:]:
-            if len(rref(list(s1.rows) + list(s2.rows))) == whole.dim:
-                return (s1, s2)
-    return None
-
-
-def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=None,
-                 trials=16):
+def case_verdict(module: InducedModule):
     """The rank-one statement on one induced module, as (whole, key, section,
     ok): the whole-module `IrreducibilityVerdict` and a JSON-ready section.
 
     With theta trivial at the module's level, "hecke": the two Hecke pieces
-    have dims (1, q) and are irreducible, and the whole module is checked
-    apart (randomized past the gate if asked). Otherwise "socle_head": a
-    unique simple socle, a unique maximal submodule, and a head of
-    digit-product dimension, all from the one census of `socle_head_report`
-    that also gives the whole-module verdict.
+    have dims (1, q) and are irreducible, each by the census of its own
+    B-stable lines, and the whole module is checked apart. Otherwise
+    "socle_head": a unique simple socle, a unique maximal submodule, and a
+    head of digit-product dimension, from `socle_head_report`, which also
+    gives the whole-module verdict.
     """
     if module.m == 0:
-        whole = is_irreducible(module, None, gate, randomized, seed, trials)
+        whole = is_irreducible(module)
         pieces = hecke_operators(module).idempotent_split()
-        verdicts = [is_irreducible(module, y, gate, randomized, seed, trials) for y in pieces]
+        verdicts = [is_irreducible(module, y) for y in pieces]
         section = {
             "dims": [y.dim for y in pieces],
             "irreducible": [v.irreducible for v in verdicts],
@@ -585,7 +528,7 @@ def case_verdict(module: InducedModule, gate=SPIN_GATE, randomized=False, seed=N
         }
         ok = section["dims"] == [1, module.q] and all(section["irreducible"])
         return whole, "hecke", section, ok
-    rep = socle_head_report(module, gate)
+    rep = socle_head_report(module)
     section = {
         "socle_dim": rep.socle.dim if rep.socle else None,
         "socle_ok": rep.socle_ok,
@@ -669,10 +612,8 @@ def l_submodule(cm: CostandardModule) -> Subspace:
     """Span of the v_i with binom(n, i) nonzero mod p; checked stable."""
     rows = [cm.unit_vector(i) for i in range(cm.dim) if lucas_binom(cm.n, i, cm.p)]
     sub = Subspace(cm, rref(rows))
-    for g in cm.generators():
-        for r in sub.rows:
-            if not sub.contains(g.apply(r)):
-                raise RelationError("digit span is not a submodule")
+    if not _is_stable(cm, sub):
+        raise RelationError("digit span is not a submodule")
     return sub
 
 

@@ -41,8 +41,8 @@ def spin_calls(monkeypatch):
 
 @pytest.fixture
 def enumerated_lines(monkeypatch):
-    """A Counter of the lines walked by the exhaustive searches from now on,
-    keyed by the dimension of the span whose lines are walked."""
+    """A Counter of the B-stable lines the census walks from now on, keyed
+    by the dimension of the eigenspace whose lines are walked."""
     lines = Counter()
     real = sl2lab._projective_vectors
 

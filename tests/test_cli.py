@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from borelline import cli
 from borelline.cli import main
 
 
@@ -199,33 +198,24 @@ def test_lab_requires_exactly_one_character(capsys):
     assert "exactly one" in err
 
 
-def test_lab_capability_exit(capsys, monkeypatch):
-    # the level-3 module is past the exhaustive spin gate: 64^65 = 2^390
-    # vectors. The gate is checked before the module is built.
-    def never_built(*args, **kwargs):
-        raise AssertionError("InducedModule was constructed")
-
-    monkeypatch.setattr(cli, "InducedModule", never_built)
-    code, out, err = run_cli(capsys, "lab", "--p", "2", "--a", "3", "--power", "0")
+def test_lab_capability_exit(capsys, polyfp_mul_calls):
+    # q = 11^2 = 121 is past the desk-scale cap; the module is refused
+    # before any tower is built for it
+    code, out, err = run_cli(capsys, "lab", "--p", "11", "--a", "2", "--power", "0")
     assert code == 3
     assert out == ""
     assert "capability:" in err
-    assert "2^390" in err
+    assert "121 exceeds the desk-scale cap 64" in err
+    assert polyfp_mul_calls == []
 
 
-def test_lab_randomized_nontrivial_character_refused_before_building(capsys, monkeypatch):
-    # --randomized only reaches the Hecke pieces of a trivial character; the
-    # socle and head of a nontrivial one have no randomized route
-    def never_built(*args, **kwargs):
-        raise AssertionError("InducedModule was constructed")
-
-    monkeypatch.setattr(cli, "InducedModule", never_built)
-    code, out, err = run_cli(capsys, "lab", "--p", "3", "--a", "2", "--power", "1",
-                             "--randomized", "--seed", "1")
+def test_lab_nontrivial_character_past_the_cap_refused_before_building(capsys, polyfp_mul_calls):
+    code, out, err = run_cli(capsys, "lab", "--p", "67", "--a", "1", "--power", "1")
     assert code == 3
     assert out == ""
     assert "capability:" in err
-    assert "3^20" in err and "the socle and head need exhaustive spinning" in err
+    assert "67 exceeds the desk-scale cap 64" in err
+    assert polyfp_mul_calls == []
 
 
 def test_lab_level_past_tower_cap_exits_before_truncating(capsys):

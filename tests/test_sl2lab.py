@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import re
+from math import factorial
 
 import pytest
 
 from borelline import cli, sl2lab
 from borelline.characters import RationalPower, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import DenseMap, MonomialMap, rref
+from borelline.linalg import DenseMap, MonomialMap, rref, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     InducedModule,
@@ -192,28 +194,6 @@ def test_is_irreducible_detects_reducible_whole():
     assert spin(module, verdict.witness).dim < module.dim
 
 
-def test_is_irreducible_gate_and_randomized():
-    module = InducedModule(2, 2, power_char(1, 2))
-    with pytest.raises(CapabilityError):
-        is_irreducible(module, gate=2)
-    verdict = is_irreducible(module, gate=2, randomized=True, seed=5, trials=4)
-    assert verdict.mode == "randomized"
-    assert not verdict.irreducible
-    # the sampled witness spins to a proper submodule, an exact certificate
-    assert verdict.witness is not None and verdict.proof
-    assert spin(module, verdict.witness).dim < module.dim
-
-
-def test_randomized_positive_verdict_is_not_a_proof():
-    module = InducedModule(2, 1, trivial_character(2, 1))
-    _, steinberg = hecke_operators(module).idempotent_split()
-    verdict = is_irreducible(module, steinberg, gate=2, randomized=True,
-                             seed=1, trials=3)
-    assert verdict.mode == "randomized"
-    assert verdict.irreducible
-    assert not verdict.proof
-
-
 def test_socle_head_on_grid():
     for p, a, lam in ((2, 2, 1), (2, 2, 2), (2, 2, -1), (3, 1, 1), (3, 1, -1)):
         module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
@@ -226,16 +206,6 @@ def test_socle_head_on_grid():
         assert (key, section["head_dim"], ok) == ("socle_head", 2, True)
 
 
-def test_socle_head_report_honours_the_gate():
-    # 3^4 = 81 vectors: over a gate of 80, under a gate of 81
-    module = InducedModule(3, 1, power_char(1, 3))
-    with pytest.raises(CapabilityError, match=r"3\^4 exceeds the spin gate 80;"):
-        socle_head_report(module, gate=80)
-    with pytest.raises(CapabilityError, match=r"3\^4 exceeds the spin gate 80;"):
-        case_verdict(module, gate=80)
-    assert socle_head_report(module, gate=81).head_dim == 2
-
-
 def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     # once the module is built, every field operation is a table lookup
     module = InducedModule(2, 2, power_char(1, 2))
@@ -245,49 +215,124 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     assert len(polyfp_mul_calls) == built
 
 
-def _direct_spins(module, rows):
-    # the direct route: one spin for every line, none shared along orbits
+# -- the exhaustive reference route -------------------------------------------
+#
+# Spin one line per group orbit of every line of the span, and read the
+# verdicts off all those spins: an independent second route to the census
+# of B-stable lines, feasible for q <= 5.
+
+
+def _orbit_spins(module, rows):
+    """(v, spin(v)) for the first line of each group orbit, in the order
+    `_projective_vectors` walks the lines of the span of rows.
+
+    spin(g v) = spin(v) for every group element g, so each spin is followed
+    by a walk of its line's orbit under the generators, images scaled to a
+    leading one; the enumeration skips the lines the walk reached.
+    """
+    gens = module.generators()
+    one = module.one_scalar()
+    ahead = set()
     for v in sl2lab._projective_vectors(module, rows):
+        if v in ahead:
+            ahead.discard(v)
+            continue
         yield v, spin(module, v)
+        ahead.add(v)
+        frontier = [v]
+        while frontier:
+            w = frontier.pop()
+            for g in gens:
+                u = g.apply(w)
+                x = next(c for c in u if not c.is_zero())
+                if x is not one:
+                    u = vec_scale(x.inverse(), u)
+                if u not in ahead:
+                    ahead.add(u)
+                    frontier.append(u)
+        ahead.discard(v)
 
 
-def _both_routes(monkeypatch, search, *args):
-    shared = search(*args)
-    with monkeypatch.context() as patch:
-        patch.setattr(sl2lab, "_orbit_spins", _direct_spins)
-        direct = search(*args)
-    return shared, direct
+def _whole(module):
+    return Subspace(module, rref([module.unit_vector(i) for i in range(module.dim)]))
 
 
-NONTRIVIAL_UP_TO_5 = ((3, 1, 1), (2, 2, 1), (2, 2, 2), (5, 1, 1), (5, 1, 2), (5, 1, 3))
+def _exhaustive_irreducible(module, target):
+    """Whether every line of target spins to all of it."""
+    return all(sp == target for _, sp in _orbit_spins(module, target.rows))
 
 
-def test_orbit_shared_spins_match_direct_route(monkeypatch):
-    # every report field, witnesses and maximal_witnesses included, on every
-    # nontrivial (p, a, m) with q <= 5
-    for p, a, m in NONTRIVIAL_UP_TO_5:
-        module = InducedModule(p, a, power_char(m, p, max(a, 2)))
-        assert module.m == m
-        report, direct = _both_routes(monkeypatch, socle_head_report, module)
-        assert report == direct
-        shared, direct = _both_routes(monkeypatch, is_irreducible, module)
-        assert shared == direct
-        assert shared.witness is not None
-        # the report's whole-module verdict is the one is_irreducible gives
-        assert report.whole == shared
+def _exhaustive_socle_head(module):
+    """(socle or None, maximal or None) from the spins of every line: the
+    spin of the line sum is the simple socle iff it lies in every spin, and
+    the sum of the proper spins is the unique maximal submodule unless it
+    is everything."""
+    whole = _whole(module)
+    spins = [sp for _, sp in _orbit_spins(module, whole.rows)]
+    socle = spin(module, module.line_sum_vector())
+    union = rref([row for sp in spins if sp != whole for row in sp.rows])
+    return (socle if all(socle <= sp for sp in spins) else None,
+            None if len(union) == module.dim else Subspace(module, union))
 
 
-def test_orbit_shared_spins_match_direct_route_on_hecke_pieces(monkeypatch):
-    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1)):
+def _cover_witnesses(spins, whole):
+    """Two proper spins that together span the whole, largest first."""
+    spins = sorted(spins, key=lambda s: -s.dim)
+    for i, s1 in enumerate(spins):
+        for s2 in spins[i + 1:]:
+            if len(rref(list(s1.rows) + list(s2.rows))) == whole.dim:
+                return (s1, s2)
+    return None
+
+
+def _is_proper_witness(module, witness, target):
+    sub = spin(module, witness)
+    return sub.dim > 0 and sub <= target and sub != target
+
+
+def _residues(p, a):
+    """Every residue the powers -6..6 give at level a."""
+    q = p ** factorial(a)
+    return sorted({lam % (q - 1) for lam in range(-6, 7)})
+
+
+LAB_PAIRS = ((2, 1), (3, 1), (5, 1), (2, 2))
+
+
+def test_orbit_shared_spins_match_direct_route():
+    # the census against the exhaustive route on every lab case with q <= 5:
+    # verdicts, socle rows, maximal rows and head dimensions agree
+    for p, a in LAB_PAIRS:
+        for m in _residues(p, a):
+            module = InducedModule(p, a, power_char(m, p, a))
+            whole = _whole(module)
+            verdict = is_irreducible(module)
+            assert verdict.mode == "exhaustive" and verdict.proof
+            assert verdict.irreducible is _exhaustive_irreducible(module, whole)
+            if m == 0:
+                continue
+            rep = socle_head_report(module)
+            socle, maximal = _exhaustive_socle_head(module)
+            assert rep.whole == verdict
+            assert rep.socle == socle and rep.socle_ok
+            assert rep.maximal == maximal and rep.maximal_ok
+            assert rep.head_dim == module.dim - maximal.dim == rep.head_digit_product
+            # every nontrivial case here is reducible, by a proper spin
+            assert _is_proper_witness(module, verdict.witness, whole)
+
+
+def test_orbit_shared_spins_match_direct_route_on_hecke_pieces():
+    for p, a in LAB_PAIRS:
         module = InducedModule(p, a, trivial_character(p, a))
         for piece in hecke_operators(module).idempotent_split():
-            shared, direct = _both_routes(monkeypatch, is_irreducible, module, piece)
-            assert shared == direct
-            assert shared.irreducible
+            verdict = is_irreducible(module, piece)
+            assert verdict.irreducible and _exhaustive_irreducible(module, piece)
         # the whole module is reducible, with a witness past the first line
-        shared, direct = _both_routes(monkeypatch, is_irreducible, module)
-        assert shared == direct
-        assert shared.witness != module.unit_vector(0)
+        whole = _whole(module)
+        verdict = is_irreducible(module)
+        assert not verdict.irreducible and not _exhaustive_irreducible(module, whole)
+        assert verdict.witness != module.unit_vector(0)
+        assert _is_proper_witness(module, verdict.witness, whole)
 
 
 def test_orbit_shared_spins_match_direct_route_on_split_modules(monkeypatch):
@@ -296,36 +341,145 @@ def test_orbit_shared_spins_match_direct_route_on_split_modules(monkeypatch):
     monkeypatch.setattr(sl2lab, "_require_nontrivial", lambda module: None)
     for p, a in ((2, 1), (3, 1), (2, 2)):
         module = InducedModule(p, a, trivial_character(p, a))
-        shared, direct = _both_routes(monkeypatch, socle_head_report, module)
-        assert shared == direct
-        assert shared.socle_witness is not None
-        assert [s.dim for s in shared.maximal_witnesses] == [module.q, 1]
+        whole = _whole(module)
+        rep = socle_head_report(module)
+        assert (rep.socle, rep.maximal) == _exhaustive_socle_head(module) == (None, None)
+        assert not rep.socle_ok and not rep.maximal_ok and rep.head_dim is None
+        assert _is_proper_witness(module, rep.socle_witness, whole)
+        proper = [sp for _, sp in _orbit_spins(module, whole.rows) if sp != whole]
+        cover = _cover_witnesses(proper, whole)
+        big, small = rep.maximal_witnesses
+        assert (big.dim, small.dim) == tuple(s.dim for s in cover) == (module.q, 1)
+        assert len(rref(big.rows + small.rows)) == module.dim
+        assert all(sl2lab._is_stable(module, w) for w in rep.maximal_witnesses)
 
 
-def test_orbit_shared_spins_match_direct_route_on_costandard_modules(monkeypatch):
+def test_orbit_shared_spins_match_direct_route_on_costandard_modules():
     for n, p, level in ((4, 3, 1), (3, 2, 2), (4, 3, 2)):
         cm = CostandardModule(n, p, coeff_level=level)
         sub = l_submodule(cm)
-        shared, direct = _both_routes(monkeypatch, is_irreducible, cm, sub)
-        assert shared == direct
+        verdict = is_irreducible(cm, sub)
+        assert verdict.irreducible is _exhaustive_irreducible(cm, sub)
+        if not verdict.irreducible:
+            assert _is_proper_witness(cm, verdict.witness, sub)
 
 
 def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
-    # the direct route spins 1 + 3906 = 3907 times on this module
+    # one spin per B-stable line: two in the module, two in its dual, where
+    # the exhaustive route spins once per orbit of its 3906 lines (86 times)
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
     assert rep.socle.dim == 4 and rep.head_dim == 2
-    assert len(spin_calls) == 86
-    # every line of the module is visited once; the socle's are not walked
-    assert enumerated_lines == {6: 3906}
+    assert len(spin_calls) == 4
+    assert enumerated_lines == {1: 4}
 
 
 def test_lab_takes_one_census(spin_calls, enumerated_lines, capsys):
-    # the whole-module, socle and head verdicts come from one orbit pass
+    # the whole-module, socle and head verdicts come from one census of the
+    # module and one of its dual
     assert cli.main(["lab", "--p", "5", "--a", "1", "--power", "3"]) == 0
     assert '"socle_ok": true' in capsys.readouterr().out
-    assert len(spin_calls) == 86
-    assert enumerated_lines == {6: 3906}
+    assert len(spin_calls) == 4
+    assert enumerated_lines == {1: 4}
+
+
+def test_b_stable_lines_are_b_stable():
+    # a nontrivial character has two B-stable lines unless theta^2 is
+    # trivial; a trivial one has a plane of them, q + 1 lines
+    for p, a in LAB_PAIRS:
+        q = p ** factorial(a)
+        for m in range(q - 1):
+            module = InducedModule(p, a, power_char(m, p, a))
+            for mod in (module, module.dual()):
+                lines = list(sl2lab.b_stable_lines(mod))
+                assert len(lines) == (2 if (2 * m) % (q - 1) else q + 1)
+                for v in lines:
+                    line = Subspace(mod, rref([v]))
+                    for g in mod.generators()[:-1]:   # U and T generate B
+                        assert line.contains(g.apply(v))
+
+
+def test_dual_modules_satisfy_the_relations():
+    for module in (InducedModule(3, 1, power_char(1, 3)),
+                   InducedModule(2, 2, power_char(1, 2)),
+                   CostandardModule(4, 3, coeff_level=1),
+                   CostandardModule(3, 2, coeff_level=2)):
+        dual = module.dual()
+        dual._check_relations()
+        assert (dual.p, dual.dim, dual.coeff_level) == (module.p, module.dim, module.coeff_level)
+        # the pairing of the dual basis with the basis is invariant:
+        # <g f_i, g e_j> = delta_ij for every generator g
+        basis = [module.unit_vector(i) for i in range(module.dim)]
+        for g, dg in zip(module.generators(), dual.generators()):
+            for i, f in enumerate(basis):
+                gf = dg.apply(f)
+                for j, e in enumerate(basis):
+                    pairing = sum((x * y for x, y in zip(gf, g.apply(e))), module.zero_scalar())
+                    assert pairing == (module.one_scalar() if i == j else module.zero_scalar())
+
+
+def test_is_irreducible_requires_a_submodule():
+    module = InducedModule(3, 1, power_char(1, 3))
+    line = Subspace(module, rref([module.unit_vector(1)]))
+    with pytest.raises(PreconditionError, match="not stable"):
+        is_irreducible(module, line)
+    cm = CostandardModule(4, 3, coeff_level=1)
+    with pytest.raises(PreconditionError):
+        is_irreducible(cm, Subspace(cm, rref([cm.unit_vector(0), cm.unit_vector(1)])))
+
+
+def _digit_product(m, p):
+    out = 1
+    while m:
+        out *= m % p + 1
+        m //= p
+    return out
+
+
+def test_every_residue_up_to_q_13():
+    # 46 cases: a unique socle and maximal submodule with head the digit
+    # product for every nontrivial residue, the Hecke split for the trivial one
+    cases = 0
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
+        q = p ** factorial(a)
+        for m in range(q - 1):
+            module = InducedModule(p, a, power_char(m, p, a))
+            whole, key, section, ok = case_verdict(module)
+            assert ok and not whole.irreducible
+            if m == 0:
+                assert (key, section["dims"]) == ("hecke", [1, q])
+            else:
+                assert key == "socle_head"
+                assert section["socle_ok"] and section["maximal_ok"]
+                assert section["head_dim"] == section["digit_product"] == _digit_product(m, p)
+            cases += 1
+    assert cases == 46
+
+
+def test_census_socle_of_costandard_is_the_digit_span():
+    # Steinberg's restriction theorem: for n < q the digit span is the simple
+    # socle of the costandard module over F_q
+    for p, level in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
+        q = p ** factorial(level)
+        for n in range(q):
+            cm = CostandardModule(n, p, coeff_level=level)
+            _, least, miss = sl2lab._census_socle(cm)
+            assert miss is None and least == l_submodule(cm)
+    # past q it fails: over F_2, the digit span of n = 2 is not the socle
+    cm = CostandardModule(2, 2, coeff_level=1)
+    _, least, miss = sl2lab._census_socle(cm)
+    assert miss is not None or least != l_submodule(cm)
+
+
+@pytest.mark.parametrize("p, a, power", ((7, 1, 1), (3, 2, 4), (7, 2, 8), (61, 1, 1), (2, 3, 5)))
+def test_lab_proves_past_q_5(capsys, p, a, power):
+    code = cli.main(["lab", "--p", str(p), "--a", str(a), "--power", str(power)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["ok"]
+    assert doc["whole_irreducible"] == {"irreducible": False, "mode": "exhaustive", "proof": True}
+    section = doc["socle_head"]
+    assert section["socle_ok"] and section["maximal_ok"]
+    assert section["head_dim"] == section["digit_product"] == _digit_product(power, p)
 
 
 def test_socle_is_simple_and_minimal():
@@ -406,20 +560,6 @@ def test_l_submodule_reducible_past_field_order():
     verdict = is_irreducible(cm, sub)
     assert not verdict.irreducible
     assert verdict.witness is not None
-
-
-def test_randomized_route_on_a_costandard_module():
-    # group-algebra elements are built from the generators alone, so the
-    # dense actions of a costandard module serve as well as monomial ones
-    cm = CostandardModule(4, 3, coeff_level=1)
-    sub = l_submodule(cm)
-    verdict = is_irreducible(cm, sub, gate=2, randomized=True, seed=1, trials=2)
-    assert verdict.mode == "randomized"
-    assert verdict.irreducible and not verdict.proof
-    # the digit span is reducible (see above); a third trial finds a witness
-    verdict = is_irreducible(cm, sub, gate=2, randomized=True, seed=1, trials=4)
-    assert not verdict.irreducible and verdict.proof and verdict.trials == 3
-    assert spin(cm, verdict.witness).dim < sub.dim
 
 
 def test_pi_image_trivial_character_vanishes():

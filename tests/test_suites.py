@@ -68,3 +68,21 @@ def test_run_suites_bundles_and_validates():
     assert [s["suite"] for s in bundle["suites"]] == ["power-sums", "digit-lemma"]
     with pytest.raises(KeyError):
         run_suites(["nope"])
+
+
+def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch):
+    # a (1, q) split makes the whole module reducible, so a whole-module
+    # verdict of irreducible fails the case
+    from borelline import suites
+    from borelline.sl2lab import IrreducibilityVerdict
+
+    real = suites.case_verdict
+
+    def whole_claimed_irreducible(module):
+        whole, key, section, ok = real(module)
+        return IrreducibilityVerdict(True, whole.dimension), key, section, ok
+
+    assert suites.suite_hecke_split(p_filter=2)["ok"] is True
+    monkeypatch.setattr(suites, "case_verdict", whole_claimed_irreducible)
+    rec = suites.suite_hecke_split(p_filter=2)
+    assert rec["ok"] is False and rec["cases"] == len(rec["failures"]) == 2
