@@ -423,21 +423,3 @@ def symbolic_from_json(obj) -> SymbolicCharacter:
             factors.append((theta, GaloisTwist(tuple(twist))))
         return TwistedDigitSum(tuple(factors))
     raise ArgumentError(f"unknown character kind {kind!r}")
-
-
-def truncated_to_json(tc: TruncatedCharacter) -> dict:
-    return {"p": tc.p, "residues": list(tc.residues)}
-
-
-def truncated_from_json(obj) -> TruncatedCharacter:
-    if not isinstance(obj, dict):
-        raise ArgumentError("a truncated character is an object")
-    p = obj.get("p")
-    residues = obj.get("residues")
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ArgumentError("'p' must be an integer prime")
-    if not isinstance(residues, list) or not all(
-        isinstance(m, int) and not isinstance(m, bool) for m in residues
-    ):
-        raise ArgumentError("'residues' must be a list of integers")
-    return TruncatedCharacter(p, tuple(residues))

@@ -157,7 +157,6 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
     require_prime(p)
     if tchar.datum is not datum and tchar.datum != datum:
         raise ArgumentError("character data belongs to a different datum")
-    rank = datum.rank
     j0 = x0_support(tchar, p, level)
     triv = trivial_support(tchar)
     if not triv <= j0:
@@ -165,10 +164,7 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
     factors = steinberg_decompose(tchar, p, level, indices=j0)
     j_sorted = sorted(j0)
     levi = datum.sub_datum(j_sorted) if j_sorted else None
-    finite = len(j0) == rank
-    # consistency between the support path and the verdict path
-    if finite != (x0_support(tchar, p, level) == frozenset(range(rank))):
-        raise RelationError("finiteness verdict disagrees with the support set")
+    finite = len(j0) == datum.rank
     if not j0:
         statement = "L(theta) = M(theta) = Ind_B^G(theta), irreducible"
     elif finite:

@@ -46,7 +46,7 @@ def _read_json(path):
     return json.loads(raw)
 
 
-def _check_level(level):
+def _require_level(level):
     if level < 1:
         raise ArgumentError("level must be at least 1")
     if level > LEVEL_CAP:
@@ -88,7 +88,7 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    _check_level(args.level)
+    _require_level(args.level)
     obj = _read_json(args.input)
     datum, tchar = torus_character_from_json(obj)
     rep = report(datum, tchar, args.p, args.level)
@@ -96,7 +96,7 @@ def _cmd_classify(args):
 
 
 def _cmd_char_inspect(args):
-    _check_level(args.level)
+    _require_level(args.level)
     sc = symbolic_from_json(_read_json(args.input))
     tc = truncate(sc, args.p, args.level)
     pattern = extract_pattern(tc)
@@ -130,7 +130,7 @@ def _cmd_lab(args):
         sc = symbolic_from_json(_read_json(args.char))
     else:
         sc = RationalPower(args.power)
-    _check_level(args.a)
+    _require_level(args.a)
     theta = truncate(sc, args.p, args.a)
     module = InducedModule(args.p, args.a, theta)
     out = {

@@ -25,32 +25,12 @@ def vec_scale(c, v):
 
 
 def rref(rows):
-    """Canonical reduced row echelon form; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    if m == 0:
-        return ()
-    n = len(mat[0])
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if not mat[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [inv * x for x in mat[rank]]
-        for r in range(m):
-            if r != rank and not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return tuple(tuple(r) for r in mat[:rank])
+    """Canonical reduced row echelon form; zero rows dropped. A fold of
+    `rref_insert`, which keeps the rows canonical after every insert."""
+    out = ()
+    for row in rows:
+        out, _ = rref_insert(out, tuple(row))
+    return out
 
 
 def leading_index(row) -> int:

@@ -28,7 +28,6 @@ from .linalg import (
     DenseMap,
     MonomialMap,
     kernel,
-    mat_mul,
     rref,
     rref_insert,
     span_contains,
@@ -36,7 +35,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .towers import LEVEL_CAP, CapabilityError, FieldTower, make_tower
+from .towers import LEVEL_CAP, CapabilityError, make_tower
 
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
 
@@ -72,9 +71,10 @@ class Subspace:
 
 
 class _SL2Module:
-    """What both module kinds share: vectors over the coefficient field, and
-    actions eps(x), h(u), s() of SL_2 over the field at `group_level`, as
-    maps with `apply`, `compose` and `==`, checked by `_check_relations`."""
+    """What both module kinds share: one field, at `coeff_level` (equal to
+    `group_level`), holding both the vector coordinates and the points of
+    the actions eps(x), h(u), s() of SL_2, as maps with `apply`, `compose`
+    and `==`, checked by `_check_relations`."""
 
     def zero_scalar(self):
         return self.tower.zero(self.coeff_level)
@@ -158,24 +158,21 @@ class _Dual(_SL2Module):
 class InducedModule(_SL2Module):
     """kG_a tensor theta, with cell basis {line} + {eps(t) s line : t in F_q}.
 
-    An `_SL2Module` with monomial actions; the group acts at level a.
+    An `_SL2Module` with monomial actions over the one field F_q at level a:
+    the group, the character values and the coordinates all live there.
     """
 
-    def __init__(self, p, a, theta: TruncatedCharacter, coeff_level=None, tower=None):
+    def __init__(self, p, a, theta: TruncatedCharacter):
         if theta.p != p:
             raise ArgumentError("character prime disagrees with p")
         if theta.level < a:
             raise ArgumentError(f"character needs residues up to level {a}")
-        if coeff_level is None:
-            coeff_level = a
-        if coeff_level < a:
-            raise ArgumentError("coefficient level must contain the group level")
         if a < 1:
             raise ArgumentError("the group level must be at least 1")
         if a > LEVEL_CAP:
             raise CapabilityError(f"group level {a} exceeds the tower cap {LEVEL_CAP}")
         self.p = p
-        self.a = self.group_level = a
+        self.a = self.group_level = self.coeff_level = a
         self.q = p ** factorial(a)
         if self.q > GROUP_ORDER_CAP:
             raise CapabilityError(
@@ -183,12 +180,10 @@ class InducedModule(_SL2Module):
             )
         self.theta = theta
         self.m = theta.residue(a)
-        self.coeff_level = coeff_level
-        self.tower = tower if tower is not None else make_tower(p, max(coeff_level, a))
+        self.tower = make_tower(p, a)
         self.dim = self.q + 1
         self.labels = tuple(self.tower.enumerate_elements(a))
         self._index = {e.coords: i + 1 for i, e in enumerate(self.labels)}
-        self._theta_cache = {}
         self._eps_cache = {}
         self._h_cache = {}
         self._s_map = None
@@ -202,12 +197,8 @@ class InducedModule(_SL2Module):
         return self._index[t.coords]
 
     def theta_value(self, u):
-        """theta(h(u)) = u^m, evaluated in the coefficient field."""
-        hit = self._theta_cache.get(u.coords)
-        if hit is None:
-            hit = u.embed(self.coeff_level) ** self.m
-            self._theta_cache[u.coords] = hit
-        return hit
+        """theta(h(u)) = u^m."""
+        return u ** self.m
 
     def eps(self, x) -> MonomialMap:
         """Upper unipotent: fixes the line, translates the cells."""
@@ -355,8 +346,12 @@ def fixed_subspace(module, maps, within: Subspace | None = None) -> Subspace:
 
 def _projective_vectors(module, rows):
     """One representative per line of the span of rows: the coefficient of
-    the leading row is pinned to one, later rows range over the field."""
-    field = list(module.tower.enumerate_elements(module.coeff_level))
+    the leading row is pinned to one, later rows range over the field as
+    0, 1, g, g^2, ..., g a generator of its units, so the lines near the
+    leading row (coefficient 1 among them) come first."""
+    level = module.coeff_level
+    g = module.tower.multiplicative_generator(level)
+    field = [module.zero_scalar()] + [g ** k for k in range(module.tower.order(level) - 1)]
     k = len(rows)
 
     def walk(prefix, idx):
@@ -396,7 +391,7 @@ def b_stable_lines(module, within: Subspace | None = None):
     hg = module.h(tower.multiplicative_generator(level))
     for lam in tower.enumerate_elements(level):
         if not lam.is_zero():
-            scaled = _Scaled(lam.inverse().embed(module.coeff_level), hg)
+            scaled = _Scaled(lam.inverse(), hg)
             yield from _projective_vectors(module, fixed_subspace(module, [scaled], fixed).rows)
 
 
@@ -549,26 +544,22 @@ class CostandardModule(_SL2Module):
     """The (n+1)-dimensional module with basis v_0..v_n and
     eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
 
-    An `_SL2Module` with dense actions; the group acts at check_level.
+    An `_SL2Module` with dense actions over the one field at coeff_level:
+    the group acts there and the coordinates live there. Points from a
+    subfield are embedded on entry.
     """
 
-    def __init__(self, n, p, coeff_level, check_level=None, tower=None):
+    def __init__(self, n, p, coeff_level):
         if n < 0:
             raise ArgumentError("the highest weight must be nonnegative")
         self.n = n
         self.p = p
-        self.coeff_level = coeff_level
-        self.group_level = coeff_level if check_level is None else check_level
-        if self.group_level > coeff_level:
-            raise ArgumentError("relations can only be checked inside the coefficient field")
-        self.tower = tower if tower is not None else make_tower(p, coeff_level)
+        self.coeff_level = self.group_level = coeff_level
+        self.tower = make_tower(p, coeff_level)
         self.dim = n + 1
-        q_check = self.tower.order(self.group_level)
-        if q_check * q_check * self.dim ** 3 > RELATION_WORK_CAP:
-            raise CapabilityError(
-                "relation verification at this size is beyond desk scale; "
-                "lower check_level explicitly"
-            )
+        q = self.tower.order(coeff_level)
+        if q * q * self.dim ** 3 > RELATION_WORK_CAP:
+            raise CapabilityError("relation verification at this size is beyond desk scale")
         self._binom = tuple(
             tuple(lucas_binom(i, j, p) for j in range(self.dim)) for i in range(self.dim)
         )
@@ -634,7 +625,7 @@ class PiImageRecord:
         return not self.nonzero_indices
 
 
-def pi_image(theta: TruncatedCharacter, r, t, check_level=None) -> PiImageRecord:
+def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     """sum over a in F_(p^(r!)) of eps(a) . v_(m_t) inside the costandard
     module of weight m_t, computed two independent ways.
 
@@ -648,7 +639,7 @@ def pi_image(theta: TruncatedCharacter, r, t, check_level=None) -> PiImageRecord
         raise ArgumentError(f"character needs residues up to level {t}")
     p = theta.p
     m_t = theta.residue(t)
-    cm = CostandardModule(m_t, p, coeff_level=t, check_level=check_level)
+    cm = CostandardModule(m_t, p, coeff_level=t)
     top = cm.unit_vector(m_t)
     total = cm.zero_vector()
     for a in cm.tower.enumerate_elements(r):
@@ -700,7 +691,13 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
 
 
 class HeckeOperators:
-    """The two basis endomorphisms at a level where theta is trivial."""
+    """The endomorphism t_s at a level where theta is trivial, and the split
+    of the module by the projectors e = 1 + t_s and o = -t_s.
+
+    e + o = 1 by construction, so e and o are orthogonal idempotents exactly
+    when t_s^2 = -t_s: the Hecke relation T_s^2 = (q - 1) T_s + q read in
+    characteristic p. That one relation is checked, with equivariance.
+    """
 
     def __init__(self, module: InducedModule):
         if module.m != 0:
@@ -709,8 +706,6 @@ class HeckeOperators:
                 "character trivial at this level"
             )
         self.module = module
-        n = module.dim
-        self.identity_rows = tuple(module.unit_vector(i) for i in range(n))
         # t_s sends the line to the sum of all cells and is extended to the
         # cell eps(t) s line by equivariance under eps(t) s
         image_of_line = module.line_sum_vector()
@@ -718,50 +713,25 @@ class HeckeOperators:
         for t in module.labels:
             word = module.eps(t).compose(module.s())
             cols.append(word.apply(image_of_line))
-        rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        self.t_s_rows = rows
-        self._assert_endomorphism(rows)
-        self._assert_idempotents()
-
-    def _assert_endomorphism(self, rows):
-        """t_s(g e_j) = g(t_s e_j) for every generator g and basis vector e_j."""
-        t_s = DenseMap(rows)
-        for g in self.module.generators():
-            for e in self.identity_rows:
-                if t_s.apply(g.apply(e)) != g.apply(t_s.apply(e)):
+        self._cols = tuple(cols)
+        self.t_s_rows = tuple(zip(*cols))
+        t_s = DenseMap(self.t_s_rows)
+        # t_s(g e_j) = g(t_s e_j) for every generator g and basis vector e_j
+        for g in module.generators():
+            for j, col in enumerate(cols):
+                if t_s.apply(g.apply(module.unit_vector(j))) != g.apply(col):
                     raise RelationError("the cell-averaging operator is not equivariant")
-
-    def _assert_idempotents(self):
-        e = self.e_rows()
-        o = self.o_rows()
-        zero_mat = tuple(
-            tuple(self.module.zero_scalar() for _ in row) for row in e
-        )
-        if mat_mul(e, e) != e or mat_mul(o, o) != o:
-            raise RelationError("the two summand projectors are not idempotent")
-        if mat_mul(e, o) != zero_mat or mat_mul(o, e) != zero_mat:
-            raise RelationError("the summand projectors are not orthogonal")
-        total = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(e, o)
-        )
-        if total != self.identity_rows:
-            raise RelationError("the summand projectors do not sum to the identity")
-
-    def e_rows(self):
-        return tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.identity_rows, self.t_s_rows)
-        )
-
-    def o_rows(self):
-        return tuple(tuple(-a for a in row) for row in self.t_s_rows)
+        minus_one = -module.one_scalar()
+        for col in cols:
+            if t_s.apply(col) != vec_scale(minus_one, col):
+                raise RelationError("the Hecke relation t_s^2 = -t_s fails")
 
     def idempotent_split(self):
-        """Images of the two projectors, as submodules."""
-        e_cols = rref(list(zip(*self.e_rows())))
-        o_cols = rref(list(zip(*self.o_rows())))
-        y_full = Subspace(self.module, e_cols)
-        y_empty = Subspace(self.module, o_cols)
+        """Images of the two projectors, as submodules: the span of the
+        columns e_j + t_s e_j, and that of the columns of t_s."""
+        units = (self.module.unit_vector(j) for j in range(self.module.dim))
+        y_full = Subspace(self.module, rref(map(vec_add, units, self._cols)))
+        y_empty = Subspace(self.module, rref(self._cols))
         if y_full.dim + y_empty.dim != self.module.dim:
             raise RelationError("projector images do not decompose the module")
         return y_full, y_empty

@@ -120,14 +120,6 @@ class FieldElement:
             return f.exp[0] if e == 0 else self
         return f.exp[self.log * e % f.units]
 
-    def frobenius(self, k=1):
-        """Apply x -> x^(p^k); k reduces mod the level degree."""
-        deg = self.tower.degree(self.level)
-        out = self
-        for _ in range(k % deg):
-            out = out ** self.tower.p
-        return out
-
     def embed(self, level):
         if level < self.level:
             raise ArgumentError("cannot embed downward")

@@ -20,8 +20,6 @@ from borelline.characters import (
     symbolic_from_json,
     symbolic_to_json,
     truncate,
-    truncated_from_json,
-    truncated_to_json,
 )
 from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError
@@ -237,8 +235,3 @@ def test_symbolic_json_rejects_garbage():
         symbolic_from_json({"kind": "rational", "lambda": "five"})
     with pytest.raises(ArgumentError):
         symbolic_from_json([1, 2])
-
-
-def test_truncated_json_roundtrip():
-    tc = truncate(RationalPower(-1), 2, 3)
-    assert truncated_from_json(truncated_to_json(tc)) == tc

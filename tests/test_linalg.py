@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from borelline.linalg import (
     DenseMap,
     MonomialMap,
@@ -45,6 +47,77 @@ def test_rref_drops_zero_rows():
     t = field()
     rows = [fe(t, 1, 1), fe(t, 2, 2), fe(t, 0, 0)]
     assert len(rref(rows)) == 1
+
+
+def _gauss_jordan(rows):
+    """Reference reduced row echelon form: the classic Gauss-Jordan loop,
+    one pivot column at a time, zero rows dropped."""
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    if m == 0:
+        return ()
+    n = len(mat[0])
+    rank = 0
+    for col in range(n):
+        piv = None
+        for r in range(rank, m):
+            if not mat[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inverse()
+        mat[rank] = [inv * x for x in mat[rank]]
+        for r in range(m):
+            if r != rank and not mat[r][col].is_zero():
+                c = mat[r][col]
+                mat[r] = [a - c * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return tuple(tuple(r) for r in mat[:rank])
+
+
+# F_2, F_3, F_4, F_5, F_9 as (p, level)
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))
+SHAPES = ((1, 1), (1, 6), (3, 8), (5, 5), (9, 4), (14, 2))   # tall and wide
+
+
+def _random_matrix(rng, elems, m, n):
+    """Sparse random rows with zero rows and repeated (rescaled) rows mixed in."""
+    zero = elems[0]
+    rows = [tuple(rng.choice(elems) if rng.random() < 0.5 else zero for _ in range(n))
+            for _ in range(m)]
+    rows[rng.randrange(m)] = (zero,) * n
+    if m > 1:
+        c = rng.choice(elems[1:])
+        rows[rng.randrange(m)] = vec_scale(c, rows[rng.randrange(m)])
+        rows.append(rows[rng.randrange(m)])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p, level", FIELDS)
+def test_rref_matches_gauss_jordan(p, level):
+    t = make_tower(p, levels=level)
+    elems = list(t.enumerate_elements(level))
+    assert elems[0].is_zero()
+    one, zero = t.one(level), t.zero(level)
+    rng = random.Random(10 * p + level)
+    assert rref([]) == _gauss_jordan([]) == ()
+    for m, n in SHAPES:
+        for _ in range(6):
+            rows = _random_matrix(rng, elems, m, n)
+            red = rref(rows)
+            assert red == _gauss_jordan(rows)
+            basis = kernel(rows, n, one, zero)
+            assert len(basis) == n - len(red)
+            assert rref(basis) == basis
+            for row in rows:
+                for k in basis:
+                    dot = sum((a * b for a, b in zip(row, k)), start=zero)
+                    assert dot.is_zero()
 
 
 def test_rref_insert_matches_batch_rref():

@@ -383,6 +383,19 @@ def test_lab_takes_one_census(spin_calls, enumerated_lines, capsys):
     assert enumerated_lines == {1: 4}
 
 
+@pytest.mark.parametrize("p, a", ((2, 2), (3, 2)))
+def test_trivial_character_census_walks_coefficient_one_early(
+    spin_calls, enumerated_lines, capsys, p, a
+):
+    # the whole module's B-stable lines fill a plane, e_0 + c (sum of cells)
+    # among them; c = 1 spins to a proper submodule and is the second line
+    # walked. Then one line in each Hecke piece
+    assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", "0"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    assert len(spin_calls) == 4
+    assert enumerated_lines == {2: 2, 1: 2}
+
+
 def test_b_stable_lines_are_b_stable():
     # a nontrivial character has two B-stable lines unless theta^2 is
     # trivial; a trivial one has a plane of them, q + 1 lines
@@ -519,8 +532,6 @@ def test_costandard_eps_is_binomial_lower_triangular():
 def test_costandard_check_level_guard():
     with pytest.raises(CapabilityError):
         CostandardModule(40, 2, coeff_level=3)
-    # explicit lower check level brings it back in range
-    CostandardModule(8, 2, coeff_level=2, check_level=1)
 
 
 def test_l_submodule_dimensions():
@@ -543,8 +554,8 @@ def _digits(n, p):
 
 
 def test_l_submodule_irreducible_below_field_order():
-    # the digit span stays irreducible for the group over the check field
-    # exactly while n < p^(check_level!)
+    # the digit span stays irreducible for the group over the module's one
+    # field exactly while n < q = p^(coeff_level!)
     for p, level, n in ((2, 1, 1), (3, 1, 2), (2, 2, 3), (3, 2, 4)):
         cm = CostandardModule(n, p, coeff_level=level)
         sub = l_submodule(cm)
@@ -620,6 +631,20 @@ def test_hecke_split_dims_and_irreducibility():
         assert (key, sec, ok) == ("hecke", section, True)
         # the module splits, so the whole is reducible
         assert not whole.irreducible and whole.proof
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
+    # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s)
+    module = InducedModule(p, 1, trivial_character(p, 1))
+    real = InducedModule.line_sum_vector
+
+    def doubled(self, *args):
+        return vec_scale(self.tower.scalar(2, self.a), real(self, *args))
+
+    monkeypatch.setattr(InducedModule, "line_sum_vector", doubled)
+    with pytest.raises(RelationError, match=re.escape("t_s^2 = -t_s")):
+        hecke_operators(module)
 
 
 def test_hecke_t_s_squares_to_minus_itself():
