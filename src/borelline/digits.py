@@ -8,6 +8,7 @@ law for residues m' = m mod (p^r - 1). All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import polyfp
 
@@ -133,30 +134,23 @@ def nonzero_digit_count(n, p) -> int:
     return sum(1 for d in expand(n, p).digits if d)
 
 
-def _small_binom(a, b) -> int:
-    # a, b < p, so this stays tiny
-    if b < 0 or b > a:
-        return 0
-    num = 1
-    den = 1
-    for i in range(b):
-        num *= a - i
-        den *= i + 1
-    return num // den
-
-
 def lucas_binom(m, n, p) -> int:
-    """binom(m, n) mod p as the digitwise product of small binomials."""
+    """binom(m, n) mod p as the product over base-p digits of binom(a, b) mod p
+    (Lucas). It is 0 when n > m or at the first digit pair with b > a; a
+    factor with b <= a < p is `math.comb(a, b) % p`, which is prime to p.
+    The digits of m above those of n contribute binom(a, 0) = 1."""
     require_prime(p)
     if m < 0 or n < 0:
         raise ArgumentError("binomial arguments must be nonnegative")
+    if n > m:
+        return 0
     out = 1
-    while m or n:
-        out = (out * _small_binom(m % p, n % p)) % p
-        if out == 0:
+    while n:
+        m, a = divmod(m, p)
+        n, b = divmod(n, p)
+        if b > a:
             return 0
-        m //= p
-        n //= p
+        out = out * comb(a, b) % p
     return out
 
 

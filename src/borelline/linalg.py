@@ -7,6 +7,8 @@ group generator acting on an induced module has that shape.
 
 from __future__ import annotations
 
+from .towers import matrix_product
+
 
 def vec_is_zero(v) -> bool:
     return all(x.is_zero() for x in v)
@@ -34,17 +36,24 @@ def rref(rows):
 
 
 def leading_index(row) -> int:
-    for i, x in enumerate(row):
-        if not x.is_zero():
+    return _leading_index_from(row, 0)
+
+
+def _leading_index_from(row, start) -> int:
+    """The first index at or after start of a nonzero entry of row, or -1."""
+    for i in range(start, len(row)):
+        if not row[i].is_zero():
             return i
     return -1
 
 
 def reduce_vector(v, rows):
-    """Residual of v against echelon rows."""
+    """Residual of v against canonical echelon rows. Their leading indices
+    strictly increase, so each row's is sought after the previous row's."""
     out = list(v)
+    lead = -1
     for row in rows:
-        lead = leading_index(row)
+        lead = _leading_index_from(row, lead + 1)
         if lead >= 0 and not out[lead].is_zero():
             c = out[lead]
             out = [a - c * b for a, b in zip(out, row)]
@@ -68,10 +77,13 @@ def rref_insert(rows, v):
     w = vec_scale(w[lead].inverse(), w)
     out = []
     inserted = False
+    row_lead = -1
     for row in rows:
-        if not inserted and leading_index(row) > lead:
-            out.append(w)
-            inserted = True
+        if not inserted:
+            row_lead = _leading_index_from(row, row_lead + 1)
+            if row_lead > lead:
+                out.append(w)
+                inserted = True
         c = row[lead]
         out.append(row if c.is_zero() else vec_sub(row, vec_scale(c, w)))
     if not inserted:
@@ -86,24 +98,18 @@ def mat_vec(rows, v):
 
 
 def mat_mul(a, b):
-    n = len(b)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col) if not x.is_zero()),
-                start=row[0] - row[0])
-            for col in cols
-        )
-        for row in a
-    )
+    """The matrix product a b, on discrete logs: see `towers.matrix_product`."""
+    return matrix_product(a, b)
 
 
 def kernel(rows, ncols, one, zero):
     """Canonical basis of the right kernel of the given matrix."""
     red = rref(rows)
     pivots = {}
+    lead = -1
     for r, row in enumerate(red):
-        pivots[leading_index(row)] = r
+        lead = _leading_index_from(row, lead + 1)
+        pivots[lead] = r
     basis = []
     for free in range(ncols):
         if free in pivots:

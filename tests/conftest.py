@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from borelline import polyfp, sl2lab
+from borelline.towers import FieldElement
 
 
 @pytest.fixture
@@ -22,6 +23,24 @@ def polyfp_mul_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(polyfp, "mul", counting)
+    return calls
+
+
+@pytest.fixture
+def field_op_calls(monkeypatch):
+    """A Counter of the calls of FieldElement.__mul__, __add__ and __sub__
+    from now on, keyed by method name: a machine-independent measure of the
+    work done element by element."""
+    calls = Counter()
+
+    def counting(name, real):
+        def op(self, other):
+            calls[name] += 1
+            return real(self, other)
+        return op
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(FieldElement, name, counting(name, getattr(FieldElement, name)))
     return calls
 
 

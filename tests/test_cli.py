@@ -258,3 +258,22 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["ok"] is True
+
+
+def test_char_inspect_answers_at_a_large_prime():
+    # p = 1000003, lambda = -2: m_2 = p^2 - 3 has base-p digits (p - 3, p - 1),
+    # low digit first, and the search over r = 1 tries k (p - 1). For k = 1
+    # and 2 the low digits p - 1 and p - 2 exceed p - 3, so the binomial
+    # vanishes; k = 3 gives 3p - 3 = (p - 3, 2) and C(p-3, p-3) C(p-1, 2) =
+    # (p-1)(p-2)/2 = 1 mod p. Digitwise factorials would not finish in time.
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelline", "char-inspect", "-",
+         "--p", "1000003", "--level", "2"],
+        input=json.dumps({"kind": "rational", "lambda": -2}),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["lucas"] == [{"r": 1, "found": True, "s": 2, "k": 3}]

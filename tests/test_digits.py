@@ -87,9 +87,10 @@ def test_lucas_binom_examples():
 
 
 def test_lucas_binom_matches_factorials():
-    for p in (2, 3, 5):
-        for m in range(60):
-            for n in range(60):
+    # n > m included: math.comb is 0 there
+    for p in (2, 3, 5, 7, 11):
+        for m in range(61):
+            for n in range(61):
                 assert lucas_binom(m, n, p) == math.comb(m, n) % p
 
 
@@ -100,6 +101,13 @@ def test_lucas_binom_out_of_range():
         lucas_binom(-1, 0, 2)
     with pytest.raises(ArgumentError):
         lucas_binom(3, -1, 2)
+
+
+def test_lucas_binom_checks_its_arguments_before_answering():
+    # the n > m shortcut would answer 0, and the empty digit loop 1
+    for m, n, p in ((3, 5, 4), (0, 0, 1), (-1, 0, 2), (0, -1, 2)):
+        with pytest.raises(ArgumentError):
+            lucas_binom(m, n, p)
 
 
 def test_power_sum_unit_values():

@@ -18,6 +18,7 @@ from borelline.linalg import (
     vec_add,
     vec_scale,
 )
+from borelline.digits import ArgumentError
 from borelline.towers import make_tower
 
 
@@ -203,3 +204,86 @@ def test_vector_helpers():
     w = fe(t, 2, 2)
     assert vec_add(v, w) == fe(t, 0, 1)
     assert vec_scale(t.scalar(2, 1), v) == fe(t, 2, 1)
+
+
+def _mat_mul_reference(a, b):
+    """Reference matrix product: each entry a sum of FieldElement products
+    over the nonzero entries of the left row."""
+    cols = list(zip(*b))
+    return tuple(
+        tuple(
+            sum((x * y for x, y in zip(row, col) if not x.is_zero()),
+                start=row[0] - row[0])
+            for col in cols
+        )
+        for row in a
+    )
+
+
+# (m, k, n): the product of an m x k and a k x n matrix
+PRODUCT_SHAPES = ((1, 1, 1), (3, 3, 3), (5, 5, 5), (9, 9, 9), (2, 7, 3), (6, 1, 4), (4, 5, 1))
+
+
+def _dense_matrix(rng, elems, m, n):
+    """Random rows, about half zero entries, with a zero row and a zero column."""
+    zero = elems[0]
+    rows = [[rng.choice(elems) if rng.random() < 0.5 else zero for _ in range(n)]
+            for _ in range(m)]
+    rows[rng.randrange(m)] = [zero] * n
+    col = rng.randrange(n)
+    for row in rows:
+        row[col] = zero
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("p, levels", ((2, 3), (3, 2), (5, 1)))
+def test_mat_mul_matches_reference(p, levels):
+    t = make_tower(p, levels)
+    rng = random.Random(100 * p + levels)
+    for level in range(1, levels + 1):
+        elems = list(t.enumerate_elements(level))
+        assert elems[0].is_zero()
+        for m, k, n in PRODUCT_SHAPES:
+            zeros = ((elems[0],) * k,) * m
+            b = _dense_matrix(rng, elems, k, n)
+            assert mat_mul(zeros, b) == _mat_mul_reference(zeros, b)
+            for _ in range(4):
+                a = _dense_matrix(rng, elems, m, k)
+                b = _dense_matrix(rng, elems, k, n)
+                got = mat_mul(a, b)
+                assert got == _mat_mul_reference(a, b)
+                assert all(x.level == level for row in got for x in row)
+
+
+def test_mat_mul_embeds_mixed_levels_to_the_highest():
+    t = make_tower(2, 3)
+    rng = random.Random(7)
+    by_level = {n: list(t.enumerate_elements(n)) for n in (1, 2, 3)}
+    for low, high in ((1, 2), (1, 3), (2, 3)):
+        def up(rows):
+            return tuple(tuple(x.embed(high) for x in row) for row in rows)
+
+        a = _dense_matrix(rng, by_level[low], 4, 5)
+        b = _dense_matrix(rng, by_level[high], 5, 3)
+        c = _dense_matrix(rng, by_level[high], 3, 4)
+        # one operand with entries of both levels
+        mixed = a[:2] + up(a[2:])
+        for got, expected in ((mat_mul(a, b), _mat_mul_reference(up(a), b)),
+                              (mat_mul(c, a), _mat_mul_reference(c, up(a))),
+                              (mat_mul(mixed, b), _mat_mul_reference(up(a), b))):
+            assert got == expected
+            assert all(x.level == high for row in got for x in row)
+        # a zero row at the low level still gives zeros at the highest level
+        zero_row = ((by_level[low][0],) * 5,)
+        assert mat_mul(zero_row, b) == ((t.zero(high),) * 3,)
+
+
+def test_mat_mul_rejects_other_towers_and_non_field_entries():
+    a = ((make_tower(2, 1).one(1),),)
+    b = ((make_tower(3, 1).one(1),),)
+    with pytest.raises(ArgumentError):
+        mat_mul(a, b)
+    with pytest.raises(TypeError):
+        mat_mul(a, ((1,),))
+    with pytest.raises(TypeError):
+        mat_mul(((1,),), a)

@@ -9,7 +9,7 @@ import pytest
 from borelline import cli, sl2lab
 from borelline.characters import RationalPower, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import DenseMap, MonomialMap, rref, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     InducedModule,
@@ -648,8 +648,6 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
 
 
 def test_hecke_t_s_squares_to_minus_itself():
-    from borelline.linalg import mat_mul
-
     module = InducedModule(2, 1, trivial_character(2, 1))
     ops = hecke_operators(module)
     t_s = ops.t_s_rows
@@ -657,3 +655,15 @@ def test_hecke_t_s_squares_to_minus_itself():
     neg = tuple(tuple(-x for x in row) for row in t_s)
     assert square == neg
 
+
+
+def test_dense_products_make_no_element_operations(field_op_calls):
+    cm = CostandardModule(8, 3, coeff_level=2)
+    g = cm.tower.multiplicative_generator(2)
+    x, y = g, g ** 5 + cm.one_scalar()
+    a, b, expected = cm.eps(x).rows, cm.eps(y).rows, cm.eps(x + y).rows
+    assert len(a) == 9
+    field_op_calls.clear()
+    product = mat_mul(a, b)
+    assert sum(field_op_calls.values()) == 0
+    assert product == expected
