@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import factorial
 
 from .digits import (
-    ArgumentError, RelationError, digit_class_sums, digit_sum, expand, lucas_binom,
-    nonzero_digit_count, require_prime,
+    ArgumentError, RelationError, _lucas_digit_product, digit_class_sums, digit_sum,
+    expand, nonzero_digit_count, require_prime,
 )
 from .towers import CapabilityError, LEVEL_CAP
 
@@ -161,6 +161,12 @@ def _check_digit_values(sc: TwistedDigitSum, p):
             raise ArgumentError(f"digit value {theta} is not a base-{p} digit")
 
 
+def pattern_residue(factors, p, n) -> int:
+    """The level-n residue sum_i theta_i p^(g_(i,n)) mod (p^(n!) - 1) of
+    the digit pattern given as (theta_i, twist g_i) pairs."""
+    return sum(theta * p ** w.residue(n) for theta, w in factors) % (p ** factorial(n) - 1)
+
+
 def truncate(sc: SymbolicCharacter, p, level) -> TruncatedCharacter:
     """Residue tower of a symbolic character at levels 1..level."""
     require_prime(p)
@@ -168,12 +174,10 @@ def truncate(sc: SymbolicCharacter, p, level) -> TruncatedCharacter:
         raise ArgumentError("truncation level must be at least 1")
     if level > LEVEL_CAP:
         raise CapabilityError(f"truncation level {level} exceeds the tower cap {LEVEL_CAP}")
-    residues = []
     if isinstance(sc, Trivial):
         residues = [0] * level
     elif isinstance(sc, RationalPower):
-        for n in range(1, level + 1):
-            residues.append(sc.power % (p ** factorial(n) - 1))
+        residues = [sc.power % (p ** factorial(n) - 1) for n in range(1, level + 1)]
     elif isinstance(sc, TwistedDigitSum):
         _check_digit_values(sc, p)
         for _, w in sc.factors:
@@ -181,9 +185,7 @@ def truncate(sc: SymbolicCharacter, p, level) -> TruncatedCharacter:
                 raise ArgumentError(
                     f"twist known only to level {w.level}, cannot truncate at {level}"
                 )
-        for n in range(1, level + 1):
-            total = sum(theta * p ** w.residue(n) for theta, w in sc.factors)
-            residues.append(total % (p ** factorial(n) - 1))
+        residues = [pattern_residue(sc.factors, p, n) for n in range(1, level + 1)]
     else:
         raise ArgumentError(f"not a symbolic character: {sc!r}")
     return TruncatedCharacter(p, tuple(residues))
@@ -215,8 +217,7 @@ class X0Pattern:
     factors: tuple[tuple[int, GaloisTwist], ...]
 
     def residue_at(self, n) -> int:
-        mod = self.p ** factorial(n) - 1
-        return sum(t * self.p ** w.residue(n) for t, w in self.factors) % mod
+        return pattern_residue(self.factors, self.p, n)
 
 
 @dataclass(frozen=True)
@@ -264,13 +265,13 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     # level's digits class by class
     for n in range(n0, n_top):
         mod = factorial(n)
-        lo = (expand(tc.residue(n), tc.p).digits + (0,) * mod)[:mod]
+        lo = (expand(tc.residue(n), tc.p) + (0,) * mod)[:mod]
         if digit_class_sums(tc.residue(n + 1), tc.p, mod) != lo:
             return NoStablePattern(
                 n + 1, "digit classes do not refine the level below", fs, counts
             )
 
-    top_digits = expand(tc.residue(n_top), tc.p).digits
+    top_digits = expand(tc.residue(n_top), tc.p)
     factors = tuple(
         (d, GaloisTwist.from_position(pos, n_top))
         for pos, d in enumerate(top_digits)
@@ -307,7 +308,7 @@ def classify_exact(sc: SymbolicCharacter, p, level=LEVEL_CAP) -> CharacterClass:
             return CharacterClass(False, None)
         if lam == 0:
             return CharacterClass(True, X0Pattern(p, level, 1, ()))
-        positions = [(pos, d) for pos, d in enumerate(expand(lam, p).digits) if d]
+        positions = [(pos, d) for pos, d in enumerate(expand(lam, p)) if d]
         if positions[-1][0] >= factorial(level):
             return CharacterClass(
                 True, None, note=f"digit positions exceed level-{level} resolution"
@@ -359,18 +360,31 @@ class LucasSearch:
     level: int
 
 
+LUCAS_SEARCH_CAP = 10 ** 5  # candidates k tried per search before refusing
+
+
 def lucas_criterion(tc: TruncatedCharacter, r) -> LucasSearch:
     """Search for s in (r, N] and k >= 1 with binom(m_s, k(p^(r!)-1)) != 0 mod p.
 
-    Absence is absence at this truncation level, nothing more.
+    Absence is absence at this truncation level, nothing more. A search
+    that tries LUCAS_SEARCH_CAP candidates without a witness and has more
+    left raises CapabilityError.
     """
     if not 1 <= r < tc.level:
         raise ArgumentError(f"need 1 <= r < level, got r={r}, level={tc.level}")
-    step = tc.p ** factorial(r) - 1
+    p = tc.p  # proven prime by the TruncatedCharacter
+    step = p ** factorial(r) - 1
+    tried = 0
     for s in range(r + 1, tc.level + 1):
         m_s = tc.residue(s)
         for k in range(1, m_s // step + 1):
-            if lucas_binom(m_s, k * step, tc.p) != 0:
+            if tried == LUCAS_SEARCH_CAP:
+                raise CapabilityError(
+                    f"the Lucas search at r = {r} reached s = {s} with no witness "
+                    f"among its cap of {LUCAS_SEARCH_CAP} candidates"
+                )
+            tried += 1
+            if _lucas_digit_product(m_s, k * step, p):
                 return LucasSearch(True, s, k, r, tc.level)
     return LucasSearch(False, None, None, r, tc.level)
 

@@ -11,13 +11,14 @@ Index sets are reported 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
 
 from .characters import (
     GaloisTwist,
     SymbolicCharacter,
     classify_exact,
     is_trivial_symbolic,
+    pattern_residue,
     symbolic_from_json,
     symbolic_to_json,
     truncate,
@@ -128,15 +129,37 @@ def _assert_roundtrip(tchar, p, level, indices, factors):
     # re-expanding the pooled factors must reproduce each index's residues
     for i in indices:
         tc = truncate(tchar.restrictions[i], p, level)
+        digits = [(f.weights[i], f.twist) for f in factors]
         for n in range(1, level + 1):
-            mod = p ** factorial(n) - 1
-            total = sum(
-                f.weights[i] * p ** f.twist.residue(n) for f in factors
-            )
-            if total % mod != tc.residue(n):
+            if pattern_residue(digits, p, n) != tc.residue(n):
                 raise RelationError(
                     f"factor round trip failed at index {i + 1}, level {n}"
                 )
+
+
+def _require_finite_type(cartan):
+    """Refuse a Cartan matrix that is not of finite type, as no reductive
+    group has one. Finite type means a Dynkin forest whose pivots all stay
+    positive when leaves are eliminated one by one: a forest's matrix is
+    symmetrized by a positive diagonal, and these pivots are then those of
+    the symmetrized matrix up to positive factors."""
+    n = len(cartan)
+    pivots = [Fraction(cartan[i][i]) for i in range(n)]
+    nbrs = [{j for j in range(n) if j != i and cartan[i][j]} for i in range(n)]
+    leaves = [i for i in range(n) if len(nbrs[i]) <= 1]
+    for leaf in leaves:
+        if pivots[leaf] <= 0:
+            raise ArgumentError(
+                f"the Cartan matrix is not of finite type: eliminating leaf by "
+                f"leaf leaves the pivot {pivots[leaf]} at index {leaf + 1}"
+            )
+        for k in nbrs[leaf]:
+            pivots[k] -= cartan[k][leaf] * cartan[leaf][k] / pivots[leaf]
+            nbrs[k].discard(leaf)
+            if len(nbrs[k]) == 1:
+                leaves.append(k)
+    if len(leaves) < n:
+        raise ArgumentError("the Cartan matrix is not of finite type: its Dynkin graph has a cycle")
 
 
 @dataclass(frozen=True)
@@ -157,6 +180,7 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
     require_prime(p)
     if tchar.datum is not datum and tchar.datum != datum:
         raise ArgumentError("character data belongs to a different datum")
+    _require_finite_type(datum.cartan)
     j0 = x0_support(tchar, p, level)
     triv = trivial_support(tchar)
     if not triv <= j0:

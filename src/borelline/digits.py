@@ -1,8 +1,9 @@
 """Base-p digit combinatorics.
 
-Digit expansions, digit sums, binomial coefficients mod p via the digitwise
-product rule, power sums over finite fields, and the digit-class growth
-law for residues m' = m mod (p^r - 1). All arithmetic is exact.
+Digit expansions (plain tuples of base-p digits, least significant first),
+digit sums, binomial coefficients mod p via the digitwise product rule,
+power sums over finite fields, and the digit-class growth law for residues
+m' = m mod (p^r - 1). All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -89,31 +90,9 @@ def prime_power_base(q) -> tuple[int, int]:
     return p, r
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Base-p digits of a nonnegative integer, least significant first."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        require_prime(self.p)
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ArgumentError(f"{d} is not a base-{self.p} digit")
-        if self.digits and self.digits[-1] == 0:
-            raise ArgumentError("digit expansions carry no trailing zeros")
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.p + d
-        return v
-
-
-def expand(n, p) -> DigitExpansion:
+def expand(n, p) -> tuple[int, ...]:
+    """The base-p digits of n >= 0, least significant first, with no
+    trailing zeros: zero has the empty expansion."""
     require_prime(p)
     if n < 0:
         raise ArgumentError(f"digit expansion needs n >= 0, got {n}")
@@ -121,17 +100,17 @@ def expand(n, p) -> DigitExpansion:
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    return DigitExpansion(p, tuple(digits))
+    return tuple(digits)
 
 
 def digit_sum(n, p) -> int:
     """f(n): the sum of the base-p digits of n."""
-    return sum(expand(n, p).digits)
+    return sum(expand(n, p))
 
 
 def nonzero_digit_count(n, p) -> int:
     """M_n: how many base-p digits of n are nonzero."""
-    return sum(1 for d in expand(n, p).digits if d)
+    return sum(1 for d in expand(n, p) if d)
 
 
 def lucas_binom(m, n, p) -> int:
@@ -142,6 +121,12 @@ def lucas_binom(m, n, p) -> int:
     require_prime(p)
     if m < 0 or n < 0:
         raise ArgumentError("binomial arguments must be nonnegative")
+    return _lucas_digit_product(m, n, p)
+
+
+def _lucas_digit_product(m, n, p) -> int:
+    """`lucas_binom` for a proven prime p and m, n >= 0, unchecked: for
+    callers that have checked p once and ask many binomials."""
     if n > m:
         return 0
     out = 1
@@ -201,7 +186,7 @@ def digit_class_sums(m, p, r) -> tuple[int, ...]:
     if r < 1:
         raise ArgumentError("need r >= 1")
     sums = [0] * r
-    for pos, d in enumerate(expand(m, p).digits):
+    for pos, d in enumerate(expand(m, p)):
         sums[pos % r] += d
     return tuple(sums)
 
@@ -243,7 +228,7 @@ def check_digit_lemma(m, m_prime, p, r) -> DigitLemmaVerdict:
 
     f_m = digit_sum(m, p)
     f_mp = digit_sum(m_prime, p)
-    m_digits = expand(m, p).digits
+    m_digits = expand(m, p)
     m_digits = m_digits + (0,) * (r - len(m_digits))
     sums = digit_class_sums(m_prime, p, r)
     classes_match = sums == m_digits

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, expand, lucas_binom, power_sum
+from .digits import ArgumentError, RelationError, expand, lucas_binom, power_sum, require_prime
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -61,20 +61,23 @@ class Subspace:
     def __le__(self, other) -> bool:
         return all(other.contains(r) for r in self.rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.module is other.module and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
 
 class _SL2Module:
     """What both module kinds share: one field, at `coeff_level` (equal to
     `group_level`), holding both the vector coordinates and the points of
     the actions eps(x), h(u), s() of SL_2, as maps with `apply`, `compose`
     and `==`, checked by `_check_relations`."""
+
+    def _field_order(self, p, level):
+        """q = p^(level!) once p is a prime and the level one a tower has;
+        checked before the tower is built, so that each module's size cap
+        refuses first."""
+        require_prime(p)
+        if level < 1:
+            raise ArgumentError("the group level must be at least 1")
+        if level > LEVEL_CAP:
+            raise CapabilityError(f"group level {level} exceeds the tower cap {LEVEL_CAP}")
+        return p ** factorial(level)
 
     def zero_scalar(self):
         return self.tower.zero(self.coeff_level)
@@ -167,13 +170,9 @@ class InducedModule(_SL2Module):
             raise ArgumentError("character prime disagrees with p")
         if theta.level < a:
             raise ArgumentError(f"character needs residues up to level {a}")
-        if a < 1:
-            raise ArgumentError("the group level must be at least 1")
-        if a > LEVEL_CAP:
-            raise CapabilityError(f"group level {a} exceeds the tower cap {LEVEL_CAP}")
+        self.q = self._field_order(p, a)
         self.p = p
         self.a = self.group_level = self.coeff_level = a
-        self.q = p ** factorial(a)
         if self.q > GROUP_ORDER_CAP:
             raise CapabilityError(
                 f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}"
@@ -497,7 +496,7 @@ def socle_head_report(module) -> SocleHeadReport:
         maximal is not None,
         None if dual_miss is None else (annihilator(dual_socle), annihilator(dual_miss[1])),
         None if maximal is None else dual_socle.dim,
-        prod(d + 1 for d in expand(module.m, module.p).digits),
+        prod(d + 1 for d in expand(module.m, module.p)),
     )
 
 
@@ -545,32 +544,31 @@ class CostandardModule(_SL2Module):
     eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
 
     An `_SL2Module` with dense actions over the one field at coeff_level:
-    the group acts there and the coordinates live there. Points from a
-    subfield are embedded on entry.
+    the group acts there, its points are taken there, and the coordinates
+    live there.
     """
 
     def __init__(self, n, p, coeff_level):
         if n < 0:
             raise ArgumentError("the highest weight must be nonnegative")
+        q = self._field_order(p, coeff_level)
+        if q * q * (n + 1) ** 3 > RELATION_WORK_CAP:
+            raise CapabilityError("relation verification at this size is beyond desk scale")
         self.n = n
         self.p = p
         self.coeff_level = self.group_level = coeff_level
         self.tower = make_tower(p, coeff_level)
         self.dim = n + 1
-        q = self.tower.order(coeff_level)
-        if q * q * self.dim ** 3 > RELATION_WORK_CAP:
-            raise CapabilityError("relation verification at this size is beyond desk scale")
         self._binom = tuple(
             tuple(lucas_binom(i, j, p) for j in range(self.dim)) for i in range(self.dim)
         )
         self._check_relations()
 
     def eps(self, t) -> DenseMap:
-        tt = t.embed(self.coeff_level)
         zero = self.zero_scalar()
         powers = [self.one_scalar()]
         for _ in range(self.n):
-            powers.append(powers[-1] * tt)
+            powers.append(powers[-1] * t)
         rows = [[zero] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1):
@@ -580,13 +578,12 @@ class CostandardModule(_SL2Module):
         return DenseMap(rows)
 
     def h(self, u) -> DenseMap:
-        uu = u.embed(self.coeff_level)
-        if uu.is_zero():
+        if u.is_zero():
             raise ArgumentError("torus points are invertible")
         zero = self.zero_scalar()
         rows = [[zero] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
-            rows[i][i] = uu ** (self.n - 2 * i)
+            rows[i][i] = u ** (self.n - 2 * i)
         return DenseMap(rows)
 
     def s(self) -> DenseMap:
@@ -615,7 +612,6 @@ def l_submodule(cm: CostandardModule) -> Subspace:
 class PiImageRecord:
     vector: tuple
     nonzero_indices: tuple[int, ...]
-    witness_k: int | None
     m_t: int
     r: int
     t: int
@@ -643,7 +639,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     top = cm.unit_vector(m_t)
     total = cm.zero_vector()
     for a in cm.tower.enumerate_elements(r):
-        total = vec_add(total, cm.eps(a).apply(top))
+        total = vec_add(total, cm.eps(a.embed(t)).apply(top))
     qr = p ** factorial(r)
     closed = [0] * cm.dim
     for ell in range(m_t + 1):
@@ -653,13 +649,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     if closed_vec != total:
         raise RelationError("closed form and direct summation disagree")
     nonzero = tuple(i for i, c in enumerate(total) if not c.is_zero())
-    witness = None
-    step = qr - 1
-    for k in range(1, m_t // step + 1):
-        if (lucas_binom(m_t, k * step, p) * power_sum(qr, k * step)) % p:
-            witness = k
-            break
-    return PiImageRecord(total, nonzero, witness, m_t, r, t)
+    return PiImageRecord(total, nonzero, m_t, r, t)
 
 
 @dataclass(frozen=True)

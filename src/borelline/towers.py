@@ -11,12 +11,14 @@ Field representation. Elements are interned: each (tower, level, value) has
 exactly one FieldElement, so equality is identity. An element carries its
 coordinate vector and its discrete logarithm to the base of the level's
 generator. Each level keeps an antilog table and a Zech table,
-z[d] = log(1 + g^d), so every same-level operation is one table lookup that
-returns a canonical element; `matrix_product` multiplies whole matrices on
-the logs and Zech table. A level's tables are built the first time one
-of its elements is requested, from q - 1 products by the generator on the
-polynomial route (`polyfp` multiplication modulo f_n); that route is used
-only to construct the tower and its tables.
+z[d] = log(1 + g^d), so every operation is one table lookup that returns a
+canonical element; `matrix_product` multiplies whole matrices on the logs
+and Zech table. Operands must share one level: `+ - *` and
+`matrix_product` refuse mixed levels with ArgumentError, and `embed` first
+moves an element up to the other's level. A level's tables are built the
+first time one of its elements is requested, from q - 1 products by the
+generator on the polynomial route (`polyfp` multiplication modulo f_n);
+that route is used only to construct the tower and its tables.
 """
 
 from __future__ import annotations
@@ -64,19 +66,9 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.log < 0
 
-    def _pair(self, other):
-        """Both operands at one level of one tower, embedding the lower one."""
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine a field element with {type(other).__name__}")
-        if other.tower is not self.tower:
-            raise ArgumentError("elements belong to different towers")
-        if self.level < other.level:
-            return self.embed(other.level), other
-        return self, other.embed(self.level)
-
     def __add__(self, other):
         if other.__class__ is not FieldElement or other._f is not self._f:
-            self, other = self._pair(other)
+            raise _mismatch(self, other)
         la, lb = self.log, other.log
         if la < 0:
             return other
@@ -91,7 +83,7 @@ class FieldElement:
 
     def __sub__(self, other):
         if other.__class__ is not FieldElement or other._f is not self._f:
-            self, other = self._pair(other)
+            raise _mismatch(self, other)
         la, lb = self.log, other.log
         if lb < 0:
             return self
@@ -103,7 +95,7 @@ class FieldElement:
 
     def __mul__(self, other):
         if other.__class__ is not FieldElement or other._f is not self._f:
-            self, other = self._pair(other)
+            raise _mismatch(self, other)
         return self._f.exp[self.log + other.log]
 
     def inverse(self):
@@ -134,6 +126,17 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement(p={self.tower.p}, level={self.level}, coords={self.coords})"
+
+
+def _mismatch(a, b):
+    """The error for an operand b off the level and tower of the field
+    element a: TypeError when b is no field element, else ArgumentError."""
+    if not isinstance(b, FieldElement):
+        return TypeError(f"cannot combine a field element with {type(b).__name__}")
+    if b.tower is not a.tower:
+        return ArgumentError("elements belong to different towers")
+    return ArgumentError(
+        f"operands lie at levels {a.level} and {b.level}; embed one of them first")
 
 
 class FieldTower:
@@ -361,10 +364,9 @@ def matrix_product(a, b):
     The product runs on discrete logs: each entry's log is read once, a
     product of two entries is a sum of logs, and a sum of products goes
     through the level's Zech table, so no FieldElement operation runs.
-    Entries at different levels of one tower are embedded to the highest
-    level present, where every entry of the result lies. Entries of
-    different towers raise ArgumentError, and entries that are not field
-    elements TypeError.
+    All entries must lie at one level of one tower, as for the element
+    operators: entries at other levels or of other towers raise
+    ArgumentError, and entries that are not field elements TypeError.
     """
     f, la, lb = _logs_at_one_level(a, b)
     if f is None:
@@ -388,8 +390,8 @@ def matrix_product(a, b):
 
 
 def _logs_at_one_level(a, b):
-    """The tables of the highest level among the entries of a and b, and
-    the entries' logs there, row by row; no tables when there is no entry."""
+    """The tables of the one level of the entries of a and b, and the
+    entries' logs there, row by row; no tables when there is no entry."""
     try:
         tables = {x._f for m in (a, b) for row in m for x in row}
     except AttributeError:
@@ -398,13 +400,8 @@ def _logs_at_one_level(a, b):
         cells = [x for m in (a, b) for row in m for x in row]
         for x in cells:
             if not isinstance(x, FieldElement):
-                raise TypeError(
-                    f"cannot combine a field element with {type(x).__name__}")
-        if len({x.tower for x in cells}) > 1:
-            raise ArgumentError("elements belong to different towers")
-        level = max(x.level for x in cells)
-        a, b = ([[x.embed(level) for x in row] for row in m] for m in (a, b))
-        tables = {cells[0].tower._tables(level)}
+                raise _mismatch(None, x)
+        raise _mismatch(cells[0], next(x for x in cells if x._f is not cells[0]._f))
     if not tables:
         return None, (), ()
     (f,) = tables

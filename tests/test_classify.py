@@ -159,3 +159,54 @@ def test_twisted_restriction_decomposes():
     tchar = TorusCharacter(A1, (sc,))
     factors = steinberg_decompose(tchar, 3, 3)
     assert [(f.weights, f.twist.residues) for f in factors] == [((1,), (0, 1, 1))]
+
+
+def _chain(n, a=-1, b=-1):
+    """The Cartan matrix of a path of n nodes whose last bond is (a, b)."""
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    if n > 1:
+        rows[n - 2][n - 1], rows[n - 1][n - 2] = a, b
+    return rows
+
+
+def _with_branch(rows, at):
+    """rows with one more node bonded simply to node `at`."""
+    n = len(rows)
+    out = [row + [-1 if i == at else 0] for i, row in enumerate(rows)]
+    return out + [[-1 if j == at else 2 if j == n else 0 for j in range(n + 1)]]
+
+
+FINITE_TYPES = (
+    [_chain(n) for n in range(1, 9)]                                  # A1..A8
+    + [_chain(n, -2, -1) for n in range(2, 9)]                        # B2..B8
+    + [_chain(n, -1, -2) for n in range(3, 9)]                        # C3..C8
+    + [_with_branch(_chain(n - 1), n - 3) for n in range(4, 9)]       # D4..D8
+    + [_with_branch(_chain(n - 1), 2) for n in (6, 7, 8)]             # E6..E8
+    + [[[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],  # F4
+       [[2, -3], [-1, 2]]]                                            # G2
+)
+
+NOT_FINITE_TYPES = {
+    "affine A1": [[2, -2], [-2, 2]],
+    "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "affine D4": _with_branch(_with_branch(_chain(3), 1), 1),
+    "affine E8": _with_branch(_chain(8), 2),
+    "affine G2": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    "hyperbolic": [[2, -3], [-3, 2]],
+}
+
+
+def test_report_accepts_every_finite_type():
+    for cartan in FINITE_TYPES:
+        datum = RootDatum(tuple(map(tuple, cartan)))
+        tchar = TorusCharacter(datum, (RationalPower(1),) * datum.rank)
+        assert report(datum, tchar, 3).finite_dimensional
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE_TYPES))
+def test_report_refuses_cartan_matrices_not_of_finite_type(name):
+    datum = RootDatum(tuple(map(tuple, NOT_FINITE_TYPES[name])))
+    tchar = TorusCharacter(datum, (RationalPower(1),) * datum.rank)
+    expected = "cycle" if name == "affine A2" else "pivot"
+    with pytest.raises(ArgumentError, match=f"not of finite type.*{expected}"):
+        report(datum, tchar, 3)

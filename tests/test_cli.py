@@ -277,3 +277,38 @@ def test_char_inspect_answers_at_a_large_prime():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["lucas"] == [{"r": 1, "found": True, "s": 2, "k": 3}]
+
+
+@pytest.mark.parametrize("cartan", [[[2, -3], [-3, 2]], [[2, -2], [-2, 2]]])
+def test_classify_refuses_cartan_matrices_not_of_finite_type(tmp_path, capsys, cartan):
+    payload = {
+        "cartan": cartan,
+        "restrictions": {
+            "1": {"kind": "rational", "lambda": 1},
+            "2": {"kind": "rational", "lambda": 2},
+        },
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert "not of finite type" in err and "pivot" in err
+
+
+def test_char_inspect_lucas_search_is_capped():
+    # p = 101, lambda = 101^5: every level-3 residue is 101^5, one digit 1 at
+    # position 5, so binom(m_s, k (p - 1)) vanishes for each of the ~10^8
+    # candidates k of the search at r = 1; it stops at its cap instead
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelline", "char-inspect", "-",
+         "--p", "101", "--level", "3"],
+        input=json.dumps({"kind": "rational", "lambda": 101 ** 5}),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "capability:" in proc.stderr
+    assert "r = 1" in proc.stderr and "100000" in proc.stderr

@@ -255,7 +255,7 @@ def test_mat_mul_matches_reference(p, levels):
                 assert all(x.level == level for row in got for x in row)
 
 
-def test_mat_mul_embeds_mixed_levels_to_the_highest():
+def test_mat_mul_refuses_mixed_levels():
     t = make_tower(2, 3)
     rng = random.Random(7)
     by_level = {n: list(t.enumerate_elements(n)) for n in (1, 2, 3)}
@@ -268,14 +268,14 @@ def test_mat_mul_embeds_mixed_levels_to_the_highest():
         c = _dense_matrix(rng, by_level[high], 3, 4)
         # one operand with entries of both levels
         mixed = a[:2] + up(a[2:])
-        for got, expected in ((mat_mul(a, b), _mat_mul_reference(up(a), b)),
-                              (mat_mul(c, a), _mat_mul_reference(c, up(a))),
-                              (mat_mul(mixed, b), _mat_mul_reference(up(a), b))):
-            assert got == expected
-            assert all(x.level == high for row in got for x in row)
-        # a zero row at the low level still gives zeros at the highest level
-        zero_row = ((by_level[low][0],) * 5,)
-        assert mat_mul(zero_row, b) == ((t.zero(high),) * 3,)
+        for left, right in ((a, b), (c, a), (mixed, b)):
+            with pytest.raises(ArgumentError, match="levels"):
+                mat_mul(left, right)
+        # a zero row at the low level is refused too
+        with pytest.raises(ArgumentError, match="levels"):
+            mat_mul(((by_level[low][0],) * 5,), b)
+        # embedded first, the product is the same-level one
+        assert mat_mul(up(a), b) == _mat_mul_reference(up(a), b)
 
 
 def test_mat_mul_rejects_other_towers_and_non_field_entries():

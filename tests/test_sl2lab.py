@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from borelline import cli, sl2lab
-from borelline.characters import RationalPower, truncate
+from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, vec_scale
 from borelline.sl2lab import (
@@ -574,17 +574,26 @@ def test_l_submodule_reducible_past_field_order():
 
 
 def test_pi_image_trivial_character_vanishes():
-    rec = pi_image(trivial_character(2, 2), 1, 2)
+    theta = trivial_character(2, 2)
+    rec = pi_image(theta, 1, 2)
     assert rec.is_zero
-    assert rec.witness_k is None
+    # no Lucas witness at s = t = 2 either
+    assert lucas_criterion(theta, 1) == LucasSearch(False, None, None, 1, 2)
 
 
 def test_pi_image_nonzero_with_witness():
-    rec = pi_image(power_char(-1, 2), 1, 2)
+    theta = power_char(-1, 2)
+    rec = pi_image(theta, 1, 2)
     assert rec.m_t == 2
     assert not rec.is_zero
     assert rec.nonzero_indices == (0,)
-    assert rec.witness_k == 2
+    # the image is nonzero at depth m_t - i = k (p^(r!) - 1) exactly where
+    # binom(m_t, k (p^(r!) - 1)) is, so the least witness k of the Lucas
+    # search at s = t sits at the last nonzero index
+    step = 2 ** factorial(1) - 1
+    k = (rec.m_t - rec.nonzero_indices[-1]) // step
+    assert k == 2
+    assert lucas_criterion(theta, 1) == LucasSearch(True, 2, k, 1, 2)
 
 
 def test_pi_image_zero_by_binomial():
@@ -667,3 +676,27 @@ def test_dense_products_make_no_element_operations(field_op_calls):
     product = mat_mul(a, b)
     assert sum(field_op_calls.values()) == 0
     assert product == expected
+
+
+def test_costandard_refuses_before_building_a_tower(polyfp_mul_calls):
+    # q = p^(level!) alone decides the relation-work cap, so neither request
+    # builds a tower: at p = 101 that takes about a second, and at
+    # p = 1000003 it would not finish, so that one is asked second
+    with pytest.raises(CapabilityError, match="beyond desk scale"):
+        CostandardModule(1, 101, coeff_level=3)
+    assert polyfp_mul_calls == []
+    with pytest.raises(CapabilityError, match="beyond desk scale"):
+        CostandardModule(1, 1000003, coeff_level=2)
+    with pytest.raises(ArgumentError, match="prime"):
+        CostandardModule(1, 1000001, coeff_level=1)
+    with pytest.raises(CapabilityError, match="tower cap"):
+        CostandardModule(1, 2, coeff_level=4)
+    assert polyfp_mul_calls == []
+
+
+def test_costandard_actions_take_points_at_the_coefficient_level():
+    cm = CostandardModule(2, 2, coeff_level=2)
+    low = cm.tower.multiplicative_generator(1)
+    with pytest.raises(ArgumentError, match="levels"):
+        cm.eps(low)
+    assert cm.eps(low.embed(2)).rows[0][1] is low.embed(2)

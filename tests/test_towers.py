@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from borelline import polyfp
+from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError, FieldTower, make_tower
 
 
@@ -85,13 +86,22 @@ def test_pow_conventions():
     assert g ** 3 == t.one(2)
 
 
-def test_cross_level_arithmetic_embeds():
+def test_cross_level_arithmetic_is_refused():
     t = make_tower(2)
     one1 = t.one(1)
     g3 = t.multiplicative_generator(3)
-    s = one1 + g3
+    for op in ("__add__", "__sub__", "__mul__"):
+        for a, b in ((one1, g3), (g3, one1)):
+            with pytest.raises(ArgumentError, match=f"levels {a.level} and {b.level}"):
+                getattr(a, op)(b)
+    # embedding first is the one way to combine them
+    s = one1.embed(3) + g3
     assert s.level == 3
     assert s - g3 == t.one(3)
+    with pytest.raises(ArgumentError, match="different towers"):
+        t.one(1) + make_tower(3).one(1)
+    with pytest.raises(TypeError):
+        t.one(1) * 1
 
 
 def test_embedding_is_a_field_map():
@@ -199,7 +209,7 @@ def test_elements_are_interned():
             assert a * a.inverse() is t.one(2)
     g = t.multiplicative_generator(3)
     assert g ** 64 is g
-    assert g + t.one(1) is t.one(3) + g
+    assert g + t.one(1).embed(3) is t.one(3) + g
 
 
 def test_tables_are_built_lazily(polyfp_mul_calls):
