@@ -41,6 +41,7 @@ from .digits import (
     digit_class_sums,
     digit_sum,
     lucas_binom,
+    lucas_row,
     nonzero_digit_count,
     power_sum,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "l_submodule",
     "lucas_binom",
     "lucas_criterion",
+    "lucas_row",
     "make_tower",
     "nonzero_digit_count",
     "pi_image",

@@ -38,12 +38,18 @@ CAPABILITY_ERROR = 3
 
 
 def _read_json(path):
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    return json.loads(raw)
+    """The JSON document at path (or stdin for "-"). Text that is not UTF-8,
+    malformed JSON, an integer too long to convert and nesting too deep to
+    parse are all input errors."""
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        return json.loads(raw)
+    except (ValueError, RecursionError) as err:
+        raise ArgumentError(str(err)) from None
 
 
 def _require_level(level):
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
     except (ArgumentError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except CapabilityError as err:

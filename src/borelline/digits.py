@@ -4,6 +4,10 @@ Digit expansions (plain tuples of base-p digits, least significant first),
 digit sums, binomial coefficients mod p via the digitwise product rule,
 power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
+
+Binomials come one entry at a time (`lucas_binom`, for a single entry at a
+huge m) or a row at a time (`lucas_row`, binom(m, n) for n below a width:
+one primality check, then only the n whose digits lie under those of m).
 """
 
 from __future__ import annotations
@@ -137,6 +141,34 @@ def _lucas_digit_product(m, n, p) -> int:
             return 0
         out = out * comb(a, b) % p
     return out
+
+
+def lucas_row(m, p, width) -> list[int]:
+    """[binom(m, n) mod p for n in range(width)] by the digit product rule.
+
+    Only the n whose base-p digits lie under those of m are nonzero; the row
+    walks exactly those, digit by digit, so after one primality check each
+    digit of m costs at most min(m + 1, width) products. Every other entry
+    is 0."""
+    require_prime(p)
+    if m < 0 or width < 0:
+        raise ArgumentError("binomial row arguments must be nonnegative")
+    row = [0] * width
+    # (n, binom(m, n) mod p) over the digit-dominated n below width
+    support = [(0, 1)] if width else []
+    place = 1
+    while m:
+        m, a = divmod(m, p)
+        support = [
+            (n + b * place, v * comb(a, b) % p)
+            for b in range(a + 1)
+            for n, v in support
+            if n + b * place < width
+        ]
+        place *= p
+    for n, v in support:
+        row[n] = v
+    return row
 
 
 def power_sum(q, k, include_zero=True) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, expand, lucas_binom, power_sum, require_prime
+from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum, require_prime
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -559,9 +559,7 @@ class CostandardModule(_SL2Module):
         self.coeff_level = self.group_level = coeff_level
         self.tower = make_tower(p, coeff_level)
         self.dim = n + 1
-        self._binom = tuple(
-            tuple(lucas_binom(i, j, p) for j in range(self.dim)) for i in range(self.dim)
-        )
+        self._binom = tuple(tuple(lucas_row(i, p, self.dim)) for i in range(self.dim))
         self._check_relations()
 
     def eps(self, t) -> DenseMap:
@@ -598,7 +596,7 @@ class CostandardModule(_SL2Module):
 
 def l_submodule(cm: CostandardModule) -> Subspace:
     """Span of the v_i with binom(n, i) nonzero mod p; checked stable."""
-    rows = [cm.unit_vector(i) for i in range(cm.dim) if lucas_binom(cm.n, i, cm.p)]
+    rows = [cm.unit_vector(i) for i, b in enumerate(lucas_row(cm.n, cm.p, cm.dim)) if b]
     sub = Subspace(cm, rref(rows))
     if not _is_stable(cm, sub):
         raise RelationError("digit span is not a submodule")
@@ -642,9 +640,8 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
         total = vec_add(total, cm.eps(a.embed(t)).apply(top))
     qr = p ** factorial(r)
     closed = [0] * cm.dim
-    for ell in range(m_t + 1):
-        coeff = (lucas_binom(m_t, ell, p) * power_sum(qr, ell, include_zero=True)) % p
-        closed[m_t - ell] = coeff
+    for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
+        closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p
     closed_vec = tuple(cm.tower.scalar(c, t) for c in closed)
     if closed_vec != total:
         raise RelationError("closed form and direct summation disagree")

@@ -24,7 +24,7 @@ from .characters import (
     truncate,
     X0Pattern,
 )
-from .digits import check_digit_lemma, lucas_binom, power_sum, power_sum_direct
+from .digits import check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sum_direct
 from .sl2lab import (
     InducedModule,
     CostandardModule,
@@ -106,11 +106,12 @@ def suite_lucas(p_filter=None) -> dict:
             continue
         rows = _pascal_rows_mod(LUCAS_BOUND, p)
         for m in range(LUCAS_BOUND + 1):
-            row = rows[m]
-            for n in range(LUCAS_BOUND + 1):
-                cases += 1
-                expected = row[n] if n <= m else 0
-                got = lucas_binom(m, n, p)
+            cases += LUCAS_BOUND + 1
+            got_row = lucas_row(m, p, LUCAS_BOUND + 1)
+            expected_row = rows[m] + [0] * (LUCAS_BOUND - m)
+            if got_row == expected_row:
+                continue
+            for n, (got, expected) in enumerate(zip(got_row, expected_row)):
                 if got != expected:
                     failures.append({"p": p, "m": m, "n": n, "got": got, "expected": expected})
         # anchor the recurrence itself to the factorial formula on a sample

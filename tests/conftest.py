@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from borelline import polyfp, sl2lab
+from borelline import digits, polyfp, sl2lab, suites
 from borelline.towers import FieldElement
 
 
@@ -41,6 +41,29 @@ def field_op_calls(monkeypatch):
 
     for name in ("__mul__", "__add__", "__sub__"):
         monkeypatch.setattr(FieldElement, name, counting(name, getattr(FieldElement, name)))
+    return calls
+
+
+@pytest.fixture
+def lucas_calls(monkeypatch):
+    """A Counter of the calls of digits.lucas_row and digits.lucas_binom from
+    now on, keyed by function name: a machine-independent measure of how
+    often binomials are asked for and their prime checked. Both are patched
+    in every module that binds them by name."""
+    calls = Counter()
+
+    def counting(name, real):
+        def fn(*args):
+            calls[name] += 1
+            return real(*args)
+        return fn
+
+    for name in ("lucas_row", "lucas_binom"):
+        real = getattr(digits, name)
+        wrapper = counting(name, real)
+        for module in (digits, suites, sl2lab):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 

@@ -312,3 +312,46 @@ def test_char_inspect_lucas_search_is_capped():
     assert proc.stdout == ""
     assert "capability:" in proc.stderr
     assert "r = 1" in proc.stderr and "100000" in proc.stderr
+
+
+_HUGE_INTEGER = '{"kind": "rational", "lambda": 1' + "0" * 5000 + "}"
+_DEEP_NESTING = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["char-inspect", "classify", "lab"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(
+            _HUGE_INTEGER.encode(),
+            id="5001-digit-lambda",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this interpreter converts integers of any length",
+            ),
+        ),
+        pytest.param(_DEEP_NESTING.encode(), id="deep-nesting"),
+        pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+    ],
+)
+def test_unreadable_json_is_usage_error(tmp_path, command, raw):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    argv = ["lab", "--char", str(path), "--a", "1"] if command == "lab" else [command, str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelline", *argv, "--p", "3"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_json_message_is_the_decoder_message(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"kind": rational}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "char-inspect", str(path), "--p", "3")
+    assert (code, out, err) == (2, "", "error: Expecting value: line 1 column 10 (char 9)\n")

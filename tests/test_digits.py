@@ -13,12 +13,14 @@ from borelline.digits import (
     digit_sum,
     expand,
     lucas_binom,
+    lucas_row,
     nonzero_digit_count,
     power_sum,
     power_sum_direct,
     prime_power_base,
     require_prime,
 )
+from borelline.suites import LUCAS_BOUND, LUCAS_PRIMES
 
 
 def test_expand_roundtrip():
@@ -109,6 +111,33 @@ def test_lucas_binom_checks_its_arguments_before_answering():
     for m, n, p in ((3, 5, 4), (0, 0, 1), (-1, 0, 2), (0, -1, 2)):
         with pytest.raises(ArgumentError):
             lucas_binom(m, n, p)
+
+
+def test_lucas_row_matches_factorials():
+    # widths below, at and past m + 1 cover truncation and zero padding
+    for p in (2, 3, 5, 7, 11):
+        for m in range(61):
+            for width in (0, m, m + 1, m + 5):
+                assert lucas_row(m, p, width) == [math.comb(m, n) % p for n in range(width)]
+
+
+def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
+    # the lucas suite checks rows against Pascal's rule; entry by entry on the
+    # same grid, that evidence carries over to the kernel of lucas_binom
+    width = LUCAS_BOUND + 1
+    for p in LUCAS_PRIMES:
+        for m in range(width):
+            assert [lucas_binom(m, n, p) for n in range(width)] == lucas_row(m, p, width)
+
+
+def test_lucas_row_checks_its_arguments():
+    # the prime first, then the signs; an empty width still checks both
+    for m, p, width in ((3, 4, 5), (-1, 1, 5), (3, 6, -1), (0, 9, 0)):
+        with pytest.raises(ArgumentError, match="prime"):
+            lucas_row(m, p, width)
+    for m, p, width in ((-1, 2, 5), (3, 2, -1), (-1, 3, 0)):
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            lucas_row(m, p, width)
 
 
 def test_power_sum_unit_values():

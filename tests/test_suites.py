@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from borelline.suites import (
     SUITES,
     run_suites,
+    suite_lucas,
     suite_pattern_roundtrip,
     suite_sl2_chain,
     suite_sl2_socle_head,
@@ -86,3 +88,32 @@ def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch):
     monkeypatch.setattr(suites, "case_verdict", whole_claimed_irreducible)
     rec = suites.suite_hecke_split(p_filter=2)
     assert rec["ok"] is False and rec["cases"] == len(rec["failures"]) == 2
+
+
+def test_lucas_suite_asks_one_row_per_m(lucas_calls):
+    # one digit-product row per m, compared with its Pascal row at once; no
+    # binomial is asked entry by entry
+    rec = suite_lucas(p_filter=2)
+    assert rec["ok"] is True and rec["cases"] == 513 * 513
+    assert lucas_calls["lucas_row"] == 513
+    assert lucas_calls["lucas_binom"] == 0
+
+
+def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
+    from borelline import suites
+
+    real = suites.lucas_row
+
+    def one_entry_off(m, p, width):
+        row = real(m, p, width)
+        if m == 100:
+            row[7] = (row[7] + 1) % p
+        return row
+
+    monkeypatch.setattr(suites, "lucas_row", one_entry_off)
+    rec = suites.suite_lucas(p_filter=3)
+    expected = math.comb(100, 7) % 3
+    assert rec["ok"] is False and rec["cases"] == 263169
+    assert rec["failures"] == [
+        {"p": 3, "m": 100, "n": 7, "got": (expected + 1) % 3, "expected": expected}
+    ]
