@@ -7,8 +7,6 @@ group generator acting on an induced module has that shape.
 
 from __future__ import annotations
 
-from .towers import matrix_product
-
 
 def vec_is_zero(v) -> bool:
     return all(x.is_zero() for x in v)
@@ -98,8 +96,27 @@ def mat_vec(rows, v):
 
 
 def mat_mul(a, b):
-    """The matrix product a b, on discrete logs: see `towers.matrix_product`."""
-    return matrix_product(a, b)
+    """The matrix product a b, over the nonzero entries of a and b. Entries
+    off the first entry's level or tower (ArgumentError), or that are not
+    field elements (TypeError), are refused before any product."""
+    entries = [x for m in (a, b) for row in m for x in row]
+    if not entries:
+        return tuple(() for _ in a)
+    zero = entries[0] - entries[0]
+    if not hasattr(zero, "is_zero"):
+        raise TypeError(f"cannot multiply matrices of {type(zero).__name__}")
+    for x in set(entries):
+        zero - x  # raises for an entry off zero's field
+    b_support = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, support in zip(row, b_support):
+            if not x.is_zero():
+                for c, y in support:
+                    acc[c] = acc[c] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def kernel(rows, ncols, one, zero):

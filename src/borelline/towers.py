@@ -12,13 +12,12 @@ exactly one FieldElement, so equality is identity. An element carries its
 coordinate vector and its discrete logarithm to the base of the level's
 generator. Each level keeps an antilog table and a Zech table,
 z[d] = log(1 + g^d), so every operation is one table lookup that returns a
-canonical element; `matrix_product` multiplies whole matrices on the logs
-and Zech table. Operands must share one level: `+ - *` and
-`matrix_product` refuse mixed levels with ArgumentError, and `embed` first
-moves an element up to the other's level. A level's tables are built the
-first time one of its elements is requested, from q - 1 products by the
-generator on the polynomial route (`polyfp` multiplication modulo f_n);
-that route is used only to construct the tower and its tables.
+canonical element. Operands must share one level: `+ - *` refuse mixed
+levels with ArgumentError, and `embed` first moves an element up to the
+other's level. A level's tables are built the first time one of its
+elements is requested, from q - 1 products by the generator on the
+polynomial route (`polyfp` multiplication modulo f_n); that route is used
+only to construct the tower and its tables.
 """
 
 from __future__ import annotations
@@ -40,11 +39,10 @@ class _Level:
     0 <= i < 2(q-1) and then zero 2(q-1) times, so a sum of two logs,
     including a zero's, indexes it directly (negative indices land in the
     zeros). `zech[d]` is log(1 + g^d), or -(q-1) where 1 + g^d = 0, listed
-    twice so that differences of logs index it directly. `logs[i]` is
-    `exp[i].log`: the normal form of a sum of logs.
+    twice so that differences of logs index it directly.
     """
 
-    __slots__ = ("units", "neg", "exp", "logs", "zech", "zero", "by_coords")
+    __slots__ = ("units", "neg", "exp", "zech", "zero", "by_coords")
 
 
 class FieldElement:
@@ -249,7 +247,6 @@ class FieldTower:
         f.zero = FieldElement(self, n, self._zero_coords(n), -units, f)
         elems = [FieldElement(self, n, c, i, f) for i, c in enumerate(powers)]
         f.exp = elems + elems + [f.zero] * (2 * units)
-        f.logs = [e.log for e in f.exp]
         f.by_coords = {e.coords: e for e in elems}
         f.by_coords[f.zero.coords] = f.zero
         zech = [log.get(((c[0] + 1) % self.p,) + c[1:], -units) for c in powers]
@@ -355,57 +352,6 @@ class FieldTower:
             self.element(tuple(1 if i == j else 0 for i in range(d)), level)
             for j in range(d)
         )
-
-
-def matrix_product(a, b):
-    """The product of the matrices a and b, given as row tuples of
-    FieldElements, as row tuples of interned elements.
-
-    The product runs on discrete logs: each entry's log is read once, a
-    product of two entries is a sum of logs, and a sum of products goes
-    through the level's Zech table, so no FieldElement operation runs.
-    All entries must lie at one level of one tower, as for the element
-    operators: entries at other levels or of other towers raise
-    ArgumentError, and entries that are not field elements TypeError.
-    """
-    f, la, lb = _logs_at_one_level(a, b)
-    if f is None:
-        return tuple(() for _ in a)
-    exp, logs, zech = f.exp, f.logs, f.zech
-    # the nonzero entries of each row of b, as (column, log)
-    b_support = [[(c, y) for c, y in enumerate(row) if y >= 0] for row in lb]
-    zero = f.zero.log
-    width = len(lb[0]) if lb else 0
-    out = []
-    for row in la:
-        acc = [zero] * width
-        for x, support in zip(row, b_support):
-            if x < 0:
-                continue
-            for c, y in support:
-                s = acc[c]
-                acc[c] = logs[x + y] if s < 0 else logs[s + zech[x + y - s]]
-        out.append(tuple([exp[s] for s in acc]))
-    return tuple(out)
-
-
-def _logs_at_one_level(a, b):
-    """The tables of the one level of the entries of a and b, and the
-    entries' logs there, row by row; no tables when there is no entry."""
-    try:
-        tables = {x._f for m in (a, b) for row in m for x in row}
-    except AttributeError:
-        tables = None
-    if tables is None or len(tables) > 1:
-        cells = [x for m in (a, b) for row in m for x in row]
-        for x in cells:
-            if not isinstance(x, FieldElement):
-                raise _mismatch(None, x)
-        raise _mismatch(cells[0], next(x for x in cells if x._f is not cells[0]._f))
-    if not tables:
-        return None, (), ()
-    (f,) = tables
-    return f, [[x.log for x in row] for row in a], [[x.log for x in row] for row in b]
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from borelline import digits, polyfp, sl2lab, suites
-from borelline.towers import FieldElement
+from borelline.linalg import DenseMap, MonomialMap
 
 
 @pytest.fixture
@@ -27,20 +27,20 @@ def polyfp_mul_calls(monkeypatch):
 
 
 @pytest.fixture
-def field_op_calls(monkeypatch):
-    """A Counter of the calls of FieldElement.__mul__, __add__ and __sub__
-    from now on, keyed by method name: a machine-independent measure of the
-    work done element by element."""
+def compose_calls(monkeypatch):
+    """A Counter of the calls of MonomialMap.compose and DenseMap.compose
+    from now on, keyed by class name: a machine-independent measure of the
+    work of the relation checks."""
     calls = Counter()
 
     def counting(name, real):
-        def op(self, other):
+        def compose(self, other):
             calls[name] += 1
             return real(self, other)
-        return op
+        return compose
 
-    for name in ("__mul__", "__add__", "__sub__"):
-        monkeypatch.setattr(FieldElement, name, counting(name, getattr(FieldElement, name)))
+    for cls in (MonomialMap, DenseMap):
+        monkeypatch.setattr(cls, "compose", counting(cls.__name__, cls.compose))
     return calls
 
 

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from borelline import cli, sl2lab
+from borelline import cli, sl2lab, suites
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, vec_scale
@@ -61,12 +61,20 @@ def _zero(module):
     return module.tower.zero(module.group_level)
 
 
+def _minus_one(module):
+    return -_one(module)
+
+
 # (generator, element it is broken at, columns negated, relation named). At
 # p = 3 a negated column is a different map; at p = 2 it is the same one.
 # Column 0 of an induced module is the stable line, so breaking column 1
 # leaves the line checks passing.
 BROKEN_GENERATORS = (
     ("eps", _zero, {1}, "eps is not additive"),
+    # eps(1) times -1 off column 0 still fixes the line; its cube is not 1
+    ("eps", _one, range(1, 4), "eps(b)^p is not the identity"),
+    # -1 is no basis element of F_3; the check composes eps(1) eps(1)
+    ("eps", _minus_one, {1}, "eps(x) != eps(x - b) eps(b)"),
     ("h", _one, {1}, "h is not multiplicative"),
     ("s", None, {0}, "s^2 must equal h(-1)"),
     # -s still squares to h(-1), but negates one side of the conjugation word
@@ -90,12 +98,76 @@ def _break_generator(monkeypatch, cls, name, at, cols):
 BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _one, {0}, "h must scale the line by theta"),)
 
 
+def _check_relations_pairwise(module):
+    """The reference route: the relations of SL_2(F_q) between the actions
+    of every pair of elements, in O(q^2) compositions."""
+    elems = tuple(module.tower.enumerate_elements(module.group_level))
+    units = [u for u in elems if not u.is_zero()]
+    eps = {x: module.eps(x) for x in elems}
+    h = {u: module.h(u) for u in units}
+    for x in elems:
+        for y in elems:
+            if eps[x].compose(eps[y]) != eps[x + y]:
+                raise RelationError("eps is not additive")
+    for u in units:
+        hu = h[u]
+        for v in units:
+            if hu.compose(h[v]) != h[u * v]:
+                raise RelationError("h is not multiplicative")
+        hu_inv = h[u.inverse()]
+        for x in elems:
+            if hu.compose(eps[x]).compose(hu_inv) != eps[u * u * x]:
+                raise RelationError("torus does not normalize eps correctly")
+    s = module.s()
+    minus_one = -module.tower.one(module.group_level)
+    if s.compose(s) != h[minus_one]:
+        raise RelationError("s^2 must equal h(-1)")
+    s_inv = h[minus_one].compose(s)
+    for t in units:
+        w = -t.inverse()
+        lhs = s_inv.compose(eps[t]).compose(s)
+        if lhs != eps[w].compose(s).compose(h[t]).compose(eps[w]):
+            raise RelationError("the s-conjugation relation fails")
+
+
+def _build_unchecked(monkeypatch, build):
+    """The module build() gives with no relation check at construction."""
+    with monkeypatch.context() as patch:
+        patch.setattr(InducedModule, "_check_relations", lambda self: None)
+        patch.setattr(sl2lab._SL2Module, "_check_relations", lambda self: None)
+        return build()
+
+
+def _relation_grid():
+    """The modules of the `sl2-relations` suite: induced modules over
+    `SL2_GRID` and the costandard modules of weight up to its bound."""
+    for p, a in suites.SL2_GRID:
+        for _, theta in suites._sl2_characters(p):
+            yield InducedModule(p, a, theta)
+        for n in range(suites.COSTANDARD_WEIGHT_BOUND + 1):
+            yield CostandardModule(n, p, coeff_level=a)
+
+
+def test_presentation_check_agrees_with_the_pairwise_reference():
+    # every module built passed the presentation check; it and its dual
+    # pass both routes
+    modules = list(_relation_grid())
+    assert len(modules) == 3 * (4 + 9)
+    for module in modules:
+        for mod in (module, module.dual()):
+            mod._check_relations()
+            _check_relations_pairwise(mod)
+
+
 @pytest.mark.parametrize("name, at, cols, relation", BROKEN_INDUCED,
                          ids=[case[-1] for case in BROKEN_INDUCED])
 def test_relation_checker_catches_a_broken_induced_module(monkeypatch, name, at, cols, relation):
     _break_generator(monkeypatch, InducedModule, name, at, cols)
     with pytest.raises(RelationError, match=re.escape(relation)):
         InducedModule(3, 1, power_char(1, 3))
+    module = _build_unchecked(monkeypatch, lambda: InducedModule(3, 1, power_char(1, 3)))
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
 
 
 @pytest.mark.parametrize("name, at, cols, relation", BROKEN_GENERATORS,
@@ -104,14 +176,122 @@ def test_relation_checker_catches_a_broken_costandard_module(monkeypatch, name, 
     _break_generator(monkeypatch, CostandardModule, name, at, cols)
     with pytest.raises(RelationError, match=re.escape(relation)):
         CostandardModule(2, 3, coeff_level=1)
+    module = _build_unchecked(monkeypatch, lambda: CostandardModule(2, 3, coeff_level=1))
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
+
+
+def _eps_not_commuting(real):
+    """eps(b_1) conjugated by the swap of the cells at 0 and b_0: it still
+    fixes the line and has order p, but no longer commutes with eps(b_0)."""
+    def eps(self, x):
+        g = real(self, x)
+        b0, b1 = self.tower.standard_basis(self.a)
+        if x is not b1:
+            return g
+        perm = list(range(self.dim))
+        i, j = self.cell_index(self.tower.zero(self.a)), self.cell_index(b0)
+        perm[i], perm[j] = j, i
+        swap = MonomialMap(perm, [self.one_scalar()] * self.dim)
+        return swap.compose(g).compose(swap)
+    return eps
+
+
+def _h_at_g_squared_negated(real):
+    """h(g^2) with column 1 negated, where 1 < 2 < q - 1."""
+    def h(self, u):
+        g = self.tower.multiplicative_generator(self.a)
+        return _negated(real(self, u), {1}) if u is g * g else real(self, u)
+    return h
+
+
+def _h_moving_cells_by_u(real):
+    """h(u) moving cell(t) to cell(u t), not cell(u^2 t): still
+    multiplicative, but h(g) eps(b) h(g)^-1 = eps(g b)."""
+    def h(self, u):
+        g = real(self, u)
+        perm = list(g.perm)
+        for t in self.labels:
+            perm[self.cell_index(t)] = self.cell_index(u * t)
+        return MonomialMap(perm, g.scale)
+    return h
+
+
+# (p, a, generator, replacement, relation named): induced-module mutants
+# that negating columns of one map at p = 3 cannot give
+PRESENTATION_MUTANTS = (
+    (3, 2, "eps", _eps_not_commuting, "eps(b) and eps(c) do not commute"),
+    (5, 1, "h", _h_at_g_squared_negated, "h(g^(k+1)) != h(g^k) h(g) at k = 1"),
+    (3, 1, "h", _h_moving_cells_by_u, "torus does not normalize eps correctly"),
+)
+
+
+@pytest.mark.parametrize("p, a, name, replace, relation", PRESENTATION_MUTANTS,
+                         ids=[case[-1] for case in PRESENTATION_MUTANTS])
+def test_relation_checker_catches_presentation_mutants(monkeypatch, p, a, name, replace, relation):
+    monkeypatch.setattr(InducedModule, name, replace(getattr(InducedModule, name)))
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        InducedModule(p, a, power_char(1, p, a))
+    module = _build_unchecked(monkeypatch, lambda: InducedModule(p, a, power_char(1, p, a)))
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
+
+
+@pytest.mark.parametrize("build, p, d, counts", (
+    (lambda: InducedModule(2, 3, power_char(1, 2, 3)), 2, 6, {"MonomialMap": 490}),
+    (lambda: InducedModule(61, 1, power_char(1, 61, 1)), 61, 1, {"MonomialMap": 483}),
+    (lambda: CostandardModule(8, 2, coeff_level=3), 2, 6, {"DenseMap": 490}),
+), ids=["induced-2-3", "induced-61-1", "costandard-8-2-3"])
+def test_relation_check_composes_linearly_in_q(compose_calls, build, p, d, counts):
+    """7q - 6 + d(p + d) compositions at q = p^d: d(p - 1) for the orders of
+    the eps(b), d(d - 1) for their commutators, q - 1 for the eps(x), q - 2
+    for the powers of h(g), 2d for the normalising squares, one for s^2 and
+    1 + 5(q - 1) for the s-conjugation words. The pairwise reference route
+    makes 16 446 at q = 64 and 14 943 at q = 61."""
+    build()
+    assert dict(compose_calls) == counts
+    assert sum(counts.values()) == 7 * p ** d - 6 + d * (p + d)
+
+
+def _folded_s(module):
+    """s on the cell basis by folding the word
+    s eps(t) s = h(-1) eps(-1/t) s h(t) eps(-1/t) over the other generators'
+    actions, from s . line = cell(0) and s . cell(0) = theta(-1) line."""
+    zero_a = module.tower.zero(module.a)
+    base_cell = module.cell_index(zero_a)
+    perm = [0] * module.dim
+    scale = [module.one_scalar()] * module.dim
+    perm[0] = base_cell
+    minus_one = -module.tower.one(module.a)
+    perm[base_cell] = 0
+    scale[base_cell] = module.theta_value(minus_one)
+    for t in module.labels:
+        if t.is_zero():
+            continue
+        j = module.cell_index(t)
+        w = -t.inverse()
+        vec = module.eps(w).apply(module.unit_vector(0))
+        vec = module.h(t).apply(vec)
+        # the partial s is only ever applied to a multiple of the line
+        assert all(vec[i].is_zero() for i in range(1, module.dim))
+        folded = [module.zero_scalar()] * module.dim
+        folded[base_cell] = vec[0]
+        vec = module.eps(w).apply(tuple(folded))
+        vec = module.h(minus_one).apply(vec)
+        support = [i for i, c in enumerate(vec) if not c.is_zero()]
+        assert len(support) == 1
+        perm[j] = support[0]
+        scale[j] = vec[support[0]]
+    return MonomialMap(perm, scale)
 
 
 def test_s_action_closed_form():
-    # the fold must agree with s . cell(t) = theta(t) theta(-1) cell(-1/t)
-    for p, a in GRID:
+    # s . cell(t) = theta(t) theta(-1) cell(-1/t), and the fold agrees
+    for p, a in GRID + ((5, 1), (3, 2)):
         for lam in (1, -1, 2):
             module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
             s = module.s()
+            assert s == _folded_s(module)
             minus_one = -module.tower.one(a)
             for t in module.labels:
                 if t.is_zero():
@@ -664,18 +844,6 @@ def test_hecke_t_s_squares_to_minus_itself():
     neg = tuple(tuple(-x for x in row) for row in t_s)
     assert square == neg
 
-
-
-def test_dense_products_make_no_element_operations(field_op_calls):
-    cm = CostandardModule(8, 3, coeff_level=2)
-    g = cm.tower.multiplicative_generator(2)
-    x, y = g, g ** 5 + cm.one_scalar()
-    a, b, expected = cm.eps(x).rows, cm.eps(y).rows, cm.eps(x + y).rows
-    assert len(a) == 9
-    field_op_calls.clear()
-    product = mat_mul(a, b)
-    assert sum(field_op_calls.values()) == 0
-    assert product == expected
 
 
 def test_costandard_refuses_before_building_a_tower(polyfp_mul_calls):
