@@ -148,10 +148,6 @@ class MonomialMap:
         self.perm = tuple(perm)
         self.scale = tuple(scale)
 
-    @property
-    def dim(self):
-        return len(self.perm)
-
     def apply(self, v):
         out = [None] * len(v)
         zero = v[0] - v[0]
@@ -180,14 +176,7 @@ class MonomialMap:
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
             return NotImplemented
-        if self.perm == other.perm and self.scale == other.scale:
-            return True
-        # scales of zero would make distinct perms equal, but generators
-        # are invertible so scales are nonzero and perms must agree
-        return False
-
-    def __hash__(self):
-        return hash((self.perm, self.scale))
+        return (self.perm, self.scale) == (other.perm, other.scale)
 
 
 class DenseMap:
@@ -197,10 +186,6 @@ class DenseMap:
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
     def apply(self, v):
         return mat_vec(self.rows, v)

@@ -29,6 +29,8 @@ from .linalg import (
     DenseMap,
     MonomialMap,
     kernel,
+    leading_index,
+    reduce_vector,
     rref,
     rref_insert,
     span_contains,
@@ -64,10 +66,10 @@ class Subspace:
 
 
 class _SL2Module:
-    """What both module kinds share: one field, at `coeff_level` (equal to
-    `group_level`), holding both the vector coordinates and the points of
-    the actions eps(x), h(u), s() of SL_2, as maps with `apply`, `compose`
-    and `==`, checked by `_check_relations`."""
+    """What both module kinds share: one field, at `coeff_level`, holding
+    both the vector coordinates and the points of the actions eps(x), h(u),
+    s() of SL_2, as maps with `apply`, `compose` and `==`, checked by
+    `_check_relations`."""
 
     def _field_order(self, p, level):
         """q = p^(level!) once p is a prime and the level one a tower has;
@@ -95,8 +97,8 @@ class _SL2Module:
 
     def generators(self):
         """eps over an F_p-basis of F_q, h at a generator of the units, and s."""
-        gens = [self.eps(b) for b in self.tower.standard_basis(self.group_level)]
-        gens.append(self.h(self.tower.multiplicative_generator(self.group_level)))
+        gens = [self.eps(b) for b in self.tower.standard_basis(self.coeff_level)]
+        gens.append(self.h(self.tower.multiplicative_generator(self.coeff_level)))
         gens.append(self.s())
         return tuple(gens)
 
@@ -120,7 +122,7 @@ class _SL2Module:
         Steps 1-3 make eps additive and step 4 makes h multiplicative; with
         them step 5 gives h(u) eps(x) h(u)^-1 = eps(u^2 x) for all u and x.
         """
-        level = self.group_level
+        level = self.coeff_level
         elems = tuple(self.tower.enumerate_elements(level))
         nonzero = [x for x in elems if not x.is_zero()]
         basis = self.tower.standard_basis(level)
@@ -188,7 +190,7 @@ class _Dual(_SL2Module):
 
     def s(self):
         # s^-1 = s^3 = h(-1) s
-        minus_one = -self.tower.one(self.group_level)
+        minus_one = -self.tower.one(self.coeff_level)
         return self.module.h(minus_one).compose(self.module.s()).transpose()
 
 
@@ -206,7 +208,7 @@ class InducedModule(_SL2Module):
             raise ArgumentError(f"character needs residues up to level {a}")
         self.q = self._field_order(p, a)
         self.p = p
-        self.a = self.group_level = self.coeff_level = a
+        self.a = self.coeff_level = a
         if self.q > GROUP_ORDER_CAP:
             raise CapabilityError(
                 f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}"
@@ -331,30 +333,26 @@ def spin(module, vec) -> Subspace:
     return Subspace(module, basis)
 
 
-def fixed_subspace(module, maps, within: Subspace | None = None) -> Subspace:
-    """Common fixed space of the maps, inside the whole module or a subspace."""
-    zero, one = module.zero_scalar(), module.one_scalar()
-    if within is None:
-        basis = tuple(module.unit_vector(i) for i in range(module.dim))
-    else:
-        basis = within.rows
-    if not basis:
-        return Subspace(module, ())
+def fixed_subspace(module, maps) -> Subspace:
+    """Common fixed space of the maps: the kernel of the stacked g - 1."""
+    units = [module.unit_vector(i) for i in range(module.dim)]
     rows = []
     for g in maps:
-        images = [vec_sub(g.apply(b), b) for b in basis]
-        # columns of the constraint system are the basis coefficients
-        for coord in range(module.dim):
-            rows.append(tuple(img[coord] for img in images))
-    coeffs = kernel(rows, len(basis), one, zero)
+        images = [vec_sub(g.apply(e), e) for e in units]
+        rows.extend(zip(*images))
+    return Subspace(module, kernel(rows, module.dim, module.one_scalar(), module.zero_scalar()))
+
+
+def _combinations(module, coeffs, rows):
+    """Canonical rows of the span of the sums of c_i rows[i], c over coeffs."""
     vecs = []
     for c in coeffs:
         v = module.zero_vector()
-        for ci, b in zip(c, basis):
+        for ci, r in zip(c, rows):
             if not ci.is_zero():
-                v = vec_add(v, vec_scale(ci, b))
+                v = vec_add(v, vec_scale(ci, r))
         vecs.append(v)
-    return Subspace(module, rref(vecs))
+    return rref(vecs)
 
 
 def _projective_vectors(module, rows):
@@ -379,16 +377,6 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
-class _Scaled:
-    """c times the map g: its fixed space is the 1/c-eigenspace of g."""
-
-    def __init__(self, c, g):
-        self.c, self.g = c, g
-
-    def apply(self, v):
-        return vec_scale(self.c, self.g.apply(v))
-
-
 def b_stable_lines(module, within: Subspace | None = None):
     """One vector per B-stable line of the module, or of its submodule
     `within`: the lines of the eigenspaces of h(g), g a generator of the
@@ -398,14 +386,34 @@ def b_stable_lines(module, within: Subspace | None = None):
     and T normalises U and has order q - 1 prime to p, so it acts
     diagonalisably on N^U. Hence every minimal submodule is the spin of a
     B-stable line.
+
+    M^U is computed once, over the whole module, and cut down to `within`.
+    T normalises U, so h(g) maps the d rows of that space into their span,
+    and its d x d matrix is read off at their pivots; the eigenspaces are
+    kernels of that matrix. `within` must therefore be T-stable: an image
+    outside the span raises PreconditionError.
     """
-    tower, level = module.tower, module.group_level
-    fixed = fixed_subspace(module, [module.eps(b) for b in tower.standard_basis(level)], within)
+    tower, level = module.tower, module.coeff_level
+    zero, one = module.zero_scalar(), module.one_scalar()
+    rows = fixed_subspace(module, [module.eps(b) for b in tower.standard_basis(level)]).rows
+    if within is not None:
+        residuals = [reduce_vector(r, within.rows) for r in rows]
+        coeffs = kernel(zip(*residuals), len(rows), one, zero)
+        rows = _combinations(module, coeffs, rows)
+    d = len(rows)
+    pivots = [leading_index(r) for r in rows]
     hg = module.h(tower.multiplicative_generator(level))
+    images = [hg.apply(r) for r in rows]
+    if not all(span_contains(rows, v) for v in images):
+        raise PreconditionError("h(g) does not keep the U-fixed vectors of the subspace")
+    # column i holds the coordinates of h(g) rows[i] on the rows
+    matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
     for lam in tower.enumerate_elements(level):
         if not lam.is_zero():
-            scaled = _Scaled(lam.inverse(), hg)
-            yield from _projective_vectors(module, fixed_subspace(module, [scaled], fixed).rows)
+            shifted = [[x - lam if i == j else x for i, x in enumerate(row)]
+                       for j, row in enumerate(matrix)]
+            eigen = kernel(shifted, d, one, zero)
+            yield from _projective_vectors(module, _combinations(module, eigen, rows))
 
 
 @dataclass(frozen=True)
@@ -572,7 +580,7 @@ class CostandardModule(_SL2Module):
             raise CapabilityError("relation verification at this size is beyond desk scale")
         self.n = n
         self.p = p
-        self.coeff_level = self.group_level = coeff_level
+        self.coeff_level = coeff_level
         self.tower = make_tower(p, coeff_level)
         self.dim = n + 1
         self._binom = tuple(tuple(lucas_row(i, p, self.dim)) for i in range(self.dim))

@@ -276,14 +276,14 @@ def _roundtrip_factors(rng, p):
     return ((t1, GaloisTwist.from_position(pos1, 3)), (t2, GaloisTwist.from_position(pos2, 3)))
 
 
-def suite_pattern_roundtrip(p_filter=None, samples=ROUNDTRIP_SAMPLES, seed=ROUNDTRIP_SEED) -> dict:
+def suite_pattern_roundtrip(p_filter=None, seed=ROUNDTRIP_SEED) -> dict:
     """Truncate a random stable digit pattern, then read it back exactly."""
     rng = random.Random(seed)
     failures = []
     cases = 0
     primes = [p for p in (2, 3) if _keep(p, p_filter)]
     if primes:
-        for _ in range(samples):
+        for _ in range(ROUNDTRIP_SAMPLES):
             p = rng.choice(primes)
             factors = _roundtrip_factors(rng, p)
             cases += 1

@@ -45,6 +45,22 @@ def compose_calls(monkeypatch):
 
 
 @pytest.fixture
+def monomial_apply_calls(monkeypatch):
+    """A list whose length counts the calls of MonomialMap.apply from now
+    on: a machine-independent measure of the work of a census, which on a
+    whole induced module makes d(q + 1) + 2 of them, d = [F_q : F_p]."""
+    calls = []
+    real = MonomialMap.apply
+
+    def counting(self, v):
+        calls.append(None)
+        return real(self, v)
+
+    monkeypatch.setattr(MonomialMap, "apply", counting)
+    return calls
+
+
+@pytest.fixture
 def lucas_calls(monkeypatch):
     """A Counter of the calls of digits.lucas_row and digits.lucas_binom from
     now on, keyed by function name: a machine-independent measure of how

@@ -9,7 +9,7 @@ import pytest
 from borelline import cli, sl2lab, suites
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, kernel, mat_mul, rref, vec_add, vec_scale, vec_sub
 from borelline.sl2lab import (
     CostandardModule,
     InducedModule,
@@ -17,6 +17,7 @@ from borelline.sl2lab import (
     RelationError,
     Subspace,
     case_verdict,
+    b_stable_lines,
     fixed_subspace,
     hecke_operators,
     is_irreducible,
@@ -54,11 +55,11 @@ def _negated(g, cols):
 
 
 def _one(module):
-    return module.tower.one(module.group_level)
+    return module.tower.one(module.coeff_level)
 
 
 def _zero(module):
-    return module.tower.zero(module.group_level)
+    return module.tower.zero(module.coeff_level)
 
 
 def _minus_one(module):
@@ -101,7 +102,7 @@ BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _one, {0}, "h must scale the line by
 def _check_relations_pairwise(module):
     """The reference route: the relations of SL_2(F_q) between the actions
     of every pair of elements, in O(q^2) compositions."""
-    elems = tuple(module.tower.enumerate_elements(module.group_level))
+    elems = tuple(module.tower.enumerate_elements(module.coeff_level))
     units = [u for u in elems if not u.is_zero()]
     eps = {x: module.eps(x) for x in elems}
     h = {u: module.h(u) for u in units}
@@ -119,7 +120,7 @@ def _check_relations_pairwise(module):
             if hu.compose(eps[x]).compose(hu_inv) != eps[u * u * x]:
                 raise RelationError("torus does not normalize eps correctly")
     s = module.s()
-    minus_one = -module.tower.one(module.group_level)
+    minus_one = -module.tower.one(module.coeff_level)
     if s.compose(s) != h[minus_one]:
         raise RelationError("s^2 must equal h(-1)")
     s_inv = h[minus_one].compose(s)
@@ -357,12 +358,12 @@ def test_fixed_subspace_of_unipotent():
 
 
 def test_fixed_subspace_within():
+    # the U-fixed vectors of the socle make up one B-stable line
     module = InducedModule(2, 2, power_char(1, 2))
-    maps = [module.eps(b) for b in module.tower.standard_basis(2)]
     socle = socle_head_report(module).socle
-    inside = fixed_subspace(module, maps, within=socle)
-    assert inside.dim == 1
-    assert inside <= socle
+    lines = list(b_stable_lines(module, socle))
+    assert len(lines) == 1
+    assert socle.contains(lines[0])
 
 
 def test_is_irreducible_detects_reducible_whole():
@@ -590,6 +591,153 @@ def test_b_stable_lines_are_b_stable():
                     line = Subspace(mod, rref([v]))
                     for g in mod.generators()[:-1]:   # U and T generate B
                         assert line.contains(g.apply(v))
+
+
+# -- the per-eigenvalue reference route to the census ------------------------
+
+
+class _Scaled:
+    """c times the map g: its fixed space is the 1/c-eigenspace of g."""
+
+    def __init__(self, c, g):
+        self.c, self.g = c, g
+
+    def apply(self, v):
+        return vec_scale(self.c, self.g.apply(v))
+
+
+def _fixed_subspace_within(module, maps, within):
+    """Common fixed space of the maps inside a subspace, solved for the
+    coefficients of its rows."""
+    basis = within.rows
+    if not basis:
+        return Subspace(module, ())
+    rows = []
+    for g in maps:
+        images = [vec_sub(g.apply(b), b) for b in basis]
+        rows.extend(zip(*images))
+    coeffs = kernel(rows, len(basis), module.one_scalar(), module.zero_scalar())
+    vecs = []
+    for c in coeffs:
+        v = module.zero_vector()
+        for ci, b in zip(c, basis):
+            if not ci.is_zero():
+                v = vec_add(v, vec_scale(ci, b))
+        vecs.append(v)
+    return Subspace(module, rref(vecs))
+
+
+def _b_stable_lines_per_eigenvalue(module, within=None):
+    """The census on a second route: M^U inside `within`, then one
+    fixed-space system of h(g)/lambda inside it for each unit lambda."""
+    tower, level = module.tower, module.coeff_level
+    eps = [module.eps(b) for b in tower.standard_basis(level)]
+    fixed = _fixed_subspace_within(module, eps, within or _whole(module))
+    hg = module.h(tower.multiplicative_generator(level))
+    for lam in tower.enumerate_elements(level):
+        if not lam.is_zero():
+            eigen = _fixed_subspace_within(module, [_Scaled(lam.inverse(), hg)], fixed)
+            yield from sl2lab._projective_vectors(module, eigen.rows)
+
+
+def _census_cases():
+    """(module, within) for every m at LAB_PAIRS, (7, 1) and (3, 2): the
+    module, its dual, and its Hecke pieces or its socle and maximal
+    submodule; then the costandard modules of `sl2-relations`, their duals
+    and their digit spans."""
+    for p, a in LAB_PAIRS + ((7, 1), (3, 2)):
+        for m in range(p ** factorial(a) - 1):
+            module = InducedModule(p, a, power_char(m, p, a))
+            yield module, None
+            yield module.dual(), None
+            if m == 0:
+                for piece in hecke_operators(module).idempotent_split():
+                    yield module, piece
+            else:
+                rep = socle_head_report(module)
+                assert rep.socle_ok and rep.maximal_ok
+                yield module, rep.socle
+                yield module, rep.maximal
+    for p, a in suites.SL2_GRID:
+        for n in range(suites.COSTANDARD_WEIGHT_BOUND + 1):
+            cm = CostandardModule(n, p, coeff_level=a)
+            yield cm, None
+            yield cm.dual(), None
+            yield cm, l_submodule(cm)
+
+
+def test_census_matches_the_per_eigenvalue_route():
+    # the same vectors in the same order, so every spin and witness agrees
+    cases = 0
+    for module, within in _census_cases():
+        lines = list(b_stable_lines(module, within))
+        assert lines and lines == list(_b_stable_lines_per_eigenvalue(module, within))
+        cases += 1
+    assert cases == 4 * (1 + 2 + 4 + 3 + 6 + 8) + 3 * 3 * 9
+
+
+def test_census_refuses_a_subspace_that_is_not_torus_stable():
+    # e_0 + (sum of cells) is U-fixed, but h(g) scales its terms by g and
+    # 1/g; the per-eigenvalue route finds no line in its span
+    module = InducedModule(5, 1, power_char(1, 5))
+    within = Subspace(module, rref([vec_add(module.unit_vector(0), module.line_sum_vector())]))
+    assert list(_b_stable_lines_per_eigenvalue(module, within)) == []
+    with pytest.raises(PreconditionError, match="U-fixed vectors"):
+        list(b_stable_lines(module, within))
+
+
+class _Rebased(sl2lab._SL2Module):
+    """The module in the coordinates P v, P = 1 + E_10: dense actions
+    P g P^-1. M^U is then spanned by e_0 + e_1 and the sum of cells, with
+    rows e_0 - e_2 - ... - e_q and the sum of cells, so h(g) acts on them
+    by a triangular matrix, not a diagonal one, when theta(g) != theta(g)^-1.
+    Every other attribute is the module's own."""
+
+    def __init__(self, module):
+        self.module = module
+        one = module.one_scalar()
+        units = [list(module.unit_vector(i)) for i in range(module.dim)]
+        self._p, self._p_inv = ([row[:] for row in units] for _ in range(2))
+        self._p[1][0], self._p_inv[1][0] = one, -one
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def _rebased(self, g):
+        cols = [g.apply(self.module.unit_vector(j)) for j in range(self.dim)]
+        return DenseMap(mat_mul(self._p, mat_mul(tuple(zip(*cols)), self._p_inv)))
+
+    def eps(self, x):
+        return self._rebased(self.module.eps(x))
+
+    def h(self, u):
+        return self._rebased(self.module.h(u))
+
+    def s(self):
+        return self._rebased(self.module.s())
+
+
+@pytest.mark.parametrize("p, a, m", ((5, 1, 1), (7, 1, 2), (3, 2, 1)))
+def test_census_reads_a_triangular_torus_matrix(p, a, m):
+    module = _Rebased(InducedModule(p, a, power_char(m, p, a)))
+    module._check_relations()
+    level = module.coeff_level
+    rows = fixed_subspace(module, [module.eps(b) for b in module.tower.standard_basis(level)]).rows
+    hg = module.h(module.tower.multiplicative_generator(level))
+    assert not Subspace(module, rows[:1]).contains(hg.apply(rows[0]))
+    lines = list(b_stable_lines(module))
+    assert len(lines) == 2 and lines == list(_b_stable_lines_per_eigenvalue(module))
+
+
+@pytest.mark.parametrize("p, a, calls", ((2, 3, 392), (61, 1, 64)))
+def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a, calls):
+    # d(q + 1) + 2 applies, d = [F_q : F_p]: each eps over the F_p-basis on
+    # each unit vector for M^U, then h(g) on each of the two rows of M^U
+    module = InducedModule(p, a, power_char(1, p, a))
+    for mod in (module, module.dual()):
+        del monomial_apply_calls[:]
+        assert len(list(b_stable_lines(mod))) == 2
+        assert len(monomial_apply_calls) == calls
 
 
 def test_dual_modules_satisfy_the_relations():
