@@ -7,12 +7,13 @@ m' = m mod (p^r - 1). All arithmetic is exact.
 
 Binomials come one entry at a time (`lucas_binom`, for a single entry at a
 huge m) or a row at a time (`lucas_row`, binom(m, n) for n below a width:
-one primality check, then only the n whose digits lie under those of m).
+one primality check, then one block of the row per digit value).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import polyfp
@@ -146,29 +147,28 @@ def _lucas_digit_product(m, n, p) -> int:
 def lucas_row(m, p, width) -> list[int]:
     """[binom(m, n) mod p for n in range(width)] by the digit product rule.
 
-    Only the n whose base-p digits lie under those of m are nonzero; the row
-    walks exactly those, digit by digit, so after one primality check each
-    digit of m costs at most min(m + 1, width) products. Every other entry
-    is 0."""
+    Built a digit of m at a time, least significant first: with the row of
+    m mod place in hand (its first `place` entries), the row of the next
+    digit a is the blocks binom(a, b) * row at offsets b * place, b <= a,
+    then zeros up to p * place. The walk stops once place >= width, since
+    the digits of m from there on only contribute binom(a, 0) = 1, and each
+    digit asks at most width binomials, b <= (width - 1) // place.
+    After one primality check, each digit costs O(width)."""
     require_prime(p)
     if m < 0 or width < 0:
         raise ArgumentError("binomial row arguments must be nonnegative")
-    row = [0] * width
-    # (n, binom(m, n) mod p) over the digit-dominated n below width
-    support = [(0, 1)] if width else []
+    row = [1]
     place = 1
-    while m:
+    while m and place < width:
         m, a = divmod(m, p)
-        support = [
-            (n + b * place, v * comb(a, b) % p)
-            for b in range(a + 1)
-            for n, v in support
-            if n + b * place < width
-        ]
+        block = row
+        row = []
+        for b in range(min(a, (width - 1) // place) + 1):
+            c = comb(a, b) % p
+            row += block if c == 1 else [c * v % p for v in block]
         place *= p
-    for n, v in support:
-        row[n] = v
-    return row
+        row += [0] * (min(place, width) - len(row))
+    return (row + [0] * (width - len(row)))[:width]
 
 
 def power_sum(q, k, include_zero=True) -> int:
@@ -189,12 +189,12 @@ def power_sum_direct(q, k, include_zero=True) -> int:
     """Brute-force oracle for power_sum: enumerate F_q and add t**k.
 
     Builds F_q as F_p[x]/(f) for the first irreducible f of the right degree,
-    independently of the closed form above.
+    searched once per field, independently of the closed form above.
     """
     p, r = prime_power_base(q)
     if k < 0:
         raise ArgumentError("power sums need k >= 0")
-    f = polyfp.least_irreducible(p, r)
+    f = _field_modulus(p, r)
     total = ()
     elems = [()]
     for _ in range(r):
@@ -209,6 +209,12 @@ def power_sum_direct(q, k, include_zero=True) -> int:
     if polyfp.degree(total) > 0:
         raise RelationError("power sum escaped the prime field")
     return total[0] if total else 0
+
+
+@lru_cache(maxsize=None)
+def _field_modulus(p, r):
+    """The modulus of `power_sum_direct`'s F_q, searched once per field."""
+    return polyfp.least_irreducible(p, r)
 
 
 def digit_class_sums(m, p, r) -> tuple[int, ...]:

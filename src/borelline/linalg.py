@@ -2,7 +2,10 @@
 
 Vectors are tuples of FieldElement; matrices are row tuples. Monomial maps
 (one nonzero entry per column) get a compact representation because every
-group generator acting on an induced module has that shape.
+group generator acting on an induced module has that shape, and so do the
+torus and the Weyl element on a costandard module. A monomial map composed
+with a dense one, either way round, permutes and scales its rows or columns
+instead of a matrix product.
 """
 
 from __future__ import annotations
@@ -160,7 +163,13 @@ class MonomialMap:
         return tuple(out)
 
     def compose(self, other):
-        """self after other."""
+        """self after other. After a DenseMap, the product scales and
+        permutes its rows: row j lands as row perm[j], times scale[j]."""
+        if isinstance(other, DenseMap):
+            rows = [None] * len(other.rows)
+            for j, (i, c) in enumerate(zip(self.perm, self.scale)):
+                rows[i] = [c * x for x in other.rows[j]]
+            return DenseMap(rows)
         perm = tuple(self.perm[other.perm[j]] for j in range(len(other.perm)))
         scale = tuple(
             other.scale[j] * self.scale[other.perm[j]] for j in range(len(other.perm))
@@ -191,7 +200,11 @@ class DenseMap:
         return mat_vec(self.rows, v)
 
     def compose(self, other):
-        """self after other."""
+        """self after other. Before a MonomialMap, the product scales and
+        permutes the columns: column j is column perm[j] times scale[j]."""
+        if isinstance(other, MonomialMap):
+            cols = tuple(zip(other.perm, other.scale))
+            return DenseMap([[row[i] * c for i, c in cols] for row in self.rows])
         return DenseMap(mat_mul(self.rows, other.rows))
 
     def transpose(self):

@@ -393,9 +393,20 @@ def b_stable_lines(module, within: Subspace | None = None):
     kernels of that matrix. `within` must therefore be T-stable: an image
     outside the span raises PreconditionError.
     """
+    yield from _b_stable_lines(module, _u_fixed_rows(module), within)
+
+
+def _u_fixed_rows(module):
+    """The canonical rows of M^U: the fixed space of the eps(b), b over an
+    F_p-basis of F_q."""
+    basis = module.tower.standard_basis(module.coeff_level)
+    return fixed_subspace(module, [module.eps(b) for b in basis]).rows
+
+
+def _b_stable_lines(module, rows, within):
+    """`b_stable_lines` from the rows of M^U, computed by the caller."""
     tower, level = module.tower, module.coeff_level
     zero, one = module.zero_scalar(), module.one_scalar()
-    rows = fixed_subspace(module, [module.eps(b) for b in tower.standard_basis(level)]).rows
     if within is not None:
         residuals = [reduce_vector(r, within.rows) for r in rows]
         coeffs = kernel(zip(*residuals), len(rows), one, zero)
@@ -438,6 +449,12 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
     of it; the witness is the first line whose spin is proper. The census
     is a proof only for submodules, so a given subspace must be stable.
     """
+    return _is_irreducible(module, subspace, _u_fixed_rows(module))
+
+
+def _is_irreducible(module, subspace, fixed_rows):
+    """`is_irreducible` on the rows of M^U, computed by the caller: the
+    census of each Hecke piece reuses the whole module's."""
     if subspace is not None and not _is_stable(module, subspace):
         raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else Subspace(
@@ -445,7 +462,7 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
     )
     if target.dim == 0:
         return IrreducibilityVerdict(False, 0)
-    for v in b_stable_lines(module, subspace):
+    for v in _b_stable_lines(module, fixed_rows, subspace):
         if spin(module, v) != target:
             return IrreducibilityVerdict(False, target.dim, v)
     return IrreducibilityVerdict(True, target.dim)
@@ -534,9 +551,10 @@ def case_verdict(module: InducedModule):
     gives the whole-module verdict.
     """
     if module.m == 0:
-        whole = is_irreducible(module)
+        fixed_rows = _u_fixed_rows(module)
+        whole = _is_irreducible(module, None, fixed_rows)
         pieces = hecke_operators(module).idempotent_split()
-        verdicts = [is_irreducible(module, y) for y in pieces]
+        verdicts = [_is_irreducible(module, y, fixed_rows) for y in pieces]
         section = {
             "dims": [y.dim for y in pieces],
             "irreducible": [v.irreducible for v in verdicts],
@@ -567,9 +585,11 @@ class CostandardModule(_SL2Module):
     """The (n+1)-dimensional module with basis v_0..v_n and
     eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
 
-    An `_SL2Module` with dense actions over the one field at coeff_level:
-    the group acts there, its points are taken there, and the coordinates
-    live there.
+    An `_SL2Module` over the one field at coeff_level: the group acts
+    there, its points are taken there, and the coordinates live there. The
+    eps(t) act densely; h(u) is diagonal and s a signed antidiagonal, both
+    monomial maps, so the relation check multiplies matrices only for the
+    products of two eps: 2(q - 1) + d(p + d - 2) of them, d = [F_q : F_p].
     """
 
     def __init__(self, n, p, coeff_level):
@@ -599,23 +619,17 @@ class CostandardModule(_SL2Module):
                     rows[j][i] = self.tower.scalar(b, self.coeff_level) * powers[i - j]
         return DenseMap(rows)
 
-    def h(self, u) -> DenseMap:
+    def h(self, u) -> MonomialMap:
+        """Diagonal: v_i is scaled by u^(n - 2i)."""
         if u.is_zero():
             raise ArgumentError("torus points are invertible")
-        zero = self.zero_scalar()
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            rows[i][i] = u ** (self.n - 2 * i)
-        return DenseMap(rows)
+        return MonomialMap(range(self.dim), (u ** (self.n - 2 * i) for i in range(self.dim)))
 
-    def s(self) -> DenseMap:
-        zero = self.zero_scalar()
-        rows = [[zero] * self.dim for _ in range(self.dim)]
+    def s(self) -> MonomialMap:
+        """Signed antidiagonal: v_i goes to (-1)^(n - i) v_(n - i)."""
         one = self.one_scalar()
-        for i in range(self.dim):
-            sign = one if (self.n - i) % 2 == 0 else -one
-            rows[self.n - i][i] = sign
-        return DenseMap(rows)
+        return MonomialMap((self.n - i for i in range(self.dim)),
+                           (one if (self.n - i) % 2 == 0 else -one for i in range(self.dim)))
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from math import factorial
 
 from .characters import (
     GaloisTwist,
@@ -24,7 +23,7 @@ from .characters import (
     truncate,
     X0Pattern,
 )
-from .digits import check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sum_direct
+from .digits import ArgumentError, check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sum_direct
 from .sl2lab import (
     InducedModule,
     CostandardModule,
@@ -87,11 +86,21 @@ def suite_digit_lemma(p_filter=None) -> dict:
 
 
 def _pascal_rows_mod(limit, p):
-    """Rows 0..limit of the Pascal triangle mod p, by exact addition only."""
-    rows = [[1]]
-    for m in range(1, limit + 1):
-        prev = rows[-1]
-        row = [1] + [(prev[i - 1] + prev[i]) % p for i in range(1, m)] + [1]
+    """Rows 0..limit of the Pascal triangle mod p, by exact addition only.
+
+    Each row is limit + 1 bytes, zero past its last entry. Read as one
+    little-endian integer r, the next row is r + (r << 8) reduced bytewise
+    mod p: every byte is the sum of two neighbours, below 2p < 256, so no
+    byte carries into the next. Hence p < 128 (ArgumentError otherwise)."""
+    if p >= 128:
+        raise ArgumentError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
+    width = limit + 1
+    reduce = bytes(i % p for i in range(256))
+    row = bytes([1]) + bytes(limit)
+    rows = [row]
+    for _ in range(limit):
+        r = int.from_bytes(row, "little")
+        row = (r + (r << 8)).to_bytes(width, "little").translate(reduce)
         rows.append(row)
     return rows
 
@@ -108,7 +117,7 @@ def suite_lucas(p_filter=None) -> dict:
         for m in range(LUCAS_BOUND + 1):
             cases += LUCAS_BOUND + 1
             got_row = lucas_row(m, p, LUCAS_BOUND + 1)
-            expected_row = rows[m] + [0] * (LUCAS_BOUND - m)
+            expected_row = list(rows[m])
             if got_row == expected_row:
                 continue
             for n, (got, expected) in enumerate(zip(got_row, expected_row)):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from borelline import digits, polyfp, sl2lab, suites
+from borelline import digits, linalg, polyfp, sl2lab, suites
 from borelline.linalg import DenseMap, MonomialMap
 
 
@@ -41,6 +41,22 @@ def compose_calls(monkeypatch):
 
     for cls in (MonomialMap, DenseMap):
         monkeypatch.setattr(cls, "compose", counting(cls.__name__, cls.compose))
+    return calls
+
+
+@pytest.fixture
+def mat_mul_calls(monkeypatch):
+    """A list whose length counts the calls of linalg.mat_mul from now on:
+    the dense matrix products, which compositions with a monomial map do
+    without."""
+    calls = []
+    real = linalg.mat_mul
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
     return calls
 
 

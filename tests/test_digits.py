@@ -130,6 +130,30 @@ def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
             assert [lucas_binom(m, n, p) for n in range(width)] == lucas_row(m, p, width)
 
 
+def test_lucas_row_asks_at_most_width_binomials_per_digit(monkeypatch):
+    # only the b <= (width - 1) // place of each digit below width are asked,
+    # and the digits past width are not walked; walking every b <= a of the
+    # one digit took 0.12 s at p = 1000003. A call past the budget fails at
+    # once, before a binomial of a huge b is computed.
+    calls = []
+    budget = [0]
+
+    def counting(a, b):
+        calls.append((a, b))
+        assert len(calls) <= budget[0], "more binomials than width per digit"
+        return math.comb(a, b)
+
+    monkeypatch.setattr("borelline.digits.comb", counting)
+    budget[0] = 3
+    assert lucas_row(10 ** 6 + 2, 1000003, 3) == [1, 1000002, 1]
+    # (m, p, width, digits below width)
+    for m, p, width, walked in ((3 ** 40 - 1, 3, 10, 3), (2 ** 30 + 5, 2, 1, 0),
+                                (5 ** 9 - 7, 5, 200, 4)):
+        del calls[:]
+        budget[0] = width * walked
+        assert lucas_row(m, p, width) == [math.comb(m, n) % p for n in range(width)]
+
+
 def test_lucas_row_checks_its_arguments():
     # the prime first, then the signs; an empty width still checks both
     for m, p, width in ((3, 4, 5), (-1, 1, 5), (3, 6, -1), (0, 9, 0)):

@@ -287,3 +287,34 @@ def test_mat_mul_rejects_other_towers_and_non_field_entries():
         mat_mul(a, ((1,),))
     with pytest.raises(TypeError):
         mat_mul(((1,),), a)
+
+
+@pytest.mark.parametrize("p, levels", ((2, 3), (3, 2), (5, 1)))
+def test_mixed_compose_matches_the_dense_product(p, levels):
+    # a monomial map after a dense one scales and permutes its rows, before
+    # it its columns; both must equal mat_mul on the dense forms
+    t = make_tower(p, levels)
+    rng = random.Random(10 * p + levels)
+    for level in range(1, levels + 1):
+        elems = list(t.enumerate_elements(level))
+        for n in (1, 4, 7):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            mono = MonomialMap(perm, (rng.choice(elems[1:]) for _ in range(n)))
+            units = [tuple(t.one(level) if j == i else t.zero(level) for j in range(n))
+                     for i in range(n)]
+            mono_rows = tuple(zip(*(mono.apply(e) for e in units)))
+            dense = DenseMap(_dense_matrix(rng, elems, n, n))
+            assert mono.compose(dense) == DenseMap(mat_mul(mono_rows, dense.rows))
+            assert dense.compose(mono) == DenseMap(mat_mul(dense.rows, mono_rows))
+
+
+def test_mixed_compose_refuses_another_level():
+    t = make_tower(2, 2)
+    low, high = list(t.enumerate_elements(1)), list(t.enumerate_elements(2))
+    rng = random.Random(3)
+    mono = MonomialMap((1, 2, 0), (high[1], high[2], high[3]))
+    dense = DenseMap(_dense_matrix(rng, low, 3, 3))
+    for compose in (mono.compose, lambda other: other.compose(mono)):
+        with pytest.raises(ArgumentError, match="levels"):
+            compose(dense)

@@ -241,17 +241,29 @@ def test_relation_checker_catches_presentation_mutants(monkeypatch, p, a, name, 
 @pytest.mark.parametrize("build, p, d, counts", (
     (lambda: InducedModule(2, 3, power_char(1, 2, 3)), 2, 6, {"MonomialMap": 490}),
     (lambda: InducedModule(61, 1, power_char(1, 61, 1)), 61, 1, {"MonomialMap": 483}),
-    (lambda: CostandardModule(8, 2, coeff_level=3), 2, 6, {"DenseMap": 490}),
+    (lambda: CostandardModule(8, 2, coeff_level=3), 2, 6, {"DenseMap": 357, "MonomialMap": 133}),
 ), ids=["induced-2-3", "induced-61-1", "costandard-8-2-3"])
 def test_relation_check_composes_linearly_in_q(compose_calls, build, p, d, counts):
     """7q - 6 + d(p + d) compositions at q = p^d: d(p - 1) for the orders of
     the eps(b), d(d - 1) for their commutators, q - 1 for the eps(x), q - 2
     for the powers of h(g), 2d for the normalising squares, one for s^2 and
     1 + 5(q - 1) for the s-conjugation words. The pairwise reference route
-    makes 16 446 at q = 64 and 14 943 at q = 61."""
+    makes 16 446 at q = 64 and 14 943 at q = 61. On a costandard module a
+    composition counts as the DenseMap's when its left factor is dense."""
     build()
     assert dict(compose_calls) == counts
     assert sum(counts.values()) == 7 * p ** d - 6 + d * (p + d)
+
+
+@pytest.mark.parametrize("n, p, level, products", ((8, 2, 3, 162), (8, 3, 2, 22)))
+def test_costandard_relation_check_multiplies_only_eps_by_eps(mat_mul_calls, n, p, level, products):
+    # h and s are monomial, so the only dense products are the eps(b)^p,
+    # the commutators, eps(x - b) eps(b) and the last factor of each
+    # s-conjugation word: 2(q - 1) + d(p + d - 2). All 490 and 67
+    # compositions were dense products while h and s were dense.
+    d = factorial(level)
+    CostandardModule(n, p, coeff_level=level)
+    assert len(mat_mul_calls) == products == 2 * (p ** d - 1) + d * (p + d - 2)
 
 
 def _folded_s(module):
@@ -968,6 +980,27 @@ def test_hecke_split_dims_and_irreducibility():
         assert (key, sec, ok) == ("hecke", section, True)
         # the module splits, so the whole is reducible
         assert not whole.irreducible and whole.proof
+
+
+@pytest.mark.parametrize("p, a, applies", ((2, 3, 2730), (2, 2, 114)))
+def test_trivial_character_verdict_computes_the_u_fixed_space_once(
+        monkeypatch, monomial_apply_calls, p, a, applies):
+    # the whole module and both Hecke pieces share one M^U; computing it
+    # per census made 3 fixed_subspace calls and 2d(q + 1) more applies
+    # (3510 and 134)
+    calls = []
+    real = sl2lab.fixed_subspace
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(sl2lab, "fixed_subspace", counting)
+    module = InducedModule(p, a, trivial_character(p, a))
+    del monomial_apply_calls[:]
+    assert case_verdict(module)[3]
+    assert len(calls) == 1
+    assert len(monomial_apply_calls) == applies
 
 
 @pytest.mark.parametrize("p", (3, 5))

@@ -5,11 +5,16 @@ import math
 
 import pytest
 
+from borelline import digits, polyfp
+from borelline.digits import ArgumentError
 from borelline.suites import (
+    LUCAS_BOUND,
     SUITES,
+    _pascal_rows_mod,
     run_suites,
     suite_lucas,
     suite_pattern_roundtrip,
+    suite_power_sums,
     suite_sl2_chain,
     suite_sl2_socle_head,
 )
@@ -117,3 +122,45 @@ def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
     assert rec["failures"] == [
         {"p": 3, "m": 100, "n": 7, "got": (expected + 1) % 3, "expected": expected}
     ]
+
+
+def _pascal_rows_by_index(limit, p):
+    """Reference route: rows 0..limit of the Pascal triangle mod p, each
+    entry the sum of its two neighbours above, index by index."""
+    rows = [[1]]
+    for m in range(1, limit + 1):
+        prev = rows[-1]
+        rows.append([1] + [(prev[i - 1] + prev[i]) % p for i in range(1, m)] + [1])
+    return rows
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 127))
+def test_pascal_rows_by_whole_row_addition_match_the_index_route(p):
+    # 127 is the largest prime whose neighbour sums, below 2p, fit a byte
+    rows = _pascal_rows_mod(LUCAS_BOUND, p)
+    reference = _pascal_rows_by_index(LUCAS_BOUND, p)
+    assert len(rows) == len(reference) == LUCAS_BOUND + 1
+    for m, (row, ref) in enumerate(zip(rows, reference)):
+        assert list(row) == ref + [0] * (LUCAS_BOUND - m)
+
+
+def test_pascal_rows_refuse_a_prime_past_a_byte():
+    with pytest.raises(ArgumentError, match="p < 128"):
+        _pascal_rows_mod(4, 131)
+
+
+def test_power_sums_suite_searches_one_modulus_per_field(monkeypatch):
+    # one least_irreducible search per order of POWER_SUM_ORDERS; a search
+    # per call of power_sum_direct made 162
+    searches = []
+    real = polyfp.least_irreducible
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyfp, "least_irreducible", counting)
+    digits._field_modulus.cache_clear()
+    rec = suite_power_sums()
+    assert rec["ok"] is True and rec["cases"] == 162
+    assert sorted(searches) == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
