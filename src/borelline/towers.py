@@ -3,9 +3,9 @@
 A tower over p holds the fields F_(p^(n!)) for n = 1..levels (capped at 3),
 each presented as F_p[x]/(f_n) where f_n is the first irreducible polynomial
 of degree n! in the base-p enumeration whose root generates the units.
-Embeddings between levels are fixed once, at construction, by sending the
-lower root to the lexicographically least root upstairs, and their pairwise
-compatibility is asserted rather than assumed.
+The embedding of level m into level n sends the root of f_m to the root of
+f_m upstairs that is least by coordinates; it is built from level n's tables
+the first time an element is embedded there.
 
 Field representation. Elements are interned: each (tower, level, value) has
 exactly one FieldElement, so equality is identity. An element carries its
@@ -16,8 +16,8 @@ canonical element. Operands must share one level: `+ - *` refuse mixed
 levels with ArgumentError, and `embed` first moves an element up to the
 other's level. A level's tables are built the first time one of its
 elements is requested, from q - 1 products by the generator on the
-polynomial route (`polyfp` multiplication modulo f_n); that route is used
-only to construct the tower and its tables.
+polynomial route (`polyfp` multiplication modulo f_n); that route builds
+the tables and nothing else.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from math import factorial
 from . import polyfp
 from .digits import ArgumentError, CapabilityError, RelationError, require_prime
 
+# Embeddings compose: the one chain, 1 -> 2 -> 3, starts at F_p; a higher cap needs a check.
 LEVEL_CAP = 3
 
 
@@ -119,8 +120,12 @@ class FieldElement:
             raise ArgumentError(f"tower has no level {level}")
         if level == self.level:
             return self
-        coords = self.tower._embed_coords(self.coords, self.level, level)
-        return self.tower._tables(level).by_coords[coords]
+        tower = self.tower
+        out = tower.zero(level)
+        for c, image in zip(self.coords, tower._embedding(self.level, level)):
+            if c:
+                out = out + tower.scalar(c, level) * image
+        return out
 
     def __repr__(self):
         return f"FieldElement(p={self.tower.p}, level={self.level}, coords={self.coords})"
@@ -139,88 +144,54 @@ def _mismatch(a, b):
 
 class FieldTower:
     """Immutable after construction, apart from the lookup tables that each
-    level builds on first use. That build takes no lock, so request an
-    element of every level needed before sharing a tower between threads."""
+    level builds on first use and the embeddings, built on the first embed
+    into their target level. Neither build takes a lock, so request an
+    element of every level needed, and embed into it once from each lower
+    level, before sharing a tower between threads."""
 
     def __init__(self, p, levels):
         require_prime(p)
-        if not 1 <= levels <= LEVEL_CAP:
+        if levels < 1:
+            raise ArgumentError(f"tower levels must be at least 1, got {levels}")
+        if levels > LEVEL_CAP:
             raise CapabilityError(
                 f"tower levels must lie in [1, {LEVEL_CAP}], got {levels}"
             )
         self.p = p
         self.levels = levels
         self._degrees = {n: factorial(n) for n in range(1, levels + 1)}
-        self._polys = {}
+        self._polys = {
+            n: polyfp.least_irreducible(p, d, primitive=True) for n, d in self._degrees.items()
+        }
         self._mul_cache = {n: {} for n in range(1, levels + 1)}
         self._levels = {}
-        self._embed_basis = {}
-        for n in range(1, levels + 1):
-            self._polys[n] = polyfp.least_irreducible(p, self._degrees[n], primitive=True)
-        for m in range(1, levels + 1):
-            for n in range(m + 1, levels + 1):
-                self._embed_basis[(m, n)] = self._build_embedding(m, n)
-        self._assert_embedding_compatibility()
-        for n in range(1, levels + 1):
-            self._assert_primitive(n)
+        self._embeddings = {}
 
     # -- construction internals ------------------------------------------
 
-    def _build_embedding(self, m, n):
-        """Images of the level-m power basis inside level n."""
-        dm = self._degrees[m]
-        qm = self.p ** dm
-        qn = self.p ** self._degrees[n]
-        gen = self._gen_coords(n)
-        # roots of the level-m polynomial lie in the unique subfield of
-        # size qm, swept by powers of gen^((qn-1)/(qm-1))
-        step = self._pow_coords(n, gen, (qn - 1) // (qm - 1))
+    def _embedding(self, m, n):
+        """Images of the level-m power basis at level n: the powers of the
+        root of f_m that is least by coordinates. The roots lie in the
+        subfield of order q_m, which is zero and the powers of
+        g^((q_n - 1)/(q_m - 1))."""
+        images = self._embeddings.get((m, n))
+        if images is not None:
+            return images
+        qm, dm = self.order(m), self._degrees[m]
+        coeffs = [self.scalar(c, n) for c in reversed(self._polys[m])]
+        step = self.multiplicative_generator(n) ** ((self.order(n) - 1) // (qm - 1))
         roots = []
-        cand = self._one_coords(n)
-        seen = set()
-        for _ in range(qm - 1):
-            if cand in seen:
-                break
-            seen.add(cand)
-            if self._eval_poly_at(n, self._polys[m], cand) is None:
-                roots.append(cand)
-            cand = self._mul_coords(n, cand, step)
-        zero = self._zero_coords(n)
-        if self._eval_poly_at(n, self._polys[m], zero) is None:
-            roots.append(zero)
+        for x in [self.zero(n)] + [step ** k for k in range(qm - 1)]:
+            acc = self.zero(n)
+            for c in coeffs:
+                acc = acc * x + c
+            if acc.is_zero():
+                roots.append(x)
         if len(roots) != dm:
             raise RelationError("embedding root count mismatch")
-        rho = min(roots)
-        images = [self._one_coords(n)]
-        for _ in range(dm - 1):
-            images.append(self._mul_coords(n, images[-1], rho))
-        return tuple(images)
-
-    def _assert_embedding_compatibility(self):
-        for m in range(1, self.levels + 1):
-            for k in range(m + 1, self.levels + 1):
-                for n in range(k + 1, self.levels + 1):
-                    for j in range(self._degrees[m]):
-                        basis = tuple(
-                            1 if i == j else 0 for i in range(self._degrees[m])
-                        )
-                        via_k = self._embed_coords(
-                            self._embed_coords(basis, m, k), k, n
-                        )
-                        direct = self._embed_coords(basis, m, n)
-                        if via_k != direct:
-                            raise RelationError(
-                                f"incompatible embeddings {m}->{k}->{n}"
-                            )
-
-    def _assert_primitive(self, n):
-        q = self.order(n)
-        gen = self._gen_coords(n)
-        if self._pow_coords(n, gen, q - 1) != self._one_coords(n):
-            raise RelationError("generator order check failed")
-        for ell in polyfp.prime_factors(q - 1):
-            if self._pow_coords(n, gen, (q - 1) // ell) == self._one_coords(n):
-                raise RelationError(f"generator is not primitive at level {n}")
+        rho = min(roots, key=lambda x: x.coords)
+        images = self._embeddings[(m, n)] = tuple(rho ** i for i in range(dm))
+        return images
 
     def _tables(self, n):
         f = self._levels.get(n)
@@ -277,34 +248,6 @@ class FieldTower:
         prod = polyfp.poly_mod(polyfp.mul(a, b, self.p), self._polys[n], self.p)
         out = prod + (0,) * (self._degrees[n] - len(prod))
         cache[key] = out
-        return out
-
-    def _pow_coords(self, n, a, e):
-        result = self._one_coords(n)
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_coords(n, result, base)
-            base = self._mul_coords(n, base, base)
-            e >>= 1
-        return result
-
-    def _eval_poly_at(self, n, poly, point):
-        acc = self._zero_coords(n)
-        for c in reversed(poly):
-            acc = self._mul_coords(n, acc, point)
-            if c:
-                acc = tuple(
-                    (x + (c if i == 0 else 0)) % self.p for i, x in enumerate(acc)
-                )
-        return acc if any(acc) else None
-
-    def _embed_coords(self, coords, m, n):
-        images = self._embed_basis[(m, n)]
-        out = self._zero_coords(n)
-        for c, img in zip(coords, images):
-            if c:
-                out = tuple((x + c * y) % self.p for x, y in zip(out, img))
         return out
 
     # -- public surface ----------------------------------------------------

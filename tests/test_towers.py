@@ -26,6 +26,13 @@ def test_level_cap():
         make_tower(2, levels=4)
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_level_below_one_is_an_argument_error(levels):
+    # a malformed input, not a capability cap: exit 2, not 3
+    with pytest.raises(ArgumentError, match="at least 1"):
+        FieldTower(2, levels)
+
+
 def test_prime_field_scalars():
     t = make_tower(5, levels=1)
     g = t.multiplicative_generator(1)
@@ -105,11 +112,62 @@ def test_cross_level_arithmetic_is_refused():
 
 
 def test_embedding_is_a_field_map():
-    t = make_tower(3, levels=2)
-    for a in t.enumerate_elements(1):
-        for b in t.enumerate_elements(1):
-            assert (a + b).embed(2) == a.embed(2) + b.embed(2)
-            assert (a * b).embed(2) == a.embed(2) * b.embed(2)
+    # F_3 -> F_9, F_4 -> F_64 and F_9 -> F_729
+    for p, m, n in ((3, 1, 2), (2, 2, 3), (3, 2, 3)):
+        t = make_tower(p, levels=n)
+        elems = list(t.enumerate_elements(m))
+        for a in elems:
+            for b in elems:
+                assert (a + b).embed(n) == a.embed(n) + b.embed(n)
+                assert (a * b).embed(n) == a.embed(n) * b.embed(n)
+        assert len({a.embed(n) for a in elems}) == len(elems)
+
+
+def _pow_coords(t, n, a, e):
+    result = t._one_coords(n)
+    while e:
+        if e & 1:
+            result = t._mul_coords(n, result, a)
+        a = t._mul_coords(n, a, a)
+        e >>= 1
+    return result
+
+
+def _eval_poly_at(t, n, poly, point):
+    acc = t._zero_coords(n)
+    for c in reversed(poly):
+        acc = t._mul_coords(n, acc, point)
+        acc = ((acc[0] + c) % t.p,) + acc[1:]
+    return acc
+
+
+def _coordinate_embedding(t, m, n):
+    """The images of the level-m power basis at level n on the polynomial
+    route alone: the powers of the least root of f_m by coordinates, with
+    the roots sought among zero and the powers of g^((q_n - 1)/(q_m - 1))."""
+    dm, qm = t.degree(m), t.order(m)
+    step = _pow_coords(t, n, t._gen_coords(n), (t.order(n) - 1) // (qm - 1))
+    candidates = [t._zero_coords(n)] + [_pow_coords(t, n, step, k) for k in range(qm - 1)]
+    roots = [x for x in candidates
+             if not any(_eval_poly_at(t, n, t.defining_polynomial(m), x))]
+    assert len(roots) == dm
+    rho = min(roots)
+    return tuple(_pow_coords(t, n, rho, i) for i in range(dm))
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (7, 2)])
+def test_embeddings_agree_with_the_coordinate_route(p, levels):
+    t = FieldTower(p, levels)
+    for m in range(1, levels):
+        for n in range(m + 1, levels + 1):
+            images = tuple(b.embed(n).coords for b in t.standard_basis(m))
+            assert images == _coordinate_embedding(t, m, n)
+
+
+def test_construction_searches_only_the_defining_polynomials(polyfp_mul_calls):
+    # embeddings and tables wait for their first use
+    FieldTower(2, 3)
+    assert len(polyfp_mul_calls) == 105
 
 
 def test_embeddings_compose():
