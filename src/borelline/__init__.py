@@ -51,7 +51,6 @@ from .sl2lab import (
     PreconditionError,
     b_stable_lines,
     case_verdict,
-    hecke_operators,
     is_irreducible,
     l_submodule,
     pi_image,
@@ -97,7 +96,6 @@ __all__ = [
     "digit_class_sums",
     "digit_sum",
     "extract_pattern",
-    "hecke_operators",
     "is_compatible",
     "is_irreducible",
     "l_submodule",

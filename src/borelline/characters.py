@@ -17,7 +17,7 @@ from .digits import (
     ArgumentError, RelationError, _lucas_digit_product, digit_class_sums, digit_sum,
     expand, nonzero_digit_count, require_prime,
 )
-from .towers import CapabilityError, LEVEL_CAP
+from .towers import LEVEL_CAP, CapabilityError, require_level
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,7 @@ def pattern_residue(factors, p, n) -> int:
 def truncate(sc: SymbolicCharacter, p, level) -> TruncatedCharacter:
     """Residue tower of a symbolic character at levels 1..level."""
     require_prime(p)
-    if level < 1:
-        raise ArgumentError("truncation level must be at least 1")
-    if level > LEVEL_CAP:
-        raise CapabilityError(f"truncation level {level} exceeds the tower cap {LEVEL_CAP}")
+    require_level(level)
     if isinstance(sc, Trivial):
         residues = [0] * level
     elif isinstance(sc, RationalPower):

@@ -30,7 +30,7 @@ from .classify import report, report_to_json, torus_character_from_json
 from .digits import ArgumentError, RelationError, require_prime
 from .sl2lab import InducedModule, PreconditionError, case_verdict
 from .suites import SUITES, run_suites
-from .towers import CapabilityError, LEVEL_CAP
+from .towers import LEVEL_CAP, CapabilityError, require_level
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 1
@@ -50,13 +50,6 @@ def _read_json(path):
         return json.loads(raw)
     except (ValueError, RecursionError) as err:
         raise ArgumentError(str(err)) from None
-
-
-def _require_level(level):
-    if level < 1:
-        raise ArgumentError("level must be at least 1")
-    if level > LEVEL_CAP:
-        raise CapabilityError(f"level {level} exceeds the tower cap {LEVEL_CAP}")
 
 
 def _twist_json(twist):
@@ -87,7 +80,7 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    _require_level(args.level)
+    require_level(args.level)
     obj = _read_json(args.input)
     datum, tchar = torus_character_from_json(obj)
     rep = report(datum, tchar, args.p, args.level)
@@ -95,7 +88,7 @@ def _cmd_classify(args):
 
 
 def _cmd_char_inspect(args):
-    _require_level(args.level)
+    require_level(args.level)
     sc = symbolic_from_json(_read_json(args.input))
     tc = truncate(sc, args.p, args.level)
     pattern = extract_pattern(tc)
@@ -129,7 +122,6 @@ def _cmd_lab(args):
         sc = symbolic_from_json(_read_json(args.char))
     else:
         sc = RationalPower(args.power)
-    _require_level(args.a)
     theta = truncate(sc, args.p, args.a)
     module = InducedModule(args.p, args.a, theta)
     out = {

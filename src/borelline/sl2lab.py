@@ -21,6 +21,7 @@ its scale on every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 
 from .characters import TruncatedCharacter
@@ -38,7 +39,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .towers import LEVEL_CAP, CapabilityError, make_tower
+from .towers import CapabilityError, make_tower, require_level
 
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
 
@@ -69,17 +70,19 @@ class _SL2Module:
     """What both module kinds share: one field, at `coeff_level`, holding
     both the vector coordinates and the points of the actions eps(x), h(u),
     s() of SL_2, as maps with `apply`, `compose` and `==`, checked by
-    `_check_relations`."""
+    `_check_relations`.
+
+    Each call of eps, h or s builds a new map. The generators and M^U are
+    built once per module instance, on first use, and every spin, stability
+    check and census of the module reads them; a dual is its own instance,
+    with its own."""
 
     def _field_order(self, p, level):
         """q = p^(level!) once p is a prime and the level one a tower has;
         checked before the tower is built, so that each module's size cap
         refuses first."""
         require_prime(p)
-        if level < 1:
-            raise ArgumentError("the group level must be at least 1")
-        if level > LEVEL_CAP:
-            raise CapabilityError(f"group level {level} exceeds the tower cap {LEVEL_CAP}")
+        require_level(level)
         return p ** factorial(level)
 
     def zero_scalar(self):
@@ -95,12 +98,19 @@ class _SL2Module:
         z, o = self.zero_scalar(), self.one_scalar()
         return tuple(o if j == i else z for j in range(self.dim))
 
+    @cached_property
     def generators(self):
-        """eps over an F_p-basis of F_q, h at a generator of the units, and s."""
+        """eps over an F_p-basis of F_q, then h at a generator of the units,
+        then s."""
         gens = [self.eps(b) for b in self.tower.standard_basis(self.coeff_level)]
         gens.append(self.h(self.tower.multiplicative_generator(self.coeff_level)))
         gens.append(self.s())
         return tuple(gens)
+
+    @cached_property
+    def u_fixed_rows(self):
+        """The canonical rows of M^U: the fixed space of the eps generators."""
+        return fixed_subspace(self, self.generators[:-2]).rows
 
     def dual(self):
         return _Dual(self)
@@ -219,9 +229,6 @@ class InducedModule(_SL2Module):
         self.dim = self.q + 1
         self.labels = tuple(self.tower.enumerate_elements(a))
         self._index = {e.coords: i + 1 for i, e in enumerate(self.labels)}
-        self._eps_cache = {}
-        self._h_cache = {}
-        self._s_map = None
         self._check_relations()
 
     # index 0 is the stable line; 1 + i(t) is the cell eps(t) s line
@@ -237,25 +244,15 @@ class InducedModule(_SL2Module):
 
     def eps(self, x) -> MonomialMap:
         """Upper unipotent: fixes the line, translates the cells."""
-        hit = self._eps_cache.get(x.coords)
-        if hit is not None:
-            return hit
         perm = [0] * self.dim
-        one = self.one_scalar()
-        scale = [one] * self.dim
         for t in self.labels:
             perm[self.cell_index(t)] = self.cell_index(x + t)
-        out = MonomialMap(perm, scale)
-        self._eps_cache[x.coords] = out
-        return out
+        return MonomialMap(perm, [self.one_scalar()] * self.dim)
 
     def h(self, u) -> MonomialMap:
         """Torus: scales the line by theta(u), rescales and squeezes cells."""
         if u.is_zero():
             raise ArgumentError("torus points are invertible")
-        hit = self._h_cache.get(u.coords)
-        if hit is not None:
-            return hit
         perm = [0] * self.dim
         scale = [self.theta_value(u)] * self.dim
         u_inv_theta = self.theta_value(u.inverse())
@@ -263,16 +260,12 @@ class InducedModule(_SL2Module):
         for t in self.labels:
             perm[self.cell_index(t)] = self.cell_index(u2 * t)
             scale[self.cell_index(t)] = u_inv_theta
-        out = MonomialMap(perm, scale)
-        self._h_cache[u.coords] = out
-        return out
+        return MonomialMap(perm, scale)
 
     def s(self) -> MonomialMap:
         """Swaps the line and the cell at 0: s . line = cell(0),
         s . cell(0) = theta(-1) line, and s . cell(t) = theta(-t) cell(-1/t)
         for t != 0."""
-        if self._s_map is not None:
-            return self._s_map
         perm, scale = [0] * self.dim, [self.one_scalar()] * self.dim
         base_cell = self.cell_index(self.tower.zero(self.a))
         perm[0] = base_cell
@@ -281,8 +274,7 @@ class InducedModule(_SL2Module):
             if not t.is_zero():
                 j = self.cell_index(t)
                 perm[j], scale[j] = self.cell_index(-t.inverse()), self.theta_value(-t)
-        self._s_map = MonomialMap(perm, scale)
-        return self._s_map
+        return MonomialMap(perm, scale)
 
     def line_sum_vector(self, subfield_level=None):
         """sum over u in the chosen subfield of u . s . line, one cell each."""
@@ -322,7 +314,7 @@ def spin(module, vec) -> Subspace:
     basis, first = rref_insert((), vec)
     if first is None:
         return Subspace(module, ())
-    gens = module.generators()
+    gens = module.generators
     queue = [first]
     while queue and len(basis) < module.dim:
         v = queue.pop()
@@ -387,33 +379,22 @@ def b_stable_lines(module, within: Subspace | None = None):
     diagonalisably on N^U. Hence every minimal submodule is the spin of a
     B-stable line.
 
-    M^U is computed once, over the whole module, and cut down to `within`.
-    T normalises U, so h(g) maps the d rows of that space into their span,
-    and its d x d matrix is read off at their pivots; the eigenspaces are
-    kernels of that matrix. `within` must therefore be T-stable: an image
-    outside the span raises PreconditionError.
+    M^U is the module's `u_fixed_rows`, computed once per module and cut
+    down to `within`. T normalises U, so h(g) maps the d rows of that space
+    into their span, and its d x d matrix is read off at their pivots; the
+    eigenspaces are kernels of that matrix. `within` must therefore be
+    T-stable: an image outside the span raises PreconditionError.
     """
-    yield from _b_stable_lines(module, _u_fixed_rows(module), within)
-
-
-def _u_fixed_rows(module):
-    """The canonical rows of M^U: the fixed space of the eps(b), b over an
-    F_p-basis of F_q."""
-    basis = module.tower.standard_basis(module.coeff_level)
-    return fixed_subspace(module, [module.eps(b) for b in basis]).rows
-
-
-def _b_stable_lines(module, rows, within):
-    """`b_stable_lines` from the rows of M^U, computed by the caller."""
     tower, level = module.tower, module.coeff_level
     zero, one = module.zero_scalar(), module.one_scalar()
+    rows = module.u_fixed_rows
     if within is not None:
         residuals = [reduce_vector(r, within.rows) for r in rows]
         coeffs = kernel(zip(*residuals), len(rows), one, zero)
         rows = _combinations(module, coeffs, rows)
     d = len(rows)
     pivots = [leading_index(r) for r in rows]
-    hg = module.h(tower.multiplicative_generator(level))
+    hg = module.generators[-2]
     images = [hg.apply(r) for r in rows]
     if not all(span_contains(rows, v) for v in images):
         raise PreconditionError("h(g) does not keep the U-fixed vectors of the subspace")
@@ -441,7 +422,7 @@ class IrreducibilityVerdict:
 
 
 def _is_stable(module, sub: Subspace) -> bool:
-    return all(sub.contains(g.apply(r)) for g in module.generators() for r in sub.rows)
+    return all(sub.contains(g.apply(r)) for g in module.generators for r in sub.rows)
 
 
 def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVerdict:
@@ -449,12 +430,6 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
     of it; the witness is the first line whose spin is proper. The census
     is a proof only for submodules, so a given subspace must be stable.
     """
-    return _is_irreducible(module, subspace, _u_fixed_rows(module))
-
-
-def _is_irreducible(module, subspace, fixed_rows):
-    """`is_irreducible` on the rows of M^U, computed by the caller: the
-    census of each Hecke piece reuses the whole module's."""
     if subspace is not None and not _is_stable(module, subspace):
         raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else Subspace(
@@ -462,7 +437,7 @@ def _is_irreducible(module, subspace, fixed_rows):
     )
     if target.dim == 0:
         return IrreducibilityVerdict(False, 0)
-    for v in _b_stable_lines(module, fixed_rows, subspace):
+    for v in b_stable_lines(module, subspace):
         if spin(module, v) != target:
             return IrreducibilityVerdict(False, target.dim, v)
     return IrreducibilityVerdict(True, target.dim)
@@ -551,10 +526,9 @@ def case_verdict(module: InducedModule):
     gives the whole-module verdict.
     """
     if module.m == 0:
-        fixed_rows = _u_fixed_rows(module)
-        whole = _is_irreducible(module, None, fixed_rows)
-        pieces = hecke_operators(module).idempotent_split()
-        verdicts = [_is_irreducible(module, y, fixed_rows) for y in pieces]
+        whole = is_irreducible(module)
+        pieces = HeckeOperators(module).idempotent_split()
+        verdicts = [is_irreducible(module, y) for y in pieces]
         section = {
             "dims": [y.dim for y in pieces],
             "irreducible": [v.irreducible for v in verdicts],
@@ -722,6 +696,13 @@ class HeckeOperators:
     e + o = 1 by construction, so e and o are orthogonal idempotents exactly
     when t_s^2 = -t_s: the Hecke relation T_s^2 = (q - 1) T_s + q read in
     characteristic p. That one relation is checked, with equivariance.
+
+    Equivariance is one whole-map identity per generator g, t_s g = g t_s,
+    each a composition of the dense t_s with a monomial map. The relation
+    is then checked on the image of the line alone, t_s^2 line = -t_s line,
+    and that is a proof: t_s^2 + t_s is equivariant and kills the line, and
+    the line generates the module, each cell being eps(t) s line with
+    scale one.
     """
 
     def __init__(self, module: InducedModule):
@@ -734,22 +715,16 @@ class HeckeOperators:
         # t_s sends the line to the sum of all cells and is extended to the
         # cell eps(t) s line by equivariance under eps(t) s
         image_of_line = module.line_sum_vector()
-        cols = [image_of_line]
-        for t in module.labels:
-            word = module.eps(t).compose(module.s())
-            cols.append(word.apply(image_of_line))
+        s_image = module.s().apply(image_of_line)
+        cols = [image_of_line] + [module.eps(t).apply(s_image) for t in module.labels]
         self._cols = tuple(cols)
         self.t_s_rows = tuple(zip(*cols))
         t_s = DenseMap(self.t_s_rows)
-        # t_s(g e_j) = g(t_s e_j) for every generator g and basis vector e_j
-        for g in module.generators():
-            for j, col in enumerate(cols):
-                if t_s.apply(g.apply(module.unit_vector(j))) != g.apply(col):
-                    raise RelationError("the cell-averaging operator is not equivariant")
-        minus_one = -module.one_scalar()
-        for col in cols:
-            if t_s.apply(col) != vec_scale(minus_one, col):
-                raise RelationError("the Hecke relation t_s^2 = -t_s fails")
+        for g in module.generators:
+            if t_s.compose(g) != g.compose(t_s):
+                raise RelationError("the cell-averaging operator is not equivariant")
+        if t_s.apply(image_of_line) != vec_scale(-module.one_scalar(), image_of_line):
+            raise RelationError("the Hecke relation t_s^2 = -t_s fails")
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the
@@ -760,8 +735,4 @@ class HeckeOperators:
         if y_full.dim + y_empty.dim != self.module.dim:
             raise RelationError("projector images do not decompose the module")
         return y_full, y_empty
-
-
-def hecke_operators(module) -> HeckeOperators:
-    return HeckeOperators(module)
 

@@ -33,6 +33,15 @@ from .digits import ArgumentError, CapabilityError, RelationError, require_prime
 LEVEL_CAP = 3
 
 
+def require_level(level):
+    """Refuse a level no tower has: below 1 is malformed input, past
+    LEVEL_CAP a capability cap."""
+    if level < 1:
+        raise ArgumentError(f"level must be at least 1, got {level}")
+    if level > LEVEL_CAP:
+        raise CapabilityError(f"level {level} exceeds the tower cap {LEVEL_CAP}")
+
+
 class _Level:
     """Lookup tables of one level of a tower, with q - 1 units.
 
@@ -151,12 +160,7 @@ class FieldTower:
 
     def __init__(self, p, levels):
         require_prime(p)
-        if levels < 1:
-            raise ArgumentError(f"tower levels must be at least 1, got {levels}")
-        if levels > LEVEL_CAP:
-            raise CapabilityError(
-                f"tower levels must lie in [1, {LEVEL_CAP}], got {levels}"
-            )
+        require_level(levels)
         self.p = p
         self.levels = levels
         self._degrees = {n: factorial(n) for n in range(1, levels + 1)}

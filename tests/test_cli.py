@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+from borelline.characters import RationalPower, truncate
 from borelline.cli import main
+from borelline.digits import ArgumentError
+from borelline.sl2lab import CostandardModule, InducedModule, trivial_character
+from borelline.towers import CapabilityError, FieldTower
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +227,40 @@ def test_lab_level_past_tower_cap_exits_before_truncating(capsys):
     assert code == 3
     assert out == ""
     assert "capability:" in err and "Traceback" not in err
+
+
+LEVEL_CALLS = {
+    "FieldTower": lambda level: FieldTower(2, level),
+    "truncate": lambda level: truncate(RationalPower(1), 2, level),
+    "InducedModule": lambda level: InducedModule(2, level, trivial_character(2, max(level, 1))),
+    "CostandardModule": lambda level: CostandardModule(1, 2, coeff_level=level),
+}
+LEVEL_COMMANDS = {
+    "classify": {"cartan": [[2]], "restrictions": {"1": {"kind": "trivial"}}},
+    "char-inspect": {"kind": "rational", "lambda": 1},
+    "lab": None,
+}
+
+
+@pytest.mark.parametrize("level, error, code", ((0, ArgumentError, 2), (4, CapabilityError, 3)))
+@pytest.mark.parametrize("entry", [*LEVEL_CALLS, *LEVEL_COMMANDS])
+def test_every_entry_point_refuses_a_level_no_tower_has(tmp_path, capsys, entry, level, error, code):
+    # one rule: below 1 is malformed input (exit 2), past the cap a
+    # capability cap (exit 3)
+    message = "at least 1" if code == 2 else "tower cap"
+    if entry in LEVEL_CALLS:
+        with pytest.raises(error, match=message):
+            LEVEL_CALLS[entry](level)
+        return
+    if entry == "lab":
+        argv = ["lab", "--p", "2", "--a", str(level), "--power", "1"]
+    else:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(LEVEL_COMMANDS[entry]), encoding="utf-8")
+        argv = [entry, str(path), "--p", "2", "--level", str(level)]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 def test_verify_large_prime_is_a_vacuous_pass(capsys):

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import json
 import re
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import DenseMap, MonomialMap, kernel, mat_mul, rref, vec_add, vec_scale, vec_sub
 from borelline.sl2lab import (
     CostandardModule,
+    HeckeOperators,
     InducedModule,
     PreconditionError,
     RelationError,
@@ -19,7 +21,6 @@ from borelline.sl2lab import (
     case_verdict,
     b_stable_lines,
     fixed_subspace,
-    hecke_operators,
     is_irreducible,
     l_submodule,
     pi_image,
@@ -423,7 +424,7 @@ def _orbit_spins(module, rows):
     by a walk of its line's orbit under the generators, images scaled to a
     leading one; the enumeration skips the lines the walk reached.
     """
-    gens = module.generators()
+    gens = module.generators
     one = module.one_scalar()
     ahead = set()
     for v in sl2lab._projective_vectors(module, rows):
@@ -517,7 +518,7 @@ def test_orbit_shared_spins_match_direct_route():
 def test_orbit_shared_spins_match_direct_route_on_hecke_pieces():
     for p, a in LAB_PAIRS:
         module = InducedModule(p, a, trivial_character(p, a))
-        for piece in hecke_operators(module).idempotent_split():
+        for piece in HeckeOperators(module).idempotent_split():
             verdict = is_irreducible(module, piece)
             assert verdict.irreducible and _exhaustive_irreducible(module, piece)
         # the whole module is reducible, with a witness past the first line
@@ -601,7 +602,7 @@ def test_b_stable_lines_are_b_stable():
                 assert len(lines) == (2 if (2 * m) % (q - 1) else q + 1)
                 for v in lines:
                     line = Subspace(mod, rref([v]))
-                    for g in mod.generators()[:-1]:   # U and T generate B
+                    for g in mod.generators[:-1]:   # U and T generate B
                         assert line.contains(g.apply(v))
 
 
@@ -663,7 +664,7 @@ def _census_cases():
             yield module, None
             yield module.dual(), None
             if m == 0:
-                for piece in hecke_operators(module).idempotent_split():
+                for piece in HeckeOperators(module).idempotent_split():
                     yield module, piece
             else:
                 rep = socle_head_report(module)
@@ -763,7 +764,7 @@ def test_dual_modules_satisfy_the_relations():
         # the pairing of the dual basis with the basis is invariant:
         # <g f_i, g e_j> = delta_ij for every generator g
         basis = [module.unit_vector(i) for i in range(module.dim)]
-        for g, dg in zip(module.generators(), dual.generators()):
+        for g, dg in zip(module.generators, dual.generators):
             for i, f in enumerate(basis):
                 gf = dg.apply(f)
                 for j, e in enumerate(basis):
@@ -964,13 +965,13 @@ def test_chain_agreement_full_grid():
 def test_hecke_operators_need_trivial_character():
     module = InducedModule(3, 1, power_char(1, 3))
     with pytest.raises(PreconditionError):
-        hecke_operators(module)
+        HeckeOperators(module)
 
 
 def test_hecke_split_dims_and_irreducibility():
     for p, a in GRID:
         module = InducedModule(p, a, trivial_character(p, a))
-        ops = hecke_operators(module)
+        ops = HeckeOperators(module)
         y_full, y_empty = ops.idempotent_split()
         assert (y_full.dim, y_empty.dim) == (1, module.q)
         assert is_irreducible(module, y_full).irreducible
@@ -982,12 +983,13 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
-@pytest.mark.parametrize("p, a, applies", ((2, 3, 2730), (2, 2, 114)))
+@pytest.mark.parametrize("p, a, applies", ((2, 3, 1691), (2, 2, 75)))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, monomial_apply_calls, p, a, applies):
     # the whole module and both Hecke pieces share one M^U; computing it
     # per census made 3 fixed_subspace calls and 2d(q + 1) more applies
-    # (3510 and 134)
+    # (3510 and 134). Checking equivariance column by column made
+    # 2(d + 2)(q + 1) - 1 more applies (2730 and 114).
     calls = []
     real = sl2lab.fixed_subspace
 
@@ -1014,16 +1016,72 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
 
     monkeypatch.setattr(InducedModule, "line_sum_vector", doubled)
     with pytest.raises(RelationError, match=re.escape("t_s^2 = -t_s")):
-        hecke_operators(module)
+        HeckeOperators(module)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, p):
+    # t_s(line) = s line = cell(0) sends the line, fixed by eps(b), to a
+    # cell that eps(b) moves
+    module = InducedModule(p, 1, trivial_character(p, 1))
+
+    def base_cell(self, *args):
+        return self.unit_vector(self.cell_index(self.tower.zero(self.a)))
+
+    monkeypatch.setattr(InducedModule, "line_sum_vector", base_cell)
+    with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
+        HeckeOperators(module)
+
+
+def _dense_rows(module, g):
+    cols = [g.apply(module.unit_vector(j)) for j in range(module.dim)]
+    return tuple(zip(*cols))
 
 
 def test_hecke_t_s_squares_to_minus_itself():
-    module = InducedModule(2, 1, trivial_character(2, 1))
-    ops = hecke_operators(module)
-    t_s = ops.t_s_rows
-    square = mat_mul(t_s, t_s)
-    neg = tuple(tuple(-x for x in row) for row in t_s)
-    assert square == neg
+    # the reference route for the whole-map equivariance and the one-column
+    # relation that HeckeOperators checks: dense products on every column
+    for p, a in GRID + ((3, 2),):
+        module = InducedModule(p, a, trivial_character(p, a))
+        t_s = HeckeOperators(module).t_s_rows
+        neg = tuple(tuple(-x for x in row) for row in t_s)
+        assert mat_mul(t_s, t_s) == neg
+        for g in module.generators:
+            g_rows = _dense_rows(module, g)
+            assert mat_mul(t_s, g_rows) == mat_mul(g_rows, t_s)
+
+
+@pytest.mark.parametrize("p, a, power, d", ((2, 3, 1, 6), (5, 1, 2, 1)))
+def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, d):
+    # the generators of the module and of its dual, h(-1) in the dual's s,
+    # and nothing more, however many lines the two censuses spin
+    counts = Counter()
+    for name in ("eps", "h", "s"):
+        real = getattr(InducedModule, name)
+
+        def counting(self, *args, name=name, real=real):
+            counts[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(InducedModule, name, counting)
+    module = InducedModule(p, a, power_char(power, p, a))
+    counts.clear()
+    assert case_verdict(module)[3]
+    assert counts == {"eps": 2 * d, "h": 3, "s": 2}
+
+
+def test_socle_dimension_is_the_complementary_digit_product():
+    # the simple socle of the induced module has dimension prod (p - d_i)
+    # over the a! base-p digits d_i of m, zeros included
+    cases = 0
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
+        width = factorial(a)
+        for m in range(1, p ** width - 1):
+            rep = socle_head_report(InducedModule(p, a, power_char(m, p, a)))
+            digits = _digits(m, p)
+            assert rep.socle.dim == prod(p - d for d in digits) * p ** (width - len(digits))
+            cases += 1
+    assert cases == 18
 
 
 
