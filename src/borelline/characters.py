@@ -353,8 +353,6 @@ class LucasSearch:
     found: bool
     s: int | None
     k: int | None
-    r: int
-    level: int
 
 
 LUCAS_SEARCH_CAP = 10 ** 5  # candidates k tried per search before refusing
@@ -382,8 +380,8 @@ def lucas_criterion(tc: TruncatedCharacter, r) -> LucasSearch:
                 )
             tried += 1
             if _lucas_digit_product(m_s, k * step, p):
-                return LucasSearch(True, s, k, r, tc.level)
-    return LucasSearch(False, None, None, r, tc.level)
+                return LucasSearch(True, s, k)
+    return LucasSearch(False, None, None)
 
 
 # -- JSON forms ------------------------------------------------------------

@@ -192,10 +192,7 @@ def main(argv=None) -> int:
         if args.p is not None:
             require_prime(args.p)
         obj = args.handler(args)
-    except (ArgumentError, PreconditionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as err:
+    except (ArgumentError, PreconditionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except CapabilityError as err:

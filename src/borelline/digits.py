@@ -233,14 +233,6 @@ def digit_class_sums(m, p, r) -> tuple[int, ...]:
 class DigitLemmaVerdict:
     """Which clauses of the digit growth law hold for (m, m')."""
 
-    p: int
-    r: int
-    m: int
-    m_prime: int
-    f_m: int
-    f_m_prime: int
-    m_digits: tuple[int, ...]
-    class_sums: tuple[int, ...]
     monotone: bool            # f(m') >= f(m)
     equality: bool            # f(m') == f(m)
     classes_match: bool       # class sums of m' reproduce the digits of m
@@ -267,19 +259,9 @@ def check_digit_lemma(m, m_prime, p, r) -> DigitLemmaVerdict:
     f_m = digit_sum(m, p)
     f_mp = digit_sum(m_prime, p)
     m_digits = expand(m, p)
-    m_digits = m_digits + (0,) * (r - len(m_digits))
-    sums = digit_class_sums(m_prime, p, r)
-    classes_match = sums == m_digits
+    classes_match = digit_class_sums(m_prime, p, r) == m_digits + (0,) * (r - len(m_digits))
     equality = f_mp == f_m
     return DigitLemmaVerdict(
-        p=p,
-        r=r,
-        m=m,
-        m_prime=m_prime,
-        f_m=f_m,
-        f_m_prime=f_mp,
-        m_digits=m_digits,
-        class_sums=sums,
         monotone=f_mp >= f_m,
         equality=equality,
         classes_match=classes_match,

@@ -131,6 +131,8 @@ class _SL2Module:
 
         Steps 1-3 make eps additive and step 4 makes h multiplicative; with
         them step 5 gives h(u) eps(x) h(u)^-1 = eps(u^2 x) for all u and x.
+        The eps(b), h(g) and s checked are those of `generators`, so the
+        module's census spins the maps proved here; each other map is built once.
         """
         level = self.coeff_level
         elems = tuple(self.tower.enumerate_elements(level))
@@ -138,8 +140,11 @@ class _SL2Module:
         basis = self.tower.standard_basis(level)
         zero, one = self.tower.zero(level), self.tower.one(level)
         g = self.tower.multiplicative_generator(level)
-        eps = {x: self.eps(x) for x in elems}
-        h = {u: self.h(u) for u in nonzero}
+        *eps_b, h_g, s = self.generators
+        eps = dict(zip(basis, eps_b))
+        eps.update({x: self.eps(x) for x in elems if x not in eps})
+        h = {g: h_g}
+        h.update({u: self.h(u) for u in nonzero if u not in h})
         vectors = [self.unit_vector(i) for i in range(self.dim)]
         if any(eps[zero].apply(e) != e for e in vectors):
             raise RelationError("eps is not additive: eps(0) is not the identity")
@@ -170,7 +175,6 @@ class _SL2Module:
         for b in basis:
             if h[g].compose(eps[b]).compose(h[g.inverse()]) != eps[g * g * b]:
                 raise RelationError("torus does not normalize eps correctly")
-        s = self.s()
         if s.compose(s) != h[-one]:
             raise RelationError("s^2 must equal h(-1)")
         s_inv = h[-one].compose(s)
@@ -291,14 +295,21 @@ class InducedModule(_SL2Module):
         return tuple(vec)
 
     def _check_relations(self):
-        """The B-stable line, then the presentation of SL_2(F_q)."""
+        """The B-stable line, then the presentation of SL_2(F_q).
+
+        The line is checked on the generators alone: each eps(b) fixes it
+        and h(g) scales it by theta(g). That is a proof once the presentation
+        holds: eps is additive, so every eps(x) is a product of eps(b) and
+        fixes the line, and h is multiplicative, so h(g^k) = h(g)^k scales it
+        by theta(g)^k = theta(g^k), theta being a character.
+        """
         line = self.unit_vector(0)
-        for x in self.labels:
-            if self.eps(x).apply(line) != line:
-                raise RelationError("eps must fix the stable line")
-        for u in self.labels:
-            if not u.is_zero() and self.h(u).apply(line) != vec_scale(self.theta_value(u), line):
-                raise RelationError("h must scale the line by theta")
+        *eps_b, h_g, _ = self.generators
+        if any(e.apply(line) != line for e in eps_b):
+            raise RelationError("eps must fix the stable line")
+        g = self.tower.multiplicative_generator(self.a)
+        if h_g.apply(line) != vec_scale(self.theta_value(g), line):
+            raise RelationError("h must scale the line by theta")
         super()._check_relations()
 
 
@@ -449,14 +460,10 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
 @dataclass(frozen=True)
 class SocleHeadReport:
     whole: IrreducibilityVerdict
-    socle: Subspace | None
-    socle_ok: bool
+    socle: Subspace | None        # None when no unique simple socle
     socle_witness: tuple | None   # a vector whose spin misses the socle
-    maximal: Subspace | None
-    maximal_ok: bool
+    maximal: Subspace | None      # None when no unique maximal submodule
     maximal_witnesses: tuple | None
-    head_dim: int | None
-    head_digit_product: int
 
 
 def _require_nontrivial(module):
@@ -488,8 +495,7 @@ def socle_head_report(module) -> SocleHeadReport:
     dual: so the maximal submodule is the annihilator of the dual's socle,
     and the head has that socle's dimension. Otherwise two annihilators
     that sum to the whole witness non-uniqueness. Needs theta nontrivial at
-    the module's level. The expected head dimension is the product of
-    (digit + 1) over the base-p digits of the exponent.
+    the module's level.
     """
     _require_nontrivial(module)
     spins, socle, miss = _census_socle(module)
@@ -504,14 +510,17 @@ def socle_head_report(module) -> SocleHeadReport:
     return SocleHeadReport(
         IrreducibilityVerdict(whole_witness is None, module.dim, whole_witness),
         socle if miss is None else None,
-        miss is None,
         None if miss is None else miss[0],
         maximal,
-        maximal is not None,
         None if dual_miss is None else (annihilator(dual_socle), annihilator(dual_miss[1])),
-        None if maximal is None else dual_socle.dim,
-        prod(d + 1 for d in expand(module.m, module.p)),
     )
+
+
+def socle_digit_product(module: InducedModule) -> int:
+    """dim L(q - 1 - m), the known socle dimension of a nontrivial induced
+    module: the product of (p - d_i) over the a! base-p digits d_i of m,
+    zeros included, since q - 1 - m has the digits p - 1 - d_i."""
+    return prod(d + 1 for d in expand(module.q - 1 - module.m, module.p))
 
 
 def case_verdict(module: InducedModule):
@@ -521,9 +530,10 @@ def case_verdict(module: InducedModule):
     With theta trivial at the module's level, "hecke": the two Hecke pieces
     have dims (1, q) and are irreducible, each by the census of its own
     B-stable lines, and the whole module is checked apart. Otherwise
-    "socle_head": a unique simple socle, a unique maximal submodule, and a
-    head of digit-product dimension, from `socle_head_report`, which also
-    gives the whole-module verdict.
+    "socle_head": a unique simple socle of dimension `socle_digit_product`,
+    a unique maximal submodule, and a head of dimension the product of
+    (d_i + 1) over the base-p digits d_i of m, from `socle_head_report`,
+    which also gives the whole-module verdict.
     """
     if module.m == 0:
         whole = is_irreducible(module)
@@ -539,12 +549,14 @@ def case_verdict(module: InducedModule):
     rep = socle_head_report(module)
     section = {
         "socle_dim": rep.socle.dim if rep.socle else None,
-        "socle_ok": rep.socle_ok,
-        "maximal_ok": rep.maximal_ok,
-        "head_dim": rep.head_dim,
-        "digit_product": rep.head_digit_product,
+        "socle_ok": rep.socle is not None,
+        "maximal_ok": rep.maximal is not None,
+        "head_dim": module.dim - rep.maximal.dim if rep.maximal else None,
+        "digit_product": prod(d + 1 for d in expand(module.m, module.p)),
     }
-    ok = rep.socle_ok and rep.maximal_ok and rep.head_dim == rep.head_digit_product
+    # a missing socle or maximal submodule leaves a None, which matches no product
+    ok = (section["socle_dim"] == socle_digit_product(module)
+          and section["head_dim"] == section["digit_product"])
     return rep.whole, "socle_head", section, ok
 
 
@@ -620,11 +632,8 @@ def l_submodule(cm: CostandardModule) -> Subspace:
 
 @dataclass(frozen=True)
 class PiImageRecord:
-    vector: tuple
     nonzero_indices: tuple[int, ...]
     m_t: int
-    r: int
-    t: int
 
     @property
     def is_zero(self) -> bool:
@@ -658,14 +667,11 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     if closed_vec != total:
         raise RelationError("closed form and direct summation disagree")
     nonzero = tuple(i for i, c in enumerate(total) if not c.is_zero())
-    return PiImageRecord(total, nonzero, m_t, r, t)
+    return PiImageRecord(nonzero, m_t)
 
 
 @dataclass(frozen=True)
 class ChainRecord:
-    p: int
-    r: int
-    t: int
     m_t: int
     span_is_whole: bool
     pi_nonzero: bool
@@ -683,7 +689,7 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
     vec = module.line_sum_vector(subfield_level=r)
     sub = spin(module, vec)
     pi = pi_image(theta, r, t)
-    return ChainRecord(theta.p, r, t, pi.m_t, sub.dim == module.dim, not pi.is_zero)
+    return ChainRecord(pi.m_t, sub.dim == module.dim, not pi.is_zero)
 
 
 # -- endomorphisms for the trivial character ---------------------------------
@@ -715,7 +721,7 @@ class HeckeOperators:
         # t_s sends the line to the sum of all cells and is extended to the
         # cell eps(t) s line by equivariance under eps(t) s
         image_of_line = module.line_sum_vector()
-        s_image = module.s().apply(image_of_line)
+        s_image = module.generators[-1].apply(image_of_line)
         cols = [image_of_line] + [module.eps(t).apply(s_image) for t in module.labels]
         self._cols = tuple(cols)
         self.t_s_rows = tuple(zip(*cols))

@@ -30,6 +30,7 @@ from .sl2lab import (
     RelationError,
     case_verdict,
     l_submodule,
+    socle_digit_product,
     trivial_character,
     verify_irreducibility_chain,
 )
@@ -209,11 +210,15 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            _, _, sec, ok = case_verdict(InducedModule(p, a, theta))
+            module = InducedModule(p, a, theta)
+            _, _, sec, ok = case_verdict(module)
             if not ok:
                 bad = {"p": p, "a": a, "lambda": lam}
                 if not sec["socle_ok"]:
                     bad["socle"] = "not contained in every nonzero submodule"
+                elif sec["socle_dim"] != socle_digit_product(module):
+                    bad["socle"] = {"dim": sec["socle_dim"],
+                                    "digit_product": socle_digit_product(module)}
                 if not sec["maximal_ok"]:
                     bad["maximal"] = "no unique maximal submodule"
                 elif sec["head_dim"] != sec["digit_product"]:

@@ -246,13 +246,13 @@ def test_lucas_criterion_stops_at_its_cap(monkeypatch):
     # m_2 = 2 at p = 2, r = 1: k = 1 gives binom(2, 1) = 0 mod 2, k = 2 the witness
     tc = truncate(RationalPower(-1), 2, 3)
     monkeypatch.setattr(characters, "LUCAS_SEARCH_CAP", 2)
-    assert lucas_criterion(tc, 1) == LucasSearch(True, 2, 2, 1, 3)
+    assert lucas_criterion(tc, 1) == LucasSearch(True, 2, 2)
     monkeypatch.setattr(characters, "LUCAS_SEARCH_CAP", 1)
     with pytest.raises(CapabilityError, match=r"r = 1.*s = 2.*cap of 1 "):
         lucas_criterion(tc, 1)
     # a search whose candidates all fit in the cap answers: m_3 = 4 at r = 2
     # has the one candidate k = 1, and binom(4, 3) = 0 mod 2
     tc = truncate(RationalPower(4), 2, 3)
-    assert lucas_criterion(tc, 2) == LucasSearch(False, None, None, 2, 3)
+    assert lucas_criterion(tc, 2) == LucasSearch(False, None, None)
     # the character proved p once; no candidate checks it again
     assert prime_checks == []

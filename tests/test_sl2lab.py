@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from math import factorial, prod
 
 import pytest
@@ -67,6 +68,10 @@ def _minus_one(module):
     return -_one(module)
 
 
+def _generator(module):
+    return module.tower.multiplicative_generator(module.coeff_level)
+
+
 # (generator, element it is broken at, columns negated, relation named). At
 # p = 3 a negated column is a different map; at p = 2 it is the same one.
 # Column 0 of an induced module is the stable line, so breaking column 1
@@ -97,7 +102,8 @@ def _break_generator(monkeypatch, cls, name, at, cols):
     monkeypatch.setattr(cls, name, broken)
 
 
-BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _one, {0}, "h must scale the line by theta"),)
+# the line is checked on the generators, so the line mutant breaks h(g)
+BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _generator, {0}, "h must scale the line by theta"),)
 
 
 def _check_relations_pairwise(module):
@@ -392,12 +398,10 @@ def test_socle_head_on_grid():
     for p, a, lam in ((2, 2, 1), (2, 2, 2), (2, 2, -1), (3, 1, 1), (3, 1, -1)):
         module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
         rep = socle_head_report(module)
-        assert rep.socle_ok
         assert rep.socle.dim == 2
-        assert rep.maximal_ok
-        assert rep.head_dim == rep.head_digit_product == 2
+        assert module.dim - rep.maximal.dim == 2
         _, key, section, ok = case_verdict(module)
-        assert (key, section["head_dim"], ok) == ("socle_head", 2, True)
+        assert (key, section["head_dim"], section["digit_product"], ok) == ("socle_head", 2, 2, True)
 
 
 def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
@@ -405,7 +409,7 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     module = InducedModule(2, 2, power_char(1, 2))
     built = len(polyfp_mul_calls)
     rep = socle_head_report(module)
-    assert rep.head_dim == 2
+    assert module.dim - rep.maximal.dim == 2
     assert len(polyfp_mul_calls) == built
 
 
@@ -508,9 +512,9 @@ def test_orbit_shared_spins_match_direct_route():
             rep = socle_head_report(module)
             socle, maximal = _exhaustive_socle_head(module)
             assert rep.whole == verdict
-            assert rep.socle == socle and rep.socle_ok
-            assert rep.maximal == maximal and rep.maximal_ok
-            assert rep.head_dim == module.dim - maximal.dim == rep.head_digit_product
+            assert socle is not None and rep.socle == socle
+            assert maximal is not None and rep.maximal == maximal
+            assert module.dim - maximal.dim == _digit_product(m, p)
             # every nontrivial case here is reducible, by a proper spin
             assert _is_proper_witness(module, verdict.witness, whole)
 
@@ -538,7 +542,6 @@ def test_orbit_shared_spins_match_direct_route_on_split_modules(monkeypatch):
         whole = _whole(module)
         rep = socle_head_report(module)
         assert (rep.socle, rep.maximal) == _exhaustive_socle_head(module) == (None, None)
-        assert not rep.socle_ok and not rep.maximal_ok and rep.head_dim is None
         assert _is_proper_witness(module, rep.socle_witness, whole)
         proper = [sp for _, sp in _orbit_spins(module, whole.rows) if sp != whole]
         cover = _cover_witnesses(proper, whole)
@@ -563,7 +566,7 @@ def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
     # the exhaustive route spins once per orbit of its 3906 lines (86 times)
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
-    assert rep.socle.dim == 4 and rep.head_dim == 2
+    assert rep.socle.dim == 4 and module.dim - rep.maximal.dim == 2
     assert len(spin_calls) == 4
     assert enumerated_lines == {1: 4}
 
@@ -668,7 +671,7 @@ def _census_cases():
                     yield module, piece
             else:
                 rep = socle_head_report(module)
-                assert rep.socle_ok and rep.maximal_ok
+                assert rep.socle is not None and rep.maximal is not None
                 yield module, rep.socle
                 yield module, rep.maximal
     for p, a in suites.SL2_GRID:
@@ -791,8 +794,9 @@ def _digit_product(m, p):
 
 
 def test_every_residue_up_to_q_13():
-    # 46 cases: a unique socle and maximal submodule with head the digit
-    # product for every nontrivial residue, the Hecke split for the trivial one
+    # 46 cases: a unique socle and maximal submodule, with socle and head the
+    # digit products, for every nontrivial residue, the Hecke split for the
+    # trivial one
     cases = 0
     for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
         q = p ** factorial(a)
@@ -806,8 +810,32 @@ def test_every_residue_up_to_q_13():
                 assert key == "socle_head"
                 assert section["socle_ok"] and section["maximal_ok"]
                 assert section["head_dim"] == section["digit_product"] == _digit_product(m, p)
+                digits = _digits(m, p)
+                socle_dim = prod(p - d for d in digits) * p ** (factorial(a) - len(digits))
+                assert section["socle_dim"] == socle_dim == sl2lab.socle_digit_product(module)
             cases += 1
     assert cases == 46
+
+
+def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypatch):
+    # a report naming the maximal submodule as the socle: the socle and the
+    # maximal submodule are still found and the head is still the digit
+    # product, so only the socle's known dimension catches it
+    real = sl2lab.socle_head_report
+
+    def wrong_socle(module):
+        rep = real(module)
+        return replace(rep, socle=rep.maximal)
+
+    monkeypatch.setattr(sl2lab, "socle_head_report", wrong_socle)
+    _, _, section, ok = case_verdict(InducedModule(2, 2, power_char(1, 2)))
+    assert section["socle_ok"] and section["maximal_ok"]
+    assert section["head_dim"] == section["digit_product"] == 2
+    assert section["socle_dim"] == 3 and not ok
+    record = suites.suite_sl2_socle_head()
+    assert not record["ok"]
+    assert {"p": 2, "a": 2, "lambda": 1,
+            "socle": {"dim": 3, "digit_product": 2}} in record["failures"]
 
 
 def test_census_socle_of_costandard_is_the_digit_span():
@@ -919,7 +947,7 @@ def test_pi_image_trivial_character_vanishes():
     rec = pi_image(theta, 1, 2)
     assert rec.is_zero
     # no Lucas witness at s = t = 2 either
-    assert lucas_criterion(theta, 1) == LucasSearch(False, None, None, 1, 2)
+    assert lucas_criterion(theta, 1) == LucasSearch(False, None, None)
 
 
 def test_pi_image_nonzero_with_witness():
@@ -934,7 +962,7 @@ def test_pi_image_nonzero_with_witness():
     step = 2 ** factorial(1) - 1
     k = (rec.m_t - rec.nonzero_indices[-1]) // step
     assert k == 2
-    assert lucas_criterion(theta, 1) == LucasSearch(True, 2, k, 1, 2)
+    assert lucas_criterion(theta, 1) == LucasSearch(True, 2, k)
 
 
 def test_pi_image_zero_by_binomial():
@@ -1053,8 +1081,10 @@ def test_hecke_t_s_squares_to_minus_itself():
 
 @pytest.mark.parametrize("p, a, power, d", ((2, 3, 1, 6), (5, 1, 2, 1)))
 def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, d):
-    # the generators of the module and of its dual, h(-1) in the dual's s,
-    # and nothing more, however many lines the two censuses spin
+    # construction builds eps and h once at each point and s once, the
+    # generators among them (64, 63 and 1 at q = 64); the verdict then builds
+    # the dual's generators, with h(-1) in the dual's s, and nothing more,
+    # however many lines the two censuses spin
     counts = Counter()
     for name in ("eps", "h", "s"):
         real = getattr(InducedModule, name)
@@ -1065,9 +1095,11 @@ def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, 
 
         monkeypatch.setattr(InducedModule, name, counting)
     module = InducedModule(p, a, power_char(power, p, a))
+    q = p ** d
+    assert counts == {"eps": q, "h": q - 1, "s": 1}
     counts.clear()
     assert case_verdict(module)[3]
-    assert counts == {"eps": 2 * d, "h": 3, "s": 2}
+    assert counts == {"eps": d, "h": 2, "s": 1}
 
 
 def test_socle_dimension_is_the_complementary_digit_product():
