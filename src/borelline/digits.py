@@ -185,35 +185,43 @@ def power_sum(q, k, include_zero=True) -> int:
     return (p - 1) if k % (q - 1) == 0 else 0
 
 
-def power_sum_direct(q, k, include_zero=True) -> int:
-    """Brute-force oracle for power_sum: enumerate F_q and add t**k.
+def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
+    """Brute-force oracle for power_sum: enumerate F_q and add t**k, for
+    every k in 0..k_max at once, keyed like power_sum's `include_zero`:
+    the sums over the units (False) and over all of F_q (True).
 
     Builds F_q as F_p[x]/(f) for the first irreducible f of the right degree,
-    searched once per field, independently of the closed form above.
+    searched once per field, independently of the closed form above. One
+    pass over the field walks each element's powers upward in k, one
+    product per step, with 0**0 = 1.
     """
     p, r = prime_power_base(q)
-    if k < 0:
+    if k_max < 0:
         raise ArgumentError("power sums need k >= 0")
     f = _field_modulus(p, r)
-    total = ()
+    units, whole = [()] * (k_max + 1), [()] * (k_max + 1)
     elems = [()]
     for _ in range(r):
         elems = [e + (c,) for e in elems for c in range(p)]
     for coords in elems:
         t = polyfp.trim(coords)
-        if not t and not include_zero:
-            continue
-        tk = polyfp.pow_mod(t, k, f, p) if (t or k == 0) else ()
-        total = polyfp.add(total, tk, p)
-    # the sum is Galois invariant, so it must sit in the prime field
-    if polyfp.degree(total) > 0:
+        tk = (1,)
+        for k in range(k_max + 1):
+            if k:
+                tk = polyfp.poly_mod(polyfp.mul(tk, t, p), f, p)
+            whole[k] = polyfp.add(whole[k], tk, p)
+            if t:
+                units[k] = polyfp.add(units[k], tk, p)
+    # each sum is Galois invariant, so it must sit in the prime field
+    if any(polyfp.degree(total) > 0 for total in units + whole):
         raise RelationError("power sum escaped the prime field")
-    return total[0] if total else 0
+    return {include_zero: tuple(total[0] if total else 0 for total in totals)
+            for include_zero, totals in ((False, units), (True, whole))}
 
 
 @lru_cache(maxsize=None)
 def _field_modulus(p, r):
-    """The modulus of `power_sum_direct`'s F_q, searched once per field."""
+    """The modulus of `power_sums_direct`'s F_q, searched once per field."""
     return polyfp.least_irreducible(p, r)
 
 

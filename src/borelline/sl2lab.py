@@ -719,10 +719,17 @@ class HeckeOperators:
             )
         self.module = module
         # t_s sends the line to the sum of all cells and is extended to the
-        # cell eps(t) s line by equivariance under eps(t) s
+        # cell eps(t) s line by equivariance under eps(t) s; eps(t) fixes the
+        # line and sends cell(u) to cell(u + t) with scale one, so that column
+        # is s_image translated: its coordinate at cell(w) is s_image's at
+        # cell(w - t)
         image_of_line = module.line_sum_vector()
         s_image = module.generators[-1].apply(image_of_line)
-        cols = [image_of_line] + [module.eps(t).apply(s_image) for t in module.labels]
+        cell = module.cell_index
+        cols = [image_of_line] + [
+            (s_image[0],) + tuple(s_image[cell(w - t)] for w in module.labels)
+            for t in module.labels
+        ]
         self._cols = tuple(cols)
         self.t_s_rows = tuple(zip(*cols))
         t_s = DenseMap(self.t_s_rows)

@@ -23,7 +23,7 @@ from .characters import (
     truncate,
     X0Pattern,
 )
-from .digits import ArgumentError, check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sum_direct
+from .digits import ArgumentError, check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sums_direct
 from .sl2lab import (
     InducedModule,
     CostandardModule,
@@ -141,11 +141,13 @@ def suite_power_sums(p_filter=None) -> dict:
         p = 2 if q in (2, 4, 8) else (3 if q in (3, 9) else q)
         if not _keep(p, p_filter):
             continue
-        for k in range(3 * (q - 1) + 1):
+        k_max = 3 * (q - 1)
+        sums = power_sums_direct(q, k_max)
+        for k in range(k_max + 1):
             for include_zero in (False, True):
                 cases += 1
                 closed = power_sum(q, k, include_zero)
-                direct = power_sum_direct(q, k, include_zero)
+                direct = sums[include_zero][k]
                 if closed != direct:
                     failures.append(
                         {"q": q, "k": k, "include_zero": include_zero,

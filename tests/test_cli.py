@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from borelline import __version__, cli
 from borelline.characters import RationalPower, truncate
 from borelline.cli import main
 from borelline.digits import ArgumentError
@@ -17,6 +18,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """cli.main as a new process finds it: the next call builds the parser."""
+    monkeypatch.setattr(cli, "_parser", None)
 
 
 def test_verify_single_suite(capsys):
@@ -393,3 +400,102 @@ def test_malformed_json_message_is_the_decoder_message(tmp_path, capsys):
     path.write_text('{"kind": rational}', encoding="utf-8")
     code, out, err = run_cli(capsys, "char-inspect", str(path), "--p", "3")
     assert (code, out, err) == (2, "", "error: Expecting value: line 1 column 10 (char 9)\n")
+
+
+# -- one parser per process: built on the first call, holding no state --------
+
+
+def _one_call_per_command(tmp_path):
+    cartan = tmp_path / "cartan.json"
+    cartan.write_text(json.dumps({
+        "cartan": [[2, -1], [-1, 2]],
+        "restrictions": {
+            "1": {"kind": "rational", "lambda": 1},
+            "2": {"kind": "rational", "lambda": 2},
+        },
+    }), encoding="utf-8")
+    char = tmp_path / "char.json"
+    char.write_text(json.dumps({"kind": "rational", "lambda": -1}), encoding="utf-8")
+    return [
+        ["verify", "power-sums", "--p", "3"],
+        ["classify", str(cartan), "--p", "2"],
+        ["char-inspect", str(char), "--p", "2"],
+        ["lab", "--p", "3", "--a", "1", "--power", "1"],
+    ]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch, fresh_parser):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    codes = [main(argv) for argv in _one_call_per_command(tmp_path)]
+    for argv in (["lab", "--p", "two"], ["--version"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        codes.append(stop.value.code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert capsys.readouterr().out.endswith(f"borelline {__version__}\n")
+    assert len(builds) == 1
+
+
+def test_a_prime_filter_ends_with_its_call(capsys, monkeypatch, fresh_parser):
+    _, filtered, _ = run_cli(capsys, "verify", "lucas", "--p", "2")
+    code, full, _ = run_cli(capsys, "verify", "lucas")
+    monkeypatch.setattr(cli, "_parser", None)
+    _, fresh, _ = run_cli(capsys, "verify", "lucas")
+    assert code == 0
+    assert full == fresh != filtered
+
+
+def test_an_out_file_ends_with_its_call(tmp_path, capsys, fresh_parser):
+    target = tmp_path / "first.json"
+    _, first, _ = run_cli(capsys, "lab", "--p", "2", "--a", "1", "--power", "0",
+                          "--out", str(target))
+    code, second, _ = run_cli(capsys, "lab", "--p", "3", "--a", "1", "--power", "1")
+    assert code == 0 and second != first
+    assert target.read_text(encoding="utf-8") == first
+
+
+def test_a_refused_call_leaves_the_next_answering(capsys, monkeypatch, fresh_parser):
+    argv = ["lab", "--p", "2", "--a", "1", "--power", "0"]
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_cli(capsys, "lab", "--p", "2", "--a", "1")[:2] == (2, "")
+    with pytest.raises(SystemExit) as stop:
+        main(["lab", "--p", "2", "--a", "one"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+
+
+def test_relation_error_exits_one_after_an_earlier_call(capsys, monkeypatch, fresh_parser):
+    # a parser that kept the handlers of its first build would run the real
+    # verify here
+    assert run_cli(capsys, "verify", "power-sums", "--p", "3")[0] == 0
+
+    def broken(args):
+        raise cli.RelationError("closed form and direct summation disagree")
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification:")
+
+
+def test_calls_in_a_row_print_what_new_processes_print(tmp_path, capsys, fresh_parser):
+    argvs = _one_call_per_command(tmp_path)
+    in_process = [run_cli(capsys, *argv)[1] for argv in argvs]
+    for argv, out in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelline", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, out)

@@ -1011,13 +1011,14 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
-@pytest.mark.parametrize("p, a, applies", ((2, 3, 1691), (2, 2, 75)))
+@pytest.mark.parametrize("p, a, applies", ((2, 3, 1627), (2, 2, 71)))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, monomial_apply_calls, p, a, applies):
     # the whole module and both Hecke pieces share one M^U; computing it
     # per census made 3 fixed_subspace calls and 2d(q + 1) more applies
     # (3510 and 134). Checking equivariance column by column made
-    # 2(d + 2)(q + 1) - 1 more applies (2730 and 114).
+    # 2(d + 2)(q + 1) - 1 more applies (2730 and 114), and building t_s's
+    # columns through eps(t) made q more (64 and 4).
     calls = []
     real = sl2lab.fixed_subspace
 
@@ -1100,6 +1101,22 @@ def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, 
     counts.clear()
     assert case_verdict(module)[3]
     assert counts == {"eps": d, "h": 2, "s": 1}
+
+
+def test_hecke_operators_build_no_eps(monkeypatch):
+    # t_s's column at the cell eps(t) s line is s_image translated by t, read
+    # off the cell labels; building each eps(t) for it made q = 64 builds
+    module = InducedModule(2, 3, trivial_character(2, 3))
+    builds = []
+    real = InducedModule.eps
+
+    def counting(self, x):
+        builds.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(InducedModule, "eps", counting)
+    HeckeOperators(module)
+    assert builds == []
 
 
 def test_socle_dimension_is_the_complementary_digit_product():

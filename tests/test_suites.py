@@ -9,6 +9,7 @@ from borelline import digits, polyfp
 from borelline.digits import ArgumentError
 from borelline.suites import (
     LUCAS_BOUND,
+    POWER_SUM_ORDERS,
     SUITES,
     _pascal_rows_mod,
     run_suites,
@@ -150,7 +151,7 @@ def test_pascal_rows_refuse_a_prime_past_a_byte():
 
 def test_power_sums_suite_searches_one_modulus_per_field(monkeypatch):
     # one least_irreducible search per order of POWER_SUM_ORDERS; a search
-    # per call of power_sum_direct made 162
+    # per (q, k, include_zero) oracle call made 162
     searches = []
     real = polyfp.least_irreducible
 
@@ -163,3 +164,13 @@ def test_power_sums_suite_searches_one_modulus_per_field(monkeypatch):
     rec = suite_power_sums()
     assert rec["ok"] is True and rec["cases"] == 162
     assert sorted(searches) == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+def test_power_sums_oracle_makes_one_product_per_element_and_power(polyfp_mul_calls):
+    # one pass per field walks each element's powers upward in k, one product
+    # per step: q 3(q - 1) products per field. A pow_mod per (q, k,
+    # include_zero) made 931 pow_mod calls and 4 999 products in all.
+    suite_power_sums()
+    del polyfp_mul_calls[:]
+    assert suite_power_sums()["ok"] is True
+    assert len(polyfp_mul_calls) == sum(q * 3 * (q - 1) for q in POWER_SUM_ORDERS) == 504
