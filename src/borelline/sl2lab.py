@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, prod
+from math import prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum, require_prime
+from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -39,7 +39,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .towers import CapabilityError, make_tower, require_level
+from .towers import CapabilityError, field_order, make_tower
 
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
 
@@ -76,14 +76,6 @@ class _SL2Module:
     built once per module instance, on first use, and every spin, stability
     check and census of the module reads them; a dual is its own instance,
     with its own."""
-
-    def _field_order(self, p, level):
-        """q = p^(level!) once p is a prime and the level one a tower has;
-        checked before the tower is built, so that each module's size cap
-        refuses first."""
-        require_prime(p)
-        require_level(level)
-        return p ** factorial(level)
 
     def zero_scalar(self):
         return self.tower.zero(self.coeff_level)
@@ -188,7 +180,7 @@ class _SL2Module:
 class _Dual(_SL2Module):
     """The dual module, on the dual basis: g acts by the transpose of g^-1,
     so a monomial map keeps its perm and inverts its scales. Every other
-    attribute (p, a, m, levels, tower, dim) is the module's own."""
+    attribute (p, a, m, tower, dim) is the module's own."""
 
     def __init__(self, module):
         self.module = module
@@ -220,7 +212,7 @@ class InducedModule(_SL2Module):
             raise ArgumentError("character prime disagrees with p")
         if theta.level < a:
             raise ArgumentError(f"character needs residues up to level {a}")
-        self.q = self._field_order(p, a)
+        self.q = field_order(p, a)
         self.p = p
         self.a = self.coeff_level = a
         if self.q > GROUP_ORDER_CAP:
@@ -229,7 +221,7 @@ class InducedModule(_SL2Module):
             )
         self.theta = theta
         self.m = theta.residue(a)
-        self.tower = make_tower(p, a)
+        self.tower = make_tower(p)
         self.dim = self.q + 1
         self.labels = tuple(self.tower.enumerate_elements(a))
         self._index = {e.coords: i + 1 for i, e in enumerate(self.labels)}
@@ -529,7 +521,7 @@ def case_verdict(module: InducedModule):
 
     With theta trivial at the module's level, "hecke": the two Hecke pieces
     have dims (1, q) and are irreducible, each by the census of its own
-    B-stable lines, and the whole module is checked apart. Otherwise
+    B-stable lines, and the whole module they split is reducible. Otherwise
     "socle_head": a unique simple socle of dimension `socle_digit_product`,
     a unique maximal submodule, and a head of dimension the product of
     (d_i + 1) over the base-p digits d_i of m, from `socle_head_report`,
@@ -544,7 +536,8 @@ def case_verdict(module: InducedModule):
             "irreducible": [v.irreducible for v in verdicts],
             "proof": [v.proof for v in verdicts],
         }
-        ok = section["dims"] == [1, module.q] and all(section["irreducible"])
+        ok = (section["dims"] == [1, module.q] and all(section["irreducible"])
+              and not whole.irreducible)
         return whole, "hecke", section, ok
     rep = socle_head_report(module)
     section = {
@@ -581,13 +574,13 @@ class CostandardModule(_SL2Module):
     def __init__(self, n, p, coeff_level):
         if n < 0:
             raise ArgumentError("the highest weight must be nonnegative")
-        q = self._field_order(p, coeff_level)
+        q = field_order(p, coeff_level)
         if q * q * (n + 1) ** 3 > RELATION_WORK_CAP:
             raise CapabilityError("relation verification at this size is beyond desk scale")
         self.n = n
         self.p = p
         self.coeff_level = coeff_level
-        self.tower = make_tower(p, coeff_level)
+        self.tower = make_tower(p)
         self.dim = n + 1
         self._binom = tuple(tuple(lucas_row(i, p, self.dim)) for i in range(self.dim))
         self._check_relations()
@@ -659,7 +652,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     total = cm.zero_vector()
     for a in cm.tower.enumerate_elements(r):
         total = vec_add(total, cm.eps(a.embed(t)).apply(top))
-    qr = p ** factorial(r)
+    qr = field_order(p, r)
     closed = [0] * cm.dim
     for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
         closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p

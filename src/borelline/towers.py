@@ -1,11 +1,11 @@
 """Nested finite fields of factorial degrees with compatible embeddings.
 
-A tower over p holds the fields F_(p^(n!)) for n = 1..levels (capped at 3),
-each presented as F_p[x]/(f_n) where f_n is the first irreducible polynomial
-of degree n! in the base-p enumeration whose root generates the units.
-The embedding of level m into level n sends the root of f_m to the root of
-f_m upstairs that is least by coordinates; it is built from level n's tables
-the first time an element is embedded there.
+One tower per prime p, `make_tower(p)`, holds the fields F_(p^(n!)) for
+n = 1..3, each presented as F_p[x]/(f_n) where f_n is the first irreducible
+polynomial of degree n! in the base-p enumeration whose root generates the
+units. The embedding of level m into level n sends the root of f_m, level
+m's generator, to the root rho of f_m upstairs least by coordinates, so
+g_m^k goes to rho^k: one product of logs.
 
 Field representation. Elements are interned: each (tower, level, value) has
 exactly one FieldElement, so equality is identity. An element carries its
@@ -14,9 +14,9 @@ generator. Each level keeps an antilog table and a Zech table,
 z[d] = log(1 + g^d), so every operation is one table lookup that returns a
 canonical element. Operands must share one level: `+ - *` refuse mixed
 levels with ArgumentError, and `embed` first moves an element up to the
-other's level. A level's tables are built the first time one of its
-elements is requested, from q - 1 products by the generator on the
-polynomial route (`polyfp` multiplication modulo f_n); that route builds
+other's level. Nothing of a level is built before its first use: then f_n
+is searched and the tables are built from q - 1 products by the generator
+on the polynomial route (`polyfp` multiplication modulo f_n), which builds
 the tables and nothing else.
 """
 
@@ -42,6 +42,19 @@ def require_level(level):
         raise CapabilityError(f"level {level} exceeds the tower cap {LEVEL_CAP}")
 
 
+def field_order(p, level) -> int:
+    """q = p^(level!) once p is a prime and the level one a tower has;
+    nothing is built, so a size cap on q can refuse before any tower is."""
+    require_prime(p)
+    return p ** _level_degree(level)
+
+
+def _level_degree(level) -> int:
+    """[F : F_p] = level! at a level a tower has: the level rule."""
+    require_level(level)
+    return factorial(level)
+
+
 class _Level:
     """Lookup tables of one level of a tower, with q - 1 units.
 
@@ -52,7 +65,7 @@ class _Level:
     twice so that differences of logs index it directly.
     """
 
-    __slots__ = ("units", "neg", "exp", "zech", "zero", "by_coords")
+    __slots__ = ("degree", "units", "neg", "exp", "zech", "zero", "by_coords")
 
 
 class FieldElement:
@@ -125,16 +138,12 @@ class FieldElement:
     def embed(self, level):
         if level < self.level:
             raise ArgumentError("cannot embed downward")
-        if level > self.tower.levels:
-            raise ArgumentError(f"tower has no level {level}")
         if level == self.level:
             return self
-        tower = self.tower
-        out = tower.zero(level)
-        for c, image in zip(self.coords, tower._embedding(self.level, level)):
-            if c:
-                out = out + tower.scalar(c, level) * image
-        return out
+        f = self.tower._tables(level)
+        if self.log < 0:
+            return f.zero
+        return f.exp[self.log * self.tower._embedding(self.level, level) % f.units]
 
     def __repr__(self):
         return f"FieldElement(p={self.tower.p}, level={self.level}, coords={self.coords})"
@@ -152,37 +161,33 @@ def _mismatch(a, b):
 
 
 class FieldTower:
-    """Immutable after construction, apart from the lookup tables that each
-    level builds on first use and the embeddings, built on the first embed
-    into their target level. Neither build takes a lock, so request an
-    element of every level needed, and embed into it once from each lower
-    level, before sharing a tower between threads."""
+    """The fields F_(p^(n!)) over one prime p. A tower holds nothing but p
+    when it is made: each level's defining polynomial, tables and memo of
+    products are built on the level's first use, and each embedding on the
+    first embed along it. No build takes a lock, so request an element of
+    every level needed, and embed into it once from each lower level,
+    before sharing a tower between threads."""
 
-    def __init__(self, p, levels):
+    def __init__(self, p):
         require_prime(p)
-        require_level(levels)
         self.p = p
-        self.levels = levels
-        self._degrees = {n: factorial(n) for n in range(1, levels + 1)}
-        self._polys = {
-            n: polyfp.least_irreducible(p, d, primitive=True) for n, d in self._degrees.items()
-        }
-        self._mul_cache = {n: {} for n in range(1, levels + 1)}
+        self._polys = {}
+        self._mul_cache = {}
         self._levels = {}
         self._embeddings = {}
 
     # -- construction internals ------------------------------------------
 
     def _embedding(self, m, n):
-        """Images of the level-m power basis at level n: the powers of the
-        root of f_m that is least by coordinates. The roots lie in the
+        """log rho at level n, rho the root of f_m that is least by
+        coordinates: the image of level m's generator. The roots lie in the
         subfield of order q_m, which is zero and the powers of
         g^((q_n - 1)/(q_m - 1))."""
-        images = self._embeddings.get((m, n))
-        if images is not None:
-            return images
-        qm, dm = self.order(m), self._degrees[m]
-        coeffs = [self.scalar(c, n) for c in reversed(self._polys[m])]
+        log_rho = self._embeddings.get((m, n))
+        if log_rho is not None:
+            return log_rho
+        qm = self.order(m)
+        coeffs = [self.scalar(c, n) for c in reversed(self.defining_polynomial(m))]
         step = self.multiplicative_generator(n) ** ((self.order(n) - 1) // (qm - 1))
         roots = []
         for x in [self.zero(n)] + [step ** k for k in range(qm - 1)]:
@@ -191,11 +196,11 @@ class FieldTower:
                 acc = acc * x + c
             if acc.is_zero():
                 roots.append(x)
-        if len(roots) != dm:
+        if len(roots) != self.degree(m):
             raise RelationError("embedding root count mismatch")
         rho = min(roots, key=lambda x: x.coords)
-        images = self._embeddings[(m, n)] = tuple(rho ** i for i in range(dm))
-        return images
+        self._embeddings[(m, n)] = rho.log
+        return rho.log
 
     def _tables(self, n):
         f = self._levels.get(n)
@@ -207,19 +212,23 @@ class FieldTower:
         """Log, antilog and Zech tables of level n, from q - 1 products by
         the generator on the polynomial route."""
         units = self.order(n) - 1
-        gen = self._gen_coords(n)
-        one = self._one_coords(n)
+        modulus = self.defining_polynomial(n)
+        zero = (0,) * (len(modulus) - 1)
+        one = (1,) + zero[1:]
+        # the root class of f_n: x, or a for a degree-one modulus x - a
+        gen = ((-modulus[0]) % self.p,) if len(zero) == 1 else (0, 1) + zero[2:]
         powers = [one]
         for _ in range(units - 1):
             powers.append(self._mul_coords(n, powers[-1], gen))
         log = {c: i for i, c in enumerate(powers)}
-        if (len(log) != units or self._zero_coords(n) in log
+        if (len(log) != units or zero in log
                 or self._mul_coords(n, powers[-1], gen) != one):
             raise RelationError(f"the logarithm is not a bijection onto the units at level {n}")
         f = _Level()
+        f.degree = len(zero)
         f.units = units
         f.neg = 0 if self.p == 2 else units // 2
-        f.zero = FieldElement(self, n, self._zero_coords(n), -units, f)
+        f.zero = FieldElement(self, n, zero, -units, f)
         elems = [FieldElement(self, n, c, i, f) for i, c in enumerate(powers)]
         f.exp = elems + elems + [f.zero] * (2 * units)
         f.by_coords = {e.coords: e for e in elems}
@@ -230,42 +239,36 @@ class FieldTower:
 
     # -- coordinate kernels ----------------------------------------------
 
-    def _zero_coords(self, n):
-        return (0,) * self._degrees[n]
-
-    def _one_coords(self, n):
-        return (1,) + (0,) * (self._degrees[n] - 1)
-
-    def _gen_coords(self, n):
-        d = self._degrees[n]
-        if d == 1:
-            # degree-one modulus x - a: the root class is a
-            return ((-self._polys[n][0]) % self.p,)
-        return tuple(1 if i == 1 else 0 for i in range(d))
-
     def _mul_coords(self, n, a, b):
         key = (a, b) if a <= b else (b, a)
+        f = self.defining_polynomial(n)
         cache = self._mul_cache[n]
         hit = cache.get(key)
         if hit is not None:
             return hit
-        prod = polyfp.poly_mod(polyfp.mul(a, b, self.p), self._polys[n], self.p)
-        out = prod + (0,) * (self._degrees[n] - len(prod))
+        prod = polyfp.poly_mod(polyfp.mul(a, b, self.p), f, self.p)
+        out = prod + (0,) * (len(f) - 1 - len(prod))
         cache[key] = out
         return out
 
     # -- public surface ----------------------------------------------------
 
     def degree(self, level) -> int:
-        if level not in self._degrees:
-            raise ArgumentError(f"tower has no level {level}")
-        return self._degrees[level]
+        """level!, read off the defining polynomial."""
+        return len(self.defining_polynomial(level)) - 1
 
     def order(self, level) -> int:
-        return self.p ** self.degree(level)
+        return field_order(self.p, level)
 
     def defining_polynomial(self, level):
-        return self._polys[level]
+        """f_level, searched on the level's first use; its memo of products
+        starts then too."""
+        f = self._polys.get(level)
+        if f is None:
+            d = _level_degree(level)
+            f = self._polys[level] = polyfp.least_irreducible(self.p, d, primitive=True)
+            self._mul_cache[level] = {}
+        return f
 
     def zero(self, level):
         return self._tables(level).zero
@@ -275,14 +278,15 @@ class FieldTower:
 
     def scalar(self, c, level):
         """The prime-field scalar c at the given level."""
-        c %= self.p
-        return self.element((c,) + (0,) * (self.degree(level) - 1), level)
+        f = self._tables(level)
+        return f.by_coords[(c % self.p,) + f.zero.coords[1:]]
 
     def element(self, coords, level):
+        f = self._tables(level)
         coords = tuple(c % self.p for c in coords)
-        if len(coords) != self.degree(level):
+        if len(coords) != f.degree:
             raise ArgumentError("coordinate length does not match the level degree")
-        return self._tables(level).by_coords[coords]
+        return f.by_coords[coords]
 
     def multiplicative_generator(self, level):
         return self._tables(level).exp[1]
@@ -302,5 +306,6 @@ class FieldTower:
 
 
 @lru_cache(maxsize=None)
-def make_tower(p, levels=LEVEL_CAP) -> FieldTower:
-    return FieldTower(p, levels)
+def make_tower(p) -> FieldTower:
+    """The one tower over p."""
+    return FieldTower(p)

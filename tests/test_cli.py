@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from borelline import __version__, cli
+from borelline import __version__, cli, digits
 from borelline.characters import RationalPower, truncate
 from borelline.cli import main
 from borelline.digits import ArgumentError
 from borelline.sl2lab import CostandardModule, InducedModule, trivial_character
-from borelline.towers import CapabilityError, FieldTower
+from borelline.towers import CapabilityError, make_tower
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +24,14 @@ def run_cli(capsys, *argv):
 def fresh_parser(monkeypatch):
     """cli.main as a new process finds it: the next call builds the parser."""
     monkeypatch.setattr(cli, "_parser", None)
+
+
+@pytest.fixture
+def fresh_caches():
+    """The program's caches as a new process finds them: no tower and no
+    power-sum modulus is built yet."""
+    make_tower.cache_clear()
+    digits._field_modulus.cache_clear()
 
 
 def test_verify_single_suite(capsys):
@@ -229,6 +237,30 @@ def test_lab_nontrivial_character_past_the_cap_refused_before_building(capsys, p
     assert polyfp_mul_calls == []
 
 
+@pytest.mark.parametrize("argv, products, towers", (
+    (("verify",), 715, 2),
+    (("lab", "--p", "2", "--a", "3", "--power", "1"), 130, 1),
+), ids=("verify", "lab-2-3-1"))
+def test_commands_build_only_the_levels_they_use(capsys, fresh_caches, polyfp_mul_calls,
+                                                  argv, products, towers):
+    # one tower per prime, each level's modulus searched on its first use:
+    # verify builds the towers over 2 and 3 only, and lab at q = 64 never
+    # searches f_2. With a tower per (p, a), each modulus searched when the
+    # tower was made, they took 744 and 168 products over 4 and 1 towers.
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(polyfp_mul_calls) == products
+    assert make_tower.cache_info().currsize == towers
+
+
+@pytest.mark.parametrize("p, a", ((67, 1), (2, 4)))
+def test_lab_refusals_build_no_tower(capsys, p, a):
+    # the group-order cap and the tower cap both refuse before make_tower runs
+    before = make_tower.cache_info()
+    code, out, _ = run_cli(capsys, "lab", "--p", str(p), "--a", str(a), "--power", "1")
+    assert (code, out) == (3, "")
+    assert make_tower.cache_info() == before
+
+
 def test_lab_level_past_tower_cap_exits_before_truncating(capsys):
     code, out, err = run_cli(capsys, "lab", "--p", "3", "--a", "10", "--power", "1")
     assert code == 3
@@ -237,7 +269,7 @@ def test_lab_level_past_tower_cap_exits_before_truncating(capsys):
 
 
 LEVEL_CALLS = {
-    "FieldTower": lambda level: FieldTower(2, level),
+    "FieldTower": lambda level: make_tower(2).one(level),
     "truncate": lambda level: truncate(RationalPower(1), 2, level),
     "InducedModule": lambda level: InducedModule(2, level, trivial_character(2, max(level, 1))),
     "CostandardModule": lambda level: CostandardModule(1, 2, coeff_level=level),

@@ -23,7 +23,7 @@ from borelline.towers import make_tower
 
 
 def field(p=3):
-    return make_tower(p, levels=1)
+    return make_tower(p)
 
 
 def fe(t, *vals):
@@ -101,7 +101,7 @@ def _random_matrix(rng, elems, m, n):
 
 @pytest.mark.parametrize("p, level", FIELDS)
 def test_rref_matches_gauss_jordan(p, level):
-    t = make_tower(p, levels=level)
+    t = make_tower(p)
     elems = list(t.enumerate_elements(level))
     assert elems[0].is_zero()
     one, zero = t.one(level), t.zero(level)
@@ -238,7 +238,7 @@ def _dense_matrix(rng, elems, m, n):
 
 @pytest.mark.parametrize("p, levels", ((2, 3), (3, 2), (5, 1)))
 def test_mat_mul_matches_reference(p, levels):
-    t = make_tower(p, levels)
+    t = make_tower(p)
     rng = random.Random(100 * p + levels)
     for level in range(1, levels + 1):
         elems = list(t.enumerate_elements(level))
@@ -256,7 +256,7 @@ def test_mat_mul_matches_reference(p, levels):
 
 
 def test_mat_mul_refuses_mixed_levels():
-    t = make_tower(2, 3)
+    t = make_tower(2)
     rng = random.Random(7)
     by_level = {n: list(t.enumerate_elements(n)) for n in (1, 2, 3)}
     for low, high in ((1, 2), (1, 3), (2, 3)):
@@ -279,8 +279,8 @@ def test_mat_mul_refuses_mixed_levels():
 
 
 def test_mat_mul_rejects_other_towers_and_non_field_entries():
-    a = ((make_tower(2, 1).one(1),),)
-    b = ((make_tower(3, 1).one(1),),)
+    a = ((make_tower(2).one(1),),)
+    b = ((make_tower(3).one(1),),)
     with pytest.raises(ArgumentError):
         mat_mul(a, b)
     with pytest.raises(TypeError):
@@ -293,7 +293,7 @@ def test_mat_mul_rejects_other_towers_and_non_field_entries():
 def test_mixed_compose_matches_the_dense_product(p, levels):
     # a monomial map after a dense one scales and permutes its rows, before
     # it its columns; both must equal mat_mul on the dense forms
-    t = make_tower(p, levels)
+    t = make_tower(p)
     rng = random.Random(10 * p + levels)
     for level in range(1, levels + 1):
         elems = list(t.enumerate_elements(level))
@@ -310,7 +310,7 @@ def test_mixed_compose_matches_the_dense_product(p, levels):
 
 
 def test_mixed_compose_refuses_another_level():
-    t = make_tower(2, 2)
+    t = make_tower(2)
     low, high = list(t.enumerate_elements(1)), list(t.enumerate_elements(2))
     rng = random.Random(3)
     mono = MonomialMap((1, 2, 0), (high[1], high[2], high[3]))

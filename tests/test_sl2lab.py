@@ -30,7 +30,7 @@ from borelline.sl2lab import (
     trivial_character,
     verify_irreducibility_chain,
 )
-from borelline.towers import CapabilityError
+from borelline.towers import CapabilityError, make_tower
 
 GRID = ((2, 1), (3, 1), (2, 2))
 
@@ -262,7 +262,8 @@ def test_relation_check_composes_linearly_in_q(compose_calls, build, p, d, count
     assert sum(counts.values()) == 7 * p ** d - 6 + d * (p + d)
 
 
-@pytest.mark.parametrize("n, p, level, products", ((8, 2, 3, 162), (8, 3, 2, 22)))
+@pytest.mark.parametrize("n, p, level, products", ((8, 2, 3, 162), (8, 3, 2, 22)),
+                         ids=("q=64", "q=9"))
 def test_costandard_relation_check_multiplies_only_eps_by_eps(mat_mul_calls, n, p, level, products):
     # h and s are monomial, so the only dense products are the eps(b)^p,
     # the commutators, eps(x - b) eps(b) and the last factor of each
@@ -745,7 +746,7 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
     assert len(lines) == 2 and lines == list(_b_stable_lines_per_eigenvalue(module))
 
 
-@pytest.mark.parametrize("p, a, calls", ((2, 3, 392), (61, 1, 64)))
+@pytest.mark.parametrize("p, a, calls", ((2, 3, 392), (61, 1, 64)), ids=("q=64", "q=61"))
 def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a, calls):
     # d(q + 1) + 2 applies, d = [F_q : F_p]: each eps over the F_p-basis on
     # each unit vector for M^U, then h(g) on each of the two rows of M^U
@@ -1011,7 +1012,7 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
-@pytest.mark.parametrize("p, a, applies", ((2, 3, 1627), (2, 2, 71)))
+@pytest.mark.parametrize("p, a, applies", ((2, 3, 1627), (2, 2, 71)), ids=("q=64", "q=4"))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, monomial_apply_calls, p, a, applies):
     # the whole module and both Hecke pieces share one M^U; computing it
@@ -1148,6 +1149,16 @@ def test_costandard_refuses_before_building_a_tower(polyfp_mul_calls):
     with pytest.raises(CapabilityError, match="tower cap"):
         CostandardModule(1, 2, coeff_level=4)
     assert polyfp_mul_calls == []
+
+
+def test_modules_over_one_prime_share_one_tower():
+    # the one field F_p-bar: each level of it is built once for all modules
+    small = InducedModule(2, 1, trivial_character(2, 1))
+    large = InducedModule(2, 2, trivial_character(2, 2))
+    cm = CostandardModule(3, 2, coeff_level=2)
+    assert small.tower is large.tower is cm.tower is make_tower(2)
+    assert small.one_scalar() + large.tower.one(1) == small.zero_scalar()
+    assert large.one_scalar() is cm.one_scalar()
 
 
 def test_costandard_actions_take_points_at_the_coefficient_level():

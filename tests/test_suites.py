@@ -77,22 +77,28 @@ def test_run_suites_bundles_and_validates():
         run_suites(["nope"])
 
 
-def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch):
-    # a (1, q) split makes the whole module reducible, so a whole-module
-    # verdict of irreducible fails the case
-    from borelline import suites
+def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
+    # a (1, q) split makes the whole module reducible, so a census that
+    # claims the whole module irreducible fails the case, in the suite and
+    # in lab alike: both read case_verdict's ok
+    from borelline import cli, sl2lab, suites
     from borelline.sl2lab import IrreducibilityVerdict
 
-    real = suites.case_verdict
+    real = sl2lab.is_irreducible
 
-    def whole_claimed_irreducible(module):
-        whole, key, section, ok = real(module)
-        return IrreducibilityVerdict(True, whole.dimension), key, section, ok
+    def whole_claimed_irreducible(module, subspace=None):
+        verdict = real(module, subspace)
+        if subspace is None:
+            return IrreducibilityVerdict(True, verdict.dimension)
+        return verdict
 
     assert suites.suite_hecke_split(p_filter=2)["ok"] is True
-    monkeypatch.setattr(suites, "case_verdict", whole_claimed_irreducible)
+    monkeypatch.setattr(sl2lab, "is_irreducible", whole_claimed_irreducible)
     rec = suites.suite_hecke_split(p_filter=2)
     assert rec["ok"] is False and rec["cases"] == len(rec["failures"]) == 2
+    assert cli.main(["lab", "--p", "2", "--a", "1", "--power", "0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["whole_irreducible"]["irreducible"] is True
 
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):

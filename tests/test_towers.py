@@ -11,7 +11,7 @@ def test_defining_polynomials_are_least():
     t2 = make_tower(2)
     assert t2.defining_polynomial(2) == (1, 1, 1)
     assert t2.defining_polynomial(3) == (1, 1, 0, 0, 0, 0, 1)
-    t3 = make_tower(3, levels=2)
+    t3 = make_tower(3)
     assert t3.defining_polynomial(2) == (2, 1, 1)
 
 
@@ -22,19 +22,23 @@ def test_orders_and_degrees():
 
 
 def test_level_cap():
-    with pytest.raises(CapabilityError):
-        make_tower(2, levels=4)
+    # a tower has no levels to refuse until one is used
+    t = make_tower(2)
+    with pytest.raises(CapabilityError, match="tower cap"):
+        t.one(4)
+    with pytest.raises(CapabilityError, match="tower cap"):
+        t.one(1).embed(4)
 
 
 @pytest.mark.parametrize("levels", [0, -1])
 def test_level_below_one_is_an_argument_error(levels):
     # a malformed input, not a capability cap: exit 2, not 3
     with pytest.raises(ArgumentError, match="at least 1"):
-        FieldTower(2, levels)
+        make_tower(2).one(levels)
 
 
 def test_prime_field_scalars():
-    t = make_tower(5, levels=1)
+    t = make_tower(5)
     g = t.multiplicative_generator(1)
     assert g == t.scalar(3, 1)
     assert g ** 4 == t.one(1)
@@ -43,7 +47,7 @@ def test_prime_field_scalars():
 
 def test_multiplicative_generator_orders():
     for p, n in ((2, 2), (2, 3), (3, 2)):
-        t = make_tower(p, levels=n)
+        t = make_tower(p)
         g = t.multiplicative_generator(n)
         q = t.order(n)
         assert g ** (q - 1) == t.one(n)
@@ -53,7 +57,7 @@ def test_multiplicative_generator_orders():
 
 
 def test_field_axioms_sampled():
-    t = make_tower(3, levels=2)
+    t = make_tower(3)
     elems = list(t.enumerate_elements(2))
     assert len(elems) == 9
     for a in elems:
@@ -74,7 +78,7 @@ def test_subtraction_and_negation():
 
 
 def test_inverse_and_division():
-    t = make_tower(3, levels=2)
+    t = make_tower(3)
     for a in t.enumerate_elements(2):
         if a.is_zero():
             with pytest.raises(ZeroDivisionError):
@@ -114,7 +118,7 @@ def test_cross_level_arithmetic_is_refused():
 def test_embedding_is_a_field_map():
     # F_3 -> F_9, F_4 -> F_64 and F_9 -> F_729
     for p, m, n in ((3, 1, 2), (2, 2, 3), (3, 2, 3)):
-        t = make_tower(p, levels=n)
+        t = make_tower(p)
         elems = list(t.enumerate_elements(m))
         for a in elems:
             for b in elems:
@@ -124,7 +128,7 @@ def test_embedding_is_a_field_map():
 
 
 def _pow_coords(t, n, a, e):
-    result = t._one_coords(n)
+    result = (1,) + (0,) * (t.degree(n) - 1)
     while e:
         if e & 1:
             result = t._mul_coords(n, result, a)
@@ -134,7 +138,7 @@ def _pow_coords(t, n, a, e):
 
 
 def _eval_poly_at(t, n, poly, point):
-    acc = t._zero_coords(n)
+    acc = (0,) * t.degree(n)
     for c in reversed(poly):
         acc = t._mul_coords(n, acc, point)
         acc = ((acc[0] + c) % t.p,) + acc[1:]
@@ -146,8 +150,9 @@ def _coordinate_embedding(t, m, n):
     route alone: the powers of the least root of f_m by coordinates, with
     the roots sought among zero and the powers of g^((q_n - 1)/(q_m - 1))."""
     dm, qm = t.degree(m), t.order(m)
-    step = _pow_coords(t, n, t._gen_coords(n), (t.order(n) - 1) // (qm - 1))
-    candidates = [t._zero_coords(n)] + [_pow_coords(t, n, step, k) for k in range(qm - 1)]
+    root_class = tuple(1 if i == 1 else 0 for i in range(t.degree(n)))  # n >= 2
+    step = _pow_coords(t, n, root_class, (t.order(n) - 1) // (qm - 1))
+    candidates = [(0,) * t.degree(n)] + [_pow_coords(t, n, step, k) for k in range(qm - 1)]
     roots = [x for x in candidates
              if not any(_eval_poly_at(t, n, t.defining_polynomial(m), x))]
     assert len(roots) == dm
@@ -157,7 +162,7 @@ def _coordinate_embedding(t, m, n):
 
 @pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (7, 2)])
 def test_embeddings_agree_with_the_coordinate_route(p, levels):
-    t = FieldTower(p, levels)
+    t = FieldTower(p)
     for m in range(1, levels):
         for n in range(m + 1, levels + 1):
             images = tuple(b.embed(n).coords for b in t.standard_basis(m))
@@ -165,9 +170,9 @@ def test_embeddings_agree_with_the_coordinate_route(p, levels):
 
 
 def test_construction_searches_only_the_defining_polynomials(polyfp_mul_calls):
-    # embeddings and tables wait for their first use
-    FieldTower(2, 3)
-    assert len(polyfp_mul_calls) == 105
+    # defining polynomials, embeddings and tables all wait for their first use
+    FieldTower(2)
+    assert len(polyfp_mul_calls) == 0
 
 
 def test_embeddings_compose():
@@ -188,7 +193,7 @@ def test_frobenius_fixes_subfields():
 
 
 def test_frobenius_is_additive_and_multiplicative():
-    t = make_tower(3, levels=2)
+    t = make_tower(3)
     for a in t.enumerate_elements(2):
         for b in t.enumerate_elements(2):
             assert (a + b) ** 3 == a ** 3 + b ** 3
@@ -219,7 +224,7 @@ def test_standard_basis_spans():
 
 
 def test_scalar_reduces_mod_p():
-    t = make_tower(3, levels=1)
+    t = make_tower(3)
     assert t.scalar(0, 1).is_zero()
     assert t.scalar(2, 1) + t.one(1) == t.zero(1)
     assert t.scalar(3, 1).is_zero()
@@ -232,7 +237,7 @@ def _padded(poly, d):
 
 @pytest.mark.parametrize("p,levels", [(2, 3), (3, 2), (5, 1), (7, 1)])
 def test_tables_agree_with_the_polynomial_route(p, levels):
-    t = FieldTower(p, levels)
+    t = FieldTower(p)
     for n in range(1, levels + 1):
         f, d, q = t.defining_polynomial(n), t.degree(n), t.order(n)
         elems = list(t.enumerate_elements(n))
@@ -271,7 +276,7 @@ def test_elements_are_interned():
 
 
 def test_tables_are_built_lazily(polyfp_mul_calls):
-    t = FieldTower(5, 3)
+    t = FieldTower(5)
     assert t.order(3) == 5 ** 6
     assert t.one(1) is not None and t.one(2) is not None
     assert len(polyfp_mul_calls) < 5 ** 6 // 10
