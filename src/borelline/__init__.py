@@ -63,7 +63,6 @@ from .weyl import (
     RootDatum,
     RootSystem,
     WeylGroup,
-    build_root_system,
     poincare_product,
     weyl_group,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "WeylGroup",
     "X0Pattern",
     "b_stable_lines",
-    "build_root_system",
     "case_verdict",
     "check_digit_lemma",
     "classify_exact",

@@ -297,27 +297,21 @@ def classify_exact(sc: SymbolicCharacter, p, level=LEVEL_CAP) -> CharacterClass:
     sums and the trivial character are always bounded.
     """
     require_prime(p)
-    if isinstance(sc, Trivial):
-        return CharacterClass(True, X0Pattern(p, level, 1, ()))
+    factors = ()  # the trivial character is the empty digit pattern
     if isinstance(sc, RationalPower):
         lam = sc.power
         if lam < 0:
             return CharacterClass(False, None)
-        if lam == 0:
-            return CharacterClass(True, X0Pattern(p, level, 1, ()))
         positions = [(pos, d) for pos, d in enumerate(expand(lam, p)) if d]
-        if positions[-1][0] >= factorial(level):
+        if positions and positions[-1][0] >= factorial(level):
             return CharacterClass(
                 True, None, note=f"digit positions exceed level-{level} resolution"
             )
         factors = tuple(
             (d, GaloisTwist.from_position(pos, level)) for pos, d in positions
         )
-        return CharacterClass(True, X0Pattern(p, level, _settle_level(factors, p, level), factors))
-    if isinstance(sc, TwistedDigitSum):
+    elif isinstance(sc, TwistedDigitSum):
         _check_digit_values(sc, p)
-        if not sc.factors:
-            return CharacterClass(True, X0Pattern(p, level, 1, ()))
         reduced = []
         for theta, w in sc.factors:
             if w.level < level:
@@ -330,8 +324,9 @@ def classify_exact(sc: SymbolicCharacter, p, level=LEVEL_CAP) -> CharacterClass:
                 f"twists collide at level {level}; the pattern is not separable here"
             )
         factors = tuple(sorted(reduced, key=lambda fw: fw[1].residues))
-        return CharacterClass(True, X0Pattern(p, level, _settle_level(factors, p, level), factors))
-    raise ArgumentError(f"not a symbolic character: {sc!r}")
+    elif not isinstance(sc, Trivial):
+        raise ArgumentError(f"not a symbolic character: {sc!r}")
+    return CharacterClass(True, X0Pattern(p, level, _settle_level(factors, p, level), factors))
 
 
 def _settle_level(factors, p, level):

@@ -14,7 +14,6 @@ import sys
 
 from . import __version__
 from .characters import (
-    NoStablePattern,
     RationalPower,
     X0Pattern,
     classify_exact,
@@ -57,22 +56,21 @@ def _twist_json(twist):
 
 
 def _pattern_json(pattern):
+    """The "pattern" and "no_pattern" entries of char-inspect: one is None."""
     if isinstance(pattern, X0Pattern):
-        return {
+        return {"no_pattern": None, "pattern": {
             "stabilized_at": pattern.stabilized_at,
             "level": pattern.level,
             "factors": [
                 {"digit": t, "twist": _twist_json(w)} for t, w in pattern.factors
             ],
-        }
-    if isinstance(pattern, NoStablePattern):
-        return {
-            "break_level": pattern.break_level,
-            "reason": pattern.reason,
-            "digit_sums": list(pattern.f_sequence),
-            "nonzero_counts": list(pattern.nonzero_counts),
-        }
-    return None
+        }}
+    return {"pattern": None, "no_pattern": {
+        "break_level": pattern.break_level,
+        "reason": pattern.reason,
+        "digit_sums": list(pattern.f_sequence),
+        "nonzero_counts": list(pattern.nonzero_counts),
+    }}
 
 
 def _cmd_verify(args):
@@ -107,8 +105,7 @@ def _cmd_char_inspect(args):
         "residues": list(tc.residues),
         "digit_sums": list(f_sequence(tc)),
         "nonzero_counts": list(nonzero_counts(tc)),
-        "pattern": _pattern_json(pattern) if isinstance(pattern, X0Pattern) else None,
-        "no_pattern": _pattern_json(pattern) if isinstance(pattern, NoStablePattern) else None,
+        **_pattern_json(pattern),
         "bounded": cls.bounded,
         "note": cls.note,
         "lucas": searches,
@@ -134,7 +131,11 @@ def _cmd_lab(args):
         "character": symbolic_to_json(sc),
         "relations": "ok",
     }
-    whole, key, section, out["ok"] = case_verdict(module)
+    whole, key, section, failed = case_verdict(module)
+    out["ok"] = not failed
+    for check, detail in failed.items():
+        detail = detail if isinstance(detail, str) else json.dumps(detail, sort_keys=True)
+        print(f"verification: {check}: {detail}", file=sys.stderr)
     out["whole_irreducible"] = {
         "irreducible": whole.irreducible,
         "mode": whole.mode,

@@ -219,7 +219,6 @@ class InducedModule(_SL2Module):
             raise CapabilityError(
                 f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}"
             )
-        self.theta = theta
         self.m = theta.residue(a)
         self.tower = make_tower(p)
         self.dim = self.q + 1
@@ -517,16 +516,20 @@ def socle_digit_product(module: InducedModule) -> int:
 
 def case_verdict(module: InducedModule):
     """The rank-one statement on one induced module, as (whole, key, section,
-    ok): the whole-module `IrreducibilityVerdict` and a JSON-ready section.
+    failed): the whole-module `IrreducibilityVerdict`, a JSON-ready section,
+    and a JSON-ready dict naming each known answer that fails, empty when all
+    hold. No other place states these answers.
 
     With theta trivial at the module's level, "hecke": the two Hecke pieces
     have dims (1, q) and are irreducible, each by the census of its own
-    B-stable lines, and the whole module they split is reducible. Otherwise
-    "socle_head": a unique simple socle of dimension `socle_digit_product`,
-    a unique maximal submodule, and a head of dimension the product of
-    (d_i + 1) over the base-p digits d_i of m, from `socle_head_report`,
-    which also gives the whole-module verdict.
+    B-stable lines, and the whole module they split is reducible; else
+    "dims", "irreducible" or "whole" fails. Otherwise "socle_head", from
+    `socle_head_report`, which also gives the whole-module verdict: a unique
+    simple socle of dimension `socle_digit_product` ("socle"), a unique
+    maximal submodule ("maximal"), and a head of dimension the product of
+    (d_i + 1) over the base-p digits d_i of m ("head").
     """
+    failed = {}
     if module.m == 0:
         whole = is_irreducible(module)
         pieces = HeckeOperators(module).idempotent_split()
@@ -536,9 +539,13 @@ def case_verdict(module: InducedModule):
             "irreducible": [v.irreducible for v in verdicts],
             "proof": [v.proof for v in verdicts],
         }
-        ok = (section["dims"] == [1, module.q] and all(section["irreducible"])
-              and not whole.irreducible)
-        return whole, "hecke", section, ok
+        if section["dims"] != [1, module.q]:
+            failed["dims"] = section["dims"]
+        if not all(section["irreducible"]):
+            failed["irreducible"] = section["irreducible"]
+        if whole.irreducible:
+            failed["whole"] = "irreducible"
+        return whole, "hecke", section, failed
     rep = socle_head_report(module)
     section = {
         "socle_dim": rep.socle.dim if rep.socle else None,
@@ -547,10 +554,16 @@ def case_verdict(module: InducedModule):
         "head_dim": module.dim - rep.maximal.dim if rep.maximal else None,
         "digit_product": prod(d + 1 for d in expand(module.m, module.p)),
     }
-    # a missing socle or maximal submodule leaves a None, which matches no product
-    ok = (section["socle_dim"] == socle_digit_product(module)
-          and section["head_dim"] == section["digit_product"])
-    return rep.whole, "socle_head", section, ok
+    if rep.socle is None:
+        failed["socle"] = "not contained in every nonzero submodule"
+    elif section["socle_dim"] != socle_digit_product(module):
+        failed["socle"] = {"dim": section["socle_dim"],
+                           "digit_product": socle_digit_product(module)}
+    if rep.maximal is None:
+        failed["maximal"] = "no unique maximal submodule"
+    elif section["head_dim"] != section["digit_product"]:
+        failed["head"] = {"dim": section["head_dim"], "digit_product": section["digit_product"]}
+    return rep.whole, "socle_head", section, failed
 
 
 # -- costandard modules ------------------------------------------------------

@@ -30,7 +30,6 @@ from .sl2lab import (
     RelationError,
     case_verdict,
     l_submodule,
-    socle_digit_product,
     trivial_character,
     verify_irreducibility_chain,
 )
@@ -191,7 +190,8 @@ def suite_sl2_relations(p_filter=None) -> dict:
 
 
 def suite_sl2_socle_head(p_filter=None) -> dict:
-    """Unique socle and unique maximal submodule on the nontrivial grid.
+    """Socle, maximal submodule and head by `case_verdict` on the nontrivial
+    grid; each failure names the failed checks.
 
     Grid points where the character is trivial at the group level are
     recorded as skipped: uniqueness genuinely fails there.
@@ -212,20 +212,9 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            module = InducedModule(p, a, theta)
-            _, _, sec, ok = case_verdict(module)
-            if not ok:
-                bad = {"p": p, "a": a, "lambda": lam}
-                if not sec["socle_ok"]:
-                    bad["socle"] = "not contained in every nonzero submodule"
-                elif sec["socle_dim"] != socle_digit_product(module):
-                    bad["socle"] = {"dim": sec["socle_dim"],
-                                    "digit_product": socle_digit_product(module)}
-                if not sec["maximal_ok"]:
-                    bad["maximal"] = "no unique maximal submodule"
-                elif sec["head_dim"] != sec["digit_product"]:
-                    bad["head"] = {"dim": sec["head_dim"], "digit_product": sec["digit_product"]}
-                failures.append(bad)
+            failed = case_verdict(InducedModule(p, a, theta))[3]
+            if failed:
+                failures.append({"p": p, "a": a, "lambda": lam, **failed})
     return _record("sl2-socle-head", cases, failures, skipped)
 
 
@@ -251,18 +240,16 @@ def suite_sl2_chain(p_filter=None) -> dict:
 
 
 def suite_hecke_split(p_filter=None) -> dict:
-    """Idempotent decomposition for the trivial character: dims (1, q)."""
+    """The Hecke split by `case_verdict`; each failure names the failed checks."""
     failures = []
     cases = 0
     for p, a in SL2_GRID:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        _, _, sec, ok = case_verdict(InducedModule(p, a, trivial_character(p, a)))
-        if not ok:
-            failures.append(
-                {"p": p, "a": a, "dims": sec["dims"], "irreducible": sec["irreducible"]}
-            )
+        failed = case_verdict(InducedModule(p, a, trivial_character(p, a)))[3]
+        if failed:
+            failures.append({"p": p, "a": a, **failed})
     return _record("hecke-split", cases, failures)
 
 

@@ -66,7 +66,7 @@ def datum_from_json(obj) -> RootDatum:
     sc = obj.get("simply_connected", True)
     if not isinstance(sc, bool):
         raise ArgumentError("'simply_connected' must be a boolean")
-    return RootDatum(_validate_cartan(cartan), sc)
+    return RootDatum(cartan, sc)
 
 
 def datum_to_json(datum: RootDatum) -> dict:
@@ -255,10 +255,6 @@ class WeylGroup:
         for w in self.elements:
             coeffs[w.length] += 1
         return tuple(coeffs)
-
-
-def build_root_system(datum: RootDatum) -> RootSystem:
-    return RootSystem(datum)
 
 
 def weyl_group(datum: RootDatum) -> WeylGroup:

@@ -187,6 +187,15 @@ def test_classify_exact_beyond_cap():
     assert "level" in cls.note
 
 
+@pytest.mark.parametrize("level", (1, 2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_classify_exact_trivial_forms_agree(p, level):
+    # the trivial character is the empty digit pattern, settled at level 1
+    want = characters.CharacterClass(True, X0Pattern(p, level, 1, ()))
+    for sc in (Trivial(), RationalPower(0), TwistedDigitSum(())):
+        assert classify_exact(sc, p, level) == want
+
+
 def test_classify_exact_twist_collision_at_cap():
     # distinct at level 4, but both reduce to the identity twist at level 3
     sc = TwistedDigitSum(

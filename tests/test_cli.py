@@ -162,6 +162,18 @@ def test_level_past_tower_cap_is_capability_error(tmp_path, capsys):
     assert "tower cap" in err
 
 
+def test_classify_power_past_level_resolution_is_capability_error(tmp_path, capsys):
+    # 2^6 has its top digit at position 6 >= 3!, which level 3 cannot resolve
+    path = tmp_path / "in.json"
+    path.write_text(
+        json.dumps({"cartan": [[2]], "restrictions": {"1": {"kind": "rational", "lambda": 64}}}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "classify", str(path), "--p", "2", "--level", "3")
+    assert (code, out) == (3, "")
+    assert err == "capability: index 1: digit positions exceed level-3 resolution\n"
+
+
 def test_char_inspect_command(tmp_path, capsys):
     path = tmp_path / "char.json"
     path.write_text(json.dumps({"kind": "rational", "lambda": -1}), encoding="utf-8")

@@ -401,8 +401,8 @@ def test_socle_head_on_grid():
         rep = socle_head_report(module)
         assert rep.socle.dim == 2
         assert module.dim - rep.maximal.dim == 2
-        _, key, section, ok = case_verdict(module)
-        assert (key, section["head_dim"], section["digit_product"], ok) == ("socle_head", 2, 2, True)
+        _, key, section, failed = case_verdict(module)
+        assert (key, section["head_dim"], section["digit_product"], failed) == ("socle_head", 2, 2, {})
 
 
 def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
@@ -803,8 +803,8 @@ def test_every_residue_up_to_q_13():
         q = p ** factorial(a)
         for m in range(q - 1):
             module = InducedModule(p, a, power_char(m, p, a))
-            whole, key, section, ok = case_verdict(module)
-            assert ok and not whole.irreducible
+            whole, key, section, failed = case_verdict(module)
+            assert failed == {} and not whole.irreducible
             if m == 0:
                 assert (key, section["dims"]) == ("hecke", [1, q])
             else:
@@ -829,14 +829,39 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
         return replace(rep, socle=rep.maximal)
 
     monkeypatch.setattr(sl2lab, "socle_head_report", wrong_socle)
-    _, _, section, ok = case_verdict(InducedModule(2, 2, power_char(1, 2)))
+    _, _, section, failed = case_verdict(InducedModule(2, 2, power_char(1, 2)))
     assert section["socle_ok"] and section["maximal_ok"]
     assert section["head_dim"] == section["digit_product"] == 2
-    assert section["socle_dim"] == 3 and not ok
+    assert section["socle_dim"] == 3
+    assert failed == {"socle": {"dim": 3, "digit_product": 2}}
     record = suites.suite_sl2_socle_head()
     assert not record["ok"]
     assert {"p": 2, "a": 2, "lambda": 1,
             "socle": {"dim": 3, "digit_product": 2}} in record["failures"]
+
+
+@pytest.mark.parametrize("mutate, failed, err", (
+    (lambda rep: replace(rep, socle=None),
+     {"socle": "not contained in every nonzero submodule"},
+     "socle: not contained in every nonzero submodule"),
+    (lambda rep: replace(rep, maximal=None), {"maximal": "no unique maximal submodule"},
+     "maximal: no unique maximal submodule"),
+    # the socle taken for the maximal submodule: a head of dim 5 - 2, not 2
+    (lambda rep: replace(rep, maximal=rep.socle), {"head": {"dim": 3, "digit_product": 2}},
+     'head: {"digit_product": 2, "dim": 3}'),
+), ids=("no-socle", "no-maximal", "wrong-head"))
+def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
+        monkeypatch, capsys, mutate, failed, err):
+    real = sl2lab.socle_head_report
+    monkeypatch.setattr(sl2lab, "socle_head_report", lambda module: mutate(real(module)))
+    assert case_verdict(InducedModule(2, 2, power_char(1, 2)))[3] == failed
+    record = suites.suite_sl2_socle_head()
+    assert not record["ok"]
+    assert {"p": 2, "a": 2, "lambda": 1, **failed} in record["failures"]
+    assert cli.main(["lab", "--p", "2", "--a", "2", "--power", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert captured.err == f"verification: {err}\n"
 
 
 def test_census_socle_of_costandard_is_the_digit_span():
@@ -1006,8 +1031,8 @@ def test_hecke_split_dims_and_irreducibility():
         assert is_irreducible(module, y_full).irreducible
         assert is_irreducible(module, y_empty).irreducible
         section = {"dims": [1, module.q], "irreducible": [True, True], "proof": [True, True]}
-        whole, key, sec, ok = case_verdict(module)
-        assert (key, sec, ok) == ("hecke", section, True)
+        whole, key, sec, failed = case_verdict(module)
+        assert (key, sec, failed) == ("hecke", section, {})
         # the module splits, so the whole is reducible
         assert not whole.irreducible and whole.proof
 
@@ -1030,7 +1055,7 @@ def test_trivial_character_verdict_computes_the_u_fixed_space_once(
     monkeypatch.setattr(sl2lab, "fixed_subspace", counting)
     module = InducedModule(p, a, trivial_character(p, a))
     del monomial_apply_calls[:]
-    assert case_verdict(module)[3]
+    assert case_verdict(module)[3] == {}
     assert len(calls) == 1
     assert len(monomial_apply_calls) == applies
 
@@ -1100,7 +1125,7 @@ def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, 
     q = p ** d
     assert counts == {"eps": q, "h": q - 1, "s": 1}
     counts.clear()
-    assert case_verdict(module)[3]
+    assert case_verdict(module)[3] == {}
     assert counts == {"eps": d, "h": 2, "s": 1}
 
 

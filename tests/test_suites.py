@@ -80,7 +80,8 @@ def test_run_suites_bundles_and_validates():
 def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
     # a (1, q) split makes the whole module reducible, so a census that
     # claims the whole module irreducible fails the case, in the suite and
-    # in lab alike: both read case_verdict's ok
+    # in lab alike: both read case_verdict's failed checks, and name only
+    # the check that fails
     from borelline import cli, sl2lab, suites
     from borelline.sl2lab import IrreducibilityVerdict
 
@@ -95,10 +96,13 @@ def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
     assert suites.suite_hecke_split(p_filter=2)["ok"] is True
     monkeypatch.setattr(sl2lab, "is_irreducible", whole_claimed_irreducible)
     rec = suites.suite_hecke_split(p_filter=2)
-    assert rec["ok"] is False and rec["cases"] == len(rec["failures"]) == 2
+    assert rec["ok"] is False and rec["cases"] == 2
+    assert rec["failures"] == [{"p": 2, "a": a, "whole": "irreducible"} for a in (1, 2)]
     assert cli.main(["lab", "--p", "2", "--a", "1", "--power", "0"]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["ok"] is False and doc["whole_irreducible"]["irreducible"] is True
+    assert captured.err == "verification: whole: irreducible\n"
 
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):

@@ -7,7 +7,7 @@ from borelline.towers import CapabilityError
 from borelline.weyl import (
     CLASSICAL_DEGREES,
     RootDatum,
-    build_root_system,
+    RootSystem,
     datum_from_json,
     datum_to_json,
     poincare_product,
@@ -30,14 +30,14 @@ def test_cartan_validation():
 
 
 def test_root_counts():
-    assert len(build_root_system(A1).positive_roots) == 1
-    assert len(build_root_system(A2).positive_roots) == 3
-    assert len(build_root_system(B2).positive_roots) == 4
-    assert len(build_root_system(A3).positive_roots) == 6
+    assert len(RootSystem(A1).positive_roots) == 1
+    assert len(RootSystem(A2).positive_roots) == 3
+    assert len(RootSystem(B2).positive_roots) == 4
+    assert len(RootSystem(A3).positive_roots) == 6
 
 
 def test_coroots_pair_correctly():
-    system = build_root_system(B2)
+    system = RootSystem(B2)
     A = B2.cartan
     for root in system.positive_roots:
         coroot = system.coroot_of[root]
@@ -122,7 +122,7 @@ def test_sub_datum():
 def test_affine_cartan_is_refused():
     affine = RootDatum(((2, -2), (-2, 2)))
     with pytest.raises(CapabilityError):
-        build_root_system(affine)
+        RootSystem(affine)
 
 
 def test_datum_json_roundtrip():
