@@ -1,216 +1,229 @@
-"""Exact linear algebra over finite-field elements.
+"""Exact linear algebra over one level of a tower, on int codes.
 
-Vectors are tuples of FieldElement; matrices are row tuples. Monomial maps
-(one nonzero entry per column) get a compact representation because every
-group generator acting on an induced module has that shape, and so do the
-torus and the Weyl element on a costandard module. A monomial map composed
-with a dense one, either way round, permutes and scales its rows or columns
-instead of a matrix product.
+Entries are the int codes of `towers.Codes`, 0 for zero and k + 1 for g^k,
+so one is 1 and a vector is zero exactly when `any` finds nothing in it.
+Vectors are tuples of codes; matrices are row tuples. Every routine takes
+the level's `Codes` first, and every map holds one; each sum, difference
+and product is one lookup in its tables. A canonical echelon row leads
+with a one after zeros only, so its leading index is `row.index(1)`.
+
+Monomial maps (one nonzero entry per column) get a compact representation
+because every group generator acting on an induced module has that shape,
+and so do the torus and the Weyl element on a costandard module. A
+monomial map composed with a dense one, either way round, permutes and
+scales its rows or columns instead of a matrix product.
 """
 
 from __future__ import annotations
 
-
-def vec_is_zero(v) -> bool:
-    return all(x.is_zero() for x in v)
+from .digits import ArgumentError
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def vec_add(codes, u, v):
+    add = codes.add
+    return tuple([add[a][b] for a, b in zip(u, v)])
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def vec_sub(codes, u, v):
+    sub = codes.sub
+    return tuple([sub[a][b] for a, b in zip(u, v)])
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
+def vec_scale(codes, c, v):
+    times_c = codes.mul[c]
+    return tuple([times_c[a] for a in v])
 
 
-def rref(rows):
+def rref(codes, rows):
     """Canonical reduced row echelon form; zero rows dropped. A fold of
     `rref_insert`, which keeps the rows canonical after every insert."""
     out = ()
     for row in rows:
-        out, _ = rref_insert(out, tuple(row))
+        out, _ = rref_insert(codes, out, tuple(row))
     return out
 
 
 def leading_index(row) -> int:
-    return _leading_index_from(row, 0)
+    """The index of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
 
 
-def _leading_index_from(row, start) -> int:
-    """The first index at or after start of a nonzero entry of row, or -1."""
-    for i in range(start, len(row)):
-        if not row[i].is_zero():
-            return i
-    return -1
-
-
-def reduce_vector(v, rows):
-    """Residual of v against canonical echelon rows. Their leading indices
-    strictly increase, so each row's is sought after the previous row's."""
-    out = list(v)
-    lead = -1
+def reduce_vector(codes, v, rows):
+    """Residual of v against canonical echelon rows: each row, times the
+    entry of v at its leading one, is subtracted in turn."""
+    sub, mul = codes.sub, codes.mul
     for row in rows:
-        lead = _leading_index_from(row, lead + 1)
-        if lead >= 0 and not out[lead].is_zero():
-            c = out[lead]
-            out = [a - c * b for a, b in zip(out, row)]
-    return tuple(out)
+        c = v[row.index(1)]
+        if c:
+            times_c = mul[c]
+            v = tuple([sub[a][times_c[b]] for a, b in zip(v, row)])
+    return v
 
 
-def span_contains(rows, v) -> bool:
-    return vec_is_zero(reduce_vector(v, rows))
+def span_contains(codes, rows, v) -> bool:
+    return not any(reduce_vector(codes, v, rows))
 
 
-def rref_insert(rows, v):
+def rref_insert(codes, rows, v):
     """Adjoin v to canonical rref rows, keeping them canonical.
 
     Returns (rows, residual): the residual is the normalized reduced vector
     that was inserted, or None when v was already in the span.
     """
-    w = reduce_vector(v, rows)
-    if vec_is_zero(w):
+    w = reduce_vector(codes, v, rows)
+    c = next(filter(None, w), 0)
+    if not c:
         return rows, None
-    lead = leading_index(w)
-    w = vec_scale(w[lead].inverse(), w)
+    lead = w.index(c)
+    sub, mul = codes.sub, codes.mul
+    if c != 1:
+        w = vec_scale(codes, codes.inv[c], w)
+    # w is zero at the leads of the rows: clear its lead from each row and
+    # put it before the first row that leads further right
     out = []
-    inserted = False
-    row_lead = -1
-    for row in rows:
-        if not inserted:
-            row_lead = _leading_index_from(row, row_lead + 1)
-            if row_lead > lead:
-                out.append(w)
-                inserted = True
-        c = row[lead]
-        out.append(row if c.is_zero() else vec_sub(row, vec_scale(c, w)))
-    if not inserted:
-        out.append(w)
+    at = len(rows)
+    for i, row in enumerate(rows):
+        if at > i and row.index(1) > lead:
+            at = i
+        x = row[lead]
+        if x:
+            times_x = mul[x]
+            row = tuple([sub[a][times_x[b]] for a, b in zip(row, w)])
+        out.append(row)
+    out.insert(at, w)
     return tuple(out), w
 
 
-def mat_vec(rows, v):
-    support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
-    zero = v[0] - v[0]
-    return tuple(sum((row[j] * b for j, b in support), start=zero) for row in rows)
+def mat_vec(codes, rows, v):
+    add, mul = codes.add, codes.mul
+    support = [(j, mul[b]) for j, b in enumerate(v) if b]
+    out = []
+    for row in rows:
+        acc = 0
+        for j, times_b in support:
+            acc = add[acc][times_b[row[j]]]
+        out.append(acc)
+    return tuple(out)
 
 
-def mat_mul(a, b):
-    """The matrix product a b, over the nonzero entries of a and b. Entries
-    off the first entry's level or tower (ArgumentError), or that are not
-    field elements (TypeError), are refused before any product."""
-    entries = [x for m in (a, b) for row in m for x in row]
-    if not entries:
-        return tuple(() for _ in a)
-    zero = entries[0] - entries[0]
-    if not hasattr(zero, "is_zero"):
-        raise TypeError(f"cannot multiply matrices of {type(zero).__name__}")
-    for x in set(entries):
-        zero - x  # raises for an entry off zero's field
-    b_support = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
+def mat_mul(codes, a, b):
+    """The matrix product a b, over the nonzero entries of a and b."""
+    add, mul = codes.add, codes.mul
+    b_support = [[(c, mul[y]) for c, y in enumerate(row) if y] for row in b]
+    width = len(b[0]) if b else 0
     out = []
     for row in a:
-        acc = [zero] * len(b[0])
+        acc = [0] * width
         for x, support in zip(row, b_support):
-            if not x.is_zero():
-                for c, y in support:
-                    acc[c] = acc[c] + x * y
+            if x:
+                for c, times_y in support:
+                    acc[c] = add[acc[c]][times_y[x]]
         out.append(tuple(acc))
     return tuple(out)
 
 
-def kernel(rows, ncols, one, zero):
+def kernel(codes, rows, ncols):
     """Canonical basis of the right kernel of the given matrix."""
-    red = rref(rows)
-    pivots = {}
-    lead = -1
-    for r, row in enumerate(red):
-        lead = _leading_index_from(row, lead + 1)
-        pivots[lead] = r
+    red = rref(codes, rows)
+    if len(red) == ncols:
+        return ()
+    pivots = {row.index(1): row for row in red}
+    neg = codes.neg
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [zero] * ncols
-        v[free] = one
-        for col, r in pivots.items():
-            v[col] = -red[r][free]
-        basis.append(tuple(v))
-    return rref(basis)
+        v = [0] * ncols
+        v[free] = 1
+        for col, row in pivots.items():
+            v[col] = neg[row[free]]
+        basis.append(v)
+    return rref(codes, basis)
+
+
+def _require_one_level(a, b):
+    if a.codes is not b.codes:
+        raise ArgumentError("maps over two levels or towers do not compose; "
+                            "embed the points of one of them first")
 
 
 class MonomialMap:
-    """Linear map sending basis vector j to scale[j] times basis vector perm[j]."""
+    """Linear map sending basis vector j to scale[j] times basis vector
+    perm[j]; perm is a permutation and the scales are nonzero codes."""
 
-    __slots__ = ("perm", "scale")
+    __slots__ = ("codes", "perm", "scale", "_act")
 
-    def __init__(self, perm, scale):
+    def __init__(self, codes, perm, scale):
+        self.codes = codes
         self.perm = tuple(perm)
         self.scale = tuple(scale)
+        self._act = None
 
     def apply(self, v):
-        out = [None] * len(v)
-        zero = v[0] - v[0]
-        for j in range(len(v)):
-            out[j] = zero
-        for j, x in enumerate(v):
-            if not x.is_zero():
-                i = self.perm[j]
-                out[i] = out[i] + self.scale[j] * x
-        return tuple(out)
+        # entry i of the image is scale[j] v[j] for the j with perm[j] = i;
+        # the source index and the row of products by scale[j] are kept
+        act = self._act
+        if act is None:
+            src = [0] * len(self.perm)
+            for j, i in enumerate(self.perm):
+                src[i] = j
+            mul = self.codes.mul
+            act = self._act = (src, [mul[self.scale[j]] for j in src])
+        src, rows = act
+        return tuple([r[v[j]] for r, j in zip(rows, src)])
 
     def compose(self, other):
         """self after other. After a DenseMap, the product scales and
         permutes its rows: row j lands as row perm[j], times scale[j]."""
+        _require_one_level(self, other)
         if isinstance(other, DenseMap):
             rows = [None] * len(other.rows)
             for j, (i, c) in enumerate(zip(self.perm, self.scale)):
-                rows[i] = [c * x for x in other.rows[j]]
-            return DenseMap(rows)
-        perm = tuple(self.perm[other.perm[j]] for j in range(len(other.perm)))
-        scale = tuple(
-            other.scale[j] * self.scale[other.perm[j]] for j in range(len(other.perm))
-        )
-        return MonomialMap(perm, scale)
+                rows[i] = vec_scale(self.codes, c, other.rows[j])
+            return DenseMap(self.codes, rows)
+        mul, perm, scale = self.codes.mul, self.perm, self.scale
+        return MonomialMap(self.codes, [perm[i] for i in other.perm],
+                           [mul[c][scale[i]] for c, i in zip(other.scale, other.perm)])
 
     def transpose(self):
-        perm, scale = [0] * len(self.perm), [None] * len(self.perm)
+        perm, scale = [0] * len(self.perm), [0] * len(self.perm)
         for j, i in enumerate(self.perm):
             perm[i], scale[i] = j, self.scale[j]
-        return MonomialMap(perm, scale)
+        return MonomialMap(self.codes, perm, scale)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
             return NotImplemented
-        return (self.perm, self.scale) == (other.perm, other.scale)
+        return (self.codes is other.codes and self.perm == other.perm
+                and self.scale == other.scale)
 
 
 class DenseMap:
     """Plain matrix action, row-major, columns indexed by source basis."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("codes", "rows")
 
-    def __init__(self, rows):
+    def __init__(self, codes, rows):
+        self.codes = codes
         self.rows = tuple(tuple(r) for r in rows)
 
     def apply(self, v):
-        return mat_vec(self.rows, v)
+        return mat_vec(self.codes, self.rows, v)
 
     def compose(self, other):
         """self after other. Before a MonomialMap, the product scales and
         permutes the columns: column j is column perm[j] times scale[j]."""
+        _require_one_level(self, other)
         if isinstance(other, MonomialMap):
-            cols = tuple(zip(other.perm, other.scale))
-            return DenseMap([[row[i] * c for i, c in cols] for row in self.rows])
-        return DenseMap(mat_mul(self.rows, other.rows))
+            cols = [(i, self.codes.mul[c]) for i, c in zip(other.perm, other.scale)]
+            return DenseMap(self.codes, ([times_c[row[i]] for i, times_c in cols]
+                                         for row in self.rows))
+        return DenseMap(self.codes, mat_mul(self.codes, self.rows, other.rows))
 
     def transpose(self):
-        return DenseMap(zip(*self.rows))
+        return DenseMap(self.codes, zip(*self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, DenseMap):
             return NotImplemented
-        return self.rows == other.rows
+        return self.codes is other.codes and self.rows == other.rows

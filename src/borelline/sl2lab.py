@@ -7,6 +7,13 @@ about socles, heads, irreducibility, and the transition to higher levels is
 checked here by exact linear algebra: spinning vectors, intersecting fixed
 spaces, and splitting by idempotents in the endomorphism ring.
 
+The maps, vectors and subspaces hold the int codes of the module's
+coefficient level (`towers.Codes`), and `linalg` computes on them.
+FieldElements are the edge: group points and character values, the
+vectors `spin` and `Subspace.contains` take, and the vectors handed out,
+which are `Subspace.rows`, the lines `b_stable_lines` yields, witnesses and
+`line_sum_vector`. Each is coded or decoded once, where it crosses.
+
 Conventions: eps(t) is the upper unipotent, h(u) the diagonal torus, s the
 standard Weyl representative with s^2 = h(-1). The s-action on the cell
 basis is written in closed form, s . cell(t) = theta(-t) cell(-1/t), and
@@ -50,45 +57,44 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Canonical reduced-echelon basis of a subspace of a module."""
+    """Canonical reduced-echelon basis of a subspace of a module, as a
+    tuple of code rows; `rows` decodes them to FieldElements on first read."""
 
     module: object
-    rows: tuple[tuple, ...]
+    code_rows: tuple[tuple, ...]
+
+    @cached_property
+    def rows(self):
+        return tuple(map(self.module.codes.decode, self.code_rows))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.code_rows)
 
     def contains(self, vec) -> bool:
-        return span_contains(self.rows, vec)
+        codes = self.module.codes
+        return span_contains(codes, self.code_rows, codes.encode(vec))
 
     def __le__(self, other) -> bool:
-        return all(other.contains(r) for r in self.rows)
+        codes = self.module.codes
+        return all(span_contains(codes, other.code_rows, r) for r in self.code_rows)
 
 
 class _SL2Module:
     """What both module kinds share: one field, at `coeff_level`, holding
     both the vector coordinates and the points of the actions eps(x), h(u),
     s() of SL_2, as maps with `apply`, `compose` and `==`, checked by
-    `_check_relations`.
+    `_check_relations`. `codes` is that level's `towers.Codes`: the maps'
+    entries and every vector inside the module are its codes.
 
     Each call of eps, h or s builds a new map. The generators and M^U are
     built once per module instance, on first use, and every spin, stability
     check and census of the module reads them; a dual is its own instance,
     with its own."""
 
-    def zero_scalar(self):
-        return self.tower.zero(self.coeff_level)
-
-    def one_scalar(self):
-        return self.tower.one(self.coeff_level)
-
-    def zero_vector(self):
-        return (self.zero_scalar(),) * self.dim
-
     def unit_vector(self, i):
-        z, o = self.zero_scalar(), self.one_scalar()
-        return tuple(o if j == i else z for j in range(self.dim))
+        """The i-th basis vector, in codes."""
+        return (0,) * i + (1,) + (0,) * (self.dim - i - 1)
 
     @cached_property
     def generators(self):
@@ -101,8 +107,9 @@ class _SL2Module:
 
     @cached_property
     def u_fixed_rows(self):
-        """The canonical rows of M^U: the fixed space of the eps generators."""
-        return fixed_subspace(self, self.generators[:-2]).rows
+        """The canonical code rows of M^U: the fixed space of the eps
+        generators."""
+        return fixed_subspace(self, self.generators[:-2]).code_rows
 
     def dual(self):
         return _Dual(self)
@@ -205,6 +212,9 @@ class InducedModule(_SL2Module):
 
     An `_SL2Module` with monomial actions over the one field F_q at level a:
     the group, the character values and the coordinates all live there.
+    The cells come in the order of the codes of their labels: cell(t) has
+    index 1 + code(t), so the maps' permutations are rows of the code
+    tables shifted by one.
     """
 
     def __init__(self, p, a, theta: TruncatedCharacter):
@@ -221,17 +231,19 @@ class InducedModule(_SL2Module):
             )
         self.m = theta.residue(a)
         self.tower = make_tower(p)
+        self.codes = codes = self.tower.codes(a)
         self.dim = self.q + 1
-        self.labels = tuple(self.tower.enumerate_elements(a))
-        self._index = {e.coords: i + 1 for i, e in enumerate(self.labels)}
+        # the code of theta(u) = u^m at the code of u
+        units = self.q - 1
+        self._theta = [0] + [k * self.m % units + 1 for k in range(units)]
         self._check_relations()
 
-    # index 0 is the stable line; 1 + i(t) is the cell eps(t) s line
+    # index 0 is the stable line; 1 + code(t) is the cell eps(t) s line
 
     def cell_index(self, t) -> int:
         if t.level != self.a:
             raise ArgumentError("cell labels live at the group level")
-        return self._index[t.coords]
+        return 1 + self.codes.code(t)
 
     def theta_value(self, u):
         """theta(h(u)) = u^m."""
@@ -239,37 +251,26 @@ class InducedModule(_SL2Module):
 
     def eps(self, x) -> MonomialMap:
         """Upper unipotent: fixes the line, translates the cells."""
-        perm = [0] * self.dim
-        for t in self.labels:
-            perm[self.cell_index(t)] = self.cell_index(x + t)
-        return MonomialMap(perm, [self.one_scalar()] * self.dim)
+        shift = self.codes.add[self.codes.code(x)]
+        return MonomialMap(self.codes, [0] + [1 + c for c in shift], [1] * self.dim)
 
     def h(self, u) -> MonomialMap:
         """Torus: scales the line by theta(u), rescales and squeezes cells."""
         if u.is_zero():
             raise ArgumentError("torus points are invertible")
-        perm = [0] * self.dim
-        scale = [self.theta_value(u)] * self.dim
-        u_inv_theta = self.theta_value(u.inverse())
-        u2 = u * u
-        for t in self.labels:
-            perm[self.cell_index(t)] = self.cell_index(u2 * t)
-            scale[self.cell_index(t)] = u_inv_theta
-        return MonomialMap(perm, scale)
+        codes, c = self.codes, self.codes.code(u)
+        squeeze = codes.mul[codes.mul[c][c]]
+        return MonomialMap(codes, [0] + [1 + t for t in squeeze],
+                           [self._theta[c]] + [self._theta[codes.inv[c]]] * self.q)
 
     def s(self) -> MonomialMap:
         """Swaps the line and the cell at 0: s . line = cell(0),
         s . cell(0) = theta(-1) line, and s . cell(t) = theta(-t) cell(-1/t)
         for t != 0."""
-        perm, scale = [0] * self.dim, [self.one_scalar()] * self.dim
-        base_cell = self.cell_index(self.tower.zero(self.a))
-        perm[0] = base_cell
-        perm[base_cell], scale[base_cell] = 0, self.theta_value(-self.tower.one(self.a))
-        for t in self.labels:
-            if not t.is_zero():
-                j = self.cell_index(t)
-                perm[j], scale[j] = self.cell_index(-t.inverse()), self.theta_value(-t)
-        return MonomialMap(perm, scale)
+        neg, inv, theta = self.codes.neg, self.codes.inv, self._theta
+        units = range(1, self.q)
+        return MonomialMap(self.codes, [1, 0] + [1 + neg[inv[t]] for t in units],
+                           [1, theta[neg[1]]] + [theta[neg[t]] for t in units])
 
     def line_sum_vector(self, subfield_level=None):
         """sum over u in the chosen subfield of u . s . line, one cell each."""
@@ -277,13 +278,12 @@ class InducedModule(_SL2Module):
             subfield_level = self.a
         if subfield_level > self.a:
             raise ArgumentError("subfield level exceeds the group level")
-        vec = list(self.zero_vector())
-        one = self.one_scalar()
+        vec = [0] * self.dim
+        plus_one = [row[1] for row in self.codes.add]
         for x in self.tower.enumerate_elements(subfield_level):
-            t = x.embed(self.a)
-            i = self.cell_index(t)
-            vec[i] = vec[i] + one
-        return tuple(vec)
+            i = self.cell_index(x.embed(self.a))
+            vec[i] = plus_one[vec[i]]
+        return self.codes.decode(vec)
 
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
@@ -299,7 +299,7 @@ class InducedModule(_SL2Module):
         if any(e.apply(line) != line for e in eps_b):
             raise RelationError("eps must fix the stable line")
         g = self.tower.multiplicative_generator(self.a)
-        if h_g.apply(line) != vec_scale(self.theta_value(g), line):
+        if h_g.apply(line) != vec_scale(self.codes, self.codes.code(self.theta_value(g)), line):
             raise RelationError("h must scale the line by theta")
         super()._check_relations()
 
@@ -313,7 +313,8 @@ def trivial_character(p, level) -> TruncatedCharacter:
 
 def spin(module, vec) -> Subspace:
     """Smallest generator-stable subspace containing vec."""
-    basis, first = rref_insert((), vec)
+    codes = module.codes
+    basis, first = rref_insert(codes, (), codes.encode(vec))
     if first is None:
         return Subspace(module, ())
     gens = module.generators
@@ -321,7 +322,7 @@ def spin(module, vec) -> Subspace:
     while queue and len(basis) < module.dim:
         v = queue.pop()
         for g in gens:
-            basis, residual = rref_insert(basis, g.apply(v))
+            basis, residual = rref_insert(codes, basis, g.apply(v))
             if residual is not None:
                 queue.append(residual)
     return Subspace(module, basis)
@@ -329,42 +330,42 @@ def spin(module, vec) -> Subspace:
 
 def fixed_subspace(module, maps) -> Subspace:
     """Common fixed space of the maps: the kernel of the stacked g - 1."""
+    codes = module.codes
     units = [module.unit_vector(i) for i in range(module.dim)]
     rows = []
     for g in maps:
-        images = [vec_sub(g.apply(e), e) for e in units]
+        images = [vec_sub(codes, g.apply(e), e) for e in units]
         rows.extend(zip(*images))
-    return Subspace(module, kernel(rows, module.dim, module.one_scalar(), module.zero_scalar()))
+    return Subspace(module, kernel(codes, rows, module.dim))
 
 
-def _combinations(module, coeffs, rows):
+def _combinations(codes, coeffs, rows):
     """Canonical rows of the span of the sums of c_i rows[i], c over coeffs."""
     vecs = []
     for c in coeffs:
-        v = module.zero_vector()
+        v = (0,) * len(rows[0])
         for ci, r in zip(c, rows):
-            if not ci.is_zero():
-                v = vec_add(v, vec_scale(ci, r))
+            if ci:
+                v = vec_add(codes, v, vec_scale(codes, ci, r))
         vecs.append(v)
-    return rref(vecs)
+    return rref(codes, vecs)
 
 
 def _projective_vectors(module, rows):
-    """One representative per line of the span of rows: the coefficient of
-    the leading row is pinned to one, later rows range over the field as
-    0, 1, g, g^2, ..., g a generator of its units, so the lines near the
-    leading row (coefficient 1 among them) come first."""
-    level = module.coeff_level
-    g = module.tower.multiplicative_generator(level)
-    field = [module.zero_scalar()] + [g ** k for k in range(module.tower.order(level) - 1)]
+    """One representative per line of the span of code rows: the
+    coefficient of the leading row is pinned to one, later rows range over
+    the field in code order, 0, 1, g, g^2, ..., g a generator of its units,
+    so the lines near the leading row (coefficient 1 among them) come
+    first."""
+    codes = module.codes
     k = len(rows)
 
     def walk(prefix, idx):
         if idx == k:
             yield prefix
             return
-        for c in field:
-            nxt = prefix if c.is_zero() else vec_add(prefix, vec_scale(c, rows[idx]))
+        for c in range(codes.q):
+            nxt = vec_add(codes, prefix, vec_scale(codes, c, rows[idx])) if c else prefix
             yield from walk(nxt, idx + 1)
 
     for lead in range(k):
@@ -387,27 +388,29 @@ def b_stable_lines(module, within: Subspace | None = None):
     eigenspaces are kernels of that matrix. `within` must therefore be
     T-stable: an image outside the span raises PreconditionError.
     """
-    tower, level = module.tower, module.coeff_level
-    zero, one = module.zero_scalar(), module.one_scalar()
+    codes = module.codes
     rows = module.u_fixed_rows
     if within is not None:
-        residuals = [reduce_vector(r, within.rows) for r in rows]
-        coeffs = kernel(zip(*residuals), len(rows), one, zero)
-        rows = _combinations(module, coeffs, rows)
+        residuals = [reduce_vector(codes, r, within.code_rows) for r in rows]
+        coeffs = kernel(codes, zip(*residuals), len(rows))
+        rows = _combinations(codes, coeffs, rows)
     d = len(rows)
     pivots = [leading_index(r) for r in rows]
     hg = module.generators[-2]
     images = [hg.apply(r) for r in rows]
-    if not all(span_contains(rows, v) for v in images):
+    if not all(span_contains(codes, rows, v) for v in images):
         raise PreconditionError("h(g) does not keep the U-fixed vectors of the subspace")
     # column i holds the coordinates of h(g) rows[i] on the rows
     matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
-    for lam in tower.enumerate_elements(level):
+    for lam in module.tower.enumerate_elements(module.coeff_level):
         if not lam.is_zero():
-            shifted = [[x - lam if i == j else x for i, x in enumerate(row)]
+            c = codes.code(lam)
+            shifted = [[codes.sub[x][c] if i == j else x for i, x in enumerate(row)]
                        for j, row in enumerate(matrix)]
-            eigen = kernel(shifted, d, one, zero)
-            yield from _projective_vectors(module, _combinations(module, eigen, rows))
+            eigen = kernel(codes, shifted, d)
+            if eigen:
+                lines = _projective_vectors(module, _combinations(codes, eigen, rows))
+                yield from map(codes.decode, lines)
 
 
 @dataclass(frozen=True)
@@ -424,7 +427,9 @@ class IrreducibilityVerdict:
 
 
 def _is_stable(module, sub: Subspace) -> bool:
-    return all(sub.contains(g.apply(r)) for g in module.generators for r in sub.rows)
+    rows = sub.code_rows
+    return all(span_contains(module.codes, rows, g.apply(r))
+               for g in module.generators for r in rows)
 
 
 def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVerdict:
@@ -435,7 +440,7 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
     if subspace is not None and not _is_stable(module, subspace):
         raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else Subspace(
-        module, rref([module.unit_vector(i) for i in range(module.dim)])
+        module, rref(module.codes, [module.unit_vector(i) for i in range(module.dim)])
     )
     if target.dim == 0:
         return IrreducibilityVerdict(False, 0)
@@ -494,8 +499,7 @@ def socle_head_report(module) -> SocleHeadReport:
     whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
 
     def annihilator(sub):
-        zero, one = module.zero_scalar(), module.one_scalar()
-        return Subspace(module, kernel(sub.rows, module.dim, one, zero))
+        return Subspace(module, kernel(module.codes, sub.code_rows, module.dim))
 
     maximal = annihilator(dual_socle) if dual_miss is None else None
     return SocleHeadReport(
@@ -594,40 +598,46 @@ class CostandardModule(_SL2Module):
         self.p = p
         self.coeff_level = coeff_level
         self.tower = make_tower(p)
+        self.codes = codes = self.tower.codes(coeff_level)
         self.dim = n + 1
-        self._binom = tuple(tuple(lucas_row(i, p, self.dim)) for i in range(self.dim))
+        # the codes of binom(i, j) mod p
+        self._binom = tuple(
+            tuple(codes.code(self.tower.scalar(b, coeff_level)) for b in lucas_row(i, p, self.dim))
+            for i in range(self.dim))
         self._check_relations()
 
     def eps(self, t) -> DenseMap:
-        zero = self.zero_scalar()
-        powers = [self.one_scalar()]
+        mul = self.codes.mul
+        powers = [1]
+        times_t = mul[self.codes.code(t)]
         for _ in range(self.n):
-            powers.append(powers[-1] * t)
-        rows = [[zero] * self.dim for _ in range(self.dim)]
+            powers.append(times_t[powers[-1]])
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1):
                 b = self._binom[i][j]
                 if b:
-                    rows[j][i] = self.tower.scalar(b, self.coeff_level) * powers[i - j]
-        return DenseMap(rows)
+                    rows[j][i] = mul[b][powers[i - j]]
+        return DenseMap(self.codes, rows)
 
     def h(self, u) -> MonomialMap:
         """Diagonal: v_i is scaled by u^(n - 2i)."""
         if u.is_zero():
             raise ArgumentError("torus points are invertible")
-        return MonomialMap(range(self.dim), (u ** (self.n - 2 * i) for i in range(self.dim)))
+        return MonomialMap(self.codes, range(self.dim),
+                           self.codes.encode(u ** (self.n - 2 * i) for i in range(self.dim)))
 
     def s(self) -> MonomialMap:
         """Signed antidiagonal: v_i goes to (-1)^(n - i) v_(n - i)."""
-        one = self.one_scalar()
-        return MonomialMap((self.n - i for i in range(self.dim)),
-                           (one if (self.n - i) % 2 == 0 else -one for i in range(self.dim)))
+        minus_one = self.codes.neg[1]
+        return MonomialMap(self.codes, (self.n - i for i in range(self.dim)),
+                           (1 if (self.n - i) % 2 == 0 else minus_one for i in range(self.dim)))
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:
     """Span of the v_i with binom(n, i) nonzero mod p; checked stable."""
     rows = [cm.unit_vector(i) for i, b in enumerate(lucas_row(cm.n, cm.p, cm.dim)) if b]
-    sub = Subspace(cm, rref(rows))
+    sub = Subspace(cm, rref(cm.codes, rows))
     if not _is_stable(cm, sub):
         raise RelationError("digit span is not a submodule")
     return sub
@@ -662,17 +672,16 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     m_t = theta.residue(t)
     cm = CostandardModule(m_t, p, coeff_level=t)
     top = cm.unit_vector(m_t)
-    total = cm.zero_vector()
+    total = (0,) * cm.dim
     for a in cm.tower.enumerate_elements(r):
-        total = vec_add(total, cm.eps(a.embed(t)).apply(top))
+        total = vec_add(cm.codes, total, cm.eps(a.embed(t)).apply(top))
     qr = field_order(p, r)
     closed = [0] * cm.dim
     for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
         closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p
-    closed_vec = tuple(cm.tower.scalar(c, t) for c in closed)
-    if closed_vec != total:
+    if cm.codes.encode(cm.tower.scalar(c, t) for c in closed) != total:
         raise RelationError("closed form and direct summation disagree")
-    nonzero = tuple(i for i, c in enumerate(total) if not c.is_zero())
+    nonzero = tuple(i for i, c in enumerate(total) if c)
     return PiImageRecord(nonzero, m_t)
 
 
@@ -724,33 +733,35 @@ class HeckeOperators:
                 "character trivial at this level"
             )
         self.module = module
+        codes = module.codes
         # t_s sends the line to the sum of all cells and is extended to the
         # cell eps(t) s line by equivariance under eps(t) s; eps(t) fixes the
         # line and sends cell(u) to cell(u + t) with scale one, so that column
         # is s_image translated: its coordinate at cell(w) is s_image's at
-        # cell(w - t)
-        image_of_line = module.line_sum_vector()
+        # cell(w - t), and w - t = -(t - w)
+        image_of_line = codes.encode(module.line_sum_vector())
         s_image = module.generators[-1].apply(image_of_line)
-        cell = module.cell_index
+        at_minus = [s_image[1 + c] for c in codes.neg]
         cols = [image_of_line] + [
-            (s_image[0],) + tuple(s_image[cell(w - t)] for w in module.labels)
-            for t in module.labels
+            (s_image[0],) + tuple(map(at_minus.__getitem__, codes.sub[t]))
+            for t in range(module.q)
         ]
         self._cols = tuple(cols)
         self.t_s_rows = tuple(zip(*cols))
-        t_s = DenseMap(self.t_s_rows)
+        t_s = DenseMap(codes, self.t_s_rows)
         for g in module.generators:
             if t_s.compose(g) != g.compose(t_s):
                 raise RelationError("the cell-averaging operator is not equivariant")
-        if t_s.apply(image_of_line) != vec_scale(-module.one_scalar(), image_of_line):
+        if t_s.apply(image_of_line) != vec_scale(codes, codes.neg[1], image_of_line):
             raise RelationError("the Hecke relation t_s^2 = -t_s fails")
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the
         columns e_j + t_s e_j, and that of the columns of t_s."""
-        units = (self.module.unit_vector(j) for j in range(self.module.dim))
-        y_full = Subspace(self.module, rref(map(vec_add, units, self._cols)))
-        y_empty = Subspace(self.module, rref(self._cols))
+        module, codes = self.module, self.module.codes
+        units = (module.unit_vector(j) for j in range(module.dim))
+        y_full = Subspace(module, rref(codes, (vec_add(codes, e, c) for e, c in zip(units, self._cols))))
+        y_empty = Subspace(module, rref(codes, self._cols))
         if y_full.dim + y_empty.dim != self.module.dim:
             raise RelationError("projector images do not decompose the module")
         return y_full, y_empty

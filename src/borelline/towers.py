@@ -18,6 +18,15 @@ other's level. Nothing of a level is built before its first use: then f_n
 is searched and the tables are built from q - 1 products by the generator
 on the polynomial route (`polyfp` multiplication modulo f_n), which builds
 the tables and nothing else.
+
+Int codes. Exact linear algebra does not run on FieldElements: it codes
+each element of a level as an int, 0 for zero and k + 1 for g^k, and reads
+every sum, difference and product off the level's `Codes`, its q x q
+tables. `FieldTower.codes(level)` builds them from the level's antilog and
+Zech tables on its first call, with list slices and maps and no polynomial
+product: q^2 entries per table, 4 096 at q = 64 and 531 441 at q = 729, the
+largest field a module can reach (a costandard module with n <= 3 at
+p = 3, level 3), where the three tables take about 13 MB.
 """
 
 from __future__ import annotations
@@ -65,7 +74,50 @@ class _Level:
     twice so that differences of logs index it directly.
     """
 
-    __slots__ = ("degree", "units", "neg", "exp", "zech", "zero", "by_coords")
+    __slots__ = ("degree", "units", "neg", "exp", "zech", "zero", "by_coords", "codes")
+
+
+class Codes:
+    """The int codes of one level: 0 for zero and k + 1 for g^k.
+
+    `mul`, `add` and `sub` are q x q tables, indexed [a][b] by two codes;
+    `neg` and `inv` are rows of q codes, with inv[0] = 0 standing in for the
+    inverse zero lacks. `elements[c]` is the FieldElement of code c, so the
+    units come in the order 1, g, g^2, ... and one has code 1.
+    """
+
+    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "elements", "_code")
+
+    def __init__(self, f):
+        units = f.units
+        cyc = list(range(1, units + 1)) * 2      # cyc[i] is the code of g^i
+        self.q = q = units + 1
+        self.mul = mul = [[0] * q] + [[0] + cyc[k:k + units] for k in range(units)]
+        self.neg = neg = [0] + cyc[f.neg:f.neg + units]
+        self.inv = [0] + [cyc[units - k] for k in range(units)]
+        # g^k + g^j = g^k (1 + g^(j - k)), and 1 + g^d has code one_plus[d]
+        one_plus = [z + 1 if z >= 0 else 0 for z in f.zech[:units]] * 2
+        self.add = add = [list(range(q))] + [
+            [a] + list(map(mul[a].__getitem__, one_plus[units - a + 1:2 * units - a + 1]))
+            for a in range(1, q)]
+        self.sub = [list(map(row.__getitem__, neg)) for row in add]
+        self.elements = (f.zero,) + tuple(f.exp[:units])
+        self._code = {x: c for c, x in enumerate(self.elements)}
+
+    def code(self, x) -> int:
+        """The code of a FieldElement of this level; anything else is
+        refused as `+ - *` refuse it."""
+        c = self._code.get(x) if isinstance(x, FieldElement) else None
+        if c is None:
+            raise _mismatch(self.elements[0], x)
+        return c
+
+    def encode(self, vec):
+        """The codes of a vector of FieldElements of this level."""
+        return tuple(map(self.code, vec))
+
+    def decode(self, vec):
+        return tuple(map(self.elements.__getitem__, vec))
 
 
 class FieldElement:
@@ -235,6 +287,7 @@ class FieldTower:
         f.by_coords[f.zero.coords] = f.zero
         zech = [log.get(((c[0] + 1) % self.p,) + c[1:], -units) for c in powers]
         f.zech = zech + zech
+        f.codes = None
         return f
 
     # -- coordinate kernels ----------------------------------------------
@@ -269,6 +322,13 @@ class FieldTower:
             f = self._polys[level] = polyfp.least_irreducible(self.p, d, primitive=True)
             self._mul_cache[level] = {}
         return f
+
+    def codes(self, level) -> Codes:
+        """The int codes of the level, built on the first call."""
+        f = self._tables(level)
+        if f.codes is None:
+            f.codes = Codes(f)
+        return f.codes
 
     def zero(self, level):
         return self._tables(level).zero

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from borelline import __version__, cli, digits
+from borelline import __version__, cli, digits, towers
 from borelline.characters import RationalPower, truncate
 from borelline.cli import main
 from borelline.digits import ArgumentError
@@ -271,6 +271,42 @@ def test_lab_refusals_build_no_tower(capsys, p, a):
     code, out, _ = run_cli(capsys, "lab", "--p", str(p), "--a", str(a), "--power", "1")
     assert (code, out) == (3, "")
     assert make_tower.cache_info() == before
+
+
+@pytest.fixture
+def code_table_builds(monkeypatch):
+    """A list whose length counts the code tables built from now on."""
+    builds = []
+
+    class Counting(towers.Codes):
+        __slots__ = ()
+
+        def __init__(self, level):
+            builds.append(None)
+            super().__init__(level)
+
+    monkeypatch.setattr(towers, "Codes", Counting)
+    return builds
+
+
+@pytest.mark.parametrize("argv, doc, code, builds", (
+    (("classify", "--p", "3"), {"cartan": [[2, -1], [-1, 2]], "restrictions": {
+        "1": {"kind": "rational", "lambda": 1}, "2": {"kind": "rational", "lambda": 2}}}, 0, 0),
+    (("char-inspect", "--p", "3", "--level", "2"), {"kind": "rational", "lambda": 5}, 0, 0),
+    (("lab", "--p", "67", "--a", "1", "--power", "1"), None, 3, 0),
+    (("lab", "--p", "11", "--a", "2", "--power", "1"), None, 3, 0),
+    (("lab", "--p", "2", "--a", "2", "--power", "1"), None, 0, 1),
+), ids=("classify", "char-inspect", "lab-67-1", "lab-11-2", "lab-2-2"))
+def test_only_a_module_builds_a_code_table(tmp_path, capsys, fresh_caches, code_table_builds,
+                                           argv, doc, code, builds):
+    # the code tables serve linear algebra alone: a request that builds no
+    # module builds none, and a module builds the one of its level
+    if doc is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = (argv[0], str(path), *argv[1:])
+    assert run_cli(capsys, *argv)[0] == code
+    assert len(code_table_builds) == builds
 
 
 def test_lab_level_past_tower_cap_exits_before_truncating(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import element_route as ref
 from borelline.linalg import (
     DenseMap,
     MonomialMap,
@@ -22,37 +23,39 @@ from borelline.digits import ArgumentError
 from borelline.towers import make_tower
 
 
-def field(p=3):
-    return make_tower(p)
+def field(p=3, level=1):
+    return make_tower(p).codes(level)
 
 
-def fe(t, *vals):
-    return tuple(t.scalar(v, 1) for v in vals)
+def cv(F, *vals):
+    """The codes of the prime-field scalars vals."""
+    t = F.elements[0].tower
+    return F.encode(t.scalar(v, F.elements[0].level) for v in vals)
 
 
 def test_rref_is_canonical():
-    t = field()
-    rows = [fe(t, 1, 2, 0), fe(t, 2, 1, 1), fe(t, 0, 0, 2)]
-    r1 = rref(rows)
-    r2 = rref(list(reversed(rows)))
+    F = field()
+    rows = [cv(F, 1, 2, 0), cv(F, 2, 1, 1), cv(F, 0, 0, 2)]
+    r1 = rref(F, rows)
+    r2 = rref(F, list(reversed(rows)))
     assert r1 == r2
     for row in r1:
         lead = leading_index(row)
-        assert row[lead] == t.one(1)
+        assert row[lead] == 1
         for other in r1:
             if other is not row:
-                assert other[lead].is_zero()
+                assert other[lead] == 0
 
 
 def test_rref_drops_zero_rows():
-    t = field()
-    rows = [fe(t, 1, 1), fe(t, 2, 2), fe(t, 0, 0)]
-    assert len(rref(rows)) == 1
+    F = field()
+    rows = [cv(F, 1, 1), cv(F, 2, 2), cv(F, 0, 0)]
+    assert len(rref(F, rows)) == 1
 
 
 def _gauss_jordan(rows):
     """Reference reduced row echelon form: the classic Gauss-Jordan loop,
-    one pivot column at a time, zero rows dropped."""
+    one pivot column at a time, zero rows dropped, on FieldElements."""
     mat = [list(r) for r in rows]
     m = len(mat)
     if m == 0:
@@ -93,7 +96,7 @@ def _random_matrix(rng, elems, m, n):
     rows[rng.randrange(m)] = (zero,) * n
     if m > 1:
         c = rng.choice(elems[1:])
-        rows[rng.randrange(m)] = vec_scale(c, rows[rng.randrange(m)])
+        rows[rng.randrange(m)] = ref.vec_scale(c, rows[rng.randrange(m)])
         rows.append(rows[rng.randrange(m)])
     rng.shuffle(rows)
     return rows
@@ -101,123 +104,118 @@ def _random_matrix(rng, elems, m, n):
 
 @pytest.mark.parametrize("p, level", FIELDS)
 def test_rref_matches_gauss_jordan(p, level):
+    # the coded rref and kernel against Gauss-Jordan and the reference
+    # route, both on FieldElements
     t = make_tower(p)
+    F = t.codes(level)
     elems = list(t.enumerate_elements(level))
     assert elems[0].is_zero()
     one, zero = t.one(level), t.zero(level)
     rng = random.Random(10 * p + level)
-    assert rref([]) == _gauss_jordan([]) == ()
+    assert rref(F, []) == _gauss_jordan([]) == ()
     for m, n in SHAPES:
         for _ in range(6):
             rows = _random_matrix(rng, elems, m, n)
-            red = rref(rows)
-            assert red == _gauss_jordan(rows)
-            basis = kernel(rows, n, one, zero)
+            codes = [F.encode(row) for row in rows]
+            red = rref(F, codes)
+            assert tuple(map(F.decode, red)) == _gauss_jordan(rows) == ref.rref(rows)
+            basis = kernel(F, codes, n)
+            assert tuple(map(F.decode, basis)) == ref.kernel(rows, n, one, zero)
             assert len(basis) == n - len(red)
-            assert rref(basis) == basis
+            assert rref(F, basis) == basis
             for row in rows:
-                for k in basis:
+                for k in map(F.decode, basis):
                     dot = sum((a * b for a, b in zip(row, k)), start=zero)
                     assert dot.is_zero()
 
 
 def test_rref_insert_matches_batch_rref():
-    t = field()
+    F = field()
     rng = random.Random(4)
-    vectors = [fe(t, *[rng.randrange(3) for _ in range(5)]) for _ in range(12)]
+    vectors = [cv(F, *[rng.randrange(3) for _ in range(5)]) for _ in range(12)]
     incremental = ()
     for v in vectors:
-        incremental, _ = rref_insert(incremental, v)
-    assert incremental == rref(vectors)
+        incremental, _ = rref_insert(F, incremental, v)
+    assert incremental == rref(F, vectors)
 
 
 def test_rref_insert_reports_residual():
-    t = field()
-    rows, first = rref_insert((), fe(t, 0, 2, 1))
+    F = field()
+    rows, first = rref_insert(F, (), cv(F, 0, 2, 1))
     assert first is not None
     assert leading_index(first) == 1
-    again, residual = rref_insert(rows, fe(t, 0, 1, 2))
+    again, residual = rref_insert(F, rows, cv(F, 0, 1, 2))
     assert residual is None
     assert again == rows
 
 
 def test_reduce_and_span():
-    t = field()
-    rows = rref([fe(t, 1, 0, 1), fe(t, 0, 1, 1)])
-    assert span_contains(rows, fe(t, 1, 1, 2))
-    assert not span_contains(rows, fe(t, 1, 1, 0))
-    residual = reduce_vector(fe(t, 1, 1, 0), rows)
+    F = field()
+    rows = rref(F, [cv(F, 1, 0, 1), cv(F, 0, 1, 1)])
+    assert span_contains(F, rows, cv(F, 1, 1, 2))
+    assert not span_contains(F, rows, cv(F, 1, 1, 0))
+    residual = reduce_vector(F, cv(F, 1, 1, 0), rows)
     assert leading_index(residual) == 2
+    assert F.decode(residual) == ref.reduce_vector(F.decode(cv(F, 1, 1, 0)),
+                                                   tuple(map(F.decode, rows)))
 
 
 def test_kernel_solves_homogeneous_system():
-    t = field()
-    rows = [fe(t, 1, 1, 0), fe(t, 0, 1, 1)]
-    basis = kernel(rows, 3, t.one(1), t.zero(1))
+    F = field()
+    t = make_tower(3)
+    rows = [cv(F, 1, 1, 0), cv(F, 0, 1, 1)]
+    basis = kernel(F, rows, 3)
     assert len(basis) == 1
     for row in rows:
-        dot = sum((a * b for a, b in zip(row, basis[0])), start=t.zero(1))
+        dot = sum((a * b for a, b in zip(F.decode(row), F.decode(basis[0]))), start=t.zero(1))
         assert dot.is_zero()
 
 
 def test_kernel_of_identity_is_trivial():
-    t = field()
-    rows = [fe(t, 1, 0), fe(t, 0, 1)]
-    assert kernel(rows, 2, t.one(1), t.zero(1)) == ()
+    F = field()
+    rows = [cv(F, 1, 0), cv(F, 0, 1)]
+    assert kernel(F, rows, 2) == ()
 
 
 def test_monomial_apply_and_compose():
-    t = field()
-    two = t.scalar(2, 1)
-    one = t.one(1)
-    a = MonomialMap((1, 2, 0), (one, two, one))
-    b = MonomialMap((2, 0, 1), (two, one, one))
-    v = fe(t, 1, 1, 0)
+    F = field()
+    two = cv(F, 2)[0]
+    a = MonomialMap(F, (1, 2, 0), (1, two, 1))
+    b = MonomialMap(F, (2, 0, 1), (two, 1, 1))
+    v = cv(F, 1, 1, 0)
     assert a.compose(b).apply(v) == a.apply(b.apply(v))
     assert b.compose(a).apply(v) == b.apply(a.apply(v))
+    assert F.decode(a.apply(v)) == ref.apply(a, F.decode(v))
 
 
 def test_monomial_and_dense_maps_agree_through_apply():
-    t = field()
-    two = t.scalar(2, 1)
-    mono = MonomialMap((2, 0, 1), (two, t.one(1), two))
+    F = field()
+    two = cv(F, 2)[0]
+    mono = MonomialMap(F, (2, 0, 1), (two, 1, two))
     # the dense matrix read off column by column from the images of unit vectors
-    cols = [mono.apply(fe(t, *(int(i == j) for i in range(3)))) for j in range(3)]
-    dense = DenseMap(zip(*cols))
-    other = MonomialMap((1, 2, 0), (t.one(1), two, two))
-    v = fe(t, 2, 0, 1)
+    cols = [mono.apply(cv(F, *(int(i == j) for i in range(3)))) for j in range(3)]
+    dense = DenseMap(F, zip(*cols))
+    other = MonomialMap(F, (1, 2, 0), (1, two, two))
+    v = cv(F, 2, 0, 1)
     assert dense.apply(v) == mono.apply(v)
     assert dense.apply(other.apply(v)) == mono.compose(other).apply(v)
+    assert F.decode(dense.apply(v)) == ref.apply(dense, F.decode(v))
 
 
 def test_mat_mul_matches_composition():
-    t = field()
-    a = (fe(t, 0, 1), fe(t, 2, 0))
-    b = (fe(t, 2, 0), fe(t, 0, 2))
-    v = fe(t, 1, 2)
-    assert mat_vec(mat_mul(a, b), v) == mat_vec(a, mat_vec(b, v))
+    F = field()
+    a = (cv(F, 0, 1), cv(F, 2, 0))
+    b = (cv(F, 2, 0), cv(F, 0, 2))
+    v = cv(F, 1, 2)
+    assert mat_vec(F, mat_mul(F, a, b), v) == mat_vec(F, a, mat_vec(F, b, v))
 
 
 def test_vector_helpers():
-    t = field()
-    v = fe(t, 1, 2)
-    w = fe(t, 2, 2)
-    assert vec_add(v, w) == fe(t, 0, 1)
-    assert vec_scale(t.scalar(2, 1), v) == fe(t, 2, 1)
-
-
-def _mat_mul_reference(a, b):
-    """Reference matrix product: each entry a sum of FieldElement products
-    over the nonzero entries of the left row."""
-    cols = list(zip(*b))
-    return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col) if not x.is_zero()),
-                start=row[0] - row[0])
-            for col in cols
-        )
-        for row in a
-    )
+    F = field()
+    v = cv(F, 1, 2)
+    w = cv(F, 2, 2)
+    assert vec_add(F, v, w) == cv(F, 0, 1)
+    assert vec_scale(F, cv(F, 2)[0], v) == cv(F, 2, 1)
 
 
 # (m, k, n): the product of an m x k and a k x n matrix
@@ -236,57 +234,64 @@ def _dense_matrix(rng, elems, m, n):
     return tuple(tuple(row) for row in rows)
 
 
+def _encoded(F, rows):
+    return tuple(map(F.encode, rows))
+
+
 @pytest.mark.parametrize("p, levels", ((2, 3), (3, 2), (5, 1)))
 def test_mat_mul_matches_reference(p, levels):
     t = make_tower(p)
     rng = random.Random(100 * p + levels)
     for level in range(1, levels + 1):
+        F = t.codes(level)
         elems = list(t.enumerate_elements(level))
         assert elems[0].is_zero()
         for m, k, n in PRODUCT_SHAPES:
             zeros = ((elems[0],) * k,) * m
             b = _dense_matrix(rng, elems, k, n)
-            assert mat_mul(zeros, b) == _mat_mul_reference(zeros, b)
+            assert mat_mul(F, _encoded(F, zeros), _encoded(F, b)) == _encoded(
+                F, ref.mat_mul(zeros, b))
             for _ in range(4):
                 a = _dense_matrix(rng, elems, m, k)
                 b = _dense_matrix(rng, elems, k, n)
-                got = mat_mul(a, b)
-                assert got == _mat_mul_reference(a, b)
+                got = tuple(map(F.decode, mat_mul(F, _encoded(F, a), _encoded(F, b))))
+                assert got == ref.mat_mul(a, b)
                 assert all(x.level == level for row in got for x in row)
 
 
 def test_mat_mul_refuses_mixed_levels():
+    # a matrix reaches mat_mul only as codes of one level, and coding an
+    # entry of another level is refused, before any product
     t = make_tower(2)
     rng = random.Random(7)
     by_level = {n: list(t.enumerate_elements(n)) for n in (1, 2, 3)}
     for low, high in ((1, 2), (1, 3), (2, 3)):
+        F = t.codes(high)
+
         def up(rows):
             return tuple(tuple(x.embed(high) for x in row) for row in rows)
 
         a = _dense_matrix(rng, by_level[low], 4, 5)
         b = _dense_matrix(rng, by_level[high], 5, 3)
-        c = _dense_matrix(rng, by_level[high], 3, 4)
         # one operand with entries of both levels
         mixed = a[:2] + up(a[2:])
-        for left, right in ((a, b), (c, a), (mixed, b)):
+        for rows in (a, mixed):
             with pytest.raises(ArgumentError, match="levels"):
-                mat_mul(left, right)
+                _encoded(F, rows)
         # a zero row at the low level is refused too
         with pytest.raises(ArgumentError, match="levels"):
-            mat_mul(((by_level[low][0],) * 5,), b)
+            _encoded(F, ((by_level[low][0],) * 5,))
         # embedded first, the product is the same-level one
-        assert mat_mul(up(a), b) == _mat_mul_reference(up(a), b)
+        got = mat_mul(F, _encoded(F, up(a)), _encoded(F, b))
+        assert tuple(map(F.decode, got)) == ref.mat_mul(up(a), b)
 
 
 def test_mat_mul_rejects_other_towers_and_non_field_entries():
-    a = ((make_tower(2).one(1),),)
-    b = ((make_tower(3).one(1),),)
+    F = make_tower(2).codes(1)
     with pytest.raises(ArgumentError):
-        mat_mul(a, b)
+        F.encode((make_tower(3).one(1),))
     with pytest.raises(TypeError):
-        mat_mul(a, ((1,),))
-    with pytest.raises(TypeError):
-        mat_mul(((1,),), a)
+        F.encode((1,))
 
 
 @pytest.mark.parametrize("p, levels", ((2, 3), (3, 2), (5, 1)))
@@ -296,25 +301,24 @@ def test_mixed_compose_matches_the_dense_product(p, levels):
     t = make_tower(p)
     rng = random.Random(10 * p + levels)
     for level in range(1, levels + 1):
-        elems = list(t.enumerate_elements(level))
+        F = t.codes(level)
         for n in (1, 4, 7):
             perm = list(range(n))
             rng.shuffle(perm)
-            mono = MonomialMap(perm, (rng.choice(elems[1:]) for _ in range(n)))
-            units = [tuple(t.one(level) if j == i else t.zero(level) for j in range(n))
-                     for i in range(n)]
+            mono = MonomialMap(F, perm, (rng.randrange(1, F.q) for _ in range(n)))
+            units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
             mono_rows = tuple(zip(*(mono.apply(e) for e in units)))
-            dense = DenseMap(_dense_matrix(rng, elems, n, n))
-            assert mono.compose(dense) == DenseMap(mat_mul(mono_rows, dense.rows))
-            assert dense.compose(mono) == DenseMap(mat_mul(dense.rows, mono_rows))
+            dense = DenseMap(F, _encoded(F, _dense_matrix(rng, F.elements, n, n)))
+            assert mono.compose(dense) == DenseMap(F, mat_mul(F, mono_rows, dense.rows))
+            assert dense.compose(mono) == DenseMap(F, mat_mul(F, dense.rows, mono_rows))
 
 
 def test_mixed_compose_refuses_another_level():
     t = make_tower(2)
-    low, high = list(t.enumerate_elements(1)), list(t.enumerate_elements(2))
+    low, high = t.codes(1), t.codes(2)
     rng = random.Random(3)
-    mono = MonomialMap((1, 2, 0), (high[1], high[2], high[3]))
-    dense = DenseMap(_dense_matrix(rng, low, 3, 3))
+    mono = MonomialMap(high, (1, 2, 0), (1, 2, 3))
+    dense = DenseMap(low, _encoded(low, _dense_matrix(rng, low.elements, 3, 3)))
     for compose in (mono.compose, lambda other: other.compose(mono)):
         with pytest.raises(ArgumentError, match="levels"):
             compose(dense)

@@ -1,0 +1,136 @@
+"""The int-coded linear algebra against the FieldElement reference route.
+
+Every subspace the rank-one verdict reads is recomputed on FieldElements
+by `element_route`, from the same maps and the same lines, and must have
+the same canonical rows: the spin of each line the census spins (and of
+every B-stable line of the module and its dual up to q = 13), M^U of the
+module and of its dual, the socle, the maximal submodule and the two Hecke
+pieces; then the digit span, the level-bridge image and the bridge's spin
+on the `sl2-chain` grid.
+"""
+
+from __future__ import annotations
+
+from math import factorial
+
+import pytest
+
+import element_route as ref
+from borelline import sl2lab, suites
+from borelline.characters import RationalPower, truncate
+from borelline.digits import lucas_row
+from borelline.sl2lab import (
+    CostandardModule,
+    HeckeOperators,
+    InducedModule,
+    b_stable_lines,
+    is_irreducible,
+    l_submodule,
+    pi_image,
+    socle_head_report,
+    spin,
+    verify_irreducibility_chain,
+)
+
+
+def _recorded_spins(monkeypatch):
+    """A list of (module, vec, spin) for every spin from now on."""
+    seen = []
+    real = sl2lab.spin
+
+    def recording(module, vec):
+        sub = real(module, vec)
+        seen.append((module, vec, sub))
+        return sub
+
+    monkeypatch.setattr(sl2lab, "spin", recording)
+    return seen
+
+
+def _check_u_fixed_rows(module):
+    for mod in (module, module.dual()):
+        rows = tuple(map(mod.codes.decode, mod.u_fixed_rows))
+        assert rows == ref.fixed_subspace(mod, mod.generators[:-2])
+
+
+def _check_module(monkeypatch, p, a, m):
+    """The verdict's subspaces of the module with character t^m against the
+    reference route; returns the module."""
+    module = InducedModule(p, a, truncate(RationalPower(m), p, a))
+    spins = _recorded_spins(monkeypatch)
+    if m:
+        rep = socle_head_report(module)
+        pieces = ()
+    else:
+        is_irreducible(module)
+        ops = HeckeOperators(module)
+        pieces = ops.idempotent_split()
+        for piece in pieces:
+            is_irreducible(module, piece)
+    assert spins
+    by_module = {}
+    for mod, vec, sub in spins:
+        rows = ref.spin(mod, vec)
+        assert sub.rows == rows
+        by_module.setdefault(mod, []).append(rows)
+    _check_u_fixed_rows(module)
+    if m:
+        # the socle is the least spin of the module, the maximal submodule
+        # the annihilator of the dual's
+        (socle, dual_socle) = (min(spun, key=len) for spun in by_module.values())
+        one, zero = ref.one(module), ref.zero(module)
+        assert rep.socle.rows == socle
+        assert rep.maximal.rows == ref.kernel(dual_socle, module.dim, one, zero)
+    else:
+        cols = list(zip(*map(module.codes.decode, ops.t_s_rows)))
+        units = [ref.unit_vector(module, j) for j in range(module.dim)]
+        y_full = ref.rref(ref.vec_add(e, c) for e, c in zip(units, cols))
+        assert (pieces[0].rows, pieces[1].rows) == (y_full, ref.rref(cols))
+    return module
+
+
+SMALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
+
+
+@pytest.mark.parametrize("p, a", SMALL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SMALL_FIELDS])
+def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, a):
+    for m in range(p ** factorial(a) - 1):
+        with monkeypatch.context() as patch:
+            module = _check_module(patch, p, a, m)
+        if m == 0:
+            # the census of the whole module stops at its first witness;
+            # here every line of it and of its dual is spun
+            for mod in (module, module.dual()):
+                for v in b_stable_lines(mod):
+                    assert spin(mod, v).rows == ref.spin(mod, v)
+
+
+@pytest.mark.parametrize("p, a, m", ((2, 3, 1), (2, 3, 0), (61, 1, 5)),
+                         ids=("2-3-1", "2-3-0", "61-1-5"))
+def test_the_largest_fields_match_the_reference_route(monkeypatch, p, a, m):
+    _check_module(monkeypatch, p, a, m)
+
+
+def test_the_chain_grid_matches_the_reference_route():
+    # the digit span, the costandard image and the bridge's spin at every
+    # character of `sl2-chain`
+    for p in suites.CHAIN_PRIMES:
+        for lam in suites.CHAIN_POWERS:
+            theta = truncate(RationalPower(lam), p, 2)
+            m_t = theta.residue(2)
+            cm = CostandardModule(m_t, p, coeff_level=2)
+            digits = [ref.unit_vector(cm, i) for i, b in enumerate(lucas_row(m_t, p, cm.dim)) if b]
+            assert l_submodule(cm).rows == ref.rref(digits)
+            top = ref.unit_vector(cm, m_t)
+            total = (ref.zero(cm),) * cm.dim
+            for x in cm.tower.enumerate_elements(1):
+                total = ref.vec_add(total, ref.apply(cm.eps(x.embed(2)), top))
+            nonzero = tuple(i for i, c in enumerate(total) if not c.is_zero())
+            assert pi_image(theta, 1, 2).nonzero_indices == nonzero
+            module = InducedModule(p, 2, theta)
+            vec = module.line_sum_vector(subfield_level=1)
+            rows = ref.spin(module, vec)
+            assert spin(module, vec).rows == rows
+            assert verify_irreducibility_chain(theta, 1, 2).span_is_whole is (
+                len(rows) == module.dim)

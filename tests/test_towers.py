@@ -283,3 +283,58 @@ def test_tables_are_built_lazily(polyfp_mul_calls):
     before = len(polyfp_mul_calls)
     t.one(3)
     assert len(polyfp_mul_calls) - before >= 5 ** 6 // 2
+
+
+def _code_table_errors(codes):
+    """Every entry of the code tables of one level that disagrees with the
+    FieldElement operators, as (table, a, b)."""
+    elems = codes.elements
+    errors = []
+    for a, x in enumerate(elems):
+        for b, y in enumerate(elems):
+            for name, want in (("mul", x * y), ("add", x + y), ("sub", x - y)):
+                if elems[getattr(codes, name)[a][b]] is not want:
+                    errors.append((name, a, b))
+        if elems[codes.neg[a]] is not -x:
+            errors.append(("neg", a, None))
+        if a and elems[codes.inv[a]] is not x.inverse():
+            errors.append(("inv", a, None))
+    return errors
+
+
+# every field a module can be built over: F_p for p <= 61, and q = 4, 9,
+# 25, 49 and 64
+CODED_FIELDS = tuple((p, 1) for p in range(2, 62) if all(p % d for d in range(2, p))) + (
+    (2, 2), (3, 2), (5, 2), (7, 2), (2, 3))
+
+
+@pytest.mark.parametrize("p, level", CODED_FIELDS,
+                         ids=[f"q={p ** (1, 2, 6)[level - 1]}" for p, level in CODED_FIELDS])
+def test_code_tables_agree_with_the_field_operators(p, level):
+    t = make_tower(p)
+    codes = t.codes(level)
+    assert codes is t.codes(level)
+    assert codes.q == t.order(level) and len(codes.mul) == len(codes.sub) == codes.q
+    # zero, then the powers of the generator from one
+    assert codes.elements[0].is_zero() and codes.elements[1] is t.one(level)
+    assert all(x.log == c - 1 for c, x in enumerate(codes.elements) if c)
+    assert codes.encode(codes.elements) == tuple(range(codes.q))
+    assert _code_table_errors(codes) == []
+
+
+@pytest.mark.parametrize("table", ("mul", "sub"))
+def test_a_wrong_code_table_entry_fails_the_table_check(monkeypatch, table):
+    codes = make_tower(5).codes(1)
+    wrong = [list(row) for row in getattr(codes, table)]
+    wrong[2][3] = wrong[2][4]
+    monkeypatch.setattr(codes, table, wrong)
+    assert _code_table_errors(codes) == [(table, 2, 3)]
+
+
+def test_code_tables_are_built_from_the_log_tables(polyfp_mul_calls):
+    # the level's tables take polynomial products; its code tables none
+    t = FieldTower(2)
+    t.one(3)
+    built = len(polyfp_mul_calls)
+    t.codes(3)
+    assert len(polyfp_mul_calls) == built
