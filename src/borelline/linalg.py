@@ -4,8 +4,10 @@ Entries are the int codes of `towers.Codes`, 0 for zero and k + 1 for g^k,
 so one is 1 and a vector is zero exactly when `any` finds nothing in it.
 Vectors are tuples of codes; matrices are row tuples. Every routine takes
 the level's `Codes` first, and every map holds one; each sum, difference
-and product is one lookup in its tables. A canonical echelon row leads
-with a one after zeros only, so its leading index is `row.index(1)`.
+and product is one lookup in its tables. Nothing here codes or decodes a
+FieldElement: the SL_2 lab hands in codes and decodes only the rows of a
+finished subspace. A canonical echelon row leads with a one after zeros
+only, so its leading index is `row.index(1)`; callers read it that way.
 
 Monomial maps (one nonzero entry per column) get a compact representation
 because every group generator acting on an induced module has that shape,
@@ -41,11 +43,6 @@ def rref(codes, rows):
     for row in rows:
         out, _ = rref_insert(codes, out, tuple(row))
     return out
-
-
-def leading_index(row) -> int:
-    """The index of the first nonzero entry of a nonzero row."""
-    return row.index(next(filter(None, row)))
 
 
 def reduce_vector(codes, v, rows):

@@ -134,8 +134,12 @@ def has_primitive_root(f, p) -> bool:
 
 def least_irreducible(p, d, primitive=False):
     """First monic irreducible of degree d in the base-p enumeration of
-    lower coefficient vectors; optionally require the root to be primitive."""
+    lower coefficient vectors; optionally require the root to be primitive,
+    which skips the candidates with constant term zero: x divides them, and
+    their root 0 is no unit."""
     for k in range(p ** d):
+        if primitive and not k % p:
+            continue
         coeffs = []
         kk = k
         for _ in range(d):

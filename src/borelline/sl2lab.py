@@ -7,12 +7,14 @@ about socles, heads, irreducibility, and the transition to higher levels is
 checked here by exact linear algebra: spinning vectors, intersecting fixed
 spaces, and splitting by idempotents in the endomorphism ring.
 
-The maps, vectors and subspaces hold the int codes of the module's
-coefficient level (`towers.Codes`), and `linalg` computes on them.
-FieldElements are the edge: group points and character values, the
-vectors `spin` and `Subspace.contains` take, and the vectors handed out,
-which are `Subspace.rows`, the lines `b_stable_lines` yields, witnesses and
-`line_sum_vector`. Each is coded or decoded once, where it crosses.
+The lab speaks the int codes of the module's coefficient level
+(`towers.Codes`) from end to end: group points (`eps(x)`, `h(u)`), character
+values, the maps, and every vector and subspace, those `spin` takes and
+`b_stable_lines`, witnesses and `line_sum_vector` give included; `linalg`
+computes on them. FieldElements cross at two places only: points taken
+from the tower (`standard_basis`, `multiplicative_generator`, `scalar`, and
+subfield points by `embed`) are each coded once, and `Subspace.rows`
+decodes a subspace on first read.
 
 Conventions: eps(t) is the upper unipotent, h(u) the diagonal torus, s the
 standard Weyl representative with s^2 = h(-1). The s-action on the cell
@@ -37,7 +39,6 @@ from .linalg import (
     DenseMap,
     MonomialMap,
     kernel,
-    leading_index,
     reduce_vector,
     rref,
     rref_insert,
@@ -58,7 +59,8 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class Subspace:
     """Canonical reduced-echelon basis of a subspace of a module, as a
-    tuple of code rows; `rows` decodes them to FieldElements on first read."""
+    tuple of code rows; `rows`, the lab's one decode, gives them as
+    FieldElements on first read."""
 
     module: object
     code_rows: tuple[tuple, ...]
@@ -71,10 +73,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.code_rows)
 
-    def contains(self, vec) -> bool:
-        codes = self.module.codes
-        return span_contains(codes, self.code_rows, codes.encode(vec))
-
     def __le__(self, other) -> bool:
         codes = self.module.codes
         return all(span_contains(codes, other.code_rows, r) for r in self.code_rows)
@@ -84,8 +82,8 @@ class _SL2Module:
     """What both module kinds share: one field, at `coeff_level`, holding
     both the vector coordinates and the points of the actions eps(x), h(u),
     s() of SL_2, as maps with `apply`, `compose` and `==`, checked by
-    `_check_relations`. `codes` is that level's `towers.Codes`: the maps'
-    entries and every vector inside the module are its codes.
+    `_check_relations`. `codes` is that level's `towers.Codes`: the points
+    x and u, the maps' entries and every vector of the module are its codes.
 
     Each call of eps, h or s builds a new map. The generators and M^U are
     built once per module instance, on first use, and every spin, stability
@@ -100,10 +98,18 @@ class _SL2Module:
     def generators(self):
         """eps over an F_p-basis of F_q, then h at a generator of the units,
         then s."""
-        gens = [self.eps(b) for b in self.tower.standard_basis(self.coeff_level)]
-        gens.append(self.h(self.tower.multiplicative_generator(self.coeff_level)))
+        gens = [self.eps(b) for b in self._basis_codes()]
+        gens.append(self.h(self._generator_code()))
         gens.append(self.s())
         return tuple(gens)
+
+    def _basis_codes(self):
+        """The codes of the level's F_p-basis."""
+        return self.codes.encode(self.tower.standard_basis(self.coeff_level))
+
+    def _generator_code(self):
+        """The code of the generator of the units: 2, or 1 at q = 2."""
+        return self.codes.code(self.tower.multiplicative_generator(self.coeff_level))
 
     @cached_property
     def u_fixed_rows(self):
@@ -133,52 +139,50 @@ class _SL2Module:
         The eps(b), h(g) and s checked are those of `generators`, so the
         module's census spins the maps proved here; each other map is built once.
         """
-        level = self.coeff_level
-        elems = tuple(self.tower.enumerate_elements(level))
-        nonzero = [x for x in elems if not x.is_zero()]
-        basis = self.tower.standard_basis(level)
-        zero, one = self.tower.zero(level), self.tower.one(level)
-        g = self.tower.multiplicative_generator(level)
+        codes = self.codes
+        q, sub, mul, neg, inv = codes.q, codes.sub, codes.mul, codes.neg, codes.inv
+        basis, g = self._basis_codes(), self._generator_code()
         *eps_b, h_g, s = self.generators
         eps = dict(zip(basis, eps_b))
-        eps.update({x: self.eps(x) for x in elems if x not in eps})
+        eps.update({x: self.eps(x) for x in range(q) if x not in eps})
         h = {g: h_g}
-        h.update({u: self.h(u) for u in nonzero if u not in h})
+        h.update({u: self.h(u) for u in range(1, q) if u not in h})
         vectors = [self.unit_vector(i) for i in range(self.dim)]
-        if any(eps[zero].apply(e) != e for e in vectors):
+        if any(eps[0].apply(e) != e for e in vectors):
             raise RelationError("eps is not additive: eps(0) is not the identity")
-        if any(h[one].apply(e) != e for e in vectors):
+        if any(h[1].apply(e) != e for e in vectors):
             raise RelationError("h is not multiplicative: h(1) is not the identity")
+        coords = [x.coords for x in codes.elements]
         for i, b in enumerate(basis):
             power = eps[b]
             for _ in range(self.p - 1):
                 power = power.compose(eps[b])
-            if power != eps[zero]:
+            if power != eps[0]:
                 raise RelationError(
-                    f"eps is not additive: eps(b)^p is not the identity at b = {b.coords}")
+                    f"eps is not additive: eps(b)^p is not the identity at b = {coords[b]}")
             for c in basis[i + 1:]:
                 if eps[b].compose(eps[c]) != eps[c].compose(eps[b]):
                     raise RelationError("eps is not additive: eps(b) and eps(c) do not "
-                                        f"commute at b = {b.coords}, c = {c.coords}")
-        for x in nonzero:
-            b = basis[next(i for i, c in enumerate(x.coords) if c)]
-            if eps[x - b].compose(eps[b]) != eps[x]:
+                                        f"commute at b = {coords[b]}, c = {coords[c]}")
+        for x in range(1, q):
+            b = basis[next(i for i, c in enumerate(coords[x]) if c)]
+            if eps[sub[x][b]].compose(eps[b]) != eps[x]:
                 raise RelationError(
-                    f"eps is not additive: eps(x) != eps(x - b) eps(b) at x = {x.coords}")
+                    f"eps is not additive: eps(x) != eps(x - b) eps(b) at x = {coords[x]}")
         u = g
-        for k in range(1, len(elems) - 1):
-            if h[u].compose(h[g]) != h[u * g]:
+        for k in range(1, q - 1):
+            if h[u].compose(h[g]) != h[mul[u][g]]:
                 raise RelationError(
                     f"h is not multiplicative: h(g^(k+1)) != h(g^k) h(g) at k = {k}")
-            u = u * g
+            u = mul[u][g]
         for b in basis:
-            if h[g].compose(eps[b]).compose(h[g.inverse()]) != eps[g * g * b]:
+            if h[g].compose(eps[b]).compose(h[inv[g]]) != eps[mul[mul[g][g]][b]]:
                 raise RelationError("torus does not normalize eps correctly")
-        if s.compose(s) != h[-one]:
+        if s.compose(s) != h[neg[1]]:
             raise RelationError("s^2 must equal h(-1)")
-        s_inv = h[-one].compose(s)
-        for t in nonzero:
-            w = -t.inverse()
+        s_inv = h[neg[1]].compose(s)
+        for t in range(1, q):
+            w = neg[inv[t]]
             lhs = s_inv.compose(eps[t]).compose(s)
             if lhs != eps[w].compose(s).compose(h[t]).compose(eps[w]):
                 raise RelationError("the s-conjugation relation fails")
@@ -196,15 +200,14 @@ class _Dual(_SL2Module):
         return getattr(self.module, name)
 
     def eps(self, x):
-        return self.module.eps(-x).transpose()
+        return self.module.eps(self.codes.neg[x]).transpose()
 
     def h(self, u):
-        return self.module.h(u.inverse()).transpose()
+        return self.module.h(self.codes.inv[u]).transpose()
 
     def s(self):
         # s^-1 = s^3 = h(-1) s
-        minus_one = -self.tower.one(self.coeff_level)
-        return self.module.h(minus_one).compose(self.module.s()).transpose()
+        return self.module.h(self.codes.neg[1]).compose(self.module.s()).transpose()
 
 
 class InducedModule(_SL2Module):
@@ -212,9 +215,9 @@ class InducedModule(_SL2Module):
 
     An `_SL2Module` with monomial actions over the one field F_q at level a:
     the group, the character values and the coordinates all live there.
-    The cells come in the order of the codes of their labels: cell(t) has
-    index 1 + code(t), so the maps' permutations are rows of the code
-    tables shifted by one.
+    The cells come in the order of their labels' codes: cell(t) has index
+    1 + t, so the maps' permutations are rows of the code tables shifted by
+    one.
     """
 
     def __init__(self, p, a, theta: TruncatedCharacter):
@@ -238,30 +241,20 @@ class InducedModule(_SL2Module):
         self._theta = [0] + [k * self.m % units + 1 for k in range(units)]
         self._check_relations()
 
-    # index 0 is the stable line; 1 + code(t) is the cell eps(t) s line
-
-    def cell_index(self, t) -> int:
-        if t.level != self.a:
-            raise ArgumentError("cell labels live at the group level")
-        return 1 + self.codes.code(t)
-
-    def theta_value(self, u):
-        """theta(h(u)) = u^m."""
-        return u ** self.m
+    # index 0 is the stable line; 1 + t is the cell eps(t) s line
 
     def eps(self, x) -> MonomialMap:
         """Upper unipotent: fixes the line, translates the cells."""
-        shift = self.codes.add[self.codes.code(x)]
-        return MonomialMap(self.codes, [0] + [1 + c for c in shift], [1] * self.dim)
+        return MonomialMap(self.codes, [0] + [1 + c for c in self.codes.add[x]], [1] * self.dim)
 
     def h(self, u) -> MonomialMap:
         """Torus: scales the line by theta(u), rescales and squeezes cells."""
-        if u.is_zero():
+        if not u:
             raise ArgumentError("torus points are invertible")
-        codes, c = self.codes, self.codes.code(u)
-        squeeze = codes.mul[codes.mul[c][c]]
+        codes = self.codes
+        squeeze = codes.mul[codes.mul[u][u]]
         return MonomialMap(codes, [0] + [1 + t for t in squeeze],
-                           [self._theta[c]] + [self._theta[codes.inv[c]]] * self.q)
+                           [self._theta[u]] + [self._theta[codes.inv[u]]] * self.q)
 
     def s(self) -> MonomialMap:
         """Swaps the line and the cell at 0: s . line = cell(0),
@@ -279,11 +272,9 @@ class InducedModule(_SL2Module):
         if subfield_level > self.a:
             raise ArgumentError("subfield level exceeds the group level")
         vec = [0] * self.dim
-        plus_one = [row[1] for row in self.codes.add]
         for x in self.tower.enumerate_elements(subfield_level):
-            i = self.cell_index(x.embed(self.a))
-            vec[i] = plus_one[vec[i]]
-        return self.codes.decode(vec)
+            vec[1 + self.codes.code(x.embed(self.a))] = 1
+        return tuple(vec)
 
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
@@ -298,8 +289,7 @@ class InducedModule(_SL2Module):
         *eps_b, h_g, _ = self.generators
         if any(e.apply(line) != line for e in eps_b):
             raise RelationError("eps must fix the stable line")
-        g = self.tower.multiplicative_generator(self.a)
-        if h_g.apply(line) != vec_scale(self.codes, self.codes.code(self.theta_value(g)), line):
+        if h_g.apply(line) != vec_scale(self.codes, self._theta[self._generator_code()], line):
             raise RelationError("h must scale the line by theta")
         super()._check_relations()
 
@@ -312,9 +302,9 @@ def trivial_character(p, level) -> TruncatedCharacter:
 
 
 def spin(module, vec) -> Subspace:
-    """Smallest generator-stable subspace containing vec."""
+    """Smallest generator-stable subspace containing the code vector vec."""
     codes = module.codes
-    basis, first = rref_insert(codes, (), codes.encode(vec))
+    basis, first = rref_insert(codes, (), vec)
     if first is None:
         return Subspace(module, ())
     gens = module.generators
@@ -373,7 +363,7 @@ def _projective_vectors(module, rows):
 
 
 def b_stable_lines(module, within: Subspace | None = None):
-    """One vector per B-stable line of the module, or of its submodule
+    """One code vector per B-stable line of the module, or of its submodule
     `within`: the lines of the eigenspaces of h(g), g a generator of the
     units, inside the fixed space of U = {eps(x)}.
 
@@ -395,22 +385,19 @@ def b_stable_lines(module, within: Subspace | None = None):
         coeffs = kernel(codes, zip(*residuals), len(rows))
         rows = _combinations(codes, coeffs, rows)
     d = len(rows)
-    pivots = [leading_index(r) for r in rows]
+    pivots = [r.index(1) for r in rows]
     hg = module.generators[-2]
     images = [hg.apply(r) for r in rows]
     if not all(span_contains(codes, rows, v) for v in images):
         raise PreconditionError("h(g) does not keep the U-fixed vectors of the subspace")
     # column i holds the coordinates of h(g) rows[i] on the rows
     matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
-    for lam in module.tower.enumerate_elements(module.coeff_level):
-        if not lam.is_zero():
-            c = codes.code(lam)
-            shifted = [[codes.sub[x][c] if i == j else x for i, x in enumerate(row)]
-                       for j, row in enumerate(matrix)]
-            eigen = kernel(codes, shifted, d)
-            if eigen:
-                lines = _projective_vectors(module, _combinations(codes, eigen, rows))
-                yield from map(codes.decode, lines)
+    for lam in range(1, codes.q):
+        shifted = [[codes.sub[x][lam] if i == j else x for i, x in enumerate(row)]
+                   for j, row in enumerate(matrix)]
+        eigen = kernel(codes, shifted, d)
+        if eigen:
+            yield from _projective_vectors(module, _combinations(codes, eigen, rows))
 
 
 @dataclass(frozen=True)
@@ -420,7 +407,7 @@ class IrreducibilityVerdict:
 
     irreducible: bool
     dimension: int
-    witness: tuple | None = None  # a vector spinning to a proper submodule
+    witness: tuple | None = None  # a code vector spinning to a proper submodule
 
     mode = "exhaustive"
     proof = True
@@ -457,7 +444,7 @@ def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVe
 class SocleHeadReport:
     whole: IrreducibilityVerdict
     socle: Subspace | None        # None when no unique simple socle
-    socle_witness: tuple | None   # a vector whose spin misses the socle
+    socle_witness: tuple | None   # a code vector whose spin misses the socle
     maximal: Subspace | None      # None when no unique maximal submodule
     maximal_witnesses: tuple | None
 
@@ -609,7 +596,7 @@ class CostandardModule(_SL2Module):
     def eps(self, t) -> DenseMap:
         mul = self.codes.mul
         powers = [1]
-        times_t = mul[self.codes.code(t)]
+        times_t = mul[t]
         for _ in range(self.n):
             powers.append(times_t[powers[-1]])
         rows = [[0] * self.dim for _ in range(self.dim)]
@@ -622,10 +609,11 @@ class CostandardModule(_SL2Module):
 
     def h(self, u) -> MonomialMap:
         """Diagonal: v_i is scaled by u^(n - 2i)."""
-        if u.is_zero():
+        if not u:
             raise ArgumentError("torus points are invertible")
+        units = self.codes.q - 1
         return MonomialMap(self.codes, range(self.dim),
-                           self.codes.encode(u ** (self.n - 2 * i) for i in range(self.dim)))
+                           [(u - 1) * (self.n - 2 * i) % units + 1 for i in range(self.dim)])
 
     def s(self) -> MonomialMap:
         """Signed antidiagonal: v_i goes to (-1)^(n - i) v_(n - i)."""
@@ -674,7 +662,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     top = cm.unit_vector(m_t)
     total = (0,) * cm.dim
     for a in cm.tower.enumerate_elements(r):
-        total = vec_add(cm.codes, total, cm.eps(a.embed(t)).apply(top))
+        total = vec_add(cm.codes, total, cm.eps(cm.codes.code(a.embed(t))).apply(top))
     qr = field_order(p, r)
     closed = [0] * cm.dim
     for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
@@ -739,7 +727,7 @@ class HeckeOperators:
         # line and sends cell(u) to cell(u + t) with scale one, so that column
         # is s_image translated: its coordinate at cell(w) is s_image's at
         # cell(w - t), and w - t = -(t - w)
-        image_of_line = codes.encode(module.line_sum_vector())
+        image_of_line = module.line_sum_vector()
         s_image = module.generators[-1].apply(image_of_line)
         at_minus = [s_image[1 + c] for c in codes.neg]
         cols = [image_of_line] + [

@@ -250,15 +250,16 @@ def test_lab_nontrivial_character_past_the_cap_refused_before_building(capsys, p
 
 
 @pytest.mark.parametrize("argv, products, towers", (
-    (("verify",), 715, 2),
-    (("lab", "--p", "2", "--a", "3", "--power", "1"), 130, 1),
+    (("verify",), 676, 2),
+    (("lab", "--p", "2", "--a", "3", "--power", "1"), 114, 1),
 ), ids=("verify", "lab-2-3-1"))
 def test_commands_build_only_the_levels_they_use(capsys, fresh_caches, polyfp_mul_calls,
                                                   argv, products, towers):
     # one tower per prime, each level's modulus searched on its first use:
     # verify builds the towers over 2 and 3 only, and lab at q = 64 never
     # searches f_2. With a tower per (p, a), each modulus searched when the
-    # tower was made, they took 744 and 168 products over 4 and 1 towers.
+    # tower was made, they took 744 and 168 products over 4 and 1 towers;
+    # with Rabin's test also run on the candidates x divides, 715 and 130.
     assert run_cli(capsys, *argv)[0] == 0
     assert len(polyfp_mul_calls) == products
     assert make_tower.cache_info().currsize == towers

@@ -70,7 +70,7 @@ def _check_module(monkeypatch, p, a, m):
     assert spins
     by_module = {}
     for mod, vec, sub in spins:
-        rows = ref.spin(mod, vec)
+        rows = ref.spin(mod, mod.codes.decode(vec))
         assert sub.rows == rows
         by_module.setdefault(mod, []).append(rows)
     _check_u_fixed_rows(module)
@@ -103,7 +103,7 @@ def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, 
             # here every line of it and of its dual is spun
             for mod in (module, module.dual()):
                 for v in b_stable_lines(mod):
-                    assert spin(mod, v).rows == ref.spin(mod, v)
+                    assert spin(mod, v).rows == ref.spin(mod, mod.codes.decode(v))
 
 
 @pytest.mark.parametrize("p, a, m", ((2, 3, 1), (2, 3, 0), (61, 1, 5)),
@@ -125,12 +125,12 @@ def test_the_chain_grid_matches_the_reference_route():
             top = ref.unit_vector(cm, m_t)
             total = (ref.zero(cm),) * cm.dim
             for x in cm.tower.enumerate_elements(1):
-                total = ref.vec_add(total, ref.apply(cm.eps(x.embed(2)), top))
+                total = ref.vec_add(total, ref.apply(cm.eps(cm.codes.code(x.embed(2))), top))
             nonzero = tuple(i for i, c in enumerate(total) if not c.is_zero())
             assert pi_image(theta, 1, 2).nonzero_indices == nonzero
             module = InducedModule(p, 2, theta)
             vec = module.line_sum_vector(subfield_level=1)
-            rows = ref.spin(module, vec)
+            rows = ref.spin(module, module.codes.decode(vec))
             assert spin(module, vec).rows == rows
             assert verify_irreducibility_chain(theta, 1, 2).span_is_whole is (
                 len(rows) == module.dim)

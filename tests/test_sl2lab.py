@@ -12,7 +12,7 @@ import element_route as ref
 from borelline import cli, sl2lab, suites
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, span_contains, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
@@ -31,7 +31,7 @@ from borelline.sl2lab import (
     trivial_character,
     verify_irreducibility_chain,
 )
-from borelline.towers import CapabilityError, make_tower
+from borelline.towers import CapabilityError, Codes, FieldElement, make_tower
 
 GRID = ((2, 1), (3, 1), (2, 2))
 
@@ -61,6 +61,21 @@ def _span(module, vecs):
     """The subspace spanned by FieldElement vectors, reduced on the
     reference route."""
     return Subspace(module, tuple(map(module.codes.encode, ref.rref(vecs))))
+
+
+def _contains(sub, vec):
+    """Whether the subspace holds the code vector vec."""
+    return span_contains(sub.module.codes, sub.code_rows, vec)
+
+
+def _cell(module, t):
+    """The index of the cell eps(t) s line at the FieldElement t."""
+    return 1 + module.codes.code(t)
+
+
+def _theta(module, u):
+    """theta(h(u)) = u^m at the FieldElement u, by its power operator."""
+    return u ** module.m
 
 
 def _one(module):
@@ -104,7 +119,7 @@ def _break_generator(monkeypatch, cls, name, at, cols):
 
     def broken(self, x):
         g = real(self, x)
-        return _negated(g, cols) if x is at(self) else g
+        return _negated(g, cols) if x == self.codes.code(at(self)) else g
 
     monkeypatch.setattr(cls, name, broken)
 
@@ -115,11 +130,13 @@ BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _generator, {0}, "h must scale the l
 
 def _check_relations_pairwise(module):
     """The reference route: the relations of SL_2(F_q) between the actions
-    of every pair of elements, in O(q^2) compositions."""
+    of every pair of elements, in O(q^2) compositions. The points are
+    combined by FieldElement operators and coded for the actions."""
     elems = tuple(module.tower.enumerate_elements(module.coeff_level))
     units = [u for u in elems if not u.is_zero()]
-    eps = {x: module.eps(x) for x in elems}
-    h = {u: module.h(u) for u in units}
+    code = module.codes.code
+    eps = {x: module.eps(code(x)) for x in elems}
+    h = {u: module.h(code(u)) for u in units}
     for x in elems:
         for y in elems:
             if eps[x].compose(eps[y]) != eps[x + y]:
@@ -202,10 +219,10 @@ def _eps_not_commuting(real):
     def eps(self, x):
         g = real(self, x)
         b0, b1 = self.tower.standard_basis(self.a)
-        if x is not b1:
+        if x != self.codes.code(b1):
             return g
         perm = list(range(self.dim))
-        i, j = self.cell_index(self.tower.zero(self.a)), self.cell_index(b0)
+        i, j = _cell(self, self.tower.zero(self.a)), _cell(self, b0)
         perm[i], perm[j] = j, i
         swap = MonomialMap(self.codes, perm, [1] * self.dim)
         return swap.compose(g).compose(swap)
@@ -216,7 +233,7 @@ def _h_at_g_squared_negated(real):
     """h(g^2) with column 1 negated, where 1 < 2 < q - 1."""
     def h(self, u):
         g = self.tower.multiplicative_generator(self.a)
-        return _negated(real(self, u), {1}) if u is g * g else real(self, u)
+        return _negated(real(self, u), {1}) if u == self.codes.code(g * g) else real(self, u)
     return h
 
 
@@ -226,8 +243,9 @@ def _h_moving_cells_by_u(real):
     def h(self, u):
         g = real(self, u)
         perm = list(g.perm)
+        point = self.codes.elements[u]
         for t in self.codes.elements:
-            perm[self.cell_index(t)] = self.cell_index(u * t)
+            perm[_cell(self, t)] = _cell(self, point * t)
         return MonomialMap(g.codes, perm, g.scale)
     return h
 
@@ -285,27 +303,28 @@ def _folded_s(module):
     """s on the cell basis by folding the word
     s eps(t) s = h(-1) eps(-1/t) s h(t) eps(-1/t) over the other generators'
     actions, from s . line = cell(0) and s . cell(0) = theta(-1) line."""
+    code = module.codes.code
     zero_a = module.tower.zero(module.a)
-    base_cell = module.cell_index(zero_a)
+    base_cell = _cell(module, zero_a)
     perm = [0] * module.dim
     scale = [1] * module.dim
     perm[0] = base_cell
     minus_one = -module.tower.one(module.a)
     perm[base_cell] = 0
-    scale[base_cell] = module.codes.code(module.theta_value(minus_one))
+    scale[base_cell] = code(_theta(module, minus_one))
     for t in module.codes.elements:
         if t.is_zero():
             continue
-        j = module.cell_index(t)
+        j = _cell(module, t)
         w = -t.inverse()
-        vec = module.eps(w).apply(module.unit_vector(0))
-        vec = module.h(t).apply(vec)
+        vec = module.eps(code(w)).apply(module.unit_vector(0))
+        vec = module.h(code(t)).apply(vec)
         # the partial s is only ever applied to a multiple of the line
         assert not any(vec[1:])
         folded = [0] * module.dim
         folded[base_cell] = vec[0]
-        vec = module.eps(w).apply(tuple(folded))
-        vec = module.h(minus_one).apply(vec)
+        vec = module.eps(code(w)).apply(tuple(folded))
+        vec = module.h(code(minus_one)).apply(vec)
         support = [i for i, c in enumerate(vec) if c]
         assert len(support) == 1
         perm[j] = support[0]
@@ -324,21 +343,21 @@ def test_s_action_closed_form():
             for t in module.codes.elements:
                 if t.is_zero():
                     continue
-                j = module.cell_index(t)
-                target = module.cell_index(-t.inverse())
+                j = _cell(module, t)
+                target = _cell(module, -t.inverse())
                 assert s.perm[j] == target
-                expected = module.theta_value(t) * module.theta_value(minus_one)
+                expected = _theta(module, t) * _theta(module, minus_one)
                 assert s.scale[j] == module.codes.code(expected)
 
 
 def test_s_swaps_line_and_base_cell():
     module = InducedModule(3, 1, power_char(1, 3))
     s = module.s()
-    base = module.cell_index(module.tower.zero(1))
+    base = _cell(module, module.tower.zero(1))
     assert s.perm[0] == base
     assert s.perm[base] == 0
     minus_one = -module.tower.one(1)
-    assert s.scale[base] == module.codes.code(module.theta_value(minus_one))
+    assert s.scale[base] == module.codes.code(_theta(module, minus_one))
 
 
 def test_character_level_requirements():
@@ -354,7 +373,7 @@ def test_character_level_requirements():
 
 def test_spin_of_line_for_generic_character_is_whole():
     module = InducedModule(3, 1, power_char(1, 3))
-    sub = spin(module, ref.unit_vector(module, 0))
+    sub = spin(module, module.codes.encode(ref.unit_vector(module, 0)))
     assert sub.dim == module.dim
 
 
@@ -370,18 +389,18 @@ def test_spin_canonical_and_monotone():
 
 def test_spin_zero_vector():
     module = InducedModule(2, 1, trivial_character(2, 1))
-    assert spin(module, (ref.zero(module),) * module.dim).dim == 0
+    assert spin(module, module.codes.encode((ref.zero(module),) * module.dim)).dim == 0
 
 
 def test_fixed_subspace_of_unipotent():
     # eps fixes exactly the line and the sum of all cells
     for p, a in GRID:
         module = InducedModule(p, a, power_char(1, p, max(a, 2)))
-        maps = [module.eps(b) for b in module.tower.standard_basis(a)]
+        maps = [module.eps(b) for b in module.codes.encode(module.tower.standard_basis(a))]
         fs = fixed_subspace(module, maps)
         assert fs.dim == 2
-        assert fs.contains(ref.unit_vector(module, 0))
-        assert fs.contains(module.line_sum_vector())
+        assert _contains(fs, module.codes.encode(ref.unit_vector(module, 0)))
+        assert _contains(fs, module.line_sum_vector())
 
 
 def test_fixed_subspace_within():
@@ -390,7 +409,7 @@ def test_fixed_subspace_within():
     socle = socle_head_report(module).socle
     lines = list(b_stable_lines(module, socle))
     assert len(lines) == 1
-    assert socle.contains(lines[0])
+    assert _contains(socle, lines[0])
 
 
 def test_is_irreducible_detects_reducible_whole():
@@ -442,7 +461,7 @@ def _orbit_spins(module, rows):
         if v in ahead:
             ahead.discard(v)
             continue
-        yield v, spin(module, codes.decode(v))
+        yield v, spin(module, v)
         ahead.add(v)
         frontier = [v]
         while frontier:
@@ -536,7 +555,7 @@ def test_orbit_shared_spins_match_direct_route_on_hecke_pieces():
         whole = _whole(module)
         verdict = is_irreducible(module)
         assert not verdict.irreducible and not _exhaustive_irreducible(module, whole)
-        assert verdict.witness != ref.unit_vector(module, 0)
+        assert verdict.witness != module.codes.encode(ref.unit_vector(module, 0))
         assert _is_proper_witness(module, verdict.witness, whole)
 
 
@@ -587,6 +606,48 @@ def test_lab_takes_one_census(spin_calls, enumerated_lines, capsys):
     assert enumerated_lines == {1: 4}
 
 
+@pytest.mark.parametrize("p, a, power, spins", ((13, 1, 6, 28), (3, 1, 1, 8)),
+                         ids=("q=13", "q=3"))
+def test_order_two_census_spins_every_line_of_the_plane(
+    spin_calls, enumerated_lines, capsys, p, a, power, spins
+):
+    # theta^2 = 1: h(g) scales both rows of M^U by theta(g), so the census
+    # spins all q + 1 lines of that plane, in the module and in its dual
+    assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", str(power)]) == 0
+    assert '"socle_ok": true' in capsys.readouterr().out
+    assert len(spin_calls) == spins == 2 * (p ** factorial(a) + 1)
+    assert enumerated_lines == {2: spins}
+
+
+FIELD_OPERATIONS = ("__add__", "__sub__", "__mul__", "__neg__", "inverse", "__pow__", "is_zero")
+
+
+@pytest.mark.parametrize("p, a, m", ((2, 3, 0), (2, 3, 1), (13, 1, 6)))
+def test_construction_and_verdict_compute_on_codes_alone(monkeypatch, p, a, m):
+    # group points, character values and vectors are codes from end to end:
+    # a module is built from tower points coded once, and only Subspace.rows
+    # decodes. With FieldElement points and census lines decoded for spin,
+    # (2,3,1) made 461 operations to build and 138 more for its verdict,
+    # and 4 decodes; (13,1,6) made 28 decodes.
+    theta = power_char(m, p, a)
+    calls = Counter()
+
+    def count(cls, name):
+        real = getattr(cls, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    for name in FIELD_OPERATIONS:
+        count(FieldElement, name)
+    count(Codes, "decode")
+    assert case_verdict(InducedModule(p, a, theta))[3] == {}
+    assert calls == Counter()
+
+
 @pytest.mark.parametrize("p, a", ((2, 2), (3, 2)))
 def test_trivial_character_census_walks_coefficient_one_early(
     spin_calls, enumerated_lines, capsys, p, a
@@ -611,9 +672,10 @@ def test_b_stable_lines_are_b_stable():
                 lines = list(sl2lab.b_stable_lines(mod))
                 assert len(lines) == (2 if (2 * m) % (q - 1) else q + 1)
                 for v in lines:
-                    line = _span(mod, [v])
+                    w = mod.codes.decode(v)
+                    line = _span(mod, [w])
                     for g in mod.generators[:-1]:   # U and T generate B
-                        assert line.contains(ref.apply(g, v))
+                        assert _contains(line, mod.codes.encode(ref.apply(g, w)))
 
 
 # -- the per-eigenvalue reference route to the census ------------------------
@@ -643,16 +705,15 @@ def _fixed_subspace_within(module, scaled_maps, within):
 
 def _b_stable_lines_per_eigenvalue(module, within=None):
     """The census on a second route: M^U inside `within`, then one
-    fixed-space system of h(g)/lambda inside it for each unit lambda."""
-    tower, level = module.tower, module.coeff_level
-    eps = [(ref.one(module), module.eps(b)) for b in tower.standard_basis(level)]
+    fixed-space system of h(g)/lambda inside it for each unit lambda, the
+    units in code order."""
+    tower, level, codes = module.tower, module.coeff_level, module.codes
+    eps = [(ref.one(module), module.eps(codes.code(b))) for b in tower.standard_basis(level)]
     fixed = _fixed_subspace_within(module, eps, within or _whole(module))
-    hg = module.h(tower.multiplicative_generator(level))
-    for lam in tower.enumerate_elements(level):
-        if not lam.is_zero():
-            eigen = _fixed_subspace_within(module, [(lam.inverse(), hg)], fixed)
-            lines = sl2lab._projective_vectors(module, eigen.code_rows)
-            yield from map(module.codes.decode, lines)
+    hg = module.h(codes.code(tower.multiplicative_generator(level)))
+    for lam in codes.elements[1:]:
+        eigen = _fixed_subspace_within(module, [(lam.inverse(), hg)], fixed)
+        yield from sl2lab._projective_vectors(module, eigen.code_rows)
 
 
 def _census_cases():
@@ -695,7 +756,8 @@ def test_census_refuses_a_subspace_that_is_not_torus_stable():
     # e_0 + (sum of cells) is U-fixed, but h(g) scales its terms by g and
     # 1/g; the per-eigenvalue route finds no line in its span
     module = InducedModule(5, 1, power_char(1, 5))
-    within = _span(module, [ref.vec_add(ref.unit_vector(module, 0), module.line_sum_vector())])
+    line_sum = module.codes.decode(module.line_sum_vector())
+    within = _span(module, [ref.vec_add(ref.unit_vector(module, 0), line_sum)])
     assert list(_b_stable_lines_per_eigenvalue(module, within)) == []
     with pytest.raises(PreconditionError, match="U-fixed vectors"):
         list(b_stable_lines(module, within))
@@ -737,9 +799,11 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
     module = _Rebased(InducedModule(p, a, power_char(m, p, a)))
     module._check_relations()
     level = module.coeff_level
-    rows = fixed_subspace(module, [module.eps(b) for b in module.tower.standard_basis(level)]).rows
-    hg = module.h(module.tower.multiplicative_generator(level))
-    assert not _span(module, rows[:1]).contains(ref.apply(hg, rows[0]))
+    code = module.codes.code
+    rows = fixed_subspace(module, [module.eps(code(b))
+                                   for b in module.tower.standard_basis(level)]).rows
+    hg = module.h(code(module.tower.multiplicative_generator(level)))
+    assert not _contains(_span(module, rows[:1]), module.codes.encode(ref.apply(hg, rows[0])))
     lines = list(b_stable_lines(module))
     assert len(lines) == 2 and lines == list(_b_stable_lines_per_eigenvalue(module))
 
@@ -915,7 +979,7 @@ def test_costandard_actions_and_relations():
 def test_costandard_eps_is_binomial_lower_triangular():
     cm = CostandardModule(4, 3, coeff_level=1)
     t = cm.tower.one(1)
-    rows = cm.eps(t).rows
+    rows = cm.eps(cm.codes.code(t)).rows
     for i in range(5):
         for j in range(5):
             expected = lucas_binom(i, j, 3) % 3
@@ -1067,7 +1131,7 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
     real = InducedModule.line_sum_vector
 
     def doubled(self, *args):
-        return ref.vec_scale(self.tower.scalar(2, self.a), real(self, *args))
+        return vec_scale(self.codes, self.codes.code(self.tower.scalar(2, self.a)), real(self, *args))
 
     monkeypatch.setattr(InducedModule, "line_sum_vector", doubled)
     with pytest.raises(RelationError, match=re.escape("t_s^2 = -t_s")):
@@ -1081,7 +1145,7 @@ def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, p):
     module = InducedModule(p, 1, trivial_character(p, 1))
 
     def base_cell(self, *args):
-        return ref.unit_vector(self, self.cell_index(self.tower.zero(self.a)))
+        return self.unit_vector(_cell(self, self.tower.zero(self.a)))
 
     monkeypatch.setattr(InducedModule, "line_sum_vector", base_cell)
     with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
@@ -1190,5 +1254,5 @@ def test_costandard_actions_take_points_at_the_coefficient_level():
     cm = CostandardModule(2, 2, coeff_level=2)
     low = cm.tower.multiplicative_generator(1)
     with pytest.raises(ArgumentError, match="levels"):
-        cm.eps(low)
-    assert cm.codes.elements[cm.eps(low.embed(2)).rows[0][1]] is low.embed(2)
+        cm.codes.code(low)
+    assert cm.codes.elements[cm.eps(cm.codes.code(low.embed(2))).rows[0][1]] is low.embed(2)
