@@ -182,12 +182,6 @@ class MonomialMap:
         return MonomialMap(self.codes, [perm[i] for i in other.perm],
                            [mul[c][scale[i]] for c, i in zip(other.scale, other.perm)])
 
-    def transpose(self):
-        perm, scale = [0] * len(self.perm), [0] * len(self.perm)
-        for j, i in enumerate(self.perm):
-            perm[i], scale[i] = j, self.scale[j]
-        return MonomialMap(self.codes, perm, scale)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
             return NotImplemented
@@ -216,9 +210,6 @@ class DenseMap:
             return DenseMap(self.codes, ([times_c[row[i]] for i, times_c in cols]
                                          for row in self.rows))
         return DenseMap(self.codes, mat_mul(self.codes, self.rows, other.rows))
-
-    def transpose(self):
-        return DenseMap(self.codes, zip(*self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, DenseMap):

@@ -39,6 +39,7 @@ from .linalg import (
     DenseMap,
     MonomialMap,
     kernel,
+    mat_mul,
     reduce_vector,
     rref,
     rref_insert,
@@ -87,8 +88,7 @@ class _SL2Module:
 
     Each call of eps, h or s builds a new map. The generators and M^U are
     built once per module instance, on first use, and every spin, stability
-    check and census of the module reads them; a dual is its own instance,
-    with its own."""
+    check and census of the module reads them."""
 
     def unit_vector(self, i):
         """The i-th basis vector, in codes."""
@@ -116,9 +116,6 @@ class _SL2Module:
         """The canonical code rows of M^U: the fixed space of the eps
         generators."""
         return fixed_subspace(self, self.generators[:-2]).code_rows
-
-    def dual(self):
-        return _Dual(self)
 
     def _check_relations(self):
         """Steinberg's presentation of SL_2(F_q) (R. Steinberg, Lectures on
@@ -188,28 +185,6 @@ class _SL2Module:
                 raise RelationError("the s-conjugation relation fails")
 
 
-class _Dual(_SL2Module):
-    """The dual module, on the dual basis: g acts by the transpose of g^-1,
-    so a monomial map keeps its perm and inverts its scales. Every other
-    attribute (p, a, m, tower, dim) is the module's own."""
-
-    def __init__(self, module):
-        self.module = module
-
-    def __getattr__(self, name):
-        return getattr(self.module, name)
-
-    def eps(self, x):
-        return self.module.eps(self.codes.neg[x]).transpose()
-
-    def h(self, u):
-        return self.module.h(self.codes.inv[u]).transpose()
-
-    def s(self):
-        # s^-1 = s^3 = h(-1) s
-        return self.module.h(self.codes.neg[1]).compose(self.module.s()).transpose()
-
-
 class InducedModule(_SL2Module):
     """kG_a tensor theta, with cell basis {line} + {eps(t) s line : t in F_q}.
 
@@ -264,6 +239,30 @@ class InducedModule(_SL2Module):
         units = range(1, self.q)
         return MonomialMap(self.codes, [1, 0] + [1 + neg[inv[t]] for t in units],
                            [1, theta[neg[1]]] + [theta[neg[t]] for t in units])
+
+    def dual(self):
+        """The contragredient module, on the dual basis: the induced module
+        of theta^-1 on the same cells, or this module when theta^2 = 1.
+
+        g acts on the dual basis by (g^-1)^T. For a monomial map g, sending
+        cell j to scale[j] cell perm[j], g^-1 sends cell perm[j] back to
+        cell j with scale 1/scale[j], and its transpose sends cell j to
+        cell perm[j] with that scale: the permutation is kept and every
+        scale inverted. Each map here takes its permutation from the code
+        tables alone and each scale is 1 or a value of theta, so at every
+        point the dual's map is the map of theta^-1. The contragredient of
+        a representation is one, so those maps satisfy the presentation
+        checked for theta's maps, and the check is not run again.
+        """
+        units = self.q - 1
+        if 2 * self.m % units == 0:
+            return self
+        dual = InducedModule.__new__(InducedModule)
+        for name in ("q", "p", "a", "coeff_level", "tower", "codes", "dim"):
+            setattr(dual, name, getattr(self, name))
+        dual.m = -self.m % units
+        dual._theta = [0] + [self.codes.inv[c] for c in self._theta[1:]]
+        return dual
 
     def line_sum_vector(self, subfield_level=None):
         """sum over u in the chosen subfield of u . s . line, one cell each."""
@@ -329,18 +328,6 @@ def fixed_subspace(module, maps) -> Subspace:
     return Subspace(module, kernel(codes, rows, module.dim))
 
 
-def _combinations(codes, coeffs, rows):
-    """Canonical rows of the span of the sums of c_i rows[i], c over coeffs."""
-    vecs = []
-    for c in coeffs:
-        v = (0,) * len(rows[0])
-        for ci, r in zip(c, rows):
-            if ci:
-                v = vec_add(codes, v, vec_scale(codes, ci, r))
-        vecs.append(v)
-    return rref(codes, vecs)
-
-
 def _projective_vectors(module, rows):
     """One representative per line of the span of code rows: the
     coefficient of the leading row is pinned to one, later rows range over
@@ -383,7 +370,7 @@ def b_stable_lines(module, within: Subspace | None = None):
     if within is not None:
         residuals = [reduce_vector(codes, r, within.code_rows) for r in rows]
         coeffs = kernel(codes, zip(*residuals), len(rows))
-        rows = _combinations(codes, coeffs, rows)
+        rows = rref(codes, mat_mul(codes, coeffs, rows))
     d = len(rows)
     pivots = [r.index(1) for r in rows]
     hg = module.generators[-2]
@@ -397,7 +384,7 @@ def b_stable_lines(module, within: Subspace | None = None):
                    for j, row in enumerate(matrix)]
         eigen = kernel(codes, shifted, d)
         if eigen:
-            yield from _projective_vectors(module, _combinations(codes, eigen, rows))
+            yield from _projective_vectors(module, rref(codes, mat_mul(codes, eigen, rows)))
 
 
 @dataclass(frozen=True)
@@ -477,12 +464,14 @@ def socle_head_report(module) -> SocleHeadReport:
     Maximal submodules are the annihilators of the minimal submodules of the
     dual: so the maximal submodule is the annihilator of the dual's socle,
     and the head has that socle's dimension. Otherwise two annihilators
-    that sum to the whole witness non-uniqueness. Needs theta nontrivial at
-    the module's level.
+    that sum to the whole witness non-uniqueness. When theta^2 = 1 the dual
+    is the module itself, and its one census serves both. Needs theta
+    nontrivial at the module's level.
     """
     _require_nontrivial(module)
     spins, socle, miss = _census_socle(module)
-    _, dual_socle, dual_miss = _census_socle(module.dual())
+    dual = module.dual()
+    dual_socle, dual_miss = (socle, miss) if dual is module else _census_socle(dual)[1:]
     whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
 
     def annihilator(sub):

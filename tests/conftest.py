@@ -48,7 +48,7 @@ def compose_calls(monkeypatch):
 def mat_mul_calls(monkeypatch):
     """A list whose length counts the calls of linalg.mat_mul from now on:
     the dense matrix products, which compositions with a monomial map do
-    without."""
+    without. It is patched in every module that binds it by name."""
     calls = []
     real = linalg.mat_mul
 
@@ -56,7 +56,8 @@ def mat_mul_calls(monkeypatch):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(linalg, "mat_mul", counting)
+    for module in (linalg, sl2lab):
+        monkeypatch.setattr(module, "mat_mul", counting)
     return calls
 
 

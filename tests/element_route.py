@@ -4,12 +4,14 @@ Every sum, difference and product here is a FieldElement operator, so no
 code table is read; a map's entries are decoded once, through the level's
 `elements`, and applied by the same operators. The library's int-coded
 `linalg` and `sl2lab.spin` / `fixed_subspace` must give these rows, entry
-for entry.
+for entry. `Contragredient` is the dual module by its definition, each map
+the transpose of an inverse, against which `InducedModule.dual` is checked.
 """
 
 from __future__ import annotations
 
-from borelline.linalg import MonomialMap
+from borelline.linalg import DenseMap, MonomialMap
+from borelline.sl2lab import _SL2Module
 
 
 def vec_add(u, v):
@@ -149,3 +151,36 @@ def fixed_subspace(module, maps):
     for g in maps:
         rows.extend(zip(*(vec_sub(apply(g, e), e) for e in units)))
     return kernel(rows, module.dim, one(module), zero(module))
+
+
+def transpose(g):
+    """The transpose of a MonomialMap or DenseMap: a monomial map sending
+    basis vector j to c e_i goes to one sending e_i to c e_j."""
+    if isinstance(g, MonomialMap):
+        perm, scale = [0] * len(g.perm), [0] * len(g.perm)
+        for j, (i, c) in enumerate(zip(g.perm, g.scale)):
+            perm[i], scale[i] = j, c
+        return MonomialMap(g.codes, perm, scale)
+    return DenseMap(g.codes, zip(*g.rows))
+
+
+class Contragredient(_SL2Module):
+    """The dual of a module, on the dual basis: g acts by the transpose of
+    g^-1. Every other attribute (p, a, m, tower, codes, dim) is the
+    module's own."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def eps(self, x):
+        return transpose(self.module.eps(self.codes.neg[x]))
+
+    def h(self, u):
+        return transpose(self.module.h(self.codes.inv[u]))
+
+    def s(self):
+        # s^-1 = s^3 = h(-1) s
+        return transpose(self.module.h(self.codes.neg[1]).compose(self.module.s()))

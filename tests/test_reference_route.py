@@ -3,10 +3,11 @@
 Every subspace the rank-one verdict reads is recomputed on FieldElements
 by `element_route`, from the same maps and the same lines, and must have
 the same canonical rows: the spin of each line the census spins (and of
-every B-stable line of the module and its dual up to q = 13), M^U of the
+every B-stable line of a trivial-character module up to q = 13), M^U of the
 module and of its dual, the socle, the maximal submodule and the two Hecke
 pieces; then the digit span, the level-bridge image and the bridge's spin
-on the `sl2-chain` grid.
+on the `sl2-chain` grid. `InducedModule.dual` is checked against the
+transposed contragredient.
 """
 
 from __future__ import annotations
@@ -76,8 +77,11 @@ def _check_module(monkeypatch, p, a, m):
     _check_u_fixed_rows(module)
     if m:
         # the socle is the least spin of the module, the maximal submodule
-        # the annihilator of the dual's
-        (socle, dual_socle) = (min(spun, key=len) for spun in by_module.values())
+        # the annihilator of the dual's; when theta^2 = 1 the dual is the
+        # module and its one census serves both
+        assert len(by_module) == (1 if module.dual() is module else 2)
+        spun = list(by_module.values())
+        socle, dual_socle = min(spun[0], key=len), min(spun[-1], key=len)
         one, zero = ref.one(module), ref.zero(module)
         assert rep.socle.rows == socle
         assert rep.maximal.rows == ref.kernel(dual_socle, module.dim, one, zero)
@@ -100,10 +104,25 @@ def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, 
             module = _check_module(patch, p, a, m)
         if m == 0:
             # the census of the whole module stops at its first witness;
-            # here every line of it and of its dual is spun
-            for mod in (module, module.dual()):
-                for v in b_stable_lines(mod):
-                    assert spin(mod, v).rows == ref.spin(mod, mod.codes.decode(v))
+            # here every line of it, its own dual, is spun
+            assert module.dual() is module
+            for v in b_stable_lines(module):
+                assert spin(module, v).rows == ref.spin(module, module.codes.decode(v))
+
+
+def test_dual_is_the_transposed_contragredient():
+    # the induced module of theta^-1 on the same cells has the maps (g^-1)^T
+    # of the module's, and the same M^U; it is the module when theta^2 = 1
+    cases = [(p, a, m) for p, a in SMALL_FIELDS for m in range(p ** factorial(a) - 1)]
+    for p, a, m in cases + [(2, 3, 1), (2, 3, 5), (61, 1, 5)]:
+        module = InducedModule(p, a, truncate(RationalPower(m), p, a))
+        dual, reference = module.dual(), ref.Contragredient(module)
+        assert (dual is module) is (2 * m % (module.q - 1) == 0)
+        assert dual.generators == reference.generators
+        assert dual.u_fixed_rows == reference.u_fixed_rows
+        assert (dual.p, dual.a, dual.m, dual.dim, dual.codes) == (
+            p, a, -m % (module.q - 1), module.dim, module.codes)
+    assert len(cases) == 1 + 2 + 3 + 4 + 6 + 8 + 10 + 12
 
 
 @pytest.mark.parametrize("p, a, m", ((2, 3, 1), (2, 3, 0), (61, 1, 5)),
