@@ -51,7 +51,6 @@ from .sl2lab import (
     PreconditionError,
     b_stable_lines,
     case_verdict,
-    is_irreducible,
     l_submodule,
     pi_image,
     socle_head_report,
@@ -95,7 +94,6 @@ __all__ = [
     "digit_sum",
     "extract_pattern",
     "is_compatible",
-    "is_irreducible",
     "l_submodule",
     "lucas_binom",
     "lucas_criterion",

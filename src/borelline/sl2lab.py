@@ -40,7 +40,6 @@ from .linalg import (
     MonomialMap,
     kernel,
     mat_mul,
-    reduce_vector,
     rref,
     rref_insert,
     span_contains,
@@ -349,34 +348,28 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
-def b_stable_lines(module, within: Subspace | None = None):
-    """One code vector per B-stable line of the module, or of its submodule
-    `within`: the lines of the eigenspaces of h(g), g a generator of the
-    units, inside the fixed space of U = {eps(x)}.
+def b_stable_lines(module):
+    """One code vector per B-stable line of the module: the lines of the
+    eigenspaces of h(g), g a generator of the units, inside the fixed space
+    of U = {eps(x)}.
 
     Every nonzero submodule N contains one: U is a p-group, so N^U != 0,
     and T normalises U and has order q - 1 prime to p, so it acts
     diagonalisably on N^U. Hence every minimal submodule is the spin of a
     B-stable line.
 
-    M^U is the module's `u_fixed_rows`, computed once per module and cut
-    down to `within`. T normalises U, so h(g) maps the d rows of that space
-    into their span, and its d x d matrix is read off at their pivots; the
-    eigenspaces are kernels of that matrix. `within` must therefore be
-    T-stable: an image outside the span raises PreconditionError.
+    M^U is the module's `u_fixed_rows`, computed once per module. T
+    normalises U, so h(g) maps the d rows of M^U into their span, and its
+    d x d matrix is read off at their pivots; the eigenspaces are kernels of
+    that matrix. The rank-one verdict walks them only when theta^2 != 1;
+    else `HeckeOperators` settles every case.
     """
     codes = module.codes
     rows = module.u_fixed_rows
-    if within is not None:
-        residuals = [reduce_vector(codes, r, within.code_rows) for r in rows]
-        coeffs = kernel(codes, zip(*residuals), len(rows))
-        rows = rref(codes, mat_mul(codes, coeffs, rows))
     d = len(rows)
     pivots = [r.index(1) for r in rows]
     hg = module.generators[-2]
     images = [hg.apply(r) for r in rows]
-    if not all(span_contains(codes, rows, v) for v in images):
-        raise PreconditionError("h(g) does not keep the U-fixed vectors of the subspace")
     # column i holds the coordinates of h(g) rows[i] on the rows
     matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
     for lam in range(1, codes.q):
@@ -389,8 +382,8 @@ def b_stable_lines(module, within: Subspace | None = None):
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
-    """Every submodule is accounted for through its B-stable lines, so the
-    verdict is exhaustive and a proof either way."""
+    """Every submodule is accounted for through its B-stable lines, or t_s
+    when theta^2 = 1, so the verdict is exhaustive and a proof either way."""
 
     irreducible: bool
     dimension: int
@@ -404,24 +397,6 @@ def _is_stable(module, sub: Subspace) -> bool:
     rows = sub.code_rows
     return all(span_contains(module.codes, rows, g.apply(r))
                for g in module.generators for r in rows)
-
-
-def is_irreducible(module, subspace: Subspace | None = None) -> IrreducibilityVerdict:
-    """Irreducible iff every B-stable line of the (sub)module spins to all
-    of it; the witness is the first line whose spin is proper. The census
-    is a proof only for submodules, so a given subspace must be stable.
-    """
-    if subspace is not None and not _is_stable(module, subspace):
-        raise PreconditionError("the subspace is not stable under the generators")
-    target = subspace if subspace is not None else Subspace(
-        module, rref(module.codes, [module.unit_vector(i) for i in range(module.dim)])
-    )
-    if target.dim == 0:
-        return IrreducibilityVerdict(False, 0)
-    for v in b_stable_lines(module, subspace):
-        if spin(module, v) != target:
-            return IrreducibilityVerdict(False, target.dim, v)
-    return IrreducibilityVerdict(True, target.dim)
 
 
 # -- socle and head ----------------------------------------------------------
@@ -459,24 +434,31 @@ def _census_socle(module):
 
 def socle_head_report(module) -> SocleHeadReport:
     """Irreducibility of the whole module, its unique minimal and its unique
-    maximal submodule, from the census of the module and of its dual.
+    maximal submodule. Needs theta nontrivial at the module's level.
 
     Maximal submodules are the annihilators of the minimal submodules of the
     dual: so the maximal submodule is the annihilator of the dual's socle,
-    and the head has that socle's dimension. Otherwise two annihilators
-    that sum to the whole witness non-uniqueness. When theta^2 = 1 the dual
-    is the module itself, and its one census serves both. Needs theta
-    nontrivial at the module's level.
+    and the head has that socle's dimension.
+
+    With theta of order 2 the module is its own dual, and `HeckeOperators`
+    proves the socle to be spin(t_s line), a proper submodule: one spin
+    gives the socle, the maximal submodule and the whole-module witness.
+    Otherwise they come from the census of the module and of its dual, and
+    two annihilators that sum to the whole witness non-uniqueness.
     """
     _require_nontrivial(module)
-    spins, socle, miss = _census_socle(module)
-    dual = module.dual()
-    dual_socle, dual_miss = (socle, miss) if dual is module else _census_socle(dual)[1:]
-    whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
 
     def annihilator(sub):
         return Subspace(module, kernel(module.codes, sub.code_rows, module.dim))
 
+    if 2 * module.m == module.q - 1:
+        t_s_line = HeckeOperators(module).t_s_line
+        socle = spin(module, t_s_line)
+        return SocleHeadReport(IrreducibilityVerdict(False, module.dim, t_s_line),
+                               socle, None, annihilator(socle), None)
+    spins, socle, miss = _census_socle(module)
+    dual_socle, dual_miss = _census_socle(module.dual())[1:]
+    whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
     maximal = annihilator(dual_socle) if dual_miss is None else None
     return SocleHeadReport(
         IrreducibilityVerdict(whole_witness is None, module.dim, whole_witness),
@@ -500,31 +482,29 @@ def case_verdict(module: InducedModule):
     and a JSON-ready dict naming each known answer that fails, empty when all
     hold. No other place states these answers.
 
-    With theta trivial at the module's level, "hecke": the two Hecke pieces
-    have dims (1, q) and are irreducible, each by the census of its own
-    B-stable lines, and the whole module they split is reducible; else
-    "dims", "irreducible" or "whole" fails. Otherwise "socle_head", from
-    `socle_head_report`, which also gives the whole-module verdict: a unique
-    simple socle of dimension `socle_digit_product` ("socle"), a unique
-    maximal submodule ("maximal"), and a head of dimension the product of
-    (d_i + 1) over the base-p digits d_i of m ("head").
+    With theta trivial at the module's level, "hecke": the pieces of
+    `HeckeOperators.idempotent_split`, each nonzero one simple, must have
+    dims (1, q) ("dims"); a split into two nonzero pieces makes the whole
+    module reducible, with the first piece's row as witness. Otherwise
+    "socle_head", from `socle_head_report`, which also gives the
+    whole-module verdict: a unique simple socle of dimension
+    `socle_digit_product` ("socle"), a unique maximal submodule ("maximal"),
+    and a head of dimension the product of (d_i + 1) over the base-p digits
+    d_i of m ("head").
     """
     failed = {}
     if module.m == 0:
-        whole = is_irreducible(module)
         pieces = HeckeOperators(module).idempotent_split()
-        verdicts = [is_irreducible(module, y) for y in pieces]
         section = {
             "dims": [y.dim for y in pieces],
-            "irreducible": [v.irreducible for v in verdicts],
-            "proof": [v.proof for v in verdicts],
+            "irreducible": [y.dim > 0 for y in pieces],
+            "proof": [True] * len(pieces),
         }
         if section["dims"] != [1, module.q]:
             failed["dims"] = section["dims"]
-        if not all(section["irreducible"]):
-            failed["irreducible"] = section["irreducible"]
-        if whole.irreducible:
-            failed["whole"] = "irreducible"
+        # with a zero piece the other is the whole module, simple
+        witness = pieces[0].code_rows[0] if all(section["irreducible"]) else None
+        whole = IrreducibilityVerdict(witness is None, module.dim, witness)
         return whole, "hecke", section, failed
     rep = socle_head_report(module)
     section = {
@@ -684,31 +664,41 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
     return ChainRecord(pi.m_t, sub.dim == module.dim, not pi.is_zero)
 
 
-# -- endomorphisms for the trivial character ---------------------------------
+# -- endomorphisms when theta^2 = 1 ------------------------------------------
 
 
 class HeckeOperators:
-    """The endomorphism t_s at a level where theta is trivial, and the split
-    of the module by the projectors e = 1 + t_s and o = -t_s.
+    """The endomorphism t_s of the module when theta^2 = 1 at its level and,
+    for theta trivial, the split by the projectors e = 1 + t_s and o = -t_s.
 
-    e + o = 1 by construction, so e and o are orthogonal idempotents exactly
-    when t_s^2 = -t_s: the Hecke relation T_s^2 = (q - 1) T_s + q read in
-    characteristic p. That one relation is checked, with equivariance.
+    End_G(Ind_B^G theta) is then spanned by 1 and t_s (Howlett and
+    Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977). t_s sends the line
+    to the sum L of all cells, U-fixed and scaled by theta(u)^-1 = theta(u)
+    under h(u), and the cell eps(t) s line to eps(t) s L. Checked: t_s g =
+    g t_s for each generator g, one whole-map identity each; t_s^2 line =
+    c t_s line, c the sum of theta over the units, -1 for theta trivial and
+    else 0 (the q translates of s L sum to q theta(-1) line + c L), which
+    proves t_s^2 = c t_s, as t_s^2 - c t_s is equivariant and kills the
+    line, which generates the module; and M^U = span{line, t_s line}.
 
-    Equivariance is one whole-map identity per generator g, t_s g = g t_s,
-    each a composition of the dense t_s with a monomial map. The relation
-    is then checked on the image of the line alone, t_s^2 line = -t_s line,
-    and that is a proof: t_s^2 + t_s is equivariant and kills the line, and
-    the line generates the module, each cell being eps(t) s line with
-    scale one.
+    Theta trivial: e and o are orthogonal idempotents summing to 1, and
+    P(M)^U = P(M^U) for P in {e, o}, spanned by P(line) as e t_s line = 0
+    and o t_s line = -o line. So each nonzero P(M) is simple: a nonzero
+    submodule holds a U-fixed vector, U being a p-group, hence P(line),
+    which spins to P(M).
+
+    Theta of order 2: t_s^2 = 0, so line + b t_s line = (1 + b t_s) line
+    spins to M for every b, and a proper submodule N has N^U inside
+    span{t_s line}. So S = spin(t_s line) = t_s(M) lies in every nonzero
+    submodule, and is proper as t_s(S) = 0 != t_s(line): the simple socle.
+    The module is its own dual, so S's annihilator is the unique maximal
+    submodule.
     """
 
     def __init__(self, module: InducedModule):
-        if module.m != 0:
+        if 2 * module.m % (module.q - 1):
             raise PreconditionError(
-                "endomorphism basis indexed by the Weyl group needs the "
-                "character trivial at this level"
-            )
+                "the endomorphism t_s needs theta^2 trivial at this level")
         self.module = module
         codes = module.codes
         # t_s sends the line to the sum of all cells and is extended to the
@@ -716,7 +706,7 @@ class HeckeOperators:
         # line and sends cell(u) to cell(u + t) with scale one, so that column
         # is s_image translated: its coordinate at cell(w) is s_image's at
         # cell(w - t), and w - t = -(t - w)
-        image_of_line = module.line_sum_vector()
+        self.t_s_line = image_of_line = module.line_sum_vector()
         s_image = module.generators[-1].apply(image_of_line)
         at_minus = [s_image[1 + c] for c in codes.neg]
         cols = [image_of_line] + [
@@ -729,17 +719,23 @@ class HeckeOperators:
         for g in module.generators:
             if t_s.compose(g) != g.compose(t_s):
                 raise RelationError("the cell-averaging operator is not equivariant")
-        if t_s.apply(image_of_line) != vec_scale(codes, codes.neg[1], image_of_line):
-            raise RelationError("the Hecke relation t_s^2 = -t_s fails")
+        c = 0 if module.m else codes.neg[1]
+        if t_s.apply(image_of_line) != vec_scale(codes, c, image_of_line):
+            raise RelationError("the Hecke relation t_s^2 = c t_s fails, c = -1 if theta = 1, else 0")
+        if module.u_fixed_rows != rref(codes, (module.unit_vector(0), image_of_line)):
+            raise RelationError("M^U is not spanned by the line and t_s line")
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the
-        columns e_j + t_s e_j, and that of the columns of t_s."""
+        columns e_j + t_s e_j, and that of the columns of t_s. Needs theta
+        trivial: when theta has order 2, 1 + t_s is invertible."""
         module, codes = self.module, self.module.codes
+        if module.m:
+            raise PreconditionError(
+                "the projectors 1 + t_s and -t_s need theta trivial at this level")
         units = (module.unit_vector(j) for j in range(module.dim))
         y_full = Subspace(module, rref(codes, (vec_add(codes, e, c) for e, c in zip(units, self._cols))))
         y_empty = Subspace(module, rref(codes, self._cols))
         if y_full.dim + y_empty.dim != self.module.dim:
             raise RelationError("projector images do not decompose the module")
         return y_full, y_empty
-

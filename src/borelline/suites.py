@@ -240,7 +240,8 @@ def suite_sl2_chain(p_filter=None) -> dict:
 
 
 def suite_hecke_split(p_filter=None) -> dict:
-    """The Hecke split by `case_verdict`; each failure names the failed checks."""
+    """The Hecke split of each trivial-character module by `case_verdict`,
+    read off t_s with no census; a failure names the failed check, `dims`."""
     failures = []
     cases = 0
     for p, a in SL2_GRID:

@@ -2,7 +2,7 @@
 
 Every subspace the rank-one verdict reads is recomputed on FieldElements
 by `element_route`, from the same maps and the same lines, and must have
-the same canonical rows: the spin of each line the census spins (and of
+the same canonical rows: the spin of each line the verdict spins (and of
 every B-stable line of a trivial-character module up to q = 13), M^U of the
 module and of its dual, the socle, the maximal submodule and the two Hecke
 pieces; then the digit span, the level-bridge image and the bridge's spin
@@ -25,7 +25,6 @@ from borelline.sl2lab import (
     HeckeOperators,
     InducedModule,
     b_stable_lines,
-    is_irreducible,
     l_submodule,
     pi_image,
     socle_head_report,
@@ -61,14 +60,10 @@ def _check_module(monkeypatch, p, a, m):
     spins = _recorded_spins(monkeypatch)
     if m:
         rep = socle_head_report(module)
-        pieces = ()
+        assert spins
     else:
-        is_irreducible(module)
         ops = HeckeOperators(module)
         pieces = ops.idempotent_split()
-        for piece in pieces:
-            is_irreducible(module, piece)
-    assert spins
     by_module = {}
     for mod, vec, sub in spins:
         rows = ref.spin(mod, mod.codes.decode(vec))
@@ -78,7 +73,7 @@ def _check_module(monkeypatch, p, a, m):
     if m:
         # the socle is the least spin of the module, the maximal submodule
         # the annihilator of the dual's; when theta^2 = 1 the dual is the
-        # module and its one census serves both
+        # module and the one spin, of t_s line, serves both
         assert len(by_module) == (1 if module.dual() is module else 2)
         spun = list(by_module.values())
         socle, dual_socle = min(spun[0], key=len), min(spun[-1], key=len)
@@ -103,8 +98,8 @@ def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, 
         with monkeypatch.context() as patch:
             module = _check_module(patch, p, a, m)
         if m == 0:
-            # the census of the whole module stops at its first witness;
-            # here every line of it, its own dual, is spun
+            # the verdict spins no line; here every B-stable line of the
+            # module, its own dual, is spun
             assert module.dual() is module
             for v in b_stable_lines(module):
                 assert spin(module, v).rows == ref.spin(module, module.codes.decode(v))

@@ -12,18 +12,18 @@ import element_route as ref
 from borelline import cli, sl2lab, suites
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
-from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, span_contains, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, kernel, mat_mul, rref, span_contains, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
     InducedModule,
+    IrreducibilityVerdict,
     PreconditionError,
     RelationError,
     Subspace,
     case_verdict,
     b_stable_lines,
     fixed_subspace,
-    is_irreducible,
     l_submodule,
     pi_image,
     socle_head_report,
@@ -413,7 +413,7 @@ def test_fixed_subspace_within():
     # the U-fixed vectors of the socle make up one B-stable line
     module = InducedModule(2, 2, power_char(1, 2))
     socle = socle_head_report(module).socle
-    lines = list(b_stable_lines(module, socle))
+    lines = list(_b_stable_lines_per_eigenvalue(module, socle))
     assert len(lines) == 1
     assert _contains(socle, lines[0])
 
@@ -618,11 +618,17 @@ def test_order_two_census_spins_every_line_of_the_plane(
     spin_calls, enumerated_lines, capsys, p, a, power, spins
 ):
     # theta^2 = 1: h(g) scales both rows of M^U by theta(g), so the census
-    # spins all q + 1 lines of that plane, once: the module is its own dual
+    # spins all q + 1 lines of that plane, once. The lab takes none of them:
+    # t_s proves the socle to be the spin of t_s line, its one spin (the
+    # census made q + 1 = 14 and 4)
     assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", str(power)]) == 0
     assert '"socle_ok": true' in capsys.readouterr().out
-    assert len(spin_calls) == spins == p ** factorial(a) + 1
+    assert len(spin_calls) == 1 and enumerated_lines == {}
+    module = InducedModule(p, a, power_char(power, p, a))
+    census, socle, miss = sl2lab._census_socle(module)
+    assert len(census) == len(spin_calls) - 1 == spins == p ** factorial(a) + 1
     assert enumerated_lines == {2: spins}
+    assert miss is None and socle == socle_head_report(module).socle
 
 
 FIELD_OPERATIONS = ("__add__", "__sub__", "__mul__", "__neg__", "inverse", "__pow__", "is_zero")
@@ -658,13 +664,23 @@ def test_construction_and_verdict_compute_on_codes_alone(monkeypatch, p, a, m):
 def test_trivial_character_census_walks_coefficient_one_early(
     spin_calls, enumerated_lines, capsys, p, a
 ):
-    # the whole module's B-stable lines fill a plane, e_0 + c (sum of cells)
-    # among them; c = 1 spins to a proper submodule and is the second line
-    # walked. Then one line in each Hecke piece
+    # the lab reads the verdict off the Hecke pieces and spins nothing (the
+    # census below made 4 spins and walked {2: 2, 1: 2} lines). In that
+    # census the whole module's B-stable lines fill a plane, e_0 + c (sum of
+    # cells) among them; c = 1 spins to a proper submodule and is the second
+    # line walked, the row of the one-dimensional piece, the lab's witness.
+    # Then one line in each Hecke piece
     assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", "0"]) == 0
     assert '"ok": true' in capsys.readouterr().out
+    assert len(spin_calls) == 0 and enumerated_lines == {}
+    module = InducedModule(p, a, trivial_character(p, a))
+    pieces = HeckeOperators(module).idempotent_split()
+    whole = is_irreducible(module)
+    assert all(is_irreducible(module, y).irreducible for y in pieces)
     assert len(spin_calls) == 4
     assert enumerated_lines == {2: 2, 1: 2}
+    assert whole == case_verdict(module)[0]
+    assert whole.witness == pieces[0].code_rows[0]
 
 
 def test_b_stable_lines_are_b_stable():
@@ -722,6 +738,22 @@ def _b_stable_lines_per_eigenvalue(module, within=None):
         yield from sl2lab._projective_vectors(module, eigen.code_rows)
 
 
+def is_irreducible(module, subspace=None):
+    """The census verdict on the per-eigenvalue route: the (sub)module is
+    irreducible iff each of its B-stable lines spins to all of it, the
+    witness being the first whose spin is proper. The census is a proof
+    only for submodules, so a given subspace must be stable."""
+    if subspace is not None and not sl2lab._is_stable(module, subspace):
+        raise PreconditionError("the subspace is not stable under the generators")
+    target = subspace if subspace is not None else _whole(module)
+    if target.dim == 0:
+        return IrreducibilityVerdict(False, 0)
+    for v in _b_stable_lines_per_eigenvalue(module, subspace):
+        if sl2lab.spin(module, v) != target:
+            return IrreducibilityVerdict(False, target.dim, v)
+    return IrreducibilityVerdict(True, target.dim)
+
+
 def _census_cases():
     """(module, within) for every m at LAB_PAIRS, (7, 1) and (3, 2): the
     module, its dual, and its Hecke pieces or its socle and maximal
@@ -749,24 +781,19 @@ def _census_cases():
 
 
 def test_census_matches_the_per_eigenvalue_route():
-    # the same vectors in the same order, so every spin and witness agrees
+    # the same vectors in the same order, so every spin and witness agrees;
+    # inside a submodule, the module's lines that it holds, each scaled to a
+    # leading one on both routes
     cases = 0
     for module, within in _census_cases():
-        lines = list(b_stable_lines(module, within))
-        assert lines and lines == list(_b_stable_lines_per_eigenvalue(module, within))
+        lines = list(b_stable_lines(module))
+        if within is None:
+            assert lines and lines == list(_b_stable_lines_per_eigenvalue(module))
+        else:
+            inside = list(_b_stable_lines_per_eigenvalue(module, within))
+            assert inside and set(inside) == {v for v in lines if _contains(within, v)}
         cases += 1
     assert cases == 4 * (1 + 2 + 4 + 3 + 6 + 8) + 3 * 3 * 9
-
-
-def test_census_refuses_a_subspace_that_is_not_torus_stable():
-    # e_0 + (sum of cells) is U-fixed, but h(g) scales its terms by g and
-    # 1/g; the per-eigenvalue route finds no line in its span
-    module = InducedModule(5, 1, power_char(1, 5))
-    line_sum = module.codes.decode(module.line_sum_vector())
-    within = _span(module, [ref.vec_add(ref.unit_vector(module, 0), line_sum)])
-    assert list(_b_stable_lines_per_eigenvalue(module, within)) == []
-    with pytest.raises(PreconditionError, match="U-fixed vectors"):
-        list(b_stable_lines(module, within))
 
 
 class _Rebased(sl2lab._SL2Module):
@@ -1087,9 +1114,12 @@ def test_chain_agreement_full_grid():
 
 
 def test_hecke_operators_need_trivial_character():
-    module = InducedModule(3, 1, power_char(1, 3))
-    with pytest.raises(PreconditionError):
-        HeckeOperators(module)
+    # t_s is an endomorphism when theta^2 = 1; only theta = 1 splits by it
+    with pytest.raises(PreconditionError, match="theta\\^2 trivial"):
+        HeckeOperators(InducedModule(5, 1, power_char(1, 5)))
+    ops = HeckeOperators(InducedModule(3, 1, power_char(1, 3)))
+    with pytest.raises(PreconditionError, match="need theta trivial"):
+        ops.idempotent_split()
 
 
 def test_hecke_split_dims_and_irreducibility():
@@ -1107,12 +1137,15 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
-@pytest.mark.parametrize("p, a, applies", ((2, 3, 1627), (2, 2, 71)), ids=("q=64", "q=4"))
+@pytest.mark.parametrize("p, a, applies", ((2, 3, 391), (2, 2, 11)), ids=("q=64", "q=4"))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, monomial_apply_calls, p, a, applies):
-    # the whole module and both Hecke pieces share one M^U; computing it
-    # per census made 3 fixed_subspace calls and 2d(q + 1) more applies
-    # (3510 and 134). Checking equivariance column by column made
+    # d(q + 1) + 1 applies, d = [F_q : F_p]: each eps over the F_p-basis on
+    # each unit vector for M^U, which t_s's check compares with the line and
+    # t_s line, and s on t_s line for t_s's columns. The census of the whole
+    # module and of both Hecke pieces made 1627 and 71; computing M^U per
+    # census made 3 fixed_subspace calls and 2d(q + 1) more applies (3510
+    # and 134). Checking equivariance column by column made
     # 2(d + 2)(q + 1) - 1 more applies (2730 and 114), and building t_s's
     # columns through eps(t) made q more (64 and 4).
     calls = []
@@ -1140,15 +1173,15 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
         return vec_scale(self.codes, self.codes.code(self.tower.scalar(2, self.a)), real(self, *args))
 
     monkeypatch.setattr(InducedModule, "line_sum_vector", doubled)
-    with pytest.raises(RelationError, match=re.escape("t_s^2 = -t_s")):
+    with pytest.raises(RelationError, match=re.escape("t_s^2 = c t_s fails, c = -1 if theta = 1")):
         HeckeOperators(module)
 
 
-@pytest.mark.parametrize("p", (2, 3))
-def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, p):
+@pytest.mark.parametrize("p, m", ((2, 0), (3, 0), (3, 1), (5, 2)), ids=("2", "3", "3-1", "5-2"))
+def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, p, m):
     # t_s(line) = s line = cell(0) sends the line, fixed by eps(b), to a
-    # cell that eps(b) moves
-    module = InducedModule(p, 1, trivial_character(p, 1))
+    # cell that eps(b) moves; for theta trivial and of order 2 alike
+    module = InducedModule(p, 1, power_char(m, p, 1))
 
     def base_cell(self, *args):
         return self.unit_vector(_cell(self, self.tower.zero(self.a)))
@@ -1176,6 +1209,67 @@ def test_hecke_t_s_squares_to_minus_itself():
             assert ref.mat_mul(t_s, g_rows) == ref.mat_mul(g_rows, t_s)
 
 
+def test_hecke_t_s_squares_to_zero_for_theta_of_order_two():
+    # the same reference route when theta^2 = 1 but theta != 1: t_s is
+    # equivariant and nilpotent, the sum of theta over the units being 0
+    for p, a in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        q = p ** factorial(a)
+        module = InducedModule(p, a, power_char((q - 1) // 2, p, a))
+        t_s = tuple(map(module.codes.decode, HeckeOperators(module).t_s_rows))
+        zero = tuple(tuple(x - x for x in row) for row in t_s)
+        assert ref.mat_mul(t_s, t_s) == zero != t_s
+        for g in module.generators:
+            g_rows = _dense_rows(module, g)
+            assert ref.mat_mul(t_s, g_rows) == ref.mat_mul(g_rows, t_s)
+
+
+@pytest.mark.parametrize("p, m", ((3, 0), (3, 1)))
+def test_hecke_operators_catch_a_u_fixed_space_past_the_plane(monkeypatch, p, m):
+    # one extra row in M^U: t_s is still equivariant with t_s^2 = c t_s,
+    # but the line and t_s line no longer span the U-fixed vectors
+    module = InducedModule(p, 1, power_char(m, p, 1))
+    real = sl2lab._SL2Module.u_fixed_rows.func
+
+    def one_row_more(self):
+        return rref(self.codes, real(self) + (self.unit_vector(1),))
+
+    monkeypatch.setattr(sl2lab._SL2Module, "u_fixed_rows", property(one_row_more))
+    with pytest.raises(RelationError, match=re.escape("M^U is not spanned by the line and t_s line")):
+        HeckeOperators(module)
+
+
+SELF_DUAL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                    (17, 1), (19, 1), (23, 1), (5, 2))
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
+def test_hecke_route_matches_the_census_when_theta_squared_is_trivial(monkeypatch, p, a):
+    # every theta with theta^2 = 1 up to q = 25: the verdict from t_s against
+    # the exhaustive census, in section, witness and failed checks; for the
+    # trivial theta each piece is simple by the census of its own lines, and
+    # for theta of order 2 the census's socle and maximal submodule are the
+    # spin of t_s line and its annihilator
+    q = p ** factorial(a)
+    module = InducedModule(p, a, trivial_character(p, a))
+    pieces = HeckeOperators(module).idempotent_split()
+    assert all(is_irreducible(module, y).irreducible for y in pieces)
+    section = {"dims": [1, q], "irreducible": [True, True], "proof": [True, True]}
+    assert case_verdict(module) == (is_irreducible(module), "hecke", section, {})
+    if q % 2 == 0:
+        return
+    module = InducedModule(p, a, power_char((q - 1) // 2, p, a))
+    spins, socle, miss = sl2lab._census_socle(module)
+    witness = next(v for v, sp in spins if sp.dim < module.dim)
+    maximal = Subspace(module, kernel(module.codes, socle.code_rows, module.dim))
+    census = sl2lab.SocleHeadReport(IrreducibilityVerdict(False, module.dim, witness),
+                                    socle, None, maximal, None)
+    assert miss is None and socle_head_report(module) == census
+    verdict = case_verdict(module)
+    monkeypatch.setattr(sl2lab, "socle_head_report", lambda module: census)
+    assert verdict == case_verdict(module) and verdict[3] == {}
+
+
 @pytest.mark.parametrize("p, a, power, d, builds", (
     (2, 3, 1, 6, {"eps": 6, "h": 1, "s": 1}),
     (5, 1, 2, 1, {}),
@@ -1184,7 +1278,7 @@ def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, 
     # construction builds eps and h once at each point and s once, the
     # generators among them (64, 63 and 1 at q = 64); the verdict then builds
     # the dual's generators, and nothing more, however many lines the two
-    # censuses spin. At theta^2 = 1 the dual is the module, so it builds none
+    # censuses spin. At theta^2 = 1 the verdict takes t_s and no dual: no builds
     counts = Counter()
     for name in ("eps", "h", "s"):
         real = getattr(InducedModule, name)

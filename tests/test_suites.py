@@ -7,6 +7,7 @@ import pytest
 
 from borelline import digits, polyfp
 from borelline.digits import ArgumentError
+from borelline.linalg import rref
 from borelline.suites import (
     LUCAS_BOUND,
     POWER_SUM_ORDERS,
@@ -78,31 +79,29 @@ def test_run_suites_bundles_and_validates():
 
 
 def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
-    # a (1, q) split makes the whole module reducible, so a census that
-    # claims the whole module irreducible fails the case, in the suite and
-    # in lab alike: both read case_verdict's failed checks, and name only
-    # the check that fails
+    # a split into a zero piece and the whole module makes the whole module
+    # a nonzero projector image, simple, so the case fails by its dims, in
+    # the suite and in lab alike: both read case_verdict's failed checks,
+    # and name only the check that fails
     from borelline import cli, sl2lab, suites
-    from borelline.sl2lab import IrreducibilityVerdict
+    from borelline.sl2lab import Subspace
 
-    real = sl2lab.is_irreducible
-
-    def whole_claimed_irreducible(module, subspace=None):
-        verdict = real(module, subspace)
-        if subspace is None:
-            return IrreducibilityVerdict(True, verdict.dimension)
-        return verdict
+    def irreducible_split(self):
+        module = self.module
+        whole = rref(module.codes, [module.unit_vector(i) for i in range(module.dim)])
+        return Subspace(module, ()), Subspace(module, whole)
 
     assert suites.suite_hecke_split(p_filter=2)["ok"] is True
-    monkeypatch.setattr(sl2lab, "is_irreducible", whole_claimed_irreducible)
+    monkeypatch.setattr(sl2lab.HeckeOperators, "idempotent_split", irreducible_split)
     rec = suites.suite_hecke_split(p_filter=2)
     assert rec["ok"] is False and rec["cases"] == 2
-    assert rec["failures"] == [{"p": 2, "a": a, "whole": "irreducible"} for a in (1, 2)]
+    assert rec["failures"] == [{"p": 2, "a": a, "dims": [0, q + 1]} for a, q in ((1, 2), (2, 4))]
     assert cli.main(["lab", "--p", "2", "--a", "1", "--power", "0"]) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["ok"] is False and doc["whole_irreducible"]["irreducible"] is True
-    assert captured.err == "verification: whole: irreducible\n"
+    assert doc["hecke"] == {"dims": [0, 3], "irreducible": [False, True], "proof": [True, True]}
+    assert captured.err == "verification: dims: [0, 3]\n"
 
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):
