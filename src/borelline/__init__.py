@@ -49,7 +49,6 @@ from .sl2lab import (
     CostandardModule,
     InducedModule,
     PreconditionError,
-    b_stable_lines,
     case_verdict,
     l_submodule,
     pi_image,
@@ -86,7 +85,6 @@ __all__ = [
     "TwistedDigitSum",
     "WeylGroup",
     "X0Pattern",
-    "b_stable_lines",
     "case_verdict",
     "check_digit_lemma",
     "classify_exact",

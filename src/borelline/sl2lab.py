@@ -4,17 +4,18 @@ Builds the induced module of SL_2(F_q), q = p^(a!), from a character of the
 diagonal torus with a stable upper-triangular line, entirely as explicit
 matrices over a tower field. Everything the rest of the library predicts
 about socles, heads, irreducibility, and the transition to higher levels is
-checked here by exact linear algebra: spinning vectors, intersecting fixed
-spaces, and splitting by idempotents in the endomorphism ring.
+checked here by exact linear algebra: intertwiners between the module and
+its dual, fixed spaces, spinning vectors, and splitting by idempotents in
+the endomorphism ring.
 
 The lab speaks the int codes of the module's coefficient level
 (`towers.Codes`) from end to end: group points (`eps(x)`, `h(u)`), character
-values, the maps, and every vector and subspace, those `spin` takes and
-`b_stable_lines`, witnesses and `line_sum_vector` give included; `linalg`
-computes on them. FieldElements cross at two places only: points taken
-from the tower (`standard_basis`, `multiplicative_generator`, `scalar`, and
-subfield points by `embed`) are each coded once, and `Subspace.rows`
-decodes a subspace on first read.
+values, the maps, and every vector and subspace, those `spin` takes,
+witnesses and `line_sum_vector` give included; `linalg` computes on them.
+FieldElements cross at two places only: points taken from the tower
+(`standard_basis`, `multiplicative_generator`, `scalar`, and subfield
+points by `embed`) are each coded once, and `Subspace.rows` decodes a
+subspace on first read.
 
 Conventions: eps(t) is the upper unipotent, h(u) the diagonal torus, s the
 standard Weyl representative with s^2 = h(-1). The s-action on the cell
@@ -39,7 +40,7 @@ from .linalg import (
     DenseMap,
     MonomialMap,
     kernel,
-    mat_mul,
+    mat_vec,
     rref,
     rref_insert,
     span_contains,
@@ -87,7 +88,7 @@ class _SL2Module:
 
     Each call of eps, h or s builds a new map. The generators and M^U are
     built once per module instance, on first use, and every spin, stability
-    check and census of the module reads them."""
+    check and intertwiner of the module reads them."""
 
     def unit_vector(self, i):
         """The i-th basis vector, in codes."""
@@ -133,7 +134,8 @@ class _SL2Module:
         Steps 1-3 make eps additive and step 4 makes h multiplicative; with
         them step 5 gives h(u) eps(x) h(u)^-1 = eps(u^2 x) for all u and x.
         The eps(b), h(g) and s checked are those of `generators`, so the
-        module's census spins the maps proved here; each other map is built once.
+        intertwiners are checked against the maps proved here; each other map
+        is built once.
         """
         codes = self.codes
         q, sub, mul, neg, inv = codes.q, codes.sub, codes.mul, codes.neg, codes.inv
@@ -252,15 +254,22 @@ class InducedModule(_SL2Module):
         point the dual's map is the map of theta^-1. The contragredient of
         a representation is one, so those maps satisfy the presentation
         checked for theta's maps, and the check is not run again.
+
+        The dual is built once, and its dual is this module. It shares this
+        module's M^U (`u_fixed_rows`): eps does not read theta, so the two
+        modules have the same eps maps.
         """
+        if "_dual" in vars(self):
+            return self._dual
         units = self.q - 1
         if 2 * self.m % units == 0:
             return self
         dual = InducedModule.__new__(InducedModule)
-        for name in ("q", "p", "a", "coeff_level", "tower", "codes", "dim"):
+        for name in ("q", "p", "a", "coeff_level", "tower", "codes", "dim", "u_fixed_rows"):
             setattr(dual, name, getattr(self, name))
         dual.m = -self.m % units
         dual._theta = [0] + [self.codes.inv[c] for c in self._theta[1:]]
+        self._dual, dual._dual = dual, self
         return dual
 
     def line_sum_vector(self, subfield_level=None):
@@ -332,7 +341,11 @@ def _projective_vectors(module, rows):
     coefficient of the leading row is pinned to one, later rows range over
     the field in code order, 0, 1, g, g^2, ..., g a generator of its units,
     so the lines near the leading row (coefficient 1 among them) come
-    first."""
+    first.
+
+    The verdicts walk no lines. The tests' census of B-stable lines, a
+    reference route, walks them through this name, and perfbench's tracer
+    counts the lines walked here."""
     codes = module.codes
     k = len(rows)
 
@@ -348,42 +361,11 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
-def b_stable_lines(module):
-    """One code vector per B-stable line of the module: the lines of the
-    eigenspaces of h(g), g a generator of the units, inside the fixed space
-    of U = {eps(x)}.
-
-    Every nonzero submodule N contains one: U is a p-group, so N^U != 0,
-    and T normalises U and has order q - 1 prime to p, so it acts
-    diagonalisably on N^U. Hence every minimal submodule is the spin of a
-    B-stable line.
-
-    M^U is the module's `u_fixed_rows`, computed once per module. T
-    normalises U, so h(g) maps the d rows of M^U into their span, and its
-    d x d matrix is read off at their pivots; the eigenspaces are kernels of
-    that matrix. The rank-one verdict walks them only when theta^2 != 1;
-    else `HeckeOperators` settles every case.
-    """
-    codes = module.codes
-    rows = module.u_fixed_rows
-    d = len(rows)
-    pivots = [r.index(1) for r in rows]
-    hg = module.generators[-2]
-    images = [hg.apply(r) for r in rows]
-    # column i holds the coordinates of h(g) rows[i] on the rows
-    matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
-    for lam in range(1, codes.q):
-        shifted = [[codes.sub[x][lam] if i == j else x for i, x in enumerate(row)]
-                   for j, row in enumerate(matrix)]
-        eigen = kernel(codes, shifted, d)
-        if eigen:
-            yield from _projective_vectors(module, rref(codes, mat_mul(codes, eigen, rows)))
-
-
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
-    """Every submodule is accounted for through its B-stable lines, or t_s
-    when theta^2 = 1, so the verdict is exhaustive and a proof either way."""
+    """Every submodule is accounted for through its U-fixed vectors, which
+    M^U = span{line, t_s line} confines, t_s the intertwiner of
+    `HeckeOperators`: the verdict is exhaustive and a proof either way."""
 
     irreducible: bool
     dimension: int
@@ -405,68 +387,33 @@ def _is_stable(module, sub: Subspace) -> bool:
 @dataclass(frozen=True)
 class SocleHeadReport:
     whole: IrreducibilityVerdict
-    socle: Subspace | None        # None when no unique simple socle
-    socle_witness: tuple | None   # a code vector whose spin misses the socle
-    maximal: Subspace | None      # None when no unique maximal submodule
-    maximal_witnesses: tuple | None
+    socle: Subspace               # the unique minimal submodule
+    maximal: Subspace             # the unique maximal submodule
 
 
-def _require_nontrivial(module):
+def socle_head_report(module) -> SocleHeadReport:
+    """Irreducibility of the whole module M, its unique minimal and its
+    unique maximal submodule, from the intertwiners t_s: M -> M' and
+    t_s': M' -> M of `HeckeOperators`, M' the dual. Needs theta nontrivial
+    at the module's level.
+
+    With t_s' t_s line = 0 checked here, `HeckeOperators` proves the socle
+    to be t_s'(M'), the span of the columns of t_s', a proper submodule
+    that the sum of the cells, t_s line, spins to, and the maximal
+    submodule to be ker t_s.
+    """
     if module.m == 0:
         raise PreconditionError(
             "the torus character is trivial at this level; the socle and head "
             "are not unique here"
         )
-
-
-def _census_socle(module):
-    """(spins, least, miss): the (v, spin(v)) pairs over the B-stable lines
-    v of the module, the smallest spin, and the first pair whose spin
-    misses it, or None. With miss None the smallest spin is the simple
-    socle: it lies in every minimal submodule, each the spin of a B-stable
-    line, and each of its nonzero submodules holds a line spinning onto it.
-    """
-    spins = [(v, spin(module, v)) for v in b_stable_lines(module)]
-    least = min((sp for _, sp in spins), key=lambda sp: sp.dim)
-    miss = next(((v, sp) for v, sp in spins if not least <= sp), None)
-    return spins, least, miss
-
-
-def socle_head_report(module) -> SocleHeadReport:
-    """Irreducibility of the whole module, its unique minimal and its unique
-    maximal submodule. Needs theta nontrivial at the module's level.
-
-    Maximal submodules are the annihilators of the minimal submodules of the
-    dual: so the maximal submodule is the annihilator of the dual's socle,
-    and the head has that socle's dimension.
-
-    With theta of order 2 the module is its own dual, and `HeckeOperators`
-    proves the socle to be spin(t_s line), a proper submodule: one spin
-    gives the socle, the maximal submodule and the whole-module witness.
-    Otherwise they come from the census of the module and of its dual, and
-    two annihilators that sum to the whole witness non-uniqueness.
-    """
-    _require_nontrivial(module)
-
-    def annihilator(sub):
-        return Subspace(module, kernel(module.codes, sub.code_rows, module.dim))
-
-    if 2 * module.m == module.q - 1:
-        t_s_line = HeckeOperators(module).t_s_line
-        socle = spin(module, t_s_line)
-        return SocleHeadReport(IrreducibilityVerdict(False, module.dim, t_s_line),
-                               socle, None, annihilator(socle), None)
-    spins, socle, miss = _census_socle(module)
-    dual_socle, dual_miss = _census_socle(module.dual())[1:]
-    whole_witness = next((v for v, sp in spins if sp.dim < module.dim), None)
-    maximal = annihilator(dual_socle) if dual_miss is None else None
-    return SocleHeadReport(
-        IrreducibilityVerdict(whole_witness is None, module.dim, whole_witness),
-        socle if miss is None else None,
-        None if miss is None else miss[0],
-        maximal,
-        None if dual_miss is None else (annihilator(dual_socle), annihilator(dual_miss[1])),
-    )
+    ops, dual_ops = HeckeOperators(module), HeckeOperators(module.dual())
+    codes, dim = module.codes, module.dim
+    if any(mat_vec(codes, dual_ops.t_s_rows, ops.t_s_line)):
+        raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
+    return SocleHeadReport(IrreducibilityVerdict(False, dim, ops.t_s_line),
+                           Subspace(module, rref(codes, dual_ops._cols)),
+                           Subspace(module, kernel(codes, ops.t_s_rows, dim)))
 
 
 def socle_digit_product(module: InducedModule) -> int:
@@ -487,10 +434,10 @@ def case_verdict(module: InducedModule):
     dims (1, q) ("dims"); a split into two nonzero pieces makes the whole
     module reducible, with the first piece's row as witness. Otherwise
     "socle_head", from `socle_head_report`, which also gives the
-    whole-module verdict: a unique simple socle of dimension
-    `socle_digit_product` ("socle"), a unique maximal submodule ("maximal"),
-    and a head of dimension the product of (d_i + 1) over the base-p digits
-    d_i of m ("head").
+    whole-module verdict and proves the socle simple and the maximal
+    submodule unique ("socle_ok", "maximal_ok"), or raises RelationError:
+    the socle must have dimension `socle_digit_product` ("socle"), and the
+    head the product of (d_i + 1) over the base-p digits d_i of m ("head").
     """
     failed = {}
     if module.m == 0:
@@ -508,20 +455,16 @@ def case_verdict(module: InducedModule):
         return whole, "hecke", section, failed
     rep = socle_head_report(module)
     section = {
-        "socle_dim": rep.socle.dim if rep.socle else None,
-        "socle_ok": rep.socle is not None,
-        "maximal_ok": rep.maximal is not None,
-        "head_dim": module.dim - rep.maximal.dim if rep.maximal else None,
+        "socle_dim": rep.socle.dim,
+        "socle_ok": True,
+        "maximal_ok": True,
+        "head_dim": module.dim - rep.maximal.dim,
         "digit_product": prod(d + 1 for d in expand(module.m, module.p)),
     }
-    if rep.socle is None:
-        failed["socle"] = "not contained in every nonzero submodule"
-    elif section["socle_dim"] != socle_digit_product(module):
+    if section["socle_dim"] != socle_digit_product(module):
         failed["socle"] = {"dim": section["socle_dim"],
                            "digit_product": socle_digit_product(module)}
-    if rep.maximal is None:
-        failed["maximal"] = "no unique maximal submodule"
-    elif section["head_dim"] != section["digit_product"]:
+    if section["head_dim"] != section["digit_product"]:
         failed["head"] = {"dim": section["head_dim"], "digit_product": section["digit_product"]}
     return rep.whole, "socle_head", section, failed
 
@@ -664,22 +607,26 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
     return ChainRecord(pi.m_t, sub.dim == module.dim, not pi.is_zero)
 
 
-# -- endomorphisms when theta^2 = 1 ------------------------------------------
+# -- the intertwiner to the dual ----------------------------------------------
 
 
 class HeckeOperators:
-    """The endomorphism t_s of the module when theta^2 = 1 at its level and,
-    for theta trivial, the split by the projectors e = 1 + t_s and o = -t_s.
+    """The intertwiner t_s: M -> M' from the module M = Ind theta to its
+    dual M' = Ind theta^-1 (`module.dual()`) and, for theta trivial, the
+    split by the projectors e = 1 + t_s and o = -t_s.
 
-    End_G(Ind_B^G theta) is then spanned by 1 and t_s (Howlett and
-    Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977). t_s sends the line
-    to the sum L of all cells, U-fixed and scaled by theta(u)^-1 = theta(u)
-    under h(u), and the cell eps(t) s line to eps(t) s L. Checked: t_s g =
-    g t_s for each generator g, one whole-map identity each; t_s^2 line =
-    c t_s line, c the sum of theta over the units, -1 for theta trivial and
-    else 0 (the q translates of s L sum to q theta(-1) line + c L), which
-    proves t_s^2 = c t_s, as t_s^2 - c t_s is equivariant and kills the
-    line, which generates the module; and M^U = span{line, t_s line}.
+    Frobenius reciprocity gives Hom_G(M, M') = Hom_B(theta, M'), the
+    theta-weight line of M'^U: the sum L of all cells, U-fixed and scaled
+    by theta^-1(1/u) = theta(u) under h(u). So t_s sends the line to L, and
+    the cell eps(t) s line to eps(t) s' L, s' the s of M'. When theta^2 = 1,
+    M' = M and t_s spans End_G(M) with 1 (Howlett and Kilmoyer, Comm.
+    Algebra 1980; Sawada, Math. Z. 1977). Checked: t_s g = g' t_s for each
+    aligned pair of generators g of M and g' of M', one whole-map identity
+    each; when M' = M, t_s^2 line = c t_s line, c the sum of theta over the
+    units, -1 for theta trivial and else 0 (the q translates of s L sum to
+    q theta(-1) line + c L), which proves t_s^2 = c t_s, as t_s^2 - c t_s is
+    equivariant and kills the line, which generates the module; and
+    M^U = span{line, t_s line}.
 
     Theta trivial: e and o are orthogonal idempotents summing to 1, and
     P(M)^U = P(M^U) for P in {e, o}, spanned by P(line) as e t_s line = 0
@@ -687,27 +634,34 @@ class HeckeOperators:
     submodule holds a U-fixed vector, U being a p-group, hence P(line),
     which spins to P(M).
 
-    Theta of order 2: t_s^2 = 0, so line + b t_s line = (1 + b t_s) line
-    spins to M for every b, and a proper submodule N has N^U inside
-    span{t_s line}. So S = spin(t_s line) = t_s(M) lies in every nonzero
-    submodule, and is proper as t_s(S) = 0 != t_s(line): the simple socle.
-    The module is its own dual, so S's annihilator is the unique maximal
-    submodule.
+    Theta nontrivial, with t_s' the intertwiner of M', back to M: a proper
+    submodule N of M has N^U inside span{t_s line}. If theta^2 != 1, h(g)
+    scales the line by theta(g) and t_s line by theta(g)^-1, another
+    eigenvalue, and N^U, stable under the torus, which has order prime to
+    p, is spanned by eigenvectors; the line generates M. If theta has order
+    2, t_s^2 = 0, so line + b t_s line = (1 + b t_s) line spins to M for
+    every b. A nonzero submodule holds a U-fixed vector, so it is M or
+    holds t_s line, and so the spin of t_s line, which is t_s'(M') as
+    t_s' sends the line of M' to t_s line: t_s'(M') is the unique minimal
+    submodule. It is proper: t_s' t_s kills the line, which
+    `socle_head_report` checks, so t_s' t_s = 0, and t_s' kills
+    t_s(M) != 0; not injective, it is not onto. The same holds for M', so
+    M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
+    the annihilators of the minimal submodules of M', its contragredient:
+    ker t_s is the unique maximal submodule.
     """
 
     def __init__(self, module: InducedModule):
-        if 2 * module.m % (module.q - 1):
-            raise PreconditionError(
-                "the endomorphism t_s needs theta^2 trivial at this level")
         self.module = module
         codes = module.codes
         # t_s sends the line to the sum of all cells and is extended to the
-        # cell eps(t) s line by equivariance under eps(t) s; eps(t) fixes the
-        # line and sends cell(u) to cell(u + t) with scale one, so that column
-        # is s_image translated: its coordinate at cell(w) is s_image's at
+        # cell eps(t) s line by equivariance under eps(t) s, s taken in the
+        # target; eps(t), the same map in both modules, fixes the line and
+        # sends cell(u) to cell(u + t) with scale one, so that column is
+        # s_image translated: its coordinate at cell(w) is s_image's at
         # cell(w - t), and w - t = -(t - w)
         self.t_s_line = image_of_line = module.line_sum_vector()
-        s_image = module.generators[-1].apply(image_of_line)
+        s_image = module.dual().generators[-1].apply(image_of_line)
         at_minus = [s_image[1 + c] for c in codes.neg]
         cols = [image_of_line] + [
             (s_image[0],) + tuple(map(at_minus.__getitem__, codes.sub[t]))
@@ -715,14 +669,20 @@ class HeckeOperators:
         ]
         self._cols = tuple(cols)
         self.t_s_rows = tuple(zip(*cols))
+        self._check_relations()
+
+    def _check_relations(self):
+        """Equivariance, t_s^2 = c t_s when the target is the module, and
+        M^U = span{line, t_s line}."""
+        module, target, codes = self.module, self.module.dual(), self.module.codes
         t_s = DenseMap(codes, self.t_s_rows)
-        for g in module.generators:
-            if t_s.compose(g) != g.compose(t_s):
+        for g, g_target in zip(module.generators, target.generators):
+            if t_s.compose(g) != g_target.compose(t_s):
                 raise RelationError("the cell-averaging operator is not equivariant")
         c = 0 if module.m else codes.neg[1]
-        if t_s.apply(image_of_line) != vec_scale(codes, c, image_of_line):
+        if target is module and t_s.apply(self.t_s_line) != vec_scale(codes, c, self.t_s_line):
             raise RelationError("the Hecke relation t_s^2 = c t_s fails, c = -1 if theta = 1, else 0")
-        if module.u_fixed_rows != rref(codes, (module.unit_vector(0), image_of_line)):
+        if module.u_fixed_rows != rref(codes, (module.unit_vector(0), self.t_s_line)):
             raise RelationError("M^U is not spanned by the line and t_s line")
 
     def idempotent_split(self):

@@ -191,7 +191,7 @@ def suite_sl2_relations(p_filter=None) -> dict:
 
 def suite_sl2_socle_head(p_filter=None) -> dict:
     """Socle, maximal submodule and head by `case_verdict` on the nontrivial
-    grid; each failure names the failed checks.
+    grid; each failure names the failed checks, or the relation that failed.
 
     Grid points where the character is trivial at the group level are
     recorded as skipped: uniqueness genuinely fails there.
@@ -212,7 +212,10 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            failed = case_verdict(InducedModule(p, a, theta))[3]
+            try:
+                failed = case_verdict(InducedModule(p, a, theta))[3]
+            except RelationError as err:
+                failed = {"error": str(err)}
             if failed:
                 failures.append({"p": p, "a": a, "lambda": lam, **failed})
     return _record("sl2-socle-head", cases, failures, skipped)
@@ -241,14 +244,18 @@ def suite_sl2_chain(p_filter=None) -> dict:
 
 def suite_hecke_split(p_filter=None) -> dict:
     """The Hecke split of each trivial-character module by `case_verdict`,
-    read off t_s with no census; a failure names the failed check, `dims`."""
+    read off t_s; a failure names the failed check, `dims`, or the relation
+    that failed."""
     failures = []
     cases = 0
     for p, a in SL2_GRID:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        failed = case_verdict(InducedModule(p, a, trivial_character(p, a)))[3]
+        try:
+            failed = case_verdict(InducedModule(p, a, trivial_character(p, a)))[3]
+        except RelationError as err:
+            failed = {"error": str(err)}
         if failed:
             failures.append({"p": p, "a": a, **failed})
     return _record("hecke-split", cases, failures)

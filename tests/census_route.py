@@ -1,0 +1,73 @@
+"""The census of B-stable lines: a second route to the socle and the
+maximal submodule that `sl2lab.socle_head_report` reads off the
+intertwiners of `HeckeOperators`.
+
+A B-stable line is one that the Borel subgroup B = U T maps into itself:
+an eigenline of h(g), g a generator of the units, inside the fixed space
+M^U of U = {eps(x)}. Every nonzero submodule N contains one: U is a
+p-group, so N^U != 0, and T normalises U and has order q - 1 prime to p,
+so it acts diagonalisably on N^U. Hence every minimal submodule is the spin
+of a B-stable line.
+
+The census walks its lines through `sl2lab._projective_vectors` and spins
+them through `sl2lab.spin`, both looked up on each call, so the
+`enumerated_lines` and `spin_calls` fixtures count its work.
+"""
+
+from __future__ import annotations
+
+from borelline import sl2lab
+from borelline.linalg import kernel, mat_mul, rref
+
+
+def b_stable_lines(module):
+    """One code vector per B-stable line of the module, the eigenvalues in
+    code order.
+
+    M^U is the module's `u_fixed_rows`. T normalises U, so h(g) maps the d
+    rows of M^U into their span, and its d x d matrix is read off at their
+    pivots; the eigenspaces are kernels of that matrix.
+    """
+    codes = module.codes
+    rows = module.u_fixed_rows
+    d = len(rows)
+    pivots = [r.index(1) for r in rows]
+    hg = module.generators[-2]
+    images = [hg.apply(r) for r in rows]
+    # column i holds the coordinates of h(g) rows[i] on the rows
+    matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
+    for lam in range(1, codes.q):
+        shifted = [[codes.sub[x][lam] if i == j else x for i, x in enumerate(row)]
+                   for j, row in enumerate(matrix)]
+        eigen = kernel(codes, shifted, d)
+        if eigen:
+            yield from sl2lab._projective_vectors(module, rref(codes, mat_mul(codes, eigen, rows)))
+
+
+def census_socle(module):
+    """(spins, least, miss): the (v, spin(v)) pairs over the B-stable lines
+    v of the module, the smallest spin, and the first pair whose spin
+    misses it, or None. With miss None the smallest spin is the simple
+    socle: it lies in every minimal submodule, each the spin of a B-stable
+    line, and each of its nonzero submodules holds a line spinning onto it.
+    """
+    spins = [(v, sl2lab.spin(module, v)) for v in b_stable_lines(module)]
+    least = min((sp for _, sp in spins), key=lambda sp: sp.dim)
+    miss = next(((v, sp) for v, sp in spins if not least <= sp), None)
+    return spins, least, miss
+
+
+def census_report(module):
+    """The socle-and-head report on the census route: the socle is the
+    least spin of the module's census, the maximal submodule the
+    annihilator of the least spin of its dual's, and the whole-module
+    witness the first B-stable line whose spin is proper. Each is None
+    where the census finds it not unique."""
+    spins, socle, miss = census_socle(module)
+    dual_socle, dual_miss = census_socle(module.dual())[1:]
+    witness = next((v for v, sp in spins if sp.dim < module.dim), None)
+    maximal = sl2lab.Subspace(module, kernel(module.codes, dual_socle.code_rows, module.dim))
+    return sl2lab.SocleHeadReport(
+        sl2lab.IrreducibilityVerdict(witness is None, module.dim, witness),
+        socle if miss is None else None,
+        maximal if dual_miss is None else None)

@@ -48,7 +48,7 @@ def compose_calls(monkeypatch):
 def mat_mul_calls(monkeypatch):
     """A list whose length counts the calls of linalg.mat_mul from now on:
     the dense matrix products, which compositions with a monomial map do
-    without. It is patched in every module that binds it by name."""
+    without."""
     calls = []
     real = linalg.mat_mul
 
@@ -56,16 +56,16 @@ def mat_mul_calls(monkeypatch):
         calls.append(None)
         return real(*args)
 
-    for module in (linalg, sl2lab):
-        monkeypatch.setattr(module, "mat_mul", counting)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
     return calls
 
 
 @pytest.fixture
 def monomial_apply_calls(monkeypatch):
     """A list whose length counts the calls of MonomialMap.apply from now
-    on: a machine-independent measure of the work of a census, which on a
-    whole induced module makes d(q + 1) + 2 of them, d = [F_q : F_p]."""
+    on: a machine-independent measure of the work of M^U and of a census,
+    which on a whole induced module make d(q + 1) and 2 of them,
+    d = [F_q : F_p]."""
     calls = []
     real = MonomialMap.apply
 
@@ -116,8 +116,8 @@ def spin_calls(monkeypatch):
 
 @pytest.fixture
 def enumerated_lines(monkeypatch):
-    """A Counter of the B-stable lines the census walks from now on, keyed
-    by the dimension of the eigenspace whose lines are walked."""
+    """A Counter of the lines `sl2lab._projective_vectors` walks from now
+    on, keyed by the dimension of the span whose lines are walked."""
     lines = Counter()
     real = sl2lab._projective_vectors
 

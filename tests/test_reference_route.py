@@ -1,13 +1,14 @@
 """The int-coded linear algebra against the FieldElement reference route.
 
 Every subspace the rank-one verdict reads is recomputed on FieldElements
-by `element_route`, from the same maps and the same lines, and must have
-the same canonical rows: the spin of each line the verdict spins (and of
-every B-stable line of a trivial-character module up to q = 13), M^U of the
-module and of its dual, the socle, the maximal submodule and the two Hecke
-pieces; then the digit span, the level-bridge image and the bridge's spin
-on the `sl2-chain` grid. `InducedModule.dual` is checked against the
-transposed contragredient.
+by `element_route`, from the same maps and the same vectors, and must have
+the same canonical rows: M^U of the module and of its dual, the socle as
+the spin of the sum of the cells, the maximal submodule as the annihilator
+of that sum's spin in the dual, and the two Hecke pieces, with the spin of
+every B-stable line of a trivial-character module up to q = 13; then the
+digit span, the level-bridge image and the bridge's spin on the
+`sl2-chain` grid. `InducedModule.dual` is checked against the transposed
+contragredient.
 """
 
 from __future__ import annotations
@@ -17,34 +18,20 @@ from math import factorial
 import pytest
 
 import element_route as ref
-from borelline import sl2lab, suites
+from borelline import suites
 from borelline.characters import RationalPower, truncate
 from borelline.digits import lucas_row
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
     InducedModule,
-    b_stable_lines,
     l_submodule,
     pi_image,
     socle_head_report,
     spin,
     verify_irreducibility_chain,
 )
-
-
-def _recorded_spins(monkeypatch):
-    """A list of (module, vec, spin) for every spin from now on."""
-    seen = []
-    real = sl2lab.spin
-
-    def recording(module, vec):
-        sub = real(module, vec)
-        seen.append((module, vec, sub))
-        return sub
-
-    monkeypatch.setattr(sl2lab, "spin", recording)
-    return seen
+from census_route import b_stable_lines
 
 
 def _check_u_fixed_rows(module):
@@ -53,34 +40,23 @@ def _check_u_fixed_rows(module):
         assert rows == ref.fixed_subspace(mod, mod.generators[:-2])
 
 
-def _check_module(monkeypatch, p, a, m):
+def _check_module(p, a, m):
     """The verdict's subspaces of the module with character t^m against the
     reference route; returns the module."""
     module = InducedModule(p, a, truncate(RationalPower(m), p, a))
-    spins = _recorded_spins(monkeypatch)
+    _check_u_fixed_rows(module)
     if m:
+        # the socle is the spin of the sum of the cells, t_s line; the
+        # maximal submodule is the annihilator of its spin in the dual, the
+        # module itself when theta^2 = 1
         rep = socle_head_report(module)
-        assert spins
+        line_sum = module.codes.decode(module.line_sum_vector())
+        dual_socle = ref.spin(module.dual(), line_sum)
+        assert rep.socle.rows == ref.spin(module, line_sum)
+        assert rep.maximal.rows == ref.kernel(dual_socle, module.dim, ref.one(module), ref.zero(module))
     else:
         ops = HeckeOperators(module)
         pieces = ops.idempotent_split()
-    by_module = {}
-    for mod, vec, sub in spins:
-        rows = ref.spin(mod, mod.codes.decode(vec))
-        assert sub.rows == rows
-        by_module.setdefault(mod, []).append(rows)
-    _check_u_fixed_rows(module)
-    if m:
-        # the socle is the least spin of the module, the maximal submodule
-        # the annihilator of the dual's; when theta^2 = 1 the dual is the
-        # module and the one spin, of t_s line, serves both
-        assert len(by_module) == (1 if module.dual() is module else 2)
-        spun = list(by_module.values())
-        socle, dual_socle = min(spun[0], key=len), min(spun[-1], key=len)
-        one, zero = ref.one(module), ref.zero(module)
-        assert rep.socle.rows == socle
-        assert rep.maximal.rows == ref.kernel(dual_socle, module.dim, one, zero)
-    else:
         cols = list(zip(*map(module.codes.decode, ops.t_s_rows)))
         units = [ref.unit_vector(module, j) for j in range(module.dim)]
         y_full = ref.rref(ref.vec_add(e, c) for e, c in zip(units, cols))
@@ -93,10 +69,9 @@ SMALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)
 
 @pytest.mark.parametrize("p, a", SMALL_FIELDS,
                          ids=[f"q={p ** factorial(a)}" for p, a in SMALL_FIELDS])
-def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, a):
+def test_every_character_up_to_q_13_matches_the_reference_route(p, a):
     for m in range(p ** factorial(a) - 1):
-        with monkeypatch.context() as patch:
-            module = _check_module(patch, p, a, m)
+        module = _check_module(p, a, m)
         if m == 0:
             # the verdict spins no line; here every B-stable line of the
             # module, its own dual, is spun
@@ -107,12 +82,14 @@ def test_every_character_up_to_q_13_matches_the_reference_route(monkeypatch, p, 
 
 def test_dual_is_the_transposed_contragredient():
     # the induced module of theta^-1 on the same cells has the maps (g^-1)^T
-    # of the module's, and the same M^U; it is the module when theta^2 = 1
+    # of the module's, and the same M^U; it is the module when theta^2 = 1,
+    # and it is built once, its own dual being the module
     cases = [(p, a, m) for p, a in SMALL_FIELDS for m in range(p ** factorial(a) - 1)]
     for p, a, m in cases + [(2, 3, 1), (2, 3, 5), (61, 1, 5)]:
         module = InducedModule(p, a, truncate(RationalPower(m), p, a))
         dual, reference = module.dual(), ref.Contragredient(module)
         assert (dual is module) is (2 * m % (module.q - 1) == 0)
+        assert module.dual() is dual and dual.dual() is module
         assert dual.generators == reference.generators
         assert dual.u_fixed_rows == reference.u_fixed_rows
         assert (dual.p, dual.a, dual.m, dual.dim, dual.codes) == (
@@ -122,8 +99,8 @@ def test_dual_is_the_transposed_contragredient():
 
 @pytest.mark.parametrize("p, a, m", ((2, 3, 1), (2, 3, 0), (61, 1, 5)),
                          ids=("2-3-1", "2-3-0", "61-1-5"))
-def test_the_largest_fields_match_the_reference_route(monkeypatch, p, a, m):
-    _check_module(monkeypatch, p, a, m)
+def test_the_largest_fields_match_the_reference_route(p, a, m):
+    _check_module(p, a, m)
 
 
 def test_the_chain_grid_matches_the_reference_route():

@@ -4,12 +4,14 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 from math import factorial, prod
 
 import pytest
 
 import element_route as ref
 from borelline import cli, sl2lab, suites
+from census_route import b_stable_lines, census_report, census_socle
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, lucas_binom
 from borelline.linalg import DenseMap, MonomialMap, kernel, mat_mul, rref, span_contains, vec_scale
@@ -22,7 +24,6 @@ from borelline.sl2lab import (
     RelationError,
     Subspace,
     case_verdict,
-    b_stable_lines,
     fixed_subspace,
     l_submodule,
     pi_image,
@@ -565,22 +566,24 @@ def test_orbit_shared_spins_match_direct_route_on_hecke_pieces():
         assert _is_proper_witness(module, verdict.witness, whole)
 
 
-def test_orbit_shared_spins_match_direct_route_on_split_modules(monkeypatch):
-    # with the trivial character the module splits into the two Hecke pieces,
-    # so the report carries a socle witness and two maximal witnesses
-    monkeypatch.setattr(sl2lab, "_require_nontrivial", lambda module: None)
+def test_orbit_shared_spins_match_direct_route_on_split_modules():
+    # with the trivial character the module splits into the two Hecke
+    # pieces, so the census finds a line whose spin misses its least spin,
+    # and the annihilators of those two spins cover the module
     for p, a in ((2, 1), (3, 1), (2, 2)):
         module = InducedModule(p, a, trivial_character(p, a))
         whole = _whole(module)
-        rep = socle_head_report(module)
+        rep = census_report(module)
         assert (rep.socle, rep.maximal) == _exhaustive_socle_head(module) == (None, None)
-        assert _is_proper_witness(module, rep.socle_witness, whole)
+        _, least, miss = census_socle(module)
+        assert _is_proper_witness(module, miss[0], whole)
         proper = [sp for _, sp in _orbit_spins(module, whole.code_rows) if sp != whole]
         cover = _cover_witnesses(proper, whole)
-        big, small = rep.maximal_witnesses
+        big, small = (Subspace(module, kernel(module.codes, sp.code_rows, module.dim))
+                      for sp in (least, miss[1]))
         assert (big.dim, small.dim) == tuple(s.dim for s in cover) == (module.q, 1)
         assert len(rref(module.codes, big.code_rows + small.code_rows)) == module.dim
-        assert all(sl2lab._is_stable(module, w) for w in rep.maximal_witnesses)
+        assert sl2lab._is_stable(module, big) and sl2lab._is_stable(module, small)
 
 
 def test_orbit_shared_spins_match_direct_route_on_costandard_modules():
@@ -594,22 +597,27 @@ def test_orbit_shared_spins_match_direct_route_on_costandard_modules():
 
 
 def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
-    # one spin per B-stable line: two in the module, two in its dual, where
-    # the exhaustive route spins once per orbit of its 3906 lines (86 times)
+    # the report reads the socle and the maximal submodule off the
+    # intertwiners and spins nothing; the census spins once per B-stable
+    # line, two in the module and two in its dual, where the exhaustive
+    # route spins once per orbit of its 3906 lines (86 times)
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
     assert rep.socle.dim == 4 and module.dim - rep.maximal.dim == 2
+    assert len(spin_calls) == 0 and enumerated_lines == {}
+    assert census_report(module) == rep
     assert len(spin_calls) == 4
     assert enumerated_lines == {1: 4}
 
 
-def test_lab_takes_one_census(spin_calls, enumerated_lines, capsys):
-    # the whole-module, socle and head verdicts come from one census of the
-    # module and one of its dual
+def test_a_generic_lab_verdict_spins_no_vector_and_walks_no_line(
+        spin_calls, enumerated_lines, capsys):
+    # the whole-module, socle and head verdicts come from the intertwiners
+    # of the module and of its dual (one census of each made 4 spins over
+    # 4 lines)
     assert cli.main(["lab", "--p", "5", "--a", "1", "--power", "3"]) == 0
     assert '"socle_ok": true' in capsys.readouterr().out
-    assert len(spin_calls) == 4
-    assert enumerated_lines == {1: 4}
+    assert len(spin_calls) == 0 and enumerated_lines == {}
 
 
 @pytest.mark.parametrize("p, a, power, spins", ((13, 1, 6, 14), (3, 1, 1, 4)),
@@ -619,14 +627,14 @@ def test_order_two_census_spins_every_line_of_the_plane(
 ):
     # theta^2 = 1: h(g) scales both rows of M^U by theta(g), so the census
     # spins all q + 1 lines of that plane, once. The lab takes none of them:
-    # t_s proves the socle to be the spin of t_s line, its one spin (the
+    # t_s proves the socle to be the span of its columns, with no spin (the
     # census made q + 1 = 14 and 4)
     assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", str(power)]) == 0
     assert '"socle_ok": true' in capsys.readouterr().out
-    assert len(spin_calls) == 1 and enumerated_lines == {}
+    assert len(spin_calls) == 0 and enumerated_lines == {}
     module = InducedModule(p, a, power_char(power, p, a))
-    census, socle, miss = sl2lab._census_socle(module)
-    assert len(census) == len(spin_calls) - 1 == spins == p ** factorial(a) + 1
+    census, socle, miss = census_socle(module)
+    assert len(census) == len(spin_calls) == spins == p ** factorial(a) + 1
     assert enumerated_lines == {2: spins}
     assert miss is None and socle == socle_head_report(module).socle
 
@@ -691,7 +699,7 @@ def test_b_stable_lines_are_b_stable():
         for m in range(q - 1):
             module = InducedModule(p, a, power_char(m, p, a))
             for mod in (module, module.dual()):
-                lines = list(sl2lab.b_stable_lines(mod))
+                lines = list(b_stable_lines(mod))
                 assert len(lines) == (2 if (2 * m) % (q - 1) else q + 1)
                 for v in lines:
                     w = mod.codes.decode(v)
@@ -844,12 +852,16 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
 @pytest.mark.parametrize("p, a, calls", ((2, 3, 392), (61, 1, 64)), ids=("q=64", "q=61"))
 def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a, calls):
     # d(q + 1) + 2 applies, d = [F_q : F_p]: each eps over the F_p-basis on
-    # each unit vector for M^U, then h(g) on each of the two rows of M^U
+    # each unit vector for M^U, then h(g) on each of the two rows of M^U.
+    # The dual shares the module's M^U, so its census applies h(g) alone
+    # (computing its own M^U made the same d(q + 1) + 2)
     module = InducedModule(p, a, power_char(1, p, a))
-    for mod in (module, module.dual()):
-        del monomial_apply_calls[:]
-        assert len(list(b_stable_lines(mod))) == 2
-        assert len(monomial_apply_calls) == calls
+    del monomial_apply_calls[:]
+    assert len(list(b_stable_lines(module))) == 2
+    assert len(monomial_apply_calls) == calls
+    del monomial_apply_calls[:]
+    assert len(list(b_stable_lines(module.dual()))) == 2
+    assert len(monomial_apply_calls) == 2
 
 
 def test_dual_modules_satisfy_the_relations():
@@ -937,15 +949,10 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
 
 @pytest.mark.parametrize("mutate, failed, err", (
-    (lambda rep: replace(rep, socle=None),
-     {"socle": "not contained in every nonzero submodule"},
-     "socle: not contained in every nonzero submodule"),
-    (lambda rep: replace(rep, maximal=None), {"maximal": "no unique maximal submodule"},
-     "maximal: no unique maximal submodule"),
     # the socle taken for the maximal submodule: a head of dim 5 - 2, not 2
     (lambda rep: replace(rep, maximal=rep.socle), {"head": {"dim": 3, "digit_product": 2}},
      'head: {"digit_product": 2, "dim": 3}'),
-), ids=("no-socle", "no-maximal", "wrong-head"))
+), ids=("wrong-head",))
 def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
         monkeypatch, capsys, mutate, failed, err):
     real = sl2lab.socle_head_report
@@ -960,6 +967,102 @@ def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
     assert captured.err == f"verification: {err}\n"
 
 
+def _rescale_a_column(monkeypatch, check=True):
+    """From now on `HeckeOperators` checks its operator (or, with check
+    false, skips its checks) with the column of the cell at 0 scaled by the
+    generator of the units, which q > 2 makes a scalar other than 1. eps(b)
+    moves that cell, so the operator is no longer equivariant."""
+    real = HeckeOperators._check_relations
+
+    def rescaled(self):
+        times_g = self.module.codes.mul[self.module._generator_code()]
+        self.t_s_rows = tuple(row[:1] + (times_g[row[1]],) + row[2:] for row in self.t_s_rows)
+        if check:
+            real(self)
+
+    monkeypatch.setattr(HeckeOperators, "_check_relations", rescaled)
+    return "the cell-averaging operator is not equivariant"
+
+
+def _one_more_u_fixed_row(monkeypatch):
+    """From now on M^U holds one row past the plane of the line and t_s
+    line: the unit vector of the cell at 0. A cached property, as the real
+    one is, so that the dual can take the module's."""
+    real = sl2lab._SL2Module.u_fixed_rows.func
+
+    def one_row_more(self):
+        return rref(self.codes, real(self) + (self.unit_vector(1),))
+
+    prop = cached_property(one_row_more)
+    prop.__set_name__(sl2lab._SL2Module, "u_fixed_rows")
+    monkeypatch.setattr(sl2lab._SL2Module, "u_fixed_rows", prop)
+    return "M^U is not spanned by the line and t_s line"
+
+
+BROKEN_INTERTWINERS = (_rescale_a_column, _one_more_u_fixed_row)
+BROKEN_INTERTWINER_IDS = ("not-equivariant", "u-fixed")
+
+
+@pytest.mark.parametrize("p, a", ((2, 2), (5, 1)), ids=("2-2-1", "5-1-1"))
+@pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
+def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, broken, p, a):
+    # theta = t, of order q - 1 > 2: the target is the dual, and each check
+    # names its relation; both operators of the report meet it
+    relation = broken(monkeypatch)
+    module = InducedModule(p, a, power_char(1, p, a))
+    assert module.dual() is not module
+    for mod in (module, module.dual()):
+        with pytest.raises(RelationError, match=re.escape(relation)):
+            HeckeOperators(mod)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        socle_head_report(module)
+
+
+def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch):
+    # past the operators' own checks, skipped here, t_s' t_s line = 0 is the
+    # report's: t_s' t_s line = t_s' L, the sum of the cell columns of t_s',
+    # which is 0 until one of them is scaled by g != 1
+    _rescale_a_column(monkeypatch, check=False)
+    with pytest.raises(RelationError, match=re.escape("t_s' t_s line != 0")):
+        socle_head_report(InducedModule(5, 1, power_char(1, 5)))
+
+
+@pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
+def test_a_broken_intertwiner_is_named_by_the_verdict_suite_and_lab(monkeypatch, capsys, broken):
+    # a failed relation is no failed known answer: the verdict raises it,
+    # the suite records it as the error of its case, and lab exits 1 with
+    # no document and the relation on stderr
+    relation = broken(monkeypatch)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        case_verdict(InducedModule(2, 2, power_char(1, 2)))
+    record = suites.suite_sl2_socle_head()
+    assert not record["ok"]
+    assert {"p": 2, "a": 2, "lambda": 1, "error": relation} in record["failures"]
+    assert cli.main(["lab", "--p", "2", "--a", "2", "--power", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification: {relation}\n"
+
+
+def test_verify_records_a_broken_intertwiner_as_a_named_failure(monkeypatch, capsys):
+    # as sl2-relations does for a module, sl2-socle-head and hecke-split
+    # record a RelationError as the error of its case, and verify still
+    # prints every suite's record; only q = 2 has no scalar to break with
+    relation = _rescale_a_column(monkeypatch)
+    assert cli.main(["verify"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    records = {r["suite"]: r for r in doc["suites"]}
+    assert list(records) == list(suites.SUITES)
+    assert records["sl2-socle-head"]["failures"] == [
+        {"p": p, "a": a, "lambda": lam, "error": relation}
+        for p, a, lam in ((2, 2, 1), (2, 2, 2), (2, 2, -1), (3, 1, 1), (3, 1, -1))]
+    assert records["hecke-split"]["failures"] == [
+        {"p": p, "a": a, "error": relation} for p, a in ((3, 1), (2, 2))]
+    assert all(r["ok"] for name, r in records.items()
+               if name not in ("sl2-socle-head", "hecke-split"))
+
+
 def test_census_socle_of_costandard_is_the_digit_span():
     # Steinberg's restriction theorem: for n < q the digit span is the simple
     # socle of the costandard module over F_q
@@ -967,11 +1070,11 @@ def test_census_socle_of_costandard_is_the_digit_span():
         q = p ** factorial(level)
         for n in range(q):
             cm = CostandardModule(n, p, coeff_level=level)
-            _, least, miss = sl2lab._census_socle(cm)
+            _, least, miss = census_socle(cm)
             assert miss is None and least == l_submodule(cm)
     # past q it fails: over F_2, the digit span of n = 2 is not the socle
     cm = CostandardModule(2, 2, coeff_level=1)
-    _, least, miss = sl2lab._census_socle(cm)
+    _, least, miss = census_socle(cm)
     assert miss is not None or least != l_submodule(cm)
 
 
@@ -987,10 +1090,11 @@ def test_lab_proves_past_q_5(capsys, p, a, power):
 
 
 def test_socle_is_simple_and_minimal():
+    # simple, and inside the spin of every B-stable line
     module = InducedModule(3, 1, power_char(1, 3))
-    rep = socle_head_report(module)
-    socle, witness = rep.socle, rep.socle_witness
-    assert witness is None
+    socle = socle_head_report(module).socle
+    _, least, miss = census_socle(module)
+    assert miss is None and least == socle
     assert is_irreducible(module, socle).irreducible
 
 
@@ -1114,12 +1218,13 @@ def test_chain_agreement_full_grid():
 
 
 def test_hecke_operators_need_trivial_character():
-    # t_s is an endomorphism when theta^2 = 1; only theta = 1 splits by it
-    with pytest.raises(PreconditionError, match="theta\\^2 trivial"):
-        HeckeOperators(InducedModule(5, 1, power_char(1, 5)))
-    ops = HeckeOperators(InducedModule(3, 1, power_char(1, 3)))
-    with pytest.raises(PreconditionError, match="need theta trivial"):
-        ops.idempotent_split()
+    # t_s is an intertwiner to the dual for every theta, an endomorphism
+    # when theta^2 = 1; only theta = 1 splits by it
+    for module in (InducedModule(5, 1, power_char(1, 5)), InducedModule(3, 1, power_char(1, 3))):
+        ops = HeckeOperators(module)
+        assert (ops.module.dual() is module) is (module.q == 3)
+        with pytest.raises(PreconditionError, match="need theta trivial"):
+            ops.idempotent_split()
 
 
 def test_hecke_split_dims_and_irreducibility():
@@ -1249,7 +1354,7 @@ def test_hecke_route_matches_the_census_when_theta_squared_is_trivial(monkeypatc
     # the exhaustive census, in section, witness and failed checks; for the
     # trivial theta each piece is simple by the census of its own lines, and
     # for theta of order 2 the census's socle and maximal submodule are the
-    # spin of t_s line and its annihilator
+    # image and the kernel of t_s
     q = p ** factorial(a)
     module = InducedModule(p, a, trivial_character(p, a))
     pieces = HeckeOperators(module).idempotent_split()
@@ -1259,15 +1364,29 @@ def test_hecke_route_matches_the_census_when_theta_squared_is_trivial(monkeypatc
     if q % 2 == 0:
         return
     module = InducedModule(p, a, power_char((q - 1) // 2, p, a))
-    spins, socle, miss = sl2lab._census_socle(module)
-    witness = next(v for v, sp in spins if sp.dim < module.dim)
-    maximal = Subspace(module, kernel(module.codes, socle.code_rows, module.dim))
-    census = sl2lab.SocleHeadReport(IrreducibilityVerdict(False, module.dim, witness),
-                                    socle, None, maximal, None)
-    assert miss is None and socle_head_report(module) == census
+    census = census_report(module)
+    assert census.socle is not None and socle_head_report(module) == census
     verdict = case_verdict(module)
     monkeypatch.setattr(sl2lab, "socle_head_report", lambda module: census)
     assert verdict == case_verdict(module) and verdict[3] == {}
+
+
+# every field up to q = 25 with a nontrivial character, then three
+# characters at the largest fields
+INTERTWINER_CASES = [(p, a, range(1, p ** factorial(a) - 1)) for p, a in SELF_DUAL_FIELDS[1:]]
+INTERTWINER_CASES += [(2, 3, (1,)), (2, 3, (5,)), (61, 1, (5,))]
+
+
+@pytest.mark.parametrize("p, a, residues", INTERTWINER_CASES,
+                         ids=[f"q={p ** factorial(a)}" if isinstance(ms, range) else f"{p}-{a}-{ms[0]}"
+                              for p, a, ms in INTERTWINER_CASES])
+def test_the_intertwiners_match_the_census(p, a, residues):
+    # every nontrivial theta up to q = 25, and three at the largest fields:
+    # the socle, the maximal submodule and the whole-module witness read
+    # off the intertwiners are the census's, row for row
+    for m in residues:
+        module = InducedModule(p, a, power_char(m, p, a))
+        assert socle_head_report(module) == census_report(module)
 
 
 @pytest.mark.parametrize("p, a, power, d, builds", (
