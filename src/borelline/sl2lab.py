@@ -12,10 +12,9 @@ The lab speaks the int codes of the module's coefficient level
 (`towers.Codes`) from end to end: group points (`eps(x)`, `h(u)`), character
 values, the maps, and every vector and subspace, those `spin` takes,
 witnesses and `line_sum_vector` give included; `linalg` computes on them.
-FieldElements cross at two places only: points taken from the tower
-(`standard_basis`, `multiplicative_generator`, `scalar`, and subfield
-points by `embed`) are each coded once, and `Subspace.rows` decodes a
-subspace on first read.
+The tower hands out every point as a code (`Codes.basis`, `.generator`,
+`.scalars`, `subfield_codes`); only `Subspace.rows` decodes, for the
+benchmark tracer.
 
 Conventions: eps(t) is the upper unipotent, h(u) the diagonal torus, s the
 standard Weyl representative with s^2 = h(-1). The s-action on the cell
@@ -61,7 +60,7 @@ class PreconditionError(ValueError):
 class Subspace:
     """Canonical reduced-echelon basis of a subspace of a module, as a
     tuple of code rows; `rows`, the lab's one decode, gives them as
-    FieldElements on first read."""
+    FieldElements on first read, for the benchmark tracer alone."""
 
     module: object
     code_rows: tuple[tuple, ...]
@@ -98,18 +97,10 @@ class _SL2Module:
     def generators(self):
         """eps over an F_p-basis of F_q, then h at a generator of the units,
         then s."""
-        gens = [self.eps(b) for b in self._basis_codes()]
-        gens.append(self.h(self._generator_code()))
+        gens = [self.eps(b) for b in self.codes.basis]
+        gens.append(self.h(self.codes.generator))
         gens.append(self.s())
         return tuple(gens)
-
-    def _basis_codes(self):
-        """The codes of the level's F_p-basis."""
-        return self.codes.encode(self.tower.standard_basis(self.coeff_level))
-
-    def _generator_code(self):
-        """The code of the generator of the units: 2, or 1 at q = 2."""
-        return self.codes.code(self.tower.multiplicative_generator(self.coeff_level))
 
     @cached_property
     def u_fixed_rows(self):
@@ -139,7 +130,7 @@ class _SL2Module:
         """
         codes = self.codes
         q, sub, mul, neg, inv = codes.q, codes.sub, codes.mul, codes.neg, codes.inv
-        basis, g = self._basis_codes(), self._generator_code()
+        basis, g, coords = codes.basis, codes.generator, codes.coords
         *eps_b, h_g, s = self.generators
         eps = dict(zip(basis, eps_b))
         eps.update({x: self.eps(x) for x in range(q) if x not in eps})
@@ -150,7 +141,6 @@ class _SL2Module:
             raise RelationError("eps is not additive: eps(0) is not the identity")
         if any(h[1].apply(e) != e for e in vectors):
             raise RelationError("h is not multiplicative: h(1) is not the identity")
-        coords = [x.coords for x in codes.elements]
         for i, b in enumerate(basis):
             power = eps[b]
             for _ in range(self.p - 1):
@@ -278,10 +268,8 @@ class InducedModule(_SL2Module):
             subfield_level = self.a
         if subfield_level > self.a:
             raise ArgumentError("subfield level exceeds the group level")
-        vec = [0] * self.dim
-        for x in self.tower.enumerate_elements(subfield_level):
-            vec[1 + self.codes.code(x.embed(self.a))] = 1
-        return tuple(vec)
+        cells = {1 + c for c in self.tower.subfield_codes(subfield_level, self.a)}
+        return tuple(int(i in cells) for i in range(self.dim))
 
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
@@ -296,7 +284,7 @@ class InducedModule(_SL2Module):
         *eps_b, h_g, _ = self.generators
         if any(e.apply(line) != line for e in eps_b):
             raise RelationError("eps must fix the stable line")
-        if h_g.apply(line) != vec_scale(self.codes, self._theta[self._generator_code()], line):
+        if h_g.apply(line) != vec_scale(self.codes, self._theta[self.codes.generator], line):
             raise RelationError("h must scale the line by theta")
         super()._check_relations()
 
@@ -368,7 +356,6 @@ class IrreducibilityVerdict:
     `HeckeOperators`: the verdict is exhaustive and a proof either way."""
 
     irreducible: bool
-    dimension: int
     witness: tuple | None = None  # a code vector spinning to a proper submodule
 
     mode = "exhaustive"
@@ -408,12 +395,12 @@ def socle_head_report(module) -> SocleHeadReport:
             "are not unique here"
         )
     ops, dual_ops = HeckeOperators(module), HeckeOperators(module.dual())
-    codes, dim = module.codes, module.dim
+    codes = module.codes
     if any(mat_vec(codes, dual_ops.t_s_rows, ops.t_s_line)):
         raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
-    return SocleHeadReport(IrreducibilityVerdict(False, dim, ops.t_s_line),
+    return SocleHeadReport(IrreducibilityVerdict(False, ops.t_s_line),
                            Subspace(module, rref(codes, dual_ops._cols)),
-                           Subspace(module, kernel(codes, ops.t_s_rows, dim)))
+                           Subspace(module, kernel(codes, ops.t_s_rows, module.dim)))
 
 
 def socle_digit_product(module: InducedModule) -> int:
@@ -451,7 +438,7 @@ def case_verdict(module: InducedModule):
             failed["dims"] = section["dims"]
         # with a zero piece the other is the whole module, simple
         witness = pieces[0].code_rows[0] if all(section["irreducible"]) else None
-        whole = IrreducibilityVerdict(witness is None, module.dim, witness)
+        whole = IrreducibilityVerdict(witness is None, witness)
         return whole, "hecke", section, failed
     rep = socle_head_report(module)
     section = {
@@ -500,9 +487,8 @@ class CostandardModule(_SL2Module):
         self.codes = codes = self.tower.codes(coeff_level)
         self.dim = n + 1
         # the codes of binom(i, j) mod p
-        self._binom = tuple(
-            tuple(codes.code(self.tower.scalar(b, coeff_level)) for b in lucas_row(i, p, self.dim))
-            for i in range(self.dim))
+        self._binom = tuple(tuple(map(codes.scalars.__getitem__, lucas_row(i, p, self.dim)))
+                            for i in range(self.dim))
         self._check_relations()
 
     def eps(self, t) -> DenseMap:
@@ -573,13 +559,13 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     cm = CostandardModule(m_t, p, coeff_level=t)
     top = cm.unit_vector(m_t)
     total = (0,) * cm.dim
-    for a in cm.tower.enumerate_elements(r):
-        total = vec_add(cm.codes, total, cm.eps(cm.codes.code(a.embed(t))).apply(top))
+    for a in cm.tower.subfield_codes(r, t):
+        total = vec_add(cm.codes, total, cm.eps(a).apply(top))
     qr = field_order(p, r)
     closed = [0] * cm.dim
     for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
         closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p
-    if cm.codes.encode(cm.tower.scalar(c, t) for c in closed) != total:
+    if tuple(map(cm.codes.scalars.__getitem__, closed)) != total:
         raise RelationError("closed form and direct summation disagree")
     nonzero = tuple(i for i, c in enumerate(total) if c)
     return PiImageRecord(nonzero, m_t)

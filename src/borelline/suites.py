@@ -189,6 +189,15 @@ def suite_sl2_relations(p_filter=None) -> dict:
     return _record("sl2-relations", cases, failures)
 
 
+def _failed_checks(p, a, theta) -> dict:
+    """The checks `case_verdict` finds failed on Ind theta at (p, a), or
+    {"error": ...} naming the relation that failed."""
+    try:
+        return case_verdict(InducedModule(p, a, theta))[3]
+    except RelationError as err:
+        return {"error": str(err)}
+
+
 def suite_sl2_socle_head(p_filter=None) -> dict:
     """Socle, maximal submodule and head by `case_verdict` on the nontrivial
     grid; each failure names the failed checks, or the relation that failed.
@@ -212,10 +221,7 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
                 )
                 continue
             cases += 1
-            try:
-                failed = case_verdict(InducedModule(p, a, theta))[3]
-            except RelationError as err:
-                failed = {"error": str(err)}
+            failed = _failed_checks(p, a, theta)
             if failed:
                 failures.append({"p": p, "a": a, "lambda": lam, **failed})
     return _record("sl2-socle-head", cases, failures, skipped)
@@ -252,10 +258,7 @@ def suite_hecke_split(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        try:
-            failed = case_verdict(InducedModule(p, a, trivial_character(p, a)))[3]
-        except RelationError as err:
-            failed = {"error": str(err)}
+        failed = _failed_checks(p, a, trivial_character(p, a))
         if failed:
             failures.append({"p": p, "a": a, **failed})
     return _record("hecke-split", cases, failures)

@@ -26,7 +26,9 @@ tables. `FieldTower.codes(level)` builds them from the level's antilog and
 Zech tables on its first call, with list slices and maps and no polynomial
 product: q^2 entries per table, 4 096 at q = 64 and 531 441 at q = 729, the
 largest field a module can reach (a costandard module with n <= 3 at
-p = 3, level 3), where the three tables take about 13 MB.
+p = 3, level 3), where the three tables take about 13 MB. A module takes
+every point as a code too, from `Codes` and `FieldTower.subfield_codes`, so
+FieldElements compute only inside the tower: its tables, its embeddings.
 """
 
 from __future__ import annotations
@@ -83,10 +85,14 @@ class Codes:
     `mul`, `add` and `sub` are q x q tables, indexed [a][b] by two codes;
     `neg` and `inv` are rows of q codes, with inv[0] = 0 standing in for the
     inverse zero lacks. `elements[c]` is the FieldElement of code c, so the
-    units come in the order 1, g, g^2, ... and one has code 1.
+    units come in the order 1, g, g^2, ... and one has code 1. `basis` codes
+    the power basis of f_n, `generator` is g's code, `scalars[c]` codes the
+    residue c mod p and `coords[c]` is code c's coordinate vector. `decode`
+    stays for `sl2lab.Subspace.rows`, which the benchmark tracer reads.
     """
 
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "elements", "_code")
+    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "elements", "_code", "basis",
+                 "generator", "scalars", "coords")
 
     def __init__(self, f):
         units = f.units
@@ -103,6 +109,13 @@ class Codes:
         self.sub = [list(map(row.__getitem__, neg)) for row in add]
         self.elements = (f.zero,) + tuple(f.exp[:units])
         self._code = {x: c for c, x in enumerate(self.elements)}
+        self.coords = tuple(x.coords for x in self.elements)
+        self.basis = tuple(self._code[f.by_coords[tuple(int(i == j) for i in range(f.degree))]]
+                           for j in range(f.degree))
+        self.generator = cyc[1]
+        self.scalars = scalars = [0]             # 0, 1, 1 + 1, ...
+        while add[scalars[-1]][1]:
+            scalars.append(add[scalars[-1]][1])
 
     def code(self, x) -> int:
         """The code of a FieldElement of this level; anything else is
@@ -111,10 +124,6 @@ class Codes:
         if c is None:
             raise _mismatch(self.elements[0], x)
         return c
-
-    def encode(self, vec):
-        """The codes of a vector of FieldElements of this level."""
-        return tuple(map(self.code, vec))
 
     def decode(self, vec):
         return tuple(map(self.elements.__getitem__, vec))
@@ -125,6 +134,7 @@ class FieldElement:
 
     Elements are interned; obtain them from their FieldTower. `coords` is the
     coordinate vector over F_p in the power basis of the defining polynomial.
+    Its operators serve the tower and the tests; the benchmark tracer counts them.
     """
 
     __slots__ = ("tower", "level", "coords", "log", "_f")
@@ -293,6 +303,7 @@ class FieldTower:
     # -- coordinate kernels ----------------------------------------------
 
     def _mul_coords(self, n, a, b):
+        """a b at level n, memoised in `_mul_cache`, which the benchmark tracer reads."""
         key = (a, b) if a <= b else (b, a)
         f = self.defining_polynomial(n)
         cache = self._mul_cache[n]
@@ -330,6 +341,14 @@ class FieldTower:
             f.codes = Codes(f)
         return f.codes
 
+    def subfield_codes(self, r, n):
+        """The codes at level n of level r's elements, in the order of
+        `enumerate_elements(r)`: each element embedded, then coded."""
+        codes = self.codes(n)
+        return tuple(codes.code(x.embed(n)) for x in self.enumerate_elements(r))
+
+    # -- elements: for `_embedding` and `subfield_codes`; `one` for tests ----
+
     def zero(self, level):
         return self._tables(level).zero
 
@@ -341,13 +360,6 @@ class FieldTower:
         f = self._tables(level)
         return f.by_coords[(c % self.p,) + f.zero.coords[1:]]
 
-    def element(self, coords, level):
-        f = self._tables(level)
-        coords = tuple(c % self.p for c in coords)
-        if len(coords) != f.degree:
-            raise ArgumentError("coordinate length does not match the level degree")
-        return f.by_coords[coords]
-
     def multiplicative_generator(self, level):
         return self._tables(level).exp[1]
 
@@ -356,13 +368,6 @@ class FieldTower:
         by_coords = self._tables(level).by_coords
         for coords in itertools.product(range(self.p), repeat=self.degree(level)):
             yield by_coords[coords]
-
-    def standard_basis(self, level):
-        d = self.degree(level)
-        return tuple(
-            self.element(tuple(1 if i == j else 0 for i in range(d)), level)
-            for j in range(d)
-        )
 
 
 @lru_cache(maxsize=None)

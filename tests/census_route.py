@@ -68,6 +68,6 @@ def census_report(module):
     witness = next((v for v, sp in spins if sp.dim < module.dim), None)
     maximal = sl2lab.Subspace(module, kernel(module.codes, dual_socle.code_rows, module.dim))
     return sl2lab.SocleHeadReport(
-        sl2lab.IrreducibilityVerdict(witness is None, module.dim, witness),
+        sl2lab.IrreducibilityVerdict(witness is None, witness),
         socle if miss is None else None,
         maximal if dual_miss is None else None)

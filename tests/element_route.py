@@ -1,4 +1,5 @@
-"""The reference route: exact linear algebra on FieldElement vectors.
+"""The reference route: exact linear algebra on FieldElement vectors, and
+the tower points the library hands out as codes, taken as FieldElements.
 
 Every sum, difference and product here is a FieldElement operator, so no
 code table is read; a map's entries are decoded once, through the level's
@@ -12,6 +13,23 @@ from __future__ import annotations
 
 from borelline.linalg import DenseMap, MonomialMap
 from borelline.sl2lab import _SL2Module
+
+
+def element(tower, coords, level):
+    """The FieldElement of the given coordinates, each read mod p."""
+    coords = tuple(c % tower.p for c in coords)
+    return next(x for x in tower.enumerate_elements(level) if x.coords == coords)
+
+
+def standard_basis(tower, level):
+    """The power basis of the level's defining polynomial, as FieldElements."""
+    d = tower.degree(level)
+    return tuple(element(tower, [int(i == j) for i in range(d)], level) for j in range(d))
+
+
+def encode(codes, vec):
+    """The codes of a vector of FieldElements of the level of `codes`."""
+    return tuple(map(codes.code, vec))
 
 
 def vec_add(u, v):

@@ -32,7 +32,7 @@ from borelline.sl2lab import (
     trivial_character,
     verify_irreducibility_chain,
 )
-from borelline.towers import CapabilityError, Codes, FieldElement, make_tower
+from borelline.towers import CapabilityError, Codes, FieldElement, FieldTower, make_tower
 
 GRID = ((2, 1), (3, 1), (2, 2))
 
@@ -61,7 +61,7 @@ def _negated(g, cols):
 def _span(module, vecs):
     """The subspace spanned by FieldElement vectors, reduced on the
     reference route."""
-    return Subspace(module, tuple(map(module.codes.encode, ref.rref(vecs))))
+    return Subspace(module, tuple(ref.encode(module.codes, v) for v in ref.rref(vecs)))
 
 
 def _contains(sub, vec):
@@ -225,7 +225,7 @@ def _eps_not_commuting(real):
     fixes the line and has order p, but no longer commutes with eps(b_0)."""
     def eps(self, x):
         g = real(self, x)
-        b0, b1 = self.tower.standard_basis(self.a)
+        b0, b1 = ref.standard_basis(self.tower, self.a)
         if x != self.codes.code(b1):
             return g
         perm = list(range(self.dim))
@@ -380,7 +380,7 @@ def test_character_level_requirements():
 
 def test_spin_of_line_for_generic_character_is_whole():
     module = InducedModule(3, 1, power_char(1, 3))
-    sub = spin(module, module.codes.encode(ref.unit_vector(module, 0)))
+    sub = spin(module, ref.encode(module.codes, ref.unit_vector(module, 0)))
     assert sub.dim == module.dim
 
 
@@ -396,17 +396,17 @@ def test_spin_canonical_and_monotone():
 
 def test_spin_zero_vector():
     module = InducedModule(2, 1, trivial_character(2, 1))
-    assert spin(module, module.codes.encode((ref.zero(module),) * module.dim)).dim == 0
+    assert spin(module, ref.encode(module.codes, (ref.zero(module),) * module.dim)).dim == 0
 
 
 def test_fixed_subspace_of_unipotent():
     # eps fixes exactly the line and the sum of all cells
     for p, a in GRID:
         module = InducedModule(p, a, power_char(1, p, max(a, 2)))
-        maps = [module.eps(b) for b in module.codes.encode(module.tower.standard_basis(a))]
+        maps = [module.eps(b) for b in ref.encode(module.codes, ref.standard_basis(module.tower, a))]
         fs = fixed_subspace(module, maps)
         assert fs.dim == 2
-        assert _contains(fs, module.codes.encode(ref.unit_vector(module, 0)))
+        assert _contains(fs, ref.encode(module.codes, ref.unit_vector(module, 0)))
         assert _contains(fs, module.line_sum_vector())
 
 
@@ -562,7 +562,7 @@ def test_orbit_shared_spins_match_direct_route_on_hecke_pieces():
         whole = _whole(module)
         verdict = is_irreducible(module)
         assert not verdict.irreducible and not _exhaustive_irreducible(module, whole)
-        assert verdict.witness != module.codes.encode(ref.unit_vector(module, 0))
+        assert verdict.witness != ref.encode(module.codes, ref.unit_vector(module, 0))
         assert _is_proper_witness(module, verdict.witness, whole)
 
 
@@ -645,10 +645,12 @@ FIELD_OPERATIONS = ("__add__", "__sub__", "__mul__", "__neg__", "inverse", "__po
 @pytest.mark.parametrize("p, a, m", ((2, 3, 0), (2, 3, 1), (13, 1, 6)))
 def test_construction_and_verdict_compute_on_codes_alone(monkeypatch, p, a, m):
     # group points, character values and vectors are codes from end to end:
-    # a module is built from tower points coded once, and only Subspace.rows
-    # decodes. With FieldElement points and census lines decoded for spin,
-    # (2,3,1) made 461 operations to build and 138 more for its verdict,
-    # and 4 decodes; (13,1,6) made 28 decodes.
+    # a module takes its points as codes from the tower, and only
+    # Subspace.rows decodes. With FieldElement points and census lines
+    # decoded for spin, (2,3,1) made 461 operations to build and 138 more
+    # for its verdict, and 4 decodes; (13,1,6) made 28 decodes. Coding the
+    # generator and a costandard module's binomials took them from the
+    # tower as elements.
     theta = power_char(m, p, a)
     calls = Counter()
 
@@ -664,7 +666,10 @@ def test_construction_and_verdict_compute_on_codes_alone(monkeypatch, p, a, m):
     for name in FIELD_OPERATIONS:
         count(FieldElement, name)
     count(Codes, "decode")
+    count(FieldTower, "scalar")
+    count(FieldTower, "multiplicative_generator")
     assert case_verdict(InducedModule(p, a, theta))[3] == {}
+    assert l_submodule(CostandardModule(3, p, coeff_level=a)).dim > 0
     assert calls == Counter()
 
 
@@ -705,7 +710,7 @@ def test_b_stable_lines_are_b_stable():
                     w = mod.codes.decode(v)
                     line = _span(mod, [w])
                     for g in mod.generators[:-1]:   # U and T generate B
-                        assert _contains(line, mod.codes.encode(ref.apply(g, w)))
+                        assert _contains(line, ref.encode(mod.codes, ref.apply(g, w)))
 
 
 # -- the per-eigenvalue reference route to the census ------------------------
@@ -738,7 +743,7 @@ def _b_stable_lines_per_eigenvalue(module, within=None):
     fixed-space system of h(g)/lambda inside it for each unit lambda, the
     units in code order."""
     tower, level, codes = module.tower, module.coeff_level, module.codes
-    eps = [(ref.one(module), module.eps(codes.code(b))) for b in tower.standard_basis(level)]
+    eps = [(ref.one(module), module.eps(codes.code(b))) for b in ref.standard_basis(tower, level)]
     fixed = _fixed_subspace_within(module, eps, within or _whole(module))
     hg = module.h(codes.code(tower.multiplicative_generator(level)))
     for lam in codes.elements[1:]:
@@ -755,11 +760,11 @@ def is_irreducible(module, subspace=None):
         raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else _whole(module)
     if target.dim == 0:
-        return IrreducibilityVerdict(False, 0)
+        return IrreducibilityVerdict(False)
     for v in _b_stable_lines_per_eigenvalue(module, subspace):
         if sl2lab.spin(module, v) != target:
-            return IrreducibilityVerdict(False, target.dim, v)
-    return IrreducibilityVerdict(True, target.dim)
+            return IrreducibilityVerdict(False, v)
+    return IrreducibilityVerdict(True)
 
 
 def _census_cases():
@@ -842,9 +847,9 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
     level = module.coeff_level
     code = module.codes.code
     rows = fixed_subspace(module, [module.eps(code(b))
-                                   for b in module.tower.standard_basis(level)]).rows
+                                   for b in ref.standard_basis(module.tower, level)]).rows
     hg = module.h(code(module.tower.multiplicative_generator(level)))
-    assert not _contains(_span(module, rows[:1]), module.codes.encode(ref.apply(hg, rows[0])))
+    assert not _contains(_span(module, rows[:1]), ref.encode(module.codes, ref.apply(hg, rows[0])))
     lines = list(b_stable_lines(module))
     assert len(lines) == 2 and lines == list(_b_stable_lines_per_eigenvalue(module))
 
@@ -975,7 +980,7 @@ def _rescale_a_column(monkeypatch, check=True):
     real = HeckeOperators._check_relations
 
     def rescaled(self):
-        times_g = self.module.codes.mul[self.module._generator_code()]
+        times_g = self.module.codes.mul[self.module.codes.generator]
         self.t_s_rows = tuple(row[:1] + (times_g[row[1]],) + row[2:] for row in self.t_s_rows)
         if check:
             real(self)

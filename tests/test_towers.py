@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import element_route as ref
 from borelline import polyfp
 from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError, FieldTower, make_tower
@@ -165,7 +166,7 @@ def test_embeddings_agree_with_the_coordinate_route(p, levels):
     t = FieldTower(p)
     for m in range(1, levels):
         for n in range(m + 1, levels + 1):
-            images = tuple(b.embed(n).coords for b in t.standard_basis(m))
+            images = tuple(b.embed(n).coords for b in ref.standard_basis(t, m))
             assert images == _coordinate_embedding(t, m, n)
 
 
@@ -208,19 +209,55 @@ def test_enumerate_is_complete_and_distinct():
 
 
 def test_standard_basis_spans():
-    t = make_tower(2)
-    basis = t.standard_basis(2)
-    assert len(basis) == 2
-    spans = set()
-    for c0 in (0, 1):
-        for c1 in (0, 1):
-            v = t.zero(2)
-            if c0:
-                v = v + basis[0]
-            if c1:
-                v = v + basis[1]
-            spans.add(v)
-    assert len(spans) == 4
+    # the F_p-combinations of the basis codes give every code of the level once
+    for p, level in ((2, 2), (3, 2), (2, 3)):
+        codes = make_tower(p).codes(level)
+        add, mul = codes.add, codes.mul
+        spans = {0}
+        for b in codes.basis:
+            spans = {add[x][mul[c][b]] for x in spans for c in codes.scalars}
+        assert len(codes.basis) == make_tower(p).degree(level)
+        assert spans == set(range(codes.q))
+
+
+# every level a pair below needs: 1..3 for p = 2, 3 and 1..2 for p = 5, 7
+POINT_CODE_TOWERS = ((2, 3), (3, 3), (5, 2), (7, 2))
+POINT_CODE_LEVELS = tuple((p, n) for p, top in POINT_CODE_TOWERS for n in range(1, top + 1))
+SUBFIELD_PAIRS = tuple((p, r, n) for p, top in POINT_CODE_TOWERS
+                       for n in range(1, top + 1) for r in range(1, n + 1))
+
+
+@pytest.mark.parametrize("p, n", POINT_CODE_LEVELS, ids=[f"{p}-{n}" for p, n in POINT_CODE_LEVELS])
+def test_point_codes_agree_with_the_element_route(p, n):
+    # each point a module takes as a code, against the FieldElement taken
+    # from the tower and coded
+    t = make_tower(p)
+    codes = t.codes(n)
+    assert codes.basis == ref.encode(codes, ref.standard_basis(t, n))
+    assert codes.generator == codes.code(t.multiplicative_generator(n)) == (1 if codes.q == 2 else 2)
+    assert tuple(codes.scalars) == tuple(codes.code(t.scalar(c, n)) for c in range(p))
+    assert codes.coords == tuple(x.coords for x in codes.elements)
+    assert len(set(codes.coords)) == codes.q
+
+
+def _subfield_closed_form(qr, qn, with_zero=True, step_shift=0):
+    """Zero and the powers of g^((q_n - 1)/(q_r - 1)), as codes: the subfield
+    of order q_r at level n."""
+    step = (qn - 1) // (qr - 1) + step_shift
+    units = {1 + j * step for j in range(qr - 1)}
+    return units | {0} if with_zero else units
+
+
+@pytest.mark.parametrize("p, r, n", SUBFIELD_PAIRS, ids=[f"{p}-{r}-{n}" for p, r, n in SUBFIELD_PAIRS])
+def test_subfield_codes_are_the_closed_form(p, r, n):
+    t = make_tower(p)
+    qr, qn = t.order(r), t.order(n)
+    sub = t.subfield_codes(r, n)
+    assert len(sub) == qr and set(sub) == _subfield_closed_form(qr, qn)
+    # the check tells zero dropped, and a step off by one unless q_r = 2
+    assert set(sub) != _subfield_closed_form(qr, qn, with_zero=False)
+    for shift in (-1, 1):
+        assert (set(sub) == _subfield_closed_form(qr, qn, step_shift=shift)) is (qr == 2)
 
 
 def test_scalar_reduces_mod_p():
@@ -263,11 +300,11 @@ def test_tables_agree_with_the_polynomial_route(p, levels):
 def test_elements_are_interned():
     t = make_tower(2)
     assert t.one(2) is t.one(2)
-    assert t.zero(3) is t.element((0,) * 6, 3)
+    assert t.zero(3) is ref.element(t, (0,) * 6, 3)
     assert t.scalar(3, 1) is t.one(1)
     for a in t.enumerate_elements(2):
         up = a.embed(3)
-        assert up is t.element(up.coords, 3)
+        assert up is ref.element(t, up.coords, 3)
         if not a.is_zero():
             assert a * a.inverse() is t.one(2)
     g = t.multiplicative_generator(3)
@@ -318,7 +355,7 @@ def test_code_tables_agree_with_the_field_operators(p, level):
     # zero, then the powers of the generator from one
     assert codes.elements[0].is_zero() and codes.elements[1] is t.one(level)
     assert all(x.log == c - 1 for c, x in enumerate(codes.elements) if c)
-    assert codes.encode(codes.elements) == tuple(range(codes.q))
+    assert ref.encode(codes, codes.elements) == tuple(range(codes.q))
     assert _code_table_errors(codes) == []
 
 
