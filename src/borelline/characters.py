@@ -10,17 +10,16 @@ level that was instead of claiming anything about the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .digits import (
     ArgumentError, RelationError, _lucas_digit_product, digit_class_sums, digit_sum,
-    expand, nonzero_digit_count, require_prime,
+    expand, nonzero_digit_count, record, require_prime,
 )
 from .towers import LEVEL_CAP, CapabilityError, require_level
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedCharacter:
     """Residues m_1..m_N; level n constrains m_n to [0, p^(n!) - 2].
 
@@ -51,7 +50,7 @@ class TruncatedCharacter:
         return self.residues[n - 1]
 
 
-@dataclass(frozen=True)
+@record
 class CompatibilityVerdict:
     ok: bool
     failing_pair: tuple[int, int] | None = None
@@ -79,7 +78,7 @@ def nonzero_counts(tc: TruncatedCharacter) -> tuple[int, ...]:
     return tuple(nonzero_digit_count(m, tc.p) for m in tc.residues)
 
 
-@dataclass(frozen=True)
+@record
 class GaloisTwist:
     """A truncated Galois-group element: residues g_n mod n!, one per level.
 
@@ -120,14 +119,14 @@ class GaloisTwist:
         return GaloisTwist(self.residues[:n])
 
 
-@dataclass(frozen=True)
+@record
 class RationalPower:
     """t -> t^power with an integer power of either sign."""
 
     power: int
 
 
-@dataclass(frozen=True)
+@record
 class TwistedDigitSum:
     """t -> prod_i (t^(p^(g_i)))^(theta_i): a digit pattern with Galois twists.
 
@@ -147,7 +146,7 @@ class TwistedDigitSum:
                 raise ArgumentError("digit values must be at least 1")
 
 
-@dataclass(frozen=True)
+@record
 class Trivial:
     """The trivial character."""
 
@@ -199,7 +198,7 @@ def is_trivial_symbolic(sc: SymbolicCharacter) -> bool:
     raise ArgumentError(f"not a symbolic character: {sc!r}")
 
 
-@dataclass(frozen=True)
+@record
 class X0Pattern:
     """Stable digit pattern m_n = sum_i theta_i p^(g_(i,n)).
 
@@ -217,7 +216,7 @@ class X0Pattern:
         return pattern_residue(self.factors, self.p, n)
 
 
-@dataclass(frozen=True)
+@record
 class NoStablePattern:
     """Diagnostic for towers whose digit data kept moving up to the cap."""
 
@@ -281,7 +280,7 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     return pattern
 
 
-@dataclass(frozen=True)
+@record
 class CharacterClass:
     """Exact dichotomy: bounded digit sums (with a pattern) or unbounded."""
 
@@ -341,7 +340,7 @@ def _settle_level(factors, p, level):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class LucasSearch:
     """Outcome of the binomial witness search at truncation level N."""
 

@@ -10,8 +10,7 @@ Index sets are reported 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .characters import (
     GaloisTwist,
@@ -23,12 +22,12 @@ from .characters import (
     symbolic_to_json,
     truncate,
 )
-from .digits import ArgumentError, RelationError, require_prime
+from .digits import ArgumentError, RelationError, record, require_prime
 from .towers import CapabilityError, LEVEL_CAP
 from .weyl import RootDatum, datum_from_json, datum_to_json
 
 
-@dataclass(frozen=True)
+@record
 class TorusCharacter:
     """One symbolic character per simple index, plus an optional central part.
 
@@ -72,7 +71,7 @@ def x0_support(tchar: TorusCharacter, p, level=LEVEL_CAP) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class X1Factor:
     """A digit layer of the J-part: one weight entry per simple index of the
     ambient datum (zero off J), all entries in [0, p-1], with a twist shared
@@ -142,19 +141,26 @@ def _require_finite_type(cartan):
     group has one. Finite type means a Dynkin forest whose pivots all stay
     positive when leaves are eliminated one by one: a forest's matrix is
     symmetrized by a positive diagonal, and these pivots are then those of
-    the symmetrized matrix up to positive factors."""
+    the symmetrized matrix up to positive factors. They are kept as exact
+    fractions of integers."""
     n = len(cartan)
-    pivots = [Fraction(cartan[i][i]) for i in range(n)]
+    # pivot i is the reduced fraction num[i] / den[i], den[i] > 0
+    num, den = [cartan[i][i] for i in range(n)], [1] * n
     nbrs = [{j for j in range(n) if j != i and cartan[i][j]} for i in range(n)]
     leaves = [i for i in range(n) if len(nbrs[i]) <= 1]
     for leaf in leaves:
-        if pivots[leaf] <= 0:
+        if num[leaf] <= 0:
+            pivot = num[leaf] if den[leaf] == 1 else f"{num[leaf]}/{den[leaf]}"
             raise ArgumentError(
                 f"the Cartan matrix is not of finite type: eliminating leaf by "
-                f"leaf leaves the pivot {pivots[leaf]} at index {leaf + 1}"
+                f"leaf leaves the pivot {pivot} at index {leaf + 1}"
             )
         for k in nbrs[leaf]:
-            pivots[k] -= cartan[k][leaf] * cartan[leaf][k] / pivots[leaf]
+            # num[k]/den[k] - c / (num[leaf]/den[leaf]), c the bond's product
+            c = cartan[k][leaf] * cartan[leaf][k]
+            top, bottom = num[k] * num[leaf] - c * den[k] * den[leaf], den[k] * num[leaf]
+            g = gcd(top, bottom)
+            num[k], den[k] = top // g, bottom // g
             nbrs[k].discard(leaf)
             if len(nbrs[k]) == 1:
                 leaves.append(k)
@@ -162,7 +168,7 @@ def _require_finite_type(cartan):
         raise ArgumentError("the Cartan matrix is not of finite type: its Dynkin graph has a cycle")
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     p: int
     datum: RootDatum

@@ -12,9 +12,9 @@ one primality check, then one block of the row per digit value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 
 from . import polyfp
 
@@ -30,6 +30,59 @@ class CapabilityError(RuntimeError):
 class RelationError(RuntimeError):
     """An exact identity the computation relies on fails: a defining relation
     of the constructed matrices, or an internal invariant checked on the way."""
+
+
+def record(cls):
+    """Make cls a frozen record of the fields it annotates, in order, as
+    `@dataclass(frozen=True)` would, without importing `dataclasses`.
+
+    A class attribute is its field's default; other class attributes are
+    not fields. The generated `__init__` takes the fields by position or
+    keyword, then calls `__post_init__` if the class has one, which may set
+    a field through `object.__setattr__`. Records repr as
+    Name(field=value, ...), equal a record of the same class with equal
+    fields, hash as the tuple of their fields and raise AttributeError on
+    assignment and deletion."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f"_default_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_default_{n}" if n in cls.__dict__ else f", {n}" for n in names)
+    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec(f"def __init__(self{params}):{body or ' pass'}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if len(names) > 1:
+        fields = attrgetter(*names)
+    else:  # attrgetter gives one name's bare value, and takes no zero names
+        def fields(self):
+            return tuple(getattr(self, n) for n in names)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = init, __repr__, __eq__, __hash__
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    cls.__match_args__ = names
+    return cls
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this bound
@@ -237,7 +290,7 @@ def digit_class_sums(m, p, r) -> tuple[int, ...]:
     return tuple(sums)
 
 
-@dataclass(frozen=True)
+@record
 class DigitLemmaVerdict:
     """Which clauses of the digit growth law hold for (m, m')."""
 

@@ -29,12 +29,11 @@ its scale on every cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum
+from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum, record
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -56,7 +55,7 @@ class PreconditionError(ValueError):
     """A stated hypothesis of the requested operation fails."""
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Canonical reduced-echelon basis of a subspace of a module, as a
     tuple of code rows; `rows`, the lab's one decode, gives them as
@@ -349,7 +348,7 @@ def _projective_vectors(module, rows):
         yield from walk(rows[lead], lead + 1)
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibilityVerdict:
     """Every submodule is accounted for through its U-fixed vectors, which
     M^U = span{line, t_s line} confines, t_s the intertwiner of
@@ -371,7 +370,7 @@ def _is_stable(module, sub: Subspace) -> bool:
 # -- socle and head ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SocleHeadReport:
     whole: IrreducibilityVerdict
     socle: Subspace               # the unique minimal submodule
@@ -532,7 +531,7 @@ def l_submodule(cm: CostandardModule) -> Subspace:
 # -- the level bridge --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PiImageRecord:
     nonzero_indices: tuple[int, ...]
     m_t: int
@@ -571,7 +570,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     return PiImageRecord(nonzero, m_t)
 
 
-@dataclass(frozen=True)
+@record
 class ChainRecord:
     m_t: int
     span_is_whole: bool

@@ -117,10 +117,12 @@ def suite_lucas(p_filter=None) -> dict:
         for m in range(LUCAS_BOUND + 1):
             cases += LUCAS_BOUND + 1
             got_row = lucas_row(m, p, LUCAS_BOUND + 1)
-            expected_row = list(rows[m])
-            if got_row == expected_row:
-                continue
-            for n, (got, expected) in enumerate(zip(got_row, expected_row)):
+            try:
+                if bytes(got_row) == rows[m]:
+                    continue
+            except (ValueError, TypeError):
+                pass  # an entry no byte holds: listed below
+            for n, (got, expected) in enumerate(zip(got_row, rows[m])):
                 if got != expected:
                     failures.append({"p": p, "m": m, "n": n, "got": got, "expected": expected})
         # anchor the recurrence itself to the factorial formula on a sample

@@ -10,9 +10,8 @@ are canonicalized by their action on the simple roots.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .digits import ArgumentError, RelationError
+from .digits import ArgumentError, RelationError, record
 from .towers import CapabilityError
 
 ROOT_GENERATION_CAP = 4096
@@ -41,7 +40,7 @@ def _validate_cartan(cartan):
     return tuple(tuple(row) for row in cartan)
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     cartan: tuple[tuple[int, ...], ...]
     simply_connected: bool = True

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from borelline.characters import GaloisTwist, RationalPower, Trivial, TwistedDigitSum
 from borelline.classify import (
     TorusCharacter,
+    _require_finite_type,
     report,
     report_to_json,
     steinberg_decompose,
@@ -193,6 +197,21 @@ NOT_FINITE_TYPES = {
     "affine E8": _with_branch(_chain(8), 2),
     "affine G2": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
     "hyperbolic": [[2, -3], [-3, 2]],
+    "hyperbolic A5 with a triple bond": _chain(5, -1, -3),
+    "hyperbolic, two multiple bonds": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1],
+                                       [0, 0, -3, 2]],
+}
+
+PIVOT = "the Cartan matrix is not of finite type: eliminating leaf by leaf leaves the pivot"
+REFUSALS = {
+    "affine A1": f"{PIVOT} 0 at index 2",
+    "affine A2": "the Cartan matrix is not of finite type: its Dynkin graph has a cycle",
+    "affine D4": f"{PIVOT} 0 at index 2",
+    "affine E8": f"{PIVOT} 0 at index 5",
+    "affine G2": f"{PIVOT} 0 at index 2",
+    "hyperbolic": f"{PIVOT} -5/2 at index 2",
+    "hyperbolic A5 with a triple bond": f"{PIVOT} -2/3 at index 3",
+    "hyperbolic, two multiple bonds": f"{PIVOT} -5/6 at index 3",
 }
 
 
@@ -207,6 +226,50 @@ def test_report_accepts_every_finite_type():
 def test_report_refuses_cartan_matrices_not_of_finite_type(name):
     datum = RootDatum(tuple(map(tuple, NOT_FINITE_TYPES[name])))
     tchar = TorusCharacter(datum, (RationalPower(1),) * datum.rank)
-    expected = "cycle" if name == "affine A2" else "pivot"
-    with pytest.raises(ArgumentError, match=f"not of finite type.*{expected}"):
+    with pytest.raises(ArgumentError) as refusal:
         report(datum, tchar, 3)
+    assert str(refusal.value) == REFUSALS[name]
+
+
+def _finite_type_refusal_by_fractions(cartan):
+    """Reference route for the finite-type check: the same leaf-by-leaf
+    elimination in `fractions.Fraction`. The refusal text, or None."""
+    n = len(cartan)
+    pivots = [Fraction(cartan[i][i]) for i in range(n)]
+    nbrs = [{j for j in range(n) if j != i and cartan[i][j]} for i in range(n)]
+    leaves = [i for i in range(n) if len(nbrs[i]) <= 1]
+    for leaf in leaves:
+        if pivots[leaf] <= 0:
+            return f"{PIVOT} {pivots[leaf]} at index {leaf + 1}"
+        for k in nbrs[leaf]:
+            pivots[k] -= cartan[k][leaf] * cartan[leaf][k] / pivots[leaf]
+            nbrs[k].discard(leaf)
+            if len(nbrs[k]) == 1:
+                leaves.append(k)
+    if len(leaves) < n:
+        return REFUSALS["affine A2"]
+    return None
+
+
+def test_finite_type_refusals_match_the_fraction_route():
+    rng = random.Random(5)
+    bonds = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1))
+    accepted = fractional = refused = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for j in range(1, n):
+            # a random tree, with now and then one more bond closing a cycle
+            for i in (rng.randrange(j),) + ((rng.randrange(j),) if rng.random() < 0.1 else ()):
+                cartan[i][j], cartan[j][i] = rng.choice(bonds[:3] if rng.random() < 0.7 else bonds)
+        want = _finite_type_refusal_by_fractions(cartan)
+        if want is None:
+            _require_finite_type(cartan)
+            accepted += 1
+            continue
+        with pytest.raises(ArgumentError) as refusal:
+            _require_finite_type(cartan)
+        assert str(refusal.value) == want
+        refused += 1
+        fractional += "/" in want
+    assert accepted > 50 and refused > 100 and fractional > 50

@@ -386,6 +386,20 @@ def test_console_entry_point():
     assert doc["ok"] is True
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
+    # each request is a process of its own, so what `import borelline.cli`
+    # loads is paid on every one: `dataclasses` loads `inspect`, and
+    # `fractions` loads `decimal`
+    script = ("import json, sys; before = set(sys.modules); import borelline.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "borelline.cli" in loaded and "borelline.classify" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "_decimal",
+                         "_pydecimal"}
+
+
 def test_char_inspect_answers_at_a_large_prime():
     # p = 1000003, lambda = -2: m_2 = p^2 - 3 has base-p digits (p - 3, p - 1),
     # low digit first, and the search over r = 1 tries k (p - 1). For k = 1

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import cached_property
 from math import factorial, prod
 
@@ -22,6 +21,7 @@ from borelline.sl2lab import (
     IrreducibilityVerdict,
     PreconditionError,
     RelationError,
+    SocleHeadReport,
     Subspace,
     case_verdict,
     fixed_subspace,
@@ -939,7 +939,7 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
     def wrong_socle(module):
         rep = real(module)
-        return replace(rep, socle=rep.maximal)
+        return SocleHeadReport(rep.whole, socle=rep.maximal, maximal=rep.maximal)
 
     monkeypatch.setattr(sl2lab, "socle_head_report", wrong_socle)
     _, _, section, failed = case_verdict(InducedModule(2, 2, power_char(1, 2)))
@@ -955,7 +955,8 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
 @pytest.mark.parametrize("mutate, failed, err", (
     # the socle taken for the maximal submodule: a head of dim 5 - 2, not 2
-    (lambda rep: replace(rep, maximal=rep.socle), {"head": {"dim": 3, "digit_product": 2}},
+    (lambda rep: SocleHeadReport(rep.whole, socle=rep.socle, maximal=rep.socle),
+     {"head": {"dim": 3, "digit_product": 2}},
      'head: {"digit_product": 2, "dim": 3}'),
 ), ids=("wrong-head",))
 def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(

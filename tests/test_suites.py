@@ -113,7 +113,9 @@ def test_lucas_suite_asks_one_row_per_m(lucas_calls):
     assert lucas_calls["lucas_binom"] == 0
 
 
-def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
+def _lucas_failures_with(monkeypatch, wrong):
+    """suite_lucas at p = 3 with entry (100, 7) of the digit-product rows
+    replaced by wrong(entry); the failures, checked to name that entry."""
     from borelline import suites
 
     real = suites.lucas_row
@@ -121,15 +123,33 @@ def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
     def one_entry_off(m, p, width):
         row = real(m, p, width)
         if m == 100:
-            row[7] = (row[7] + 1) % p
+            row[7] = wrong(row[7])
         return row
 
     monkeypatch.setattr(suites, "lucas_row", one_entry_off)
     rec = suites.suite_lucas(p_filter=3)
-    expected = math.comb(100, 7) % 3
     assert rec["ok"] is False and rec["cases"] == 263169
-    assert rec["failures"] == [
+    return rec["failures"]
+
+
+def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
+    expected = math.comb(100, 7) % 3
+    assert _lucas_failures_with(monkeypatch, lambda entry: (entry + 1) % 3) == [
         {"p": 3, "m": 100, "n": 7, "got": (expected + 1) % 3, "expected": expected}
+    ]
+
+
+@pytest.mark.parametrize("wrong", (
+    lambda entry: entry + 256,
+    lambda entry: entry - 3,
+    lambda entry: entry + 0.5,
+), ids=("above-a-byte", "negative", "not-an-int"))
+def test_lucas_suite_names_an_entry_no_byte_holds(monkeypatch, wrong):
+    # such a row cannot be compared as bytes, so it is compared entry by
+    # entry, and the suite reports it rather than raising
+    expected = math.comb(100, 7) % 3
+    assert _lucas_failures_with(monkeypatch, wrong) == [
+        {"p": 3, "m": 100, "n": 7, "got": wrong(expected), "expected": expected}
     ]
 
 
