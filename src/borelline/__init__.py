@@ -42,6 +42,7 @@ from .digits import (
     digit_sum,
     lucas_binom,
     lucas_row,
+    lucas_rows,
     nonzero_digit_count,
     power_sum,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "lucas_binom",
     "lucas_criterion",
     "lucas_row",
+    "lucas_rows",
     "make_tower",
     "nonzero_digit_count",
     "pi_image",

@@ -6,8 +6,10 @@ power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
 
 Binomials come one entry at a time (`lucas_binom`, for a single entry at a
-huge m) or a row at a time (`lucas_row`, binom(m, n) for n below a width:
-one primality check, then one block of the row per digit value).
+huge m), a row at a time (`lucas_row`, binom(m, n) for n below a width:
+one primality check, then one block of the row per digit value) or as a
+whole triangle of bytes (`lucas_rows`, every row up to a limit, each from
+the row of m // p).
 """
 
 from __future__ import annotations
@@ -222,6 +224,36 @@ def lucas_row(m, p, width) -> list[int]:
         place *= p
         row += [0] * (min(place, width) - len(row))
     return (row + [0] * (width - len(row)))[:width]
+
+
+def lucas_rows(limit, p) -> list[bytes]:
+    """Rows 0..limit of binom(m, n) mod p, each as limit + 1 bytes.
+
+    Built top-down by the digit product rule: for m = a + p * m' with a < p,
+    binom(m, b + p * n') = binom(a, b) * binom(m', n') mod p, which is 0 for
+    b > a. So row m is row m' = m // p, already built, written at the strided
+    offsets b, b + p, ... for each b <= a, scaled by binom(a, b) mod p through
+    a 256-byte table where that factor is not 1. Bytes hold an entry only
+    below 256, hence p < 256 (ArgumentError otherwise, after the primality
+    check), and limit >= 0."""
+    require_prime(p)
+    if p >= 256:
+        raise ArgumentError(f"Lucas rows are kept in bytes, which needs p < 256, got {p}")
+    if limit < 0:
+        raise ArgumentError(f"Lucas rows need limit >= 0, got {limit}")
+    width = limit + 1
+    # binom(a, b) mod p for b <= a < p is a unit; a factor 1 needs no table
+    tables = [None, None] + [bytes(c * v % p for v in range(256)) for c in range(2, p)]
+    digit_blocks = [[(b, len(range(b, width, p)), tables[comb(a, b) % p]) for b in range(a + 1)]
+                    for a in range(min(p, width))]
+    rows = [bytes([1]) + bytes(limit)]
+    for m in range(1, width):
+        parent = rows[m // p]
+        row = bytearray(width)
+        for b, count, table in digit_blocks[m % p]:
+            row[b::p] = parent[:count] if table is None else parent[:count].translate(table)
+        rows.append(bytes(row))
+    return rows
 
 
 def power_sum(q, k, include_zero=True) -> int:

@@ -23,7 +23,7 @@ from .characters import (
     truncate,
     X0Pattern,
 )
-from .digits import ArgumentError, check_digit_lemma, lucas_binom, lucas_row, power_sum, power_sums_direct
+from .digits import ArgumentError, check_digit_lemma, expand, lucas_rows, power_sum, power_sums_direct
 from .sl2lab import (
     InducedModule,
     CostandardModule,
@@ -106,7 +106,12 @@ def _pascal_rows_mod(limit, p):
 
 
 def suite_lucas(p_filter=None) -> dict:
-    """Digit-product binomials against the additive Pascal recurrence."""
+    """Digit-product binomials against the additive Pascal recurrence.
+
+    Both sides are byte triangles of rows 0..LUCAS_BOUND, compared a row at
+    a time: `lucas_rows` builds row m from row m // p by Lucas's theorem
+    (so p < 256), `_pascal_rows_mod` row m from row m - 1 by addition (so
+    p < 128). A row that differs is listed entry by entry."""
     failures = []
     cases = 0
     anchors = 0
@@ -114,15 +119,12 @@ def suite_lucas(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         rows = _pascal_rows_mod(LUCAS_BOUND, p)
+        got_rows = lucas_rows(LUCAS_BOUND, p)
         for m in range(LUCAS_BOUND + 1):
             cases += LUCAS_BOUND + 1
-            got_row = lucas_row(m, p, LUCAS_BOUND + 1)
-            try:
-                if bytes(got_row) == rows[m]:
-                    continue
-            except (ValueError, TypeError):
-                pass  # an entry no byte holds: listed below
-            for n, (got, expected) in enumerate(zip(got_row, rows[m])):
+            if got_rows[m] == rows[m]:
+                continue
+            for n, (got, expected) in enumerate(zip(got_rows[m], rows[m])):
                 if got != expected:
                     failures.append({"p": p, "m": m, "n": n, "got": got, "expected": expected})
         # anchor the recurrence itself to the factorial formula on a sample
@@ -181,7 +183,9 @@ def suite_sl2_relations(p_filter=None) -> dict:
             try:
                 cm = CostandardModule(n, p, coeff_level=a)
                 sub = l_submodule(cm)
-                expected = sum(1 for i in range(n + 1) if lucas_binom(n, i, p))
+                # Fine's closed form: L(n) has dimension prod(d + 1) over the
+                # base-p digits d of n, by Lucas's theorem
+                expected = math.prod(d + 1 for d in expand(n, p))
                 if sub.dim != expected:
                     failures.append(
                         {"p": p, "a": a, "n": n, "dim": sub.dim, "expected": expected}

@@ -79,10 +79,11 @@ def monomial_apply_calls(monkeypatch):
 
 @pytest.fixture
 def lucas_calls(monkeypatch):
-    """A Counter of the calls of digits.lucas_row and digits.lucas_binom from
-    now on, keyed by function name: a machine-independent measure of how
-    often binomials are asked for and their prime checked. Both are patched
-    in every module that binds them by name."""
+    """A Counter of the calls of digits.lucas_rows, digits.lucas_row and
+    digits.lucas_binom from now on, keyed by function name: a
+    machine-independent measure of how often binomials are asked for and
+    their prime checked. Each is patched in every module that binds it by
+    name."""
     calls = Counter()
 
     def counting(name, real):
@@ -91,7 +92,7 @@ def lucas_calls(monkeypatch):
             return real(*args)
         return fn
 
-    for name in ("lucas_row", "lucas_binom"):
+    for name in ("lucas_rows", "lucas_row", "lucas_binom"):
         real = getattr(digits, name)
         wrapper = counting(name, real)
         for module in (digits, suites, sl2lab):

@@ -14,6 +14,7 @@ from borelline.digits import (
     expand,
     lucas_binom,
     lucas_row,
+    lucas_rows,
     nonzero_digit_count,
     power_sum,
     power_sums_direct,
@@ -122,8 +123,11 @@ def test_lucas_row_matches_factorials():
 
 
 def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
-    # the lucas suite checks rows against Pascal's rule; entry by entry on the
-    # same grid, that evidence carries over to the kernel of lucas_binom
+    # the lucas suite checks lucas_rows against Pascal's rule, and
+    # test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid carries
+    # that evidence to lucas_row on the same grid; entry by entry here it
+    # reaches the kernel of lucas_binom: Pascal -> lucas_rows -> lucas_row
+    # -> lucas_binom
     width = LUCAS_BOUND + 1
     for p in LUCAS_PRIMES:
         for m in range(width):
@@ -162,6 +166,39 @@ def test_lucas_row_checks_its_arguments():
     for m, p, width in ((-1, 2, 5), (3, 2, -1), (-1, 3, 0)):
         with pytest.raises(ArgumentError, match="nonnegative"):
             lucas_row(m, p, width)
+
+
+def test_lucas_rows_match_factorials():
+    # every prime below 64, and 251, the largest prime a byte holds; limit
+    # 60 reaches m = 2p - 1 for every p <= 29, where a block written at
+    # b = a + 1 = p would overwrite the block of b = 0
+    primes = [p for p in range(2, 64) if all(p % d for d in range(2, p))] + [251]
+    for p in primes:
+        rows = lucas_rows(60, p)
+        assert len(rows) == 61
+        for m, row in enumerate(rows):
+            assert type(row) is bytes
+            assert row == bytes(math.comb(m, n) % p for n in range(61)), (p, m)
+
+
+def test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid():
+    # the lucas suite checks lucas_rows against Pascal's rule; row by row on
+    # the same grid, that evidence carries over to lucas_row
+    for p in LUCAS_PRIMES:
+        rows = lucas_rows(LUCAS_BOUND, p)
+        assert len(rows) == LUCAS_BOUND + 1
+        for m, row in enumerate(rows):
+            assert row == bytes(lucas_row(m, p, LUCAS_BOUND + 1)), (p, m)
+
+
+def test_lucas_rows_check_their_arguments():
+    # the prime first, then the byte bound, then the limit, each named
+    for limit, p, message in ((5, 4, "prime, got 4"), (-1, 4, "prime, got 4"),
+                              (5, 257, "p < 256, got 257"), (-1, 257, "p < 256, got 257"),
+                              (-1, 2, "limit >= 0, got -1")):
+        with pytest.raises(ArgumentError, match=message):
+            lucas_rows(limit, p)
+    assert lucas_rows(0, 2) == lucas_rows(0, 251) == [b"\x01"]
 
 
 def test_power_sum_unit_values():

@@ -105,28 +105,31 @@ def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
 
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):
-    # one digit-product row per m, compared with its Pascal row at once; no
-    # binomial is asked entry by entry
+    # one digit-product triangle per prime, compared with the Pascal triangle
+    # a row at a time; no row or binomial is asked on its own
     rec = suite_lucas(p_filter=2)
     assert rec["ok"] is True and rec["cases"] == 513 * 513
-    assert lucas_calls["lucas_row"] == 513
+    assert lucas_calls["lucas_rows"] == 1
+    assert lucas_calls["lucas_row"] == 0
     assert lucas_calls["lucas_binom"] == 0
 
 
 def _lucas_failures_with(monkeypatch, wrong):
     """suite_lucas at p = 3 with entry (100, 7) of the digit-product rows
-    replaced by wrong(entry); the failures, checked to name that entry."""
+    replaced by wrong(entry), row 100 becoming a list; the failures,
+    checked to name that entry."""
     from borelline import suites
 
-    real = suites.lucas_row
+    real = suites.lucas_rows
 
-    def one_entry_off(m, p, width):
-        row = real(m, p, width)
-        if m == 100:
-            row[7] = wrong(row[7])
-        return row
+    def one_entry_off(limit, p):
+        rows = real(limit, p)
+        row = list(rows[100])
+        row[7] = wrong(row[7])
+        rows[100] = row
+        return rows
 
-    monkeypatch.setattr(suites, "lucas_row", one_entry_off)
+    monkeypatch.setattr(suites, "lucas_rows", one_entry_off)
     rec = suites.suite_lucas(p_filter=3)
     assert rec["ok"] is False and rec["cases"] == 263169
     return rec["failures"]
@@ -145,8 +148,8 @@ def test_lucas_suite_names_a_wrong_row_entry(monkeypatch):
     lambda entry: entry + 0.5,
 ), ids=("above-a-byte", "negative", "not-an-int"))
 def test_lucas_suite_names_an_entry_no_byte_holds(monkeypatch, wrong):
-    # such a row cannot be compared as bytes, so it is compared entry by
-    # entry, and the suite reports it rather than raising
+    # a row holding such an entry is no bytes; it compares unequal to the
+    # Pascal row without raising, and the suite lists it entry by entry
     expected = math.comb(100, 7) % 3
     assert _lucas_failures_with(monkeypatch, wrong) == [
         {"p": 3, "m": 100, "n": 7, "got": wrong(expected), "expected": expected}
@@ -203,3 +206,23 @@ def test_power_sums_oracle_makes_one_product_per_element_and_power(polyfp_mul_ca
     del polyfp_mul_calls[:]
     assert suite_power_sums()["ok"] is True
     assert len(polyfp_mul_calls) == sum(q * 3 * (q - 1) for q in POWER_SUM_ORDERS) == 504
+
+
+def test_sl2_relations_suite_names_a_submodule_of_the_wrong_dimension(monkeypatch):
+    # the suite expects l_submodule to have Fine's dimension prod(d + 1) over
+    # the base-p digits d of n; the whole module, also a submodule, has it
+    # only where that product is n + 1: at p = 3 not for n = 3, 4, 6, 7
+    from borelline import suites
+    from borelline.sl2lab import Subspace
+
+    def whole_module(cm):
+        return Subspace(cm, rref(cm.codes, [cm.unit_vector(i) for i in range(cm.dim)]))
+
+    assert suites.suite_sl2_relations(p_filter=3)["ok"] is True
+    monkeypatch.setattr(suites, "l_submodule", whole_module)
+    rec = suites.suite_sl2_relations(p_filter=3)
+    assert rec["cases"] == 13
+    assert rec["failures"] == [
+        {"p": 3, "a": 1, "n": n, "dim": n + 1, "expected": expected}
+        for n, expected in ((3, 2), (4, 4), (6, 3), (7, 6))
+    ]
