@@ -64,11 +64,18 @@ def trivial_support(tchar: TorusCharacter) -> frozenset[int]:
 def x0_support(tchar: TorusCharacter, p, level=LEVEL_CAP) -> frozenset[int]:
     """Indices whose restriction has bounded digit sums."""
     require_prime(p)
-    return frozenset(
-        i
-        for i, sc in enumerate(tchar.restrictions)
-        if classify_exact(sc, p, level).bounded
-    )
+    return frozenset(_bounded_classes(tchar, p, level))
+
+
+def _bounded_classes(tchar, p, level):
+    """The CharacterClass of each bounded restriction, by 0-based index: J
+    and its classes, each restriction classified once, in index order."""
+    classes = {}
+    for i, sc in enumerate(tchar.restrictions):
+        cls = classify_exact(sc, p, level)
+        if cls.bounded:
+            classes[i] = cls
+    return classes
 
 
 @record
@@ -82,23 +89,26 @@ class X1Factor:
 
 
 def steinberg_decompose(
-    tchar: TorusCharacter, p, level=LEVEL_CAP, indices=None
+    tchar: TorusCharacter, p, level=LEVEL_CAP, classes=None
 ) -> tuple[X1Factor, ...]:
     """Pool the per-index digit factors over J, grouped by equal twist.
 
     Within one index the twists are pairwise distinct, so no group receives
     two digits at the same index and every weight entry stays below p; that
     bound is asserted, not assumed.
+
+    `classes` maps each 0-based index of J to the CharacterClass of its
+    restriction, as `report` has them; without it every restriction is
+    classified here. Either way each restriction is classified once.
     """
     require_prime(p)
-    if indices is None:
-        indices = x0_support(tchar, p, level)
-    indices = sorted(indices)
+    if classes is None:
+        classes = _bounded_classes(tchar, p, level)
+    indices = sorted(classes)
     rank = tchar.datum.rank
     pooled: dict[tuple[int, ...], dict[int, int]] = {}
     for i in indices:
-        sc = tchar.restrictions[i]
-        cls = classify_exact(sc, p, level)
+        cls = classes[i]
         if not cls.bounded:
             raise ArgumentError(
                 f"index {i + 1} has unbounded digit sums and cannot be decomposed"
@@ -182,16 +192,21 @@ class ClassificationReport:
 
 
 def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> ClassificationReport:
-    """Classify the simple module attached to the character data."""
+    """Classify the simple module attached to the character data.
+
+    Each restriction is classified once: J is the set of bounded ones, and
+    their classes go on to `steinberg_decompose`.
+    """
     require_prime(p)
     if tchar.datum is not datum and tchar.datum != datum:
         raise ArgumentError("character data belongs to a different datum")
     _require_finite_type(datum.cartan)
-    j0 = x0_support(tchar, p, level)
+    classes = _bounded_classes(tchar, p, level)
+    j0 = frozenset(classes)
     triv = trivial_support(tchar)
     if not triv <= j0:
         raise RelationError("trivial restrictions must have bounded digit sums")
-    factors = steinberg_decompose(tchar, p, level, indices=j0)
+    factors = steinberg_decompose(tchar, p, level, classes=classes)
     j_sorted = sorted(j0)
     levi = datum.sub_datum(j_sorted) if j_sorted else None
     finite = len(j0) == datum.rank

@@ -14,7 +14,6 @@ the row of m // p).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from operator import attrgetter
 
@@ -283,7 +282,7 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
     p, r = prime_power_base(q)
     if k_max < 0:
         raise ArgumentError("power sums need k >= 0")
-    f = _field_modulus(p, r)
+    f = polyfp.least_irreducible(p, r)
     units, whole = [()] * (k_max + 1), [()] * (k_max + 1)
     elems = [()]
     for _ in range(r):
@@ -302,12 +301,6 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
         raise RelationError("power sum escaped the prime field")
     return {include_zero: tuple(total[0] if total else 0 for total in totals)
             for include_zero, totals in ((False, units), (True, whole))}
-
-
-@lru_cache(maxsize=None)
-def _field_modulus(p, r):
-    """The modulus of `power_sums_direct`'s F_q, searched once per field."""
-    return polyfp.least_irreducible(p, r)
 
 
 def digit_class_sums(m, p, r) -> tuple[int, ...]:

@@ -273,3 +273,76 @@ def test_finite_type_refusals_match_the_fraction_route():
         refused += 1
         fractional += "/" in want
     assert accepted > 50 and refused > 100 and fractional > 50
+
+
+def _twisted(*digits_at):
+    """A twisted digit sum with one factor (theta, position) per pair, its
+    twists given to level 3."""
+    return TwistedDigitSum(tuple((t, GaloisTwist.from_position(e, 3)) for t, e in digits_at))
+
+
+A8 = RootDatum(tuple(map(tuple, _chain(8))))
+# rank 8, every restriction bounded; and a mixed one, bounded at 1, 3 and 5
+ONE_CLASSIFICATION_CASES = {
+    "rank-8": (A8, (RationalPower(5), Trivial(), _twisted((1, 1)), RationalPower(0),
+                    _twisted((2, 0), (1, 2)), RationalPower(17), TwistedDigitSum(()),
+                    _twisted((1, 4), (2, 5)))),
+    "mixed": (RootDatum(tuple(map(tuple, _chain(5, -2, -1)))),
+              (RationalPower(7), RationalPower(-1), Trivial(), RationalPower(-20),
+               _twisted((2, 3)))),
+}
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """A list of the characters classify.classify_exact is asked about."""
+    from borelline import classify
+
+    asked = []
+    real = classify.classify_exact
+
+    def counting(sc, p, level):
+        asked.append(sc)
+        return real(sc, p, level)
+
+    monkeypatch.setattr(classify, "classify_exact", counting)
+    return asked
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CLASSIFICATION_CASES))
+def test_report_classifies_each_restriction_once(classified, name):
+    datum, restrictions = ONE_CLASSIFICATION_CASES[name]
+    tchar = TorusCharacter(datum, restrictions)
+    rep = report(datum, tchar, 3, 3)
+    assert classified == list(restrictions)
+    # J and the factors are those the public steps give on their own
+    del classified[:]
+    j0 = x0_support(tchar, 3, 3)
+    assert rep.j_set == tuple(i + 1 for i in sorted(j0))
+    assert rep.factors == steinberg_decompose(tchar, 3, 3)
+    assert rep.finite_dimensional is (name == "rank-8")
+    assert len(classified) == 2 * len(restrictions)
+
+
+def test_report_raises_the_classification_and_decomposition_errors_unchanged():
+    from borelline.towers import CapabilityError
+
+    # twists at positions 0 and 2 collide at level 2; 9 = 100 in base 3 has
+    # a digit at position 2, past the resolution of level 2 (2! = 2 positions)
+    collide, past = _twisted((1, 0), (1, 2)), RationalPower(9)
+    collision = "twists collide at level 2; the pattern is not separable here"
+    resolution = "index {}: digit positions exceed level-2 resolution".format
+    cases = (
+        ((RationalPower(1), collide, RationalPower(1)), collision),
+        ((RationalPower(1), RationalPower(-1), past), resolution(3)),
+        ((past, RationalPower(1), collide), collision),       # classifying comes first
+        ((RationalPower(-1), past, past), resolution(2)),     # the first index
+    )
+    datum = RootDatum(tuple(map(tuple, _chain(3))))
+    for restrictions, message in cases:
+        tchar = TorusCharacter(datum, restrictions)
+        for step in (report, steinberg_decompose):
+            args = (datum, tchar) if step is report else (tchar,)
+            with pytest.raises(CapabilityError) as refusal:
+                step(*args, 3, 2)
+            assert str(refusal.value) == message

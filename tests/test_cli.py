@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
-from borelline import __version__, cli, digits, towers
+from borelline import __version__, cli, towers
 from borelline.characters import RationalPower, truncate
-from borelline.cli import main
+from borelline.cli import _document_text, main
 from borelline.digits import ArgumentError
 from borelline.sl2lab import CostandardModule, InducedModule, trivial_character
+from borelline.suites import SUITES
 from borelline.towers import CapabilityError, make_tower
 
 
@@ -28,10 +32,9 @@ def fresh_parser(monkeypatch):
 
 @pytest.fixture
 def fresh_caches():
-    """The program's caches as a new process finds them: no tower and no
-    power-sum modulus is built yet."""
+    """The program's caches as a new process finds them: no tower is built
+    yet."""
     make_tower.cache_clear()
-    digits._field_modulus.cache_clear()
 
 
 def test_verify_single_suite(capsys):
@@ -594,3 +597,172 @@ def test_calls_in_a_row_print_what_new_processes_print(tmp_path, capsys, fresh_p
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, out)
+
+
+# -- the document writer -------------------------------------------------------
+
+
+@pytest.fixture
+def written(monkeypatch, capsys):
+    """A function that runs main on an argv and returns its exit code and
+    the (document, stdout) pair it wrote. main sees a `cli.json` holding
+    only dumps, loads and JSONDecodeError, as under perfbench's tracer; the
+    last dumps of a call must be the document's, with the writer's encoder."""
+    calls = []
+
+    def dumps(obj, **kwargs):
+        calls.append((obj, kwargs))
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(
+        dumps=dumps, loads=json.loads, JSONDecodeError=json.JSONDecodeError))
+
+    def run(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        doc, kwargs = calls.pop()
+        assert kwargs == {"indent": 2, "sort_keys": True, "cls": cli._DocumentEncoder}
+        return code, (doc, out)
+
+    return run
+
+
+def _assert_written_as_json_dumps_writes(pairs):
+    for doc, out in pairs:
+        want = json.dumps(doc, indent=2, sort_keys=True)
+        assert _document_text(doc) == want
+        assert out == want + "\n"
+
+
+def test_writer_matches_json_dumps_on_verify_documents(written):
+    pairs = []
+    for suite in SUITES:
+        for p in (None, 2, 3, 5):
+            code, pair = written("verify", suite, *(() if p is None else ("--p", str(p))))
+            assert code == 0
+            pairs.append(pair)
+    assert len(pairs) == 32
+    _assert_written_as_json_dumps_writes(pairs)
+
+
+def test_writer_matches_json_dumps_on_lab_documents(written, tmp_path):
+    pairs = []
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        q = p ** factorial(a)
+        for power in range(-2, q):
+            code, pair = written("lab", "--p", str(p), "--a", str(a), "--power", str(power))
+            assert code == 0
+            pairs.append(pair)
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"kind": "twisted", "factors": [
+        {"theta": 1, "twist": [0, 1]}, {"theta": 1, "twist": [0, 0]}]}), encoding="utf-8")
+    code, pair = written("lab", "--p", "2", "--a", "2", "--char", str(path))
+    assert code == 0
+    _assert_written_as_json_dumps_writes(pairs + [pair])
+
+
+def _sample_character(rng, p, level):
+    """A symbolic character that classify and char-inspect both answer."""
+    kind = rng.choice(("trivial", "rational", "rational", "twisted"))
+    if kind == "trivial":
+        return {"kind": "trivial"}
+    if kind == "rational":
+        lam = rng.randrange(min(p ** factorial(level), 81))
+        return {"kind": "rational", "lambda": lam if rng.random() < 0.5 else -1 - lam}
+    positions = rng.sample(range(factorial(level)), min(2, factorial(level)))
+    return {"kind": "twisted", "factors": [
+        {"theta": rng.randrange(1, p), "twist": [e % factorial(n) for n in (1, 2, 3)]}
+        for e in positions]}
+
+
+SAMPLE_CARTANS = (
+    [[2]], [[2, -1], [-1, 2]], [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], [[2, -3], [-1, 2]],
+    [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(8)] for i in range(8)],
+)
+
+
+def test_writer_matches_json_dumps_on_classify_and_char_inspect_documents(written, tmp_path):
+    rng = random.Random(30)
+    pairs = []
+    for n in range(60):
+        p, level = rng.choice((2, 3, 5, 7)), rng.randrange(1, 4)
+        path = tmp_path / f"{n}.json"
+        if n % 2:
+            command, doc = "char-inspect", _sample_character(rng, p, level)
+        else:
+            cartan = rng.choice(SAMPLE_CARTANS)
+            command, doc = "classify", {
+                "cartan": cartan,
+                "restrictions": {str(i + 1): _sample_character(rng, p, level)
+                                 for i in range(len(cartan))},
+                "central": _sample_character(rng, p, level) if n % 4 == 0 else None,
+            }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, pair = written(command, str(path), "--p", str(p), "--level", str(level))
+        assert code == 0
+        pairs.append(pair)
+    assert {doc["finite_dimensional"] for doc, _ in pairs[::2]} == {False, True}
+    _assert_written_as_json_dumps_writes(pairs)
+
+
+def test_writer_matches_json_dumps_on_documents_with_failures(written, monkeypatch):
+    from borelline import sl2lab, suites
+    from borelline.linalg import rref
+    from borelline.sl2lab import Subspace
+
+    def irreducible_split(self):
+        module = self.module
+        whole = rref(module.codes, [module.unit_vector(i) for i in range(module.dim)])
+        return Subspace(module, ()), Subspace(module, whole)
+
+    real_rows = suites.lucas_rows
+
+    def one_entry_off(limit, p):
+        rows = real_rows(limit, p)
+        rows[100] = bytes([(rows[100][0] + 1) % p]) + rows[100][1:]
+        return rows
+
+    monkeypatch.setattr(sl2lab.HeckeOperators, "idempotent_split", irreducible_split)
+    monkeypatch.setattr(suites, "lucas_rows", one_entry_off)
+    pairs = []
+    for argv in (("verify", "hecke-split", "--p", "2"), ("verify", "lucas", "--p", "3"),
+                 ("lab", "--p", "2", "--a", "1", "--power", "0")):
+        code, pair = written(*argv)
+        assert code == 1 and pair[0]["ok"] is False
+        pairs.append(pair)
+    assert pairs[1][0]["suites"][0]["failures"]
+    _assert_written_as_json_dumps_writes(pairs)
+
+
+EDGE_VALUES = {
+    "empty dict": {},
+    "empty list": [],
+    "empty tuple": (),
+    "nested empties": {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": [{}]}},
+    "non-ASCII": {"ключ": "значение", "k": "é ü 中文 \U0001f600"},
+    "control characters": ["", "\x00\x01\x1f\x7f", "\"\\/\b\f\n\r\t", "\u2028\u2029"],
+    "negative ints": [-1, 0, -(10 ** 40)],
+    "4000-digit ints": {"big": 10 ** 3999, "neg": -(10 ** 3999) + 7},
+    "bools beside ints": [True, 1, False, 0, None, [True, False], {"t": True, "o": 1}],
+    "tuples": (1, (2, ()), [3, (4,)], {"t": (5, "six")}),
+    "deep": [[[[{"z": [1, [2, [3]]]}]]]],
+    "unsorted keys": {"b": 1, "a": {"d": 2, "c": 3}, "": None, "B": "x"},
+    "scalars": [None, "s", 7],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_VALUES))
+def test_writer_matches_json_dumps_on_edge_values(name):
+    obj = EDGE_VALUES[name]
+    assert _document_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert json.dumps(obj, indent=2, sort_keys=True, cls=cli._DocumentEncoder) == \
+        json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", (1.5, [0, 2.0], {1, 2}, {"a": frozenset()}, {1: "a"},
+                                 {"a": {("k",): 1}}, {"a": 1, 2: "b"}),
+                         ids=("float", "float-in-list", "set", "frozenset-value",
+                              "int-key", "tuple-key", "mixed-keys"))
+def test_writer_refuses_what_no_document_holds(obj):
+    with pytest.raises(TypeError):
+        _document_text(obj)
