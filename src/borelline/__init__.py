@@ -32,7 +32,6 @@ from .classify import (
     report_to_json,
     steinberg_decompose,
     torus_character_from_json,
-    x0_support,
 )
 from .digits import (
     ArgumentError,
@@ -40,7 +39,6 @@ from .digits import (
     check_digit_lemma,
     digit_class_sums,
     digit_sum,
-    lucas_binom,
     lucas_row,
     lucas_rows,
     nonzero_digit_count,
@@ -94,7 +92,6 @@ __all__ = [
     "extract_pattern",
     "is_compatible",
     "l_submodule",
-    "lucas_binom",
     "lucas_criterion",
     "lucas_row",
     "lucas_rows",
@@ -112,5 +109,4 @@ __all__ = [
     "truncate",
     "verify_irreducibility_chain",
     "weyl_group",
-    "x0_support",
 ]

@@ -61,12 +61,6 @@ def trivial_support(tchar: TorusCharacter) -> frozenset[int]:
     )
 
 
-def x0_support(tchar: TorusCharacter, p, level=LEVEL_CAP) -> frozenset[int]:
-    """Indices whose restriction has bounded digit sums."""
-    require_prime(p)
-    return frozenset(_bounded_classes(tchar, p, level))
-
-
 def _bounded_classes(tchar, p, level):
     """The CharacterClass of each bounded restriction, by 0-based index: J
     and its classes, each restriction classified once, in index order."""
@@ -208,7 +202,6 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
         raise RelationError("trivial restrictions must have bounded digit sums")
     factors = steinberg_decompose(tchar, p, level, classes=classes)
     j_sorted = sorted(j0)
-    levi = datum.sub_datum(j_sorted) if j_sorted else None
     finite = len(j0) == datum.rank
     if not j0:
         statement = "L(theta) = M(theta) = Ind_B^G(theta), irreducible"
@@ -228,7 +221,8 @@ def report(datum: RootDatum, tchar: TorusCharacter, p, level=LEVEL_CAP) -> Class
         datum=datum,
         j_set=tuple(i + 1 for i in j_sorted),
         trivial_set=tuple(i + 1 for i in sorted(triv)),
-        levi_cartan=levi.cartan if levi else (),
+        # the principal block of the validated matrix on J: no second check
+        levi_cartan=tuple(tuple(datum.cartan[i][j] for j in j_sorted) for i in j_sorted),
         factors=factors,
         finite_dimensional=finite,
         statement=statement,

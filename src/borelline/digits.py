@@ -5,11 +5,12 @@ digit sums, binomial coefficients mod p via the digitwise product rule,
 power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
 
-Binomials come one entry at a time (`lucas_binom`, for a single entry at a
-huge m), a row at a time (`lucas_row`, binom(m, n) for n below a width:
-one primality check, then one block of the row per digit value) or as a
-whole triangle of bytes (`lucas_rows`, every row up to a limit, each from
-the row of m // p).
+Binomials come a row at a time (`lucas_row`, binom(m, n) for n below a
+width: one primality check, then one block of the row per digit value) or
+as a whole triangle of bytes (`lucas_rows`, every row up to a limit, each
+from the row of m // p). The Lucas search of `characters.lucas_criterion`
+asks single entries at huge m of `_lucas_digit_product`, the digit product
+itself, after checking p once.
 """
 
 from __future__ import annotations
@@ -172,20 +173,13 @@ def nonzero_digit_count(n, p) -> int:
     return sum(1 for d in expand(n, p) if d)
 
 
-def lucas_binom(m, n, p) -> int:
-    """binom(m, n) mod p as the product over base-p digits of binom(a, b) mod p
-    (Lucas). It is 0 when n > m or at the first digit pair with b > a; a
-    factor with b <= a < p is `math.comb(a, b) % p`, which is prime to p.
-    The digits of m above those of n contribute binom(a, 0) = 1."""
-    require_prime(p)
-    if m < 0 or n < 0:
-        raise ArgumentError("binomial arguments must be nonnegative")
-    return _lucas_digit_product(m, n, p)
-
-
 def _lucas_digit_product(m, n, p) -> int:
-    """`lucas_binom` for a proven prime p and m, n >= 0, unchecked: for
-    callers that have checked p once and ask many binomials."""
+    """binom(m, n) mod p as the product over base-p digits of binom(a, b) mod p
+    (Lucas), for a proven prime p and m, n >= 0, unchecked: for callers that
+    have checked p once and ask many binomials. It is 0 when n > m or at the
+    first digit pair with b > a; a factor with b <= a < p is
+    `math.comb(a, b) % p`, which is prime to p. The digits of m above those
+    of n contribute binom(a, 0) = 1."""
     if n > m:
         return 0
     out = 1

@@ -72,10 +72,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.code_rows)
 
-    def __le__(self, other) -> bool:
-        codes = self.module.codes
-        return all(span_contains(codes, other.code_rows, r) for r in self.code_rows)
-
 
 class _SL2Module:
     """What both module kinds share: one field, at `coeff_level`, holding

@@ -347,13 +347,10 @@ class FieldTower:
         codes = self.codes(n)
         return tuple(codes.code(x.embed(n)) for x in self.enumerate_elements(r))
 
-    # -- elements: for `_embedding` and `subfield_codes`; `one` for tests ----
+    # -- elements: for `_embedding` and `subfield_codes` --------------------
 
     def zero(self, level):
         return self._tables(level).zero
-
-    def one(self, level):
-        return self._tables(level).exp[0]
 
     def scalar(self, c, level):
         """The prime-field scalar c at the given level."""

@@ -52,11 +52,6 @@ class RootDatum:
     def rank(self) -> int:
         return len(self.cartan)
 
-    def sub_datum(self, indices) -> "RootDatum":
-        idx = sorted(indices)
-        sub = tuple(tuple(self.cartan[i][j] for j in idx) for i in idx)
-        return RootDatum(sub, self.simply_connected)
-
 
 def datum_from_json(obj) -> RootDatum:
     if not isinstance(obj, dict):

@@ -17,7 +17,7 @@ them through `sl2lab.spin`, both looked up on each call, so the
 from __future__ import annotations
 
 from borelline import sl2lab
-from borelline.linalg import kernel, mat_mul, rref
+from borelline.linalg import kernel, mat_mul, rref, span_contains
 
 
 def b_stable_lines(module):
@@ -44,6 +44,12 @@ def b_stable_lines(module):
             yield from sl2lab._projective_vectors(module, rref(codes, mat_mul(codes, eigen, rows)))
 
 
+def within(sub, other):
+    """Whether the subspace sub lies in the subspace other, of one module."""
+    codes = sub.module.codes
+    return all(span_contains(codes, other.code_rows, r) for r in sub.code_rows)
+
+
 def census_socle(module):
     """(spins, least, miss): the (v, spin(v)) pairs over the B-stable lines
     v of the module, the smallest spin, and the first pair whose spin
@@ -53,7 +59,7 @@ def census_socle(module):
     """
     spins = [(v, sl2lab.spin(module, v)) for v in b_stable_lines(module)]
     least = min((sp for _, sp in spins), key=lambda sp: sp.dim)
-    miss = next(((v, sp) for v, sp in spins if not least <= sp), None)
+    miss = next(((v, sp) for v, sp in spins if not within(least, sp)), None)
     return spins, least, miss
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from borelline import digits, linalg, polyfp, sl2lab, suites
+from borelline import characters, digits, linalg, polyfp, sl2lab, suites
 from borelline.linalg import DenseMap, MonomialMap
 
 
@@ -80,10 +80,10 @@ def monomial_apply_calls(monkeypatch):
 @pytest.fixture
 def lucas_calls(monkeypatch):
     """A Counter of the calls of digits.lucas_rows, digits.lucas_row and
-    digits.lucas_binom from now on, keyed by function name: a
-    machine-independent measure of how often binomials are asked for and
-    their prime checked. Each is patched in every module that binds it by
-    name."""
+    digits._lucas_digit_product, the one single binomial, from now on,
+    keyed by function name: a machine-independent measure of how often
+    binomials are asked for. Each is patched in every module that binds it
+    by name."""
     calls = Counter()
 
     def counting(name, real):
@@ -92,10 +92,10 @@ def lucas_calls(monkeypatch):
             return real(*args)
         return fn
 
-    for name in ("lucas_rows", "lucas_row", "lucas_binom"):
+    for name in ("lucas_rows", "lucas_row", "_lucas_digit_product"):
         real = getattr(digits, name)
         wrapper = counting(name, real)
-        for module in (digits, suites, sl2lab):
+        for module in (digits, suites, sl2lab, characters):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
     return calls

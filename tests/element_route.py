@@ -139,7 +139,7 @@ def zero(module):
 
 
 def one(module):
-    return module.tower.one(module.coeff_level)
+    return module.tower.scalar(1, module.coeff_level)
 
 
 def unit_vector(module, i):

@@ -14,9 +14,9 @@ from borelline.classify import (
     steinberg_decompose,
     torus_character_from_json,
     trivial_support,
-    x0_support,
 )
 from borelline.digits import ArgumentError
+from borelline.towers import LEVEL_CAP
 from borelline.weyl import RootDatum
 
 A1 = RootDatum(((2,),))
@@ -43,11 +43,22 @@ def test_trivial_support_is_semantic():
     assert trivial_support(tchar) == frozenset({0})
 
 
+def x0_support(tchar, p, level=LEVEL_CAP):
+    """The 0-based J: the indices whose restriction has bounded digit sums,
+    each asked of `classify.classify_exact`, which `report` reads too."""
+    from borelline import classify
+
+    return frozenset(i for i, sc in enumerate(tchar.restrictions)
+                     if classify.classify_exact(sc, p, level).bounded)
+
+
 def test_x0_support_collects_bounded_indices():
     tchar = TorusCharacter(A2, (RationalPower(1), RationalPower(-1)))
     assert x0_support(tchar, 2) == frozenset({0})
+    assert report(A2, tchar, 2).j_set == (1,)
     tchar = TorusCharacter(A2, (RationalPower(1), RationalPower(2)))
     assert x0_support(tchar, 2) == frozenset({0, 1})
+    assert report(A2, tchar, 2).j_set == (1, 2)
 
 
 def test_steinberg_decompose_two_indices():

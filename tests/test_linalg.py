@@ -109,7 +109,7 @@ def test_rref_matches_gauss_jordan(p, level):
     F = t.codes(level)
     elems = list(t.enumerate_elements(level))
     assert elems[0].is_zero()
-    one, zero = t.one(level), t.zero(level)
+    one, zero = t.scalar(1, level), t.zero(level)
     rng = random.Random(10 * p + level)
     assert rref(F, []) == _gauss_jordan([]) == ()
     for m, n in SHAPES:
@@ -288,7 +288,7 @@ def test_mat_mul_refuses_mixed_levels():
 def test_mat_mul_rejects_other_towers_and_non_field_entries():
     F = make_tower(2).codes(1)
     with pytest.raises(ArgumentError):
-        ref.encode(F, (make_tower(3).one(1),))
+        ref.encode(F, (make_tower(3).scalar(1, 1),))
     with pytest.raises(TypeError):
         ref.encode(F, (1,))
 

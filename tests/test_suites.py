@@ -111,7 +111,7 @@ def test_lucas_suite_asks_one_row_per_m(lucas_calls):
     assert rec["ok"] is True and rec["cases"] == 513 * 513
     assert lucas_calls["lucas_rows"] == 1
     assert lucas_calls["lucas_row"] == 0
-    assert lucas_calls["lucas_binom"] == 0
+    assert lucas_calls["_lucas_digit_product"] == 0
 
 
 def _lucas_failures_with(monkeypatch, wrong):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from borelline.characters import RationalPower
+from borelline.classify import TorusCharacter, report
 from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError
 from borelline.weyl import (
@@ -114,9 +116,12 @@ def _subsets(rank):
 
 
 def test_sub_datum():
-    sub = A3.sub_datum((0, 2))
-    assert sub.cartan == ((2, 0), (0, 2))
-    assert weyl_group(sub).order == 4
+    # the Levi block of J = {1, 3}: the principal block of A3's matrix there
+    bounded, unbounded = RationalPower(1), RationalPower(-1)
+    rep = report(A3, TorusCharacter(A3, (bounded, unbounded, bounded)), 2)
+    assert rep.j_set == (1, 3)
+    assert rep.levi_cartan == ((2, 0), (0, 2))
+    assert weyl_group(RootDatum(rep.levi_cartan)).order == 4
 
 
 def test_affine_cartan_is_refused():
