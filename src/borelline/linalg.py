@@ -13,7 +13,8 @@ Monomial maps (one nonzero entry per column) get a compact representation
 because every group generator acting on an induced module has that shape,
 and so do the torus and the Weyl element on a costandard module. A
 monomial map composed with a dense one, either way round, permutes and
-scales its rows or columns instead of a matrix product.
+scales its rows or columns instead of a matrix product, and the common
+fixed space of monomial maps is read off their orbits.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ from .digits import ArgumentError
 def vec_add(codes, u, v):
     add = codes.add
     return tuple([add[a][b] for a, b in zip(u, v)])
-
-
-def vec_sub(codes, u, v):
-    sub = codes.sub
-    return tuple([sub[a][b] for a, b in zip(u, v)])
 
 
 def vec_scale(codes, c, v):
@@ -119,23 +115,40 @@ def mat_mul(codes, a, b):
     return tuple(out)
 
 
-def kernel(codes, rows, ncols):
-    """Canonical basis of the right kernel of the given matrix."""
-    red = rref(codes, rows)
-    if len(red) == ncols:
-        return ()
-    pivots = {row.index(1): row for row in red}
-    neg = codes.neg
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
+def monomial_fixed_rows(codes, maps, dim):
+    """Canonical rows of the common fixed space of monomial maps on `dim`
+    coordinates, read off their orbits with no row reduction.
+
+    v is fixed iff v[perm[j]] = scale[j] v[j] for every map and every j, so
+    on one orbit of the maps v is its entry at the orbit's least index r
+    times the values that walking the maps from v[r] = 1 gives. Those
+    values make a fixed row when every map's scales agree with them; else
+    v vanishes on the orbit. Rows on disjoint orbits, each leading with 1
+    at its least index, are in canonical echelon form.
+    """
+    mul = codes.mul
+    value = [0] * dim
+    rows = []
+    for r in range(dim):
+        if value[r]:
             continue
-        v = [0] * ncols
-        v[free] = 1
-        for col, row in pivots.items():
-            v[col] = neg[row[free]]
-        basis.append(v)
-    return rref(codes, basis)
+        value[r] = 1
+        orbit, closes = [r], True
+        for j in orbit:
+            v = value[j]
+            for g in maps:
+                i, w = g.perm[j], mul[g.scale[j]][v]
+                if not value[i]:
+                    value[i] = w
+                    orbit.append(i)
+                elif value[i] != w:
+                    closes = False
+        if closes:
+            row = [0] * dim
+            for i in orbit:
+                row[i] = value[i]
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _require_one_level(a, b):

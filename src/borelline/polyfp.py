@@ -123,29 +123,16 @@ def is_irreducible(f, p) -> bool:
     return True
 
 
-def has_primitive_root(f, p) -> bool:
-    """True when the class of x generates the units of F_p[x]/(f)."""
-    d = degree(f)
-    order = p ** d - 1
-    if pow_mod(X, order, f, p) != (1,):
-        return False
-    return all(pow_mod(X, order // ell, f, p) != (1,) for ell in prime_factors(order))
-
-
-def least_irreducible(p, d, primitive=False):
+def least_irreducible(p, d):
     """First monic irreducible of degree d in the base-p enumeration of
-    lower coefficient vectors; optionally require the root to be primitive,
-    which skips the candidates with constant term zero: x divides them, and
-    their root 0 is no unit."""
+    lower coefficient vectors."""
     for k in range(p ** d):
-        if primitive and not k % p:
-            continue
         coeffs = []
         kk = k
         for _ in range(d):
             coeffs.append(kk % p)
             kk //= p
         f = tuple(coeffs) + (1,)
-        if is_irreducible(f, p) and (not primitive or has_primitive_root(f, p)):
+        if is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")

@@ -37,14 +37,13 @@ from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum, 
 from .linalg import (
     DenseMap,
     MonomialMap,
-    kernel,
     mat_vec,
+    monomial_fixed_rows,
     rref,
     rref_insert,
     span_contains,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from .towers import CapabilityError, field_order, make_tower
 
@@ -100,8 +99,9 @@ class _SL2Module:
     @cached_property
     def u_fixed_rows(self):
         """The canonical code rows of M^U: the fixed space of the eps
-        generators."""
-        return fixed_subspace(self, self.generators[:-2]).code_rows
+        generators, read off their orbits by `linalg.monomial_fixed_rows`.
+        Needs eps to act monomially, as on an induced module."""
+        return monomial_fixed_rows(self.codes, self.generators[:-2], self.dim)
 
     def _check_relations(self):
         """Steinberg's presentation of SL_2(F_q) (R. Steinberg, Lectures on
@@ -242,7 +242,8 @@ class InducedModule(_SL2Module):
 
         The dual is built once, and its dual is this module. It shares this
         module's M^U (`u_fixed_rows`): eps does not read theta, so the two
-        modules have the same eps maps.
+        modules have the same eps maps, and M^U, read off their orbits, is
+        walked once for both.
         """
         if "_dual" in vars(self):
             return self._dual
@@ -308,17 +309,6 @@ def spin(module, vec) -> Subspace:
     return Subspace(module, basis)
 
 
-def fixed_subspace(module, maps) -> Subspace:
-    """Common fixed space of the maps: the kernel of the stacked g - 1."""
-    codes = module.codes
-    units = [module.unit_vector(i) for i in range(module.dim)]
-    rows = []
-    for g in maps:
-        images = [vec_sub(codes, g.apply(e), e) for e in units]
-        rows.extend(zip(*images))
-    return Subspace(module, kernel(codes, rows, module.dim))
-
-
 def _projective_vectors(module, rows):
     """One representative per line of the span of code rows: the
     coefficient of the leading row is pinned to one, later rows range over
@@ -370,19 +360,20 @@ def _is_stable(module, sub: Subspace) -> bool:
 class SocleHeadReport:
     whole: IrreducibilityVerdict
     socle: Subspace               # the unique minimal submodule
-    maximal: Subspace             # the unique maximal submodule
+    head_dim: int                 # dim of the simple head, M / ker t_s
 
 
 def socle_head_report(module) -> SocleHeadReport:
-    """Irreducibility of the whole module M, its unique minimal and its
-    unique maximal submodule, from the intertwiners t_s: M -> M' and
-    t_s': M' -> M of `HeckeOperators`, M' the dual. Needs theta nontrivial
-    at the module's level.
+    """Irreducibility of the whole module M, its unique minimal submodule
+    and the dimension of its simple head, from the intertwiners
+    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual. Needs
+    theta nontrivial at the module's level.
 
     With t_s' t_s line = 0 checked here, `HeckeOperators` proves the socle
     to be t_s'(M'), the span of the columns of t_s', a proper submodule
     that the sum of the cells, t_s line, spins to, and the maximal
-    submodule to be ker t_s.
+    submodule to be ker t_s: the head M / ker t_s = t_s(M) has dimension
+    rank t_s, read off one rref of t_s's rows.
     """
     if module.m == 0:
         raise PreconditionError(
@@ -395,7 +386,7 @@ def socle_head_report(module) -> SocleHeadReport:
         raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
     return SocleHeadReport(IrreducibilityVerdict(False, ops.t_s_line),
                            Subspace(module, rref(codes, dual_ops._cols)),
-                           Subspace(module, kernel(codes, ops.t_s_rows, module.dim)))
+                           len(rref(codes, ops.t_s_rows)))
 
 
 def socle_digit_product(module: InducedModule) -> int:
@@ -440,7 +431,7 @@ def case_verdict(module: InducedModule):
         "socle_dim": rep.socle.dim,
         "socle_ok": True,
         "maximal_ok": True,
-        "head_dim": module.dim - rep.maximal.dim,
+        "head_dim": rep.head_dim,
         "digit_product": prod(d + 1 for d in expand(module.m, module.p)),
     }
     if section["socle_dim"] != socle_digit_product(module):
@@ -607,7 +598,8 @@ class HeckeOperators:
     units, -1 for theta trivial and else 0 (the q translates of s L sum to
     q theta(-1) line + c L), which proves t_s^2 = c t_s, as t_s^2 - c t_s is
     equivariant and kills the line, which generates the module; and
-    M^U = span{line, t_s line}.
+    M^U = span{line, t_s line}, M^U read off the orbits of the monomial eps
+    (`u_fixed_rows`).
 
     Theta trivial: e and o are orthogonal idempotents summing to 1, and
     P(M)^U = P(M^U) for P in {e, o}, spanned by P(line) as e t_s line = 0
@@ -629,7 +621,8 @@ class HeckeOperators:
     t_s(M) != 0; not injective, it is not onto. The same holds for M', so
     M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
     the annihilators of the minimal submodules of M', its contragredient:
-    ker t_s is the unique maximal submodule.
+    ker t_s is the unique maximal submodule, and the simple head has
+    dimension rank t_s, which is all `socle_head_report` reads of it.
     """
 
     def __init__(self, module: InducedModule):

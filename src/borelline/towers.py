@@ -1,11 +1,13 @@
 """Nested finite fields of factorial degrees with compatible embeddings.
 
 One tower per prime p, `make_tower(p)`, holds the fields F_(p^(n!)) for
-n = 1..3, each presented as F_p[x]/(f_n) where f_n is the first irreducible
-polynomial of degree n! in the base-p enumeration whose root generates the
-units. The embedding of level m into level n sends the root of f_m, level
-m's generator, to the root rho of f_m upstairs least by coordinates, so
-g_m^k goes to rho^k: one product of logs.
+n = 1..3, each presented as F_p[x]/(f_n). f_n is the first monic f of
+degree n! with f(0) != 0, in the base-p enumeration, whose root x first
+returns to 1 after exactly q - 1 products by x: that walk proves f_n
+irreducible and x a generator of the units, and its powers are the level's
+antilog table. The embedding of level m into level n sends the root of f_m,
+level m's generator, to the root rho of f_m upstairs least by coordinates,
+so g_m^k goes to rho^k: one product of logs.
 
 Field representation. Elements are interned: each (tower, level, value) has
 exactly one FieldElement, so equality is identity. An element carries its
@@ -14,10 +16,9 @@ generator. Each level keeps an antilog table and a Zech table,
 z[d] = log(1 + g^d), so every operation is one table lookup that returns a
 canonical element. Operands must share one level: `+ - *` refuse mixed
 levels with ArgumentError, and `embed` first moves an element up to the
-other's level. Nothing of a level is built before its first use: then f_n
-is searched and the tables are built from q - 1 products by the generator
-on the polynomial route (`polyfp` multiplication modulo f_n), which builds
-the tables and nothing else.
+other's level. Nothing of a level is built before its first use: then the
+walk above finds f_n and builds the tables on the polynomial route
+(`polyfp` multiplication modulo each candidate), with no other search.
 
 Int codes. Exact linear algebra does not run on FieldElements: it codes
 each element of a level as an int, 0 for zero and k + 1 for g^k, and reads
@@ -271,23 +272,40 @@ class FieldTower:
         return f
 
     def _build_tables(self, n):
-        """Log, antilog and Zech tables of level n, from q - 1 products by
-        the generator on the polynomial route."""
-        units = self.order(n) - 1
-        modulus = self.defining_polynomial(n)
-        zero = (0,) * (len(modulus) - 1)
-        one = (1,) + zero[1:]
-        # the root class of f_n: x, or a for a degree-one modulus x - a
-        gen = ((-modulus[0]) % self.p,) if len(zero) == 1 else (0, 1) + zero[2:]
-        powers = [one]
-        for _ in range(units - 1):
-            powers.append(self._mul_coords(n, powers[-1], gen))
+        """Log, antilog and Zech tables of level n, from the walk that finds
+        f_n on the polynomial route.
+
+        A candidate f is monic of degree n! with f(0) != 0, taken in the
+        base-p order of its lower coefficients; its walk multiplies 1 by the
+        root class x until the product is 1 again. x is a unit, as f(0) != 0,
+        and a ring F_p[x]/(f) that is no field has fewer than q - 1 units, so
+        each walk ends within q - 1 products. f_n is the first candidate
+        whose walk takes exactly q - 1: then F_p[x]/(f) has q - 1 units, so
+        it is a field, f_n is irreducible and x generates the units, and the
+        walk's q - 1 distinct powers are the antilog table.
+        """
+        p, d = self.p, _level_degree(n)
+        units = p ** d - 1
+        one = (1,) + (0,) * (d - 1)
+        self._mul_cache[n] = {}
+        for k in range(1, units + 1):
+            if not k % p:
+                continue
+            self._polys[n] = tuple(k // p ** i % p for i in range(d)) + (1,)
+            # the root class of f: x, or -f(0) for a degree-one f
+            gen = ((-k) % p,) if d == 1 else (0, 1) + one[2:]
+            powers, x = [one], self._mul_coords(n, one, gen)
+            while x != one and len(powers) < units:
+                powers.append(x)
+                x = self._mul_coords(n, x, gen)
+            if x == one and len(powers) == units:
+                break
+        else:
+            raise RelationError(f"no root at level {n} generates {units} units")
         log = {c: i for i, c in enumerate(powers)}
-        if (len(log) != units or zero in log
-                or self._mul_coords(n, powers[-1], gen) != one):
-            raise RelationError(f"the logarithm is not a bijection onto the units at level {n}")
+        zero = (0,) * d
         f = _Level()
-        f.degree = len(zero)
+        f.degree = d
         f.units = units
         f.neg = 0 if self.p == 2 else units // 2
         f.zero = FieldElement(self, n, zero, -units, f)
@@ -303,9 +321,11 @@ class FieldTower:
     # -- coordinate kernels ----------------------------------------------
 
     def _mul_coords(self, n, a, b):
-        """a b at level n, memoised in `_mul_cache`, which the benchmark tracer reads."""
-        key = (a, b) if a <= b else (b, a)
-        f = self.defining_polynomial(n)
+        """a b at level n, modulo `_polys[n]`: the candidate under walk, then
+        f_n. Memoised in `_mul_cache`, which the benchmark tracer reads; the
+        modulus is part of the key, so every walk's products stay counted."""
+        f = self._polys[n]
+        key = (f, a, b) if a <= b else (f, b, a)
         cache = self._mul_cache[n]
         hit = cache.get(key)
         if hit is not None:
@@ -318,21 +338,15 @@ class FieldTower:
     # -- public surface ----------------------------------------------------
 
     def degree(self, level) -> int:
-        """level!, read off the defining polynomial."""
-        return len(self.defining_polynomial(level)) - 1
+        return _level_degree(level)
 
     def order(self, level) -> int:
         return field_order(self.p, level)
 
     def defining_polynomial(self, level):
-        """f_level, searched on the level's first use; its memo of products
-        starts then too."""
-        f = self._polys.get(level)
-        if f is None:
-            d = _level_degree(level)
-            f = self._polys[level] = polyfp.least_irreducible(self.p, d, primitive=True)
-            self._mul_cache[level] = {}
-        return f
+        """f_level, found by the walk that builds the level's tables."""
+        self._tables(level)
+        return self._polys[level]
 
     def codes(self, level) -> Codes:
         """The int codes of the level, built on the first call."""

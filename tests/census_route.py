@@ -1,6 +1,8 @@
 """The census of B-stable lines: a second route to the socle and the
-maximal submodule that `sl2lab.socle_head_report` reads off the
-intertwiners of `HeckeOperators`.
+maximal submodule, which the intertwiners of `HeckeOperators` give as the
+span of the dual's t_s columns and as ker t_s: `sl2lab.socle_head_report`
+reads the socle and the head's dimension, rank t_s, and
+`proof_route.maximal_rows` the maximal submodule.
 
 A B-stable line is one that the Borel subgroup B = U T maps into itself:
 an eigenline of h(g), g a generator of the units, inside the fixed space
@@ -16,20 +18,33 @@ them through `sl2lab.spin`, both looked up on each call, so the
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from borelline import sl2lab
-from borelline.linalg import kernel, mat_mul, rref, span_contains
+from borelline.linalg import MonomialMap, mat_mul, rref, span_contains
+from proof_route import fixed_subspace, kernel
+
+
+def u_fixed_rows(module):
+    """M^U: the module's `u_fixed_rows`, read off the orbits of the eps
+    generators, where they act monomially, as on an induced module and its
+    dual; on a costandard module, the stacked kernel of the reference route."""
+    eps = module.generators[:-2]
+    if all(isinstance(g, MonomialMap) for g in eps):
+        return module.u_fixed_rows
+    return fixed_subspace(module.codes, eps, module.dim)
 
 
 def b_stable_lines(module):
     """One code vector per B-stable line of the module, the eigenvalues in
     code order.
 
-    M^U is the module's `u_fixed_rows`. T normalises U, so h(g) maps the d
+    M^U is `u_fixed_rows(module)`. T normalises U, so h(g) maps the d
     rows of M^U into their span, and its d x d matrix is read off at their
     pivots; the eigenspaces are kernels of that matrix.
     """
     codes = module.codes
-    rows = module.u_fixed_rows
+    rows = u_fixed_rows(module)
     d = len(rows)
     pivots = [r.index(1) for r in rows]
     hg = module.generators[-2]
@@ -63,6 +78,17 @@ def census_socle(module):
     return spins, least, miss
 
 
+class CensusReport(namedtuple("CensusReport", "whole socle maximal")):
+    """A socle-and-head report that names the maximal submodule; read as
+    an `sl2lab.SocleHeadReport`, its head is the quotient by it."""
+
+    __slots__ = ()
+
+    @property
+    def head_dim(self):
+        return self.maximal.module.dim - self.maximal.dim
+
+
 def census_report(module):
     """The socle-and-head report on the census route: the socle is the
     least spin of the module's census, the maximal submodule the
@@ -73,7 +99,7 @@ def census_report(module):
     dual_socle, dual_miss = census_socle(module.dual())[1:]
     witness = next((v for v, sp in spins if sp.dim < module.dim), None)
     maximal = sl2lab.Subspace(module, kernel(module.codes, dual_socle.code_rows, module.dim))
-    return sl2lab.SocleHeadReport(
+    return CensusReport(
         sl2lab.IrreducibilityVerdict(witness is None, witness),
         socle if miss is None else None,
         maximal if dual_miss is None else None)

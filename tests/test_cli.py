@@ -253,16 +253,23 @@ def test_lab_nontrivial_character_past_the_cap_refused_before_building(capsys, p
 
 
 @pytest.mark.parametrize("argv, products, towers", (
-    (("verify",), 676, 2),
-    (("lab", "--p", "2", "--a", "3", "--power", "1"), 114, 1),
-), ids=("verify", "lab-2-3-1"))
+    (("verify",), 602, 2),
+    (("lab", "--p", "2", "--a", "3", "--power", "1"), 69, 1),
+    (("lab", "--p", "2", "--a", "2", "--power", "1"), 5, 1),
+    (("lab", "--p", "5", "--a", "1", "--power", "1"), 6, 1),
+), ids=("verify", "lab-2-3-1", "lab-2-2-1", "lab-5-1-1"))
 def test_commands_build_only_the_levels_they_use(capsys, fresh_caches, polyfp_mul_calls,
                                                   argv, products, towers):
-    # one tower per prime, each level's modulus searched on its first use:
-    # verify builds the towers over 2 and 3 only, and lab at q = 64 never
-    # searches f_2. With a tower per (p, a), each modulus searched when the
-    # tower was made, they took 744 and 168 products over 4 and 1 towers;
-    # with Rabin's test also run on the candidates x divides, 715 and 130.
+    # one tower per prime, each level's f_n found on its first use by the
+    # walk that builds its tables: verify builds the towers over 2 and 3
+    # only, and lab at q = 64 never builds level 2. Each walk rejected on
+    # the way costs the order of its root: 6 at (2, 3), for 1 + x^6; 2 at
+    # (2, 2), for 1 + x^2; 2 at (5, 1), for x + 1. Searching f_n by Rabin's
+    # test and a primitivity test before a walk of q - 1 products took 676,
+    # 114, 20 and 28. With a tower per (p, a), each modulus searched when
+    # the tower was made, verify and lab at (2, 3) took 744 and 168
+    # products over 4 and 1 towers; with Rabin's test also run on the
+    # candidates x divides, 715 and 130.
     assert run_cli(capsys, *argv)[0] == 0
     assert len(polyfp_mul_calls) == products
     assert make_tower.cache_info().currsize == towers

@@ -8,9 +8,9 @@ import element_route as ref
 from borelline.linalg import (
     DenseMap,
     MonomialMap,
-    kernel,
     mat_mul,
     mat_vec,
+    monomial_fixed_rows,
     reduce_vector,
     rref,
     rref_insert,
@@ -20,6 +20,7 @@ from borelline.linalg import (
 )
 from borelline.digits import ArgumentError
 from borelline.towers import make_tower
+from proof_route import fixed_subspace, kernel
 
 
 def field(p=3, level=1):
@@ -174,6 +175,44 @@ def test_kernel_of_identity_is_trivial():
     F = field()
     rows = [cv(F, 1, 0), cv(F, 0, 1)]
     assert kernel(F, rows, 2) == ()
+
+
+def test_monomial_fixed_rows_drop_an_orbit_whose_scales_do_not_close():
+    # over F_5, g of order 4: coordinate 0 fixed with scale 1; a 3-cycle
+    # 1 -> 2 -> 3 -> 1 with scales g, g, 1, whose product g^2 is not 1, so
+    # a fixed v has v[1] = g^2 v[1] = 0 on it; a 2-cycle 4 <-> 5 with scales
+    # g and 1/g, which close, giving the row e_4 + g e_5
+    F = field(5, 1)
+    g = F.generator
+    cycle = MonomialMap(F, (0, 2, 3, 1, 5, 4), (1, g, g, 1, g, F.inv[g]))
+    rows = monomial_fixed_rows(F, [cycle], 6)
+    assert rows == ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, g))
+    assert rows == fixed_subspace(F, [cycle], 6)
+    # a second map scaling coordinate 0 by g leaves that orbit no row either
+    scaled = MonomialMap(F, range(6), (g, 1, 1, 1, 1, 1))
+    assert monomial_fixed_rows(F, [cycle, scaled], 6) == ((0, 0, 0, 0, 1, g),)
+
+
+@pytest.mark.parametrize("p, level", FIELDS)
+def test_monomial_fixed_rows_match_the_stacked_kernel(p, level):
+    # maps D P D^-1, D diagonal and P a permutation, fix D times each orbit's
+    # indicator, so some orbits close; random scales mostly break them
+    F = field(p, level)
+    units = range(1, F.q)
+    rng = random.Random(100 * p + level)
+    for n in (1, 3, 7, 12):
+        for _ in range(8):
+            d = [rng.choice(units) for _ in range(n)]
+            maps = []
+            for _ in range(rng.randrange(1, 4)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                if rng.random() < 0.7:
+                    scale = [F.mul[d[perm[j]]][F.inv[d[j]]] for j in range(n)]
+                else:
+                    scale = [rng.choice(units) for _ in range(n)]
+                maps.append(MonomialMap(F, perm, scale))
+            assert monomial_fixed_rows(F, maps, n) == fixed_subspace(F, maps, n)
 
 
 def test_monomial_apply_and_compose():

@@ -4,7 +4,6 @@ from borelline.polyfp import (
     add,
     degree,
     divmod_poly,
-    has_primitive_root,
     is_irreducible,
     least_irreducible,
     monic_gcd,
@@ -15,6 +14,7 @@ from borelline.polyfp import (
     sub,
     trim,
 )
+from proof_route import has_primitive_root, least_primitive
 
 
 def test_trim_and_degree():
@@ -72,21 +72,27 @@ def test_is_irreducible():
     assert not is_irreducible((1, 0, 0, 0, 0, 0, 1), 2)
 
 
-def test_least_irreducible_known_polynomials():
-    assert least_irreducible(2, 2, primitive=True) == (1, 1, 1)
-    assert least_irreducible(2, 6, primitive=True) == (1, 1, 0, 0, 0, 0, 1)
-    assert least_irreducible(3, 2, primitive=True) == (2, 1, 1)
+def test_least_primitive_known_polynomials():
+    assert least_primitive(2, 2) == (1, 1, 1)
+    assert least_primitive(2, 6) == (1, 1, 0, 0, 0, 0, 1)
+    assert least_primitive(3, 2) == (2, 1, 1)
 
 
-def test_primitive_flag_can_differ():
+def test_least_primitive_is_never_before_the_least_irreducible():
     # degree-6 over F_2: the least irreducible is 1 + x + x^6 either way,
     # but in general the primitive one is never earlier than the plain one
     for p, d in ((2, 2), (2, 3), (2, 6), (3, 2)):
         plain = least_irreducible(p, d)
-        prim = least_irreducible(p, d, primitive=True)
+        prim = least_primitive(p, d)
         assert is_irreducible(plain, p)
         assert has_primitive_root(prim, p)
         assert _enc(plain, p) <= _enc(prim, p)
+
+
+def test_has_primitive_root():
+    assert has_primitive_root((1, 1, 1), 2)                 # x generates F_4*
+    assert not has_primitive_root((1, 0, 1), 2)             # x^2 = 1 mod (1 + x)^2
+    assert not has_primitive_root((1, 0, 1), 3)             # irreducible, but x^4 = 1 in F_9*
 
 
 def _enc(f, p):

@@ -22,7 +22,7 @@ TWIST = GaloisTwist([0, 1])
 
 
 def _module_and_report():
-    # socle of dim 2 inside a maximal submodule of dim 3
+    # a socle of dim 2 and a head of dim 2
     module = sl2lab.InducedModule(2, 2, characters.truncate(RationalPower(1), 2, 2))
     return module, sl2lab.socle_head_report(module)
 
@@ -62,11 +62,11 @@ SAMPLES = {
         ((3, A2, (1, 2), (2,), A2.cartan, (FACTOR,), True, "t", RationalPower(3)), {}),
     ],
     sl2lab.Subspace: [((MODULE, SOCLE_HEAD.socle.code_rows), {}),
-                      ((MODULE, SOCLE_HEAD.maximal.code_rows), {}), ((None, ()), {})],
+                      ((MODULE, MODULE.u_fixed_rows), {}), ((None, ()), {})],
     sl2lab.IrreducibilityVerdict: [((True,), {}), ((False, (1, 0, 0)), {}),
                                    ((False,), dict(witness=(0, 1, 0)))],
-    sl2lab.SocleHeadReport: [((SOCLE_HEAD.whole, SOCLE_HEAD.socle, SOCLE_HEAD.maximal), {}),
-                             ((SOCLE_HEAD.whole, SOCLE_HEAD.socle, SOCLE_HEAD.socle), {})],
+    sl2lab.SocleHeadReport: [((SOCLE_HEAD.whole, SOCLE_HEAD.socle, SOCLE_HEAD.head_dim), {}),
+                             ((SOCLE_HEAD.whole, SOCLE_HEAD.socle, 3), {})],
     sl2lab.PiImageRecord: [(((1, 3), 5), {}), (((), 5), {})],
     sl2lab.ChainRecord: [((5, True, True), {}), ((5, True, False), {})],
     weyl.RootDatum: [(([[2, -1], [-1, 2]],), {}), ((((2,),), False), {}),

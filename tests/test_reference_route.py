@@ -18,6 +18,7 @@ from math import factorial
 import pytest
 
 import element_route as ref
+import proof_route
 from borelline import suites
 from borelline.characters import RationalPower, truncate
 from borelline.digits import lucas_row
@@ -53,7 +54,9 @@ def _check_module(p, a, m):
         line_sum = module.codes.decode(module.line_sum_vector())
         dual_socle = ref.spin(module.dual(), line_sum)
         assert rep.socle.rows == ref.spin(module, line_sum)
-        assert rep.maximal.rows == ref.kernel(dual_socle, module.dim, ref.one(module), ref.zero(module))
+        maximal = tuple(map(module.codes.decode, proof_route.maximal_rows(module)))
+        assert maximal == ref.kernel(dual_socle, module.dim, ref.one(module), ref.zero(module))
+        assert rep.head_dim == module.dim - len(maximal)
     else:
         ops = HeckeOperators(module)
         pieces = ops.idempotent_split()

@@ -10,10 +10,11 @@ import pytest
 
 import element_route as ref
 from borelline import cli, sl2lab, suites
-from census_route import b_stable_lines, census_report, census_socle, within
+import proof_route
+from census_route import CensusReport, b_stable_lines, census_report, census_socle, within
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, _lucas_digit_product
-from borelline.linalg import DenseMap, MonomialMap, kernel, mat_mul, rref, span_contains, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, span_contains, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
@@ -24,7 +25,6 @@ from borelline.sl2lab import (
     SocleHeadReport,
     Subspace,
     case_verdict,
-    fixed_subspace,
     l_submodule,
     pi_image,
     socle_head_report,
@@ -404,7 +404,7 @@ def test_fixed_subspace_of_unipotent():
     for p, a in GRID:
         module = InducedModule(p, a, power_char(1, p, max(a, 2)))
         maps = [module.eps(b) for b in ref.encode(module.codes, ref.standard_basis(module.tower, a))]
-        fs = fixed_subspace(module, maps)
+        fs = Subspace(module, proof_route.fixed_subspace(module.codes, maps, module.dim))
         assert fs.dim == 2
         assert _contains(fs, ref.encode(module.codes, ref.unit_vector(module, 0)))
         assert _contains(fs, module.line_sum_vector())
@@ -433,7 +433,7 @@ def test_socle_head_on_grid():
         module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
         rep = socle_head_report(module)
         assert rep.socle.dim == 2
-        assert module.dim - rep.maximal.dim == 2
+        assert rep.head_dim == 2
         _, key, section, failed = case_verdict(module)
         assert (key, section["head_dim"], section["digit_product"], failed) == ("socle_head", 2, 2, {})
 
@@ -443,7 +443,7 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     module = InducedModule(2, 2, power_char(1, 2))
     built = len(polyfp_mul_calls)
     rep = socle_head_report(module)
-    assert module.dim - rep.maximal.dim == 2
+    assert rep.head_dim == 2
     assert len(polyfp_mul_calls) == built
 
 
@@ -486,6 +486,16 @@ def _orbit_spins(module, rows):
 
 def _whole(module):
     return Subspace(module, rref(module.codes, [module.unit_vector(i) for i in range(module.dim)]))
+
+
+def _report_with_maximal(module):
+    """The lab's socle-and-head report as the census gives it: the maximal
+    submodule ker t_s from the tests' kernel, whose codimension must be the
+    report's head_dim, rank t_s."""
+    rep = socle_head_report(module)
+    maximal = Subspace(module, proof_route.maximal_rows(module))
+    assert rep.head_dim == module.dim - maximal.dim
+    return CensusReport(rep.whole, rep.socle, maximal)
 
 
 def _exhaustive_irreducible(module, target):
@@ -546,8 +556,8 @@ def test_orbit_shared_spins_match_direct_route():
             socle, maximal = _exhaustive_socle_head(module)
             assert rep.whole == verdict
             assert socle is not None and rep.socle == socle
-            assert maximal is not None and rep.maximal == maximal
-            assert module.dim - maximal.dim == _digit_product(m, p)
+            assert maximal is not None and proof_route.maximal_rows(module) == maximal.code_rows
+            assert rep.head_dim == module.dim - maximal.dim == _digit_product(m, p)
             # every nontrivial case here is reducible, by a proper spin
             assert _is_proper_witness(module, verdict.witness, whole)
 
@@ -579,7 +589,7 @@ def test_orbit_shared_spins_match_direct_route_on_split_modules():
         assert _is_proper_witness(module, miss[0], whole)
         proper = [sp for _, sp in _orbit_spins(module, whole.code_rows) if sp != whole]
         cover = _cover_witnesses(proper, whole)
-        big, small = (Subspace(module, kernel(module.codes, sp.code_rows, module.dim))
+        big, small = (Subspace(module, proof_route.kernel(module.codes, sp.code_rows, module.dim))
                       for sp in (least, miss[1]))
         assert (big.dim, small.dim) == tuple(s.dim for s in cover) == (module.q, 1)
         assert len(rref(module.codes, big.code_rows + small.code_rows)) == module.dim
@@ -603,9 +613,9 @@ def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
     # route spins once per orbit of its 3906 lines (86 times)
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
-    assert rep.socle.dim == 4 and module.dim - rep.maximal.dim == 2
+    assert rep.socle.dim == 4 and rep.head_dim == 2
     assert len(spin_calls) == 0 and enumerated_lines == {}
-    assert census_report(module) == rep
+    assert census_report(module) == _report_with_maximal(module)
     assert len(spin_calls) == 4
     assert enumerated_lines == {1: 4}
 
@@ -781,10 +791,8 @@ def _census_cases():
                 for piece in HeckeOperators(module).idempotent_split():
                     yield module, piece
             else:
-                rep = socle_head_report(module)
-                assert rep.socle is not None and rep.maximal is not None
-                yield module, rep.socle
-                yield module, rep.maximal
+                yield module, socle_head_report(module).socle
+                yield module, Subspace(module, proof_route.maximal_rows(module))
     for p, a in suites.SL2_GRID:
         for n in range(suites.COSTANDARD_WEIGHT_BOUND + 1):
             cm = CostandardModule(n, p, coeff_level=a)
@@ -846,24 +854,24 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
     module._check_relations()
     level = module.coeff_level
     code = module.codes.code
-    rows = fixed_subspace(module, [module.eps(code(b))
-                                   for b in ref.standard_basis(module.tower, level)]).rows
+    eps = [module.eps(code(b)) for b in ref.standard_basis(module.tower, level)]
+    rows = tuple(map(module.codes.decode, proof_route.fixed_subspace(module.codes, eps, module.dim)))
     hg = module.h(code(module.tower.multiplicative_generator(level)))
     assert not _contains(_span(module, rows[:1]), ref.encode(module.codes, ref.apply(hg, rows[0])))
     lines = list(b_stable_lines(module))
     assert len(lines) == 2 and lines == list(_b_stable_lines_per_eigenvalue(module))
 
 
-@pytest.mark.parametrize("p, a, calls", ((2, 3, 392), (61, 1, 64)), ids=("q=64", "q=61"))
-def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a, calls):
-    # d(q + 1) + 2 applies, d = [F_q : F_p]: each eps over the F_p-basis on
-    # each unit vector for M^U, then h(g) on each of the two rows of M^U.
-    # The dual shares the module's M^U, so its census applies h(g) alone
-    # (computing its own M^U made the same d(q + 1) + 2)
+@pytest.mark.parametrize("p, a", ((2, 3), (61, 1)), ids=("q=64", "q=61"))
+def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a):
+    # h(g) on each of the two rows of M^U, which is read off the orbits of
+    # the eps generators with no apply; the dual shares the module's M^U.
+    # The stacked kernel of M^U made d(q + 1) more, d = [F_q : F_p] (392
+    # and 64 in all), and the dual's own M^U as many again
     module = InducedModule(p, a, power_char(1, p, a))
     del monomial_apply_calls[:]
     assert len(list(b_stable_lines(module))) == 2
-    assert len(monomial_apply_calls) == calls
+    assert len(monomial_apply_calls) == 2
     del monomial_apply_calls[:]
     assert len(list(b_stable_lines(module.dual()))) == 2
     assert len(monomial_apply_calls) == 2
@@ -939,7 +947,8 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
     def wrong_socle(module):
         rep = real(module)
-        return SocleHeadReport(rep.whole, socle=rep.maximal, maximal=rep.maximal)
+        maximal = Subspace(module, proof_route.maximal_rows(module))
+        return SocleHeadReport(rep.whole, socle=maximal, head_dim=rep.head_dim)
 
     monkeypatch.setattr(sl2lab, "socle_head_report", wrong_socle)
     _, _, section, failed = case_verdict(InducedModule(2, 2, power_char(1, 2)))
@@ -955,7 +964,7 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
 @pytest.mark.parametrize("mutate, failed, err", (
     # the socle taken for the maximal submodule: a head of dim 5 - 2, not 2
-    (lambda rep: SocleHeadReport(rep.whole, socle=rep.socle, maximal=rep.socle),
+    (lambda rep: SocleHeadReport(rep.whole, socle=rep.socle, head_dim=5 - rep.socle.dim),
      {"head": {"dim": 3, "digit_product": 2}},
      'head: {"digit_product": 2, "dim": 3}'),
 ), ids=("wrong-head",))
@@ -1248,30 +1257,45 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
-@pytest.mark.parametrize("p, a, applies", ((2, 3, 391), (2, 2, 11)), ids=("q=64", "q=4"))
+@pytest.mark.parametrize("p, a", ((2, 3), (2, 2)), ids=("q=64", "q=4"))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
-        monkeypatch, monomial_apply_calls, p, a, applies):
-    # d(q + 1) + 1 applies, d = [F_q : F_p]: each eps over the F_p-basis on
-    # each unit vector for M^U, which t_s's check compares with the line and
-    # t_s line, and s on t_s line for t_s's columns. The census of the whole
-    # module and of both Hecke pieces made 1627 and 71; computing M^U per
-    # census made 3 fixed_subspace calls and 2d(q + 1) more applies (3510
-    # and 134). Checking equivariance column by column made
-    # 2(d + 2)(q + 1) - 1 more applies (2730 and 114), and building t_s's
-    # columns through eps(t) made q more (64 and 4).
+        monkeypatch, monomial_apply_calls, p, a):
+    # one orbit walk for M^U, which t_s's check compares with the line and
+    # t_s line, and one apply, s on t_s line for t_s's columns. The stacked
+    # kernel of M^U made d(q + 1) more applies, d = [F_q : F_p] (391 and 11
+    # in all). The census of the whole module and of both Hecke pieces made
+    # 1627 and 71; computing M^U per census made 3 stacked kernels and
+    # 2d(q + 1) more applies (3510 and 134). Checking equivariance column by
+    # column made 2(d + 2)(q + 1) - 1 more applies (2730 and 114), and
+    # building t_s's columns through eps(t) made q more (64 and 4).
     calls = []
-    real = sl2lab.fixed_subspace
+    real = sl2lab.monomial_fixed_rows
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(sl2lab, "fixed_subspace", counting)
+    monkeypatch.setattr(sl2lab, "monomial_fixed_rows", counting)
     module = InducedModule(p, a, trivial_character(p, a))
     del monomial_apply_calls[:]
     assert case_verdict(module)[3] == {}
     assert len(calls) == 1
-    assert len(monomial_apply_calls) == applies
+    assert len(monomial_apply_calls) == 1
+
+
+# one field of each order q <= 64 the lab builds
+LAB_FIELDS = ([(p, 1) for p in range(2, 62) if all(p % d for d in range(2, p))]
+              + [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("p, a", LAB_FIELDS, ids=[f"q={p ** factorial(a)}" for p, a in LAB_FIELDS])
+def test_u_fixed_rows_match_the_stacked_kernel(p, a):
+    # eps reads no theta, so one module per field holds every M^U the field
+    # has: the line and the sum of the cells, read off the eps orbits
+    module = InducedModule(p, a, power_char(1, p, a))
+    rows = module.u_fixed_rows
+    assert rows == proof_route.fixed_subspace(module.codes, module.generators[:-2], module.dim)
+    assert rows == (module.unit_vector(0), (0,) + (1,) * module.q)
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -1371,7 +1395,7 @@ def test_hecke_route_matches_the_census_when_theta_squared_is_trivial(monkeypatc
         return
     module = InducedModule(p, a, power_char((q - 1) // 2, p, a))
     census = census_report(module)
-    assert census.socle is not None and socle_head_report(module) == census
+    assert census.socle is not None and _report_with_maximal(module) == census
     verdict = case_verdict(module)
     monkeypatch.setattr(sl2lab, "socle_head_report", lambda module: census)
     assert verdict == case_verdict(module) and verdict[3] == {}
@@ -1392,7 +1416,7 @@ def test_the_intertwiners_match_the_census(p, a, residues):
     # off the intertwiners are the census's, row for row
     for m in residues:
         module = InducedModule(p, a, power_char(m, p, a))
-        assert socle_head_report(module) == census_report(module)
+        assert _report_with_maximal(module) == census_report(module)
 
 
 @pytest.mark.parametrize("p, a, power, d, builds", (

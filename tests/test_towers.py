@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
 import element_route as ref
 from borelline import polyfp
 from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError, FieldTower, make_tower
+from proof_route import least_primitive
 
 
 def test_defining_polynomials_are_least():
@@ -14,6 +17,33 @@ def test_defining_polynomials_are_least():
     assert t2.defining_polynomial(3) == (1, 1, 0, 0, 0, 0, 1)
     t3 = make_tower(3)
     assert t3.defining_polynomial(2) == (2, 1, 1)
+
+
+# every (p, level) a module reaches: each prime field the lab builds, the
+# levels 2 with q <= 64 and past it (costandard modules at level 2 reach
+# p = 7), and level 3 at p = 2 and 3
+WALK_CASES = ([(p, 1) for p in range(2, 62) if all(p % d for d in range(2, p))]
+              + [(p, 2) for p in (2, 3, 5, 7)] + [(2, 3), (3, 3)])
+
+
+@pytest.mark.parametrize("p, level", WALK_CASES, ids=[f"{p}-{n}" for p, n in WALK_CASES])
+def test_the_walk_finds_the_reference_polynomial(p, level):
+    # the first candidate whose walk takes q - 1 products is the first
+    # primitive polynomial by Rabin's test and a primitivity test
+    t = FieldTower(p)
+    assert t.defining_polynomial(level) == least_primitive(p, factorial(level))
+
+
+@pytest.mark.parametrize("p, level, products", ((2, 1, 1), (5, 1, 6), (2, 2, 5), (2, 3, 69)))
+def test_each_walk_costs_the_order_of_its_root(polyfp_mul_calls, p, level, products):
+    # a rejected candidate's walk ends at its root's first return to 1: x + 1
+    # at p = 5 (root -1, order 2), 1 + x^2 at p = 2 (order 2) and 1 + x^6
+    # (order 6); the accepted walk takes q - 1 products, one per table entry.
+    # A walk on the candidates x divides would never return, and cost q - 1
+    # products each
+    t = FieldTower(p)
+    t.codes(level)
+    assert len(polyfp_mul_calls) == len(t._mul_cache[level]) == products
 
 
 def test_orders_and_degrees():
