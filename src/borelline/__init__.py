@@ -39,7 +39,6 @@ from .digits import (
     check_digit_lemma,
     digit_class_sums,
     digit_sum,
-    lucas_row,
     lucas_rows,
     nonzero_digit_count,
     power_sum,
@@ -93,7 +92,6 @@ __all__ = [
     "is_compatible",
     "l_submodule",
     "lucas_criterion",
-    "lucas_row",
     "lucas_rows",
     "make_tower",
     "nonzero_digit_count",

@@ -5,12 +5,12 @@ digit sums, binomial coefficients mod p via the digitwise product rule,
 power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
 
-Binomials come a row at a time (`lucas_row`, binom(m, n) for n below a
-width: one primality check, then one block of the row per digit value) or
-as a whole triangle of bytes (`lucas_rows`, every row up to a limit, each
-from the row of m // p). The Lucas search of `characters.lucas_criterion`
-asks single entries at huge m of `_lucas_digit_product`, the digit product
-itself, after checking p once.
+Binomials come in two shapes, by one rule. Single entries come from
+`_lucas_digit_product`, the digit product itself, for callers that have
+checked p once: the Lucas search of `characters.lucas_criterion` at huge m,
+and the costandard modules and their level bridge in `sl2lab`. A whole
+triangle of bytes comes from `lucas_rows` (every row up to a limit, each
+from the row of m // p, for p < 256), for the `lucas` suite.
 """
 
 from __future__ import annotations
@@ -192,33 +192,6 @@ def _lucas_digit_product(m, n, p) -> int:
     return out
 
 
-def lucas_row(m, p, width) -> list[int]:
-    """[binom(m, n) mod p for n in range(width)] by the digit product rule.
-
-    Built a digit of m at a time, least significant first: with the row of
-    m mod place in hand (its first `place` entries), the row of the next
-    digit a is the blocks binom(a, b) * row at offsets b * place, b <= a,
-    then zeros up to p * place. The walk stops once place >= width, since
-    the digits of m from there on only contribute binom(a, 0) = 1, and each
-    digit asks at most width binomials, b <= (width - 1) // place.
-    After one primality check, each digit costs O(width)."""
-    require_prime(p)
-    if m < 0 or width < 0:
-        raise ArgumentError("binomial row arguments must be nonnegative")
-    row = [1]
-    place = 1
-    while m and place < width:
-        m, a = divmod(m, p)
-        block = row
-        row = []
-        for b in range(min(a, (width - 1) // place) + 1):
-            c = comb(a, b) % p
-            row += block if c == 1 else [c * v % p for v in block]
-        place *= p
-        row += [0] * (min(place, width) - len(row))
-    return (row + [0] * (width - len(row)))[:width]
-
-
 def lucas_rows(limit, p) -> list[bytes]:
     """Rows 0..limit of binom(m, n) mod p, each as limit + 1 bytes.
 
@@ -268,15 +241,19 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
     every k in 0..k_max at once, keyed like power_sum's `include_zero`:
     the sums over the units (False) and over all of F_q (True).
 
-    Builds F_q as F_p[x]/(f) for the first irreducible f of the right degree,
-    searched once per field, independently of the closed form above. One
-    pass over the field walks each element's powers upward in k, one
-    product per step, with 0**0 = 1.
+    Builds F_q as F_p[x]/(f) for the f that `polyfp.primitive_walk` finds
+    and proves a field, once per field, independently of the closed form
+    above. One pass over the field walks each element's powers upward in k,
+    one product per step, with 0**0 = 1.
     """
     p, r = prime_power_base(q)
     if k_max < 0:
         raise ArgumentError("power sums need k >= 0")
-    f = polyfp.least_irreducible(p, r)
+
+    def product(a, b, f):
+        return polyfp.mul_mod(a, b, f, p)
+
+    f, _ = polyfp.primitive_walk(p, r, product)
     units, whole = [()] * (k_max + 1), [()] * (k_max + 1)
     elems = [()]
     for _ in range(r):
@@ -286,7 +263,7 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
         tk = (1,)
         for k in range(k_max + 1):
             if k:
-                tk = polyfp.poly_mod(polyfp.mul(tk, t, p), f, p)
+                tk = product(tk, t, f)
             whole[k] = polyfp.add(whole[k], tk, p)
             if t:
                 units[k] = polyfp.add(units[k], tk, p)

@@ -1,13 +1,24 @@
-"""Dense polynomial arithmetic over a prime field F_p.
+"""Dense polynomial arithmetic over a prime field F_p, and the one search
+for the polynomial of a finite field.
 
 Polynomials are tuples of ints in [0, p), least significant coefficient
 first, with no trailing zeros; the zero polynomial is the empty tuple.
-Everything here is exact and deterministic.
+`mul_mod` takes either form and returns a coordinate vector instead: the
+remainder padded with zeros to the degree of the modulus. Everything here
+is exact and deterministic.
+
+The walk. `primitive_walk(p, d, product)` finds the polynomial of F_(p^d)
+and proves it. A candidate f is monic of degree d with f(0) != 0, taken in
+the base-p order of its lower coefficients; its walk multiplies 1 by the
+root class x until the product is 1 again. x is a unit, as f(0) != 0, and
+a ring F_p[x]/(f) that is no field has fewer than q - 1 units, q = p^d, so
+each walk ends within q - 1 products. The first candidate whose walk takes
+exactly q - 1 is the answer: F_p[x]/(f) then has q - 1 units, so it is a
+field, f is irreducible and x generates the units, and the walk's q - 1
+distinct powers of x are the field's antilog table.
 """
 
 from __future__ import annotations
-
-X = (0, 1)
 
 
 def trim(coeffs) -> tuple[int, ...]:
@@ -30,14 +41,6 @@ def add(f, g, p):
     ))
 
 
-def neg(f, p):
-    return tuple((-c) % p for c in f)
-
-
-def sub(f, g, p):
-    return add(f, neg(g, p), p)
-
-
 def mul(f, g, p):
     if not f or not g:
         return ()
@@ -50,89 +53,45 @@ def mul(f, g, p):
     return trim(out)
 
 
-def divmod_poly(f, g, p):
+def poly_mod(f, g, p):
+    """The remainder of f on division by g."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
+    rem = list(trim(f))
     dg = degree(g)
     inv_lead = pow(g[-1], p - 2, p) if p > 2 else g[-1]
-    quo = [0] * max(len(f) - dg, 1)
-    while len(trim(rem)) - 1 >= dg:
-        rem = list(trim(rem))
+    while len(rem) - 1 >= dg:
         shift = len(rem) - 1 - dg
         factor = (rem[-1] * inv_lead) % p
-        quo[shift] = factor
         for i, c in enumerate(g):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
-    return trim(quo), trim(rem)
+        rem = list(trim(rem))
+    return tuple(rem)
 
 
-def poly_mod(f, g, p):
-    return divmod_poly(f, g, p)[1]
+def mul_mod(a, b, f, p):
+    """a b modulo f, as a coordinate vector of length deg f."""
+    prod = poly_mod(mul(a, b, p), f, p)
+    return prod + (0,) * (len(f) - 1 - len(prod))
 
 
-def pow_mod(f, e, modulus, p):
-    """f**e modulo `modulus`, by binary exponentiation."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = (1,)
-    base = poly_mod(f, modulus, p)
-    while e:
-        if e & 1:
-            result = poly_mod(mul(result, base, p), modulus, p)
-        base = poly_mod(mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
-
-
-def monic_gcd(f, g, p):
-    a, b = f, g
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = tuple((c * inv_lead) % p for c in a)
-    return a
-
-
-def prime_factors(n) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def is_irreducible(f, p) -> bool:
-    """Rabin's test: x^(p^d) = x mod f, and no proper-subfield coincidence."""
-    d = degree(f)
-    if d < 1:
-        return False
-    if poly_mod(sub(pow_mod(X, p ** d, f, p), X, p), f, p):
-        return False
-    for r in prime_factors(d):
-        g = sub(pow_mod(X, p ** (d // r), f, p), X, p)
-        if degree(monic_gcd(g, f, p)) != 0:
-            return False
-    return True
-
-
-def least_irreducible(p, d):
-    """First monic irreducible of degree d in the base-p enumeration of
-    lower coefficient vectors."""
-    for k in range(p ** d):
-        coeffs = []
-        kk = k
-        for _ in range(d):
-            coeffs.append(kk % p)
-            kk //= p
-        f = tuple(coeffs) + (1,)
-        if is_irreducible(f, p):
-            return f
-    raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")
+def primitive_walk(p, d, product):
+    """(f, powers): the first candidate f of degree d whose walk takes
+    q - 1 products (see the module docstring), and the coordinate vectors
+    of x^0 .. x^(q - 2) modulo f. `product(a, b, f)` is a b modulo f as a
+    coordinate vector of length d, `mul_mod` or a memo of it."""
+    units = p ** d - 1
+    one = (1,) + (0,) * (d - 1)
+    for k in range(1, units + 1):
+        if not k % p:
+            continue
+        f = tuple(k // p ** i % p for i in range(d)) + (1,)
+        # the root class of f: x, or -f(0) for a degree-one f
+        gen = ((-k) % p,) if d == 1 else (0, 1) + one[2:]
+        powers, x = [one], product(one, gen, f)
+        while x != one and len(powers) < units:
+            powers.append(x)
+            x = product(x, gen, f)
+        if x == one and len(powers) == units:
+            return f, powers
+    raise RuntimeError(f"no root of a degree-{d} polynomial over F_{p} generates {units} units")

@@ -33,7 +33,7 @@ from functools import cached_property
 from math import prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, expand, lucas_row, power_sum, record
+from .digits import ArgumentError, RelationError, _lucas_digit_product, expand, power_sum, record
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -472,8 +472,9 @@ class CostandardModule(_SL2Module):
         self.tower = make_tower(p)
         self.codes = codes = self.tower.codes(coeff_level)
         self.dim = n + 1
-        # the codes of binom(i, j) mod p
-        self._binom = tuple(tuple(map(codes.scalars.__getitem__, lucas_row(i, p, self.dim)))
+        # the codes of binom(i, j) mod p; p is proven prime by field_order
+        self._binom = tuple(tuple(codes.scalars[_lucas_digit_product(i, j, p)]
+                                  for j in range(self.dim))
                             for i in range(self.dim))
         self._check_relations()
 
@@ -507,8 +508,9 @@ class CostandardModule(_SL2Module):
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:
-    """Span of the v_i with binom(n, i) nonzero mod p; checked stable."""
-    rows = [cm.unit_vector(i) for i, b in enumerate(lucas_row(cm.n, cm.p, cm.dim)) if b]
+    """Span of the v_i with binom(n, i) nonzero mod p, read off the
+    module's last binomial row; checked stable."""
+    rows = [cm.unit_vector(i) for i, b in enumerate(cm._binom[cm.n]) if b]
     sub = Subspace(cm, rref(cm.codes, rows))
     if not _is_stable(cm, sub):
         raise RelationError("digit span is not a submodule")
@@ -549,7 +551,8 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
         total = vec_add(cm.codes, total, cm.eps(a).apply(top))
     qr = field_order(p, r)
     closed = [0] * cm.dim
-    for ell, b in enumerate(lucas_row(m_t, p, m_t + 1)):
+    for ell in range(m_t + 1):
+        b = _lucas_digit_product(m_t, ell, p)
         closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p
     if tuple(map(cm.codes.scalars.__getitem__, closed)) != total:
         raise RelationError("closed form and direct summation disagree")

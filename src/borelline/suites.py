@@ -23,7 +23,15 @@ from .characters import (
     truncate,
     X0Pattern,
 )
-from .digits import ArgumentError, check_digit_lemma, expand, lucas_rows, power_sum, power_sums_direct
+from .digits import (
+    ArgumentError,
+    check_digit_lemma,
+    expand,
+    lucas_rows,
+    power_sum,
+    power_sums_direct,
+    prime_power_base,
+)
 from .sl2lab import (
     InducedModule,
     CostandardModule,
@@ -141,7 +149,7 @@ def suite_power_sums(p_filter=None) -> dict:
     failures = []
     cases = 0
     for q in POWER_SUM_ORDERS:
-        p = 2 if q in (2, 4, 8) else (3 if q in (3, 9) else q)
+        p, _ = prime_power_base(q)
         if not _keep(p, p_filter):
             continue
         k_max = 3 * (q - 1)

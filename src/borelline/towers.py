@@ -1,13 +1,12 @@
 """Nested finite fields of factorial degrees with compatible embeddings.
 
 One tower per prime p, `make_tower(p)`, holds the fields F_(p^(n!)) for
-n = 1..3, each presented as F_p[x]/(f_n). f_n is the first monic f of
-degree n! with f(0) != 0, in the base-p enumeration, whose root x first
-returns to 1 after exactly q - 1 products by x: that walk proves f_n
-irreducible and x a generator of the units, and its powers are the level's
-antilog table. The embedding of level m into level n sends the root of f_m,
-level m's generator, to the root rho of f_m upstairs least by coordinates,
-so g_m^k goes to rho^k: one product of logs.
+n = 1..3, each presented as F_p[x]/(f_n). f_n is the polynomial that
+`polyfp.primitive_walk` finds in degree n!: the walk proves f_n irreducible
+and its root x a generator of the units, and its powers of x are the
+level's antilog table. The embedding of level m into level n sends the
+root of f_m, level m's generator, to the root rho of f_m upstairs least by
+coordinates, so g_m^k goes to rho^k: one product of logs.
 
 Field representation. Elements are interned: each (tower, level, value) has
 exactly one FieldElement, so equality is identity. An element carries its
@@ -17,8 +16,8 @@ z[d] = log(1 + g^d), so every operation is one table lookup that returns a
 canonical element. Operands must share one level: `+ - *` refuse mixed
 levels with ArgumentError, and `embed` first moves an element up to the
 other's level. Nothing of a level is built before its first use: then the
-walk above finds f_n and builds the tables on the polynomial route
-(`polyfp` multiplication modulo each candidate), with no other search.
+walk finds f_n on the polynomial route, through the tower's memo of
+`polyfp.mul_mod` modulo each candidate, with no other search.
 
 Int codes. Exact linear algebra does not run on FieldElements: it codes
 each element of a level as an int, 0 for zero and k + 1 for g^k, and reads
@@ -35,7 +34,7 @@ FieldElements compute only inside the tower: its tables, its embeddings.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from . import polyfp
@@ -272,36 +271,12 @@ class FieldTower:
         return f
 
     def _build_tables(self, n):
-        """Log, antilog and Zech tables of level n, from the walk that finds
-        f_n on the polynomial route.
-
-        A candidate f is monic of degree n! with f(0) != 0, taken in the
-        base-p order of its lower coefficients; its walk multiplies 1 by the
-        root class x until the product is 1 again. x is a unit, as f(0) != 0,
-        and a ring F_p[x]/(f) that is no field has fewer than q - 1 units, so
-        each walk ends within q - 1 products. f_n is the first candidate
-        whose walk takes exactly q - 1: then F_p[x]/(f) has q - 1 units, so
-        it is a field, f_n is irreducible and x generates the units, and the
-        walk's q - 1 distinct powers are the antilog table.
-        """
-        p, d = self.p, _level_degree(n)
-        units = p ** d - 1
-        one = (1,) + (0,) * (d - 1)
+        """Log, antilog and Zech tables of level n, from `polyfp.primitive_walk`,
+        which finds f_n on the polynomial route through `_mul_coords`."""
+        d = _level_degree(n)
         self._mul_cache[n] = {}
-        for k in range(1, units + 1):
-            if not k % p:
-                continue
-            self._polys[n] = tuple(k // p ** i % p for i in range(d)) + (1,)
-            # the root class of f: x, or -f(0) for a degree-one f
-            gen = ((-k) % p,) if d == 1 else (0, 1) + one[2:]
-            powers, x = [one], self._mul_coords(n, one, gen)
-            while x != one and len(powers) < units:
-                powers.append(x)
-                x = self._mul_coords(n, x, gen)
-            if x == one and len(powers) == units:
-                break
-        else:
-            raise RelationError(f"no root at level {n} generates {units} units")
+        self._polys[n], powers = polyfp.primitive_walk(self.p, d, partial(self._mul_coords, n))
+        units = len(powers)
         log = {c: i for i, c in enumerate(powers)}
         zero = (0,) * d
         f = _Level()
@@ -320,20 +295,16 @@ class FieldTower:
 
     # -- coordinate kernels ----------------------------------------------
 
-    def _mul_coords(self, n, a, b):
-        """a b at level n, modulo `_polys[n]`: the candidate under walk, then
-        f_n. Memoised in `_mul_cache`, which the benchmark tracer reads; the
+    def _mul_coords(self, n, a, b, f):
+        """a b modulo f at level n: a candidate under walk, then f_n.
+        Memoised in `_mul_cache[n]`, which the benchmark tracer reads; the
         modulus is part of the key, so every walk's products stay counted."""
-        f = self._polys[n]
         key = (f, a, b) if a <= b else (f, b, a)
         cache = self._mul_cache[n]
         hit = cache.get(key)
-        if hit is not None:
-            return hit
-        prod = polyfp.poly_mod(polyfp.mul(a, b, self.p), f, self.p)
-        out = prod + (0,) * (len(f) - 1 - len(prod))
-        cache[key] = out
-        return out
+        if hit is None:
+            hit = cache[key] = polyfp.mul_mod(a, b, f, self.p)
+        return hit
 
     # -- public surface ----------------------------------------------------
 

@@ -79,7 +79,7 @@ def monomial_apply_calls(monkeypatch):
 
 @pytest.fixture
 def lucas_calls(monkeypatch):
-    """A Counter of the calls of digits.lucas_rows, digits.lucas_row and
+    """A Counter of the calls of digits.lucas_rows and
     digits._lucas_digit_product, the one single binomial, from now on,
     keyed by function name: a machine-independent measure of how often
     binomials are asked for. Each is patched in every module that binds it
@@ -92,7 +92,7 @@ def lucas_calls(monkeypatch):
             return real(*args)
         return fn
 
-    for name in ("lucas_rows", "lucas_row", "_lucas_digit_product"):
+    for name in ("lucas_rows", "_lucas_digit_product"):
         real = getattr(digits, name)
         wrapper = counting(name, real)
         for module in (digits, suites, sl2lab, characters):

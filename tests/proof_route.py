@@ -1,22 +1,85 @@
 """The reference routes of the rank-one proof: each step as the lab took
 it before it read the step off work it already does.
 
-- f_n by Rabin's test plus a primitivity test of the root, against the
-  walk of `towers.FieldTower._build_tables`;
+- f_n by Rabin's test plus a primitivity test of the root, against
+  `polyfp.primitive_walk`, which finds and proves it with one walk;
 - M^U as the kernel of the stacked g - 1 over the eps generators, against
   the orbits of `linalg.monomial_fixed_rows`;
 - the maximal submodule as the kernel of t_s, whose codimension
   `sl2lab.socle_head_report` reads as rank t_s.
 
 All on int codes, as `linalg` computes; `element_route` is the
-FieldElement route.
+FieldElement route. The polynomial helpers of Rabin's test, `pow_mod`
+among them, are built here on `polyfp`'s ring operations.
 """
 
 from __future__ import annotations
 
 from borelline.linalg import rref
-from borelline.polyfp import X, degree, is_irreducible, pow_mod, prime_factors
+from borelline.polyfp import add, degree, mul, poly_mod
 from borelline.sl2lab import HeckeOperators
+
+X = (0, 1)
+
+
+def neg(f, p):
+    return tuple((-c) % p for c in f)
+
+
+def sub(f, g, p):
+    return add(f, neg(g, p), p)
+
+
+def pow_mod(f, e, modulus, p):
+    """f**e modulo `modulus`, by binary exponentiation."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = (1,)
+    base = poly_mod(f, modulus, p)
+    while e:
+        if e & 1:
+            result = poly_mod(mul(result, base, p), modulus, p)
+        base = poly_mod(mul(base, base, p), modulus, p)
+        e >>= 1
+    return result
+
+
+def monic_gcd(f, g, p):
+    a, b = f, g
+    while b:
+        a, b = b, poly_mod(a, b, p)
+    if a:
+        inv_lead = pow(a[-1], p - 2, p)
+        a = tuple((c * inv_lead) % p for c in a)
+    return a
+
+
+def prime_factors(n) -> tuple[int, ...]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def is_irreducible(f, p) -> bool:
+    """Rabin's test: x^(p^d) = x mod f, and no proper-subfield coincidence."""
+    d = degree(f)
+    if d < 1:
+        return False
+    if poly_mod(sub(pow_mod(X, p ** d, f, p), X, p), f, p):
+        return False
+    for r in prime_factors(d):
+        g = sub(pow_mod(X, p ** (d // r), f, p), X, p)
+        if degree(monic_gcd(g, f, p)) != 0:
+            return False
+    return True
 
 
 def has_primitive_root(f, p) -> bool:

@@ -13,7 +13,6 @@ from borelline.digits import (
     digit_sum,
     _lucas_digit_product,
     expand,
-    lucas_row,
     lucas_rows,
     nonzero_digit_count,
     power_sum,
@@ -108,58 +107,49 @@ def test_lucas_binom_out_of_range():
     assert _lucas_digit_product(0, 0, 3) == 1
 
 
-def test_lucas_row_matches_factorials():
-    # widths below, at and past m + 1 cover truncation and zero padding
-    for p in (2, 3, 5, 7, 11):
-        for m in range(61):
-            for width in (0, m, m + 1, m + 5):
-                assert lucas_row(m, p, width) == [math.comb(m, n) % p for n in range(width)]
+def lucas_row(m, p, width):
+    # [binom(m, n) mod p for n in range(width)] from the exact binomials,
+    # each by binom(m, n + 1) = binom(m, n) (m - n) / (n + 1): a route apart
+    # from both the digit product and Pascal's rule, and fast enough for the
+    # lucas suite grid, where math.comb takes seconds
+    row, c = [], 1
+    for n in range(width):
+        row.append(c % p)
+        c = c * (m - n) // (n + 1)
+    return row
 
 
 def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
-    # the lucas suite checks lucas_rows against Pascal's rule, and
-    # test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid carries
-    # that evidence to lucas_row on the same grid; entry by entry here it
-    # reaches the digit product of the Lucas search: Pascal -> lucas_rows
-    # -> lucas_row -> _lucas_digit_product
+    # entry by entry on the lucas suite grid, the digit product that the
+    # Lucas search and the costandard modules ask agrees with the exact row
     width = LUCAS_BOUND + 1
     for p in LUCAS_PRIMES:
         for m in range(width):
-            assert [_lucas_digit_product(m, n, p) for n in range(width)] == lucas_row(m, p, width)
+            assert [_lucas_digit_product(m, n, p) for n in range(width)] == lucas_row(m, p, width), (p, m)
 
 
-def test_lucas_row_asks_at_most_width_binomials_per_digit(monkeypatch):
-    # only the b <= (width - 1) // place of each digit below width are asked,
-    # and the digits past width are not walked; walking every b <= a of the
-    # one digit took 0.12 s at p = 1000003. A call past the budget fails at
-    # once, before a binomial of a huge b is computed.
+def test_lucas_digit_product_asks_one_binomial_per_digit_of_n(monkeypatch):
+    # binom(a, b) is asked only for the digit pairs of n, each below p; a
+    # binomial of the whole m or n would take seconds at p = 1000003
     calls = []
-    budget = [0]
 
     def counting(a, b):
         calls.append((a, b))
-        assert len(calls) <= budget[0], "more binomials than width per digit"
         return math.comb(a, b)
 
     monkeypatch.setattr("borelline.digits.comb", counting)
-    budget[0] = 3
-    assert lucas_row(10 ** 6 + 2, 1000003, 3) == [1, 1000002, 1]
-    # (m, p, width, digits below width)
-    for m, p, width, walked in ((3 ** 40 - 1, 3, 10, 3), (2 ** 30 + 5, 2, 1, 0),
-                                (5 ** 9 - 7, 5, 200, 4)):
+    p = 1000003
+    assert [_lucas_digit_product(10 ** 6 + 2, n, p) for n in range(3)] == [1, 1000002, 1]
+    assert calls == [(10 ** 6 + 2, 1), (10 ** 6 + 2, 2)]
+    del calls[:]
+    # m = 5 + 3p and n = 2 + p: binom(5, 2) binom(3, 1) = 30
+    assert _lucas_digit_product(5 + 3 * p, 2 + p, p) == 30
+    assert calls == [(5, 2), (3, 1)]
+    del calls[:]
+    for m, p, n in ((3 ** 40 - 1, 3, 10), (5 ** 9 - 1, 5, 199)):
+        assert _lucas_digit_product(m, n, p) == math.comb(m, n) % p
+        assert len(calls) == len(expand(n, p))
         del calls[:]
-        budget[0] = width * walked
-        assert lucas_row(m, p, width) == [math.comb(m, n) % p for n in range(width)]
-
-
-def test_lucas_row_checks_its_arguments():
-    # the prime first, then the signs; an empty width still checks both
-    for m, p, width in ((3, 4, 5), (-1, 1, 5), (3, 6, -1), (0, 9, 0)):
-        with pytest.raises(ArgumentError, match="prime"):
-            lucas_row(m, p, width)
-    for m, p, width in ((-1, 2, 5), (3, 2, -1), (-1, 3, 0)):
-        with pytest.raises(ArgumentError, match="nonnegative"):
-            lucas_row(m, p, width)
 
 
 def test_lucas_rows_match_factorials():
@@ -177,7 +167,8 @@ def test_lucas_rows_match_factorials():
 
 def test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid():
     # the lucas suite checks lucas_rows against Pascal's rule; row by row on
-    # the same grid, that evidence carries over to lucas_row
+    # the same grid they agree with the exact row, and so, by the test above,
+    # with the digit product: Pascal -> lucas_rows -> exact row -> digit product
     for p in LUCAS_PRIMES:
         rows = lucas_rows(LUCAS_BOUND, p)
         assert len(rows) == LUCAS_BOUND + 1

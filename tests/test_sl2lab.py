@@ -4,7 +4,7 @@ import json
 import re
 from collections import Counter
 from functools import cached_property
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -1143,6 +1143,28 @@ def test_costandard_eps_is_binomial_lower_triangular():
 def test_costandard_check_level_guard():
     with pytest.raises(CapabilityError):
         CostandardModule(40, 2, coeff_level=3)
+
+
+def _chain_costandard_modules():
+    """The costandard modules of `sl2-chain`: weight m_2 at level 2, one
+    per character of its grid."""
+    for p in suites.CHAIN_PRIMES:
+        for lam in suites.CHAIN_POWERS:
+            yield CostandardModule(power_char(lam, p).residue(2), p, coeff_level=2)
+
+
+def test_costandard_binomials_are_the_codes_of_the_factorial_formula():
+    # every costandard module the suites build, and one past a byte, at
+    # p = 257, where lucas_rows refuses: binom(i, j) mod p for all i, j <= n,
+    # zero above the diagonal
+    modules = [m for m in _relation_grid() if isinstance(m, CostandardModule)]
+    modules += _chain_costandard_modules()
+    modules.append(CostandardModule(8, 257, coeff_level=1))
+    for cm in modules:
+        scalars = cm.codes.scalars
+        assert cm._binom == tuple(tuple(scalars[comb(i, j) % cm.p] for j in range(cm.dim))
+                                  for i in range(cm.dim)), (cm.n, cm.p, cm.coeff_level)
+    assert l_submodule(modules[-1]).dim == 9    # binom(8, i) is nonzero mod 257
 
 
 def test_l_submodule_dimensions():

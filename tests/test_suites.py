@@ -110,7 +110,6 @@ def test_lucas_suite_asks_one_row_per_m(lucas_calls):
     rec = suite_lucas(p_filter=2)
     assert rec["ok"] is True and rec["cases"] == 513 * 513
     assert lucas_calls["lucas_rows"] == 1
-    assert lucas_calls["lucas_row"] == 0
     assert lucas_calls["_lucas_digit_product"] == 0
 
 
@@ -182,16 +181,17 @@ def test_pascal_rows_refuse_a_prime_past_a_byte():
 
 
 def test_power_sums_suite_searches_one_modulus_per_field(monkeypatch):
-    # one least_irreducible search per order of POWER_SUM_ORDERS; a search
-    # per (q, k, include_zero) oracle call made 162
+    # one primitive_walk per order of POWER_SUM_ORDERS, as there was one
+    # least_irreducible search before the walk replaced Rabin's test; a
+    # search per (q, k, include_zero) oracle call made 162
     searches = []
-    real = polyfp.least_irreducible
+    real = polyfp.primitive_walk
 
-    def counting(*args):
-        searches.append(args)
-        return real(*args)
+    def counting(p, d, product):
+        searches.append((p, d))
+        return real(p, d, product)
 
-    monkeypatch.setattr(polyfp, "least_irreducible", counting)
+    monkeypatch.setattr(polyfp, "primitive_walk", counting)
     rec = suite_power_sums()
     assert rec["ok"] is True and rec["cases"] == 162
     assert sorted(searches) == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
@@ -202,21 +202,34 @@ def test_power_sums_oracle_makes_one_product_per_element_and_power(monkeypatch,
     # one pass per field walks each element's powers upward in k, one product
     # per step: q 3(q - 1) products per field. A pow_mod per (q, k,
     # include_zero) made 931 pow_mod calls and 4 999 products in all. The
-    # products of the modulus searches, one per field, are counted apart.
+    # products of the modulus walks, one per field, are counted apart, as
+    # those of the least_irreducible searches were.
     in_searches = []
-    real = polyfp.least_irreducible
+    real = polyfp.primitive_walk
 
     def searching(*args):
         before = len(polyfp_mul_calls)
-        f = real(*args)
+        found = real(*args)
         in_searches.append(len(polyfp_mul_calls) - before)
-        return f
+        return found
 
-    monkeypatch.setattr(polyfp, "least_irreducible", searching)
+    monkeypatch.setattr(polyfp, "primitive_walk", searching)
     assert suite_power_sums()["ok"] is True
     assert len(in_searches) == len(POWER_SUM_ORDERS)
     oracle = len(polyfp_mul_calls) - sum(in_searches)
     assert oracle == sum(q * 3 * (q - 1) for q in POWER_SUM_ORDERS) == 504
+
+
+def test_power_sums_suite_filters_each_order_by_its_prime(monkeypatch):
+    # p is split off q by prime_power_base: F_25 is kept by p = 5, where a
+    # rule listing the powers of 2 and 3 took q = 25 for its own prime
+    from borelline import suites
+
+    monkeypatch.setattr(suites, "POWER_SUM_ORDERS", (2, 4, 25))
+    assert suite_power_sums(p_filter=25)["cases"] == 0
+    rec = suite_power_sums(p_filter=5)
+    assert rec["ok"] is True and rec["cases"] == 2 * (3 * 24 + 1)
+    assert suite_power_sums(p_filter=2)["cases"] == 2 * (3 * 1 + 1) + 2 * (3 * 3 + 1)
 
 
 def test_sl2_relations_suite_names_a_submodule_of_the_wrong_dimension(monkeypatch):
