@@ -15,7 +15,7 @@ from the row of m // p, for p < 256), for the `lucas` suite.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 from operator import attrgetter
 
 from . import polyfp
@@ -171,6 +171,13 @@ def digit_sum(n, p) -> int:
 def nonzero_digit_count(n, p) -> int:
     """M_n: how many base-p digits of n are nonzero."""
     return sum(1 for d in expand(n, p) if d)
+
+
+def _fine_dim(n, p) -> int:
+    """dim L(n), the simple SL_2-module of highest weight n >= 0 in
+    characteristic p, by Fine's formula: the product of (d + 1) over the
+    base-p digits d of n, the count of k <= n with binom(n, k) prime to p."""
+    return prod(d + 1 for d in expand(n, p))
 
 
 def _lucas_digit_product(m, n, p) -> int:

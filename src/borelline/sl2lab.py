@@ -30,10 +30,9 @@ its scale on every cell.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, _lucas_digit_product, expand, power_sum, record
+from .digits import ArgumentError, RelationError, _fine_dim, _lucas_digit_product, power_sum, record
 from .linalg import (
     DenseMap,
     MonomialMap,
@@ -95,13 +94,6 @@ class _SL2Module:
         gens.append(self.h(self.codes.generator))
         gens.append(self.s())
         return tuple(gens)
-
-    @cached_property
-    def u_fixed_rows(self):
-        """The canonical code rows of M^U: the fixed space of the eps
-        generators, read off their orbits by `linalg.monomial_fixed_rows`.
-        Needs eps to act monomially, as on an induced module."""
-        return monomial_fixed_rows(self.codes, self.generators[:-2], self.dim)
 
     def _check_relations(self):
         """Steinberg's presentation of SL_2(F_q) (R. Steinberg, Lectures on
@@ -198,8 +190,7 @@ class InducedModule(_SL2Module):
         self.codes = codes = self.tower.codes(a)
         self.dim = self.q + 1
         # the code of theta(u) = u^m at the code of u
-        units = self.q - 1
-        self._theta = [0] + [k * self.m % units + 1 for k in range(units)]
+        self._theta = [0] + [codes.power(u, self.m) for u in range(1, self.q)]
         self._check_relations()
 
     # index 0 is the stable line; 1 + t is the cell eps(t) s line
@@ -225,6 +216,13 @@ class InducedModule(_SL2Module):
         units = range(1, self.q)
         return MonomialMap(self.codes, [1, 0] + [1 + neg[inv[t]] for t in units],
                            [1, theta[neg[1]]] + [theta[neg[t]] for t in units])
+
+    @cached_property
+    def u_fixed_rows(self):
+        """The canonical code rows of M^U: the fixed space of the eps
+        generators, read off their orbits by `linalg.monomial_fixed_rows`,
+        as eps acts monomially here."""
+        return monomial_fixed_rows(self.codes, self.generators[:-2], self.dim)
 
     def dual(self):
         """The contragredient module, on the dual basis: the induced module
@@ -366,8 +364,9 @@ class SocleHeadReport:
 def socle_head_report(module) -> SocleHeadReport:
     """Irreducibility of the whole module M, its unique minimal submodule
     and the dimension of its simple head, from the intertwiners
-    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual. Needs
-    theta nontrivial at the module's level.
+    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual, and
+    t_s' = t_s, built once, when theta^2 = 1 makes M' = M. Needs theta
+    nontrivial at the module's level.
 
     With t_s' t_s line = 0 checked here, `HeckeOperators` proves the socle
     to be t_s'(M'), the span of the columns of t_s', a proper submodule
@@ -380,7 +379,8 @@ def socle_head_report(module) -> SocleHeadReport:
             "the torus character is trivial at this level; the socle and head "
             "are not unique here"
         )
-    ops, dual_ops = HeckeOperators(module), HeckeOperators(module.dual())
+    ops, dual = HeckeOperators(module), module.dual()
+    dual_ops = ops if dual is module else HeckeOperators(dual)
     codes = module.codes
     if any(mat_vec(codes, dual_ops.t_s_rows, ops.t_s_line)):
         raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
@@ -393,7 +393,7 @@ def socle_digit_product(module: InducedModule) -> int:
     """dim L(q - 1 - m), the known socle dimension of a nontrivial induced
     module: the product of (p - d_i) over the a! base-p digits d_i of m,
     zeros included, since q - 1 - m has the digits p - 1 - d_i."""
-    return prod(d + 1 for d in expand(module.q - 1 - module.m, module.p))
+    return _fine_dim(module.q - 1 - module.m, module.p)
 
 
 def case_verdict(module: InducedModule):
@@ -432,11 +432,11 @@ def case_verdict(module: InducedModule):
         "socle_ok": True,
         "maximal_ok": True,
         "head_dim": rep.head_dim,
-        "digit_product": prod(d + 1 for d in expand(module.m, module.p)),
+        "digit_product": _fine_dim(module.m, module.p),
     }
-    if section["socle_dim"] != socle_digit_product(module):
-        failed["socle"] = {"dim": section["socle_dim"],
-                           "digit_product": socle_digit_product(module)}
+    socle = socle_digit_product(module)
+    if section["socle_dim"] != socle:
+        failed["socle"] = {"dim": section["socle_dim"], "digit_product": socle}
     if section["head_dim"] != section["digit_product"]:
         failed["head"] = {"dim": section["head_dim"], "digit_product": section["digit_product"]}
     return rep.whole, "socle_head", section, failed
@@ -496,9 +496,8 @@ class CostandardModule(_SL2Module):
         """Diagonal: v_i is scaled by u^(n - 2i)."""
         if not u:
             raise ArgumentError("torus points are invertible")
-        units = self.codes.q - 1
         return MonomialMap(self.codes, range(self.dim),
-                           [(u - 1) * (self.n - 2 * i) % units + 1 for i in range(self.dim)])
+                           [self.codes.power(u, self.n - 2 * i) for i in range(self.dim)])
 
     def s(self) -> MonomialMap:
         """Signed antidiagonal: v_i goes to (-1)^(n - i) v_(n - i)."""

@@ -25,8 +25,8 @@ from .characters import (
 )
 from .digits import (
     ArgumentError,
+    _fine_dim,
     check_digit_lemma,
-    expand,
     lucas_rows,
     power_sum,
     power_sums_direct,
@@ -191,9 +191,7 @@ def suite_sl2_relations(p_filter=None) -> dict:
             try:
                 cm = CostandardModule(n, p, coeff_level=a)
                 sub = l_submodule(cm)
-                # Fine's closed form: L(n) has dimension prod(d + 1) over the
-                # base-p digits d of n, by Lucas's theorem
-                expected = math.prod(d + 1 for d in expand(n, p))
+                expected = _fine_dim(n, p)
                 if sub.dim != expected:
                     failures.append(
                         {"p": p, "a": a, "n": n, "dim": sub.dim, "expected": expected}

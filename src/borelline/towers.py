@@ -3,32 +3,29 @@
 One tower per prime p, `make_tower(p)`, holds the fields F_(p^(n!)) for
 n = 1..3, each presented as F_p[x]/(f_n). f_n is the polynomial that
 `polyfp.primitive_walk` finds in degree n!: the walk proves f_n irreducible
-and its root x a generator of the units, and its powers of x are the
-level's antilog table. The embedding of level m into level n sends the
-root of f_m, level m's generator, to the root rho of f_m upstairs least by
-coordinates, so g_m^k goes to rho^k: one product of logs.
+and its root x a generator g of the units, and its powers of x list the
+level's units. The embedding of level m into level n sends the root of
+f_m, level m's generator, to the root rho of f_m upstairs least by
+coordinates, so g_m^k goes to rho^k: one power of a code.
 
-Field representation. Elements are interned: each (tower, level, value) has
-exactly one FieldElement, so equality is identity. An element carries its
-coordinate vector and its discrete logarithm to the base of the level's
-generator. Each level keeps an antilog table and a Zech table,
-z[d] = log(1 + g^d), so every operation is one table lookup that returns a
-canonical element. Operands must share one level: `+ - *` refuse mixed
-levels with ArgumentError, and `embed` first moves an element up to the
-other's level. Nothing of a level is built before its first use: then the
-walk finds f_n on the polynomial route, through the tower's memo of
-`polyfp.mul_mod` modulo each candidate, with no other search.
+Field representation. Each level is one `Codes`, built in O(q) from the
+walk's powers on the level's first use: it codes each element as an int,
+0 for zero and k + 1 for g^k. A product adds exponents and a sum is
+a (1 + b/a), read off the level's row `one_plus`, so each operation is O(1)
+on codes, and only this module knows the format (`Codes.power` serves the
+lab's powers). A FieldElement is the interned handle of one code, so
+equality is identity: `+ - *` refuse mixed levels with ArgumentError, and
+`embed` first moves an element up to the other's level. FieldElements
+compute only inside the tower, in its embeddings.
 
-Int codes. Exact linear algebra does not run on FieldElements: it codes
-each element of a level as an int, 0 for zero and k + 1 for g^k, and reads
-every sum, difference and product off the level's `Codes`, its q x q
-tables. `FieldTower.codes(level)` builds them from the level's antilog and
-Zech tables on its first call, with list slices and maps and no polynomial
-product: q^2 entries per table, 4 096 at q = 64 and 531 441 at q = 729, the
-largest field a module can reach (a costandard module with n <= 3 at
-p = 3, level 3), where the three tables take about 13 MB. A module takes
-every point as a code too, from `Codes` and `FieldTower.subfield_codes`, so
-FieldElements compute only inside the tower: its tables, its embeddings.
+Exact linear algebra reads every sum, difference and product off the
+level's q x q tables. `FieldTower.codes(level)` builds them on its first
+call, with list slices and maps and no polynomial product: q^2 entries per
+table, 4 096 at q = 64 and 531 441 at q = 729, the largest field a module
+can reach (a costandard module with n <= 3 at p = 3, level 3), where the
+three tables take about 13 MB. A level whose elements alone are used never
+pays for them. A module takes every point as a code, from `Codes` and
+`FieldTower.subfield_codes`.
 """
 
 from __future__ import annotations
@@ -66,146 +63,153 @@ def _level_degree(level) -> int:
     return factorial(level)
 
 
-class _Level:
-    """Lookup tables of one level of a tower, with q - 1 units.
-
-    Units have logs 0..q-2 and zero has log -(q-1). `exp` lists g^i for
-    0 <= i < 2(q-1) and then zero 2(q-1) times, so a sum of two logs,
-    including a zero's, indexes it directly (negative indices land in the
-    zeros). `zech[d]` is log(1 + g^d), or -(q-1) where 1 + g^d = 0, listed
-    twice so that differences of logs index it directly.
-    """
-
-    __slots__ = ("degree", "units", "neg", "exp", "zech", "zero", "by_coords", "codes")
-
-
 class Codes:
-    """The int codes of one level: 0 for zero and k + 1 for g^k.
+    """One level of a tower, its elements coded as ints: 0 for zero and
+    k + 1 for g^k.
 
-    `mul`, `add` and `sub` are q x q tables, indexed [a][b] by two codes;
-    `neg` and `inv` are rows of q codes, with inv[0] = 0 standing in for the
-    inverse zero lacks. `elements[c]` is the FieldElement of code c, so the
-    units come in the order 1, g, g^2, ... and one has code 1. `basis` codes
-    the power basis of f_n, `generator` is g's code, `scalars[c]` codes the
-    residue c mod p and `coords[c]` is code c's coordinate vector. `decode`
-    stays for `sl2lab.Subspace.rows`, which the benchmark tracer reads.
+    `elements[c]` is the FieldElement of code c, so the units come in the
+    order 1, g, g^2, ... and one has code 1; `coords[c]` is its coordinate
+    vector and `by_coords` maps a vector back to its code. `neg`, `inv` and
+    `one_plus` are rows of q codes, of -c, 1/c and 1 + c, with inv[0] = 0
+    standing in for the inverse zero lacks. `basis` codes the power basis of
+    f_n, `generator` is g's code and `scalars[c]` codes the residue c mod p.
+    `mul`, `add` and `sub` are q x q tables, indexed [a][b] by two codes,
+    None until `FieldTower.codes` builds them. `decode` stays for
+    `sl2lab.Subspace.rows`, which the benchmark tracer reads.
     """
 
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "elements", "_code", "basis",
-                 "generator", "scalars", "coords")
+    __slots__ = ("q", "elements", "coords", "by_coords", "neg", "inv", "one_plus", "basis",
+                 "generator", "scalars", "mul", "add", "sub")
 
-    def __init__(self, f):
-        units = f.units
-        cyc = list(range(1, units + 1)) * 2      # cyc[i] is the code of g^i
-        self.q = q = units + 1
+    def __init__(self, tower, level, powers):
+        """The level whose units are the walk's `powers` of g, in O(q)."""
+        p = tower.p
+        self.q = q = len(powers) + 1
+        d = len(powers[0])
+        self.coords = coords = ((0,) * d,) + tuple(powers)
+        self.by_coords = by_coords = {c: k for k, c in enumerate(coords)}
+        self.elements = tuple(FieldElement(tower, level, c, k, self) for k, c in enumerate(coords))
+        # 1 + c adds one to c's constant coordinate
+        self.one_plus = one_plus = [by_coords[((c[0] + 1) % p,) + c[1:]] for c in coords]
+        units = list(range(1, q))
+        half = 0 if p == 2 else (q - 1) // 2     # -1 = g^half
+        self.neg = [0] + units[half:] + units[:half]
+        self.inv = [0, 1] + units[:0:-1]
+        self.basis = tuple(by_coords[tuple(int(i == j) for i in range(d))] for j in range(d))
+        self.generator = units[1 % (q - 1)]     # g = 1 when q = 2
+        self.scalars = scalars = [0]             # 0, 1, 1 + 1, ...
+        while one_plus[scalars[-1]]:
+            scalars.append(one_plus[scalars[-1]])
+        self.mul = self.add = self.sub = None
+
+    def _tabulate(self):
+        """The q x q tables: g^k g^j = g^(k + j), and
+        g^k + g^j = g^k (1 + g^(j - k)), the sum read off `one_plus`."""
+        q = self.q
+        units = q - 1
+        cyc = list(range(1, q)) * 2              # cyc[i] is the code of g^i
         self.mul = mul = [[0] * q] + [[0] + cyc[k:k + units] for k in range(units)]
-        self.neg = neg = [0] + cyc[f.neg:f.neg + units]
-        self.inv = [0] + [cyc[units - k] for k in range(units)]
-        # g^k + g^j = g^k (1 + g^(j - k)), and 1 + g^d has code one_plus[d]
-        one_plus = [z + 1 if z >= 0 else 0 for z in f.zech[:units]] * 2
+        one_plus = self.one_plus[1:] * 2         # one_plus[d] is the code of 1 + g^d
         self.add = add = [list(range(q))] + [
             [a] + list(map(mul[a].__getitem__, one_plus[units - a + 1:2 * units - a + 1]))
             for a in range(1, q)]
-        self.sub = [list(map(row.__getitem__, neg)) for row in add]
-        self.elements = (f.zero,) + tuple(f.exp[:units])
-        self._code = {x: c for c, x in enumerate(self.elements)}
-        self.coords = tuple(x.coords for x in self.elements)
-        self.basis = tuple(self._code[f.by_coords[tuple(int(i == j) for i in range(f.degree))]]
-                           for j in range(f.degree))
-        self.generator = cyc[1]
-        self.scalars = scalars = [0]             # 0, 1, 1 + 1, ...
-        while add[scalars[-1]][1]:
-            scalars.append(add[scalars[-1]][1])
+        self.sub = [list(map(row.__getitem__, self.neg)) for row in add]
+
+    def times(self, a, b) -> int:
+        """The code of a b: exponents add."""
+        return (a + b - 2) % (self.q - 1) + 1 if a and b else 0
+
+    def plus(self, a, b) -> int:
+        """The code of a + b = a (1 + b/a), or b when a is zero."""
+        if not a:
+            return b
+        return self.times(a, self.one_plus[self.times(b, self.inv[a])])
+
+    def power(self, c, k) -> int:
+        """The code of c^k, with 0^0 = 1; zero has no negative power."""
+        if c:
+            return (c - 1) * k % (self.q - 1) + 1
+        if k < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 0 if k else 1
 
     def code(self, x) -> int:
         """The code of a FieldElement of this level; anything else is
         refused as `+ - *` refuse it."""
-        c = self._code.get(x) if isinstance(x, FieldElement) else None
-        if c is None:
+        if not isinstance(x, FieldElement) or x._codes is not self:
             raise _mismatch(self.elements[0], x)
-        return c
+        return x.code
 
     def decode(self, vec):
         return tuple(map(self.elements.__getitem__, vec))
 
 
 class FieldElement:
-    """An element of one level of a tower.
+    """An element of one level of a tower: the interned handle of its code.
 
     Elements are interned; obtain them from their FieldTower. `coords` is the
-    coordinate vector over F_p in the power basis of the defining polynomial.
-    Its operators serve the tower and the tests; the benchmark tracer counts them.
+    coordinate vector over F_p in the power basis of the defining polynomial
+    and `code` its code in the level's `Codes`, on which every operator
+    computes. The operators serve the tower and the tests; the benchmark
+    tracer counts them.
     """
 
-    __slots__ = ("tower", "level", "coords", "log", "_f")
+    __slots__ = ("tower", "level", "coords", "code", "_codes")
 
-    def __init__(self, tower, level, coords, log, tables):
+    def __init__(self, tower, level, coords, code, codes):
         self.tower = tower
         self.level = level
         self.coords = coords
-        self.log = log
-        self._f = tables
+        self.code = code
+        self._codes = codes
 
     def is_zero(self) -> bool:
-        return self.log < 0
+        return not self.code
 
     def __add__(self, other):
-        if other.__class__ is not FieldElement or other._f is not self._f:
+        f = self._codes
+        if other.__class__ is not FieldElement or other._codes is not f:
             raise _mismatch(self, other)
-        la, lb = self.log, other.log
-        if la < 0:
-            return other
-        if lb < 0:
-            return self
-        f = self._f
-        return f.exp[la + f.zech[lb - la]]
+        return f.elements[f.plus(self.code, other.code)]
 
     def __neg__(self):
-        f = self._f
-        return f.exp[self.log + f.neg]
+        f = self._codes
+        return f.elements[f.neg[self.code]]
 
     def __sub__(self, other):
-        if other.__class__ is not FieldElement or other._f is not self._f:
+        f = self._codes
+        if other.__class__ is not FieldElement or other._codes is not f:
             raise _mismatch(self, other)
-        la, lb = self.log, other.log
-        if lb < 0:
-            return self
-        f = self._f
-        lb += f.neg
-        if la < 0:
-            return f.exp[lb]
-        return f.exp[la + f.zech[lb - la]]
+        return f.elements[f.plus(self.code, f.neg[other.code])]
 
     def __mul__(self, other):
-        if other.__class__ is not FieldElement or other._f is not self._f:
+        f = self._codes
+        if other.__class__ is not FieldElement or other._codes is not f:
             raise _mismatch(self, other)
-        return self._f.exp[self.log + other.log]
+        return f.elements[f.times(self.code, other.code)]
 
     def inverse(self):
-        if self.log < 0:
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
-        f = self._f
-        return f.exp[f.units - self.log]
+        f = self._codes
+        return f.elements[f.inv[self.code]]
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        f = self._f
-        if self.log < 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return f.exp[0] if e == 0 else self
-        return f.exp[self.log * e % f.units]
+        f = self._codes
+        return f.elements[f.power(self.code, e)]
 
     def embed(self, level):
         if level < self.level:
             raise ArgumentError("cannot embed downward")
         if level == self.level:
             return self
-        f = self.tower._tables(level)
-        if self.log < 0:
-            return f.zero
-        return f.exp[self.log * self.tower._embedding(self.level, level) % f.units]
+        f = self.tower._level(level)
+        if not self.code:
+            return f.elements[0]
+        # g_m^k goes to rho^k
+        return f.elements[f.power(self.tower._embedding(self.level, level), self.code - 1)]
 
     def __repr__(self):
         return f"FieldElement(p={self.tower.p}, level={self.level}, coords={self.coords})"
@@ -224,11 +228,12 @@ def _mismatch(a, b):
 
 class FieldTower:
     """The fields F_(p^(n!)) over one prime p. A tower holds nothing but p
-    when it is made: each level's defining polynomial, tables and memo of
-    products are built on the level's first use, and each embedding on the
-    first embed along it. No build takes a lock, so request an element of
-    every level needed, and embed into it once from each lower level,
-    before sharing a tower between threads."""
+    when it is made: each level's defining polynomial, `Codes` and memo of
+    products are built on the level's first use, the level's tables on the
+    first `codes` call, and each embedding on the first embed along it. No
+    build takes a lock, so request the codes of every level needed, and
+    embed into it once from each lower level, before sharing a tower
+    between threads."""
 
     def __init__(self, p):
         require_prime(p)
@@ -241,13 +246,13 @@ class FieldTower:
     # -- construction internals ------------------------------------------
 
     def _embedding(self, m, n):
-        """log rho at level n, rho the root of f_m that is least by
+        """The code of rho at level n, rho the root of f_m that is least by
         coordinates: the image of level m's generator. The roots lie in the
         subfield of order q_m, which is zero and the powers of
         g^((q_n - 1)/(q_m - 1))."""
-        log_rho = self._embeddings.get((m, n))
-        if log_rho is not None:
-            return log_rho
+        rho = self._embeddings.get((m, n))
+        if rho is not None:
+            return rho
         qm = self.order(m)
         coeffs = [self.scalar(c, n) for c in reversed(self.defining_polynomial(m))]
         step = self.multiplicative_generator(n) ** ((self.order(n) - 1) // (qm - 1))
@@ -260,38 +265,19 @@ class FieldTower:
                 roots.append(x)
         if len(roots) != self.degree(m):
             raise RelationError("embedding root count mismatch")
-        rho = min(roots, key=lambda x: x.coords)
-        self._embeddings[(m, n)] = rho.log
-        return rho.log
+        rho = self._embeddings[(m, n)] = min(roots, key=lambda x: x.coords).code
+        return rho
 
-    def _tables(self, n):
-        f = self._levels.get(n)
-        if f is None:
-            f = self._levels[n] = self._build_tables(n)
-        return f
-
-    def _build_tables(self, n):
-        """Log, antilog and Zech tables of level n, from `polyfp.primitive_walk`,
-        which finds f_n on the polynomial route through `_mul_coords`."""
-        d = _level_degree(n)
-        self._mul_cache[n] = {}
-        self._polys[n], powers = polyfp.primitive_walk(self.p, d, partial(self._mul_coords, n))
-        units = len(powers)
-        log = {c: i for i, c in enumerate(powers)}
-        zero = (0,) * d
-        f = _Level()
-        f.degree = d
-        f.units = units
-        f.neg = 0 if self.p == 2 else units // 2
-        f.zero = FieldElement(self, n, zero, -units, f)
-        elems = [FieldElement(self, n, c, i, f) for i, c in enumerate(powers)]
-        f.exp = elems + elems + [f.zero] * (2 * units)
-        f.by_coords = {e.coords: e for e in elems}
-        f.by_coords[f.zero.coords] = f.zero
-        zech = [log.get(((c[0] + 1) % self.p,) + c[1:], -units) for c in powers]
-        f.zech = zech + zech
-        f.codes = None
-        return f
+    def _level(self, n) -> Codes:
+        """Level n, from `polyfp.primitive_walk`, which finds f_n on the
+        polynomial route through `_mul_coords`."""
+        codes = self._levels.get(n)
+        if codes is None:
+            d = _level_degree(n)
+            self._mul_cache[n] = {}
+            self._polys[n], powers = polyfp.primitive_walk(self.p, d, partial(self._mul_coords, n))
+            codes = self._levels[n] = Codes(self, n, powers)
+        return codes
 
     # -- coordinate kernels ----------------------------------------------
 
@@ -315,16 +301,16 @@ class FieldTower:
         return field_order(self.p, level)
 
     def defining_polynomial(self, level):
-        """f_level, found by the walk that builds the level's tables."""
-        self._tables(level)
+        """f_level, found by the walk that builds the level."""
+        self._level(level)
         return self._polys[level]
 
     def codes(self, level) -> Codes:
-        """The int codes of the level, built on the first call."""
-        f = self._tables(level)
-        if f.codes is None:
-            f.codes = Codes(f)
-        return f.codes
+        """The level, its q x q tables built on the first call."""
+        codes = self._level(level)
+        if codes.mul is None:
+            codes._tabulate()
+        return codes
 
     def subfield_codes(self, r, n):
         """The codes at level n of level r's elements, in the order of
@@ -335,21 +321,22 @@ class FieldTower:
     # -- elements: for `_embedding` and `subfield_codes` --------------------
 
     def zero(self, level):
-        return self._tables(level).zero
+        return self._level(level).elements[0]
 
     def scalar(self, c, level):
         """The prime-field scalar c at the given level."""
-        f = self._tables(level)
-        return f.by_coords[(c % self.p,) + f.zero.coords[1:]]
+        codes = self._level(level)
+        return codes.elements[codes.scalars[c % self.p]]
 
     def multiplicative_generator(self, level):
-        return self._tables(level).exp[1]
+        codes = self._level(level)
+        return codes.elements[codes.generator]
 
     def enumerate_elements(self, level):
         """All p^(n!) elements, in lexicographic coordinate order."""
-        by_coords = self._tables(level).by_coords
+        codes = self._level(level)
         for coords in itertools.product(range(self.p), repeat=self.degree(level)):
-            yield by_coords[coords]
+            yield codes.elements[codes.by_coords[coords]]
 
 
 @lru_cache(maxsize=None)

@@ -21,18 +21,17 @@ from __future__ import annotations
 from collections import namedtuple
 
 from borelline import sl2lab
-from borelline.linalg import MonomialMap, mat_mul, rref, span_contains
+from borelline.linalg import mat_mul, rref, span_contains
 from proof_route import fixed_subspace, kernel
 
 
 def u_fixed_rows(module):
-    """M^U: the module's `u_fixed_rows`, read off the orbits of the eps
-    generators, where they act monomially, as on an induced module and its
-    dual; on a costandard module, the stacked kernel of the reference route."""
-    eps = module.generators[:-2]
-    if all(isinstance(g, MonomialMap) for g in eps):
+    """M^U: an induced module's `u_fixed_rows`, read off the orbits of its
+    monomial eps generators; on any other module, the stacked kernel of the
+    reference route."""
+    if isinstance(module, sl2lab.InducedModule):
         return module.u_fixed_rows
-    return fixed_subspace(module.codes, eps, module.dim)
+    return fixed_subspace(module.codes, module.generators[:-2], module.dim)
 
 
 def b_stable_lines(module):

@@ -277,6 +277,29 @@ def test_commands_build_only_the_levels_they_use(capsys, fresh_caches, polyfp_mu
     assert make_tower.cache_info().currsize == towers
 
 
+def test_verify_sl2_chain_makes_the_traced_field_operations(monkeypatch, capsys, fresh_caches):
+    # the benchmark tracer counts FieldElement operators in these groups, and
+    # sl2-chain is the one suite that makes them: each embedding's root
+    # search evaluates f_m at the subfield's points. An operator that called
+    # another counted one, as __add__ testing its operands by is_zero would,
+    # changes a count
+    groups = {"__mul__": "mul", "__add__": "addsub", "__sub__": "addsub",
+              "__neg__": "addsub", "inverse": "inv", "is_zero": "is_zero"}
+    counts = dict.fromkeys(groups.values(), 0)
+
+    def counting(group, real):
+        def op(*args):
+            counts[group] += 1
+            return real(*args)
+        return op
+
+    for name, group in groups.items():
+        monkeypatch.setattr(towers.FieldElement, name,
+                            counting(group, getattr(towers.FieldElement, name)))
+    assert run_cli(capsys, "verify", "sl2-chain")[0] == 0
+    assert counts == {"mul": 10, "addsub": 10, "inv": 0, "is_zero": 5}
+
+
 @pytest.mark.parametrize("p, a", ((67, 1), (2, 4)))
 def test_lab_refusals_build_no_tower(capsys, p, a):
     # the group-order cap and the tower cap both refuse before make_tower runs
@@ -288,17 +311,16 @@ def test_lab_refusals_build_no_tower(capsys, p, a):
 
 @pytest.fixture
 def code_table_builds(monkeypatch):
-    """A list whose length counts the code tables built from now on."""
+    """A list whose length counts the levels whose code tables are built
+    from now on."""
     builds = []
+    real = towers.Codes._tabulate
 
-    class Counting(towers.Codes):
-        __slots__ = ()
+    def counting(codes):
+        builds.append(None)
+        real(codes)
 
-        def __init__(self, level):
-            builds.append(None)
-            super().__init__(level)
-
-    monkeypatch.setattr(towers, "Codes", Counting)
+    monkeypatch.setattr(towers.Codes, "_tabulate", counting)
     return builds
 
 

@@ -93,7 +93,8 @@ def test_dual_is_the_transposed_contragredient():
         assert (dual is module) is (2 * m % (module.q - 1) == 0)
         assert module.dual() is dual and dual.dual() is module
         assert dual.generators == reference.generators
-        assert dual.u_fixed_rows == reference.u_fixed_rows
+        assert dual.u_fixed_rows == proof_route.fixed_subspace(
+            reference.codes, reference.generators[:-2], reference.dim)
         assert (dual.p, dual.a, dual.m, dual.dim, dual.codes) == (
             p, a, -m % (module.q - 1), module.dim, module.codes)
     assert len(cases) == 1 + 2 + 3 + 4 + 6 + 8 + 10 + 12

@@ -447,6 +447,31 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     assert len(polyfp_mul_calls) == built
 
 
+@pytest.mark.parametrize("m, builds", ((3, 1), (1, 2)), ids=("order-2", "generic"))
+def test_a_self_dual_module_builds_one_hecke_operator(monkeypatch, m, builds):
+    # at (7, 1, 3) theta has order 2, the dual is the module, and its
+    # operator, with its equivariance check, serves as the dual's too
+    calls = []
+    real = HeckeOperators.__init__
+
+    def counting(self, module):
+        calls.append(module)
+        real(self, module)
+
+    module = InducedModule(7, 1, power_char(m, 7, 1))
+    monkeypatch.setattr(HeckeOperators, "__init__", counting)
+    assert socle_head_report(module).head_dim == m + 1
+    assert len(calls) == builds and (module.dual() is module) is (builds == 1)
+
+
+def test_only_an_induced_module_reads_m_u_off_the_eps_orbits():
+    # the orbit walk needs monomial eps maps; a costandard module's are
+    # dense, so the shared module protocol offers no M^U
+    assert not hasattr(sl2lab._SL2Module, "u_fixed_rows")
+    assert not hasattr(CostandardModule, "u_fixed_rows")
+    assert InducedModule(3, 1, power_char(1, 3, 1)).u_fixed_rows
+
+
 # -- the exhaustive reference route -------------------------------------------
 #
 # Spin one line per group orbit of every line of the span, and read the
@@ -1003,14 +1028,14 @@ def _one_more_u_fixed_row(monkeypatch):
     """From now on M^U holds one row past the plane of the line and t_s
     line: the unit vector of the cell at 0. A cached property, as the real
     one is, so that the dual can take the module's."""
-    real = sl2lab._SL2Module.u_fixed_rows.func
+    real = sl2lab.InducedModule.u_fixed_rows.func
 
     def one_row_more(self):
         return rref(self.codes, real(self) + (self.unit_vector(1),))
 
     prop = cached_property(one_row_more)
-    prop.__set_name__(sl2lab._SL2Module, "u_fixed_rows")
-    monkeypatch.setattr(sl2lab._SL2Module, "u_fixed_rows", prop)
+    prop.__set_name__(sl2lab.InducedModule, "u_fixed_rows")
+    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", prop)
     return "M^U is not spanned by the line and t_s line"
 
 
@@ -1385,12 +1410,12 @@ def test_hecke_operators_catch_a_u_fixed_space_past_the_plane(monkeypatch, p, m)
     # one extra row in M^U: t_s is still equivariant with t_s^2 = c t_s,
     # but the line and t_s line no longer span the U-fixed vectors
     module = InducedModule(p, 1, power_char(m, p, 1))
-    real = sl2lab._SL2Module.u_fixed_rows.func
+    real = sl2lab.InducedModule.u_fixed_rows.func
 
     def one_row_more(self):
         return rref(self.codes, real(self) + (self.unit_vector(1),))
 
-    monkeypatch.setattr(sl2lab._SL2Module, "u_fixed_rows", property(one_row_more))
+    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", property(one_row_more))
     with pytest.raises(RelationError, match=re.escape("M^U is not spanned by the line and t_s line")):
         HeckeOperators(module)
 

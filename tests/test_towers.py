@@ -386,7 +386,7 @@ def test_code_tables_agree_with_the_field_operators(p, level):
     assert codes.q == t.order(level) and len(codes.mul) == len(codes.sub) == codes.q
     # zero, then the powers of the generator from one
     assert codes.elements[0].is_zero() and codes.elements[1] is t.scalar(1, level)
-    assert all(x.log == c - 1 for c, x in enumerate(codes.elements) if c)
+    assert all(x.code == c for c, x in enumerate(codes.elements))
     assert ref.encode(codes, codes.elements) == tuple(range(codes.q))
     assert _code_table_errors(codes) == []
 
@@ -400,7 +400,58 @@ def test_a_wrong_code_table_entry_fails_the_table_check(monkeypatch, table):
     assert _code_table_errors(codes) == [(table, 2, 3)]
 
 
-def test_code_tables_are_built_from_the_log_tables(polyfp_mul_calls):
+def _polynomial_route_errors(t, level):
+    """Every entry of the level's code tables and rows that disagrees with
+    the polynomial route, as (table, a, b): products by `polyfp.mul` reduced
+    modulo f_n, sums and differences coordinatewise mod p, each read back
+    through the codes' coordinates."""
+    codes = t.codes(level)
+    f, d, p = t.defining_polynomial(level), t.degree(level), t.p
+    coords = codes.coords
+    polys = [polyfp.trim(c) for c in coords]
+
+    def product(x, y):
+        return _padded(polyfp.poly_mod(polyfp.mul(x, y, p), f, p), d)
+
+    errors = []
+    for a, (ca, pa) in enumerate(zip(coords, polys)):
+        for b, (cb, pb) in enumerate(zip(coords, polys)):
+            for name, want in (
+                    ("mul", product(pa, pb)),
+                    ("add", tuple((x + y) % p for x, y in zip(ca, cb))),
+                    ("sub", tuple((x - y) % p for x, y in zip(ca, cb)))):
+                if coords[getattr(codes, name)[a][b]] != want:
+                    errors.append((name, a, b))
+        if coords[codes.neg[a]] != tuple(-x % p for x in ca):
+            errors.append(("neg", a, None))
+        if coords[codes.one_plus[a]] != ((ca[0] + 1) % p,) + ca[1:]:
+            errors.append(("one_plus", a, None))
+        if a and product(pa, polys[codes.inv[a]]) != coords[1]:
+            errors.append(("inv", a, None))
+    return errors
+
+
+@pytest.mark.parametrize("p, level", CODED_FIELDS,
+                         ids=[f"q={p ** (1, 2, 6)[level - 1]}" for p, level in CODED_FIELDS])
+def test_code_tables_agree_with_the_polynomial_route(p, level):
+    # the FieldElement operators read one_plus as the add table does, so
+    # only this route checks the sums independently
+    assert _polynomial_route_errors(make_tower(p), level) == []
+
+
+def test_a_wrong_one_plus_entry_fails_the_polynomial_route():
+    # 1 + g is taken for 1 + g^2: every sum a + b with b = g a goes wrong,
+    # in the add table and in the sub table read off it
+    t = FieldTower(5)
+    codes = t.codes(1)
+    codes.one_plus[2] = codes.one_plus[3]
+    codes._tabulate()
+    errors = _polynomial_route_errors(t, 1)
+    assert {name for name, _, _ in errors} == {"add", "sub", "one_plus"}
+    assert ("add", 2, 3) in errors and ("one_plus", 2, None) in errors
+
+
+def test_code_tables_take_no_polynomial_product(polyfp_mul_calls):
     # the level's tables take polynomial products; its code tables none
     t = FieldTower(2)
     t.scalar(1, 3)
