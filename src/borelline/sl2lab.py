@@ -19,8 +19,8 @@ benchmark tracer.
 Conventions: eps(t) is the upper unipotent, h(u) the diagonal torus, s the
 standard Weyl representative with s^2 = h(-1). The s-action on the cell
 basis is written in closed form, s . cell(t) = theta(-t) cell(-1/t), and
-pinned down by the relation check of every construction: s^2 = h(-1)
-fixes its sign and the conjugation word
+pinned down by the relation check, once per level: s^2 = h(-1) fixes its
+sign and the conjugation word
 
     s^-1 eps(t) s = eps(-1/t) s h(t) eps(-1/t)
 
@@ -29,9 +29,9 @@ its scale on every cell.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .characters import TruncatedCharacter
+from .characters import RationalPower, TruncatedCharacter, truncate
 from .digits import ArgumentError, RelationError, _fine_dim, _lucas_digit_product, power_sum, record
 from .linalg import (
     DenseMap,
@@ -78,9 +78,9 @@ class _SL2Module:
     `_check_relations`. `codes` is that level's `towers.Codes`: the points
     x and u, the maps' entries and every vector of the module are its codes.
 
-    Each call of eps, h or s builds a new map. The generators and M^U are
-    built once per module instance, on first use, and every spin, stability
-    check and intertwiner of the module reads them."""
+    Each call of eps, h or s builds a new map. The generators are built once
+    per module, on first use, and every spin, stability check and
+    intertwiner reads them; an induced module's eps are its level's."""
 
     def unit_vector(self, i):
         """The i-th basis vector, in codes."""
@@ -88,12 +88,8 @@ class _SL2Module:
 
     @cached_property
     def generators(self):
-        """eps over an F_p-basis of F_q, then h at a generator of the units,
-        then s."""
-        gens = [self.eps(b) for b in self.codes.basis]
-        gens.append(self.h(self.codes.generator))
-        gens.append(self.s())
-        return tuple(gens)
+        """eps over an F_p-basis of F_q, then h at the generator of the units, then s."""
+        return (*map(self.eps, self.codes.basis), self.h(self.codes.generator), self.s())
 
     def _check_relations(self):
         """Steinberg's presentation of SL_2(F_q) (R. Steinberg, Lectures on
@@ -111,18 +107,15 @@ class _SL2Module:
 
         Steps 1-3 make eps additive and step 4 makes h multiplicative; with
         them step 5 gives h(u) eps(x) h(u)^-1 = eps(u^2 x) for all u and x.
-        The eps(b), h(g) and s checked are those of `generators`, so the
-        intertwiners are checked against the maps proved here; each other map
-        is built once.
+        The eps(b), h(g) and s checked are those of `generators`, and each
+        other map is built once.
         """
         codes = self.codes
         q, sub, mul, neg, inv = codes.q, codes.sub, codes.mul, codes.neg, codes.inv
         basis, g, coords = codes.basis, codes.generator, codes.coords
         *eps_b, h_g, s = self.generators
-        eps = dict(zip(basis, eps_b))
-        eps.update({x: self.eps(x) for x in range(q) if x not in eps})
-        h = {g: h_g}
-        h.update({u: self.h(u) for u in range(1, q) if u not in h})
+        eps = {x: self.eps(x) for x in range(q) if x not in basis} | dict(zip(basis, eps_b))
+        h = {u: self.h(u) for u in range(1, q) if u != g} | {g: h_g}
         vectors = [self.unit_vector(i) for i in range(self.dim)]
         if any(eps[0].apply(e) != e for e in vectors):
             raise RelationError("eps is not additive: eps(0) is not the identity")
@@ -163,124 +156,130 @@ class _SL2Module:
                 raise RelationError("the s-conjugation relation fails")
 
 
-class InducedModule(_SL2Module):
-    """kG_a tensor theta, with cell basis {line} + {eps(t) s line : t in F_q}.
+class _InducedLevel(_SL2Module):
+    """The induced module of theta = id at level a, built once per level
+    (`_induced_level`): each scale of h and s is its theta-free argument,
+    and its check of the presentation and the line serves every
+    `InducedModule` of the level. The line has index 0 and the cell
+    eps(t) s line index 1 + t, so the monomial maps' permutations are rows
+    of the code tables shifted by one."""
 
-    An `_SL2Module` with monomial actions over the one field F_q at level a:
-    the group, the character values and the coordinates all live there.
-    The cells come in the order of their labels' codes: cell(t) has index
-    1 + t, so the maps' permutations are rows of the code tables shifted by
-    one.
-    """
+    m = 1  # theta = id
 
-    def __init__(self, p, a, theta: TruncatedCharacter):
-        if theta.p != p:
-            raise ArgumentError("character prime disagrees with p")
-        if theta.level < a:
-            raise ArgumentError(f"character needs residues up to level {a}")
-        self.q = field_order(p, a)
-        self.p = p
-        self.a = self.coeff_level = a
+    def __init__(self, p, a):
+        self.p, self.a, self.coeff_level, self.q = p, a, a, field_order(p, a)
         if self.q > GROUP_ORDER_CAP:
             raise CapabilityError(
-                f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}"
-            )
-        self.m = theta.residue(a)
-        self.tower = make_tower(p)
-        self.codes = codes = self.tower.codes(a)
-        self.dim = self.q + 1
-        # the code of theta(u) = u^m at the code of u
-        self._theta = [0] + [codes.power(u, self.m) for u in range(1, self.q)]
+                f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+        self.tower, self.dim = make_tower(p), self.q + 1
+        self.codes = self.tower.codes(a)
         self._check_relations()
-
-    # index 0 is the stable line; 1 + t is the cell eps(t) s line
 
     def eps(self, x) -> MonomialMap:
         """Upper unipotent: fixes the line, translates the cells."""
         return MonomialMap(self.codes, [0] + [1 + c for c in self.codes.add[x]], [1] * self.dim)
 
     def h(self, u) -> MonomialMap:
-        """Torus: scales the line by theta(u), rescales and squeezes cells."""
+        """Torus: scales the line by u and the cells by 1/u, squeezes cells."""
         if not u:
             raise ArgumentError("torus points are invertible")
         codes = self.codes
         squeeze = codes.mul[codes.mul[u][u]]
-        return MonomialMap(codes, [0] + [1 + t for t in squeeze],
-                           [self._theta[u]] + [self._theta[codes.inv[u]]] * self.q)
+        return MonomialMap(codes, [0] + [1 + t for t in squeeze], [u] + [codes.inv[u]] * self.q)
 
     def s(self) -> MonomialMap:
         """Swaps the line and the cell at 0: s . line = cell(0),
-        s . cell(0) = theta(-1) line, and s . cell(t) = theta(-t) cell(-1/t)
-        for t != 0."""
-        neg, inv, theta = self.codes.neg, self.codes.inv, self._theta
-        units = range(1, self.q)
-        return MonomialMap(self.codes, [1, 0] + [1 + neg[inv[t]] for t in units],
-                           [1, theta[neg[1]]] + [theta[neg[t]] for t in units])
+        s . cell(0) = -line, and s . cell(t) = -t cell(-1/t) for t != 0."""
+        neg, inv = self.codes.neg, self.codes.inv
+        return MonomialMap(self.codes, [1, 0] + [1 + neg[inv[t]] for t in range(1, self.q)],
+                           [1, neg[1], *neg[1:]])
 
     @cached_property
     def u_fixed_rows(self):
-        """The canonical code rows of M^U: the fixed space of the eps
-        generators, read off their orbits by `linalg.monomial_fixed_rows`,
-        as eps acts monomially here."""
+        """The canonical code rows of M^U, the fixed space of the eps
+        generators, read off their orbits (`linalg.monomial_fixed_rows`)."""
         return monomial_fixed_rows(self.codes, self.generators[:-2], self.dim)
-
-    def dual(self):
-        """The contragredient module, on the dual basis: the induced module
-        of theta^-1 on the same cells, or this module when theta^2 = 1.
-
-        g acts on the dual basis by (g^-1)^T. For a monomial map g, sending
-        cell j to scale[j] cell perm[j], g^-1 sends cell perm[j] back to
-        cell j with scale 1/scale[j], and its transpose sends cell j to
-        cell perm[j] with that scale: the permutation is kept and every
-        scale inverted. Each map here takes its permutation from the code
-        tables alone and each scale is 1 or a value of theta, so at every
-        point the dual's map is the map of theta^-1. The contragredient of
-        a representation is one, so those maps satisfy the presentation
-        checked for theta's maps, and the check is not run again.
-
-        The dual is built once, and its dual is this module. It shares this
-        module's M^U (`u_fixed_rows`): eps does not read theta, so the two
-        modules have the same eps maps, and M^U, read off their orbits, is
-        walked once for both.
-        """
-        if "_dual" in vars(self):
-            return self._dual
-        units = self.q - 1
-        if 2 * self.m % units == 0:
-            return self
-        dual = InducedModule.__new__(InducedModule)
-        for name in ("q", "p", "a", "coeff_level", "tower", "codes", "dim", "u_fixed_rows"):
-            setattr(dual, name, getattr(self, name))
-        dual.m = -self.m % units
-        dual._theta = [0] + [self.codes.inv[c] for c in self._theta[1:]]
-        self._dual, dual._dual = dual, self
-        return dual
 
     def line_sum_vector(self, subfield_level=None):
         """sum over u in the chosen subfield of u . s . line, one cell each."""
-        if subfield_level is None:
-            subfield_level = self.a
-        if subfield_level > self.a:
+        level = self.a if subfield_level is None else subfield_level
+        if level > self.a:
             raise ArgumentError("subfield level exceeds the group level")
-        cells = {1 + c for c in self.tower.subfield_codes(subfield_level, self.a)}
+        cells = {1 + c for c in self.tower.subfield_codes(level, self.a)}
         return tuple(int(i in cells) for i in range(self.dim))
 
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
 
         The line is checked on the generators alone: each eps(b) fixes it
-        and h(g) scales it by theta(g). That is a proof once the presentation
-        holds: eps is additive, so every eps(x) is a product of eps(b) and
-        fixes the line, and h is multiplicative, so h(g^k) = h(g)^k scales it
-        by theta(g)^k = theta(g^k), theta being a character.
+        and h(g) scales it by theta(g) = g^m. That is a proof once the
+        presentation holds: eps is additive, so every eps(x) is a product of
+        eps(b) and fixes the line, and h is multiplicative, so h(g^k) = h(g)^k
+        scales it by theta(g)^k = theta(g^k), theta being a character.
         """
-        line = self.unit_vector(0)
+        codes, line = self.codes, self.unit_vector(0)
         *eps_b, h_g, _ = self.generators
         if any(e.apply(line) != line for e in eps_b):
             raise RelationError("eps must fix the stable line")
-        if h_g.apply(line) != vec_scale(self.codes, self._theta[self.codes.generator], line):
+        if h_g.apply(line) != vec_scale(codes, codes.power(codes.generator, self.m), line):
             raise RelationError("h must scale the line by theta")
         super()._check_relations()
+
+
+_induced_level = lru_cache(maxsize=None)(_InducedLevel)
+
+
+class InducedModule(_InducedLevel):
+    """kG_a tensor theta, theta(u) = u^m, on the cells of its `level`, whose
+    maps it takes with each scale c of h and s raised to c^m (`Codes.power`)
+    and checks no more: no permutation reads theta, c -> c^m is a
+    homomorphism of F_q^x, and `compose` multiplies scales along shared
+    permutations, so raising commutes with composition and fixes each map
+    with scales 1, eps and the identity among them. Each identity the level
+    checks at theta = id, the line's included, thus holds for every m;
+    `_check_relations` stays as the per-character reference route."""
+
+    def __init__(self, p, a, theta: TruncatedCharacter):
+        if theta.p != p:
+            raise ArgumentError("character prime disagrees with p")
+        if theta.level < a:
+            raise ArgumentError(f"character needs residues up to level {a}")
+        self.level = level = _induced_level(p, a)
+        self.p, self.a, self.coeff_level, self.m = p, a, a, theta.residue(a)
+        self.q, self.dim, self.tower, self.codes = level.q, level.dim, level.tower, level.codes
+
+    def _raised(self, g) -> MonomialMap:
+        codes, m = self.codes, self.m
+        return MonomialMap(codes, g.perm, [codes.power(c, m) for c in g.scale])
+
+    def h(self, u) -> MonomialMap:
+        """The level's h(u): theta(u) on the line, theta(1/u) on the cells."""
+        return self._raised(self.level.h(u))
+
+    def s(self) -> MonomialMap:
+        """The level's s, built once: s . cell(0) = theta(-1) line, and
+        s . cell(t) = theta(-t) cell(-1/t)."""
+        return self._raised(self.level.generators[-1])
+
+    @cached_property
+    def generators(self):
+        return self.level.generators[:-2] + (self.h(self.codes.generator), self.s())
+
+    @property
+    def u_fixed_rows(self):
+        """The level's M^U: eps reads no theta."""
+        return self.level.u_fixed_rows
+
+    def dual(self):
+        """The contragredient, on the dual basis: g acts by (g^-1)^T, the
+        same permutation with every scale inverted, each scale being theta of
+        a theta-free argument. So it is Ind theta^-1, or this module when
+        theta^2 = 1, built once; its dual is this module."""
+        if "_dual" not in vars(self):
+            self._dual = self if 2 * self.m % (self.q - 1) == 0 else InducedModule(
+                self.p, self.a, truncate(RationalPower(-self.m), self.p, self.a))
+            self._dual._dual = self
+        return self._dual
 
 
 def trivial_character(p, level) -> TruncatedCharacter:

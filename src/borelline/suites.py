@@ -174,7 +174,8 @@ def _sl2_characters(p):
 
 
 def suite_sl2_relations(p_filter=None) -> dict:
-    """Construction-time relation checks for induced and costandard modules."""
+    """Construction-time relation checks of costandard modules and, once per level at its
+    first character, of induced modules; a failed level is not kept, so each reports it."""
     failures = []
     cases = 0
     for p, a in SL2_GRID:

@@ -6,6 +6,19 @@ import pytest
 
 from borelline import characters, digits, linalg, polyfp, sl2lab, suites
 from borelline.linalg import DenseMap, MonomialMap
+from borelline.towers import make_tower
+
+
+@pytest.fixture
+def fresh_caches():
+    """The program's caches as a new process finds them: no tower and no
+    level module is built yet. They are emptied again when the test ends,
+    so that no level built under a patched map outlives the test."""
+    make_tower.cache_clear()
+    sl2lab._induced_level.cache_clear()
+    yield
+    make_tower.cache_clear()
+    sl2lab._induced_level.cache_clear()
 
 
 @pytest.fixture

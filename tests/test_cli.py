@@ -30,13 +30,6 @@ def fresh_parser(monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
 
 
-@pytest.fixture
-def fresh_caches():
-    """The program's caches as a new process finds them: no tower is built
-    yet."""
-    make_tower.cache_clear()
-
-
 def test_verify_single_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "power-sums")
     assert code == 0

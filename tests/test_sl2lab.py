@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from functools import cached_property
 from math import comb, factorial, prod
 
 import pytest
@@ -35,6 +34,9 @@ from borelline.sl2lab import (
 from borelline.towers import CapabilityError, Codes, FieldElement, FieldTower, make_tower
 
 GRID = ((2, 1), (3, 1), (2, 2))
+# every level with q <= 25
+SELF_DUAL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                    (17, 1), (19, 1), (23, 1), (5, 2))
 
 
 def power_char(lam, p, level=2):
@@ -164,9 +166,12 @@ def _check_relations_pairwise(module):
 
 
 def _build_unchecked(monkeypatch, build):
-    """The module build() gives with no relation check at construction."""
+    """The module build() gives with no relation check at construction; an
+    induced module's level is built anew, unchecked, and the `fresh_caches`
+    fixture drops it when the test ends."""
+    sl2lab._induced_level.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(InducedModule, "_check_relations", lambda self: None)
+        patch.setattr(sl2lab._InducedLevel, "_check_relations", lambda self: None)
         patch.setattr(sl2lab._SL2Module, "_check_relations", lambda self: None)
         return build()
 
@@ -200,8 +205,11 @@ def test_presentation_check_agrees_with_the_pairwise_reference():
 
 @pytest.mark.parametrize("name, at, cols, relation", BROKEN_INDUCED,
                          ids=[case[-1] for case in BROKEN_INDUCED])
-def test_relation_checker_catches_a_broken_induced_module(monkeypatch, name, at, cols, relation):
-    _break_generator(monkeypatch, InducedModule, name, at, cols)
+def test_relation_checker_catches_a_broken_induced_module(monkeypatch, fresh_caches,
+                                                          name, at, cols, relation):
+    # the mutant is the level's map, which the first module built at the
+    # level checks; every module there raises its scales
+    _break_generator(monkeypatch, sl2lab._InducedLevel, name, at, cols)
     with pytest.raises(RelationError, match=re.escape(relation)):
         InducedModule(3, 1, power_char(1, 3))
     module = _build_unchecked(monkeypatch, lambda: InducedModule(3, 1, power_char(1, 3)))
@@ -268,8 +276,10 @@ PRESENTATION_MUTANTS = (
 
 @pytest.mark.parametrize("p, a, name, replace, relation", PRESENTATION_MUTANTS,
                          ids=[case[-1] for case in PRESENTATION_MUTANTS])
-def test_relation_checker_catches_presentation_mutants(monkeypatch, p, a, name, replace, relation):
-    monkeypatch.setattr(InducedModule, name, replace(getattr(InducedModule, name)))
+def test_relation_checker_catches_presentation_mutants(monkeypatch, fresh_caches,
+                                                       p, a, name, replace, relation):
+    level = sl2lab._InducedLevel
+    monkeypatch.setattr(level, name, replace(getattr(level, name)))
     with pytest.raises(RelationError, match=re.escape(relation)):
         InducedModule(p, a, power_char(1, p, a))
     module = _build_unchecked(monkeypatch, lambda: InducedModule(p, a, power_char(1, p, a)))
@@ -282,8 +292,10 @@ def test_relation_checker_catches_presentation_mutants(monkeypatch, p, a, name, 
     (lambda: InducedModule(61, 1, power_char(1, 61, 1)), 61, 1, {"MonomialMap": 483}),
     (lambda: CostandardModule(8, 2, coeff_level=3), 2, 6, {"DenseMap": 357, "MonomialMap": 133}),
 ), ids=["induced-2-3", "induced-61-1", "costandard-8-2-3"])
-def test_relation_check_composes_linearly_in_q(compose_calls, build, p, d, counts):
-    """7q - 6 + d(p + d) compositions at q = p^d: d(p - 1) for the orders of
+def test_relation_check_composes_linearly_in_q(compose_calls, fresh_caches, build, p, d, counts):
+    """7q - 6 + d(p + d) compositions at q = p^d, made by the check of the
+    level that the first induced module built there makes, and by every
+    costandard module: d(p - 1) for the orders of
     the eps(b), d(d - 1) for their commutators, q - 1 for the eps(x), q - 2
     for the powers of h(g), 2d for the normalising squares, one for s^2 and
     1 + 5(q - 1) for the s-conjugation words. The pairwise reference route
@@ -292,6 +304,97 @@ def test_relation_check_composes_linearly_in_q(compose_calls, build, p, d, count
     build()
     assert dict(compose_calls) == counts
     assert sum(counts.values()) == 7 * p ** d - 6 + d * (p + d)
+
+
+def test_every_character_of_a_level_shares_one_presentation_check(monkeypatch, fresh_caches):
+    # the 48 characters of (7, 2), with their duals and verdicts, make one
+    # presentation check: their level's, when the first of them is built
+    checks = []
+    real = sl2lab._SL2Module._check_relations
+
+    def counting(self):
+        checks.append(type(self))
+        real(self)
+
+    monkeypatch.setattr(sl2lab._SL2Module, "_check_relations", counting)
+    for m in range(48):
+        assert case_verdict(InducedModule(7, 2, power_char(m, 7, 2)))[3] == {}
+    assert checks == [sl2lab._InducedLevel]
+
+
+def _raised_by_products(codes, scale, m):
+    """Each code c of scale to the power m, as m products from the table
+    rather than by `Codes.power`."""
+    out = []
+    for c in scale:
+        x = 1
+        for _ in range(m):
+            x = codes.mul[x][c]
+        out.append(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
+def test_every_character_up_to_q_25_passes_the_per_character_route(p, a):
+    # the level's check proves the presentation for every theta at once;
+    # the reference route checks each module, and each dual, on its own
+    # maps. Each generator is the level's with its scales raised to m, and
+    # the eps generators and M^U are the level's own objects
+    for m in range(p ** factorial(a) - 1):
+        module = InducedModule(p, a, power_char(m, p, a))
+        level = module.level
+        for mod in (module, module.dual()):
+            mod._check_relations()
+            assert mod.level is level and mod.u_fixed_rows is level.u_fixed_rows
+            assert all(g is g_level for g, g_level in zip(mod.generators[:-2], level.generators))
+            assert len(mod.generators) == len(level.generators)
+            for g, g_level in zip(mod.generators, level.generators):
+                assert g.perm == g_level.perm
+                assert g.scale == _raised_by_products(mod.codes, g_level.scale, mod.m)
+
+
+def _h_squeezing_by_u_to_the_m_plus_one(real):
+    """h(u) moving cell(t) to cell(u^(m + 1) t): the true squeeze, u^2 t,
+    at theta = id alone."""
+    def h(self, u):
+        codes = self.codes
+        squeeze = codes.mul[codes.power(u, self.m + 1)]
+        return MonomialMap(codes, [0] + [1 + t for t in squeeze], real(self, u).scale)
+    return h
+
+
+def test_a_permutation_reading_theta_passes_the_level_check_alone(monkeypatch, fresh_caches):
+    # the level's check covers every theta only because no permutation
+    # reads theta. A module's h whose permutation does is right at
+    # theta = id, all the level's check sees, so every module builds; the
+    # per-character route catches it at m = 2
+    monkeypatch.setattr(InducedModule, "h", _h_squeezing_by_u_to_the_m_plus_one(InducedModule.h))
+    InducedModule(5, 1, power_char(1, 5, 1))._check_relations()
+    module = InducedModule(5, 1, power_char(2, 5, 1))
+    with pytest.raises(RelationError, match="torus does not normalize eps correctly"):
+        module._check_relations()
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
+
+
+def test_a_mutant_patched_in_after_its_level_is_built_is_unseen_until_cache_clear(
+        monkeypatch, fresh_caches):
+    # a level is checked when its first module is built and then kept, so
+    # a level map patched in after that meets no later construction: the
+    # module at m = 2 takes the level checked before the patch, although
+    # the per-character route sees the mutant in it. Only a level built
+    # after `cache_clear()` is checked with the mutant in place
+    InducedModule(5, 1, power_char(1, 5, 1))
+    level = sl2lab._InducedLevel
+    monkeypatch.setattr(level, "h", _h_moving_cells_by_u(level.h))
+    module = InducedModule(5, 1, power_char(2, 5, 1))
+    relation = "torus does not normalize eps correctly"
+    with pytest.raises(RelationError, match=relation):
+        module._check_relations()
+    sl2lab._induced_level.cache_clear()
+    with pytest.raises(RelationError, match=relation):
+        InducedModule(5, 1, power_char(2, 5, 1))
 
 
 @pytest.mark.parametrize("n, p, level, products", ((8, 2, 3, 162), (8, 3, 2, 22)),
@@ -1026,16 +1129,12 @@ def _rescale_a_column(monkeypatch, check=True):
 
 def _one_more_u_fixed_row(monkeypatch):
     """From now on M^U holds one row past the plane of the line and t_s
-    line: the unit vector of the cell at 0. A cached property, as the real
-    one is, so that the dual can take the module's."""
-    real = sl2lab.InducedModule.u_fixed_rows.func
-
+    line: the unit vector of the cell at 0. A property reading the level's
+    M^U, as the real one is, so that the module and its dual both hold it."""
     def one_row_more(self):
-        return rref(self.codes, real(self) + (self.unit_vector(1),))
+        return rref(self.codes, self.level.u_fixed_rows + (self.unit_vector(1),))
 
-    prop = cached_property(one_row_more)
-    prop.__set_name__(sl2lab.InducedModule, "u_fixed_rows")
-    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", prop)
+    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", property(one_row_more))
     return "M^U is not spanned by the line and t_s line"
 
 
@@ -1306,9 +1405,10 @@ def test_hecke_split_dims_and_irreducibility():
 
 @pytest.mark.parametrize("p, a", ((2, 3), (2, 2)), ids=("q=64", "q=4"))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
-        monkeypatch, monomial_apply_calls, p, a):
-    # one orbit walk for M^U, which t_s's check compares with the line and
-    # t_s line, and one apply, s on t_s line for t_s's columns. The stacked
+        monkeypatch, fresh_caches, monomial_apply_calls, p, a):
+    # one orbit walk for M^U, the level's, which t_s's check compares with
+    # the line and t_s line, and one apply, s on t_s line for t_s's columns
+    # (with no level cached before the module is built). The stacked
     # kernel of M^U made d(q + 1) more applies, d = [F_q : F_p] (391 and 11
     # in all). The census of the whole module and of both Hecke pieces made
     # 1627 and 71; computing M^U per census made 3 stacked kernels and
@@ -1410,18 +1510,13 @@ def test_hecke_operators_catch_a_u_fixed_space_past_the_plane(monkeypatch, p, m)
     # one extra row in M^U: t_s is still equivariant with t_s^2 = c t_s,
     # but the line and t_s line no longer span the U-fixed vectors
     module = InducedModule(p, 1, power_char(m, p, 1))
-    real = sl2lab.InducedModule.u_fixed_rows.func
 
     def one_row_more(self):
-        return rref(self.codes, real(self) + (self.unit_vector(1),))
+        return rref(self.codes, self.level.u_fixed_rows + (self.unit_vector(1),))
 
     monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", property(one_row_more))
     with pytest.raises(RelationError, match=re.escape("M^U is not spanned by the line and t_s line")):
         HeckeOperators(module)
-
-
-SELF_DUAL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
-                    (17, 1), (19, 1), (23, 1), (5, 2))
 
 
 @pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
@@ -1467,44 +1562,55 @@ def test_the_intertwiners_match_the_census(p, a, residues):
 
 
 @pytest.mark.parametrize("p, a, power, d, builds", (
-    (2, 3, 1, 6, {"eps": 6, "h": 1, "s": 1}),
-    (5, 1, 2, 1, {}),
+    (2, 3, 1, 6, {"h": 2}),
+    (5, 1, 2, 1, {"h": 1}),
 ), ids=("2-3-1-6", "5-1-2-1"))
-def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, p, a, power, d, builds):
-    # construction builds eps and h once at each point and s once, the
-    # generators among them (64, 63 and 1 at q = 64); the verdict then builds
-    # the dual's generators, and nothing more, however many lines the two
-    # censuses spin. At theta^2 = 1 the verdict takes t_s and no dual: no builds
+def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, fresh_caches,
+                                                      p, a, power, d, builds):
+    # the first module of a level builds the level's eps and h once at each
+    # point and s once, the generators among them (64, 63 and 1 at q = 64),
+    # for its one presentation check; a second module of the level builds
+    # none. The verdict then builds h(g) of the module and of its dual, each
+    # the level's with its scales raised, and shares the level's eps
+    # generators and s. At theta^2 = 1 the dual is the module: one h.
+    # While each module checked the presentation, every module built q eps,
+    # q - 1 h and one s, and the dual d eps, one h and one s more
     counts = Counter()
     for name in ("eps", "h", "s"):
-        real = getattr(InducedModule, name)
+        real = getattr(sl2lab._InducedLevel, name)
 
         def counting(self, *args, name=name, real=real):
             counts[name] += 1
             return real(self, *args)
 
-        monkeypatch.setattr(InducedModule, name, counting)
-    module = InducedModule(p, a, power_char(power, p, a))
+        monkeypatch.setattr(sl2lab._InducedLevel, name, counting)
+    InducedModule(p, a, trivial_character(p, a))
     q = p ** d
     assert counts == {"eps": q, "h": q - 1, "s": 1}
     counts.clear()
+    module = InducedModule(p, a, power_char(power, p, a))
+    assert counts == {}
     assert case_verdict(module)[3] == {}
     assert counts == builds
 
 
 def test_hecke_operators_build_no_eps(monkeypatch):
     # t_s's column at the cell eps(t) s line is s_image translated by t, read
-    # off the cell labels; building each eps(t) for it made q = 64 builds
-    module = InducedModule(2, 3, trivial_character(2, 3))
+    # off the cell labels; building each eps(t) for it made q = 64 builds.
+    # The module and its dual take their eps generators from the level, so
+    # the dual built for a generic character adds none; a dual with its own
+    # eps generators built d = 6 more
+    modules = [InducedModule(2, 3, power_char(m, 2, 3)) for m in (0, 1)]
     builds = []
-    real = InducedModule.eps
+    real = sl2lab._InducedLevel.eps
 
     def counting(self, x):
         builds.append(x)
         return real(self, x)
 
-    monkeypatch.setattr(InducedModule, "eps", counting)
-    HeckeOperators(module)
+    monkeypatch.setattr(sl2lab._InducedLevel, "eps", counting)
+    for module in modules:
+        HeckeOperators(module)
     assert builds == []
 
 
