@@ -21,7 +21,7 @@ from .towers import LEVEL_CAP, CapabilityError, require_level
 
 @record
 class TruncatedCharacter:
-    """Residues m_1..m_N; level n constrains m_n to [0, p^(n!) - 2].
+    """Residues m_1..m_N, N <= LEVEL_CAP; level n constrains m_n to [0, p^(n!) - 2].
 
     Compatibility between levels is checked by is_compatible, not forced
     here, so that defective towers can be inspected and reported.
@@ -35,6 +35,7 @@ class TruncatedCharacter:
         object.__setattr__(self, "residues", tuple(self.residues))
         if not self.residues:
             raise ArgumentError("a truncated character needs at least one level")
+        require_level(len(self.residues))
         for n, m in enumerate(self.residues, start=1):
             hi = self.p ** factorial(n) - 2
             if not 0 <= m <= hi:

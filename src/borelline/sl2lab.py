@@ -4,9 +4,9 @@ Builds the induced module of SL_2(F_q), q = p^(a!), from a character of the
 diagonal torus with a stable upper-triangular line, entirely as explicit
 matrices over a tower field. Everything the rest of the library predicts
 about socles, heads, irreducibility, and the transition to higher levels is
-checked here by exact linear algebra: intertwiners between the module and
-its dual, fixed spaces, spinning vectors, and splitting by idempotents in
-the endomorphism ring.
+checked here by exact linear algebra: intertwiners to the dual and back,
+raised from one checked operator per level, fixed spaces, spinning vectors,
+and splitting by idempotents in the endomorphism ring.
 
 The lab speaks the int codes of the module's coefficient level
 (`towers.Codes`) from end to end: group points (`eps(x)`, `h(u)`), character
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .characters import RationalPower, TruncatedCharacter, truncate
+from .characters import TruncatedCharacter
 from .digits import ArgumentError, RelationError, _fine_dim, _lucas_digit_product, power_sum, record
 from .linalg import (
     DenseMap,
@@ -159,10 +159,10 @@ class _SL2Module:
 class _InducedLevel(_SL2Module):
     """The induced module of theta = id at level a, built once per level
     (`_induced_level`): each scale of h and s is its theta-free argument,
-    and its check of the presentation and the line serves every
-    `InducedModule` of the level. The line has index 0 and the cell
-    eps(t) s line index 1 + t, so the monomial maps' permutations are rows
-    of the code tables shifted by one."""
+    and its checks of the presentation, the line and its intertwiner T
+    (`t_s_cols`) serve every `InducedModule` of the level. The line has
+    index 0 and the cell eps(t) s line index 1 + t, so the monomial maps'
+    permutations are rows of the code tables shifted by one."""
 
     m = 1  # theta = id
 
@@ -208,6 +208,32 @@ class _InducedLevel(_SL2Module):
         cells = {1 + c for c in self.tower.subfield_codes(level, self.a)}
         return tuple(int(i in cells) for i in range(self.dim))
 
+    def _t_s_columns(self):
+        """t_s by its columns: the line goes to the sum L of all cells, and
+        the cell eps(t) s line to eps(t) s' L, s' the dual's s, s with its
+        scales inverted. eps(t) sends cell(u) to cell(u + t) with scale one,
+        so that column reads s' L at cell(w - t) = cell(-(t - w))."""
+        codes, line_sum = self.codes, self.line_sum_vector()
+        s_image = _raised(self.generators[-1], -1).apply(line_sum)
+        at_minus = [s_image[1 + c] for c in codes.neg]
+        return (line_sum,) + tuple((s_image[0],) + tuple(map(at_minus.__getitem__, codes.sub[t]))
+                                   for t in range(self.q))
+
+    @cached_property
+    def t_s_cols(self):
+        """The columns of t_s, checked: t_s g = g' t_s for each generator g,
+        g' being g with its scales inverted, and M^U = span{line, t_s line}.
+        The level's are T, which `HeckeOperators` raises; a module's own
+        are the per-character reference route."""
+        codes, cols = self.codes, self._t_s_columns()
+        t_s = DenseMap(codes, zip(*cols))
+        for g in self.generators:
+            if t_s.compose(g) != _raised(g, -1).compose(t_s):
+                raise RelationError("the cell-averaging operator is not equivariant")
+        if self.u_fixed_rows != rref(codes, (self.unit_vector(0), cols[0])):
+            raise RelationError("M^U is not spanned by the line and t_s line")
+        return cols
+
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
 
@@ -237,7 +263,7 @@ class InducedModule(_InducedLevel):
     permutations, so raising commutes with composition and fixes each map
     with scales 1, eps and the identity among them. Each identity the level
     checks at theta = id, the line's included, thus holds for every m;
-    `_check_relations` stays as the per-character reference route."""
+    `_check_relations` and `t_s_cols` stay as per-character reference routes."""
 
     def __init__(self, p, a, theta: TruncatedCharacter):
         if theta.p != p:
@@ -248,38 +274,24 @@ class InducedModule(_InducedLevel):
         self.p, self.a, self.coeff_level, self.m = p, a, a, theta.residue(a)
         self.q, self.dim, self.tower, self.codes = level.q, level.dim, level.tower, level.codes
 
-    def _raised(self, g) -> MonomialMap:
-        codes, m = self.codes, self.m
-        return MonomialMap(codes, g.perm, [codes.power(c, m) for c in g.scale])
-
     def h(self, u) -> MonomialMap:
         """The level's h(u): theta(u) on the line, theta(1/u) on the cells."""
-        return self._raised(self.level.h(u))
+        return _raised(self.level.h(u), self.m)
 
     def s(self) -> MonomialMap:
         """The level's s, built once: s . cell(0) = theta(-1) line, and
         s . cell(t) = theta(-t) cell(-1/t)."""
-        return self._raised(self.level.generators[-1])
+        return _raised(self.level.generators[-1], self.m)
 
     @cached_property
     def generators(self):
         return self.level.generators[:-2] + (self.h(self.codes.generator), self.s())
 
-    @property
-    def u_fixed_rows(self):
-        """The level's M^U: eps reads no theta."""
-        return self.level.u_fixed_rows
 
-    def dual(self):
-        """The contragredient, on the dual basis: g acts by (g^-1)^T, the
-        same permutation with every scale inverted, each scale being theta of
-        a theta-free argument. So it is Ind theta^-1, or this module when
-        theta^2 = 1, built once; its dual is this module."""
-        if "_dual" not in vars(self):
-            self._dual = self if 2 * self.m % (self.q - 1) == 0 else InducedModule(
-                self.p, self.a, truncate(RationalPower(-self.m), self.p, self.a))
-            self._dual._dual = self
-        return self._dual
+def _raised(g, m) -> MonomialMap:
+    """g with each scale c raised to c^m; at m = -1, (g^-1)^T, the action on
+    the dual basis."""
+    return MonomialMap(g.codes, g.perm, [g.codes.power(c, m) for c in g.scale])
 
 
 def trivial_character(p, level) -> TruncatedCharacter:
@@ -363,9 +375,9 @@ class SocleHeadReport:
 def socle_head_report(module) -> SocleHeadReport:
     """Irreducibility of the whole module M, its unique minimal submodule
     and the dimension of its simple head, from the intertwiners
-    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual, and
-    t_s' = t_s, built once, when theta^2 = 1 makes M' = M. Needs theta
-    nontrivial at the module's level.
+    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual: the
+    level's T raised to m and to -m, t_s' = t_s when theta^2 = 1 makes
+    M' = M. Needs theta nontrivial at the module's level.
 
     With t_s' t_s line = 0 checked here, `HeckeOperators` proves the socle
     to be t_s'(M'), the span of the columns of t_s', a proper submodule
@@ -374,17 +386,14 @@ def socle_head_report(module) -> SocleHeadReport:
     rank t_s, read off one rref of t_s's rows.
     """
     if module.m == 0:
-        raise PreconditionError(
-            "the torus character is trivial at this level; the socle and head "
-            "are not unique here"
-        )
-    ops, dual = HeckeOperators(module), module.dual()
-    dual_ops = ops if dual is module else HeckeOperators(dual)
-    codes = module.codes
-    if any(mat_vec(codes, dual_ops.t_s_rows, ops.t_s_line)):
+        raise PreconditionError("the torus character is trivial at this level; the socle and "
+                                "head are not unique here")
+    ops, codes = HeckeOperators(module), module.codes
+    dual_cols = _raised_t_s(module, -module.m)
+    if any(mat_vec(codes, tuple(zip(*dual_cols)), ops.t_s_line)):
         raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
     return SocleHeadReport(IrreducibilityVerdict(False, ops.t_s_line),
-                           Subspace(module, rref(codes, dual_ops._cols)),
+                           Subspace(module, rref(codes, dual_cols)),
                            len(rref(codes, ops.t_s_rows)))
 
 
@@ -444,7 +453,8 @@ def case_verdict(module: InducedModule):
 # -- costandard modules ------------------------------------------------------
 
 # q^2 (n+1)^3 is the cost of the pairwise relation check, not of the
-# presentation check; the cap stays because it decides which weights exit 3.
+# presentation check. It bounds library calls only: no request builds a
+# costandard module outside the `verify` grids, where it is <= 41 472.
 RELATION_WORK_CAP = 6 * 10 ** 7
 
 
@@ -583,24 +593,39 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
 # -- the intertwiner to the dual ----------------------------------------------
 
 
+def _raised_t_s(module, m):
+    """The level's T with each nonzero entry c raised to c^m: t_s of u -> u^m."""
+    codes = module.codes
+    up = (0, *(codes.power(c, m) for c in range(1, codes.q)))
+    return tuple(tuple(map(up.__getitem__, col)) for col in module.level.t_s_cols)
+
+
 class HeckeOperators:
     """The intertwiner t_s: M -> M' from the module M = Ind theta to its
-    dual M' = Ind theta^-1 (`module.dual()`) and, for theta trivial, the
-    split by the projectors e = 1 + t_s and o = -t_s.
+    dual M' = Ind theta^-1 and, for theta trivial, the split by the
+    projectors e = 1 + t_s and o = -t_s.
 
     Frobenius reciprocity gives Hom_G(M, M') = Hom_B(theta, M'), the
     theta-weight line of M'^U: the sum L of all cells, U-fixed and scaled
     by theta^-1(1/u) = theta(u) under h(u). So t_s sends the line to L, and
     the cell eps(t) s line to eps(t) s' L, s' the s of M'. When theta^2 = 1,
     M' = M and t_s spans End_G(M) with 1 (Howlett and Kilmoyer, Comm.
-    Algebra 1980; Sawada, Math. Z. 1977). Checked: t_s g = g' t_s for each
-    aligned pair of generators g of M and g' of M', one whole-map identity
-    each; when M' = M, t_s^2 line = c t_s line, c the sum of theta over the
-    units, -1 for theta trivial and else 0 (the q translates of s L sum to
-    q theta(-1) line + c L), which proves t_s^2 = c t_s, as t_s^2 - c t_s is
-    equivariant and kills the line, which generates the module; and
-    M^U = span{line, t_s line}, M^U read off the orbits of the monomial eps
-    (`u_fixed_rows`).
+    Algebra 1980; Sawada, Math. Z. 1977).
+
+    No M' is built: t_s is the level's T (`_InducedLevel.t_s_cols`, t_s at
+    theta = id) with each nonzero entry c raised to c^m, and t_s', back
+    from M', is T raised to -m. The level checks once that T g = g' T for
+    each generator g, g' being g with its scales inverted, as M' acts on
+    the dual basis, and that M^U = span{line, T line}. Both hold for every
+    m: each entry of T g and of g' T is one product of an entry of T and a
+    scale, c -> c^m is multiplicative and keeps zeros zero, the generators
+    of M and M' are the level's raised to m and -m, and T line = L has
+    entries 0 and 1. Checked per character, as they sum entries: when
+    M' = M, t_s^2 line = c t_s line, c the sum of theta over the units, -1
+    for theta trivial and else 0 (the q translates of s L sum to
+    q theta(-1) line + c L), which proves t_s^2 = c t_s, as t_s^2 - c t_s
+    is equivariant and kills the line, which generates the module; and
+    t_s' t_s line = 0, in `socle_head_report`.
 
     Theta trivial: e and o are orthogonal idempotents summing to 1, and
     P(M)^U = P(M^U) for P in {e, o}, spanned by P(line) as e t_s line = 0
@@ -608,17 +633,16 @@ class HeckeOperators:
     submodule holds a U-fixed vector, U being a p-group, hence P(line),
     which spins to P(M).
 
-    Theta nontrivial, with t_s' the intertwiner of M', back to M: a proper
-    submodule N of M has N^U inside span{t_s line}. If theta^2 != 1, h(g)
-    scales the line by theta(g) and t_s line by theta(g)^-1, another
-    eigenvalue, and N^U, stable under the torus, which has order prime to
-    p, is spanned by eigenvectors; the line generates M. If theta has order
-    2, t_s^2 = 0, so line + b t_s line = (1 + b t_s) line spins to M for
-    every b. A nonzero submodule holds a U-fixed vector, so it is M or
-    holds t_s line, and so the spin of t_s line, which is t_s'(M') as
-    t_s' sends the line of M' to t_s line: t_s'(M') is the unique minimal
-    submodule. It is proper: t_s' t_s kills the line, which
-    `socle_head_report` checks, so t_s' t_s = 0, and t_s' kills
+    Theta nontrivial: a proper submodule N of M has N^U inside
+    span{t_s line}. If theta^2 != 1, h(g) scales the line by theta(g) and
+    t_s line by theta(g)^-1, another eigenvalue, and N^U, stable under the
+    torus, which has order prime to p, is spanned by eigenvectors; the
+    line generates M. If theta has order 2, t_s^2 = 0, so
+    line + b t_s line = (1 + b t_s) line spins to M for every b. A nonzero
+    submodule holds a U-fixed vector, so it is M or holds t_s line, and so
+    the spin of t_s line, which is t_s'(M') as t_s' sends the line of M' to
+    t_s line: t_s'(M') is the unique minimal submodule. It is proper:
+    t_s' t_s kills the line, so t_s' t_s = 0, and t_s' kills
     t_s(M) != 0; not injective, it is not onto. The same holds for M', so
     M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
     the annihilators of the minimal submodules of M', its contragredient:
@@ -627,38 +651,13 @@ class HeckeOperators:
     """
 
     def __init__(self, module: InducedModule):
-        self.module = module
-        codes = module.codes
-        # t_s sends the line to the sum of all cells and is extended to the
-        # cell eps(t) s line by equivariance under eps(t) s, s taken in the
-        # target; eps(t), the same map in both modules, fixes the line and
-        # sends cell(u) to cell(u + t) with scale one, so that column is
-        # s_image translated: its coordinate at cell(w) is s_image's at
-        # cell(w - t), and w - t = -(t - w)
-        self.t_s_line = image_of_line = module.line_sum_vector()
-        s_image = module.dual().generators[-1].apply(image_of_line)
-        at_minus = [s_image[1 + c] for c in codes.neg]
-        cols = [image_of_line] + [
-            (s_image[0],) + tuple(map(at_minus.__getitem__, codes.sub[t]))
-            for t in range(module.q)
-        ]
-        self._cols = tuple(cols)
-        self.t_s_rows = tuple(zip(*cols))
-        self._check_relations()
-
-    def _check_relations(self):
-        """Equivariance, t_s^2 = c t_s when the target is the module, and
-        M^U = span{line, t_s line}."""
-        module, target, codes = self.module, self.module.dual(), self.module.codes
-        t_s = DenseMap(codes, self.t_s_rows)
-        for g, g_target in zip(module.generators, target.generators):
-            if t_s.compose(g) != g_target.compose(t_s):
-                raise RelationError("the cell-averaging operator is not equivariant")
-        c = 0 if module.m else codes.neg[1]
-        if target is module and t_s.apply(self.t_s_line) != vec_scale(codes, c, self.t_s_line):
+        self.module, codes, m = module, module.codes, module.m
+        self._cols = cols = _raised_t_s(module, m)
+        self.t_s_line, self.t_s_rows = cols[0], tuple(zip(*cols))
+        c = 0 if m else codes.neg[1]
+        if 2 * m % (module.q - 1) == 0 and mat_vec(codes, self.t_s_rows, cols[0]) != vec_scale(
+                codes, c, cols[0]):
             raise RelationError("the Hecke relation t_s^2 = c t_s fails, c = -1 if theta = 1, else 0")
-        if module.u_fixed_rows != rref(codes, (module.unit_vector(0), self.t_s_line)):
-            raise RelationError("M^U is not spanned by the line and t_s line")
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the

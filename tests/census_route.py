@@ -1,6 +1,6 @@
 """The census of B-stable lines: a second route to the socle and the
 maximal submodule, which the intertwiners of `HeckeOperators` give as the
-span of the dual's t_s columns and as ker t_s: `sl2lab.socle_head_report`
+span of the columns of t_s' and as ker t_s: `sl2lab.socle_head_report`
 reads the socle and the head's dimension, rank t_s, and
 `proof_route.maximal_rows` the maximal submodule.
 
@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from borelline import sl2lab
 from borelline.linalg import mat_mul, rref, span_contains
-from proof_route import fixed_subspace, kernel
+from proof_route import dual, fixed_subspace, kernel
 
 
 def u_fixed_rows(module):
@@ -95,7 +95,7 @@ def census_report(module):
     witness the first B-stable line whose spin is proper. Each is None
     where the census finds it not unique."""
     spins, socle, miss = census_socle(module)
-    dual_socle, dual_miss = census_socle(module.dual())[1:]
+    dual_socle, dual_miss = census_socle(dual(module))[1:]
     witness = next((v for v, sp in spins if sp.dim < module.dim), None)
     maximal = sl2lab.Subspace(module, kernel(module.codes, dual_socle.code_rows, module.dim))
     return CensusReport(

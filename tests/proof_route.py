@@ -6,7 +6,9 @@ it before it read the step off work it already does.
 - M^U as the kernel of the stacked g - 1 over the eps generators, against
   the orbits of `linalg.monomial_fixed_rows`;
 - the maximal submodule as the kernel of t_s, whose codimension
-  `sl2lab.socle_head_report` reads as rank t_s.
+  `sl2lab.socle_head_report` reads as rank t_s;
+- the dual of an induced module as a module, Ind theta^-1, whose t_s the
+  lab reads off its level's T raised to -m and never builds.
 
 All on int codes, as `linalg` computes; `element_route` is the
 FieldElement route. The polynomial helpers of Rabin's test, `pow_mod`
@@ -15,9 +17,10 @@ among them, are built here on `polyfp`'s ring operations.
 
 from __future__ import annotations
 
+from borelline.characters import RationalPower, truncate
 from borelline.linalg import rref
 from borelline.polyfp import add, degree, mul, poly_mod
-from borelline.sl2lab import HeckeOperators
+from borelline.sl2lab import HeckeOperators, InducedModule
 
 X = (0, 1)
 
@@ -141,3 +144,17 @@ def maximal_rows(module):
     """The canonical code rows of the unique maximal submodule of a module
     with theta nontrivial: ker t_s."""
     return kernel(module.codes, HeckeOperators(module).t_s_rows, module.dim)
+
+
+def dual(module):
+    """The contragredient of an induced module, on the dual basis: g acts
+    by (g^-1)^T, the same permutation with every scale inverted, each scale
+    being theta of a theta-free argument. So it is Ind theta^-1, or the
+    module itself when theta^2 = 1, built once and memoised both ways on the
+    modules: dual(dual(module)) is module."""
+    if "_dual" not in vars(module):
+        p, a, m = module.p, module.a, module.m
+        other = module if 2 * m % (module.q - 1) == 0 else InducedModule(
+            p, a, truncate(RationalPower(-m), p, a))
+        module._dual, other._dual = other, module
+    return module._dual

@@ -7,8 +7,8 @@ the spin of the sum of the cells, the maximal submodule as the annihilator
 of that sum's spin in the dual, and the two Hecke pieces, with the spin of
 every B-stable line of a trivial-character module up to q = 13; then the
 digit span, the level-bridge image and the bridge's spin on the
-`sl2-chain` grid. `InducedModule.dual` is checked against the transposed
-contragredient.
+`sl2-chain` grid. The tests' dual module, `proof_route.dual`, is checked
+against the transposed contragredient.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from census_route import b_stable_lines
 
 
 def _check_u_fixed_rows(module):
-    for mod in (module, module.dual()):
+    for mod in (module, proof_route.dual(module)):
         rows = tuple(map(mod.codes.decode, mod.u_fixed_rows))
         assert rows == ref.fixed_subspace(mod, mod.generators[:-2])
 
@@ -51,7 +51,7 @@ def _check_module(p, a, m):
         # module itself when theta^2 = 1
         rep = socle_head_report(module)
         line_sum = module.codes.decode(module.line_sum_vector())
-        dual_socle = ref.spin(module.dual(), line_sum)
+        dual_socle = ref.spin(proof_route.dual(module), line_sum)
         assert rep.socle.rows == ref.spin(module, line_sum)
         maximal = tuple(map(module.codes.decode, proof_route.maximal_rows(module)))
         assert maximal == ref.kernel(dual_socle, module.dim, ref.one(module), ref.zero(module))
@@ -77,7 +77,7 @@ def test_every_character_up_to_q_13_matches_the_reference_route(p, a):
         if m == 0:
             # the verdict spins no line; here every B-stable line of the
             # module, its own dual, is spun
-            assert module.dual() is module
+            assert proof_route.dual(module) is module
             for v in b_stable_lines(module):
                 assert spin(module, v).rows == ref.spin(module, module.codes.decode(v))
 
@@ -89,9 +89,9 @@ def test_dual_is_the_transposed_contragredient():
     cases = [(p, a, m) for p, a in SMALL_FIELDS for m in range(p ** factorial(a) - 1)]
     for p, a, m in cases + [(2, 3, 1), (2, 3, 5), (61, 1, 5)]:
         module = InducedModule(p, a, truncate(RationalPower(m), p, a))
-        dual, reference = module.dual(), ref.Contragredient(module)
+        dual, reference = proof_route.dual(module), ref.Contragredient(module)
         assert (dual is module) is (2 * m % (module.q - 1) == 0)
-        assert module.dual() is dual and dual.dual() is module
+        assert proof_route.dual(module) is dual and proof_route.dual(dual) is module
         assert dual.generators == reference.generators
         assert dual.u_fixed_rows == proof_route.fixed_subspace(
             reference.codes, reference.generators[:-2], reference.dim)

@@ -187,9 +187,9 @@ def _relation_grid():
 
 
 def _dual(module):
-    """An induced module's own dual; the transposed contragredient of a
-    costandard module, which has none."""
-    return module.dual() if isinstance(module, InducedModule) else ref.Contragredient(module)
+    """An induced module's dual, Ind theta^-1 (`proof_route.dual`); the
+    transposed contragredient of a costandard module."""
+    return proof_route.dual(module) if isinstance(module, InducedModule) else ref.Contragredient(module)
 
 
 def test_presentation_check_agrees_with_the_pairwise_reference():
@@ -307,7 +307,7 @@ def test_relation_check_composes_linearly_in_q(compose_calls, fresh_caches, buil
 
 
 def test_every_character_of_a_level_shares_one_presentation_check(monkeypatch, fresh_caches):
-    # the 48 characters of (7, 2), with their duals and verdicts, make one
+    # the 48 characters of (7, 2), with their verdicts, make one
     # presentation check: their level's, when the first of them is built
     checks = []
     real = sl2lab._SL2Module._check_relations
@@ -322,36 +322,71 @@ def test_every_character_of_a_level_shares_one_presentation_check(monkeypatch, f
     assert checks == [sl2lab._InducedLevel]
 
 
+def test_every_character_of_a_level_shares_one_equivariance_check(monkeypatch, fresh_caches,
+                                                                 compose_calls):
+    # the 48 verdicts of (7, 2) build and check one T, their level's, on
+    # the first of them: T g and g' T for the d + 2 = 4 generators are all
+    # the compositions they make. Each raises T to m, and to -m for t_s',
+    # with no dual module; a check per operator made 48 + 46 of them
+    builds = []
+    real = sl2lab._InducedLevel._t_s_columns
+
+    def counting(self):
+        builds.append(type(self))
+        return real(self)
+
+    monkeypatch.setattr(sl2lab._InducedLevel, "_t_s_columns", counting)
+    modules = [InducedModule(7, 2, power_char(m, 7, 2)) for m in range(48)]
+    compose_calls.clear()
+    for module in modules:
+        assert case_verdict(module)[3] == {}
+    assert builds == [sl2lab._InducedLevel]
+    assert compose_calls == {"DenseMap": 4, "MonomialMap": 4}
+
+
 def _raised_by_products(codes, scale, m):
-    """Each code c of scale to the power m, as m products from the table
-    rather than by `Codes.power`."""
+    """Each nonzero code c of scale to the power m, as m products from the
+    table rather than by `Codes.power`; zeros stay zero."""
     out = []
     for c in scale:
-        x = 1
+        x = 1 if c else 0
         for _ in range(m):
             x = codes.mul[x][c]
         out.append(x)
     return tuple(out)
 
 
+def _raised_columns(codes, cols, m):
+    """Columns with each nonzero entry c raised to c^m, m taken mod q - 1,
+    by `_raised_by_products`."""
+    return tuple(_raised_by_products(codes, col, m % (codes.q - 1)) for col in cols)
+
+
 @pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
                          ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
 def test_every_character_up_to_q_25_passes_the_per_character_route(p, a):
-    # the level's check proves the presentation for every theta at once;
-    # the reference route checks each module, and each dual, on its own
-    # maps. Each generator is the level's with its scales raised to m, and
-    # the eps generators and M^U are the level's own objects
+    # the level's checks prove the presentation and the intertwiner for
+    # every theta at once; the reference routes check each module, and each
+    # dual, on its own maps. Each generator is the level's with its scales
+    # raised to m, and the eps generators are the level's own objects, so
+    # M^U, read off their orbits, is the level's. The module's own t_s,
+    # built from its raised maps and checked against its dual's, is the
+    # level's T raised to m, and T raised to -m is the dual's own t_s
     for m in range(p ** factorial(a) - 1):
         module = InducedModule(p, a, power_char(m, p, a))
         level = module.level
-        for mod in (module, module.dual()):
+        for mod in (module, proof_route.dual(module)):
             mod._check_relations()
-            assert mod.level is level and mod.u_fixed_rows is level.u_fixed_rows
+            assert mod.level is level and mod.u_fixed_rows == level.u_fixed_rows
             assert all(g is g_level for g, g_level in zip(mod.generators[:-2], level.generators))
             assert len(mod.generators) == len(level.generators)
             for g, g_level in zip(mod.generators, level.generators):
                 assert g.perm == g_level.perm
                 assert g.scale == _raised_by_products(mod.codes, g_level.scale, mod.m)
+        codes = module.codes
+        assert module.t_s_cols == _raised_columns(codes, level.t_s_cols, m) == (
+            HeckeOperators(module)._cols)
+        assert _raised_columns(codes, level.t_s_cols, -m) == proof_route.dual(module).t_s_cols
 
 
 def _h_squeezing_by_u_to_the_m_plus_one(real):
@@ -362,6 +397,36 @@ def _h_squeezing_by_u_to_the_m_plus_one(real):
         squeeze = codes.mul[codes.power(u, self.m + 1)]
         return MonomialMap(codes, [0] + [1 + t for t in squeeze], real(self, u).scale)
     return h
+
+
+def _patch_t_s_columns(monkeypatch, mutate):
+    """From now on the columns of t_s, the level's T and a module's own
+    alike, are built as mutate(module, columns) makes them of the real
+    ones. The test must start from fresh caches, so that its levels build
+    their T under the mutant."""
+    real = sl2lab._InducedLevel._t_s_columns
+    monkeypatch.setattr(sl2lab._InducedLevel, "_t_s_columns", lambda self: mutate(self, real(self)))
+
+
+def _scale_the_column_at_cell_0(module, cols, c):
+    """cols with the column of the cell at 0 times the code c."""
+    times_c = module.codes.mul[c]
+    return cols[:1] + (tuple(map(times_c.__getitem__, cols[1])),) + cols[2:]
+
+
+def test_a_t_s_column_reading_theta_passes_the_level_check_alone(monkeypatch, fresh_caches):
+    # the level's T serves every theta only because raising commutes with
+    # each entry's one product. A column of the cell at 0 scaled by g^(m-1)
+    # is T's at theta = id, all the level's check sees, so every verdict,
+    # which raises the level's T, holds; the per-character route, which
+    # builds t_s from the module's own maps, catches it at m = 2
+    _patch_t_s_columns(monkeypatch, lambda module, cols: _scale_the_column_at_cell_0(
+        module, cols, module.codes.power(module.codes.generator, module.m - 1)))
+    for m in range(4):
+        assert case_verdict(InducedModule(5, 1, power_char(m, 5, 1)))[3] == {}
+    assert InducedModule(5, 1, power_char(1, 5, 1)).t_s_cols == sl2lab._induced_level(5, 1).t_s_cols
+    with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
+        InducedModule(5, 1, power_char(2, 5, 1)).t_s_cols
 
 
 def test_a_permutation_reading_theta_passes_the_level_check_alone(monkeypatch, fresh_caches):
@@ -550,21 +615,34 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
     assert len(polyfp_mul_calls) == built
 
 
-@pytest.mark.parametrize("m, builds", ((3, 1), (1, 2)), ids=("order-2", "generic"))
-def test_a_self_dual_module_builds_one_hecke_operator(monkeypatch, m, builds):
-    # at (7, 1, 3) theta has order 2, the dual is the module, and its
-    # operator, with its equivariance check, serves as the dual's too
-    calls = []
-    real = HeckeOperators.__init__
+@pytest.mark.parametrize("m, self_dual", ((3, True), (1, False)), ids=("order-2", "generic"))
+def test_a_self_dual_module_builds_one_hecke_operator(monkeypatch, m, self_dual):
+    # every report, at (7, 1, 3) where theta has order 2 and the dual is the
+    # module as elsewhere, builds one operator, t_s, the level's T raised to
+    # m, and raises T once more, to -m, for t_s'. No dual module is built,
+    # and no report checks equivariance
+    calls, raisings = [], []
+    real, real_raise = HeckeOperators.__init__, sl2lab._raised_t_s
 
     def counting(self, module):
         calls.append(module)
         real(self, module)
 
+    def counting_raise(module, power):
+        raisings.append(power)
+        return real_raise(module, power)
+
     module = InducedModule(7, 1, power_char(m, 7, 1))
-    monkeypatch.setattr(HeckeOperators, "__init__", counting)
-    assert socle_head_report(module).head_dim == m + 1
-    assert len(calls) == builds and (module.dual() is module) is (builds == 1)
+    module.level.t_s_cols
+    with monkeypatch.context() as patch:
+        patch.setattr(HeckeOperators, "__init__", counting)
+        patch.setattr(sl2lab, "_raised_t_s", counting_raise)
+        # building a module, or T again, would raise
+        patch.setattr(InducedModule, "__init__", None)
+        patch.setattr(sl2lab._InducedLevel, "_t_s_columns", None)
+        assert socle_head_report(module).head_dim == m + 1
+    assert calls == [module] and raisings == [m, -m]
+    assert (proof_route.dual(module) is module) is self_dual
 
 
 def test_only_an_induced_module_reads_m_u_off_the_eps_orbits():
@@ -841,7 +919,7 @@ def test_b_stable_lines_are_b_stable():
         q = p ** factorial(a)
         for m in range(q - 1):
             module = InducedModule(p, a, power_char(m, p, a))
-            for mod in (module, module.dual()):
+            for mod in (module, proof_route.dual(module)):
                 lines = list(b_stable_lines(mod))
                 assert len(lines) == (2 if (2 * m) % (q - 1) else q + 1)
                 for v in lines:
@@ -914,7 +992,7 @@ def _census_cases():
         for m in range(p ** factorial(a) - 1):
             module = InducedModule(p, a, power_char(m, p, a))
             yield module, None
-            yield module.dual(), None
+            yield proof_route.dual(module), None
             if m == 0:
                 for piece in HeckeOperators(module).idempotent_split():
                     yield module, piece
@@ -993,15 +1071,15 @@ def test_census_reads_a_triangular_torus_matrix(p, a, m):
 @pytest.mark.parametrize("p, a", ((2, 3), (61, 1)), ids=("q=64", "q=61"))
 def test_census_applies_the_maps_once_per_row(monomial_apply_calls, p, a):
     # h(g) on each of the two rows of M^U, which is read off the orbits of
-    # the eps generators with no apply; the dual shares the module's M^U.
-    # The stacked kernel of M^U made d(q + 1) more, d = [F_q : F_p] (392
-    # and 64 in all), and the dual's own M^U as many again
+    # the eps generators with no apply, the dual's as the module's. The
+    # stacked kernel of M^U made d(q + 1) more, d = [F_q : F_p] (392 and 64
+    # in all), and the dual's own M^U as many again
     module = InducedModule(p, a, power_char(1, p, a))
     del monomial_apply_calls[:]
     assert len(list(b_stable_lines(module))) == 2
     assert len(monomial_apply_calls) == 2
     del monomial_apply_calls[:]
-    assert len(list(b_stable_lines(module.dual()))) == 2
+    assert len(list(b_stable_lines(proof_route.dual(module)))) == 2
     assert len(monomial_apply_calls) == 2
 
 
@@ -1111,30 +1189,28 @@ def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
 
 
 def _rescale_a_column(monkeypatch, check=True):
-    """From now on `HeckeOperators` checks its operator (or, with check
-    false, skips its checks) with the column of the cell at 0 scaled by the
-    generator of the units, which q > 2 makes a scalar other than 1. eps(b)
-    moves that cell, so the operator is no longer equivariant."""
-    real = HeckeOperators._check_relations
-
-    def rescaled(self):
-        times_g = self.module.codes.mul[self.module.codes.generator]
-        self.t_s_rows = tuple(row[:1] + (times_g[row[1]],) + row[2:] for row in self.t_s_rows)
-        if check:
-            real(self)
-
-    monkeypatch.setattr(HeckeOperators, "_check_relations", rescaled)
+    """From now on each level builds its T (or, with check false, takes it
+    unchecked) with the column of the cell at 0 scaled by the generator of
+    the units, which q > 2 makes a scalar other than 1. eps(b) moves that
+    cell, so T is no longer equivariant, nor is any t_s raised from it."""
+    _patch_t_s_columns(monkeypatch, lambda module, cols: _scale_the_column_at_cell_0(
+        module, cols, module.codes.generator))
+    if not check:
+        monkeypatch.setattr(sl2lab._InducedLevel, "t_s_cols",
+                            property(sl2lab._InducedLevel._t_s_columns))
     return "the cell-averaging operator is not equivariant"
 
 
 def _one_more_u_fixed_row(monkeypatch):
-    """From now on M^U holds one row past the plane of the line and t_s
-    line: the unit vector of the cell at 0. A property reading the level's
-    M^U, as the real one is, so that the module and its dual both hold it."""
-    def one_row_more(self):
-        return rref(self.codes, self.level.u_fixed_rows + (self.unit_vector(1),))
+    """From now on the M^U that each level reads off its eps orbits holds
+    one row past the plane of the line and t_s line: the unit vector of the
+    cell at 0. The level's T meets it when it is first built."""
+    real = sl2lab._InducedLevel.u_fixed_rows.func
 
-    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", property(one_row_more))
+    def one_row_more(self):
+        return rref(self.codes, real(self) + (self.unit_vector(1),))
+
+    monkeypatch.setattr(sl2lab._InducedLevel, "u_fixed_rows", property(one_row_more))
     return "M^U is not spanned by the line and t_s line"
 
 
@@ -1144,33 +1220,37 @@ BROKEN_INTERTWINER_IDS = ("not-equivariant", "u-fixed")
 
 @pytest.mark.parametrize("p, a", ((2, 2), (5, 1)), ids=("2-2-1", "5-1-1"))
 @pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
-def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, broken, p, a):
+def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, fresh_caches,
+                                                                 broken, p, a):
     # theta = t, of order q - 1 > 2: the target is the dual, and each check
-    # names its relation; both operators of the report meet it
+    # names its relation; the level's T, whence both operators of the report
+    # are raised, meets it, on every module of the level, the dual among them
     relation = broken(monkeypatch)
     module = InducedModule(p, a, power_char(1, p, a))
-    assert module.dual() is not module
-    for mod in (module, module.dual()):
+    assert proof_route.dual(module) is not module
+    for mod in (module, proof_route.dual(module)):
         with pytest.raises(RelationError, match=re.escape(relation)):
             HeckeOperators(mod)
     with pytest.raises(RelationError, match=re.escape(relation)):
         socle_head_report(module)
 
 
-def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch):
-    # past the operators' own checks, skipped here, t_s' t_s line = 0 is the
+def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch, fresh_caches):
+    # past the level's checks of T, skipped here, t_s' t_s line = 0 is the
     # report's: t_s' t_s line = t_s' L, the sum of the cell columns of t_s',
-    # which is 0 until one of them is scaled by g != 1
+    # which is 0 until one of them is scaled by g^-1 != 1
     _rescale_a_column(monkeypatch, check=False)
     with pytest.raises(RelationError, match=re.escape("t_s' t_s line != 0")):
         socle_head_report(InducedModule(5, 1, power_char(1, 5)))
 
 
 @pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
-def test_a_broken_intertwiner_is_named_by_the_verdict_suite_and_lab(monkeypatch, capsys, broken):
+def test_a_broken_intertwiner_is_named_by_the_verdict_suite_and_lab(monkeypatch, capsys,
+                                                                    fresh_caches, broken):
     # a failed relation is no failed known answer: the verdict raises it,
     # the suite records it as the error of its case, and lab exits 1 with
-    # no document and the relation on stderr
+    # no document and the relation on stderr. A level whose T fails keeps
+    # none, so each of them meets the check again
     relation = broken(monkeypatch)
     with pytest.raises(RelationError, match=re.escape(relation)):
         case_verdict(InducedModule(2, 2, power_char(1, 2)))
@@ -1183,7 +1263,7 @@ def test_a_broken_intertwiner_is_named_by_the_verdict_suite_and_lab(monkeypatch,
     assert captured.err == f"verification: {relation}\n"
 
 
-def test_verify_records_a_broken_intertwiner_as_a_named_failure(monkeypatch, capsys):
+def test_verify_records_a_broken_intertwiner_as_a_named_failure(monkeypatch, capsys, fresh_caches):
     # as sl2-relations does for a module, sl2-socle-head and hecke-split
     # record a RelationError as the error of its case, and verify still
     # prints every suite's record; only q = 2 has no scalar to break with
@@ -1383,7 +1463,7 @@ def test_hecke_operators_need_trivial_character():
     # when theta^2 = 1; only theta = 1 splits by it
     for module in (InducedModule(5, 1, power_char(1, 5)), InducedModule(3, 1, power_char(1, 3))):
         ops = HeckeOperators(module)
-        assert (ops.module.dual() is module) is (module.q == 3)
+        assert (proof_route.dual(ops.module) is module) is (module.q == 3)
         with pytest.raises(PreconditionError, match="need theta trivial"):
             ops.idempotent_split()
 
@@ -1447,28 +1527,34 @@ def test_u_fixed_rows_match_the_stacked_kernel(p, a):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
-    # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s)
+    # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s).
+    # A doubled level T would pass: at theta trivial, raising to the 0th
+    # power sends each nonzero entry to 1. So the mutant doubles the raised
+    # t_s, past the level's checks; t_s^2 = c t_s sums entries and is
+    # checked per character
     module = InducedModule(p, 1, trivial_character(p, 1))
-    real = InducedModule.line_sum_vector
+    real = sl2lab._raised_t_s
 
-    def doubled(self, *args):
-        return vec_scale(self.codes, self.codes.code(self.tower.scalar(2, self.a)), real(self, *args))
+    def doubled(module, m):
+        two = module.codes.scalars[2]
+        return tuple(vec_scale(module.codes, two, col) for col in real(module, m))
 
-    monkeypatch.setattr(InducedModule, "line_sum_vector", doubled)
+    monkeypatch.setattr(sl2lab, "_raised_t_s", doubled)
     with pytest.raises(RelationError, match=re.escape("t_s^2 = c t_s fails, c = -1 if theta = 1")):
         HeckeOperators(module)
 
 
 @pytest.mark.parametrize("p, m", ((2, 0), (3, 0), (3, 1), (5, 2)), ids=("2", "3", "3-1", "5-2"))
-def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, p, m):
-    # t_s(line) = s line = cell(0) sends the line, fixed by eps(b), to a
-    # cell that eps(b) moves; for theta trivial and of order 2 alike
+def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, fresh_caches, p, m):
+    # T(line) = s line = cell(0) sends the line, fixed by eps(b), to a cell
+    # that eps(b) moves; the level's T meets it at the first operator, for
+    # theta trivial and of order 2 alike
     module = InducedModule(p, 1, power_char(m, p, 1))
 
     def base_cell(self, *args):
         return self.unit_vector(_cell(self, self.tower.zero(self.a)))
 
-    monkeypatch.setattr(InducedModule, "line_sum_vector", base_cell)
+    monkeypatch.setattr(sl2lab._InducedLevel, "line_sum_vector", base_cell)
     with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
         HeckeOperators(module)
 
@@ -1506,16 +1592,12 @@ def test_hecke_t_s_squares_to_zero_for_theta_of_order_two():
 
 
 @pytest.mark.parametrize("p, m", ((3, 0), (3, 1)))
-def test_hecke_operators_catch_a_u_fixed_space_past_the_plane(monkeypatch, p, m):
-    # one extra row in M^U: t_s is still equivariant with t_s^2 = c t_s,
-    # but the line and t_s line no longer span the U-fixed vectors
+def test_hecke_operators_catch_a_u_fixed_space_past_the_plane(monkeypatch, fresh_caches, p, m):
+    # one extra row in the level's M^U: T is still equivariant, and t_s^2 =
+    # c t_s, but the line and T line no longer span the U-fixed vectors
     module = InducedModule(p, 1, power_char(m, p, 1))
-
-    def one_row_more(self):
-        return rref(self.codes, self.level.u_fixed_rows + (self.unit_vector(1),))
-
-    monkeypatch.setattr(sl2lab.InducedModule, "u_fixed_rows", property(one_row_more))
-    with pytest.raises(RelationError, match=re.escape("M^U is not spanned by the line and t_s line")):
+    relation = _one_more_u_fixed_row(monkeypatch)
+    with pytest.raises(RelationError, match=re.escape(relation)):
         HeckeOperators(module)
 
 
@@ -1561,20 +1643,18 @@ def test_the_intertwiners_match_the_census(p, a, residues):
         assert _report_with_maximal(module) == census_report(module)
 
 
-@pytest.mark.parametrize("p, a, power, d, builds", (
-    (2, 3, 1, 6, {"h": 2}),
-    (5, 1, 2, 1, {"h": 1}),
-), ids=("2-3-1-6", "5-1-2-1"))
-def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, fresh_caches,
-                                                      p, a, power, d, builds):
+@pytest.mark.parametrize("p, a, power, d", ((2, 3, 1, 6), (5, 1, 2, 1)),
+                         ids=("2-3-1-6", "5-1-2-1"))
+def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, fresh_caches, p, a, power, d):
     # the first module of a level builds the level's eps and h once at each
     # point and s once, the generators among them (64, 63 and 1 at q = 64),
     # for its one presentation check; a second module of the level builds
-    # none. The verdict then builds h(g) of the module and of its dual, each
-    # the level's with its scales raised, and shares the level's eps
-    # generators and s. At theta^2 = 1 the dual is the module: one h.
-    # While each module checked the presentation, every module built q eps,
-    # q - 1 h and one s, and the dual d eps, one h and one s more
+    # none, and nor does its verdict: the level's T is built and checked on
+    # the level's generators, and each t_s is T raised. While each verdict
+    # checked its own operators, it built h(g) of the module and of its
+    # dual (one h at theta^2 = 1), and while each module checked the
+    # presentation, every module built q eps, q - 1 h and one s, and the
+    # dual d eps, one h and one s more
     counts = Counter()
     for name in ("eps", "h", "s"):
         real = getattr(sl2lab._InducedLevel, name)
@@ -1591,15 +1671,15 @@ def test_case_verdict_builds_the_maps_once_per_module(monkeypatch, fresh_caches,
     module = InducedModule(p, a, power_char(power, p, a))
     assert counts == {}
     assert case_verdict(module)[3] == {}
-    assert counts == builds
+    assert counts == {}
 
 
 def test_hecke_operators_build_no_eps(monkeypatch):
-    # t_s's column at the cell eps(t) s line is s_image translated by t, read
+    # t_s's column at the cell eps(t) s line is s' L translated by t, read
     # off the cell labels; building each eps(t) for it made q = 64 builds.
-    # The module and its dual take their eps generators from the level, so
-    # the dual built for a generic character adds none; a dual with its own
-    # eps generators built d = 6 more
+    # The level's T is built from the level's eps generators, and no
+    # operator builds a dual module; a dual with its own eps generators
+    # built d = 6 more
     modules = [InducedModule(2, 3, power_char(m, 2, 3)) for m in (0, 1)]
     builds = []
     real = sl2lab._InducedLevel.eps
