@@ -81,7 +81,7 @@ def nonzero_counts(tc: TruncatedCharacter) -> tuple[int, ...]:
 
 @record
 class GaloisTwist:
-    """A truncated Galois-group element: residues g_n mod n!, one per level.
+    """A truncated Galois-group element: residues g_n mod n!, one per level up to LEVEL_CAP.
 
     The top residue determines the lower ones, since g_(n+1) = g_n mod n!.
     """
@@ -92,6 +92,7 @@ class GaloisTwist:
         object.__setattr__(self, "residues", tuple(self.residues))
         if not self.residues:
             raise ArgumentError("a twist needs at least one level")
+        require_level(len(self.residues))
         for n, g in enumerate(self.residues, start=1):
             if not 0 <= g < factorial(n):
                 raise ArgumentError(f"twist residue at level {n} out of range: {g}")
@@ -105,6 +106,7 @@ class GaloisTwist:
     def from_position(cls, e, level):
         if e < 0:
             raise ArgumentError("digit positions are nonnegative")
+        require_level(level)
         return cls(tuple(e % factorial(n) for n in range(1, level + 1)))
 
     @property

@@ -223,8 +223,8 @@ class _InducedLevel(_SL2Module):
     def t_s_cols(self):
         """The columns of t_s, checked: t_s g = g' t_s for each generator g,
         g' being g with its scales inverted, and M^U = span{line, t_s line}.
-        The level's are T, which `HeckeOperators` raises; a module's own
-        are the per-character reference route."""
+        The level's are T, which `_raised_t_s` raises; a module's own are
+        the per-character reference route."""
         codes, cols = self.codes, self._t_s_columns()
         t_s = DenseMap(codes, zip(*cols))
         for g in self.generators:
@@ -347,7 +347,7 @@ def _projective_vectors(module, rows):
 class IrreducibilityVerdict:
     """Every submodule is accounted for through its U-fixed vectors, which
     M^U = span{line, t_s line} confines, t_s the intertwiner of
-    `HeckeOperators`: the verdict is exhaustive and a proof either way."""
+    `_raised_t_s`: the verdict is exhaustive and a proof either way."""
 
     irreducible: bool
     witness: tuple | None = None  # a code vector spinning to a proper submodule
@@ -375,33 +375,34 @@ class SocleHeadReport:
 def socle_head_report(module) -> SocleHeadReport:
     """Irreducibility of the whole module M, its unique minimal submodule
     and the dimension of its simple head, from the intertwiners
-    t_s: M -> M' and t_s': M' -> M of `HeckeOperators`, M' the dual: the
+    t_s: M -> M' and t_s': M' -> M of `_raised_t_s`, M' the dual: the
     level's T raised to m and to -m, t_s' = t_s when theta^2 = 1 makes
     M' = M. Needs theta nontrivial at the module's level.
 
-    With t_s' t_s line = 0 checked here, `HeckeOperators` proves the socle
-    to be t_s'(M'), the span of the columns of t_s', a proper submodule
-    that the sum of the cells, t_s line, spins to, and the maximal
-    submodule to be ker t_s: the head M / ker t_s = t_s(M) has dimension
-    rank t_s, read off one rref of t_s's rows.
+    Raising checks t_s' t_s line = 0, so t_s' t_s = 0. A proper submodule
+    N of M has N^U inside span{t_s line}. If theta^2 != 1, h(g) scales the
+    line by theta(g) and t_s line by theta(g)^-1, another eigenvalue, and
+    N^U, stable under the torus, which has order prime to p, is spanned by
+    eigenvectors; the line generates M. If theta has order 2, t_s^2 = 0, so
+    line + b t_s line = (1 + b t_s) line spins to M for every b. A nonzero
+    submodule holds a U-fixed vector, U being a p-group, so it is M or
+    holds t_s line, and so the spin of t_s line, which is t_s'(M') as t_s'
+    sends the line of M' to t_s line: t_s'(M'), the span of the columns of
+    t_s', is the unique minimal submodule. It is proper: t_s' kills
+    t_s(M) != 0; not injective, it is not onto. The same holds for M', so
+    M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
+    the annihilators of the minimal submodules of M', its contragredient:
+    ker t_s is the unique maximal submodule, and the simple head has
+    dimension rank t_s, read off one rref of t_s's columns. The sum of the
+    cells, t_s line, is the witness.
     """
     if module.m == 0:
         raise PreconditionError("the torus character is trivial at this level; the socle and "
                                 "head are not unique here")
-    ops, codes = HeckeOperators(module), module.codes
-    dual_cols = _raised_t_s(module, -module.m)
-    if any(mat_vec(codes, tuple(zip(*dual_cols)), ops.t_s_line)):
-        raise RelationError("the intertwiners do not compose to 0: t_s' t_s line != 0")
-    return SocleHeadReport(IrreducibilityVerdict(False, ops.t_s_line),
-                           Subspace(module, rref(codes, dual_cols)),
-                           len(rref(codes, ops.t_s_rows)))
-
-
-def socle_digit_product(module: InducedModule) -> int:
-    """dim L(q - 1 - m), the known socle dimension of a nontrivial induced
-    module: the product of (p - d_i) over the a! base-p digits d_i of m,
-    zeros included, since q - 1 - m has the digits p - 1 - d_i."""
-    return _fine_dim(module.q - 1 - module.m, module.p)
+    codes, level = module.codes, module.level
+    t_s, dual_cols = _raised_t_s(level, module.m), _raised_t_s(level, -module.m)
+    return SocleHeadReport(IrreducibilityVerdict(False, t_s[0]),
+                           Subspace(module, rref(codes, dual_cols)), len(rref(codes, t_s)))
 
 
 def case_verdict(module: InducedModule):
@@ -416,9 +417,11 @@ def case_verdict(module: InducedModule):
     module reducible, with the first piece's row as witness. Otherwise
     "socle_head", from `socle_head_report`, which also gives the
     whole-module verdict and proves the socle simple and the maximal
-    submodule unique ("socle_ok", "maximal_ok"), or raises RelationError:
-    the socle must have dimension `socle_digit_product` ("socle"), and the
-    head the product of (d_i + 1) over the base-p digits d_i of m ("head").
+    submodule unique ("socle_ok", "maximal_ok"), or raises RelationError.
+    Over the a! base-p digits d_i of m, zeros included, the socle must have
+    dimension dim L(q - 1 - m), the product of (p - d_i), since q - 1 - m
+    has the digits p - 1 - d_i ("socle"), and the head the product of
+    (d_i + 1) ("head").
     """
     failed = {}
     if module.m == 0:
@@ -442,7 +445,7 @@ def case_verdict(module: InducedModule):
         "head_dim": rep.head_dim,
         "digit_product": _fine_dim(module.m, module.p),
     }
-    socle = socle_digit_product(module)
+    socle = _fine_dim(module.q - 1 - module.m, module.p)
     if section["socle_dim"] != socle:
         failed["socle"] = {"dim": section["socle_dim"], "digit_product": socle}
     if section["head_dim"] != section["digit_product"]:
@@ -593,71 +596,60 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
 # -- the intertwiner to the dual ----------------------------------------------
 
 
-def _raised_t_s(module, m):
-    """The level's T with each nonzero entry c raised to c^m: t_s of u -> u^m."""
-    codes = module.codes
-    up = (0, *(codes.power(c, m) for c in range(1, codes.q)))
-    return tuple(tuple(map(up.__getitem__, col)) for col in module.level.t_s_cols)
+def _raised_entries(codes, cols, k):
+    """The columns cols with each nonzero entry c raised to c^k."""
+    up = (0, *(codes.power(c, k) for c in range(1, codes.q)))
+    return tuple(tuple(map(up.__getitem__, col)) for col in cols)
+
+
+def _raised_t_s(level, k):
+    """The intertwiner t_s: M -> M' of theta(u) = u^k, from the module
+    M = Ind theta to its dual M' = Ind theta^-1: the level's T
+    (`_InducedLevel.t_s_cols`, t_s at theta = id) with each nonzero entry c
+    raised to c^k, checked where it is raised: T^k L = c_k L, L = T^k line
+    the sum of the cells and c_k the sum of x^k over the units (`power_sum`),
+    -1 when q - 1 divides k and else 0: row 0 of T^k L is q (-1)^k = 0,
+    and row 1 + w sums x^k over one zero and each unit once.
+
+    Frobenius reciprocity gives Hom_G(M, M') = Hom_B(theta, M'), the
+    theta-weight line of M'^U: L, U-fixed and scaled by
+    theta^-1(1/u) = theta(u) under h(u). So t_s sends the line to L, and
+    the cell eps(t) s line to eps(t) s' L, s' the s of M'. No M' is built:
+    t_s', back from M', is T raised to -k. The level checks once that
+    T g = g' T for each generator g, g' being g with its scales inverted,
+    as M' acts on the dual basis, and that M^U = span{line, T line}. Both
+    hold for every k: each entry of T g and of g' T is one product of an
+    entry of T and a scale, c -> c^k is multiplicative and keeps zeros
+    zero, the generators of M and M' are the level's raised to k and -k,
+    and L has entries 0 and 1. What sums entries is the identity above: at
+    k = -m it reads t_s' t_s line = c t_s line for the character m, which
+    proves t_s' t_s = c t_s, as t_s' t_s - c t_s is equivariant and kills
+    the line, which generates the module. That is the Hecke relation
+    t_s^2 = -t_s at theta trivial, where t_s' = t_s (Howlett and Kilmoyer,
+    Comm. Algebra 1980; Sawada, Math. Z. 1977), and t_s' t_s = 0 for every
+    other theta, t_s^2 = 0 at order 2, with no branch for either.
+    """
+    codes = level.codes
+    cols = _raised_entries(codes, level.t_s_cols, k)
+    c = codes.scalars[power_sum(codes.q, k % (codes.q - 1), include_zero=False)]
+    if mat_vec(codes, tuple(zip(*cols)), cols[0]) != vec_scale(codes, c, cols[0]):
+        raise RelationError("the power-sum identity T^k L = c_k L fails, c_k the sum of x^k "
+                            "over the units")
+    return cols
 
 
 class HeckeOperators:
-    """The intertwiner t_s: M -> M' from the module M = Ind theta to its
-    dual M' = Ind theta^-1 and, for theta trivial, the split by the
-    projectors e = 1 + t_s and o = -t_s.
-
-    Frobenius reciprocity gives Hom_G(M, M') = Hom_B(theta, M'), the
-    theta-weight line of M'^U: the sum L of all cells, U-fixed and scaled
-    by theta^-1(1/u) = theta(u) under h(u). So t_s sends the line to L, and
-    the cell eps(t) s line to eps(t) s' L, s' the s of M'. When theta^2 = 1,
-    M' = M and t_s spans End_G(M) with 1 (Howlett and Kilmoyer, Comm.
-    Algebra 1980; Sawada, Math. Z. 1977).
-
-    No M' is built: t_s is the level's T (`_InducedLevel.t_s_cols`, t_s at
-    theta = id) with each nonzero entry c raised to c^m, and t_s', back
-    from M', is T raised to -m. The level checks once that T g = g' T for
-    each generator g, g' being g with its scales inverted, as M' acts on
-    the dual basis, and that M^U = span{line, T line}. Both hold for every
-    m: each entry of T g and of g' T is one product of an entry of T and a
-    scale, c -> c^m is multiplicative and keeps zeros zero, the generators
-    of M and M' are the level's raised to m and -m, and T line = L has
-    entries 0 and 1. Checked per character, as they sum entries: when
-    M' = M, t_s^2 line = c t_s line, c the sum of theta over the units, -1
-    for theta trivial and else 0 (the q translates of s L sum to
-    q theta(-1) line + c L), which proves t_s^2 = c t_s, as t_s^2 - c t_s
-    is equivariant and kills the line, which generates the module; and
-    t_s' t_s line = 0, in `socle_head_report`.
-
-    Theta trivial: e and o are orthogonal idempotents summing to 1, and
-    P(M)^U = P(M^U) for P in {e, o}, spanned by P(line) as e t_s line = 0
-    and o t_s line = -o line. So each nonzero P(M) is simple: a nonzero
-    submodule holds a U-fixed vector, U being a p-group, hence P(line),
-    which spins to P(M).
-
-    Theta nontrivial: a proper submodule N of M has N^U inside
-    span{t_s line}. If theta^2 != 1, h(g) scales the line by theta(g) and
-    t_s line by theta(g)^-1, another eigenvalue, and N^U, stable under the
-    torus, which has order prime to p, is spanned by eigenvectors; the
-    line generates M. If theta has order 2, t_s^2 = 0, so
-    line + b t_s line = (1 + b t_s) line spins to M for every b. A nonzero
-    submodule holds a U-fixed vector, so it is M or holds t_s line, and so
-    the spin of t_s line, which is t_s'(M') as t_s' sends the line of M' to
-    t_s line: t_s'(M') is the unique minimal submodule. It is proper:
-    t_s' t_s kills the line, so t_s' t_s = 0, and t_s' kills
-    t_s(M) != 0; not injective, it is not onto. The same holds for M', so
-    M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
-    the annihilators of the minimal submodules of M', its contragredient:
-    ker t_s is the unique maximal submodule, and the simple head has
-    dimension rank t_s, which is all `socle_head_report` reads of it.
+    """For theta trivial, the split of M = Ind theta by the projectors
+    e = 1 + t_s and o = -t_s, t_s being T raised to 0, the Hecke operator
+    of `_raised_t_s`, whose check t_s^2 = -t_s makes e and o orthogonal
+    idempotents summing to 1. P(M)^U = P(M^U) for P in {e, o}, spanned by
+    P(line) as e t_s line = 0 and o t_s line = -o line. So each nonzero
+    P(M) is simple: a nonzero submodule holds a U-fixed vector, U being a
+    p-group, hence P(line), which spins to P(M).
     """
 
     def __init__(self, module: InducedModule):
-        self.module, codes, m = module, module.codes, module.m
-        self._cols = cols = _raised_t_s(module, m)
-        self.t_s_line, self.t_s_rows = cols[0], tuple(zip(*cols))
-        c = 0 if m else codes.neg[1]
-        if 2 * m % (module.q - 1) == 0 and mat_vec(codes, self.t_s_rows, cols[0]) != vec_scale(
-                codes, c, cols[0]):
-            raise RelationError("the Hecke relation t_s^2 = c t_s fails, c = -1 if theta = 1, else 0")
+        self.module, self._cols = module, _raised_t_s(module.level, module.m)
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the

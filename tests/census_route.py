@@ -1,5 +1,5 @@
 """The census of B-stable lines: a second route to the socle and the
-maximal submodule, which the intertwiners of `HeckeOperators` give as the
+maximal submodule, which the intertwiners of `_raised_t_s` give as the
 span of the columns of t_s' and as ker t_s: `sl2lab.socle_head_report`
 reads the socle and the head's dimension, rank t_s, and
 `proof_route.maximal_rows` the maximal submodule.

@@ -143,7 +143,7 @@ def fixed_subspace(codes, maps, dim):
 def maximal_rows(module):
     """The canonical code rows of the unique maximal submodule of a module
     with theta nontrivial: ker t_s."""
-    return kernel(module.codes, HeckeOperators(module).t_s_rows, module.dim)
+    return kernel(module.codes, tuple(zip(*HeckeOperators(module)._cols)), module.dim)
 
 
 def dual(module):

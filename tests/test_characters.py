@@ -197,12 +197,26 @@ def test_classify_exact_trivial_forms_agree(p, level):
 
 
 def test_classify_exact_twist_collision_at_cap():
-    # distinct at level 4, but both reduce to the identity twist at level 3
+    # distinct at level 3, but both reduce to the identity twist at level 2:
+    # no twist is longer than the tower cap, so the collision is met below it
     sc = TwistedDigitSum(
-        ((1, GaloisTwist.from_position(0, 4)), (1, GaloisTwist.from_position(6, 4)))
+        ((1, GaloisTwist.from_position(0, 3)), (1, GaloisTwist.from_position(2, 3)))
     )
-    with pytest.raises(CapabilityError):
-        classify_exact(sc, 2, level=3)
+    assert classify_exact(sc, 2, level=3).bounded
+    with pytest.raises(CapabilityError, match="twists collide at level 2"):
+        classify_exact(sc, 2, level=2)
+
+
+def test_a_twist_past_the_tower_cap_is_refused_before_its_factorials(monkeypatch):
+    # a twist, given by its residues or by a digit position, is refused on
+    # its length before any residue is computed or held to n!
+    monkeypatch.setattr(characters, "factorial", None)
+    for level in (4, 6000):
+        message = f"level {level} exceeds the tower cap 3"
+        with pytest.raises(CapabilityError, match=message):
+            GaloisTwist((0,) * level)
+        with pytest.raises(CapabilityError, match=message):
+            GaloisTwist.from_position(0, level)
 
 
 def test_lucas_criterion_finds_witness():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from borelline import __version__, cli, towers
+from borelline import __version__, characters, cli, towers
 from borelline.characters import RationalPower, truncate
 from borelline.cli import _document_text, main
 from borelline.digits import ArgumentError
@@ -376,6 +376,30 @@ def test_every_entry_point_refuses_a_level_no_tower_has(tmp_path, capsys, entry,
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
+
+
+LONG_TWIST = {"kind": "twisted", "factors": [{"theta": 1, "twist": [0] * 12000}]}
+LONG_TWIST_COMMANDS = {
+    "char-inspect": lambda path: ["char-inspect", path, "--p", "2"],
+    "lab": lambda path: ["lab", "--p", "2", "--a", "1", "--char", path],
+    "classify": lambda path: ["classify", path, "--p", "2"],
+}
+
+
+@pytest.mark.parametrize("command", LONG_TWIST_COMMANDS)
+def test_a_twist_past_the_tower_cap_exits_3_on_every_command(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # a twist lists one residue per level, so 12 000 of them name level
+    # 12 000: refused on its length, before any residue is held to n!
+    doc = LONG_TWIST
+    if command == "classify":
+        doc = {"cartan": [[2]], "restrictions": {"1": LONG_TWIST}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(characters, "factorial", None)
+    code, out, err = run_cli(capsys, *LONG_TWIST_COMMANDS[command](str(path)))
+    assert (code, out) == (3, "")
+    assert err == "capability: level 12000 exceeds the tower cap 3\n"
 
 
 def test_verify_large_prime_is_a_vacuous_pass(capsys):

@@ -28,7 +28,7 @@ PACKAGE = SRC / "borelline"
 
 # Why each allowed def stays in src/ though no request enters it.
 TRACER_HELD = ("kept for perfbench/tracer.py, which reaches it by name (Codes.decode "
-               "through Subspace.rows), until ROADMAP D10 and D16")
+               "through Subspace.rows), until ROADMAP D10b and D16")
 MISUSE = ("library misuse or inspection that no command makes: mixing levels or "
           "towers, assigning to a frozen record, repr or == of what no document holds")
 WEYL = ("weyl's group machinery, called only by tests, test_criterion_10_weyl_combinatorics "

@@ -59,7 +59,7 @@ def _check_module(p, a, m):
     else:
         ops = HeckeOperators(module)
         pieces = ops.idempotent_split()
-        cols = list(zip(*map(module.codes.decode, ops.t_s_rows)))
+        cols = list(map(module.codes.decode, ops._cols))
         units = [ref.unit_vector(module, j) for j in range(module.dim)]
         y_full = ref.rref(ref.vec_add(e, c) for e, c in zip(units, cols))
         assert (pieces[0].rows, pieces[1].rows) == (y_full, ref.rref(cols))

@@ -12,8 +12,8 @@ from borelline import cli, sl2lab, suites
 import proof_route
 from census_route import CensusReport, b_stable_lines, census_report, census_socle, within
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
-from borelline.digits import ArgumentError, _lucas_digit_product
-from borelline.linalg import DenseMap, MonomialMap, mat_mul, rref, span_contains, vec_scale
+from borelline.digits import ArgumentError, _fine_dim, _lucas_digit_product
+from borelline.linalg import DenseMap, MonomialMap, mat_mul, mat_vec, rref, span_contains, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
@@ -616,32 +616,28 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
 
 
 @pytest.mark.parametrize("m, self_dual", ((3, True), (1, False)), ids=("order-2", "generic"))
-def test_a_self_dual_module_builds_one_hecke_operator(monkeypatch, m, self_dual):
+def test_a_report_raises_t_twice_and_builds_no_hecke_operator(monkeypatch, m, self_dual):
     # every report, at (7, 1, 3) where theta has order 2 and the dual is the
-    # module as elsewhere, builds one operator, t_s, the level's T raised to
-    # m, and raises T once more, to -m, for t_s'. No dual module is built,
-    # and no report checks equivariance
-    calls, raisings = [], []
-    real, real_raise = HeckeOperators.__init__, sl2lab._raised_t_s
+    # module as elsewhere, raises the level's T twice, to m for t_s and to
+    # -m for t_s', each raise checking its one power-sum identity. It builds
+    # no HeckeOperators and no dual module, and checks no equivariance
+    raisings = []
+    real_raise = sl2lab._raised_t_s
 
-    def counting(self, module):
-        calls.append(module)
-        real(self, module)
-
-    def counting_raise(module, power):
-        raisings.append(power)
-        return real_raise(module, power)
+    def counting_raise(level, power):
+        raisings.append((level, power))
+        return real_raise(level, power)
 
     module = InducedModule(7, 1, power_char(m, 7, 1))
     module.level.t_s_cols
     with monkeypatch.context() as patch:
-        patch.setattr(HeckeOperators, "__init__", counting)
         patch.setattr(sl2lab, "_raised_t_s", counting_raise)
-        # building a module, or T again, would raise
+        # building an operator or a module, or T again, would raise
+        patch.setattr(HeckeOperators, "__init__", None)
         patch.setattr(InducedModule, "__init__", None)
         patch.setattr(sl2lab._InducedLevel, "_t_s_columns", None)
         assert socle_head_report(module).head_dim == m + 1
-    assert calls == [module] and raisings == [m, -m]
+    assert raisings == [(module.level, m), (module.level, -m)]
     assert (proof_route.dual(module) is module) is self_dual
 
 
@@ -1140,7 +1136,7 @@ def test_every_residue_up_to_q_13():
                 assert section["head_dim"] == section["digit_product"] == _digit_product(m, p)
                 digits = _digits(m, p)
                 socle_dim = prod(p - d for d in digits) * p ** (factorial(a) - len(digits))
-                assert section["socle_dim"] == socle_dim == sl2lab.socle_digit_product(module)
+                assert section["socle_dim"] == socle_dim == _fine_dim(q - 1 - m, p)
             cases += 1
     assert cases == 46
 
@@ -1186,6 +1182,9 @@ def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
     captured = capsys.readouterr()
     assert json.loads(captured.out)["ok"] is False
     assert captured.err == f"verification: {err}\n"
+
+
+POWER_SUM_IDENTITY = "the power-sum identity T^k L = c_k L fails"
 
 
 def _rescale_a_column(monkeypatch, check=True):
@@ -1237,11 +1236,15 @@ def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, fr
 
 def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch, fresh_caches):
     # past the level's checks of T, skipped here, t_s' t_s line = 0 is the
-    # report's: t_s' t_s line = t_s' L, the sum of the cell columns of t_s',
-    # which is 0 until one of them is scaled by g^-1 != 1
+    # power-sum identity of the raise to -m: T^-m L, the sum of the cell
+    # columns of t_s', is 0 until one of them is scaled by g^-1 != 1. The
+    # report's first raise, to m, meets it first, as the dual's
+    # t_s t_s' line = 0
     _rescale_a_column(monkeypatch, check=False)
-    with pytest.raises(RelationError, match=re.escape("t_s' t_s line != 0")):
-        socle_head_report(InducedModule(5, 1, power_char(1, 5)))
+    module = InducedModule(5, 1, power_char(1, 5))
+    for run in (lambda: sl2lab._raised_t_s(module.level, -1), lambda: socle_head_report(module)):
+        with pytest.raises(RelationError, match=re.escape(POWER_SUM_IDENTITY)):
+            run()
 
 
 @pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
@@ -1530,18 +1533,36 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
     # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s).
     # A doubled level T would pass: at theta trivial, raising to the 0th
     # power sends each nonzero entry to 1. So the mutant doubles the raised
-    # t_s, past the level's checks; t_s^2 = c t_s sums entries and is
-    # checked per character
+    # entries, between the raise and its check: the power-sum identity at
+    # k = 0, t_s^2 line = -t_s line, sums entries, so it meets the scale
     module = InducedModule(p, 1, trivial_character(p, 1))
-    real = sl2lab._raised_t_s
+    real = sl2lab._raised_entries
 
-    def doubled(module, m):
-        two = module.codes.scalars[2]
-        return tuple(vec_scale(module.codes, two, col) for col in real(module, m))
+    def doubled(codes, cols, k):
+        two = codes.scalars[2]
+        return tuple(vec_scale(codes, two, col) for col in real(codes, cols, k))
 
-    monkeypatch.setattr(sl2lab, "_raised_t_s", doubled)
-    with pytest.raises(RelationError, match=re.escape("t_s^2 = c t_s fails, c = -1 if theta = 1")):
-        HeckeOperators(module)
+    monkeypatch.setattr(sl2lab, "_raised_entries", doubled)
+    for run in (lambda: HeckeOperators(module), lambda: case_verdict(module)):
+        with pytest.raises(RelationError, match=re.escape(POWER_SUM_IDENTITY)):
+            run()
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS[1:],
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS[1:]])
+def test_the_power_sum_identity_holds_at_every_power_and_no_other(p, a):
+    # T^k L = c_k L at each k from -(q - 1) to q - 1, c_k = -1 exactly at
+    # the multiples of q - 1, with no case for the order of theta; L != 0,
+    # so the identity tells the two values of c_k apart at every k
+    level = InducedModule(p, a, power_char(1, p, a)).level
+    codes, q = level.codes, level.q
+    minus_one = codes.neg[1]
+    for k in range(-(q - 1), q):
+        cols = sl2lab._raised_t_s(level, k)
+        image = mat_vec(codes, tuple(zip(*cols)), cols[0])
+        c, wrong = (minus_one, 0) if k % (q - 1) == 0 else (0, minus_one)
+        assert cols[0] == (0,) + (1,) * q
+        assert image == vec_scale(codes, c, cols[0]) != vec_scale(codes, wrong, cols[0])
 
 
 @pytest.mark.parametrize("p, m", ((2, 0), (3, 0), (3, 1), (5, 2)), ids=("2", "3", "3-1", "5-2"))
@@ -1566,10 +1587,10 @@ def _dense_rows(module, g):
 
 def test_hecke_t_s_squares_to_minus_itself():
     # the reference route for the whole-map equivariance and the one-column
-    # relation that HeckeOperators checks: dense products on every column
+    # relation that the raise checks at k = 0: dense products on every column
     for p, a in GRID + ((3, 2),):
         module = InducedModule(p, a, trivial_character(p, a))
-        t_s = tuple(map(module.codes.decode, HeckeOperators(module).t_s_rows))
+        t_s = tuple(map(module.codes.decode, zip(*HeckeOperators(module)._cols)))
         neg = tuple(tuple(-x for x in row) for row in t_s)
         assert ref.mat_mul(t_s, t_s) == neg
         for g in module.generators:
@@ -1583,7 +1604,7 @@ def test_hecke_t_s_squares_to_zero_for_theta_of_order_two():
     for p, a in ((3, 1), (5, 1), (7, 1), (3, 2)):
         q = p ** factorial(a)
         module = InducedModule(p, a, power_char((q - 1) // 2, p, a))
-        t_s = tuple(map(module.codes.decode, HeckeOperators(module).t_s_rows))
+        t_s = tuple(map(module.codes.decode, zip(*HeckeOperators(module)._cols)))
         zero = tuple(tuple(x - x for x in row) for row in t_s)
         assert ref.mat_mul(t_s, t_s) == zero != t_s
         for g in module.generators:
