@@ -190,13 +190,36 @@ def _cmd_lab(args):
     return out
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The top-level parser. A request whose first argument is exactly a
+    command name is parsed by that command's subparser alone, into the
+    namespace and leftovers that argparse's own route gives; that route
+    parses it twice, here only to find the name. Anything else takes
+    argparse's route: `--version`, `-h`, no command, an unknown or
+    abbreviated command, `--`, a given namespace, and any argument starting
+    "-=" or "--=", which argparse may refuse here as ambiguous between
+    `--help` and `--version` before the subparser sees it. `parse_args`
+    reports leftovers with this parser's usage, as argparse's route does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(args[0]) if args and namespace is None else None
+        if sub is None or any(arg.startswith(("-=", "--=")) for arg in args):
+            return super().parse_known_args(args, namespace)
+        return sub.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _CommandParser(
         prog="borelline",
         description="Exact digit combinatorics and finite-level module checks.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # plain subparsers: argparse's default, the top-level parser's class,
+    # would send each subparser's own parse through the dispatch
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices  # name -> subparser, filled by add_parser below
 
     p_verify = sub.add_parser("verify", help="run named verification suites")
     p_verify.add_argument("suites", nargs="*", metavar="SUITE",
@@ -257,10 +280,16 @@ def main(argv=None) -> int:
         print(f"verification: {err}", file=sys.stderr)
         return VERIFICATION_ERROR
     text = json.dumps(obj, indent=2, sort_keys=True, cls=_DocumentEncoder) + "\n"
+    if args.out:
+        # written before stdout, so that an --out that cannot be written
+        # leaves stdout empty
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return USAGE_ERROR
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return 0 if obj.get("ok", True) else VERIFICATION_ERROR
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import argparse
+import collections
+import functools
 import json
 import random
 import subprocess
@@ -66,6 +69,20 @@ def test_verify_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "power-sums", "--out", str(target))
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify", "power-sums", "--p", "3"],
+    ["lab", "--p", "2", "--a", "1", "--power", "0"],
+), ids=("verify", "lab"))
+@pytest.mark.parametrize("target", ("missing-parent", "directory"))
+def test_an_out_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv, target):
+    out = tmp_path / "absent" / "x.json" if target == "missing-parent" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{str(out)!r}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "absent").exists()
 
 
 def test_classify_command(tmp_path, capsys):
@@ -645,6 +662,114 @@ def test_calls_in_a_row_print_what_new_processes_print(tmp_path, capsys, fresh_p
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, out)
+
+
+# -- parsing -------------------------------------------------------------------
+
+# (id, argv) with "@name" for a file of ROUTE_FILES. Every refusal kind that
+# perfbench's edge-inputs sends, usage errors argparse reports, and the forms
+# the top-level parser sends on to argparse's own route.
+ROUTE_ARGVS = (
+    ("nonprime", ["verify", "--p", "9"]),
+    ("unknown-suite", ["verify", "lemma"]),
+    ("char-and-power", ["lab", "--p", "2", "--a", "1", "--power", "1", "--char", "@char"]),
+    ("malformed-classify", ["classify", "@bad", "--p", "3"]),
+    ("malformed-char-inspect", ["char-inspect", "@bad", "--p", "3"]),
+    ("bad-rank", ["classify", "@short", "--p", "5"]),
+    ("level-past-cap", ["char-inspect", "@char", "--p", "2", "--level", "4"]),
+    ("a-past-cap", ["lab", "--p", "2", "--a", "4", "--power", "1"]),
+    ("q-past-cap", ["lab", "--p", "11", "--a", "2", "--power", "1"]),
+    ("level-3-past-cap", ["lab", "--p", "3", "--a", "3", "--power", "1"]),
+    ("a10", ["lab", "--p", "3", "--a", "10", "--power", "1"]),
+    ("unknown-command", ["frobnicate", "--p", "2"]),
+    ("abbreviated-command", ["ver", "lucas"]),
+    ("no-arguments", []),
+    ("version", ["--version"]),
+    ("version-abbreviated", ["--vers"]),
+    ("help", ["-h"]),
+    ("lab-help", ["lab", "-h"]),
+    ("verify-version", ["verify", "--version"]),
+    ("verify-extra", ["verify", "lucas", "--p", "2", "extra"]),
+    ("classify-extra", ["classify", "@cartan", "--p", "2", "extra"]),
+    ("char-inspect-extra", ["char-inspect", "@char", "--p", "2", "--bogus"]),
+    ("lab-extra", ["lab", "--p", "2", "--a", "1", "--power", "0", "extra"]),
+    ("abbreviated-option", ["lab", "--p", "3", "--a", "1", "--pow", "2"]),
+    ("equals", ["verify", "lucas", "--p=3"]),
+    ("negative-power", ["lab", "--p", "5", "--a", "1", "--power", "-3"]),
+    ("missing-value", ["lab", "--p", "5", "--a", "1", "--power"]),
+    ("bad-int", ["lab", "--p", "two", "--a", "1"]),
+    ("double-dash", ["verify", "--", "lucas"]),
+    ("double-dash-first", ["--", "verify", "lucas"]),
+    ("option-before-suite", ["verify", "--p", "2", "lucas"]),
+    ("empty-before-equals", ["lab", "--=x"]),
+    ("dash-equals", ["lab", "-=x"]),
+)
+ROUTE_FILES = {
+    "char": json.dumps({"kind": "rational", "lambda": -1}),
+    "bad": "[1, 2",
+    "short": json.dumps({"cartan": [[2, -1], [-1, 2]],
+                         "restrictions": {"1": {"kind": "trivial"}}}),
+    "cartan": json.dumps({"cartan": [[2]], "restrictions": {"1": {"kind": "trivial"}}}),
+}
+
+
+def _argparse_route(parser):
+    """parser, parsing as a plain argparse.ArgumentParser does."""
+    parser.parse_known_args = functools.partial(argparse.ArgumentParser.parse_known_args,
+                                                parser)
+    return parser
+
+
+def _outcome(monkeypatch, capsys, parser, argv):
+    """What main returns and prints through parser, and what parse_args
+    gives on the same argv: a namespace or an exit code."""
+    monkeypatch.setattr(cli, "_parser", parser)
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    printed = capsys.readouterr()
+    try:
+        parsed = parser.parse_args(argv)
+    except SystemExit as stop:
+        parsed = stop.code
+    capsys.readouterr()
+    return code, printed.out, printed.err, parsed
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in ROUTE_ARGVS],
+                         ids=[name for name, _ in ROUTE_ARGVS])
+def test_main_answers_as_argparse_own_route_does(tmp_path, monkeypatch, capsys, argv):
+    for name, text in ROUTE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    ours = _outcome(monkeypatch, capsys, cli.build_parser(), argv)
+    theirs = _outcome(monkeypatch, capsys, _argparse_route(cli.build_parser()), argv)
+    assert ours == theirs
+    assert "Traceback" not in ours[2]
+
+
+@pytest.mark.parametrize("argv, passes", (
+    (["lab", "--p", "2", "--a", "1", "--power", "0"], {"lab": 1}),
+    (["verify", "lucas", "--p", "2"], {"verify": 1}),
+    (["labs", "--p", "2"], {"top-level": 1}),
+), ids=("lab", "verify", "unknown"))
+def test_a_known_command_is_parsed_by_its_subparser_alone(monkeypatch, capsys, argv, passes):
+    parser = cli.build_parser()
+    counted = collections.Counter()
+    for name, each in [("top-level", parser), *parser.commands.items()]:
+        def counting(*args, _name=name, _real=each._parse_known_args):
+            counted[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(each, "_parse_known_args", counting)
+    monkeypatch.setattr(cli, "_parser", parser)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert dict(counted) == passes
 
 
 # -- the document writer -------------------------------------------------------
