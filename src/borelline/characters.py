@@ -19,6 +19,18 @@ from .digits import (
 from .towers import LEVEL_CAP, CapabilityError, require_level
 
 
+def _shown(value) -> str:
+    """value as an error names it: its repr, or past 40 characters its
+    first and last 12 with its digit count or length, so that an error
+    line stays short however long the input."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, int):
+        return f"{text[:12]}...{text[-12:]} ({len(text.lstrip('-'))} digits)"
+    return f"{text[:12]}...{text[-12:]} ({len(text)} characters)"
+
+
 @record
 class TruncatedCharacter:
     """Residues m_1..m_N, N <= LEVEL_CAP; level n constrains m_n to [0, p^(n!) - 2].
@@ -95,7 +107,7 @@ class GaloisTwist:
         require_level(len(self.residues))
         for n, g in enumerate(self.residues, start=1):
             if not 0 <= g < factorial(n):
-                raise ArgumentError(f"twist residue at level {n} out of range: {g}")
+                raise ArgumentError(f"twist residue at level {n} out of range: {_shown(g)}")
         for n in range(1, len(self.residues)):
             if self.residues[n] % factorial(n) != self.residues[n - 1]:
                 raise ArgumentError(
@@ -160,7 +172,7 @@ SymbolicCharacter = RationalPower | TwistedDigitSum | Trivial
 def _check_digit_values(sc: TwistedDigitSum, p):
     for theta, _ in sc.factors:
         if theta >= p:
-            raise ArgumentError(f"digit value {theta} is not a base-{p} digit")
+            raise ArgumentError(f"digit value {_shown(theta)} is not a base-{p} digit")
 
 
 def pattern_residue(factors, p, n) -> int:
@@ -428,4 +440,4 @@ def symbolic_from_json(obj) -> SymbolicCharacter:
                 raise ArgumentError("factor 'twist' must be a list of integers")
             factors.append((theta, GaloisTwist(tuple(twist))))
         return TwistedDigitSum(tuple(factors))
-    raise ArgumentError(f"unknown character kind {kind!r}")
+    raise ArgumentError(f"unknown character kind {_shown(kind)}")

@@ -6,7 +6,9 @@ matrices over a tower field. Everything the rest of the library predicts
 about socles, heads, irreducibility, and the transition to higher levels is
 checked here by exact linear algebra: intertwiners to the dual and back,
 raised from one checked operator per level, fixed spaces, spinning vectors,
-and splitting by idempotents in the endomorphism ring.
+and splitting by idempotents in the endomorphism ring. The costandard
+modules are checked as symmetric powers of the natural module, whose
+presentation each level checks once.
 
 The lab speaks the int codes of the module's coefficient level
 (`towers.Codes`) from end to end: group points (`eps(x)`, `h(u)`), character
@@ -455,10 +457,39 @@ def case_verdict(module: InducedModule):
 
 # -- costandard modules ------------------------------------------------------
 
-# q^2 (n+1)^3 is the cost of the pairwise relation check, not of the
-# presentation check. It bounds library calls only: no request builds a
-# costandard module outside the `verify` grids, where it is <= 41 472.
-RELATION_WORK_CAP = 6 * 10 ** 7
+# A costandard module costs q (q + (n+1)^2): its level's q x q tables, built
+# once, and its Sym^n check, q (n+1)^2 table reads. The cap admits every
+# n <= q - 1 at q <= 64 (n <= 90 at q = 64) and n <= 2 at q = 729 = 3^6,
+# the largest field a module reaches, whose tables take 13 MB; it refuses
+# q = 733, the next field, at n = 0. It bounds library calls only: no request
+# builds a costandard module outside the `verify` grids, where q <= 9.
+RELATION_WORK_CAP = 729 * 738
+
+
+class _NaturalLevel(_SL2Module):
+    """SL_2(F_q) on its natural module F_q^2 = span{x, y} by its own
+    matrices, eps(t) = [[1, t], [0, 1]], h(u) = diag(u, 1/u) and
+    s = [[0, 1], [-1, 0]], built and checked once per level
+    (`_natural_level`): each `CostandardModule` there is checked as its
+    Sym^n."""
+
+    def __init__(self, p, coeff_level):
+        self.p, self.coeff_level, self.dim = p, coeff_level, 2
+        self.tower = make_tower(p)
+        self.codes = self.tower.codes(coeff_level)
+        self._check_relations()
+
+    def eps(self, t) -> DenseMap:
+        return DenseMap(self.codes, ((1, t), (0, 1)))
+
+    def h(self, u) -> MonomialMap:
+        return MonomialMap(self.codes, (0, 1), (u, self.codes.inv[u]))
+
+    def s(self) -> MonomialMap:
+        return MonomialMap(self.codes, (1, 0), (self.codes.neg[1], 1))
+
+
+_natural_level = lru_cache(maxsize=None)(_NaturalLevel)
 
 
 class CostandardModule(_SL2Module):
@@ -468,27 +499,70 @@ class CostandardModule(_SL2Module):
     An `_SL2Module` over the one field at coeff_level: the group acts
     there, its points are taken there, and the coordinates live there. The
     eps(t) act densely; h(u) is diagonal and s a signed antidiagonal, both
-    monomial maps, so the relation check multiplies matrices only for the
-    products of two eps: 2(q - 1) + d(p + d - 2) of them, d = [F_q : F_p].
+    monomial maps. Its relations are its level's natural module's
+    (`_check_symmetric_power`); `_check_relations` stays as the reference
+    route.
     """
 
     def __init__(self, n, p, coeff_level):
         if n < 0:
             raise ArgumentError("the highest weight must be nonnegative")
         q = field_order(p, coeff_level)
-        if q * q * (n + 1) ** 3 > RELATION_WORK_CAP:
+        if q * (q + (n + 1) ** 2) > RELATION_WORK_CAP:
             raise CapabilityError("relation verification at this size is beyond desk scale")
         self.n = n
         self.p = p
         self.coeff_level = coeff_level
-        self.tower = make_tower(p)
-        self.codes = codes = self.tower.codes(coeff_level)
+        natural = _natural_level(p, coeff_level)
+        self.tower = natural.tower
+        self.codes = codes = natural.codes
         self.dim = n + 1
         # the codes of binom(i, j) mod p; p is proven prime by field_order
         self._binom = tuple(tuple(codes.scalars[_lucas_digit_product(i, j, p)]
                                   for j in range(self.dim))
                             for i in range(self.dim))
-        self._check_relations()
+        self._check_symmetric_power()
+
+    def _check_symmetric_power(self):
+        """Every map the module hands out is Sym^n of its level's natural
+        map (`_NaturalLevel`), on v_i = x^(n-i) y^i, in O(q n^2) reads of the
+        level's add and mul tables. eps(t) sends v_i to x^(n-i) (t x + y)^i,
+        column i - 1 times t x + y, so its columns follow Pascal's rule in
+        t, col_i[j] = col_(i-1)[j-1] + t col_(i-1)[j], while `eps` reads its
+        binomials off Lucas's theorem; h(u) scales v_i by u^(n-i) (1/u)^i,
+        and s sends it to (-1)^(n-i) v_(n-i), both by iterated products.
+
+        Sym^n(AB) = Sym^n(A) Sym^n(B), so every relation of the natural maps
+        holds in the module: the level's check of Steinberg's presentation
+        on them proves it here, for every x, u and t.
+        """
+        codes, n, dim = self.codes, self.n, self.dim
+        add, mul, coords = codes.add, codes.mul, codes.coords
+
+        def powers(c):
+            out = [1]
+            for _ in range(n):
+                out.append(mul[out[-1]][c])
+            return out
+
+        for t in range(codes.q):
+            times_t, col, cols = mul[t], [1] + [0] * n, []
+            for _ in range(dim):
+                cols.append(tuple(col))
+                col = [times_t[col[0]]] + [add[a][times_t[b]] for a, b in zip(col, col[1:])]
+            if tuple(zip(*self.eps(t).rows)) != tuple(cols):
+                raise RelationError(
+                    f"eps is not Sym^n of the natural eps: eps(t) differs at t = {coords[t]}")
+        for u in range(1, codes.q):
+            on_x, on_y = powers(u), powers(codes.inv[u])
+            if self.h(u) != MonomialMap(codes, range(dim),
+                                        (mul[on_x[n - i]][on_y[i]] for i in range(dim))):
+                raise RelationError(
+                    f"h is not Sym^n of the natural h: h(u) differs at u = {coords[u]}")
+        sign = powers(codes.neg[1])
+        if self.s() != MonomialMap(codes, (n - i for i in range(dim)),
+                                   (sign[n - i] for i in range(dim))):
+            raise RelationError("s is not Sym^n of the natural s")
 
     def eps(self, t) -> DenseMap:
         mul = self.codes.mul

@@ -12,13 +12,15 @@ from borelline.towers import make_tower
 @pytest.fixture
 def fresh_caches():
     """The program's caches as a new process finds them: no tower and no
-    level module is built yet. They are emptied again when the test ends,
-    so that no level built under a patched map outlives the test."""
-    make_tower.cache_clear()
-    sl2lab._induced_level.cache_clear()
+    level module, induced or natural, is built yet. They are emptied again
+    when the test ends, so that no level built under a patched map outlives
+    the test."""
+    caches = (make_tower, sl2lab._induced_level, sl2lab._natural_level)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    make_tower.cache_clear()
-    sl2lab._induced_level.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture

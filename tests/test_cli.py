@@ -558,6 +558,32 @@ def test_unreadable_json_is_usage_error(tmp_path, command, raw):
     assert "Traceback" not in proc.stderr
 
 
+_LONG = int("7" * 4000)
+# (character, the error line that names its long value by its first and last
+# characters): each repeated the whole value, about 4 040 bytes
+LONG_VALUE_ERRORS = (
+    ({"kind": "twisted", "factors": [{"theta": _LONG, "twist": [0]}]},
+     "digit value 777777777777...777777777777 (4000 digits) is not a base-3 digit"),
+    ({"kind": "twisted", "factors": [{"theta": 1, "twist": [_LONG]}]},
+     "twist residue at level 1 out of range: 777777777777...777777777777 (4000 digits)"),
+    ({"kind": "x" * 4000},
+     "unknown character kind 'xxxxxxxxxxx...xxxxxxxxxxx' (4002 characters)"),
+)
+
+
+@pytest.mark.parametrize("command", ["char-inspect", "classify", "lab"])
+@pytest.mark.parametrize("char, message", LONG_VALUE_ERRORS,
+                         ids=("digit-value", "twist-residue", "unknown-kind"))
+def test_a_long_value_is_named_in_a_short_error(tmp_path, capsys, command, char, message):
+    path = tmp_path / "in.json"
+    doc = {"cartan": [[2]], "restrictions": {"1": char}} if command == "classify" else char
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["lab", "--char", str(path), "--a", "1"] if command == "lab" else [command, str(path)]
+    code, out, err = run_cli(capsys, *argv, "--p", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 300
+
+
 def test_malformed_json_message_is_the_decoder_message(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text('{"kind": rational}', encoding="utf-8")

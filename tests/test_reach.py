@@ -76,6 +76,7 @@ DOCUMENTS = {
     "negative.json": {"kind": "rational", "lambda": -3},
     "twisted.json": {"kind": "twisted", "factors": [{"theta": 1, "twist": [0, 1, 1]}]},
     "broken.json": "{'kind': 1}",
+    "digit.json": {"kind": "twisted", "factors": [{"theta": 7, "twist": [0]}]},
 }
 REQUESTS = [
     (["verify"], 0),
@@ -93,6 +94,7 @@ REQUESTS = [
     (["char-inspect", "twisted.json", "--p", "5", "--level", "3"], 0),
     (["classify", "affine.json", "--p", "2"], 2),
     (["char-inspect", "broken.json", "--p", "2"], 2),
+    (["char-inspect", "digit.json", "--p", "5"], 2),
     (["lab", "--p", "4", "--a", "1", "--power", "1"], 2),
     (["lab", "--p", "3", "--a", "1", "--power", "1", "--char", "rational.json"], 2),
     (["verify", "lemma"], 2),

@@ -97,20 +97,22 @@ def _generator(module):
     return module.tower.multiplicative_generator(module.coeff_level)
 
 
-# (generator, element it is broken at, columns negated, relation named). At
-# p = 3 a negated column is a different map; at p = 2 it is the same one.
-# Column 0 of an induced module is the stable line, so breaking column 1
-# leaves the line checks passing.
+# (generator, element it is broken at, columns negated, relation named by
+# the presentation check, map and point named by a costandard module's
+# check against Sym^n of its natural module, at p = 3). At p = 3 a negated
+# column is a different map; at p = 2 it is the same one. Column 0 of an
+# induced module is the stable line, so breaking column 1 leaves the line
+# checks passing.
 BROKEN_GENERATORS = (
-    ("eps", _zero, {1}, "eps is not additive"),
+    ("eps", _zero, {1}, "eps is not additive", "eps(t) differs at t = (0,)"),
     # eps(1) times -1 off column 0 still fixes the line; its cube is not 1
-    ("eps", _one, range(1, 4), "eps(b)^p is not the identity"),
+    ("eps", _one, range(1, 4), "eps(b)^p is not the identity", "eps(t) differs at t = (1,)"),
     # -1 is no basis element of F_3; the check composes eps(1) eps(1)
-    ("eps", _minus_one, {1}, "eps(x) != eps(x - b) eps(b)"),
-    ("h", _one, {1}, "h is not multiplicative"),
-    ("s", None, {0}, "s^2 must equal h(-1)"),
+    ("eps", _minus_one, {1}, "eps(x) != eps(x - b) eps(b)", "eps(t) differs at t = (2,)"),
+    ("h", _one, {1}, "h is not multiplicative", "h(u) differs at u = (1,)"),
+    ("s", None, {0}, "s^2 must equal h(-1)", "s is not Sym^n of the natural s"),
     # -s still squares to h(-1), but negates one side of the conjugation word
-    ("s", None, None, "the s-conjugation relation fails"),
+    ("s", None, None, "the s-conjugation relation fails", "s is not Sym^n of the natural s"),
 )
 
 
@@ -128,7 +130,8 @@ def _break_generator(monkeypatch, cls, name, at, cols):
 
 
 # the line is checked on the generators, so the line mutant breaks h(g)
-BROKEN_INDUCED = BROKEN_GENERATORS + (("h", _generator, {0}, "h must scale the line by theta"),)
+BROKEN_INDUCED = tuple(case[:4] for case in BROKEN_GENERATORS) + (
+    ("h", _generator, {0}, "h must scale the line by theta"),)
 
 
 def _check_relations_pairwise(module):
@@ -167,12 +170,15 @@ def _check_relations_pairwise(module):
 
 def _build_unchecked(monkeypatch, build):
     """The module build() gives with no relation check at construction; an
-    induced module's level is built anew, unchecked, and the `fresh_caches`
-    fixture drops it when the test ends."""
+    induced module's level, or a costandard module's natural one, is built
+    anew, unchecked, and the `fresh_caches` fixture drops it when the test
+    ends."""
     sl2lab._induced_level.cache_clear()
+    sl2lab._natural_level.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(sl2lab._InducedLevel, "_check_relations", lambda self: None)
         patch.setattr(sl2lab._SL2Module, "_check_relations", lambda self: None)
+        patch.setattr(CostandardModule, "_check_symmetric_power", lambda self: None)
         return build()
 
 
@@ -217,13 +223,94 @@ def test_relation_checker_catches_a_broken_induced_module(monkeypatch, fresh_cac
         _check_relations_pairwise(module)
 
 
-@pytest.mark.parametrize("name, at, cols, relation", BROKEN_GENERATORS,
-                         ids=[case[-1] for case in BROKEN_GENERATORS])
-def test_relation_checker_catches_a_broken_costandard_module(monkeypatch, name, at, cols, relation):
+@pytest.mark.parametrize("name, at, cols, relation, sym_n", BROKEN_GENERATORS,
+                         ids=[case[3] for case in BROKEN_GENERATORS])
+def test_relation_checker_catches_a_broken_costandard_module(monkeypatch, fresh_caches,
+                                                             name, at, cols, relation, sym_n):
+    # the mutant breaks the module's map, not its natural module's: the
+    # module's check against Sym^n of the natural maps names the map and
+    # the point, and the pairwise route the relation
     _break_generator(monkeypatch, CostandardModule, name, at, cols)
-    with pytest.raises(RelationError, match=re.escape(relation)):
+    with pytest.raises(RelationError, match=re.escape(sym_n)):
         CostandardModule(2, 3, coeff_level=1)
     module = _build_unchecked(monkeypatch, lambda: CostandardModule(2, 3, coeff_level=1))
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
+
+
+@pytest.mark.parametrize("name, at, cols, relation, sym_n", BROKEN_GENERATORS,
+                         ids=[case[3] for case in BROKEN_GENERATORS])
+def test_relation_checker_catches_a_broken_natural_module(monkeypatch, fresh_caches,
+                                                          name, at, cols, relation, sym_n):
+    # the mutant is the natural module's map, which the first costandard
+    # module built at the level checks against the presentation
+    _break_generator(monkeypatch, sl2lab._NaturalLevel, name, at, cols)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        CostandardModule(2, 3, coeff_level=1)
+    module = _build_unchecked(monkeypatch, lambda: sl2lab._natural_level(3, 1))
+    with pytest.raises(RelationError):
+        _check_relations_pairwise(module)
+
+
+def _binomial_row_off_by_one(monkeypatch):
+    """Row i of a costandard module's binomials read from row i - 1 for
+    i >= 2: rows 0 and 1 stay right, so ∇(0) and ∇(1) still pass."""
+    real = sl2lab._lucas_digit_product
+    monkeypatch.setattr(sl2lab, "_lucas_digit_product", lambda i, j, p: real(i - (i >= 2), j, p))
+
+
+def _s_sign_flipped(monkeypatch):
+    real = CostandardModule.s
+    monkeypatch.setattr(CostandardModule, "s", lambda self: _negated(real(self), None))
+
+
+def _h_exponent_off_by_one(monkeypatch):
+    """h(u) scaling v_i by u^(n - 2i + 1)."""
+    def h(self, u):
+        return MonomialMap(self.codes, range(self.dim),
+                           [self.codes.power(u, self.n - 2 * i + 1) for i in range(self.dim)])
+    monkeypatch.setattr(CostandardModule, "h", h)
+
+
+def _eps_entry_negated_off_the_basis(monkeypatch):
+    """eps(-1), -1 no element of the F_p-basis, with the entry t^n of its
+    column n negated; every generator stays right."""
+    real = CostandardModule.eps
+
+    def eps(self, t):
+        g = real(self, t)
+        if t != self.codes.neg[1]:
+            return g
+        rows = [list(row) for row in g.rows]
+        rows[0][self.n] = self.codes.neg[rows[0][self.n]]
+        return DenseMap(self.codes, rows)
+    monkeypatch.setattr(CostandardModule, "eps", eps)
+
+
+# (mutant, map and point the Sym^n check names on ∇(4) at q = 9)
+SYM_N_MUTANTS = (
+    (_binomial_row_off_by_one, "eps is not Sym^n of the natural eps: eps(t) differs at t = (0, 0)"),
+    (_s_sign_flipped, "s is not Sym^n of the natural s"),
+    (_h_exponent_off_by_one, "h is not Sym^n of the natural h: h(u) differs at u = (0, 1)"),
+    (_eps_entry_negated_off_the_basis,
+     "eps is not Sym^n of the natural eps: eps(t) differs at t = (2, 0)"),
+)
+
+
+@pytest.mark.parametrize("mutate, named", SYM_N_MUTANTS,
+                         ids=("binomial-row", "s-sign", "h-exponent", "eps-entry-off-basis"))
+def test_the_symmetric_power_check_catches_costandard_mutants(monkeypatch, fresh_caches,
+                                                             mutate, named):
+    # the natural module, built and checked first under each mutant, passes:
+    # the mutants break only the costandard module's own maps. The check
+    # against Sym^n of the natural maps catches each, and so does the
+    # pairwise route, so that both stay live
+    mutate(monkeypatch)
+    natural = sl2lab._natural_level(3, 2)
+    assert natural.codes.neg[1] not in natural.codes.basis
+    with pytest.raises(RelationError, match=re.escape(named)):
+        CostandardModule(4, 3, coeff_level=2)
+    module = _build_unchecked(monkeypatch, lambda: CostandardModule(4, 3, coeff_level=2))
     with pytest.raises(RelationError):
         _check_relations_pairwise(module)
 
@@ -290,17 +377,21 @@ def test_relation_checker_catches_presentation_mutants(monkeypatch, fresh_caches
 @pytest.mark.parametrize("build, p, d, counts", (
     (lambda: InducedModule(2, 3, power_char(1, 2, 3)), 2, 6, {"MonomialMap": 490}),
     (lambda: InducedModule(61, 1, power_char(1, 61, 1)), 61, 1, {"MonomialMap": 483}),
-    (lambda: CostandardModule(8, 2, coeff_level=3), 2, 6, {"DenseMap": 357, "MonomialMap": 133}),
+    (lambda: [CostandardModule(n, 2, coeff_level=3) for n in (8, 63, 0)], 2, 6,
+     {"DenseMap": 357, "MonomialMap": 133}),
 ), ids=["induced-2-3", "induced-61-1", "costandard-8-2-3"])
 def test_relation_check_composes_linearly_in_q(compose_calls, fresh_caches, build, p, d, counts):
     """7q - 6 + d(p + d) compositions at q = p^d, made by the check of the
-    level that the first induced module built there makes, and by every
-    costandard module: d(p - 1) for the orders of
-    the eps(b), d(d - 1) for their commutators, q - 1 for the eps(x), q - 2
-    for the powers of h(g), 2d for the normalising squares, one for s^2 and
-    1 + 5(q - 1) for the s-conjugation words. The pairwise reference route
-    makes 16 446 at q = 64 and 14 943 at q = 61. On a costandard module a
-    composition counts as the DenseMap's when its left factor is dense."""
+    level that the first induced module built there makes, or the natural
+    module that the first costandard module built there makes: d(p - 1) for
+    the orders of the eps(b), d(d - 1) for their commutators, q - 1 for the
+    eps(x), q - 2 for the powers of h(g), 2d for the normalising squares, one
+    for s^2 and 1 + 5(q - 1) for the s-conjugation words. The costandard
+    modules make none of their own: ∇(8) and ∇(0) made 490 each while each
+    checked the presentation on its own maps, and ∇(63) was refused. The pairwise
+    reference route makes 16 446 at q = 64 and 14 943 at q = 61. On the
+    natural module a composition counts as the DenseMap's when its left
+    factor is dense."""
     build()
     assert dict(compose_calls) == counts
     assert sum(counts.values()) == 7 * p ** d - 6 + d * (p + d)
@@ -464,14 +555,64 @@ def test_a_mutant_patched_in_after_its_level_is_built_is_unseen_until_cache_clea
 
 @pytest.mark.parametrize("n, p, level, products", ((8, 2, 3, 162), (8, 3, 2, 22)),
                          ids=("q=64", "q=9"))
-def test_costandard_relation_check_multiplies_only_eps_by_eps(mat_mul_calls, n, p, level, products):
-    # h and s are monomial, so the only dense products are the eps(b)^p,
-    # the commutators, eps(x - b) eps(b) and the last factor of each
-    # s-conjugation word: 2(q - 1) + d(p + d - 2). All 490 and 67
-    # compositions were dense products while h and s were dense.
+def test_costandard_relation_check_multiplies_only_eps_by_eps(mat_mul_calls, compose_calls,
+                                                              fresh_caches, n, p, level, products):
+    # the presentation is checked once per level, on the natural module,
+    # whose h and s are monomial, so the only dense products are the
+    # eps(b)^p, the commutators, eps(x - b) eps(b) and the last factor of
+    # each s-conjugation word: 2(q - 1) + d(p + d - 2). All 490 and 67
+    # compositions were dense products while h and s were dense. A
+    # costandard module's own check reads tables: no composition and no
+    # dense product, where it made these 162 and 22 products on its own
+    # (n + 1)^2 maps
     d = factorial(level)
-    CostandardModule(n, p, coeff_level=level)
+    sl2lab._natural_level(p, level)
     assert len(mat_mul_calls) == products == 2 * (p ** d - 1) + d * (p + d - 2)
+    mat_mul_calls.clear()
+    compose_calls.clear()
+    CostandardModule(n, p, coeff_level=level)
+    assert (len(mat_mul_calls), dict(compose_calls)) == (0, {})
+
+
+def test_the_relation_grid_checks_one_natural_module_per_level(monkeypatch, fresh_caches):
+    # the 27 costandard modules of sl2-relations make 3 presentation checks,
+    # one per level, each on the level's natural module, beside the
+    # induced levels' 3; each module made its own before
+    checks = Counter()
+    real = sl2lab._SL2Module._check_relations
+
+    def counting(self):
+        checks[type(self).__name__] += 1
+        real(self)
+
+    monkeypatch.setattr(sl2lab._SL2Module, "_check_relations", counting)
+    assert suites.suite_sl2_relations()["cases"] == 39
+    assert checks == {"_NaturalLevel": 3, "_InducedLevel": 3}
+
+
+@pytest.mark.parametrize("p, level", ((2, 1), (3, 1), (2, 2), (3, 2), (5, 1)),
+                         ids=("q=2", "q=3", "q=4", "q=9", "q=5"))
+def test_the_natural_module_is_the_literal_matrices(p, level):
+    # eps(t) = [[1, t], [0, 1]], h(u) = diag(u, 1/u) and s = [[0, 1], [-1, 0]],
+    # read as FieldElements off the maps applied to x and y
+    natural = sl2lab._natural_level(p, level)
+    codes, elements = natural.codes, natural.codes.elements
+    one, zero = _one(natural), _zero(natural)
+
+    def matrix(g):
+        columns = [g.apply(natural.unit_vector(j)) for j in range(2)]
+        return [[elements[col[i]] for col in columns] for i in range(2)]
+
+    for t in range(codes.q):
+        assert matrix(natural.eps(t)) == [[one, elements[t]], [zero, one]]
+    for u in range(1, codes.q):
+        assert matrix(natural.h(u)) == [[elements[u], zero], [zero, elements[u].inverse()]]
+    assert matrix(natural.s()) == [[zero, one], [-one, zero]]
+    # and so is the costandard module of weight one
+    cm = CostandardModule(1, p, coeff_level=level)
+    assert all(cm.eps(t) == natural.eps(t) for t in range(codes.q))
+    assert all(cm.h(u) == natural.h(u) for u in range(1, codes.q))
+    assert cm.s() == natural.s()
 
 
 def _folded_s(module):
@@ -1347,9 +1488,16 @@ def test_costandard_eps_is_binomial_lower_triangular():
             assert got == expected
 
 
-def test_costandard_check_level_guard():
-    with pytest.raises(CapabilityError):
-        CostandardModule(40, 2, coeff_level=3)
+def test_costandard_check_level_guard(fresh_caches):
+    # q (q + (n + 1)^2) <= 729 * 738: n <= 90 at q = 64, n <= 2 at
+    # q = 729 = 3^6, and no n at q = 733, the next field. The cap on the
+    # pairwise cost, q^2 (n + 1)^3 <= 6 10^7, refused n = 40 at q = 64 and
+    # admitted q = 961 at n = 3 and q = 7741 at n = 0
+    for n, p, level in ((91, 2, 3), (3, 3, 3), (0, 733, 1), (3, 31, 2), (0, 7741, 1)):
+        with pytest.raises(CapabilityError, match="beyond desk scale"):
+            CostandardModule(n, p, coeff_level=level)
+    assert CostandardModule(90, 2, coeff_level=3).dim == 91
+    assert CostandardModule(2, 3, coeff_level=3).dim == 3
 
 
 def _chain_costandard_modules():
