@@ -37,7 +37,6 @@ from .digits import (
     ArgumentError,
     RelationError,
     check_digit_lemma,
-    digit_class_sums,
     digit_sum,
     lucas_rows,
     nonzero_digit_count,
@@ -86,7 +85,6 @@ __all__ = [
     "case_verdict",
     "check_digit_lemma",
     "classify_exact",
-    "digit_class_sums",
     "digit_sum",
     "extract_pattern",
     "is_compatible",

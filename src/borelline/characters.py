@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import factorial
 
 from .digits import (
-    ArgumentError, RelationError, _lucas_digit_product, digit_class_sums, digit_sum,
+    ArgumentError, RelationError, _class_sums, _expand, _lucas_digit_product, digit_sum,
     expand, nonzero_digit_count, record, require_prime,
 )
 from .towers import LEVEL_CAP, CapabilityError, require_level
@@ -22,12 +22,19 @@ from .towers import LEVEL_CAP, CapabilityError, require_level
 def _shown(value) -> str:
     """value as an error names it: its repr, or past 40 characters its
     first and last 12 with its digit count or length, so that an error
-    line stays short however long the input."""
+    line stays short however long the input. An int that long is read
+    arithmetically, never converted whole: Python refuses to convert an
+    int past 4 300 digits to a string."""
+    if isinstance(value, int) and not -10 ** 39 < value < 10 ** 40:
+        sign, n = "-" * (value < 0), abs(value)
+        digits = (n.bit_length() - 1) * 1233 >> 12  # at most log10(n), below the count
+        while n >= 10 ** digits:
+            digits += 1
+        head = n // 10 ** (digits - 12 + len(sign))
+        return f"{sign}{head}...{n % 10 ** 12:012d} ({digits} digits)"
     text = repr(value)
     if len(text) <= 40:
         return text
-    if isinstance(value, int):
-        return f"{text[:12]}...{text[-12:]} ({len(text.lstrip('-'))} digits)"
     return f"{text[:12]}...{text[-12:]} ({len(text)} characters)"
 
 
@@ -52,7 +59,7 @@ class TruncatedCharacter:
             hi = self.p ** factorial(n) - 2
             if not 0 <= m <= hi:
                 raise ArgumentError(
-                    f"residue at level {n} must lie in [0, {hi}], got {m}"
+                    f"residue at level {n} must lie in [0, {_shown(hi)}], got {_shown(m)}"
                 )
 
     @property
@@ -256,8 +263,10 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     n_top = tc.level
     if all(m == 0 for m in tc.residues):
         return X0Pattern(tc.p, n_top, 1, ())
-    fs = f_sequence(tc)
-    counts = nonzero_counts(tc)
+    # each residue expanded once, p proven by the TruncatedCharacter
+    expansions = [_expand(m, tc.p) for m in tc.residues]
+    fs = tuple(map(sum, expansions))
+    counts = tuple(sum(map(bool, digits)) for digits in expansions)
     if n_top < 2:
         return NoStablePattern(1, "single level observed", fs, counts)
     n0 = n_top
@@ -273,19 +282,18 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
         return NoStablePattern(n_top, reason, fs, counts)
 
     # inside the window, positions of each residue must refine the previous
-    # level's digits class by class
+    # level's digits class by class: the digits of level n + 1 summed over
+    # the positions congruent mod n! reproduce those of level n
     for n in range(n0, n_top):
         mod = factorial(n)
-        lo = (expand(tc.residue(n), tc.p) + (0,) * mod)[:mod]
-        if digit_class_sums(tc.residue(n + 1), tc.p, mod) != lo:
+        if _class_sums(expansions[n], mod) != (expansions[n - 1] + (0,) * mod)[:mod]:
             return NoStablePattern(
                 n + 1, "digit classes do not refine the level below", fs, counts
             )
 
-    top_digits = expand(tc.residue(n_top), tc.p)
     factors = tuple(
         (d, GaloisTwist.from_position(pos, n_top))
-        for pos, d in enumerate(top_digits)
+        for pos, d in enumerate(expansions[-1])
         if d
     )
     pattern = X0Pattern(tc.p, n_top, n0, factors)

@@ -156,11 +156,27 @@ def expand(n, p) -> tuple[int, ...]:
     require_prime(p)
     if n < 0:
         raise ArgumentError(f"digit expansion needs n >= 0, got {n}")
+    return _expand(n, p)
+
+
+def _expand(n, p) -> tuple[int, ...]:
+    """`expand` unchecked, for callers that have proven p and hold n >= 0:
+    each expands a number once and reads its digit sum, nonzero-digit count
+    and class sums off the one tuple."""
     digits = []
     while n:
         n, d = divmod(n, p)
         digits.append(d)
     return tuple(digits)
+
+
+def _class_sums(digits, r) -> tuple[int, ...]:
+    """Position-class sums of a digit tuple: entry i adds the digits in
+    positions congruent to i mod r."""
+    sums = [0] * r
+    for pos, d in enumerate(digits):
+        sums[pos % r] += d
+    return tuple(sums)
 
 
 def digit_sum(n, p) -> int:
@@ -175,9 +191,10 @@ def nonzero_digit_count(n, p) -> int:
 
 def _fine_dim(n, p) -> int:
     """dim L(n), the simple SL_2-module of highest weight n >= 0 in
-    characteristic p, by Fine's formula: the product of (d + 1) over the
-    base-p digits d of n, the count of k <= n with binom(n, k) prime to p."""
-    return prod(d + 1 for d in expand(n, p))
+    characteristic p, for a proven prime p, by Fine's formula: the product
+    of (d + 1) over the base-p digits d of n, the count of k <= n with
+    binom(n, k) prime to p."""
+    return prod(d + 1 for d in _expand(n, p))
 
 
 def _lucas_digit_product(m, n, p) -> int:
@@ -249,9 +266,10 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
     the sums over the units (False) and over all of F_q (True).
 
     Builds F_q as F_p[x]/(f) for the f that `polyfp.primitive_walk` finds
-    and proves a field, once per field, independently of the closed form
-    above. One pass over the field walks each element's powers upward in k,
-    one product per step, with 0**0 = 1.
+    and proves a field, independently of the closed form above, and its
+    product table once, q^2 products by `polyfp.mul_mod`. One pass over the
+    units walks each element's powers upward in k by table reads, with
+    0**0 = 1, and adds their coordinates as ints, reduced mod p at the end.
     """
     p, r = prime_power_base(q)
     if k_max < 0:
@@ -261,36 +279,26 @@ def power_sums_direct(q, k_max) -> dict[bool, tuple[int, ...]]:
         return polyfp.mul_mod(a, b, f, p)
 
     f, _ = polyfp.primitive_walk(p, r, product)
-    units, whole = [()] * (k_max + 1), [()] * (k_max + 1)
     elems = [()]
     for _ in range(r):
         elems = [e + (c,) for e in elems for c in range(p)]
-    for coords in elems:
-        t = polyfp.trim(coords)
-        tk = (1,)
-        for k in range(k_max + 1):
-            if k:
-                tk = product(tk, t, f)
-            whole[k] = polyfp.add(whole[k], tk, p)
-            if t:
-                units[k] = polyfp.add(units[k], tk, p)
+    index = {coords: i for i, coords in enumerate(elems)}
+    table = [[index[product(a, b, f)] for b in elems] for a in elems]
+    one = index[(1,) + (0,) * (r - 1)]
+    # units[k][i]: coordinate i of the sum of t**k over the units, as an int
+    units = [[0] * r for _ in range(k_max + 1)]
+    for times_t in table[1:]:  # elems[0] is zero
+        tk = one
+        for total in units:
+            for i, c in enumerate(elems[tk]):
+                total[i] += c
+            tk = times_t[tk]
     # each sum is Galois invariant, so it must sit in the prime field
-    if any(polyfp.degree(total) > 0 for total in units + whole):
+    if any(c % p for total in units for c in total[1:]):
         raise RelationError("power sum escaped the prime field")
-    return {include_zero: tuple(total[0] if total else 0 for total in totals)
-            for include_zero, totals in ((False, units), (True, whole))}
-
-
-def digit_class_sums(m, p, r) -> tuple[int, ...]:
-    """Position-class digit sums: entry i adds the digits of m sitting in
-    positions congruent to i mod r."""
-    require_prime(p)
-    if r < 1:
-        raise ArgumentError("need r >= 1")
-    sums = [0] * r
-    for pos, d in enumerate(expand(m, p)):
-        sums[pos % r] += d
-    return tuple(sums)
+    # zero adds 0**0 = 1 at k = 0 and nothing past it
+    return {False: tuple(total[0] % p for total in units),
+            True: tuple((total[0] + (k == 0)) % p for k, total in enumerate(units))}
 
 
 @record
@@ -310,7 +318,9 @@ class DigitLemmaVerdict:
 
 def check_digit_lemma(m, m_prime, p, r) -> DigitLemmaVerdict:
     """Check the three digit-class clauses for 0 <= m <= p^r - 1 and
-    m' = m mod (p^r - 1)."""
+    m' = m mod (p^r - 1). p is proven once and m and m' expanded once
+    each; f, the nonzero-digit counts M and the position-class sums of m'
+    are read off the two expansions."""
     require_prime(p)
     if r <= 1:
         raise ArgumentError("the digit-class law needs r > 1")
@@ -320,10 +330,9 @@ def check_digit_lemma(m, m_prime, p, r) -> DigitLemmaVerdict:
     if m_prime < 0 or (m_prime - m) % (q - 1) != 0:
         raise ArgumentError(f"m' must be congruent to m mod {q - 1}")
 
-    f_m = digit_sum(m, p)
-    f_mp = digit_sum(m_prime, p)
-    m_digits = expand(m, p)
-    classes_match = digit_class_sums(m_prime, p, r) == m_digits + (0,) * (r - len(m_digits))
+    m_digits, mp_digits = _expand(m, p), _expand(m_prime, p)
+    f_m, f_mp = sum(m_digits), sum(mp_digits)
+    classes_match = _class_sums(mp_digits, r) == m_digits + (0,) * (r - len(m_digits))
     equality = f_mp == f_m
     return DigitLemmaVerdict(
         monotone=f_mp >= f_m,
@@ -331,5 +340,5 @@ def check_digit_lemma(m, m_prime, p, r) -> DigitLemmaVerdict:
         classes_match=classes_match,
         equality_iff_classes=equality == classes_match,
         count_growth=(not equality)
-        or nonzero_digit_count(m_prime, p) >= nonzero_digit_count(m, p),
+        or sum(map(bool, mp_digits)) >= sum(map(bool, m_digits)),
     )

@@ -53,10 +53,6 @@ def reduce_vector(codes, v, rows):
     return v
 
 
-def span_contains(codes, rows, v) -> bool:
-    return not any(reduce_vector(codes, v, rows))
-
-
 def rref_insert(codes, rows, v):
     """Adjoin v to canonical rref rows, keeping them canonical.
 

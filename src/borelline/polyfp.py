@@ -33,14 +33,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def add(f, g, p):
-    n = max(len(f), len(g))
-    return trim((
-        ((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-        for i in range(n)
-    ))
-
-
 def mul(f, g, p):
     if not f or not g:
         return ()

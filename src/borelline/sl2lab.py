@@ -42,7 +42,6 @@ from .linalg import (
     monomial_fixed_rows,
     rref,
     rref_insert,
-    span_contains,
     vec_add,
     vec_scale,
 )
@@ -80,9 +79,12 @@ class _SL2Module:
     `_check_relations`. `codes` is that level's `towers.Codes`: the points
     x and u, the maps' entries and every vector of the module are its codes.
 
-    Each call of eps, h or s builds a new map. The generators are built once
-    per module, on first use, and every spin, stability check and
-    intertwiner reads them; an induced module's eps are its level's."""
+    Each call of h or s builds a new map, and so does each call of an
+    induced level's eps; a costandard module builds its eps(t) once per
+    point, at construction, and each call hands out the stored map. The
+    generators are built once per module, on first use, and every spin,
+    stability check and intertwiner reads them; an induced module's eps
+    are its level's."""
 
     def unit_vector(self, i):
         """The i-th basis vector, in codes."""
@@ -358,12 +360,6 @@ class IrreducibilityVerdict:
     proof = True
 
 
-def _is_stable(module, sub: Subspace) -> bool:
-    rows = sub.code_rows
-    return all(span_contains(module.codes, rows, g.apply(r))
-               for g in module.generators for r in rows)
-
-
 # -- socle and head ----------------------------------------------------------
 
 
@@ -458,7 +454,8 @@ def case_verdict(module: InducedModule):
 # -- costandard modules ------------------------------------------------------
 
 # A costandard module costs q (q + (n+1)^2): its level's q x q tables, built
-# once, and its Sym^n check, q (n+1)^2 table reads. The cap admits every
+# once, and its q stored eps maps, q (n+1)^2 entries, which its Sym^n check
+# reads with q (n+1)^2 table reads. The cap admits every
 # n <= q - 1 at q <= 64 (n <= 90 at q = 64) and n <= 2 at q = 729 = 3^6,
 # the largest field a module reaches, whose tables take 13 MB; it refuses
 # q = 733, the next field, at n = 0. It bounds library calls only: no request
@@ -499,9 +496,11 @@ class CostandardModule(_SL2Module):
     An `_SL2Module` over the one field at coeff_level: the group acts
     there, its points are taken there, and the coordinates live there. The
     eps(t) act densely; h(u) is diagonal and s a signed antidiagonal, both
-    monomial maps. Its relations are its level's natural module's
-    (`_check_symmetric_power`); `_check_relations` stays as the reference
-    route.
+    monomial maps. Each eps(t) is built once, at construction, by Lucas's
+    theorem, and stored; `eps`, `generators` and `pi_image` read the stored
+    maps. Its relations are its level's natural module's
+    (`_check_symmetric_power`, which checks the stored maps through `eps`);
+    `_check_relations` stays as the reference route.
     """
 
     def __init__(self, n, p, coeff_level):
@@ -521,6 +520,7 @@ class CostandardModule(_SL2Module):
         self._binom = tuple(tuple(codes.scalars[_lucas_digit_product(i, j, p)]
                                   for j in range(self.dim))
                             for i in range(self.dim))
+        self._eps = tuple(map(self._lucas_eps, range(q)))
         self._check_symmetric_power()
 
     def _check_symmetric_power(self):
@@ -528,8 +528,9 @@ class CostandardModule(_SL2Module):
         map (`_NaturalLevel`), on v_i = x^(n-i) y^i, in O(q n^2) reads of the
         level's add and mul tables. eps(t) sends v_i to x^(n-i) (t x + y)^i,
         column i - 1 times t x + y, so its columns follow Pascal's rule in
-        t, col_i[j] = col_(i-1)[j-1] + t col_(i-1)[j], while `eps` reads its
-        binomials off Lucas's theorem; h(u) scales v_i by u^(n-i) (1/u)^i,
+        t, col_i[j] = col_(i-1)[j-1] + t col_(i-1)[j], while the stored maps
+        that `eps` hands out read their binomials off Lucas's theorem
+        (`_lucas_eps`); h(u) scales v_i by u^(n-i) (1/u)^i,
         and s sends it to (-1)^(n-i) v_(n-i), both by iterated products.
 
         Sym^n(AB) = Sym^n(A) Sym^n(B), so every relation of the natural maps
@@ -565,6 +566,12 @@ class CostandardModule(_SL2Module):
             raise RelationError("s is not Sym^n of the natural s")
 
     def eps(self, t) -> DenseMap:
+        """The stored eps(t), built at construction."""
+        return self._eps[t]
+
+    def _lucas_eps(self, t) -> DenseMap:
+        """eps(t), its entries binom(i, j) t^(i - j) from the module's
+        Lucas binomials and the powers of t."""
         mul = self.codes.mul
         powers = [1]
         times_t = mul[t]
@@ -594,12 +601,22 @@ class CostandardModule(_SL2Module):
 
 def l_submodule(cm: CostandardModule) -> Subspace:
     """Span of the v_i with binom(n, i) nonzero mod p, read off the
-    module's last binomial row; checked stable."""
-    rows = [cm.unit_vector(i) for i, b in enumerate(cm._binom[cm.n]) if b]
-    sub = Subspace(cm, rref(cm.codes, rows))
-    if not _is_stable(cm, sub):
-        raise RelationError("digit span is not a submodule")
-    return sub
+    module's last binomial row; checked stable. The span S is a coordinate
+    subspace, so it is stable exactly when each generator's column i
+    vanishes off S for every i in S: read off a dense map's rows and a
+    monomial map's permutation, with no product and no row reduction."""
+    in_span = cm._binom[cm.n]
+    support = [i for i, b in enumerate(in_span) if b]
+    outside = [j for j, b in enumerate(in_span) if not b]
+    for g in cm.generators:
+        if isinstance(g, MonomialMap):
+            stable = all(in_span[g.perm[i]] for i in support)
+        else:
+            stable = not any(g.rows[j][i] for j in outside for i in support)
+        if not stable:
+            raise RelationError("digit span is not a submodule")
+    # unit vectors in increasing order are canonical echelon rows
+    return Subspace(cm, tuple(map(cm.unit_vector, support)))
 
 
 # -- the level bridge --------------------------------------------------------
@@ -619,9 +636,10 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     """sum over a in F_(p^(r!)) of eps(a) . v_(m_t) inside the costandard
     module of weight m_t, computed two independent ways.
 
-    Direct route: sum the matrix actions. Closed route: binomials mod p
-    times power sums, nonzero only at depths k (p^(r!) - 1). Both must agree
-    entrywise; the caller reads off nonzero-ness.
+    Direct route: sum the actions of the module's stored eps(a). Closed
+    route: binomials mod p times power sums, nonzero only at depths
+    k (p^(r!) - 1). Both must agree entrywise; the caller reads off
+    nonzero-ness.
     """
     if not 1 <= r < t:
         raise ArgumentError("need 1 <= r < t")

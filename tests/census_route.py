@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from borelline import sl2lab
-from borelline.linalg import mat_mul, rref, span_contains
-from proof_route import dual, fixed_subspace, kernel
+from borelline.linalg import mat_mul, rref
+from proof_route import dual, fixed_subspace, kernel, span_contains
 
 
 def u_fixed_rows(module):

@@ -8,21 +8,33 @@ it before it read the step off work it already does.
 - the maximal submodule as the kernel of t_s, whose codimension
   `sl2lab.socle_head_report` reads as rank t_s;
 - the dual of an induced module as a module, Ind theta^-1, whose t_s the
-  lab reads off its level's T raised to -m and never builds.
+  lab reads off its level's T raised to -m and never builds;
+- the stability of a subspace by row reduction, each generator applied to
+  each row and the image reduced against the rows, against
+  `sl2lab.l_submodule`, which reads the stability of its coordinate
+  subspace off the generators' columns.
 
 All on int codes, as `linalg` computes; `element_route` is the
-FieldElement route. The polynomial helpers of Rabin's test, `pow_mod`
-among them, are built here on `polyfp`'s ring operations.
+FieldElement route. The polynomial helpers of Rabin's test, `add` and
+`pow_mod` among them, are built here on `polyfp`'s ring operations.
 """
 
 from __future__ import annotations
 
 from borelline.characters import RationalPower, truncate
-from borelline.linalg import rref
-from borelline.polyfp import add, degree, mul, poly_mod
+from borelline.linalg import reduce_vector, rref
+from borelline.polyfp import degree, mul, poly_mod, trim
 from borelline.sl2lab import HeckeOperators, InducedModule
 
 X = (0, 1)
+
+
+def add(f, g, p):
+    n = max(len(f), len(g))
+    return trim((
+        ((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
+        for i in range(n)
+    ))
 
 
 def neg(f, p):
@@ -158,3 +170,15 @@ def dual(module):
             p, a, truncate(RationalPower(-m), p, a))
         module._dual, other._dual = other, module
     return module._dual
+
+
+def span_contains(codes, rows, v) -> bool:
+    """Whether the span of canonical echelon rows holds the code vector v."""
+    return not any(reduce_vector(codes, v, rows))
+
+
+def is_stable(module, sub) -> bool:
+    """Whether each generator maps each row of the subspace into its span."""
+    rows = sub.code_rows
+    return all(span_contains(module.codes, rows, g.apply(r))
+               for g in module.generators for r in rows)

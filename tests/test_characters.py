@@ -37,6 +37,66 @@ def test_truncated_character_range_checks():
         TruncatedCharacter(4, (0,))
 
 
+# library calls whose error names an int past Python's 4 300-digit limit on
+# int-to-string conversion: each raised ValueError ("Exceeds the limit")
+# from the message itself instead of ArgumentError
+HUGE = 10 ** 5000 + 7
+HUGE_VALUE_CALLS = (
+    (lambda: GaloisTwist((HUGE,)),
+     "twist residue at level 1 out of range: 100000000000...000000000007 (5001 digits)"),
+    (lambda: truncate(TwistedDigitSum(((HUGE, GaloisTwist((0,))),)), 3, 1),
+     "digit value 100000000000...000000000007 (5001 digits) is not a base-3 digit"),
+    (lambda: TruncatedCharacter(3, (HUGE,)),
+     "residue at level 1 must lie in [0, 1], got 100000000000...000000000007 (5001 digits)"),
+    (lambda: TruncatedCharacter(3, (-HUGE,)),
+     "residue at level 1 must lie in [0, 1], got -10000000000...000000000007 (5001 digits)"),
+)
+
+
+@pytest.mark.parametrize("call, message", HUGE_VALUE_CALLS,
+                         ids=("twist", "digit-value", "residue", "negative-residue"))
+def test_an_int_past_the_conversion_limit_is_named_in_a_short_argument_error(call, message):
+    with pytest.raises(ArgumentError) as caught:
+        call()
+    assert str(caught.value) == message
+    assert len(str(caught.value).encode()) < 300
+
+
+def _shown_by_repr(value):
+    """The reference route of `characters._shown` for an int below the
+    conversion limit: its repr, cut as the errors cut it."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:12]}...{text[-12:]} ({len(text.lstrip('-'))} digits)"
+
+
+def test_a_residue_out_of_range_names_value_and_bound_shortly():
+    # the bound p^(n!) - 2 is as long as the residue: at p = 10^18 + 3 and
+    # level 3 a 121-digit residue and its 109-digit bound were echoed whole
+    p = 10 ** 18 + 3
+    hi, m = p ** 6 - 2, 10 ** 120
+    with pytest.raises(ArgumentError) as caught:
+        TruncatedCharacter(p, (0, 0, m))
+    message = str(caught.value)
+    assert message == (f"residue at level 3 must lie in [0, {_shown_by_repr(hi)}], "
+                       f"got {_shown_by_repr(m)}")
+    assert "(109 digits)], got 100000000000...000000000000 (121 digits)" in message
+    assert len(message.encode()) < 300
+    # a short value is named whole, as repr names it
+    with pytest.raises(ArgumentError, match=r"must lie in \[0, 0\], got 1$"):
+        TruncatedCharacter(2, (1,))
+
+
+@pytest.mark.parametrize("value", (10 ** 39, 10 ** 40 - 1, 10 ** 40, -(10 ** 38), -(10 ** 39),
+                                   -(10 ** 39) + 1, 123456789 ** 20, -(987654321 ** 25), True, -7),
+                         ids=("1e39", "1e40-1", "1e40", "-1e38", "-1e39", "-1e39+1", "162-digits",
+                              "-225-digits", "True", "-7"))
+def test_shown_names_an_int_as_its_repr_would(value):
+    # below the limit, the arithmetic reading gives what the repr gives
+    assert characters._shown(value) == _shown_by_repr(value)
+
+
 def test_compatibility_verdict():
     # 5 = 2 + 3 is congruent to 2 mod 3, so this tower is coherent
     assert is_compatible(TruncatedCharacter(2, (0, 2, 5)))
@@ -148,6 +208,37 @@ def test_extract_pattern_twisted_roundtrip():
     assert isinstance(pattern, X0Pattern)
     got = {(t, w.residues) for t, w in pattern.factors}
     assert got == {(1, (0, 0, 0)), (2, (0, 1, 3))}
+
+
+def test_extract_pattern_expands_each_residue_once(monkeypatch):
+    # f, the nonzero-digit counts, the class sums of the window and the top
+    # factors are read off one expansion per residue, p being proven by the
+    # TruncatedCharacter; f_sequence, nonzero_counts and the window's expand
+    # and class sums made about 9 expansions of 3 residues, each proving p
+    # again
+    towers = [truncate(sc, 3, 3) for sc in (
+        TwistedDigitSum(((1, GaloisTwist.from_position(0, 3)),
+                         (2, GaloisTwist.from_position(3, 3)))),
+        TwistedDigitSum(((1, GaloisTwist.from_position(0, 3)),
+                         (1, GaloisTwist.from_position(2, 3)))),
+        RationalPower(-1),
+    )]
+    calls = []
+    real = digits._expand
+
+    def expanding(n, p):
+        calls.append(n)
+        return real(n, p)
+
+    monkeypatch.setattr(characters, "_expand", expanding)
+    monkeypatch.setattr(characters, "expand", None)
+    monkeypatch.setattr(characters, "require_prime", None)
+    kinds = []
+    for tc in towers:
+        calls.clear()
+        kinds.append(type(extract_pattern(tc)))
+        assert calls == list(tc.residues)
+    assert kinds == [X0Pattern, NoStablePattern, NoStablePattern]
 
 
 def test_extract_pattern_same_parity_twists_break():

@@ -263,7 +263,7 @@ def test_lab_nontrivial_character_past_the_cap_refused_before_building(capsys, p
 
 
 @pytest.mark.parametrize("argv, products, towers", (
-    (("verify",), 570, 2),
+    (("verify",), 265, 2),
     (("lab", "--p", "2", "--a", "3", "--power", "1"), 69, 1),
     (("lab", "--p", "2", "--a", "2", "--power", "1"), 5, 1),
     (("lab", "--p", "5", "--a", "1", "--power", "1"), 6, 1),
@@ -281,7 +281,9 @@ def test_commands_build_only_the_levels_they_use(capsys, fresh_caches, polyfp_mu
     # products over 4 and 1 towers; with Rabin's test also run on the
     # candidates x divides, 715 and 130. verify took 602 while the power-sum
     # oracle still searched its six moduli by Rabin's test, before
-    # polyfp.primitive_walk served it as it serves the towers.
+    # polyfp.primitive_walk served it as it serves the towers, and 570 while
+    # the oracle made a product per element and power, 504, where its
+    # product tables now make 199, q^2 per field.
     assert run_cli(capsys, *argv)[0] == 0
     assert len(polyfp_mul_calls) == products
     assert make_tower.cache_info().currsize == towers

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
+from borelline import digits, polyfp
 from borelline.digits import (
     PRIMALITY_CAP,
     ArgumentError,
     CapabilityError,
+    RelationError,
     check_digit_lemma,
-    digit_class_sums,
     digit_sum,
     _lucas_digit_product,
     expand,
@@ -201,18 +202,76 @@ def test_power_sum_with_zero_kills_constant():
         assert power_sum(q, q - 1, include_zero=True) == power_sum(q, q - 1, False)
 
 
+PRIME_POWERS_TO_32 = tuple(q for q in range(2, 33)
+                           if len({d for d in range(2, q + 1) if q % d == 0
+                                   and all(d % e for e in range(2, d))}) == 1)
+
+
 def test_power_sum_matches_direct():
-    for q in (2, 3, 4, 5, 8, 9):
+    # the oracle's product table and the closed form agree at every prime
+    # power q <= 32, for every k <= 3(q - 1) and both ranges
+    assert len(PRIME_POWERS_TO_32) == 18
+    for q in PRIME_POWERS_TO_32:
         direct = power_sums_direct(q, 3 * (q - 1))
+        assert all(len(sums) == 3 * (q - 1) + 1 for sums in direct.values())
         for k in range(3 * (q - 1) + 1):
             for include_zero in (False, True):
-                assert power_sum(q, k, include_zero) == direct[include_zero][k]
+                assert power_sum(q, k, include_zero) == direct[include_zero][k], (q, k, include_zero)
+
+
+def test_the_power_sum_oracle_catches_a_wrong_product(monkeypatch):
+    # the oracle is a route apart from the closed form: a product table
+    # built, after the modulus walk, from a wrong product, a b + 1 for a b,
+    # gives sums the closed form refutes, or sums outside the prime field.
+    # (a b x would not do: the k-th power of t is then t^k x^k, and x^k = 1
+    # wherever the sum over the units is nonzero)
+    real_mul, real_walk = polyfp.mul_mod, polyfp.primitive_walk
+    walked = []
+
+    def off_by_one(a, b, f, p):
+        ab = real_mul(a, b, f, p)
+        return ((ab[0] + 1) % p,) + ab[1:] if walked else ab
+
+    def walking(*args):
+        found = real_walk(*args)
+        walked.append(found)
+        return found
+
+    monkeypatch.setattr(polyfp, "mul_mod", off_by_one)
+    monkeypatch.setattr(polyfp, "primitive_walk", walking)
+    for q in (4, 9):
+        walked.clear()
+        try:
+            direct = power_sums_direct(q, 3 * (q - 1))
+        except RelationError:
+            continue
+        assert any(power_sum(q, k, z) != direct[z][k] for k in range(3 * q - 2) for z in (False, True))
+
+
+def digit_class_sums(m, p, r) -> tuple[int, ...]:
+    """The reference route of the position-class digit sums: entry i adds
+    the digits of m in positions congruent to i mod r, each digit read off
+    m by its own division."""
+    sums = [0] * r
+    pos = 0
+    while p ** pos <= m:
+        sums[pos % r] += m // p ** pos % p
+        pos += 1
+    return tuple(sums)
 
 
 def test_digit_class_sums():
     assert digit_class_sums(5, 2, 2) == (2, 0)
     assert digit_class_sums(0, 2, 2) == (0, 0)
     assert digit_class_sums(25, 3, 2) == (3, 2)
+    # the digit lemma's class clause is the reference route's comparison
+    for p in (2, 3, 5):
+        for r in (2, 3):
+            q = p ** r
+            for m in range(q):
+                for m_prime in range(m, q ** 2 + 1, q - 1):
+                    want = digit_class_sums(m_prime, p, r) == digit_class_sums(m, p, r)
+                    assert check_digit_lemma(m, m_prime, p, r).classes_match is want
 
 
 def test_digit_lemma_example():
@@ -237,6 +296,33 @@ def test_digit_lemma_full_small_grid():
         for m in range(q):
             for m_prime in range(m, q ** 2 + 1, q - 1):
                 assert check_digit_lemma(m, m_prime, p, 2).all_hold
+
+
+def test_check_digit_lemma_proves_p_once_and_expands_each_number_once(monkeypatch):
+    # f, the nonzero-digit counts and the class sums are read off one
+    # expansion of m and one of m'; each expand, digit_sum and
+    # nonzero_digit_count proved p again and expanded again, about 4.3
+    # expansions and 6.3 primality proofs per case of the digit-lemma suite
+    expansions, proofs = [], []
+    real_expand, real_prime = digits._expand, digits.require_prime
+
+    def expanding(n, p):
+        expansions.append(n)
+        return real_expand(n, p)
+
+    def proving(p):
+        proofs.append(p)
+        return real_prime(p)
+
+    monkeypatch.setattr(digits, "_expand", expanding)
+    monkeypatch.setattr(digits, "require_prime", proving)
+    for m, m_prime, p, r in ((1, 4, 2, 2), (1, 7, 2, 2), (5, 77, 3, 2), (0, 0, 3, 3)):
+        expansions.clear()
+        proofs.clear()
+        verdict = check_digit_lemma(m, m_prime, p, r)
+        assert verdict.all_hold
+        assert expansions == [m, m_prime]
+        assert proofs == [p]
 
 
 def test_digit_lemma_validates_inputs():

@@ -14,13 +14,12 @@ from borelline.linalg import (
     reduce_vector,
     rref,
     rref_insert,
-    span_contains,
     vec_add,
     vec_scale,
 )
 from borelline.digits import ArgumentError
 from borelline.towers import make_tower
-from proof_route import fixed_subspace, kernel
+from proof_route import fixed_subspace, kernel, span_contains
 
 
 def field(p=3, level=1):

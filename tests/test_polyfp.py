@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from borelline.polyfp import add, degree, mul, mul_mod, poly_mod, primitive_walk, trim
+from borelline.polyfp import degree, mul, mul_mod, poly_mod, primitive_walk, trim
 from proof_route import (
     X,
+    add,
     has_primitive_root,
     is_irreducible,
     least_primitive,

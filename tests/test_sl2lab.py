@@ -13,7 +13,7 @@ import proof_route
 from census_route import CensusReport, b_stable_lines, census_report, census_socle, within
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
 from borelline.digits import ArgumentError, _fine_dim, _lucas_digit_product
-from borelline.linalg import DenseMap, MonomialMap, mat_mul, mat_vec, rref, span_contains, vec_scale
+from borelline.linalg import DenseMap, MonomialMap, mat_mul, mat_vec, rref, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
     HeckeOperators,
@@ -68,7 +68,7 @@ def _span(module, vecs):
 
 def _contains(sub, vec):
     """Whether the subspace holds the code vector vec."""
-    return span_contains(sub.module.codes, sub.code_rows, vec)
+    return proof_route.span_contains(sub.module.codes, sub.code_rows, vec)
 
 
 def _cell(module, t):
@@ -936,7 +936,7 @@ def test_orbit_shared_spins_match_direct_route_on_split_modules():
                       for sp in (least, miss[1]))
         assert (big.dim, small.dim) == tuple(s.dim for s in cover) == (module.q, 1)
         assert len(rref(module.codes, big.code_rows + small.code_rows)) == module.dim
-        assert sl2lab._is_stable(module, big) and sl2lab._is_stable(module, small)
+        assert proof_route.is_stable(module, big) and proof_route.is_stable(module, small)
 
 
 def test_orbit_shared_spins_match_direct_route_on_costandard_modules():
@@ -1109,7 +1109,7 @@ def is_irreducible(module, subspace=None):
     irreducible iff each of its B-stable lines spins to all of it, the
     witness being the first whose spin is proper. The census is a proof
     only for submodules, so a given subspace must be stable."""
-    if subspace is not None and not sl2lab._is_stable(module, subspace):
+    if subspace is not None and not proof_route.is_stable(module, subspace):
         raise PreconditionError("the subspace is not stable under the generators")
     target = subspace if subspace is not None else _whole(module)
     if target.dim == 0:
@@ -1559,6 +1559,91 @@ def test_l_submodule_reducible_past_field_order():
     verdict = is_irreducible(cm, sub)
     assert not verdict.irreducible
     assert verdict.witness is not None
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
+def test_l_submodule_reads_stability_as_the_row_reduction_route_does(p, a):
+    # on every ∇(n) with n <= q - 1, q <= 25: the digit span that
+    # l_submodule reads off the generators' columns is the span of the
+    # v_i with binom(n, i) nonzero, stable on the reference route, which
+    # applies each generator to each row and reduces the image
+    q = p ** factorial(a)
+    for n in range(q):
+        cm = CostandardModule(n, p, coeff_level=a)
+        sub = l_submodule(cm)
+        rows = [cm.unit_vector(i) for i in range(cm.dim) if comb(n, i) % p]
+        assert sub.code_rows == rref(cm.codes, rows), (n, p, a)
+        assert proof_route.is_stable(cm, sub), (n, p, a)
+
+
+def test_a_generator_off_the_digit_span_fails_both_stability_routes():
+    # at p = 3, ∇(3)'s digit span is span{v_0, v_3}; one extra nonzero entry
+    # of the first eps generator, in column 3 at row 1, sends v_3 off it
+    cm = CostandardModule(3, 3, coeff_level=1)
+    span = l_submodule(cm)
+    assert span.code_rows == (cm.unit_vector(0), cm.unit_vector(3))
+    eps_b, *rest = cm.generators
+    rows = [list(row) for row in eps_b.rows]
+    assert rows[1][3] == 0
+    rows[1][3] = 1
+    cm.generators = (DenseMap(cm.codes, rows), *rest)
+    with pytest.raises(RelationError, match="digit span is not a submodule"):
+        l_submodule(cm)
+    assert not proof_route.is_stable(cm, span)
+
+
+def _counting_dense_maps(monkeypatch):
+    """A list whose length counts the DenseMaps built from now on."""
+    built = []
+    real = DenseMap.__init__
+
+    def counting(self, codes, rows):
+        built.append(None)
+        real(self, codes, rows)
+
+    monkeypatch.setattr(DenseMap, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("n, p, a", ((4, 3, 2), (8, 2, 2), (0, 5, 1), (24, 5, 2)),
+                         ids=("4-q=9", "8-q=4", "0-q=5", "24-q=25"))
+def test_a_costandard_module_builds_each_eps_once(monkeypatch, fresh_caches, n, p, a):
+    # q eps maps, one per point, built and stored at construction; the
+    # Sym^n check, the generators and l_submodule read the stored maps and
+    # build no dense map
+    sl2lab._natural_level(p, a)
+    built = _counting_dense_maps(monkeypatch)
+    cm = CostandardModule(n, p, coeff_level=a)
+    assert len(built) == cm.codes.q
+    assert all(cm.eps(t) is cm.eps(t) for t in range(cm.codes.q))
+    assert all(g is cm.eps(b) for g, b in zip(cm.generators, cm.codes.basis))
+    l_submodule(cm)
+    assert len(built) == cm.codes.q
+
+
+def test_pi_image_builds_only_its_modules_eps(monkeypatch, fresh_caches):
+    # pi_image sums its module's stored eps(a) over the subfield: q_t maps,
+    # those of the construction, where each sum built the subfield's eps(a)
+    # a second time. sl2-chain now builds 65 eps maps, where 25 of its 90
+    # were those repeats
+    for p in (2, 3):
+        sl2lab._natural_level(p, 2)
+    built = _counting_dense_maps(monkeypatch)
+    for p, lam in ((2, -1), (3, 2), (3, 0)):
+        built.clear()
+        pi_image(power_char(lam, p), 1, 2)
+        assert len(built) == p ** 2, (p, lam)
+    lucas_builds = []
+    real = CostandardModule._lucas_eps
+
+    def counting(self, t):
+        lucas_builds.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(CostandardModule, "_lucas_eps", counting)
+    assert suites.suite_sl2_chain()["ok"] is True
+    assert len(lucas_builds) == len(suites.CHAIN_POWERS) * (4 + 9) == 65
 
 
 def test_pi_image_trivial_character_vanishes():

@@ -199,11 +199,12 @@ def test_power_sums_suite_searches_one_modulus_per_field(monkeypatch):
 
 def test_power_sums_oracle_makes_one_product_per_element_and_power(monkeypatch,
                                                                    polyfp_mul_calls):
-    # one pass per field walks each element's powers upward in k, one product
-    # per step: q 3(q - 1) products per field. A pow_mod per (q, k,
-    # include_zero) made 931 pow_mod calls and 4 999 products in all. The
-    # products of the modulus walks, one per field, are counted apart, as
-    # those of the least_irreducible searches were.
+    # one product table per field, q^2 products, and the powers of each
+    # element walked upward in k by reads of it: 199 products in all. A
+    # product per element and power, q 3(q - 1) per field, made 504; a
+    # pow_mod per (q, k, include_zero) made 931 pow_mod calls and 4 999
+    # products. The products of the modulus walks, one per field, are
+    # counted apart, as those of the least_irreducible searches were.
     in_searches = []
     real = polyfp.primitive_walk
 
@@ -217,7 +218,7 @@ def test_power_sums_oracle_makes_one_product_per_element_and_power(monkeypatch,
     assert suite_power_sums()["ok"] is True
     assert len(in_searches) == len(POWER_SUM_ORDERS)
     oracle = len(polyfp_mul_calls) - sum(in_searches)
-    assert oracle == sum(q * 3 * (q - 1) for q in POWER_SUM_ORDERS) == 504
+    assert oracle == sum(q * q for q in POWER_SUM_ORDERS) == 199
 
 
 def test_power_sums_suite_filters_each_order_by_its_prime(monkeypatch):
