@@ -37,9 +37,7 @@ from .digits import (
     ArgumentError,
     RelationError,
     check_digit_lemma,
-    digit_sum,
     lucas_rows,
-    nonzero_digit_count,
     power_sum,
 )
 from .sl2lab import (
@@ -85,14 +83,12 @@ __all__ = [
     "case_verdict",
     "check_digit_lemma",
     "classify_exact",
-    "digit_sum",
     "extract_pattern",
     "is_compatible",
     "l_submodule",
     "lucas_criterion",
     "lucas_rows",
     "make_tower",
-    "nonzero_digit_count",
     "pi_image",
     "poincare_product",
     "power_sum",

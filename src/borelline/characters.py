@@ -13,8 +13,8 @@ from __future__ import annotations
 from math import factorial
 
 from .digits import (
-    ArgumentError, RelationError, _class_sums, _expand, _lucas_digit_product, digit_sum,
-    expand, nonzero_digit_count, record, require_prime,
+    ArgumentError, RelationError, _class_sums, _expand, _lucas_digit_product, expand, record,
+    require_prime,
 )
 from .towers import LEVEL_CAP, CapabilityError, require_level
 
@@ -89,13 +89,11 @@ def is_compatible(tc: TruncatedCharacter) -> CompatibilityVerdict:
     return CompatibilityVerdict(True)
 
 
-def f_sequence(tc: TruncatedCharacter) -> tuple[int, ...]:
-    """Digit sums f(m_n) per level."""
-    return tuple(digit_sum(m, tc.p) for m in tc.residues)
-
-
-def nonzero_counts(tc: TruncatedCharacter) -> tuple[int, ...]:
-    return tuple(nonzero_digit_count(m, tc.p) for m in tc.residues)
+def digit_data(tc: TruncatedCharacter) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The digit sums f(m_n) and nonzero-digit counts per level, off one
+    unchecked expansion of each residue: the TruncatedCharacter proves p."""
+    expansions = [_expand(m, tc.p) for m in tc.residues]
+    return tuple(map(sum, expansions)), tuple(sum(map(bool, d)) for d in expansions)
 
 
 @record

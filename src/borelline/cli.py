@@ -17,11 +17,11 @@ from . import __version__
 from .characters import (
     RationalPower,
     X0Pattern,
+    _shown,
     classify_exact,
+    digit_data,
     extract_pattern,
-    f_sequence,
     lucas_criterion,
-    nonzero_counts,
     symbolic_from_json,
     symbolic_to_json,
     truncate,
@@ -135,6 +135,7 @@ def _cmd_char_inspect(args):
     sc = symbolic_from_json(_read_json(args.input))
     tc = truncate(sc, args.p, args.level)
     pattern = extract_pattern(tc)
+    digit_sums, nonzero_counts = digit_data(tc)
     cls = classify_exact(sc, args.p, args.level)
     searches = []
     for r in range(1, args.level):
@@ -148,8 +149,8 @@ def _cmd_char_inspect(args):
         "level": args.level,
         "character": symbolic_to_json(sc),
         "residues": list(tc.residues),
-        "digit_sums": list(f_sequence(tc)),
-        "nonzero_counts": list(nonzero_counts(tc)),
+        "digit_sums": list(digit_sums),
+        "nonzero_counts": list(nonzero_counts),
         **_pattern_json(pattern),
         "bounded": cls.bounded,
         "note": cls.note,
@@ -209,6 +210,15 @@ class _CommandParser(argparse.ArgumentParser):
         return sub.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
 
 
+def _int(text):
+    """`type=int` for the int options, refusing in argparse's words but
+    naming a long value by its ends (`characters._shown`), not whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CommandParser(
         prog="borelline",
@@ -224,28 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run named verification suites")
     p_verify.add_argument("suites", nargs="*", metavar="SUITE",
                           help=f"one of: {', '.join(SUITES)} (default: all)")
-    p_verify.add_argument("--p", type=int, default=None, help="restrict grids to one prime")
+    p_verify.add_argument("--p", type=_int, default=None, help="restrict grids to one prime")
     p_verify.add_argument("--out", help="also write the JSON document to this file")
 
     p_classify = sub.add_parser("classify", help="classify a torus character with a stable line")
     p_classify.add_argument("input", help="JSON file with cartan and restrictions, or -")
-    p_classify.add_argument("--p", type=int, required=True, help="the prime")
-    p_classify.add_argument("--level", type=int, default=LEVEL_CAP,
+    p_classify.add_argument("--p", type=_int, required=True, help="the prime")
+    p_classify.add_argument("--level", type=_int, default=LEVEL_CAP,
                             help=f"tower level (default {LEVEL_CAP})")
     p_classify.add_argument("--out", help="also write the JSON document to this file")
 
     p_char = sub.add_parser("char-inspect", help="residues, digit data, and pattern of a character")
     p_char.add_argument("input", help="JSON file with a symbolic character, or -")
-    p_char.add_argument("--p", type=int, required=True, help="the prime")
-    p_char.add_argument("--level", type=int, default=LEVEL_CAP,
+    p_char.add_argument("--p", type=_int, required=True, help="the prime")
+    p_char.add_argument("--level", type=_int, default=LEVEL_CAP,
                         help=f"tower level (default {LEVEL_CAP})")
     p_char.add_argument("--out", help="also write the JSON document to this file")
 
     p_lab = sub.add_parser("lab", help="finite-level induced module report")
-    p_lab.add_argument("--p", type=int, required=True, help="the prime")
-    p_lab.add_argument("--a", type=int, required=True, help="group level: the field has p^(a!) elements")
+    p_lab.add_argument("--p", type=_int, required=True, help="the prime")
+    p_lab.add_argument("--a", type=_int, required=True, help="group level: the field has p^(a!) elements")
     p_lab.add_argument("--char", help="JSON file with a symbolic character, or -")
-    p_lab.add_argument("--power", type=int, help="shortcut for the character t -> t^power")
+    p_lab.add_argument("--power", type=_int, help="shortcut for the character t -> t^power")
     p_lab.add_argument("--out", help="also write the JSON document to this file")
     return parser
 

@@ -5,12 +5,14 @@ digit sums, binomial coefficients mod p via the digitwise product rule,
 power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
 
-Binomials come in two shapes, by one rule. Single entries come from
+Binomials come in two shapes, by Lucas's rule. Single entries come from
 `_lucas_digit_product`, the digit product itself, for callers that have
 checked p once: the Lucas search of `characters.lucas_criterion` at huge m,
 and the costandard modules and their level bridge in `sl2lab`. A whole
 triangle of bytes comes from `lucas_rows` (every row up to a limit, each
-from the row of m // p, for p < 256), for the `lucas` suite.
+from the row of m // p, for p < 256), for the `lucas` suite, which holds it
+to Pascal's rule, `_pascal_rows_mod` (p < 128): rows by addition alone,
+which also count the socle and the head of `sl2lab`'s induced modules.
 """
 
 from __future__ import annotations
@@ -179,16 +181,6 @@ def _class_sums(digits, r) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def digit_sum(n, p) -> int:
-    """f(n): the sum of the base-p digits of n."""
-    return sum(expand(n, p))
-
-
-def nonzero_digit_count(n, p) -> int:
-    """M_n: how many base-p digits of n are nonzero."""
-    return sum(1 for d in expand(n, p) if d)
-
-
 def _fine_dim(n, p) -> int:
     """dim L(n), the simple SL_2-module of highest weight n >= 0 in
     characteristic p, for a proven prime p, by Fine's formula: the product
@@ -243,6 +235,26 @@ def lucas_rows(limit, p) -> list[bytes]:
         for b, count, table in digit_blocks[m % p]:
             row[b::p] = parent[:count] if table is None else parent[:count].translate(table)
         rows.append(bytes(row))
+    return rows
+
+
+def _pascal_rows_mod(limit, p):
+    """Rows 0..limit of the Pascal triangle mod p, by exact addition only.
+
+    Each row is limit + 1 bytes, zero past its last entry. Read as one
+    little-endian integer r, the next row is r + (r << 8) reduced bytewise
+    mod p: every byte is the sum of two neighbours, below 2p < 256, so no
+    byte carries into the next. Hence p < 128 (ArgumentError otherwise)."""
+    if p >= 128:
+        raise ArgumentError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
+    width = limit + 1
+    reduce = (bytes(range(p)) * (256 // p + 1))[:256]  # byte i to i % p
+    row = bytes([1]) + bytes(limit)
+    rows = [row]
+    for _ in range(limit):
+        r = int.from_bytes(row, "little")
+        row = (r + (r << 8)).to_bytes(width, "little").translate(reduce)
+        rows.append(row)
     return rows
 
 

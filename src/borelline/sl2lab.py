@@ -5,8 +5,8 @@ diagonal torus with a stable upper-triangular line, entirely as explicit
 matrices over a tower field. Everything the rest of the library predicts
 about socles, heads, irreducibility, and the transition to higher levels is
 checked here by exact linear algebra: intertwiners to the dual and back,
-raised from one checked operator per level, fixed spaces, spinning vectors,
-and splitting by idempotents in the endomorphism ring. The costandard
+read off the shape of one checked operator per level, fixed spaces,
+spinning vectors, and splitting by idempotents in the endomorphism ring. The costandard
 modules are checked as symmetric powers of the natural module, whose
 presentation each level checks once.
 
@@ -34,11 +34,13 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .characters import TruncatedCharacter
-from .digits import ArgumentError, RelationError, _fine_dim, _lucas_digit_product, power_sum, record
+from .digits import (
+    ArgumentError, RelationError, _fine_dim, _lucas_digit_product, _pascal_rows_mod, power_sum,
+    record,
+)
 from .linalg import (
     DenseMap,
     MonomialMap,
-    mat_vec,
     monomial_fixed_rows,
     rref,
     rref_insert,
@@ -226,9 +228,9 @@ class _InducedLevel(_SL2Module):
     @cached_property
     def t_s_cols(self):
         """The columns of t_s, checked: t_s g = g' t_s for each generator g,
-        g' being g with its scales inverted, and M^U = span{line, t_s line}.
-        The level's are T, which `_raised_t_s` raises; a module's own are
-        the per-character reference route."""
+        g' being g with its scales inverted, M^U = span{line, t_s line} and
+        `_check_shape`. The level's are T, which each module raises to its
+        m; a module's own are the per-character reference route."""
         codes, cols = self.codes, self._t_s_columns()
         t_s = DenseMap(codes, zip(*cols))
         for g in self.generators:
@@ -236,7 +238,31 @@ class _InducedLevel(_SL2Module):
                 raise RelationError("the cell-averaging operator is not equivariant")
         if self.u_fixed_rows != rref(codes, (self.unit_vector(0), cols[0])):
             raise RelationError("M^U is not spanned by the line and t_s line")
+        self._check_shape(cols)
         return cols
+
+    def _check_shape(self, cols):
+        """The shape `socle_head_report` reads its counts off: column 0 is
+        L, the sum of the cells; row 0 holds one constant on the cells; the
+        cell block is t_s[1 + w][1 + t] = c (w - t)^m, c = t_s[2][1] a unit,
+        zeros staying zero (c (w - t) at the level, where m = 1)."""
+        codes, (line_sum, *cells) = self.codes, cols
+        if line_sum != (0,) + (1,) * self.q:
+            raise RelationError("t_s is off its shape: column 0 is not the sum of the cells")
+        if len({col[0] for col in cells}) != 1:
+            raise RelationError("t_s is off its shape: row 0 is not one constant on the cells")
+        c = cells[0][2]
+        # column t of the sub table is w - t over the cells w, raised to m
+        block = _raised_entries(codes, zip(*codes.sub), self.m)
+        if not c or any(col[1:] != tuple(map(codes.mul[c].__getitem__, d))
+                        for col, d in zip(cells, block)):
+            raise RelationError("t_s is off its shape: the cell block is not c (w - t)^m")
+
+    @cached_property
+    def nonzero_binomials(self):
+        """For each n < q, #{j <= n : binom(n, j) prime to p}, counted on
+        Pascal's rows mod p, built by addition (`digits._pascal_rows_mod`)."""
+        return tuple(self.q - row.count(0) for row in _pascal_rows_mod(self.q - 1, self.p))
 
     def _check_relations(self):
         """The B-stable line, then the presentation of SL_2(F_q).
@@ -351,7 +377,7 @@ def _projective_vectors(module, rows):
 class IrreducibilityVerdict:
     """Every submodule is accounted for through its U-fixed vectors, which
     M^U = span{line, t_s line} confines, t_s the intertwiner of
-    `_raised_t_s`: the verdict is exhaustive and a proof either way."""
+    `socle_head_report`: the verdict is exhaustive and a proof either way."""
 
     irreducible: bool
     witness: tuple | None = None  # a code vector spinning to a proper submodule
@@ -366,41 +392,51 @@ class IrreducibilityVerdict:
 @record
 class SocleHeadReport:
     whole: IrreducibilityVerdict
-    socle: Subspace               # the unique minimal submodule
+    socle_dim: int                # dim of the unique minimal submodule, t_s'(M')
     head_dim: int                 # dim of the simple head, M / ker t_s
 
 
 def socle_head_report(module) -> SocleHeadReport:
-    """Irreducibility of the whole module M, its unique minimal submodule
-    and the dimension of its simple head, from the intertwiners
-    t_s: M -> M' and t_s': M' -> M of `_raised_t_s`, M' the dual: the
-    level's T raised to m and to -m, t_s' = t_s when theta^2 = 1 makes
-    M' = M. Needs theta nontrivial at the module's level.
+    """Irreducibility of the whole module M and the dimensions of its
+    unique minimal submodule and its simple head, read off the shape of its
+    level's checked T (`_InducedLevel._check_shape`): no raising, product
+    or row reduction. t_s: M -> M', M' the dual, and t_s': M' -> M are T
+    with each nonzero entry raised to m and to -m, t_s sending the line to
+    L (Frobenius reciprocity; Carter and Lusztig, Proc. LMS 1976): the
+    level's checks of T g = g' T and of M^U hold raised to every k, as
+    c -> c^k is multiplicative and keeps zeros zero. Needs theta nontrivial.
 
-    Raising checks t_s' t_s line = 0, so t_s' t_s = 0. A proper submodule
-    N of M has N^U inside span{t_s line}. If theta^2 != 1, h(g) scales the
-    line by theta(g) and t_s line by theta(g)^-1, another eigenvalue, and
-    N^U, stable under the torus, which has order prime to p, is spanned by
-    eigenvectors; the line generates M. If theta has order 2, t_s^2 = 0, so
-    line + b t_s line = (1 + b t_s) line spins to M for every b. A nonzero
-    submodule holds a U-fixed vector, U being a p-group, so it is M or
-    holds t_s line, and so the spin of t_s line, which is t_s'(M') as t_s'
-    sends the line of M' to t_s line: t_s'(M'), the span of the columns of
-    t_s', is the unique minimal submodule. It is proper: t_s' kills
-    t_s(M) != 0; not injective, it is not onto. The same holds for M', so
-    M / ker t_s = t_s(M) is simple, and the maximal submodules of M are
-    the annihilators of the minimal submodules of M', its contragredient:
-    ker t_s is the unique maximal submodule, and the simple head has
-    dimension rank t_s, read off one rref of t_s's columns. The sum of the
-    cells, t_s line, is the witness.
+    Raised to k, T keeps its shape: column 0 L, row 0 the constant r^k,
+    the cell block c^k (w - t)^k. So T^k L has row 0 q r^k = 0 and row
+    1 + w c^k times the sum of x^k over the units, 0 unless q - 1 divides
+    k: t_s' t_s line = T^-m L = 0, and t_s' t_s = 0, being equivariant and
+    zero on the line, which generates M. A proper submodule N has N^U in
+    span{t_s line}: if theta^2 != 1 the torus, of order prime to p, splits
+    N^U into eigenlines, and the line generates M; if theta has order 2,
+    t_s^2 = 0 and line + b t_s line spins to M. A nonzero submodule holds a
+    U-fixed vector, U being a p-group, so it holds t_s line, whose spin
+    t_s'(M') is thus the unique minimal submodule, proper as t_s' kills
+    t_s(M) != 0. The same holds in M', so M has one maximal submodule, the
+    annihilator of the socle of M': ker t_s, as M / ker t_s = t_s(M) is
+    simple. The head has dimension rank t_s; the witness is t_s line.
+
+    For 0 < k < q - 1, (w - t)^k = sum_j binom(k, j) w^j (-t)^(k - j) and
+    the functions x -> x^e, e < q, are independent on F_q, so the cell
+    block B of T raised to k has rank #{j <= k : binom(k, j) prime to p},
+    `nonzero_binomials` at k. The border adds nothing: binom(k, 0) = 1
+    gives some x with B x = 1, whose sum, +- the coefficient of w^k in B x
+    as binom(k, k) = 1, is 0, so column 0 is x's combination of the cell
+    columns, whose row 0, a constant, lies in the span of the cell rows.
+    So rank t_s is the count at m and rank t_s' at q - 1 - m; the known
+    answers (`_fine_dim`) are Lucas's and Fine's.
     """
     if module.m == 0:
         raise PreconditionError("the torus character is trivial at this level; the socle and "
                                 "head are not unique here")
-    codes, level = module.codes, module.level
-    t_s, dual_cols = _raised_t_s(level, module.m), _raised_t_s(level, -module.m)
-    return SocleHeadReport(IrreducibilityVerdict(False, t_s[0]),
-                           Subspace(module, rref(codes, dual_cols)), len(rref(codes, t_s)))
+    level = module.level
+    line_sum, counts = level.t_s_cols[0], level.nonzero_binomials
+    return SocleHeadReport(IrreducibilityVerdict(False, line_sum),
+                           counts[module.q - 1 - module.m], counts[module.m])
 
 
 def case_verdict(module: InducedModule):
@@ -437,7 +473,7 @@ def case_verdict(module: InducedModule):
         return whole, "hecke", section, failed
     rep = socle_head_report(module)
     section = {
-        "socle_dim": rep.socle.dim,
+        "socle_dim": rep.socle_dim,
         "socle_ok": True,
         "maximal_ok": True,
         "head_dim": rep.head_dim,
@@ -694,54 +730,20 @@ def _raised_entries(codes, cols, k):
     return tuple(tuple(map(up.__getitem__, col)) for col in cols)
 
 
-def _raised_t_s(level, k):
-    """The intertwiner t_s: M -> M' of theta(u) = u^k, from the module
-    M = Ind theta to its dual M' = Ind theta^-1: the level's T
-    (`_InducedLevel.t_s_cols`, t_s at theta = id) with each nonzero entry c
-    raised to c^k, checked where it is raised: T^k L = c_k L, L = T^k line
-    the sum of the cells and c_k the sum of x^k over the units (`power_sum`),
-    -1 when q - 1 divides k and else 0: row 0 of T^k L is q (-1)^k = 0,
-    and row 1 + w sums x^k over one zero and each unit once.
-
-    Frobenius reciprocity gives Hom_G(M, M') = Hom_B(theta, M'), the
-    theta-weight line of M'^U: L, U-fixed and scaled by
-    theta^-1(1/u) = theta(u) under h(u). So t_s sends the line to L, and
-    the cell eps(t) s line to eps(t) s' L, s' the s of M'. No M' is built:
-    t_s', back from M', is T raised to -k. The level checks once that
-    T g = g' T for each generator g, g' being g with its scales inverted,
-    as M' acts on the dual basis, and that M^U = span{line, T line}. Both
-    hold for every k: each entry of T g and of g' T is one product of an
-    entry of T and a scale, c -> c^k is multiplicative and keeps zeros
-    zero, the generators of M and M' are the level's raised to k and -k,
-    and L has entries 0 and 1. What sums entries is the identity above: at
-    k = -m it reads t_s' t_s line = c t_s line for the character m, which
-    proves t_s' t_s = c t_s, as t_s' t_s - c t_s is equivariant and kills
-    the line, which generates the module. That is the Hecke relation
-    t_s^2 = -t_s at theta trivial, where t_s' = t_s (Howlett and Kilmoyer,
-    Comm. Algebra 1980; Sawada, Math. Z. 1977), and t_s' t_s = 0 for every
-    other theta, t_s^2 = 0 at order 2, with no branch for either.
-    """
-    codes = level.codes
-    cols = _raised_entries(codes, level.t_s_cols, k)
-    c = codes.scalars[power_sum(codes.q, k % (codes.q - 1), include_zero=False)]
-    if mat_vec(codes, tuple(zip(*cols)), cols[0]) != vec_scale(codes, c, cols[0]):
-        raise RelationError("the power-sum identity T^k L = c_k L fails, c_k the sum of x^k "
-                            "over the units")
-    return cols
-
-
 class HeckeOperators:
     """For theta trivial, the split of M = Ind theta by the projectors
-    e = 1 + t_s and o = -t_s, t_s being T raised to 0, the Hecke operator
-    of `_raised_t_s`, whose check t_s^2 = -t_s makes e and o orthogonal
-    idempotents summing to 1. P(M)^U = P(M^U) for P in {e, o}, spanned by
-    P(line) as e t_s line = 0 and o t_s line = -o line. So each nonzero
-    P(M) is simple: a nonzero submodule holds a U-fixed vector, U being a
-    p-group, hence P(line), which spins to P(M).
+    e = 1 + t_s and o = -t_s, t_s being T raised to 0, which T's shape
+    proves to satisfy the Hecke relation t_s^2 = -t_s (`socle_head_report`;
+    Howlett and Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977): e and
+    o are orthogonal idempotents summing to 1. P(M)^U = P(M^U) for P in {e, o},
+    spanned by P(line) as e t_s line = 0 and o t_s line = -o line. So each
+    nonzero P(M) is simple: a nonzero submodule holds a U-fixed vector, U
+    being a p-group, hence P(line), which spins to P(M).
     """
 
     def __init__(self, module: InducedModule):
-        self.module, self._cols = module, _raised_t_s(module.level, module.m)
+        self.module = module
+        self._cols = _raised_entries(module.codes, module.level.t_s_cols, module.m)
 
     def idempotent_split(self):
         """Images of the two projectors, as submodules: the span of the

@@ -26,6 +26,7 @@ from .characters import (
 from .digits import (
     ArgumentError,
     _fine_dim,
+    _pascal_rows_mod,
     check_digit_lemma,
     lucas_rows,
     power_sum,
@@ -91,26 +92,6 @@ def suite_digit_lemma(p_filter=None) -> dict:
                 if not verdict.all_hold:
                     failures.append({"p": p, "r": r, "m": m, "m_prime": m_prime})
     return _record("digit-lemma", cases, failures)
-
-
-def _pascal_rows_mod(limit, p):
-    """Rows 0..limit of the Pascal triangle mod p, by exact addition only.
-
-    Each row is limit + 1 bytes, zero past its last entry. Read as one
-    little-endian integer r, the next row is r + (r << 8) reduced bytewise
-    mod p: every byte is the sum of two neighbours, below 2p < 256, so no
-    byte carries into the next. Hence p < 128 (ArgumentError otherwise)."""
-    if p >= 128:
-        raise ArgumentError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
-    width = limit + 1
-    reduce = bytes(i % p for i in range(256))
-    row = bytes([1]) + bytes(limit)
-    rows = [row]
-    for _ in range(limit):
-        r = int.from_bytes(row, "little")
-        row = (r + (r << 8)).to_bytes(width, "little").translate(reduce)
-        rows.append(row)
-    return rows
 
 
 def suite_lucas(p_filter=None) -> dict:

@@ -1,8 +1,9 @@
 """The census of B-stable lines: a second route to the socle and the
-maximal submodule, which the intertwiners of `_raised_t_s` give as the
-span of the columns of t_s' and as ker t_s: `sl2lab.socle_head_report`
-reads the socle and the head's dimension, rank t_s, and
-`proof_route.maximal_rows` the maximal submodule.
+maximal submodule, which the intertwiners t_s and t_s' give as the span
+of the columns of t_s' and as ker t_s: `sl2lab.socle_head_report` reads
+the socle's dimension and the head's, rank t_s, off the shape of its
+level's T, and `proof_route.socle` and `proof_route.maximal_rows` reduce
+the columns to the subspaces themselves.
 
 A B-stable line is one that the Borel subgroup B = U T maps into itself:
 an eigenline of h(g), g a generator of the units, inside the fixed space
@@ -82,6 +83,10 @@ class CensusReport(namedtuple("CensusReport", "whole socle maximal")):
     an `sl2lab.SocleHeadReport`, its head is the quotient by it."""
 
     __slots__ = ()
+
+    @property
+    def socle_dim(self):
+        return self.socle.dim
 
     @property
     def head_dim(self):

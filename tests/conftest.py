@@ -117,6 +117,22 @@ def lucas_calls(monkeypatch):
 
 
 @pytest.fixture
+def rref_insert_calls(monkeypatch):
+    """A list whose length counts the calls of linalg.rref_insert from now
+    on, through `rref` and `spin` alike: the row reductions."""
+    calls = []
+    real = linalg.rref_insert
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "rref_insert", counting)
+    monkeypatch.setattr(sl2lab, "rref_insert", counting)
+    return calls
+
+
+@pytest.fixture
 def spin_calls(monkeypatch):
     """A list whose length counts the calls of sl2lab.spin from now on."""
     calls = []

@@ -5,8 +5,10 @@ it before it read the step off work it already does.
   `polyfp.primitive_walk`, which finds and proves it with one walk;
 - M^U as the kernel of the stacked g - 1 over the eps generators, against
   the orbits of `linalg.monomial_fixed_rows`;
-- the maximal submodule as the kernel of t_s, whose codimension
-  `sl2lab.socle_head_report` reads as rank t_s;
+- the socle as the span of the columns of t_s', the maximal submodule as
+  the kernel of t_s and the head's dimension as rank t_s, by row
+  reduction, against `sl2lab.socle_head_report`, which reads the socle's
+  and the head's dimensions off the shape of its level's T;
 - the dual of an induced module as a module, Ind theta^-1, whose t_s the
   lab reads off its level's T raised to -m and never builds;
 - the stability of a subspace by row reduction, each generator applied to
@@ -24,7 +26,7 @@ from __future__ import annotations
 from borelline.characters import RationalPower, truncate
 from borelline.linalg import reduce_vector, rref
 from borelline.polyfp import degree, mul, poly_mod, trim
-from borelline.sl2lab import HeckeOperators, InducedModule
+from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised_entries
 
 X = (0, 1)
 
@@ -150,6 +152,20 @@ def fixed_subspace(codes, maps, dim):
     for g in maps:
         rows.extend(zip(*(vec_sub(codes, g.apply(e), e) for e in units)))
     return kernel(codes, rows, dim)
+
+
+def socle(module):
+    """The unique minimal submodule of a module with theta nontrivial: the
+    span of the columns of t_s', its level's T raised to -m."""
+    codes = module.codes
+    return Subspace(module, rref(codes, _raised_entries(codes, module.level.t_s_cols, -module.m)))
+
+
+def head_dim(module):
+    """The dimension of the simple head of a module with theta nontrivial:
+    rank t_s, its level's T raised to m."""
+    codes = module.codes
+    return len(rref(codes, _raised_entries(codes, module.level.t_s_cols, module.m)))
 
 
 def maximal_rows(module):

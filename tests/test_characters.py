@@ -13,12 +13,11 @@ from borelline.characters import (
     TwistedDigitSum,
     X0Pattern,
     classify_exact,
+    digit_data,
     extract_pattern,
-    f_sequence,
     is_compatible,
     is_trivial_symbolic,
     lucas_criterion,
-    nonzero_counts,
     symbolic_from_json,
     symbolic_to_json,
     truncate,
@@ -110,7 +109,7 @@ def test_truncate_rational_powers():
     assert tc.residues == (0, 1, 1)
     tc = truncate(RationalPower(-1), 2, 3)
     assert tc.residues == (0, 2, 62)
-    assert f_sequence(tc) == (0, 1, 5)
+    assert digit_data(tc) == ((0, 1, 5), (0, 1, 5))
     tc = truncate(RationalPower(5), 3, 2)
     assert tc.residues == (1, 5)
 
@@ -213,9 +212,9 @@ def test_extract_pattern_twisted_roundtrip():
 def test_extract_pattern_expands_each_residue_once(monkeypatch):
     # f, the nonzero-digit counts, the class sums of the window and the top
     # factors are read off one expansion per residue, p being proven by the
-    # TruncatedCharacter; f_sequence, nonzero_counts and the window's expand
-    # and class sums made about 9 expansions of 3 residues, each proving p
-    # again
+    # TruncatedCharacter; the digit sums, the nonzero counts and the
+    # window's expand and class sums made about 9 expansions of 3 residues,
+    # each proving p again
     towers = [truncate(sc, 3, 3) for sc in (
         TwistedDigitSum(((1, GaloisTwist.from_position(0, 3)),
                          (2, GaloisTwist.from_position(3, 3)))),

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from borelline import __version__, characters, cli, towers
+from borelline import __version__, characters, cli, digits, towers
 from borelline.characters import RationalPower, truncate
 from borelline.cli import _document_text, main
 from borelline.digits import ArgumentError
@@ -395,6 +395,66 @@ def test_every_entry_point_refuses_a_level_no_tower_has(tmp_path, capsys, entry,
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
+
+
+# every int option of every command, with the other arguments it needs
+INT_OPTIONS = {
+    ("verify", "--p"): ["verify"],
+    ("classify", "--p"): ["classify", "-", "--level", "1"],
+    ("classify", "--level"): ["classify", "-", "--p", "2"],
+    ("char-inspect", "--p"): ["char-inspect", "-", "--level", "1"],
+    ("char-inspect", "--level"): ["char-inspect", "-", "--p", "2"],
+    ("lab", "--p"): ["lab", "--a", "1", "--power", "1"],
+    ("lab", "--a"): ["lab", "--p", "5", "--power", "1"],
+    ("lab", "--power"): ["lab", "--p", "5", "--a", "1"],
+}
+
+
+@pytest.mark.parametrize("command, option", INT_OPTIONS, ids=[" ".join(k) for k in INT_OPTIONS])
+def test_an_int_option_past_the_conversion_limit_is_refused_in_a_short_line(
+        capsys, command, option):
+    # 5 000 digits, past int's 4 300-digit limit, are no int: exit 2 in
+    # argparse's words, naming the value by its ends and its length, where
+    # argparse echoed it whole in a 5.1 KB line
+    with pytest.raises(SystemExit) as stop:
+        main([*INT_OPTIONS[command, option], option, "5" * 5000])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert err.endswith(f"error: argument {option}: invalid int value: "
+                        f"'55555555555...55555555555' (5002 characters)\n")
+
+
+def test_a_short_bad_int_is_refused_in_argparse_own_words(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["lab", "--p", "5", "--a", "1", "--power", "1.5"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("borelline lab: error: argument --power: invalid int value: '1.5'\n")
+
+
+def test_char_inspect_expands_each_number_once_past_the_pattern(tmp_path, capsys, monkeypatch):
+    # lambda = 5 at p = 2, level 3: the residues 0, 2 and 5, expanded once
+    # each by extract_pattern and once more for the digit sums and nonzero
+    # counts together, with p proven by the TruncatedCharacter, and 5 once
+    # by classify_exact: 7 expansions. The digit sums and the nonzero
+    # counts, each expanding each residue with its own primality proof,
+    # made 10
+    calls = []
+    real = digits._expand
+
+    def expanding(n, p):
+        calls.append(n)
+        return real(n, p)
+
+    monkeypatch.setattr(digits, "_expand", expanding)
+    monkeypatch.setattr(characters, "_expand", expanding)
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"kind": "rational", "lambda": 5}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "char-inspect", str(path), "--p", "2", "--level", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["digit_sums"], doc["nonzero_counts"]) == ([0, 1, 2], [0, 1, 2])
+    assert calls == [0, 2, 5, 0, 2, 5, 5]
 
 
 LONG_TWIST = {"kind": "twisted", "factors": [{"theta": 1, "twist": [0] * 12000}]}

@@ -5,17 +5,16 @@ import math
 import pytest
 
 from borelline import digits, polyfp
+from borelline.characters import TruncatedCharacter, digit_data
 from borelline.digits import (
     PRIMALITY_CAP,
     ArgumentError,
     CapabilityError,
     RelationError,
     check_digit_lemma,
-    digit_sum,
     _lucas_digit_product,
     expand,
     lucas_rows,
-    nonzero_digit_count,
     power_sum,
     power_sums_direct,
     prime_power_base,
@@ -36,17 +35,16 @@ def test_expand_roundtrip():
 
 def test_expand_zero_is_empty():
     assert expand(0, 7) == ()
-    assert digit_sum(0, 7) == 0
-    assert nonzero_digit_count(0, 7) == 0
+    assert digit_data(TruncatedCharacter(7, (0,))) == ((0,), (0,))
 
 
 def test_digit_sum_and_count():
+    # the digit sum and the nonzero-digit count of each residue, read off
+    # one expansion by `characters.digit_data`
     assert expand(11, 2) == (1, 1, 0, 1)
-    assert digit_sum(11, 2) == 3
-    assert nonzero_digit_count(11, 2) == 3
+    assert digit_data(TruncatedCharacter(2, (0, 2, 11))) == ((0, 1, 3), (0, 1, 3))
     assert expand(25, 3) == (1, 2, 2)
-    assert digit_sum(25, 3) == 5
-    assert nonzero_digit_count(25, 3) == 3
+    assert digit_data(TruncatedCharacter(3, (1, 1, 25))) == ((1, 1, 5), (1, 1, 3))
 
 
 def test_digit_expansion_validates():
@@ -300,8 +298,8 @@ def test_digit_lemma_full_small_grid():
 
 def test_check_digit_lemma_proves_p_once_and_expands_each_number_once(monkeypatch):
     # f, the nonzero-digit counts and the class sums are read off one
-    # expansion of m and one of m'; each expand, digit_sum and
-    # nonzero_digit_count proved p again and expanded again, about 4.3
+    # expansion of m and one of m'; each expand and each digit sum and
+    # nonzero-digit count proved p again and expanded again, about 4.3
     # expansions and 6.3 primality proofs per case of the digit-lemma suite
     expansions, proofs = [], []
     real_expand, real_prime = digits._expand, digits.require_prime

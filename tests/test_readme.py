@@ -22,7 +22,7 @@ def test_the_readme_library_example_runs_and_says_what_it_gives(capsys):
     # what its comments state
     assert names["theta"].residues == (0, 2, 2)
     assert [(t, w.residues) for t, w in names["pattern"].factors] == [(2, (0, 0, 0))]
-    assert (names["report"].socle.dim, names["report"].head_dim) == (2, 2)
+    assert (names["report"].socle_dim, names["report"].head_dim) == (2, 2)
     assert (names["key"], names["failed"]) == ("socle_head", {})
     assert names["code"] == 0
     # the two commands each printed one document

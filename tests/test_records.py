@@ -12,6 +12,7 @@ import pkgutil
 import pytest
 
 import borelline
+import proof_route
 from borelline import characters, classify, digits, sl2lab, weyl
 from borelline.digits import ArgumentError, record
 from borelline.characters import GaloisTwist, RationalPower, Trivial, TruncatedCharacter
@@ -22,12 +23,13 @@ TWIST = GaloisTwist([0, 1])
 
 
 def _module_and_report():
-    # a socle of dim 2 and a head of dim 2
+    # a socle of dim 2 and a head of dim 2; the socle itself on the
+    # reference route, the span of the columns of t_s'
     module = sl2lab.InducedModule(2, 2, characters.truncate(RationalPower(1), 2, 2))
-    return module, sl2lab.socle_head_report(module)
+    return module, sl2lab.socle_head_report(module), proof_route.socle(module)
 
 
-MODULE, SOCLE_HEAD = _module_and_report()
+MODULE, SOCLE_HEAD, SOCLE = _module_and_report()
 FACTOR = classify.X1Factor((1, 0), TWIST)
 
 # (args, kwargs) per record class; each list holds records that differ
@@ -61,12 +63,12 @@ SAMPLES = {
         ((3, A2, (1,), (), ((2,),), (FACTOR,), False, "s", None), {}),
         ((3, A2, (1, 2), (2,), A2.cartan, (FACTOR,), True, "t", RationalPower(3)), {}),
     ],
-    sl2lab.Subspace: [((MODULE, SOCLE_HEAD.socle.code_rows), {}),
+    sl2lab.Subspace: [((MODULE, SOCLE.code_rows), {}),
                       ((MODULE, MODULE.u_fixed_rows), {}), ((None, ()), {})],
     sl2lab.IrreducibilityVerdict: [((True,), {}), ((False, (1, 0, 0)), {}),
                                    ((False,), dict(witness=(0, 1, 0)))],
-    sl2lab.SocleHeadReport: [((SOCLE_HEAD.whole, SOCLE_HEAD.socle, SOCLE_HEAD.head_dim), {}),
-                             ((SOCLE_HEAD.whole, SOCLE_HEAD.socle, 3), {})],
+    sl2lab.SocleHeadReport: [((SOCLE_HEAD.whole, SOCLE_HEAD.socle_dim, SOCLE_HEAD.head_dim), {}),
+                             ((SOCLE_HEAD.whole, SOCLE_HEAD.socle_dim, 3), {})],
     sl2lab.PiImageRecord: [(((1, 3), 5), {}), (((), 5), {})],
     sl2lab.ChainRecord: [((5, True, True), {}), ((5, True, False), {})],
     weyl.RootDatum: [(([[2, -1], [-1, 2]],), {}), ((((2,),), False), {}),
@@ -190,8 +192,7 @@ def test_records_of_other_classes_are_never_equal():
 
 def test_post_init_normalises_and_cached_properties_still_cache():
     assert GaloisTwist([0, 1]) == GaloisTwist((0, 1)) and GaloisTwist([0, 1]).residues == (0, 1)
-    socle = SOCLE_HEAD.socle
-    assert socle.rows is socle.rows and len(socle.rows) == socle.dim
+    assert SOCLE.rows is SOCLE.rows and len(SOCLE.rows) == SOCLE.dim == SOCLE_HEAD.socle_dim
     match RationalPower(3):
         case RationalPower(k):
             assert k == 3

@@ -1,9 +1,10 @@
 """The int-coded linear algebra against the FieldElement reference route.
 
-Every subspace the rank-one verdict reads is recomputed on FieldElements
+Every subspace behind the rank-one verdict is recomputed on FieldElements
 by `element_route`, from the same maps and the same vectors, and must have
-the same canonical rows: M^U of the module and of its dual, the socle as
-the spin of the sum of the cells, the maximal submodule as the annihilator
+the same canonical rows: M^U of the module and of its dual, the socle of
+`proof_route.socle`, whose dimension the verdict counts, as the spin of
+the sum of the cells, the maximal submodule as the annihilator
 of that sum's spin in the dual, and the two Hecke pieces, with the spin of
 every B-stable line of a trivial-character module up to q = 13; then the
 digit span, the level-bridge image and the bridge's spin on the
@@ -52,7 +53,8 @@ def _check_module(p, a, m):
         rep = socle_head_report(module)
         line_sum = module.codes.decode(module.line_sum_vector())
         dual_socle = ref.spin(proof_route.dual(module), line_sum)
-        assert rep.socle.rows == ref.spin(module, line_sum)
+        socle = proof_route.socle(module)
+        assert socle.rows == ref.spin(module, line_sum) and rep.socle_dim == socle.dim
         maximal = tuple(map(module.codes.decode, proof_route.maximal_rows(module)))
         assert maximal == ref.kernel(dual_socle, module.dim, ref.one(module), ref.zero(module))
         assert rep.head_dim == module.dim - len(maximal)

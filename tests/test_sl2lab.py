@@ -722,7 +722,7 @@ def test_fixed_subspace_of_unipotent():
 def test_fixed_subspace_within():
     # the U-fixed vectors of the socle make up one B-stable line
     module = InducedModule(2, 2, power_char(1, 2))
-    socle = socle_head_report(module).socle
+    socle = proof_route.socle(module)
     lines = list(_b_stable_lines_per_eigenvalue(module, socle))
     assert len(lines) == 1
     assert _contains(socle, lines[0])
@@ -741,8 +741,8 @@ def test_socle_head_on_grid():
     for p, a, lam in ((2, 2, 1), (2, 2, 2), (2, 2, -1), (3, 1, 1), (3, 1, -1)):
         module = InducedModule(p, a, power_char(lam, p, max(a, 2)))
         rep = socle_head_report(module)
-        assert rep.socle.dim == 2
-        assert rep.head_dim == 2
+        assert rep.socle_dim == proof_route.socle(module).dim == 2
+        assert rep.head_dim == proof_route.head_dim(module) == 2
         _, key, section, failed = case_verdict(module)
         assert (key, section["head_dim"], section["digit_product"], failed) == ("socle_head", 2, 2, {})
 
@@ -757,29 +757,116 @@ def test_socle_head_makes_no_polynomial_products(polyfp_mul_calls):
 
 
 @pytest.mark.parametrize("m, self_dual", ((3, True), (1, False)), ids=("order-2", "generic"))
-def test_a_report_raises_t_twice_and_builds_no_hecke_operator(monkeypatch, m, self_dual):
+def test_a_report_raises_no_t_and_builds_no_hecke_operator(monkeypatch, rref_insert_calls,
+                                                           m, self_dual):
     # every report, at (7, 1, 3) where theta has order 2 and the dual is the
-    # module as elsewhere, raises the level's T twice, to m for t_s and to
-    # -m for t_s', each raise checking its one power-sum identity. It builds
-    # no HeckeOperators and no dual module, and checks no equivariance
-    raisings = []
-    real_raise = sl2lab._raised_t_s
-
-    def counting_raise(level, power):
-        raisings.append((level, power))
-        return real_raise(level, power)
-
+    # module as elsewhere, reads its two counts off the level's checked T
+    # and Pascal rows: it raises no entry, reduces no row, and builds no
+    # HeckeOperators, no dual module, no T and no Pascal row. It raised T
+    # to m and to -m, each raise checking one power-sum product, and
+    # row-reduced both
     module = InducedModule(7, 1, power_char(m, 7, 1))
-    module.level.t_s_cols
+    module.level.t_s_cols, module.level.nonzero_binomials
+    rref_insert_calls.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(sl2lab, "_raised_t_s", counting_raise)
-        # building an operator or a module, or T again, would raise
+        # raising, building an operator, a module, T or a Pascal row would raise
+        patch.setattr(sl2lab, "_raised_entries", None)
         patch.setattr(HeckeOperators, "__init__", None)
         patch.setattr(InducedModule, "__init__", None)
         patch.setattr(sl2lab._InducedLevel, "_t_s_columns", None)
-        assert socle_head_report(module).head_dim == m + 1
-    assert raisings == [(module.level, m), (module.level, -m)]
+        patch.setattr(sl2lab, "_pascal_rows_mod", None)
+        rep = socle_head_report(module)
+    assert (rep.socle_dim, rep.head_dim) == (7 - m, m + 1)
+    assert rref_insert_calls == []
     assert (proof_route.dual(module) is module) is self_dual
+
+
+@pytest.mark.parametrize("p, a, m", ((7, 2, 1), (7, 2, 24), (61, 1, 30), (2, 3, 5)),
+                         ids=("q=49", "q=49-order-2", "q=61-order-2", "q=64"))
+def test_a_nontrivial_verdict_makes_no_row_reduction(rref_insert_calls, p, a, m):
+    # once its level is built, with its T checked and its Pascal rows
+    # counted, a nontrivial verdict makes no rref_insert call. Its two
+    # rrefs, of t_s' and t_s, made 2 (q + 1) of them, 100 at q = 49
+    module = InducedModule(p, a, power_char(m, p, a))
+    module.level.t_s_cols, module.level.nonzero_binomials
+    rref_insert_calls.clear()
+    assert case_verdict(module)[3] == {}
+    assert rref_insert_calls == []
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS[1:],
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS[1:]])
+def test_the_counts_off_t_s_shape_match_the_rref_route(p, a):
+    # every nontrivial character up to q = 25: the socle's dimension and
+    # the head's, counted on Pascal's rows, are the rank of t_s' and of
+    # t_s by row reduction, the route of tests/proof_route.py
+    for m in range(1, p ** factorial(a) - 1):
+        module = InducedModule(p, a, power_char(m, p, a))
+        rep = socle_head_report(module)
+        assert (rep.socle_dim, rep.head_dim) == (
+            proof_route.socle(module).dim, proof_route.head_dim(module)), (p, a, m)
+
+
+def _translate_the_cell_block(level, cols):
+    """T with each cell column's cell block moved down one translate: the
+    column of the cell t reads c (w - 1 - t) at the cell w."""
+    sub = level.codes.sub
+    return cols[:1] + tuple(col[:1] + tuple(col[1 + sub[w][1]] for w in range(level.q))
+                            for col in cols[1:])
+
+
+def _vary_row_0(level, cols):
+    """T with the row-0 entry of the last cell column times the generator
+    of the units, which q > 2 makes another scalar."""
+    times_g = level.codes.mul[level.codes.generator]
+    return cols[:-1] + ((times_g[cols[-1][0]],) + cols[-1][1:],)
+
+
+def _wrong_theta_of_minus_one(level, cols):
+    """T as if s' sent cell(0) to the line by 1, not theta(-1)^-1 = -1:
+    the row-0 entry of the column of the cell at 0, other than -1 at odd p."""
+    return cols[:1] + ((1,) + cols[1][1:],) + cols[2:]
+
+
+SHAPE_MUTANTS = (
+    (_translate_the_cell_block, "the cell block is not c (w - t)^m"),
+    (_vary_row_0, "row 0 is not one constant on the cells"),
+    (_wrong_theta_of_minus_one, "row 0 is not one constant on the cells"),
+)
+
+
+@pytest.mark.parametrize("p, a", ((5, 1), (3, 2)), ids=("q=5", "q=9"))
+@pytest.mark.parametrize("mutate, part", SHAPE_MUTANTS,
+                         ids=("translated-block", "varying-row-0", "wrong-theta-of-minus-one"))
+def test_the_shape_check_names_each_mutant_of_t(monkeypatch, fresh_caches, mutate, part, p, a):
+    # the level's true T meets its shape and each mutant fails it, naming
+    # the part; built into a level, each mutant is refused before any
+    # verdict, by equivariance, which each of them breaks too
+    level = sl2lab._induced_level(p, a)
+    level._check_shape(level.t_s_cols)
+    with pytest.raises(RelationError, match=re.escape(f"t_s is off its shape: {part}")):
+        level._check_shape(mutate(level, level.t_s_cols))
+    sl2lab._induced_level.cache_clear()
+    _patch_t_s_columns(monkeypatch, mutate)
+    with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
+        case_verdict(InducedModule(p, a, power_char(1, p, a)))
+
+
+@pytest.mark.parametrize("p, a", ((5, 1), (3, 2)), ids=("q=5", "q=9"))
+@pytest.mark.parametrize("shift", (1, -1), ids=("row-m-plus-1", "row-m-minus-1"))
+def test_a_pascal_count_off_by_one_row_fails_every_verdict(monkeypatch, fresh_caches, shift, p, a):
+    # counts read from row m + 1 or m - 1 of Pascal's triangle mod p: at
+    # q = 5 and q = 9 no two neighbouring rows have as many nonzero
+    # entries, so the known head, the digit product of m, fails at every
+    # nontrivial character
+    real = sl2lab._InducedLevel.nonzero_binomials.func
+    monkeypatch.setattr(sl2lab._InducedLevel, "nonzero_binomials", property(
+        lambda self: tuple(real(self)[n + shift] if 0 <= n + shift < self.q else 0
+                           for n in range(self.q))))
+    q = p ** factorial(a)
+    for m in range(1, q - 1):
+        failed = case_verdict(InducedModule(p, a, power_char(m, p, a)))[3]
+        assert "head" in failed, (p, a, m)
 
 
 def test_only_an_induced_module_reads_m_u_off_the_eps_orbits():
@@ -832,13 +919,16 @@ def _whole(module):
 
 
 def _report_with_maximal(module):
-    """The lab's socle-and-head report as the census gives it: the maximal
-    submodule ker t_s from the tests' kernel, whose codimension must be the
-    report's head_dim, rank t_s."""
+    """The lab's socle-and-head report as the census gives it: the socle,
+    the span of the columns of t_s', and the maximal submodule ker t_s on
+    the rref route of `proof_route`, whose dimension and codimension must
+    be the report's socle_dim and head_dim."""
     rep = socle_head_report(module)
+    socle = proof_route.socle(module)
     maximal = Subspace(module, proof_route.maximal_rows(module))
+    assert rep.socle_dim == socle.dim
     assert rep.head_dim == module.dim - maximal.dim
-    return CensusReport(rep.whole, rep.socle, maximal)
+    return CensusReport(rep.whole, socle, maximal)
 
 
 def _exhaustive_irreducible(module, target):
@@ -898,7 +988,8 @@ def test_orbit_shared_spins_match_direct_route():
             rep = socle_head_report(module)
             socle, maximal = _exhaustive_socle_head(module)
             assert rep.whole == verdict
-            assert socle is not None and rep.socle == socle
+            assert socle is not None and proof_route.socle(module) == socle
+            assert rep.socle_dim == socle.dim
             assert maximal is not None and proof_route.maximal_rows(module) == maximal.code_rows
             assert rep.head_dim == module.dim - maximal.dim == _digit_product(m, p)
             # every nontrivial case here is reducible, by a proper spin
@@ -956,7 +1047,7 @@ def test_socle_head_spins_once_per_orbit(spin_calls, enumerated_lines):
     # route spins once per orbit of its 3906 lines (86 times)
     module = InducedModule(5, 1, power_char(1, 5))
     rep = socle_head_report(module)
-    assert rep.socle.dim == 4 and rep.head_dim == 2
+    assert rep.socle_dim == 4 and rep.head_dim == 2
     assert len(spin_calls) == 0 and enumerated_lines == {}
     assert census_report(module) == _report_with_maximal(module)
     assert len(spin_calls) == 4
@@ -980,8 +1071,8 @@ def test_order_two_census_spins_every_line_of_the_plane(
 ):
     # theta^2 = 1: h(g) scales both rows of M^U by theta(g), so the census
     # spins all q + 1 lines of that plane, once. The lab takes none of them:
-    # t_s proves the socle to be the span of its columns, with no spin (the
-    # census made q + 1 = 14 and 4)
+    # t_s proves the socle to be the span of its columns, whose dimension
+    # it counts with no spin (the census made q + 1 = 14 and 4)
     assert cli.main(["lab", "--p", str(p), "--a", str(a), "--power", str(power)]) == 0
     assert '"socle_ok": true' in capsys.readouterr().out
     assert len(spin_calls) == 0 and enumerated_lines == {}
@@ -989,7 +1080,8 @@ def test_order_two_census_spins_every_line_of_the_plane(
     census, socle, miss = census_socle(module)
     assert len(census) == len(spin_calls) == spins == p ** factorial(a) + 1
     assert enumerated_lines == {2: spins}
-    assert miss is None and socle == socle_head_report(module).socle
+    assert miss is None and socle == proof_route.socle(module)
+    assert socle.dim == socle_head_report(module).socle_dim
 
 
 FIELD_OPERATIONS = ("__add__", "__sub__", "__mul__", "__neg__", "inverse", "__pow__", "is_zero")
@@ -1134,7 +1226,7 @@ def _census_cases():
                 for piece in HeckeOperators(module).idempotent_split():
                     yield module, piece
             else:
-                yield module, socle_head_report(module).socle
+                yield module, proof_route.socle(module)
                 yield module, Subspace(module, proof_route.maximal_rows(module))
     for p, a in suites.SL2_GRID:
         for n in range(suites.COSTANDARD_WEIGHT_BOUND + 1):
@@ -1291,7 +1383,7 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
     def wrong_socle(module):
         rep = real(module)
         maximal = Subspace(module, proof_route.maximal_rows(module))
-        return SocleHeadReport(rep.whole, socle=maximal, head_dim=rep.head_dim)
+        return SocleHeadReport(rep.whole, socle_dim=maximal.dim, head_dim=rep.head_dim)
 
     monkeypatch.setattr(sl2lab, "socle_head_report", wrong_socle)
     _, _, section, failed = case_verdict(InducedModule(2, 2, power_char(1, 2)))
@@ -1307,7 +1399,7 @@ def test_a_socle_of_the_wrong_dimension_fails_the_verdict_and_the_suite(monkeypa
 
 @pytest.mark.parametrize("mutate, failed, err", (
     # the socle taken for the maximal submodule: a head of dim 5 - 2, not 2
-    (lambda rep: SocleHeadReport(rep.whole, socle=rep.socle, head_dim=5 - rep.socle.dim),
+    (lambda rep: SocleHeadReport(rep.whole, socle_dim=rep.socle_dim, head_dim=5 - rep.socle_dim),
      {"head": {"dim": 3, "digit_product": 2}},
      'head: {"digit_product": 2, "dim": 3}'),
 ), ids=("wrong-head",))
@@ -1325,19 +1417,16 @@ def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
     assert captured.err == f"verification: {err}\n"
 
 
-POWER_SUM_IDENTITY = "the power-sum identity T^k L = c_k L fails"
+OFF_ROW_0 = "t_s is off its shape: row 0 is not one constant on the cells"
 
 
-def _rescale_a_column(monkeypatch, check=True):
-    """From now on each level builds its T (or, with check false, takes it
-    unchecked) with the column of the cell at 0 scaled by the generator of
-    the units, which q > 2 makes a scalar other than 1. eps(b) moves that
-    cell, so T is no longer equivariant, nor is any t_s raised from it."""
+def _rescale_a_column(monkeypatch):
+    """From now on each level builds its T with the column of the cell at
+    0 scaled by the generator of the units, which q > 2 makes a scalar
+    other than 1. eps(b) moves that cell, so T is no longer equivariant,
+    nor is any t_s raised from it."""
     _patch_t_s_columns(monkeypatch, lambda module, cols: _scale_the_column_at_cell_0(
         module, cols, module.codes.generator))
-    if not check:
-        monkeypatch.setattr(sl2lab._InducedLevel, "t_s_cols",
-                            property(sl2lab._InducedLevel._t_s_columns))
     return "the cell-averaging operator is not equivariant"
 
 
@@ -1376,16 +1465,22 @@ def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, fr
 
 
 def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch, fresh_caches):
-    # past the level's checks of T, skipped here, t_s' t_s line = 0 is the
-    # power-sum identity of the raise to -m: T^-m L, the sum of the cell
-    # columns of t_s', is 0 until one of them is scaled by g^-1 != 1. The
-    # report's first raise, to m, meets it first, as the dual's
-    # t_s t_s' line = 0
-    _rescale_a_column(monkeypatch, check=False)
+    # t_s' t_s line = T^-m L, the sum of the cell columns of t_s', which
+    # T's shape proves 0, is not 0 once one of them is scaled by g^-1 != 1.
+    # T's shape check names that T's row 0, scaled at that column too, and
+    # the level, whose equivariance check meets it first, keeps no T for
+    # the report to read
     module = InducedModule(5, 1, power_char(1, 5))
-    for run in (lambda: sl2lab._raised_t_s(module.level, -1), lambda: socle_head_report(module)):
-        with pytest.raises(RelationError, match=re.escape(POWER_SUM_IDENTITY)):
-            run()
+    level, codes = module.level, module.codes
+    cols = _scale_the_column_at_cell_0(level, level.t_s_cols, codes.generator)
+    t_s, t_s_dual = (sl2lab._raised_entries(codes, cols, k) for k in (1, -1))
+    assert mat_vec(codes, tuple(zip(*t_s_dual)), t_s[0]) != (0,) * module.dim
+    with pytest.raises(RelationError, match=re.escape(OFF_ROW_0)):
+        level._check_shape(cols)
+    sl2lab._induced_level.cache_clear()
+    relation = _rescale_a_column(monkeypatch)
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        socle_head_report(InducedModule(5, 1, power_char(1, 5)))
 
 
 @pytest.mark.parametrize("broken", BROKEN_INTERTWINERS, ids=BROKEN_INTERTWINER_IDS)
@@ -1455,9 +1550,10 @@ def test_lab_proves_past_q_5(capsys, p, a, power):
 def test_socle_is_simple_and_minimal():
     # simple, and inside the spin of every B-stable line
     module = InducedModule(3, 1, power_char(1, 3))
-    socle = socle_head_report(module).socle
+    socle = proof_route.socle(module)
     _, least, miss = census_socle(module)
     assert miss is None and least == socle
+    assert socle.dim == socle_head_report(module).socle_dim
     assert is_irreducible(module, socle).irreducible
 
 
@@ -1762,22 +1858,23 @@ def test_u_fixed_rows_match_the_stacked_kernel(p, a):
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
-    # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s).
-    # A doubled level T would pass: at theta trivial, raising to the 0th
-    # power sends each nonzero entry to 1. So the mutant doubles the raised
-    # entries, between the raise and its check: the power-sum identity at
-    # k = 0, t_s^2 line = -t_s line, sums entries, so it meets the scale
+def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, fresh_caches, p):
+    # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s):
+    # the Hecke relation, which T's shape proves, holds for no other scale.
+    # A doubled level T meets equivariance and M^U, and raised to the 0th
+    # power it is t_s again, so only its shape check, at column 0, 2 L and
+    # not L, refuses it, for the module and for its verdict
     module = InducedModule(p, 1, trivial_character(p, 1))
-    real = sl2lab._raised_entries
-
-    def doubled(codes, cols, k):
-        two = codes.scalars[2]
-        return tuple(vec_scale(codes, two, col) for col in real(codes, cols, k))
-
-    monkeypatch.setattr(sl2lab, "_raised_entries", doubled)
+    codes, two = module.codes, module.codes.scalars[2]
+    t_s = tuple(vec_scale(codes, two, col) for col in HeckeOperators(module)._cols)
+    square = mat_vec(codes, tuple(zip(*t_s)), t_s[0])
+    assert square != vec_scale(codes, codes.neg[1], t_s[0])
+    sl2lab._induced_level.cache_clear()
+    _patch_t_s_columns(monkeypatch, lambda level, cols: tuple(
+        vec_scale(level.codes, level.codes.scalars[2], col) for col in cols))
+    module = InducedModule(p, 1, trivial_character(p, 1))
     for run in (lambda: HeckeOperators(module), lambda: case_verdict(module)):
-        with pytest.raises(RelationError, match=re.escape(POWER_SUM_IDENTITY)):
+        with pytest.raises(RelationError, match="column 0 is not the sum of the cells"):
             run()
 
 
@@ -1786,12 +1883,13 @@ def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, p):
 def test_the_power_sum_identity_holds_at_every_power_and_no_other(p, a):
     # T^k L = c_k L at each k from -(q - 1) to q - 1, c_k = -1 exactly at
     # the multiples of q - 1, with no case for the order of theta; L != 0,
-    # so the identity tells the two values of c_k apart at every k
+    # so the identity tells the two values of c_k apart at every k. T's
+    # shape proves it, and here a product checks it
     level = InducedModule(p, a, power_char(1, p, a)).level
     codes, q = level.codes, level.q
     minus_one = codes.neg[1]
     for k in range(-(q - 1), q):
-        cols = sl2lab._raised_t_s(level, k)
+        cols = sl2lab._raised_entries(codes, level.t_s_cols, k)
         image = mat_vec(codes, tuple(zip(*cols)), cols[0])
         c, wrong = (minus_one, 0) if k % (q - 1) == 0 else (0, minus_one)
         assert cols[0] == (0,) + (1,) * q
@@ -1950,14 +2048,16 @@ def test_hecke_operators_build_no_eps(monkeypatch):
 
 def test_socle_dimension_is_the_complementary_digit_product():
     # the simple socle of the induced module has dimension prod (p - d_i)
-    # over the a! base-p digits d_i of m, zeros included
+    # over the a! base-p digits d_i of m, zeros included, on the report's
+    # count and on the rref route
     cases = 0
     for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
         width = factorial(a)
         for m in range(1, p ** width - 1):
-            rep = socle_head_report(InducedModule(p, a, power_char(m, p, a)))
+            module = InducedModule(p, a, power_char(m, p, a))
             digits = _digits(m, p)
-            assert rep.socle.dim == prod(p - d for d in digits) * p ** (width - len(digits))
+            socle_dim = prod(p - d for d in digits) * p ** (width - len(digits))
+            assert socle_head_report(module).socle_dim == proof_route.socle(module).dim == socle_dim
             cases += 1
     assert cases == 18
 

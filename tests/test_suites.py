@@ -6,13 +6,12 @@ import math
 import pytest
 
 from borelline import polyfp
-from borelline.digits import ArgumentError
+from borelline.digits import ArgumentError, _pascal_rows_mod
 from borelline.linalg import rref
 from borelline.suites import (
     LUCAS_BOUND,
     POWER_SUM_ORDERS,
     SUITES,
-    _pascal_rows_mod,
     run_suites,
     suite_lucas,
     suite_pattern_roundtrip,
