@@ -10,21 +10,21 @@ level that was instead of claiming anything about the limit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 
 from .digits import (
-    ArgumentError, RelationError, _class_sums, _expand, _lucas_digit_product, expand, record,
-    require_prime,
+    ArgumentError, RelationError, _class_sums, _expand, expand, record, require_prime,
 )
 from .towers import LEVEL_CAP, CapabilityError, require_level
 
 
 def _shown(value) -> str:
     """value as an error names it: its repr, or past 40 characters its
-    first and last 12 with its digit count or length, so that an error
-    line stays short however long the input. An int that long is read
-    arithmetically, never converted whole: Python refuses to convert an
-    int past 4 300 digits to a string."""
+    first and last 12 with its digit count or length (a str's own, not its
+    repr's), so that an error line stays short however long the input. An
+    int that long is read arithmetically, never converted whole: Python
+    refuses to convert an int past 4 300 digits to a string."""
     if isinstance(value, int) and not -10 ** 39 < value < 10 ** 40:
         sign, n = "-" * (value < 0), abs(value)
         digits = (n.bit_length() - 1) * 1233 >> 12  # at most log10(n), below the count
@@ -35,7 +35,8 @@ def _shown(value) -> str:
     text = repr(value)
     if len(text) <= 40:
         return text
-    return f"{text[:12]}...{text[-12:]} ({len(text)} characters)"
+    length = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:12]}...{text[-12:]} ({length} characters)"
 
 
 @record
@@ -69,6 +70,13 @@ class TruncatedCharacter:
     def residue(self, n) -> int:
         return self.residues[n - 1]
 
+    @cached_property
+    def expansions(self) -> tuple[tuple[int, ...], ...]:
+        """The base-p digits of each residue, expanded once, unchecked: p is
+        proven at construction. `digit_data`, `extract_pattern` and
+        `lucas_criterion` all read these."""
+        return tuple(_expand(m, self.p) for m in self.residues)
+
 
 @record
 class CompatibilityVerdict:
@@ -90,9 +98,9 @@ def is_compatible(tc: TruncatedCharacter) -> CompatibilityVerdict:
 
 
 def digit_data(tc: TruncatedCharacter) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The digit sums f(m_n) and nonzero-digit counts per level, off one
-    unchecked expansion of each residue: the TruncatedCharacter proves p."""
-    expansions = [_expand(m, tc.p) for m in tc.residues]
+    """The digit sums f(m_n) and nonzero-digit counts per level, off the
+    character's one expansion of each residue."""
+    expansions = tc.expansions
     return tuple(map(sum, expansions)), tuple(sum(map(bool, d)) for d in expansions)
 
 
@@ -261,10 +269,8 @@ def extract_pattern(tc: TruncatedCharacter) -> X0Pattern | NoStablePattern:
     n_top = tc.level
     if all(m == 0 for m in tc.residues):
         return X0Pattern(tc.p, n_top, 1, ())
-    # each residue expanded once, p proven by the TruncatedCharacter
-    expansions = [_expand(m, tc.p) for m in tc.residues]
-    fs = tuple(map(sum, expansions))
-    counts = tuple(sum(map(bool, digits)) for digits in expansions)
+    expansions = tc.expansions
+    fs, counts = digit_data(tc)
     if n_top < 2:
         return NoStablePattern(1, "single level observed", fs, counts)
     n0 = n_top
@@ -370,33 +376,68 @@ class LucasSearch:
     k: int | None
 
 
-LUCAS_SEARCH_CAP = 10 ** 5  # candidates k tried per search before refusing
-
-
 def lucas_criterion(tc: TruncatedCharacter, r) -> LucasSearch:
-    """Search for s in (r, N] and k >= 1 with binom(m_s, k(p^(r!)-1)) != 0 mod p.
+    """The least s in (r, N], and for it the least k >= 1, with
+    binom(m_s, k(p^R - 1)) != 0 mod p, where R = r!, in closed form.
 
-    Absence is absence at this truncation level, nothing more. A search
-    that tries LUCAS_SEARCH_CAP candidates without a witness and has more
-    left raises CapabilityError.
+    By Lucas's theorem binom(m, n) != 0 mod p exactly when each base-p
+    digit of n is at most that of m. Mod p^R - 1, p^i = p^(i mod R), so a
+    witness n = k(p^R - 1) at level s exists exactly when class sums
+    A_j <= D_j solve sum_j A_j p^j = k'(p^R - 1) for some k' >= 1, where
+    D_j sums m_s's digits at the positions = j mod R; then k' is at most
+    sum_j D_j p^j // (p^R - 1) <= s!/R. Each solution's least n fills each
+    class from its lowest position, and the witness is the least n over
+    the solutions. n = k(p^R - 1) is its digit sum mod p - 1, so no level
+    whose digit sum is below p - 1 has a witness; at R = 1, where the one
+    class sum is k'(p - 1), every other level has one. At R = 2,
+    A_0 = -k' mod p leaves at most four values of A_0 for each k'.
+
+    Absence is absence at this truncation level, nothing more.
     """
     if not 1 <= r < tc.level:
         raise ArgumentError(f"need 1 <= r < level, got r={r}, level={tc.level}")
     p = tc.p  # proven prime by the TruncatedCharacter
-    step = p ** factorial(r) - 1
-    tried = 0
+    width = factorial(r)
+    step = p ** width - 1
     for s in range(r + 1, tc.level + 1):
-        m_s = tc.residue(s)
-        for k in range(1, m_s // step + 1):
-            if tried == LUCAS_SEARCH_CAP:
-                raise CapabilityError(
-                    f"the Lucas search at r = {r} reached s = {s} with no witness "
-                    f"among its cap of {LUCAS_SEARCH_CAP} candidates"
-                )
-            tried += 1
-            if _lucas_digit_product(m_s, k * step, p):
-                return LucasSearch(True, s, k)
+        digits = tc.expansions[s - 1]
+        if sum(digits) < p - 1:  # a witness's digit sum is a positive multiple of p - 1
+            continue
+        bounds = _class_sums(digits, width)
+        ceiling = sum(d * p ** j for j, d in enumerate(bounds)) // step
+        fills = [_least_fill(digits, sums, p)
+                 for k in range(1, ceiling + 1)
+                 for sums in _class_solutions(k * step, bounds, p)]
+        if fills:
+            return LucasSearch(True, s, min(fills) // step)
     return LucasSearch(False, None, None)
+
+
+def _class_solutions(target, bounds, p):
+    """Every (A_0, ..., A_(R-1)) with 0 <= A_j <= bounds[j] and
+    sum_j A_j p^j = target, R = len(bounds): A_0 = target mod p plus a
+    multiple of p, and the rest, divided by p, over the classes above."""
+    if len(bounds) == 1:
+        if target <= bounds[0]:
+            yield (target,)
+        return
+    for a in range(target % p, min(bounds[0], target) + 1, p):
+        for rest in _class_solutions((target - a) // p, bounds[1:], p):
+            yield (a, *rest)
+
+
+def _least_fill(digits, sums, p) -> int:
+    """The least n whose base-p digits are at most `digits`, position by
+    position, and add up to sums[j] over the positions = j mod len(sums):
+    each class filled from its lowest position."""
+    width, left = len(sums), list(sums)
+    n, weight = 0, 1
+    for pos, d in enumerate(digits):
+        take = min(d, left[pos % width])
+        left[pos % width] -= take
+        n += take * weight
+        weight *= p
+    return n
 
 
 # -- JSON forms ------------------------------------------------------------

@@ -7,12 +7,15 @@ m' = m mod (p^r - 1). All arithmetic is exact.
 
 Binomials come in two shapes, by Lucas's rule. Single entries come from
 `_lucas_digit_product`, the digit product itself, for callers that have
-checked p once: the Lucas search of `characters.lucas_criterion` at huge m,
-and the costandard modules and their level bridge in `sl2lab`. A whole
-triangle of bytes comes from `lucas_rows` (every row up to a limit, each
-from the row of m // p, for p < 256), for the `lucas` suite, which holds it
-to Pascal's rule, `_pascal_rows_mod` (p < 128): rows by addition alone,
-which also count the socle and the head of `sl2lab`'s induced modules.
+checked p once: the closed route of `sl2lab.pi_image`, the level bridge. A
+whole triangle of bytes comes from `lucas_rows` (every row up to a limit,
+each from the row of m // p, for p < 256), for the `lucas` suite, which
+holds it to Pascal's rule, `_pascal_rows_mod` (p < 128): rows by addition
+alone, which also count the socle and the head of `sl2lab`'s induced
+modules. The costandard modules of `sl2lab` build their rows the way
+`lucas_rows` does, in field codes for any p, and the Lucas witness search
+of `characters.lucas_criterion` asks no binomial at all: it reads its
+witness off the position-class sums of `_class_sums`.
 """
 
 from __future__ import annotations

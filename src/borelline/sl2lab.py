@@ -32,6 +32,7 @@ its scale on every cell.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import comb
 
 from .characters import TruncatedCharacter
 from .digits import (
@@ -525,6 +526,25 @@ class _NaturalLevel(_SL2Module):
 _natural_level = lru_cache(maxsize=None)(_NaturalLevel)
 
 
+def _binomial_codes(codes, dim, p):
+    """The codes of binom(i, j) mod p for i, j < dim, by Lucas's rule: for
+    i = a + p i' with a < p, binom(i, b + p j') = binom(a, b) binom(i', j')
+    mod p, which is 0 for b > a. So row i is row i // p, built before it,
+    written at the offsets b, b + p, ... for each b <= a and scaled by the
+    code of binom(a, b) mod p. The rows hold codes, so any prime p will do."""
+    mul, scalars = codes.mul, codes.scalars
+    rows = [[1] + [0] * (dim - 1)]
+    for i in range(1, dim):
+        a, parent = i % p, rows[i // p]
+        row = [0] * dim
+        for b in range(a + 1):  # a <= i < dim
+            scale, count = scalars[comb(a, b) % p], len(range(b, dim, p))
+            row[b::p] = parent[:count] if scale == 1 else map(mul[scale].__getitem__,
+                                                               parent[:count])
+        rows.append(row)
+    return tuple(map(tuple, rows))
+
+
 class CostandardModule(_SL2Module):
     """The (n+1)-dimensional module with basis v_0..v_n and
     eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
@@ -552,10 +572,8 @@ class CostandardModule(_SL2Module):
         self.tower = natural.tower
         self.codes = codes = natural.codes
         self.dim = n + 1
-        # the codes of binom(i, j) mod p; p is proven prime by field_order
-        self._binom = tuple(tuple(codes.scalars[_lucas_digit_product(i, j, p)]
-                                  for j in range(self.dim))
-                            for i in range(self.dim))
+        # p is proven prime by field_order
+        self._binom = _binomial_codes(codes, self.dim, p)
         self._eps = tuple(map(self._lucas_eps, range(q)))
         self._check_symmetric_power()
 

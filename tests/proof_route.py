@@ -14,7 +14,10 @@ it before it read the step off work it already does.
 - the stability of a subspace by row reduction, each generator applied to
   each row and the image reduced against the rows, against
   `sl2lab.l_submodule`, which reads the stability of its coordinate
-  subspace off the generators' columns.
+  subspace off the generators' columns;
+- the Lucas witness search by enumeration, each k(p^(r!) - 1) <= m_s in
+  turn held to the digit product, against `characters.lucas_criterion`,
+  which reads the least witness off m_s's digit classes.
 
 All on int codes, as `linalg` computes; `element_route` is the
 FieldElement route. The polynomial helpers of Rabin's test, `add` and
@@ -23,7 +26,10 @@ FieldElement route. The polynomial helpers of Rabin's test, `add` and
 
 from __future__ import annotations
 
-from borelline.characters import RationalPower, truncate
+from math import factorial
+
+from borelline.characters import LucasSearch, RationalPower, truncate
+from borelline.digits import _lucas_digit_product
 from borelline.linalg import reduce_vector, rref
 from borelline.polyfp import degree, mul, poly_mod, trim
 from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised_entries
@@ -198,3 +204,17 @@ def is_stable(module, sub) -> bool:
     rows = sub.code_rows
     return all(span_contains(module.codes, rows, g.apply(r))
                for g in module.generators for r in rows)
+
+
+def lucas_search(tc, r) -> LucasSearch:
+    """The least s in (r, N], and for it the least k >= 1, with
+    binom(m_s, k(p^(r!) - 1)) != 0 mod p, by trying each k in turn: up to
+    m_s // (p^(r!) - 1) candidates at each s."""
+    p = tc.p
+    step = p ** factorial(r) - 1
+    for s in range(r + 1, tc.level + 1):
+        m_s = tc.residue(s)
+        for k in range(1, m_s // step + 1):
+            if _lucas_digit_product(m_s, k * step, p):
+                return LucasSearch(True, s, k)
+    return LucasSearch(False, None, None)

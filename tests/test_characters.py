@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from math import factorial
+
 import pytest
 
 from borelline import characters, digits
@@ -24,6 +27,7 @@ from borelline.characters import (
 )
 from borelline.digits import ArgumentError
 from borelline.towers import CapabilityError
+from proof_route import lucas_search
 
 
 def test_truncated_character_range_checks():
@@ -352,20 +356,61 @@ def test_symbolic_json_rejects_garbage():
         symbolic_from_json([1, 2])
 
 
-def test_lucas_criterion_stops_at_its_cap(monkeypatch):
+def test_lucas_criterion_answers_without_a_cap_or_a_second_primality_proof(monkeypatch):
     prime_checks = []
     real = digits.require_prime
     monkeypatch.setattr(digits, "require_prime", lambda p: prime_checks.append(p) or real(p))
     # m_2 = 2 at p = 2, r = 1: k = 1 gives binom(2, 1) = 0 mod 2, k = 2 the witness
     tc = truncate(RationalPower(-1), 2, 3)
-    monkeypatch.setattr(characters, "LUCAS_SEARCH_CAP", 2)
     assert lucas_criterion(tc, 1) == LucasSearch(True, 2, 2)
-    monkeypatch.setattr(characters, "LUCAS_SEARCH_CAP", 1)
-    with pytest.raises(CapabilityError, match=r"r = 1.*s = 2.*cap of 1 "):
-        lucas_criterion(tc, 1)
-    # a search whose candidates all fit in the cap answers: m_3 = 4 at r = 2
-    # has the one candidate k = 1, and binom(4, 3) = 0 mod 2
+    # m_3 = 4 at r = 2 has the one candidate k = 1, and binom(4, 3) = 0 mod 2
     tc = truncate(RationalPower(4), 2, 3)
     assert lucas_criterion(tc, 2) == LucasSearch(False, None, None)
-    # the character proved p once; no candidate checks it again
+    # lambda = 101^5 at p = 101: one digit 1 at position 5 in m_3, so no
+    # class sum reaches p - 1 or solves A_0 + A_1 p = k'(p^2 - 1). The
+    # enumeration refused it after 10^5 of its ~10^8 candidates at r = 1
+    tc = truncate(RationalPower(101 ** 5), 101, 3)
+    assert [lucas_criterion(tc, r) for r in (1, 2)] == [LucasSearch(False, None, None)] * 2
+    # the character proved p once; the search never checks it again
     assert prime_checks == []
+
+
+def _reference_grid():
+    """(p, level, m) for p in {2, 3, 5, 7} at levels 2 and 3: every m below
+    p^(level!) - 1 when p^(level!) <= 800, else 300 seeded random m."""
+    rng = random.Random(44)
+    for p in (2, 3, 5, 7):
+        for level in (2, 3):
+            top = p ** factorial(level) - 1
+            ms = range(top) if top <= 799 else (rng.randrange(top) for _ in range(300))
+            for m in ms:
+                yield p, level, m
+
+
+def test_lucas_criterion_matches_the_enumeration_on_the_grid():
+    pairs = bad = 0
+    for p, level, m in _reference_grid():
+        tc = truncate(RationalPower(m), p, level)
+        for r in range(1, level):
+            pairs += 1
+            if lucas_criterion(tc, r) != lucas_search(tc, r):
+                bad += 1
+    assert (pairs, bad) == (2865, 0)
+
+
+def test_lucas_criterion_matches_the_enumeration_on_twisted_characters():
+    # two or three digits at distinct level-3 twists, with the twists'
+    # lower residues read off their level-3 ones, at p in {2, 3, 5, 7}
+    rng = random.Random(45)
+    found = set()
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            positions = rng.sample(range(6), rng.choice((2, 3)))
+            sc = TwistedDigitSum(tuple((rng.randrange(1, p), GaloisTwist.from_position(e, 3))
+                                       for e in positions))
+            tc = truncate(sc, p, 3)
+            for r in (1, 2):
+                hit = lucas_criterion(tc, r)
+                assert hit == lucas_search(tc, r), (sc, p, r)
+                found.add(hit.found)
+    assert found == {True, False}

@@ -3,10 +3,12 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import hashlib
 import json
 import random
 import subprocess
 import sys
+import time
 from math import factorial
 from types import SimpleNamespace
 
@@ -422,7 +424,7 @@ def test_an_int_option_past_the_conversion_limit_is_refused_in_a_short_line(
     assert (stop.value.code, out) == (2, "")
     assert len(err.encode()) < 300
     assert err.endswith(f"error: argument {option}: invalid int value: "
-                        f"'55555555555...55555555555' (5002 characters)\n")
+                        f"'55555555555...55555555555' (5000 characters)\n")
 
 
 def test_a_short_bad_int_is_refused_in_argparse_own_words(capsys):
@@ -434,11 +436,12 @@ def test_a_short_bad_int_is_refused_in_argparse_own_words(capsys):
 
 def test_char_inspect_expands_each_number_once_past_the_pattern(tmp_path, capsys, monkeypatch):
     # lambda = 5 at p = 2, level 3: the residues 0, 2 and 5, expanded once
-    # each by extract_pattern and once more for the digit sums and nonzero
-    # counts together, with p proven by the TruncatedCharacter, and 5 once
-    # by classify_exact: 7 expansions. The digit sums and the nonzero
-    # counts, each expanding each residue with its own primality proof,
-    # made 10
+    # each by the TruncatedCharacter, whose p is proven, for the pattern,
+    # the digit sums, the nonzero counts and the Lucas searches alike, and 5
+    # once by classify_exact: 4 expansions. The pattern and the digit data
+    # expanding each residue on their own made 7; the digit sums and the
+    # nonzero counts, each expanding each residue with its own primality
+    # proof, made 10
     calls = []
     real = digits._expand
 
@@ -454,7 +457,7 @@ def test_char_inspect_expands_each_number_once_past_the_pattern(tmp_path, capsys
     assert code == 0
     doc = json.loads(out)
     assert (doc["digit_sums"], doc["nonzero_counts"]) == ([0, 1, 2], [0, 1, 2])
-    assert calls == [0, 2, 5, 0, 2, 5, 5]
+    assert calls == [0, 2, 5, 5]
 
 
 LONG_TWIST = {"kind": "twisted", "factors": [{"theta": 1, "twist": [0] * 12000}]}
@@ -532,10 +535,11 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
 
 def test_char_inspect_answers_at_a_large_prime():
     # p = 1000003, lambda = -2: m_2 = p^2 - 3 has base-p digits (p - 3, p - 1),
-    # low digit first, and the search over r = 1 tries k (p - 1). For k = 1
-    # and 2 the low digits p - 1 and p - 2 exceed p - 3, so the binomial
-    # vanishes; k = 3 gives 3p - 3 = (p - 3, 2) and C(p-3, p-3) C(p-1, 2) =
-    # (p-1)(p-2)/2 = 1 mod p. Digitwise factorials would not finish in time.
+    # low digit first, and the search over r = 1 asks for k (p - 1). For
+    # k = 1 and 2 the low digits p - 1 and p - 2 exceed p - 3, so the
+    # binomial vanishes; k = 3 gives 3p - 3 = (p - 3, 2) and C(p-3, p-3)
+    # C(p-1, 2) = (p-1)(p-2)/2 = 1 mod p: the class sum p - 1 filled from
+    # the lowest position. Digitwise factorials would not finish in time.
     proc = subprocess.run(
         [sys.executable, "-m", "borelline", "char-inspect", "-",
          "--p", "1000003", "--level", "2"],
@@ -566,10 +570,11 @@ def test_classify_refuses_cartan_matrices_not_of_finite_type(tmp_path, capsys, c
     assert "not of finite type" in err and "pivot" in err
 
 
-def test_char_inspect_lucas_search_is_capped():
+def test_char_inspect_answers_the_lucas_search_past_the_old_cap():
     # p = 101, lambda = 101^5: every level-3 residue is 101^5, one digit 1 at
     # position 5, so binom(m_s, k (p - 1)) vanishes for each of the ~10^8
-    # candidates k of the search at r = 1; it stops at its cap instead
+    # candidates k at r = 1. The enumeration exited 3 after 10^5 of them;
+    # the digit classes answer that no witness exists
     proc = subprocess.run(
         [sys.executable, "-m", "borelline", "char-inspect", "-",
          "--p", "101", "--level", "3"],
@@ -578,10 +583,42 @@ def test_char_inspect_lucas_search_is_capped():
         text=True,
         timeout=10,
     )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "capability:" in proc.stderr
-    assert "r = 1" in proc.stderr and "100000" in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["lucas"] == [
+        {"r": r, "found": False, "s": None, "k": None} for r in (1, 2)]
+
+
+_BIG_PRIME = 10 ** 18 + 3
+_NO_WITNESS = [{"r": r, "found": False, "s": None, "k": None} for r in (1, 2)]
+# (p, lambda, the Lucas searches, the sha256 of the whole document or None):
+# the first two exited 3 on the enumeration's cap of 10^5 candidates; the
+# third it answered, in the document whose digest is pinned
+LUCAS_REQUESTS = (
+    (101, 101 ** 5, _NO_WITNESS, None),
+    (_BIG_PRIME, _BIG_PRIME ** 5, _NO_WITNESS, None),
+    (_BIG_PRIME, -2, [{"r": 1, "found": True, "s": 2, "k": 3},
+                      {"r": 2, "found": True, "s": 3, "k": 3}],
+     "2b4446750f5eca3ab91689d3d4a18d9283b4ee77e1aa72d9cf4f7ecc55709845"),
+)
+
+
+@pytest.mark.parametrize("p, lam, searches, digest", LUCAS_REQUESTS,
+                         ids=("101^5-at-101", "p^5-at-1e18+3", "-2-at-1e18+3"))
+def test_char_inspect_answers_each_lucas_search_in_closed_form_in_time(
+        tmp_path, capsys, p, lam, searches, digest):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"kind": "rational", "lambda": lam}), encoding="utf-8")
+    argv = ("char-inspect", str(path), "--p", str(p), "--level", "3")
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        times.append(time.perf_counter() - start)
+        assert (code, err) == (0, "")
+    assert json.loads(out)["lucas"] == searches
+    if digest is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert min(times) < 0.01, times
 
 
 _HUGE_INTEGER = '{"kind": "rational", "lambda": 1' + "0" * 5000 + "}"
@@ -629,7 +666,7 @@ LONG_VALUE_ERRORS = (
     ({"kind": "twisted", "factors": [{"theta": 1, "twist": [_LONG]}]},
      "twist residue at level 1 out of range: 777777777777...777777777777 (4000 digits)"),
     ({"kind": "x" * 4000},
-     "unknown character kind 'xxxxxxxxxxx...xxxxxxxxxxx' (4002 characters)"),
+     "unknown character kind 'xxxxxxxxxxx...xxxxxxxxxxx' (4000 characters)"),
 )
 
 

@@ -255,8 +255,13 @@ def test_relation_checker_catches_a_broken_natural_module(monkeypatch, fresh_cac
 def _binomial_row_off_by_one(monkeypatch):
     """Row i of a costandard module's binomials read from row i - 1 for
     i >= 2: rows 0 and 1 stay right, so ∇(0) and ∇(1) still pass."""
-    real = sl2lab._lucas_digit_product
-    monkeypatch.setattr(sl2lab, "_lucas_digit_product", lambda i, j, p: real(i - (i >= 2), j, p))
+    real = sl2lab._binomial_codes
+
+    def shifted(codes, dim, p):
+        rows = real(codes, dim, p)
+        return rows[:2] + rows[1:-1]
+
+    monkeypatch.setattr(sl2lab, "_binomial_codes", shifted)
 
 
 def _s_sign_flipped(monkeypatch):
@@ -1596,6 +1601,13 @@ def test_costandard_check_level_guard(fresh_caches):
     assert CostandardModule(2, 3, coeff_level=3).dim == 3
 
 
+def test_verify_sl2_relations_asks_no_single_binomial(lucas_calls):
+    # each costandard module builds its binomials a row at a time; one
+    # digit product per entry made 570 at p = 2
+    assert suites.suite_sl2_relations(p_filter=2)["ok"] is True
+    assert lucas_calls == Counter()
+
+
 def _chain_costandard_modules():
     """The costandard modules of `sl2-chain`: weight m_2 at level 2, one
     per character of its grid."""
@@ -1605,12 +1617,15 @@ def _chain_costandard_modules():
 
 
 def test_costandard_binomials_are_the_codes_of_the_factorial_formula():
-    # every costandard module the suites build, and one past a byte, at
-    # p = 257, where lucas_rows refuses: binom(i, j) mod p for all i, j <= n,
-    # zero above the diagonal
+    # every costandard module the suites build, one at 727, the largest
+    # prime whose field RELATION_WORK_CAP admits, some whose rows reach past
+    # p^2, each row built from row i // p, which was built from its own, and
+    # one past a byte, at p = 257, where lucas_rows refuses:
+    # binom(i, j) mod p for all i, j <= n, zero above the diagonal
     modules = [m for m in _relation_grid() if isinstance(m, CostandardModule)]
     modules += _chain_costandard_modules()
-    modules.append(CostandardModule(8, 257, coeff_level=1))
+    modules += [CostandardModule(n, p, coeff_level=1)
+                for n, p in ((2, 727), (299, 2), (249, 3), (59, 7), (8, 257))]
     for cm in modules:
         scalars = cm.codes.scalars
         assert cm._binom == tuple(tuple(scalars[comb(i, j) % cm.p] for j in range(cm.dim))
