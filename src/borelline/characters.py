@@ -14,29 +14,9 @@ from functools import cached_property
 from math import factorial
 
 from .digits import (
-    ArgumentError, RelationError, _class_sums, _expand, expand, record, require_prime,
+    ArgumentError, RelationError, _class_sums, _expand, _shown, expand, record, require_prime,
 )
 from .towers import LEVEL_CAP, CapabilityError, require_level
-
-
-def _shown(value) -> str:
-    """value as an error names it: its repr, or past 40 characters its
-    first and last 12 with its digit count or length (a str's own, not its
-    repr's), so that an error line stays short however long the input. An
-    int that long is read arithmetically, never converted whole: Python
-    refuses to convert an int past 4 300 digits to a string."""
-    if isinstance(value, int) and not -10 ** 39 < value < 10 ** 40:
-        sign, n = "-" * (value < 0), abs(value)
-        digits = (n.bit_length() - 1) * 1233 >> 12  # at most log10(n), below the count
-        while n >= 10 ** digits:
-            digits += 1
-        head = n // 10 ** (digits - 12 + len(sign))
-        return f"{sign}{head}...{n % 10 ** 12:012d} ({digits} digits)"
-    text = repr(value)
-    if len(text) <= 40:
-        return text
-    length = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:12]}...{text[-12:]} ({length} characters)"
 
 
 @record

@@ -22,7 +22,7 @@ from .characters import (
     symbolic_to_json,
     truncate,
 )
-from .digits import ArgumentError, RelationError, record, require_prime
+from .digits import ArgumentError, RelationError, _shown, record, require_prime
 from .towers import CapabilityError, LEVEL_CAP
 from .weyl import RootDatum, datum_from_json, datum_to_json
 
@@ -100,7 +100,7 @@ def steinberg_decompose(
         classes = _bounded_classes(tchar, p, level)
     indices = sorted(classes)
     rank = tchar.datum.rank
-    pooled: dict[tuple[int, ...], dict[int, int]] = {}
+    pooled: dict[tuple[int, ...], tuple[GaloisTwist, dict[int, int]]] = {}
     for i in indices:
         cls = classes[i]
         if not cls.bounded:
@@ -112,18 +112,19 @@ def steinberg_decompose(
                 f"index {i + 1}: {cls.note or 'no pattern at this level'}"
             )
         for theta, twist in cls.pattern.factors:
-            slot = pooled.setdefault(twist.residues, {})
+            slot = pooled.setdefault(twist.residues, (twist, {}))[1]
             if i in slot:
                 raise RelationError("twist collision inside a single index")
             slot[i] = theta
     factors = []
     for residues in sorted(pooled):
+        twist, slot = pooled[residues]
         weights = [0] * rank
-        for i, theta in pooled[residues].items():
+        for i, theta in slot.items():
             weights[i] = theta
         if any(w >= p for w in weights):
             raise RelationError("weight entry escaped [0, p-1]")
-        factors.append(X1Factor(tuple(weights), GaloisTwist(residues)))
+        factors.append(X1Factor(tuple(weights), twist))
     _assert_roundtrip(tchar, p, level, indices, factors)
     return tuple(factors)
 
@@ -246,7 +247,7 @@ def torus_character_from_json(obj) -> tuple[RootDatum, TorusCharacter]:
         restrictions.append(symbolic_from_json(raw[key]))
     extra = set(raw) - {str(i) for i in range(1, datum.rank + 1)}
     if extra:
-        raise ArgumentError(f"unexpected restriction indices: {sorted(extra)}")
+        raise ArgumentError(f"unexpected restriction indices: {_shown(sorted(extra))}")
     central = obj.get("central")
     central_sc = symbolic_from_json(central) if central is not None else None
     return datum, TorusCharacter(datum, tuple(restrictions), central_sc)

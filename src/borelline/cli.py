@@ -17,7 +17,6 @@ from . import __version__
 from .characters import (
     RationalPower,
     X0Pattern,
-    _shown,
     classify_exact,
     digit_data,
     extract_pattern,
@@ -27,7 +26,7 @@ from .characters import (
     truncate,
 )
 from .classify import report, report_to_json, torus_character_from_json
-from .digits import ArgumentError, RelationError, require_prime
+from .digits import ArgumentError, RelationError, _shown, require_prime
 from .sl2lab import InducedModule, PreconditionError, case_verdict
 from .suites import SUITES, run_suites
 from .towers import LEVEL_CAP, CapabilityError, require_level
@@ -212,7 +211,7 @@ class _CommandParser(argparse.ArgumentParser):
 
 def _int(text):
     """`type=int` for the int options, refusing in argparse's words but
-    naming a long value by its ends (`characters._shown`), not whole."""
+    naming a long value by its ends (`digits._shown`), not whole."""
     try:
         return int(text)
     except ValueError:

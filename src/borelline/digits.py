@@ -92,6 +92,26 @@ def _refuse_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
+def _shown(value) -> str:
+    """value as an error names it: its repr, or past 40 characters its
+    first and last 12 with its digit count or length (a str's own, not its
+    repr's), so that an error line stays short however long the input. An
+    int that long is read arithmetically, never converted whole: Python
+    refuses to convert an int past 4 300 digits to a string."""
+    if isinstance(value, int) and not -10 ** 39 < value < 10 ** 40:
+        sign, n = "-" * (value < 0), abs(value)
+        digits = (n.bit_length() - 1) * 1233 >> 12  # at most log10(n), below the count
+        while n >= 10 ** digits:
+            digits += 1
+        head = n // 10 ** (digits - 12 + len(sign))
+        return f"{sign}{head}...{n % 10 ** 12:012d} ({digits} digits)"
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    length = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:12]}...{text[-12:]} ({length} characters)"
+
+
 # Miller-Rabin with the first 13 prime bases is deterministic below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -102,7 +122,7 @@ def require_prime(p) -> int:
     """Return p if it is prime; raise ArgumentError if not, and
     CapabilityError at or above PRIMALITY_CAP, where primality is unproven."""
     if not isinstance(p, int) or p < 2:
-        raise ArgumentError(f"p must be a prime, got {p!r}")
+        raise ArgumentError(f"p must be a prime, got {_shown(p)}")
     if p < 1 << 16:
         # trial division, at most 255 steps here, is cheapest for the small
         # primes that nearly every call passes
@@ -114,7 +134,7 @@ def require_prime(p) -> int:
         return p
     if p >= PRIMALITY_CAP:
         raise CapabilityError(
-            f"primality is proven only below the cap {PRIMALITY_CAP}, got p = {p}"
+            f"primality is proven only below the cap {PRIMALITY_CAP}, got p = {_shown(p)}"
         )
     # base 2 alone rejects every even p here
     d, s = p - 1, 0
@@ -130,7 +150,7 @@ def require_prime(p) -> int:
             if x == p - 1:
                 break
         else:
-            raise ArgumentError(f"p must be a prime, got {p}")
+            raise ArgumentError(f"p must be a prime, got {_shown(p)}")
     return p
 
 

@@ -216,22 +216,22 @@ class _InducedLevel(_SL2Module):
         return tuple(int(i in cells) for i in range(self.dim))
 
     def _t_s_columns(self):
-        """t_s by its columns: the line goes to the sum L of all cells, and
-        the cell eps(t) s line to eps(t) s' L, s' the dual's s, s with its
-        scales inverted. eps(t) sends cell(u) to cell(u + t) with scale one,
-        so that column reads s' L at cell(w - t) = cell(-(t - w))."""
-        codes, line_sum = self.codes, self.line_sum_vector()
-        s_image = _raised(self.generators[-1], -1).apply(line_sum)
-        at_minus = [s_image[1 + c] for c in codes.neg]
-        return (line_sum,) + tuple((s_image[0],) + tuple(map(at_minus.__getitem__, codes.sub[t]))
-                                   for t in range(self.q))
+        """t_s by its closed form, read off no map: the line goes to the sum
+        L of all cells, and the cell eps(t) s line to eps(t) s' L, s' the
+        dual's s, which has theta(-1) on the line and (w - t)^m at cell(w):
+        column t of the sub table raised to m."""
+        codes = self.codes
+        cols = ((0,) + (1,) * self.q,
+                *((codes.neg[1],) + d for d in zip(*codes.sub)))
+        return _raised_entries(codes, cols, self.m)
 
     @cached_property
     def t_s_cols(self):
-        """The columns of t_s, checked: t_s g = g' t_s for each generator g,
-        g' being g with its scales inverted, M^U = span{line, t_s line} and
-        `_check_shape`. The level's are T, which each module raises to its
-        m; a module's own are the per-character reference route."""
+        """The columns of t_s, checked by direct computation: t_s g = g' t_s
+        for each generator g, g' being g with its scales inverted, and
+        M^U = span{line, t_s line}. The level's are T, which each module
+        raises to its m; a module's own are the per-character reference
+        route."""
         codes, cols = self.codes, self._t_s_columns()
         t_s = DenseMap(codes, zip(*cols))
         for g in self.generators:
@@ -239,25 +239,7 @@ class _InducedLevel(_SL2Module):
                 raise RelationError("the cell-averaging operator is not equivariant")
         if self.u_fixed_rows != rref(codes, (self.unit_vector(0), cols[0])):
             raise RelationError("M^U is not spanned by the line and t_s line")
-        self._check_shape(cols)
         return cols
-
-    def _check_shape(self, cols):
-        """The shape `socle_head_report` reads its counts off: column 0 is
-        L, the sum of the cells; row 0 holds one constant on the cells; the
-        cell block is t_s[1 + w][1 + t] = c (w - t)^m, c = t_s[2][1] a unit,
-        zeros staying zero (c (w - t) at the level, where m = 1)."""
-        codes, (line_sum, *cells) = self.codes, cols
-        if line_sum != (0,) + (1,) * self.q:
-            raise RelationError("t_s is off its shape: column 0 is not the sum of the cells")
-        if len({col[0] for col in cells}) != 1:
-            raise RelationError("t_s is off its shape: row 0 is not one constant on the cells")
-        c = cells[0][2]
-        # column t of the sub table is w - t over the cells w, raised to m
-        block = _raised_entries(codes, zip(*codes.sub), self.m)
-        if not c or any(col[1:] != tuple(map(codes.mul[c].__getitem__, d))
-                        for col, d in zip(cells, block)):
-            raise RelationError("t_s is off its shape: the cell block is not c (w - t)^m")
 
     @cached_property
     def nonzero_binomials(self):
@@ -322,7 +304,7 @@ class InducedModule(_InducedLevel):
 def _raised(g, m) -> MonomialMap:
     """g with each scale c raised to c^m; at m = -1, (g^-1)^T, the action on
     the dual basis."""
-    return MonomialMap(g.codes, g.perm, [g.codes.power(c, m) for c in g.scale])
+    return MonomialMap(g.codes, g.perm, _raised_entries(g.codes, (g.scale,), m)[0])
 
 
 def trivial_character(p, level) -> TruncatedCharacter:
@@ -399,18 +381,19 @@ class SocleHeadReport:
 
 def socle_head_report(module) -> SocleHeadReport:
     """Irreducibility of the whole module M and the dimensions of its
-    unique minimal submodule and its simple head, read off the shape of its
-    level's checked T (`_InducedLevel._check_shape`): no raising, product
-    or row reduction. t_s: M -> M', M' the dual, and t_s': M' -> M are T
-    with each nonzero entry raised to m and to -m, t_s sending the line to
-    L (Frobenius reciprocity; Carter and Lusztig, Proc. LMS 1976): the
-    level's checks of T g = g' T and of M^U hold raised to every k, as
-    c -> c^k is multiplicative and keeps zeros zero. Needs theta nontrivial.
+    unique minimal submodule and its simple head, read off the closed form
+    its level's checked T is built as (`_InducedLevel._t_s_columns`): no
+    raising, product or row reduction. t_s: M -> M', M' the dual, and
+    t_s': M' -> M are T with each nonzero entry raised to m and to -m, t_s
+    sending the line to L (Frobenius reciprocity; Carter and Lusztig, Proc.
+    LMS 1976): the level's checks of T g = g' T and of M^U hold raised to
+    every k, as c -> c^k is multiplicative and keeps zeros zero. Needs theta
+    nontrivial.
 
-    Raised to k, T keeps its shape: column 0 L, row 0 the constant r^k,
-    the cell block c^k (w - t)^k. So T^k L has row 0 q r^k = 0 and row
-    1 + w c^k times the sum of x^k over the units, 0 unless q - 1 divides
-    k: t_s' t_s line = T^-m L = 0, and t_s' t_s = 0, being equivariant and
+    Raised to k, T keeps its shape: column 0 L, row 0 the constant (-1)^k,
+    the cell block (w - t)^k. So T^k L has row 0 q (-1)^k = 0 and row
+    1 + w the sum of x^k over the units, 0 unless q - 1 divides k:
+    t_s' t_s line = T^-m L = 0, and t_s' t_s = 0, being equivariant and
     zero on the line, which generates M. A proper submodule N has N^U in
     span{t_s line}: if theta^2 != 1 the torus, of order prime to p, splits
     N^U into eigenlines, and the line generates M; if theta has order 2,
@@ -750,8 +733,8 @@ def _raised_entries(codes, cols, k):
 
 class HeckeOperators:
     """For theta trivial, the split of M = Ind theta by the projectors
-    e = 1 + t_s and o = -t_s, t_s being T raised to 0, which T's shape
-    proves to satisfy the Hecke relation t_s^2 = -t_s (`socle_head_report`;
+    e = 1 + t_s and o = -t_s, t_s being T raised to 0, which T's closed
+    form proves to satisfy the Hecke relation t_s^2 = -t_s (`socle_head_report`;
     Howlett and Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977): e and
     o are orthogonal idempotents summing to 1. P(M)^U = P(M^U) for P in {e, o},
     spanned by P(line) as e t_s line = 0 and o t_s line = -o line. So each

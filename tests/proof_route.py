@@ -11,6 +11,9 @@ it before it read the step off work it already does.
   and the head's dimensions off the shape of its level's T;
 - the dual of an induced module as a module, Ind theta^-1, whose t_s the
   lab reads off its level's T raised to -m and never builds;
+- the intertwiner t_s built from a module's own maps, L and then s' L
+  translated by eps, against `sl2lab._InducedLevel._t_s_columns`, which
+  writes it as its closed form, (w - t)^m raised entrywise;
 - the stability of a subspace by row reduction, each generator applied to
   each row and the image reduced against the rows, against
   `sl2lab.l_submodule`, which reads the stability of its coordinate
@@ -32,7 +35,7 @@ from borelline.characters import LucasSearch, RationalPower, truncate
 from borelline.digits import _lucas_digit_product
 from borelline.linalg import reduce_vector, rref
 from borelline.polyfp import degree, mul, poly_mod, trim
-from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised_entries
+from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised, _raised_entries
 
 X = (0, 1)
 
@@ -172,6 +175,17 @@ def head_dim(module):
     rank t_s, its level's T raised to m."""
     codes = module.codes
     return len(rref(codes, _raised_entries(codes, module.level.t_s_cols, module.m)))
+
+
+def t_s_from_maps(module):
+    """The columns of t_s: M -> M' of an induced module, or of its level,
+    from its own raised maps. The line goes to the sum L of all cells, and
+    the cell eps(t) s line to eps'(t) s' L, g' being the dual's g, g with
+    its scales inverted."""
+    line_sum = module.line_sum_vector()
+    s_image = _raised(module.generators[-1], -1).apply(line_sum)
+    return (line_sum,) + tuple(_raised(module.eps(t), -1).apply(s_image)
+                               for t in range(module.q))
 
 
 def maximal_rows(module):

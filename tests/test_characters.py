@@ -66,7 +66,7 @@ def test_an_int_past_the_conversion_limit_is_named_in_a_short_argument_error(cal
 
 
 def _shown_by_repr(value):
-    """The reference route of `characters._shown` for an int below the
+    """The reference route of `digits._shown` for an int below the
     conversion limit: its repr, cut as the errors cut it."""
     text = repr(value)
     if len(text) <= 40:
@@ -97,7 +97,7 @@ def test_a_residue_out_of_range_names_value_and_bound_shortly():
                               "-225-digits", "True", "-7"))
 def test_shown_names_an_int_as_its_repr_would(value):
     # below the limit, the arithmetic reading gives what the repr gives
-    assert characters._shown(value) == _shown_by_repr(value)
+    assert digits._shown(value) == _shown_by_repr(value)
 
 
 def test_compatibility_verdict():

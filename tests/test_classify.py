@@ -75,6 +75,30 @@ def test_steinberg_decompose_pools_by_twist():
     assert data == [((2,), (0, 0, 0)), ((1,), (0, 1, 1))]
 
 
+def test_a_twisted_document_builds_one_twist_per_parsed_and_pattern_factor(monkeypatch):
+    # the A2 document with restrictions theta = t^(3^1) twisted to level 3
+    # and t^2, at p = 3: its parsed twist and the twists of the two
+    # pattern factors, 3 in all. The decomposition pools the pattern
+    # twists themselves and builds none; pooling their residues rebuilt
+    # one per factor, 5 in all
+    built = []
+    real = GaloisTwist.__post_init__
+
+    def counting(self):
+        built.append(self.residues)
+        real(self)
+
+    monkeypatch.setattr(GaloisTwist, "__post_init__", counting)
+    doc = {"cartan": [[2, -1], [-1, 2]], "restrictions": {
+        "1": {"kind": "twisted", "factors": [{"theta": 1, "twist": [0, 1, 1]}]},
+        "2": {"kind": "rational", "lambda": 2}}}
+    datum, tchar = torus_character_from_json(doc)
+    rep = report(datum, tchar, 3, 3)
+    assert [(f.weights, f.twist.residues) for f in rep.factors] == [
+        ((0, 2), (0, 0, 0)), ((1, 0), (0, 1, 1))]
+    assert sorted(built) == [(0, 0, 0), (0, 1, 1), (0, 1, 1)]
+
+
 def test_steinberg_decompose_weights_below_p():
     tchar = TorusCharacter(A1, (RationalPower(5),))
     for f in steinberg_decompose(tchar, 3, 3):

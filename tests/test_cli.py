@@ -683,6 +683,49 @@ def test_a_long_value_is_named_in_a_short_error(tmp_path, capsys, command, char,
     assert len(err.encode()) < 300
 
 
+# a restriction document with each key the long value: 5 000 extra indices
+# and one 5 000-character index, each named whole in a line of 38 936 and
+# 5 044 bytes
+LONG_INDEX_ERRORS = (
+    ({str(i): {"kind": "trivial"} for i in range(1, 5002)},
+     "unexpected restriction indices: ['10', '100'...998', '999'] (38896 characters)"),
+    ({"1": {"kind": "trivial"}, "x" * 5000: {"kind": "trivial"}},
+     "unexpected restriction indices: ['xxxxxxxxxx...xxxxxxxxxx'] (5004 characters)"),
+)
+
+
+@pytest.mark.parametrize("restrictions, message", LONG_INDEX_ERRORS,
+                         ids=("many-indices", "long-index"))
+def test_a_long_list_of_unexpected_indices_is_named_in_a_short_error(
+        tmp_path, capsys, restrictions, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"cartan": [[2]], "restrictions": restrictions}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--p", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 300
+
+
+_HUGE_P = "7" * 4000
+# (sign, exit code, error line) for a --p of 4 000 digits, named whole in a
+# line of 4 087 bytes (exit 3) and 4 032 bytes (exit 2)
+LONG_P_ERRORS = (
+    ("", 3, "capability: primality is proven only below the cap 3317044064679887385961981, "
+            "got p = 777777777777...777777777777 (4000 digits)"),
+    ("-", 2, "error: p must be a prime, got -77777777777...777777777777 (4000 digits)"),
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "char-inspect", "lab"])
+@pytest.mark.parametrize("sign, exit_code, message", LONG_P_ERRORS, ids=("huge", "minus-huge"))
+def test_a_long_p_is_named_in_a_short_error(capsys, command, sign, exit_code, message):
+    rest = {"verify": [], "classify": ["-"], "char-inspect": ["-"],
+            "lab": ["--a", "1", "--power", "1"]}[command]
+    code, out, err = run_cli(capsys, command, *rest, "--p", sign + _HUGE_P)
+    assert (code, out, err) == (exit_code, "", f"{message}\n")
+    assert len(err.encode()) < 300
+
+
 def test_malformed_json_message_is_the_decoder_message(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text('{"kind": rational}', encoding="utf-8")

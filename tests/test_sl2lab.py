@@ -466,8 +466,11 @@ def test_every_character_up_to_q_25_passes_the_per_character_route(p, a):
     # dual, on its own maps. Each generator is the level's with its scales
     # raised to m, and the eps generators are the level's own objects, so
     # M^U, read off their orbits, is the level's. The module's own t_s,
-    # built from its raised maps and checked against its dual's, is the
-    # level's T raised to m, and T raised to -m is the dual's own t_s
+    # its closed form checked against its raised maps, is the level's T
+    # raised to m and the t_s those maps build, and T raised to -m is the
+    # dual's own t_s
+    level = sl2lab._induced_level(p, a)
+    assert level.t_s_cols == proof_route.t_s_from_maps(level)
     for m in range(p ** factorial(a) - 1):
         module = InducedModule(p, a, power_char(m, p, a))
         level = module.level
@@ -481,7 +484,7 @@ def test_every_character_up_to_q_25_passes_the_per_character_route(p, a):
                 assert g.scale == _raised_by_products(mod.codes, g_level.scale, mod.m)
         codes = module.codes
         assert module.t_s_cols == _raised_columns(codes, level.t_s_cols, m) == (
-            HeckeOperators(module)._cols)
+            HeckeOperators(module)._cols) == proof_route.t_s_from_maps(module)
         assert _raised_columns(codes, level.t_s_cols, -m) == proof_route.dual(module).t_s_cols
 
 
@@ -814,7 +817,7 @@ def test_the_counts_off_t_s_shape_match_the_rref_route(p, a):
 
 def _translate_the_cell_block(level, cols):
     """T with each cell column's cell block moved down one translate: the
-    column of the cell t reads c (w - 1 - t) at the cell w."""
+    column of the cell t reads (w - 1 - t)^m at the cell w."""
     sub = level.codes.sub
     return cols[:1] + tuple(col[:1] + tuple(col[1 + sub[w][1]] for w in range(level.q))
                             for col in cols[1:])
@@ -833,24 +836,25 @@ def _wrong_theta_of_minus_one(level, cols):
     return cols[:1] + ((1,) + cols[1][1:],) + cols[2:]
 
 
-SHAPE_MUTANTS = (
-    (_translate_the_cell_block, "the cell block is not c (w - t)^m"),
-    (_vary_row_0, "row 0 is not one constant on the cells"),
-    (_wrong_theta_of_minus_one, "row 0 is not one constant on the cells"),
-)
+def _base_cell_in_column_0(level, cols):
+    """T sending the line to the cell at 0, s line, not to the sum L of
+    the cells."""
+    return (level.unit_vector(1),) + cols[1:]
+
+
+CLOSED_FORM_MUTANTS = (_translate_the_cell_block, _vary_row_0, _wrong_theta_of_minus_one,
+                       _base_cell_in_column_0)
 
 
 @pytest.mark.parametrize("p, a", ((5, 1), (3, 2)), ids=("q=5", "q=9"))
-@pytest.mark.parametrize("mutate, part", SHAPE_MUTANTS,
-                         ids=("translated-block", "varying-row-0", "wrong-theta-of-minus-one"))
-def test_the_shape_check_names_each_mutant_of_t(monkeypatch, fresh_caches, mutate, part, p, a):
-    # the level's true T meets its shape and each mutant fails it, naming
-    # the part; built into a level, each mutant is refused before any
-    # verdict, by equivariance, which each of them breaks too
+@pytest.mark.parametrize("mutate", CLOSED_FORM_MUTANTS, ids=(
+    "translated-block", "varying-row-0", "wrong-theta-of-minus-one", "base-cell-column-0"))
+def test_the_shape_check_names_each_mutant_of_t(monkeypatch, fresh_caches, mutate, p, a):
+    # T is built as its shape, the closed form the verdicts read, and
+    # checked by direct computation alone: each mutant of one of its parts,
+    # built into a level, is refused by equivariance before any verdict
     level = sl2lab._induced_level(p, a)
-    level._check_shape(level.t_s_cols)
-    with pytest.raises(RelationError, match=re.escape(f"t_s is off its shape: {part}")):
-        level._check_shape(mutate(level, level.t_s_cols))
+    assert mutate(level, level.t_s_cols) != level.t_s_cols
     sl2lab._induced_level.cache_clear()
     _patch_t_s_columns(monkeypatch, mutate)
     with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
@@ -1422,9 +1426,6 @@ def test_each_failed_socle_head_check_is_named_by_the_verdict_suite_and_lab(
     assert captured.err == f"verification: {err}\n"
 
 
-OFF_ROW_0 = "t_s is off its shape: row 0 is not one constant on the cells"
-
-
 def _rescale_a_column(monkeypatch):
     """From now on each level builds its T with the column of the cell at
     0 scaled by the generator of the units, which q > 2 makes a scalar
@@ -1471,17 +1472,14 @@ def test_intertwiner_checks_catch_mutants_on_a_generic_character(monkeypatch, fr
 
 def test_the_report_checks_that_the_intertwiners_compose_to_zero(monkeypatch, fresh_caches):
     # t_s' t_s line = T^-m L, the sum of the cell columns of t_s', which
-    # T's shape proves 0, is not 0 once one of them is scaled by g^-1 != 1.
-    # T's shape check names that T's row 0, scaled at that column too, and
-    # the level, whose equivariance check meets it first, keeps no T for
-    # the report to read
+    # T's closed form proves 0, is not 0 once one of them is scaled by
+    # g^-1 != 1. The level, whose equivariance check meets such a T, keeps
+    # no T for the report to read
     module = InducedModule(5, 1, power_char(1, 5))
     level, codes = module.level, module.codes
     cols = _scale_the_column_at_cell_0(level, level.t_s_cols, codes.generator)
     t_s, t_s_dual = (sl2lab._raised_entries(codes, cols, k) for k in (1, -1))
     assert mat_vec(codes, tuple(zip(*t_s_dual)), t_s[0]) != (0,) * module.dim
-    with pytest.raises(RelationError, match=re.escape(OFF_ROW_0)):
-        level._check_shape(cols)
     sl2lab._induced_level.cache_clear()
     relation = _rescale_a_column(monkeypatch)
     with pytest.raises(RelationError, match=re.escape(relation)):
@@ -1834,8 +1832,9 @@ def test_hecke_split_dims_and_irreducibility():
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, fresh_caches, monomial_apply_calls, p, a):
     # one orbit walk for M^U, the level's, which t_s's check compares with
-    # the line and t_s line, and one apply, s on t_s line for t_s's columns
-    # (with no level cached before the module is built). The stacked
+    # the line and t_s line, and no apply: t_s's columns are its closed
+    # form (with no level cached before the module is built). Building
+    # them from the maps made one apply, s' on L. The stacked
     # kernel of M^U made d(q + 1) more applies, d = [F_q : F_p] (391 and 11
     # in all). The census of the whole module and of both Hecke pieces made
     # 1627 and 71; computing M^U per census made 3 stacked kernels and
@@ -1854,7 +1853,7 @@ def test_trivial_character_verdict_computes_the_u_fixed_space_once(
     del monomial_apply_calls[:]
     assert case_verdict(module)[3] == {}
     assert len(calls) == 1
-    assert len(monomial_apply_calls) == 1
+    assert monomial_apply_calls == []
 
 
 # one field of each order q <= 64 the lab builds
@@ -1872,25 +1871,40 @@ def test_u_fixed_rows_match_the_stacked_kernel(p, a):
     assert rows == (module.unit_vector(0), (0,) + (1,) * module.q)
 
 
+def _lab_documents_and_records(capsys, p):
+    """The stdout and stderr of `lab` at each power m < p - 1 at (p, 1),
+    and the sl2-socle-head and hecke-split records."""
+    documents = []
+    for m in range(p - 1):
+        cli.main(["lab", "--p", str(p), "--a", "1", "--power", str(m)])
+        documents.append(capsys.readouterr())
+    return documents, suites.suite_sl2_socle_head(), suites.suite_hecke_split()
+
+
 @pytest.mark.parametrize("p", (3, 5))
-def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, fresh_caches, p):
+def test_hecke_relation_catches_a_rescaled_t_s(monkeypatch, capsys, fresh_caches, p):
     # 2 t_s is still equivariant, but (2 t_s)^2 = -2 (2 t_s), not -(2 t_s):
-    # the Hecke relation, which T's shape proves, holds for no other scale.
-    # A doubled level T meets equivariance and M^U, and raised to the 0th
-    # power it is t_s again, so only its shape check, at column 0, 2 L and
-    # not L, refuses it, for the module and for its verdict
+    # the Hecke relation, which T's closed form proves, holds for no other
+    # scale. A unit multiple c T of the level's T is no such t_s: it meets
+    # equivariance and M^U, raised to the 0th power it is t_s again, and
+    # the socle and head are counted on Pascal's rows, so no document and
+    # no record sees it. Only the library's witness, c L, does, and the
+    # reference T of proof_route.t_s_from_maps
     module = InducedModule(p, 1, trivial_character(p, 1))
     codes, two = module.codes, module.codes.scalars[2]
     t_s = tuple(vec_scale(codes, two, col) for col in HeckeOperators(module)._cols)
     square = mat_vec(codes, tuple(zip(*t_s)), t_s[0])
     assert square != vec_scale(codes, codes.neg[1], t_s[0])
+    expected = _lab_documents_and_records(capsys, p)
+    true_t = sl2lab._induced_level(p, 1).t_s_cols
     sl2lab._induced_level.cache_clear()
     _patch_t_s_columns(monkeypatch, lambda level, cols: tuple(
-        vec_scale(level.codes, level.codes.scalars[2], col) for col in cols))
-    module = InducedModule(p, 1, trivial_character(p, 1))
-    for run in (lambda: HeckeOperators(module), lambda: case_verdict(module)):
-        with pytest.raises(RelationError, match="column 0 is not the sum of the cells"):
-            run()
+        vec_scale(level.codes, level.codes.generator, col) for col in cols))
+    assert sl2lab._induced_level(p, 1).t_s_cols == tuple(
+        vec_scale(codes, codes.generator, col) for col in true_t) != true_t
+    assert _lab_documents_and_records(capsys, p) == expected
+    witness = socle_head_report(InducedModule(p, 1, power_char(1, p, 1))).whole.witness
+    assert witness == vec_scale(codes, codes.generator, true_t[0]) != true_t[0]
 
 
 @pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS[1:],
@@ -1917,11 +1931,7 @@ def test_hecke_equivariance_catches_a_t_s_off_the_cell_average(monkeypatch, fres
     # that eps(b) moves; the level's T meets it at the first operator, for
     # theta trivial and of order 2 alike
     module = InducedModule(p, 1, power_char(m, p, 1))
-
-    def base_cell(self, *args):
-        return self.unit_vector(_cell(self, self.tower.zero(self.a)))
-
-    monkeypatch.setattr(sl2lab._InducedLevel, "line_sum_vector", base_cell)
+    _patch_t_s_columns(monkeypatch, _base_cell_in_column_0)
     with pytest.raises(RelationError, match="the cell-averaging operator is not equivariant"):
         HeckeOperators(module)
 
