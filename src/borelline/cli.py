@@ -279,7 +279,15 @@ def main(argv=None) -> int:
         if args.p is not None:
             require_prime(args.p)
         obj = handler(args)
+        text = json.dumps(obj, indent=2, sort_keys=True, cls=_DocumentEncoder) + "\n"
+        if args.out:
+            # written before stdout, so that an --out that cannot be written
+            # leaves stdout empty
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ArgumentError, PreconditionError, OSError) as err:
+        if isinstance(err, OSError) and err.filename is not None:
+            err = f"[Errno {err.errno}] {err.strerror}: {_shown(err.filename)}"
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except CapabilityError as err:
@@ -288,16 +296,6 @@ def main(argv=None) -> int:
     except RelationError as err:
         print(f"verification: {err}", file=sys.stderr)
         return VERIFICATION_ERROR
-    text = json.dumps(obj, indent=2, sort_keys=True, cls=_DocumentEncoder) + "\n"
-    if args.out:
-        # written before stdout, so that an --out that cannot be written
-        # leaves stdout empty
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return USAGE_ERROR
     sys.stdout.write(text)
     return 0 if obj.get("ok", True) else VERIFICATION_ERROR
 

@@ -63,8 +63,8 @@ def record(cls):
     if len(names) > 1:
         fields = attrgetter(*names)
     else:  # attrgetter gives one name's bare value, and takes no zero names
-        def fields(self):
-            return tuple(getattr(self, n) for n in names)
+        def fields(self, one=attrgetter(*names) if names else None):
+            return (one(self),) if one else ()
 
     def __repr__(self):
         shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)

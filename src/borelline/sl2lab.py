@@ -733,13 +733,13 @@ def _raised_entries(codes, cols, k):
 
 class HeckeOperators:
     """For theta trivial, the split of M = Ind theta by the projectors
-    e = 1 + t_s and o = -t_s, t_s being T raised to 0, which T's closed
-    form proves to satisfy the Hecke relation t_s^2 = -t_s (`socle_head_report`;
-    Howlett and Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977): e and
-    o are orthogonal idempotents summing to 1. P(M)^U = P(M^U) for P in {e, o},
-    spanned by P(line) as e t_s line = 0 and o t_s line = -o line. So each
-    nonzero P(M) is simple: a nonzero submodule holds a U-fixed vector, U
-    being a p-group, hence P(line), which spins to P(M).
+    e = 1 + t_s and o = -t_s, t_s being T raised to 0: T is zero exactly on
+    its diagonal, so t_s = J - I, J all ones, and t_s^2 = -t_s as q = 0 mod
+    p (Howlett and Kilmoyer, Comm. Algebra 1980; Sawada, Math. Z. 1977): e = J
+    and o = I - J are orthogonal idempotents summing to 1. P(M)^U = P(M^U)
+    for P in {e, o}, spanned by P(line) as e t_s line = 0 and o t_s line =
+    -o line. So each nonzero P(M) is simple: a nonzero submodule holds a
+    U-fixed vector, U being a p-group, hence P(line), which spins to P(M).
     """
 
     def __init__(self, module: InducedModule):
@@ -747,16 +747,16 @@ class HeckeOperators:
         self._cols = _raised_entries(module.codes, module.level.t_s_cols, module.m)
 
     def idempotent_split(self):
-        """Images of the two projectors, as submodules: the span of the
-        columns e_j + t_s e_j, and that of the columns of t_s. Needs theta
+        """Images of the two projectors, as submodules, in closed form once
+        an O(q^2) check finds t_s = J - I: e's is the line of (1, ..., 1);
+        o's, of rank q, is the sum-zero hyperplane, rows e_i - e_q for i < q,
+        as o's column j, e_j - (1, ..., 1), sums to -q = 0. Needs theta
         trivial: when theta has order 2, 1 + t_s is invertible."""
-        module, codes = self.module, self.module.codes
+        module = self.module
         if module.m:
             raise PreconditionError(
                 "the projectors 1 + t_s and -t_s need theta trivial at this level")
-        units = (module.unit_vector(j) for j in range(module.dim))
-        y_full = Subspace(module, rref(codes, (vec_add(codes, e, c) for e, c in zip(units, self._cols))))
-        y_empty = Subspace(module, rref(codes, self._cols))
-        if y_full.dim + y_empty.dim != self.module.dim:
-            raise RelationError("projector images do not decompose the module")
-        return y_full, y_empty
+        if any(col[j] or col.count(1) != module.q for j, col in enumerate(self._cols)):
+            raise RelationError("t_s is not J - I: T is not zero exactly on its diagonal")
+        rows = (module.unit_vector(i)[:-1] + (module.codes.neg[1],) for i in range(module.q))
+        return Subspace(module, ((1,) * module.dim,)), Subspace(module, tuple(rows))

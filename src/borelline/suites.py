@@ -27,6 +27,7 @@ from .digits import (
     ArgumentError,
     _fine_dim,
     _pascal_rows_mod,
+    _shown,
     check_digit_lemma,
     lucas_rows,
     power_sum,
@@ -329,7 +330,7 @@ def run_suites(names=None, p_filter=None) -> dict:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise ArgumentError(f"unknown suites {unknown}; choose from: {', '.join(SUITES)}")
+        raise ArgumentError(f"unknown suites {_shown(unknown)}; choose from: {', '.join(SUITES)}")
     results = [SUITES[n](p_filter=p_filter) for n in names]
     return {
         "schema": "v1",

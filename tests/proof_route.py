@@ -18,6 +18,10 @@ it before it read the step off work it already does.
   each row and the image reduced against the rows, against
   `sl2lab.l_submodule`, which reads the stability of its coordinate
   subspace off the generators' columns;
+- the Hecke split of a trivial character's module as the images of
+  1 + t_s and -t_s by row reduction, against
+  `sl2lab.HeckeOperators.idempotent_split`, which reads both off
+  t_s = J - I in closed form;
 - the Lucas witness search by enumeration, each k(p^(r!) - 1) <= m_s in
   turn held to the digit product, against `characters.lucas_criterion`,
   which reads the least witness off m_s's digit classes.
@@ -32,8 +36,8 @@ from __future__ import annotations
 from math import factorial
 
 from borelline.characters import LucasSearch, RationalPower, truncate
-from borelline.digits import _lucas_digit_product
-from borelline.linalg import reduce_vector, rref
+from borelline.digits import RelationError, _lucas_digit_product
+from borelline.linalg import reduce_vector, rref, vec_add
 from borelline.polyfp import degree, mul, poly_mod, trim
 from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised, _raised_entries
 
@@ -175,6 +179,20 @@ def head_dim(module):
     rank t_s, its level's T raised to m."""
     codes = module.codes
     return len(rref(codes, _raised_entries(codes, module.level.t_s_cols, module.m)))
+
+
+def hecke_split(module):
+    """The images of the projectors 1 + t_s and -t_s of a module with theta
+    trivial, as submodules: the span of the columns e_j + t_s e_j and that
+    of the columns of t_s, each by row reduction. Their dimensions must sum
+    to the module's."""
+    codes, cols = module.codes, HeckeOperators(module)._cols
+    units = (module.unit_vector(j) for j in range(module.dim))
+    y_full = Subspace(module, rref(codes, (vec_add(codes, e, c) for e, c in zip(units, cols))))
+    y_empty = Subspace(module, rref(codes, cols))
+    if y_full.dim + y_empty.dim != module.dim:
+        raise RelationError("projector images do not decompose the module")
+    return y_full, y_empty
 
 
 def t_s_from_maps(module):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import argparse
 import collections
+import errno
 import functools
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -82,7 +84,8 @@ def test_an_out_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv
     out = tmp_path / "absent" / "x.json" if target == "missing-parent" else tmp_path
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert err.startswith("error: ") and err.endswith(f"{str(out)!r}\n")
+    # the path, here past 40 characters, is named by its ends and length
+    assert err.startswith("error: ") and err.endswith(f"{digits._shown(str(out))}\n")
     assert err.count("\n") == 1
     assert not (tmp_path / "absent").exists()
 
@@ -724,6 +727,41 @@ def test_a_long_p_is_named_in_a_short_error(capsys, command, sign, exit_code, me
     code, out, err = run_cli(capsys, command, *rest, "--p", sign + _HUGE_P)
     assert (code, out, err) == (exit_code, "", f"{message}\n")
     assert len(err.encode()) < 300
+
+
+_LONG_NAME = "x" * 5000
+_TOO_LONG = (f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+             "'xxxxxxxxxxx...xxxxxxxxxxx' (5000 characters)")
+# (argv, error line) for a 5 000-character file or suite name, each named
+# whole in a line of 5 041 (a file, input or --out) or 5 146 (a suite) bytes
+LONG_NAME_ERRORS = {
+    "classify": (["classify", _LONG_NAME, "--p", "3"], _TOO_LONG),
+    "char-inspect": (["char-inspect", _LONG_NAME, "--p", "3"], _TOO_LONG),
+    "lab-char": (["lab", "--char", _LONG_NAME, "--p", "3", "--a", "1"], _TOO_LONG),
+    "out": (["lab", "--p", "2", "--a", "1", "--power", "1", "--out", _LONG_NAME], _TOO_LONG),
+    "suite": (["verify", _LONG_NAME],
+              "unknown suites ['xxxxxxxxxx...xxxxxxxxxx'] (5004 characters); choose from: "
+              + ", ".join(SUITES)),
+}
+
+
+@pytest.mark.parametrize("name", LONG_NAME_ERRORS)
+def test_a_long_file_or_suite_name_is_named_in_a_short_error(capsys, name):
+    argv, message = LONG_NAME_ERRORS[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 300
+
+
+def test_a_short_file_or_suite_name_keeps_its_exact_text(capsys):
+    # a name of 40 characters or fewer in its repr is named whole, as
+    # before; past that, by its ends (`digits._shown`)
+    name = "n" * 38
+    code, _, err = run_cli(capsys, "classify", name, "--p", "3")
+    assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {name!r}\n")
+    code, _, err = run_cli(capsys, "verify", "n" * 36)
+    assert (code, err) == (2, f"error: unknown suites {['n' * 36]!r}; choose from: "
+                              f"{', '.join(SUITES)}\n")
 
 
 def test_malformed_json_message_is_the_decoder_message(tmp_path, capsys):

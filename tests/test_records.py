@@ -190,6 +190,18 @@ def test_records_of_other_classes_are_never_equal():
     assert RationalPower(1) != characters.LucasSearch(1, None, None) != RationalPower(1)
 
 
+def test_a_one_field_record_hashes_as_the_1_tuple_of_its_field():
+    @record
+    class Power:
+        power: int
+
+    assert hash(Power(3)) == hash(RationalPower(3)) == hash((3,)) != hash(3)
+    assert Power(3) == Power(power=3) != Power(4)
+    assert Power(3) != RationalPower(3) and RationalPower(3) != Power(3)
+    assert Power(3) != (3,) and Power(3) != 3 and len({Power(3), RationalPower(3), (3,)}) == 3
+    assert hash(TWIST) == hash(((0, 1),))
+
+
 def test_post_init_normalises_and_cached_properties_still_cache():
     assert GaloisTwist([0, 1]) == GaloisTwist((0, 1)) and GaloisTwist([0, 1]).residues == (0, 1)
     assert SOCLE.rows is SOCLE.rows and len(SOCLE.rows) == SOCLE.dim == SOCLE_HEAD.socle_dim

@@ -1828,6 +1828,57 @@ def test_hecke_split_dims_and_irreducibility():
         assert not whole.irreducible and whole.proof
 
 
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
+def test_the_closed_form_split_matches_the_rref_route(p, a):
+    # every trivial character up to q = 25: the pieces read off t_s = J - I
+    # are the images of 1 + t_s and -t_s by row reduction, the route of
+    # tests/proof_route.py, row for row
+    module = InducedModule(p, a, trivial_character(p, a))
+    pieces = HeckeOperators(module).idempotent_split()
+    assert [y.code_rows for y in pieces] == [y.code_rows for y in proof_route.hecke_split(module)]
+    assert pieces[0].code_rows == ((1,) * module.dim,)
+
+
+@pytest.mark.parametrize("p, a", ((61, 1), (2, 3)), ids=("q=61", "q=64"))
+def test_the_hecke_split_makes_no_row_reduction(rref_insert_calls, p, a):
+    # the split reads its pieces off t_s = J - I. Its two rrefs, of the
+    # columns of 1 + t_s and of t_s, made 2 (q + 1) rref_insert calls,
+    # 124 at q = 61
+    ops = HeckeOperators(InducedModule(p, a, trivial_character(p, a)))
+    rref_insert_calls.clear()
+    pieces = ops.idempotent_split()
+    assert rref_insert_calls == []
+    assert [y.dim for y in pieces] == [1, ops.module.q]
+
+
+def _zero_off_the_diagonal(cols):
+    """T with the entry of column 0 at the cell at 0, off the diagonal, 0."""
+    return ((0, 0) + cols[0][2:],) + cols[1:]
+
+
+def _nonzero_on_the_diagonal(cols):
+    """T with the diagonal entry of column 0, at the line, 1."""
+    return ((1,) + cols[0][1:],) + cols[1:]
+
+
+@pytest.mark.parametrize("p, a", ((5, 1), (2, 2)), ids=("q=5", "q=4"))
+@pytest.mark.parametrize("mutate", (_zero_off_the_diagonal, _nonzero_on_the_diagonal),
+                         ids=("off-diagonal-zero", "nonzero-diagonal"))
+def test_the_hecke_split_refuses_a_t_off_its_shape(monkeypatch, mutate, p, a):
+    # the split reads t_s = J - I off T being zero exactly on its diagonal.
+    # A T set past the level's own checks, with one zero more or one less,
+    # is refused by name, not split as if it were J - I
+    module = InducedModule(p, a, trivial_character(p, a))
+    level = module.level
+    monkeypatch.setitem(vars(level), "t_s_cols", mutate(level.t_s_cols))
+    relation = "t_s is not J - I: T is not zero exactly on its diagonal"
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        HeckeOperators(module).idempotent_split()
+    with pytest.raises(RelationError, match=re.escape(relation)):
+        case_verdict(module)
+
+
 @pytest.mark.parametrize("p, a", ((2, 3), (2, 2)), ids=("q=64", "q=4"))
 def test_trivial_character_verdict_computes_the_u_fixed_space_once(
         monkeypatch, fresh_caches, monomial_apply_calls, p, a):
