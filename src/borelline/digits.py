@@ -93,11 +93,12 @@ def _refuse_deletion(self, name):
 
 
 def _shown(value) -> str:
-    """value as an error names it: its repr, or past 40 characters its
-    first and last 12 with its digit count or length (a str's own, not its
-    repr's), so that an error line stays short however long the input. An
-    int that long is read arithmetically, never converted whole: Python
-    refuses to convert an int past 4 300 digits to a string."""
+    """value as an error names it: its repr, or, where that is shorter,
+    its first and last 12 characters with its digit count or length (a
+    str's own, not its repr's), so that an error line stays short however
+    long the input. An int past 40 characters is read arithmetically, never
+    converted whole: Python refuses to convert an int past 4 300 digits to
+    a string."""
     if isinstance(value, int) and not -10 ** 39 < value < 10 ** 40:
         sign, n = "-" * (value < 0), abs(value)
         digits = (n.bit_length() - 1) * 1233 >> 12  # at most log10(n), below the count
@@ -106,10 +107,9 @@ def _shown(value) -> str:
         head = n // 10 ** (digits - 12 + len(sign))
         return f"{sign}{head}...{n % 10 ** 12:012d} ({digits} digits)"
     text = repr(value)
-    if len(text) <= 40:
-        return text
     length = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:12]}...{text[-12:]} ({length} characters)"
+    cut = f"{text[:12]}...{text[-12:]} ({length} characters)"
+    return cut if len(cut) < len(text) else text
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this bound
@@ -265,19 +265,24 @@ def _pascal_rows_mod(limit, p):
     """Rows 0..limit of the Pascal triangle mod p, by exact addition only.
 
     Each row is limit + 1 bytes, zero past its last entry. Read as one
-    little-endian integer r, the next row is r + (r << 8) reduced bytewise
-    mod p: every byte is the sum of two neighbours, below 2p < 256, so no
-    byte carries into the next. Hence p < 128 (ArgumentError otherwise)."""
+    little-endian integer r, the next row is s = r + (r << 8) reduced
+    bytewise mod p: every byte of s is the sum of two neighbours, below
+    2p < 256, so no byte carries into the next. The reduction stays on the
+    int: adding 128 - p to every byte, below p + 128 <= 255 and so again
+    without a carry, sets a byte's top bit exactly where the byte is at
+    least p, and p is subtracted at those bytes. Hence p < 128
+    (ArgumentError otherwise)."""
     if p >= 128:
         raise ArgumentError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
     width = limit + 1
-    reduce = (bytes(range(p)) * (256 // p + 1))[:256]  # byte i to i % p
-    row = bytes([1]) + bytes(limit)
-    rows = [row]
+    ones = int.from_bytes(b"\x01" * width, "little")
+    offset, top = (128 - p) * ones, 128 * ones
+    r = 1
+    rows = [r.to_bytes(width, "little")]
     for _ in range(limit):
-        r = int.from_bytes(row, "little")
-        row = (r + (r << 8)).to_bytes(width, "little").translate(reduce)
-        rows.append(row)
+        s = r + (r << 8)
+        r = s - (((s + offset) & top) >> 7) * p
+        rows.append(r.to_bytes(width, "little"))
     return rows
 
 

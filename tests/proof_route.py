@@ -25,6 +25,9 @@ it before it read the step off work it already does.
 - the Lucas witness search by enumeration, each k(p^(r!) - 1) <= m_s in
   turn held to the digit product, against `characters.lucas_criterion`,
   which reads the least witness off m_s's digit classes.
+- the pattern roundtrip with one truncation and one `extract_pattern` per
+  draw, against `suites.suite_pattern_roundtrip`, which reads each
+  distinct drawn pattern back once.
 
 All on int codes, as `linalg` computes; `element_route` is the
 FieldElement route. The polynomial helpers of Rabin's test, `add` and
@@ -33,13 +36,23 @@ FieldElement route. The polynomial helpers of Rabin's test, `add` and
 
 from __future__ import annotations
 
+import random
 from math import factorial
 
-from borelline.characters import LucasSearch, RationalPower, truncate
+from borelline.characters import (
+    GaloisTwist,
+    LucasSearch,
+    RationalPower,
+    TwistedDigitSum,
+    X0Pattern,
+    extract_pattern,
+    truncate,
+)
 from borelline.digits import RelationError, _lucas_digit_product
 from borelline.linalg import reduce_vector, rref, vec_add
 from borelline.polyfp import degree, mul, poly_mod, trim
 from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised, _raised_entries
+from borelline.suites import ROUNDTRIP_SAMPLES, ROUNDTRIP_SEED, _keep, _record
 
 X = (0, 1)
 
@@ -250,3 +263,49 @@ def lucas_search(tc, r) -> LucasSearch:
             if _lucas_digit_product(m_s, k * step, p):
                 return LucasSearch(True, s, k)
     return LucasSearch(False, None, None)
+
+
+def _roundtrip_factors(rng, p):
+    """A digit pattern whose tower stabilizes under the level cap, as
+    (digit value, twist) pairs, drawn as `suites._roundtrip_draw` draws."""
+    if p == 2:
+        count = 1
+    else:
+        count = rng.choice((1, 2))
+    if count == 1:
+        theta = rng.randrange(1, p)
+        pos = rng.randrange(6)
+        return ((theta, GaloisTwist.from_position(pos, 3)),)
+    pos1 = rng.randrange(6)
+    pos2 = rng.choice([e for e in range(6) if e % 2 != pos1 % 2])
+    t1 = rng.randrange(1, p)
+    t2 = rng.randrange(1, p)
+    if t1 == 2 and t2 == 2:
+        t2 = 1
+    return ((t1, GaloisTwist.from_position(pos1, 3)), (t2, GaloisTwist.from_position(pos2, 3)))
+
+
+def pattern_roundtrip(p_filter=None) -> dict:
+    """The `pattern-roundtrip` record with every draw truncated and read
+    back on its own."""
+    rng = random.Random(ROUNDTRIP_SEED)
+    failures = []
+    cases = 0
+    primes = [p for p in (2, 3) if _keep(p, p_filter)]
+    if primes:
+        for _ in range(ROUNDTRIP_SAMPLES):
+            p = rng.choice(primes)
+            factors = _roundtrip_factors(rng, p)
+            cases += 1
+            tc = truncate(TwistedDigitSum(factors), p, 3)
+            pattern = extract_pattern(tc)
+            want = {(t, w.residues) for t, w in factors}
+            if not isinstance(pattern, X0Pattern):
+                failures.append({"p": p, "factors": sorted(want), "got": "no stable pattern"})
+                continue
+            got = {(t, w.residues) for t, w in pattern.factors}
+            if got != want:
+                failures.append(
+                    {"p": p, "factors": sorted(want), "got": sorted(got)}
+                )
+    return _record("pattern-roundtrip", cases, failures, seed=ROUNDTRIP_SEED)

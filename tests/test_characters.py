@@ -100,6 +100,19 @@ def test_shown_names_an_int_as_its_repr_would(value):
     assert digits._shown(value) == _shown_by_repr(value)
 
 
+@pytest.mark.parametrize("length", range(38, 45))
+def test_shown_cuts_a_str_only_where_the_cut_is_shorter(length):
+    # the cut form of a str of 10 to 99 characters is 43 characters long:
+    # a repr of 41 to 43 characters, a str of 39 to 41, was cut to 43
+    # characters with characters lost, and is now named whole
+    value = "n" * length
+    cut = f"'nnnnnnnnnnn...nnnnnnnnnnn' ({length} characters)"
+    assert len(cut) == 43
+    shown = digits._shown(value)
+    assert shown == (repr(value) if length + 2 <= 43 else cut)
+    assert len(shown) <= len(repr(value))
+
+
 def test_compatibility_verdict():
     # 5 = 2 + 3 is congruent to 2 mod 3, so this tower is coherent
     assert is_compatible(TruncatedCharacter(2, (0, 2, 5)))

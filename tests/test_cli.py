@@ -754,7 +754,7 @@ def test_a_long_file_or_suite_name_is_named_in_a_short_error(capsys, name):
 
 
 def test_a_short_file_or_suite_name_keeps_its_exact_text(capsys):
-    # a name of 40 characters or fewer in its repr is named whole, as
+    # a name whose repr is no longer than its cut form is named whole, as
     # before; past that, by its ends (`digits._shown`)
     name = "n" * 38
     code, _, err = run_cli(capsys, "classify", name, "--p", "3")

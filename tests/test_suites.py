@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import proof_route
 from borelline import polyfp
 from borelline.digits import ArgumentError, _pascal_rows_mod
 from borelline.linalg import rref
@@ -69,6 +70,63 @@ def test_roundtrip_is_seeded_and_reproducible():
     assert a["seed"] == 20260814
 
 
+@pytest.mark.parametrize("p_filter, distinct", ((None, 41), (2, 6), (3, 39), (5, 0)),
+                         ids=("all", "2", "3", "5"))
+def test_roundtrip_reads_each_distinct_draw_back_once(monkeypatch, p_filter, distinct):
+    # the 200 seeded draws hold 41 distinct (p, pattern) keys: one
+    # truncation and one reading per key, where one per draw made 200
+    from borelline import suites
+
+    calls = []
+    real = suites.extract_pattern
+
+    def counting(tc):
+        calls.append(tc)
+        return real(tc)
+
+    monkeypatch.setattr(suites, "extract_pattern", counting)
+    rec = suite_pattern_roundtrip(p_filter)
+    assert rec["ok"] is True and rec["cases"] == (0 if p_filter == 5 else 200)
+    assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("p_filter", (None, 2, 3, 5), ids=("all", "2", "3", "5"))
+def test_roundtrip_matches_the_per_draw_route(p_filter):
+    assert suite_pattern_roundtrip(p_filter) == proof_route.pattern_roundtrip(p_filter)
+
+
+def test_roundtrip_fails_every_draw_of_a_misread_pattern(monkeypatch):
+    # one pattern at each prime is misread, one as unstable and one as
+    # another position: each of its draws is a case and a failure of its
+    # own, in draw order, on both routes
+    from borelline import suites
+    from borelline.characters import (
+        GaloisTwist, NoStablePattern, TwistedDigitSum, X0Pattern, extract_pattern, truncate)
+
+    def tower(p, pos, level=3):
+        return truncate(TwistedDigitSum(((1, GaloisTwist.from_position(pos, level)),)), p, level)
+
+    unstable, shifted = tower(2, 3), tower(3, 2)
+
+    def misread(tc):
+        if tc == unstable:
+            return NoStablePattern(3, "misread", (), ())
+        if tc == shifted:
+            return X0Pattern(3, 3, 1, ((1, GaloisTwist.from_position(4, 3)),))
+        return extract_pattern(tc)
+
+    monkeypatch.setattr(suites, "extract_pattern", misread)
+    monkeypatch.setattr(proof_route, "extract_pattern", misread)
+    rec = suite_pattern_roundtrip()
+    assert rec == proof_route.pattern_roundtrip()
+    assert rec["ok"] is False and rec["cases"] == 200
+    assert rec["failures"].count(
+        {"p": 2, "factors": [(1, (0, 1, 3))], "got": "no stable pattern"}) == 22
+    assert rec["failures"].count(
+        {"p": 3, "factors": [(1, (0, 0, 2))], "got": [(1, (0, 0, 4))]}) == 7
+    assert len(rec["failures"]) == 29
+
+
 def test_run_suites_bundles_and_validates():
     bundle = run_suites(["power-sums", "digit-lemma"])
     assert bundle["schema"] == "v1"
@@ -101,6 +159,26 @@ def test_hecke_split_fails_an_irreducible_whole_module(monkeypatch, capsys):
     assert doc["ok"] is False and doc["whole_irreducible"]["irreducible"] is True
     assert doc["hecke"] == {"dims": [0, 3], "irreducible": [False, True], "proof": [True, True]}
     assert captured.err == "verification: dims: [0, 3]\n"
+
+
+@pytest.mark.parametrize("p_filter, anchors, combs", (
+    (None, 3 * 134, 134), (2, 134, 134), (3, 134, 134), (5, 134, 134), (7, 0, 0),
+), ids=("all", "2", "3", "5", "7"))
+def test_lucas_suite_computes_its_exact_anchors_once(monkeypatch, p_filter, anchors, combs):
+    # the 134 exact binomials of the anchor sample do not depend on p: one
+    # math.comb each per call, at the first prime kept, reduced mod every
+    # prime kept, where a list per prime made 402 for the three primes
+    calls = []
+    real = math.comb
+
+    def counting(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(math, "comb", counting)
+    rec = suite_lucas(p_filter)
+    assert rec["ok"] is True and rec["anchors"] == anchors
+    assert len(calls) == combs
 
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):
@@ -164,14 +242,18 @@ def _pascal_rows_by_index(limit, p):
     return rows
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7, 127))
+@pytest.mark.parametrize("p", [p for p in range(2, 128) if all(p % d for d in range(2, p))])
 def test_pascal_rows_by_whole_row_addition_match_the_index_route(p):
-    # 127 is the largest prime whose neighbour sums, below 2p, fit a byte
-    rows = _pascal_rows_mod(LUCAS_BOUND, p)
-    reference = _pascal_rows_by_index(LUCAS_BOUND, p)
-    assert len(rows) == len(reference) == LUCAS_BOUND + 1
+    # 127 is the largest prime whose neighbour sums, below 2p, fit a byte,
+    # and for which adding 128 - p to such a sum carries into no other
+    # byte. The suite's primes, 7 and 127 run to the suite's bound; every
+    # other prime below 128 runs past its own row p
+    limit = LUCAS_BOUND if p in (2, 3, 5, 7, 127) else 130
+    rows = _pascal_rows_mod(limit, p)
+    reference = _pascal_rows_by_index(limit, p)
+    assert len(rows) == len(reference) == limit + 1
     for m, (row, ref) in enumerate(zip(rows, reference)):
-        assert list(row) == ref + [0] * (LUCAS_BOUND - m)
+        assert list(row) == ref + [0] * (limit - m)
 
 
 def test_pascal_rows_refuse_a_prime_past_a_byte():
