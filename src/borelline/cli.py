@@ -13,21 +13,8 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__
-from .characters import (
-    RationalPower,
-    X0Pattern,
-    classify_exact,
-    digit_data,
-    extract_pattern,
-    lucas_criterion,
-    symbolic_from_json,
-    symbolic_to_json,
-    truncate,
-)
-from .classify import report, report_to_json, torus_character_from_json
-from .digits import ArgumentError, RelationError, _shown, require_prime
-from .sl2lab import InducedModule, PreconditionError, case_verdict
+from . import __version__, characters, classify, sl2lab
+from .digits import ArgumentError, PreconditionError, RelationError, _shown, require_prime
 from .suites import SUITES, run_suites
 from .towers import LEVEL_CAP, CapabilityError, require_level
 
@@ -101,7 +88,7 @@ def _twist_json(twist):
 
 def _pattern_json(pattern):
     """The "pattern" and "no_pattern" entries of char-inspect: one is None."""
-    if isinstance(pattern, X0Pattern):
+    if isinstance(pattern, characters.X0Pattern):
         return {"no_pattern": None, "pattern": {
             "stabilized_at": pattern.stabilized_at,
             "level": pattern.level,
@@ -124,21 +111,21 @@ def _cmd_verify(args):
 def _cmd_classify(args):
     require_level(args.level)
     obj = _read_json(args.input)
-    datum, tchar = torus_character_from_json(obj)
-    rep = report(datum, tchar, args.p, args.level)
-    return report_to_json(rep)
+    datum, tchar = classify.torus_character_from_json(obj)
+    rep = classify.report(datum, tchar, args.p, args.level)
+    return classify.report_to_json(rep)
 
 
 def _cmd_char_inspect(args):
     require_level(args.level)
-    sc = symbolic_from_json(_read_json(args.input))
-    tc = truncate(sc, args.p, args.level)
-    pattern = extract_pattern(tc)
-    digit_sums, nonzero_counts = digit_data(tc)
-    cls = classify_exact(sc, args.p, args.level)
+    sc = characters.symbolic_from_json(_read_json(args.input))
+    tc = characters.truncate(sc, args.p, args.level)
+    pattern = characters.extract_pattern(tc)
+    digit_sums, nonzero_counts = characters.digit_data(tc)
+    cls = characters.classify_exact(sc, args.p, args.level)
     searches = []
     for r in range(1, args.level):
-        hit = lucas_criterion(tc, r)
+        hit = characters.lucas_criterion(tc, r)
         searches.append(
             {"r": r, "found": hit.found, "s": hit.s, "k": hit.k}
         )
@@ -146,7 +133,7 @@ def _cmd_char_inspect(args):
         "schema": "v1",
         "p": args.p,
         "level": args.level,
-        "character": symbolic_to_json(sc),
+        "character": characters.symbolic_to_json(sc),
         "residues": list(tc.residues),
         "digit_sums": list(digit_sums),
         "nonzero_counts": list(nonzero_counts),
@@ -161,11 +148,11 @@ def _cmd_lab(args):
     if (args.char is None) == (args.power is None):
         raise ArgumentError("give exactly one of --char or --power")
     if args.char is not None:
-        sc = symbolic_from_json(_read_json(args.char))
+        sc = characters.symbolic_from_json(_read_json(args.char))
     else:
-        sc = RationalPower(args.power)
-    theta = truncate(sc, args.p, args.a)
-    module = InducedModule(args.p, args.a, theta)
+        sc = characters.RationalPower(args.power)
+    theta = characters.truncate(sc, args.p, args.a)
+    module = sl2lab.InducedModule(args.p, args.a, theta)
     out = {
         "schema": "v1",
         "p": args.p,
@@ -173,10 +160,10 @@ def _cmd_lab(args):
         "q": module.q,
         "dim": module.dim,
         "m": module.m,
-        "character": symbolic_to_json(sc),
+        "character": characters.symbolic_to_json(sc),
         "relations": "ok",
     }
-    whole, key, section, failed = case_verdict(module)
+    whole, key, section, failed = sl2lab.case_verdict(module)
     out["ok"] = not failed
     for check, detail in failed.items():
         detail = detail if isinstance(detail, str) else json.dumps(detail, sort_keys=True)

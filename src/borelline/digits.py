@@ -39,6 +39,10 @@ class RelationError(RuntimeError):
     of the constructed matrices, or an internal invariant checked on the way."""
 
 
+class PreconditionError(ValueError):
+    """A stated hypothesis of the requested operation fails."""
+
+
 def record(cls):
     """Make cls a frozen record of the fields it annotates, in order, as
     `@dataclass(frozen=True)` would, without importing `dataclasses`.
@@ -239,11 +243,11 @@ def lucas_rows(limit, p) -> list[bytes]:
     b > a. So row m is row m' = m // p, already built, written at the strided
     offsets b, b + p, ... for each b <= a, scaled by binom(a, b) mod p through
     a 256-byte table where that factor is not 1. Bytes hold an entry only
-    below 256, hence p < 256 (ArgumentError otherwise, after the primality
-    check), and limit >= 0."""
+    below 256, hence p < 256 (CapabilityError otherwise, after the
+    primality check), and limit >= 0."""
     require_prime(p)
     if p >= 256:
-        raise ArgumentError(f"Lucas rows are kept in bytes, which needs p < 256, got {p}")
+        raise CapabilityError(f"Lucas rows are kept in bytes, which needs p < 256, got {p}")
     if limit < 0:
         raise ArgumentError(f"Lucas rows need limit >= 0, got {limit}")
     width = limit + 1
@@ -271,9 +275,9 @@ def _pascal_rows_mod(limit, p):
     int: adding 128 - p to every byte, below p + 128 <= 255 and so again
     without a carry, sets a byte's top bit exactly where the byte is at
     least p, and p is subtracted at those bytes. Hence p < 128
-    (ArgumentError otherwise)."""
+    (CapabilityError otherwise)."""
     if p >= 128:
-        raise ArgumentError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
+        raise CapabilityError(f"Pascal rows are kept in bytes, which needs p < 128, got {p}")
     width = limit + 1
     ones = int.from_bytes(b"\x01" * width, "little")
     offset, top = (128 - p) * ones, 128 * ones

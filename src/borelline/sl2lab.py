@@ -36,8 +36,8 @@ from math import comb
 
 from .characters import TruncatedCharacter
 from .digits import (
-    ArgumentError, RelationError, _fine_dim, _lucas_digit_product, _pascal_rows_mod, power_sum,
-    record,
+    ArgumentError, PreconditionError, RelationError, _fine_dim, _lucas_digit_product,
+    _pascal_rows_mod, power_sum, record,
 )
 from .linalg import (
     DenseMap,
@@ -51,10 +51,6 @@ from .linalg import (
 from .towers import CapabilityError, field_order, make_tower
 
 GROUP_ORDER_CAP = 64        # largest q for which modules are built
-
-
-class PreconditionError(ValueError):
-    """A stated hypothesis of the requested operation fails."""
 
 
 @record

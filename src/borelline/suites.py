@@ -15,16 +15,10 @@ from __future__ import annotations
 import math
 import random
 
-from .characters import (
-    GaloisTwist,
-    RationalPower,
-    TwistedDigitSum,
-    extract_pattern,
-    truncate,
-    X0Pattern,
-)
+from . import characters, sl2lab
 from .digits import (
     ArgumentError,
+    RelationError,
     _fine_dim,
     _pascal_rows_mod,
     _shown,
@@ -33,15 +27,6 @@ from .digits import (
     power_sum,
     power_sums_direct,
     prime_power_base,
-)
-from .sl2lab import (
-    InducedModule,
-    CostandardModule,
-    RelationError,
-    case_verdict,
-    l_submodule,
-    trivial_character,
-    verify_irreducibility_chain,
 )
 
 ROUNDTRIP_SEED = 20260814
@@ -155,9 +140,9 @@ def suite_power_sums(p_filter=None) -> dict:
 
 
 def _sl2_characters(p):
-    yield "trivial", trivial_character(p, 2)
+    yield "trivial", sl2lab.trivial_character(p, 2)
     for lam in SL2_CHARACTER_POWERS[1:]:
-        yield f"t^{lam}", truncate(RationalPower(lam), p, 2)
+        yield f"t^{lam}", characters.truncate(characters.RationalPower(lam), p, 2)
 
 
 def suite_sl2_relations(p_filter=None) -> dict:
@@ -173,14 +158,14 @@ def suite_sl2_relations(p_filter=None) -> dict:
         for label, theta in _sl2_characters(p):
             cases += 1
             try:
-                InducedModule(p, a, theta)
+                sl2lab.InducedModule(p, a, theta)
             except RelationError as err:
                 failures.append({"p": p, "a": a, "theta": label, "error": str(err)})
         for n in range(COSTANDARD_WEIGHT_BOUND + 1):
             cases += 1
             try:
-                cm = CostandardModule(n, p, coeff_level=a)
-                sub = l_submodule(cm)
+                cm = sl2lab.CostandardModule(n, p, coeff_level=a)
+                sub = sl2lab.l_submodule(cm)
                 expected = _fine_dim(n, p)
                 if sub.dim != expected:
                     failures.append(
@@ -195,7 +180,7 @@ def _failed_checks(p, a, theta) -> dict:
     """The checks `case_verdict` finds failed on Ind theta at (p, a), or
     {"error": ...} naming the relation that failed."""
     try:
-        return case_verdict(InducedModule(p, a, theta))[3]
+        return sl2lab.case_verdict(sl2lab.InducedModule(p, a, theta))[3]
     except RelationError as err:
         return {"error": str(err)}
 
@@ -214,7 +199,7 @@ def suite_sl2_socle_head(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         for lam in SOCLE_HEAD_POWERS:
-            theta = truncate(RationalPower(lam), p, max(a, 2))
+            theta = characters.truncate(characters.RationalPower(lam), p, max(a, 2))
             m_a = theta.residue(a)
             if m_a == 0:
                 skipped.append(
@@ -239,8 +224,8 @@ def suite_sl2_chain(p_filter=None) -> dict:
             continue
         for lam in CHAIN_POWERS:
             cases += 1
-            theta = truncate(RationalPower(lam), p, 2)
-            rec = verify_irreducibility_chain(theta, 1, 2)
+            theta = characters.truncate(characters.RationalPower(lam), p, 2)
+            rec = sl2lab.verify_irreducibility_chain(theta, 1, 2)
             records.append(
                 {"p": p, "lambda": lam, "m_2": rec.m_t,
                  "span_is_whole": rec.span_is_whole, "pi_nonzero": rec.pi_nonzero}
@@ -260,7 +245,7 @@ def suite_hecke_split(p_filter=None) -> dict:
         if not _keep(p, p_filter):
             continue
         cases += 1
-        failed = _failed_checks(p, a, trivial_character(p, a))
+        failed = _failed_checks(p, a, sl2lab.trivial_character(p, a))
         if failed:
             failures.append({"p": p, "a": a, **failed})
     return _record("hecke-split", cases, failures)
@@ -295,10 +280,11 @@ def _roundtrip_failure(p, pattern) -> dict | None:
     """Truncate the digit pattern of (digit value, position) pairs at p to
     level 3 and read it back: None if it reads back exactly, else the
     failure record."""
-    factors = tuple((t, GaloisTwist.from_position(pos, 3)) for t, pos in pattern)
-    extracted = extract_pattern(truncate(TwistedDigitSum(factors), p, 3))
+    factors = tuple((t, characters.GaloisTwist.from_position(pos, 3)) for t, pos in pattern)
+    tc = characters.truncate(characters.TwistedDigitSum(factors), p, 3)
+    extracted = characters.extract_pattern(tc)
     want = {(t, w.residues) for t, w in factors}
-    if not isinstance(extracted, X0Pattern):
+    if not isinstance(extracted, characters.X0Pattern):
         return {"p": p, "factors": sorted(want), "got": "no stable pattern"}
     got = {(t, w.residues) for t, w in extracted.factors}
     if got != want:

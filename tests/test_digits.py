@@ -176,11 +176,14 @@ def test_lucas_rows_agree_with_lucas_row_on_the_lucas_suite_grid():
 
 
 def test_lucas_rows_check_their_arguments():
-    # the prime first, then the byte bound, then the limit, each named
-    for limit, p, message in ((5, 4, "prime, got 4"), (-1, 4, "prime, got 4"),
-                              (5, 257, "p < 256, got 257"), (-1, 257, "p < 256, got 257"),
-                              (-1, 2, "limit >= 0, got -1")):
-        with pytest.raises(ArgumentError, match=message):
+    # the prime first, then the byte bound, then the limit, each named; a
+    # prime past a byte is a capability limit (exit 3), not bad input
+    for limit, p, error, message in (
+            (5, 4, ArgumentError, "prime, got 4"), (-1, 4, ArgumentError, "prime, got 4"),
+            (5, 257, CapabilityError, "p < 256, got 257"),
+            (-1, 257, CapabilityError, "p < 256, got 257"),
+            (-1, 2, ArgumentError, "limit >= 0, got -1")):
+        with pytest.raises(error, match=message):
             lucas_rows(limit, p)
     assert lucas_rows(0, 2) == lucas_rows(0, 251) == [b"\x01"]
 

@@ -1,10 +1,11 @@
 """The reach gate: every function defined in `src/borelline` is entered by
 some CLI request, apart from a listed set, each entry with its reason.
 
-A fresh interpreter, with PYTHONPATH=src alone, runs REQUESTS through
-`cli.main` under `sys.setprofile` and reports every Python function it
-entered. A fresh one, so that no tower, parser or level cache left by
-earlier tests hides a build path. Each entered code object is matched to a
+A fresh interpreter, whose only PYTHON* variables are PYTHONPATH=src and
+PYTHONDONTWRITEBYTECODE=1, runs REQUESTS through `cli.main` under
+`sys.setprofile` and reports every Python function it entered. A fresh
+one, so that no tower, parser or level cache left by earlier tests hides a
+build path. Each entered code object is matched to a
 `def` of the sources by (module, first line, name): a code object's first
 line is that of its first decorator, and so is the line taken from the AST
 here. Comprehensions and lambdas are not `def`s and are not checked.
@@ -31,10 +32,13 @@ TRACER_HELD = ("kept for perfbench/tracer.py, which reaches it by name (Codes.de
                "through Subspace.rows), until ROADMAP D10b and D16")
 MISUSE = ("library misuse or inspection that no command makes: mixing levels or "
           "towers, assigning to a frozen record, repr or == of what no document holds")
+PACKAGE_NAMES = ("serves the public names at the package root (`borelline.InducedModule`) "
+                 "to library code; every command reads its names off the submodules")
 WEYL = ("weyl's group machinery, called only by tests, test_criterion_10_weyl_combinatorics "
         "among them, until ROADMAP D13")
 
 ALLOWED = {
+    "__init__.__getattr__": PACKAGE_NAMES,
     "sl2lab.Subspace.rows": TRACER_HELD,
     "towers.Codes.decode": TRACER_HELD,
     "sl2lab._projective_vectors": TRACER_HELD,
@@ -159,7 +163,8 @@ def trace_requests(workdir):
         text = doc if isinstance(doc, str) else json.dumps(doc)
         (workdir / name).write_text(text, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
+    # no __pycache__ in src/, which a later `python -m borelline` would read
+    env.update(PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps([argv for argv, _ in REQUESTS]),
          str(PACKAGE) + os.sep],

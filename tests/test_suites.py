@@ -7,7 +7,7 @@ import pytest
 
 import proof_route
 from borelline import polyfp
-from borelline.digits import ArgumentError, _pascal_rows_mod
+from borelline.digits import ArgumentError, CapabilityError, _pascal_rows_mod
 from borelline.linalg import rref
 from borelline.suites import (
     LUCAS_BOUND,
@@ -75,16 +75,16 @@ def test_roundtrip_is_seeded_and_reproducible():
 def test_roundtrip_reads_each_distinct_draw_back_once(monkeypatch, p_filter, distinct):
     # the 200 seeded draws hold 41 distinct (p, pattern) keys: one
     # truncation and one reading per key, where one per draw made 200
-    from borelline import suites
+    from borelline import characters
 
     calls = []
-    real = suites.extract_pattern
+    real = characters.extract_pattern
 
     def counting(tc):
         calls.append(tc)
         return real(tc)
 
-    monkeypatch.setattr(suites, "extract_pattern", counting)
+    monkeypatch.setattr(characters, "extract_pattern", counting)
     rec = suite_pattern_roundtrip(p_filter)
     assert rec["ok"] is True and rec["cases"] == (0 if p_filter == 5 else 200)
     assert len(calls) == len(set(calls)) == distinct
@@ -99,7 +99,7 @@ def test_roundtrip_fails_every_draw_of_a_misread_pattern(monkeypatch):
     # one pattern at each prime is misread, one as unstable and one as
     # another position: each of its draws is a case and a failure of its
     # own, in draw order, on both routes
-    from borelline import suites
+    from borelline import characters
     from borelline.characters import (
         GaloisTwist, NoStablePattern, TwistedDigitSum, X0Pattern, extract_pattern, truncate)
 
@@ -115,7 +115,7 @@ def test_roundtrip_fails_every_draw_of_a_misread_pattern(monkeypatch):
             return X0Pattern(3, 3, 1, ((1, GaloisTwist.from_position(4, 3)),))
         return extract_pattern(tc)
 
-    monkeypatch.setattr(suites, "extract_pattern", misread)
+    monkeypatch.setattr(characters, "extract_pattern", misread)
     monkeypatch.setattr(proof_route, "extract_pattern", misread)
     rec = suite_pattern_roundtrip()
     assert rec == proof_route.pattern_roundtrip()
@@ -257,7 +257,8 @@ def test_pascal_rows_by_whole_row_addition_match_the_index_route(p):
 
 
 def test_pascal_rows_refuse_a_prime_past_a_byte():
-    with pytest.raises(ArgumentError, match="p < 128"):
+    # a capability limit (exit 3), not bad input
+    with pytest.raises(CapabilityError, match="which needs p < 128, got 131"):
         _pascal_rows_mod(4, 131)
 
 
@@ -318,14 +319,14 @@ def test_sl2_relations_suite_names_a_submodule_of_the_wrong_dimension(monkeypatc
     # the suite expects l_submodule to have Fine's dimension prod(d + 1) over
     # the base-p digits d of n; the whole module, also a submodule, has it
     # only where that product is n + 1: at p = 3 not for n = 3, 4, 6, 7
-    from borelline import suites
+    from borelline import sl2lab, suites
     from borelline.sl2lab import Subspace
 
     def whole_module(cm):
         return Subspace(cm, rref(cm.codes, [cm.unit_vector(i) for i in range(cm.dim)]))
 
     assert suites.suite_sl2_relations(p_filter=3)["ok"] is True
-    monkeypatch.setattr(suites, "l_submodule", whole_module)
+    monkeypatch.setattr(sl2lab, "l_submodule", whole_module)
     rec = suites.suite_sl2_relations(p_filter=3)
     assert rec["cases"] == 13
     assert rec["failures"] == [
