@@ -3,8 +3,8 @@
 Everything here is computed over the integers or over explicit finite field
 towers: digit combinatorics (carry-free binomials, power sums, digit-class
 comparisons), residue towers of torus characters and their stable patterns,
-root data with Weyl combinatorics, parabolic classification reports for a
-character with a stable line, and a rank-one laboratory that checks socles,
+validated root data, parabolic classification reports for a character with
+a stable line, and a rank-one laboratory that checks socles,
 heads, and level transitions of induced modules by explicit linear algebra.
 
 Importing the package compiles none of its ten modules. Each is put in
@@ -36,7 +36,7 @@ _PUBLIC = {
     "characters": ("GaloisTwist", "NoStablePattern", "RationalPower", "TruncatedCharacter",
                    "Trivial", "TwistedDigitSum", "X0Pattern", "classify_exact",
                    "extract_pattern", "is_compatible", "lucas_criterion", "truncate"),
-    "weyl": ("RootDatum", "RootSystem", "WeylGroup", "poincare_product", "weyl_group"),
+    "weyl": ("RootDatum",),
     "classify": ("TorusCharacter", "report", "report_to_json", "steinberg_decompose",
                  "torus_character_from_json"),
 }

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__, characters, classify, sl2lab
 from .digits import ArgumentError, PreconditionError, RelationError, _shown, require_prime
 from .suites import SUITES, run_suites
-from .towers import LEVEL_CAP, CapabilityError, require_level
+from .towers import LEVEL_CAP, CapabilityError, require_group_order, require_level
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 1
@@ -152,6 +152,7 @@ def _cmd_lab(args):
     else:
         sc = characters.RationalPower(args.power)
     theta = characters.truncate(sc, args.p, args.a)
+    require_group_order(args.p, args.a)  # before sl2lab and linalg are loaded
     module = sl2lab.InducedModule(args.p, args.a, theta)
     out = {
         "schema": "v1",

@@ -48,9 +48,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .towers import CapabilityError, field_order, make_tower
-
-GROUP_ORDER_CAP = 64        # largest q for which modules are built
+from .towers import CapabilityError, field_order, make_tower, require_group_order
 
 
 @record
@@ -170,10 +168,7 @@ class _InducedLevel(_SL2Module):
     m = 1  # theta = id
 
     def __init__(self, p, a):
-        self.p, self.a, self.coeff_level, self.q = p, a, a, field_order(p, a)
-        if self.q > GROUP_ORDER_CAP:
-            raise CapabilityError(
-                f"group field order {self.q} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+        self.p, self.a, self.coeff_level, self.q = p, a, a, require_group_order(p, a)
         self.tower, self.dim = make_tower(p), self.q + 1
         self.codes = self.tower.codes(a)
         self._check_relations()
@@ -542,8 +537,12 @@ class CostandardModule(_SL2Module):
         if n < 0:
             raise ArgumentError("the highest weight must be nonnegative")
         q = field_order(p, coeff_level)
-        if q * (q + (n + 1) ** 2) > RELATION_WORK_CAP:
-            raise CapabilityError("relation verification at this size is beyond desk scale")
+        work = q * (q + (n + 1) ** 2)
+        if work > RELATION_WORK_CAP:
+            raise CapabilityError(
+                f"relation verification of the costandard module n = {n} over q = {q} is "
+                f"beyond desk scale: its work q (q + (n+1)^2) = {work} exceeds the cap "
+                f"{RELATION_WORK_CAP}")
         self.n = n
         self.p = p
         self.coeff_level = coeff_level

@@ -39,6 +39,7 @@ from .digits import ArgumentError, CapabilityError, RelationError, require_prime
 
 # Embeddings compose: the one chain, 1 -> 2 -> 3, starts at F_p; a higher cap needs a check.
 LEVEL_CAP = 3
+GROUP_ORDER_CAP = 64        # largest q for which the lab builds modules
 
 
 def require_level(level):
@@ -55,6 +56,15 @@ def field_order(p, level) -> int:
     nothing is built, so a size cap on q can refuse before any tower is."""
     require_prime(p)
     return p ** _level_degree(level)
+
+
+def require_group_order(p, level) -> int:
+    """q = field_order(p, level), refused past GROUP_ORDER_CAP, the largest
+    field the lab builds a group over; nothing is built to check it."""
+    q = field_order(p, level)
+    if q > GROUP_ORDER_CAP:
+        raise CapabilityError(f"group field order {q} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+    return q
 
 
 def _level_degree(level) -> int:

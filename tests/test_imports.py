@@ -1,4 +1,5 @@
-"""Which modules a command runs, and what the package root hands out.
+"""Which modules a command runs, what the package root hands out, and which
+routes under tests/ import nothing of the package.
 
 `borelline/__init__.py` registers its ten modules lazily: each is in
 `sys.modules` from the package's import on, and is run on the first read of
@@ -9,6 +10,7 @@ fresh interpreter, so that no earlier test has run a module for it.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -66,18 +68,25 @@ A2 = {"cartan": [[2, -1], [-1, 2]], "restrictions": {"1": {"kind": "rational", "
                                                       "2": {"kind": "trivial"}}}
 
 
-@pytest.mark.parametrize("argv, runs, not_run", [
-    (["verify"], "sl2lab", {"classify", "weyl"}),
-    (["lab", "--p", "5", "--a", "1", "--power", "1"], "sl2lab", {"classify", "weyl"}),
-    (["char-inspect", "rational.json", "--p", "3"], "characters",
+@pytest.mark.parametrize("argv, exit_code, runs, not_run", [
+    (["verify"], 0, "sl2lab", {"classify", "weyl"}),
+    (["lab", "--p", "5", "--a", "1", "--power", "1"], 0, "sl2lab", {"classify", "weyl"}),
+    (["char-inspect", "rational.json", "--p", "3"], 0, "characters",
      {"sl2lab", "linalg", "classify", "weyl"}),
-    (["classify", "a2.json", "--p", "3", "--level", "2"], "classify", {"sl2lab", "linalg"}),
-], ids=("verify", "lab", "char-inspect", "classify"))
-def test_a_command_runs_none_of_the_modules_it_does_not_reach(tmp_path, argv, runs, not_run):
+    (["classify", "a2.json", "--p", "3", "--level", "2"], 0, "classify", {"sl2lab", "linalg"}),
+    # q = 67 and q = 11^2 = 121 are past the desk-scale cap 64, refused in towers
+    (["lab", "--p", "67", "--a", "1", "--power", "1"], 3, "characters",
+     {"sl2lab", "linalg", "polyfp", "classify", "weyl"}),
+    (["lab", "--p", "11", "--a", "2", "--power", "1"], 3, "characters",
+     {"sl2lab", "linalg", "polyfp", "classify", "weyl"}),
+], ids=("verify", "lab", "char-inspect", "classify", "lab-past-the-cap-q67",
+        "lab-past-the-cap-q121"))
+def test_a_command_runs_none_of_the_modules_it_does_not_reach(tmp_path, argv, exit_code, runs,
+                                                              not_run):
     (tmp_path / "rational.json").write_text(json.dumps(RATIONAL), encoding="utf-8")
     (tmp_path / "a2.json").write_text(json.dumps(A2), encoding="utf-8")
     code, run = fresh_interpreter(RUN_BY_COMMAND, *argv, cwd=tmp_path)
-    assert code == 0
+    assert code == exit_code
     assert runs in run and set(run) <= MODULES and not set(run) & not_run, run
 
 
@@ -99,7 +108,7 @@ def test_every_module_is_registered_and_runs_when_its_namespace_is_read():
 
 
 def test_each_public_name_is_the_object_its_own_module_defines():
-    assert len(borelline.__all__) == len(set(borelline.__all__)) == 40
+    assert len(borelline.__all__) == len(set(borelline.__all__)) == 36
     for name in borelline.__all__:
         obj = getattr(borelline, name)
         home = sys.modules[obj.__module__]
@@ -108,3 +117,23 @@ def test_each_public_name_is_the_object_its_own_module_defines():
     assert borelline.sl2lab.PreconditionError is borelline.PreconditionError
     with pytest.raises(AttributeError, match="has no attribute 'lucas_row'"):
         borelline.lucas_row
+    with pytest.raises(AttributeError, match="has no attribute 'weyl_group'"):
+        borelline.weyl_group
+
+
+# Files under tests/ whose routes are meant to be independent of the package:
+# one wrong rule in `borelline` cannot then pass both a route and the code.
+INDEPENDENT_ROUTES = ("weyl_route.py",)
+
+
+@pytest.mark.parametrize("route", INDEPENDENT_ROUTES)
+def test_an_independent_route_imports_only_the_standard_library(route):
+    tree = ast.parse((Path(__file__).parent / route).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    # a relative import's first part is "", no module of the standard library
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported), imported

@@ -34,8 +34,6 @@ MISUSE = ("library misuse or inspection that no command makes: mixing levels or 
           "towers, assigning to a frozen record, repr or == of what no document holds")
 PACKAGE_NAMES = ("serves the public names at the package root (`borelline.InducedModule`) "
                  "to library code; every command reads its names off the submodules")
-WEYL = ("weyl's group machinery, called only by tests, test_criterion_10_weyl_combinatorics "
-        "among them, until ROADMAP D13")
 
 ALLOWED = {
     "__init__.__getattr__": PACKAGE_NAMES,
@@ -52,11 +50,6 @@ ALLOWED = {
     "towers.FieldElement.__repr__": MISUSE,
     "digits.record.<locals>.__repr__": MISUSE,
     "digits.record.<locals>.__eq__": MISUSE,
-    "weyl.RootSystem": WEYL,
-    "weyl.WeylElement": WEYL,
-    "weyl.WeylGroup": WEYL,
-    "weyl.weyl_group": WEYL,
-    "weyl.poincare_product": WEYL,
 }
 
 # Each request with the exit code it must give: a request that stops

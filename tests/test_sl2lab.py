@@ -2155,6 +2155,16 @@ def test_costandard_refuses_before_building_a_tower(polyfp_mul_calls):
     assert polyfp_mul_calls == []
 
 
+def test_costandard_refusal_names_the_module_its_work_and_the_cap(fresh_caches):
+    # q = 3^6 = 729 and 729 (729 + 4^2) = 543 105 > 729 * 738 = 538 002
+    with pytest.raises(CapabilityError) as refused:
+        CostandardModule(3, 3, coeff_level=3)
+    assert str(refused.value) == (
+        "relation verification of the costandard module n = 3 over q = 729 is beyond desk "
+        "scale: its work q (q + (n+1)^2) = 543105 exceeds the cap 538002")
+    assert make_tower.cache_info().currsize == 0
+
+
 def test_modules_over_one_prime_share_one_tower():
     # the one field F_p-bar: each level of it is built once for all modules
     small = InducedModule(2, 1, trivial_character(2, 1))
