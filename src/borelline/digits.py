@@ -5,17 +5,16 @@ digit sums, binomial coefficients mod p via the digitwise product rule,
 power sums over finite fields, and the digit-class growth law for residues
 m' = m mod (p^r - 1). All arithmetic is exact.
 
-Binomials come in two shapes, by Lucas's rule. Single entries come from
-`_lucas_digit_product`, the digit product itself, for callers that have
-checked p once: the closed route of `sl2lab.pi_image`, the level bridge. A
-whole triangle of bytes comes from `lucas_rows` (every row up to a limit,
-each from the row of m // p, for p < 256), for the `lucas` suite, which
-holds it to Pascal's rule, `_pascal_rows_mod` (p < 128): rows by addition
-alone, which also count the socle and the head of `sl2lab`'s induced
-modules. The costandard modules of `sl2lab` build their rows the way
-`lucas_rows` does, in field codes for any p, and the Lucas witness search
-of `characters.lucas_criterion` asks no binomial at all: it reads its
-witness off the position-class sums of `_class_sums`.
+Binomials mod p come by Lucas's rule in one place, `lucas_rows`: a whole
+triangle of bytes, every row up to a limit, each from the row of m // p,
+for p < 256. The `lucas` suite holds it to Pascal's rule,
+`_pascal_rows_mod` (p < 128): rows by addition alone, which also count the
+socle and the head of `sl2lab`'s induced modules. The closed route of
+`sl2lab.pi_image`, the level bridge, reads its one row; the costandard
+modules of `sl2lab` build their maps by Pascal's rule, in field codes for
+any p, and the Lucas witness search of `characters.lucas_criterion` asks
+no binomial at all: it reads its witness off the position-class sums of
+`_class_sums`.
 """
 
 from __future__ import annotations
@@ -214,25 +213,6 @@ def _fine_dim(n, p) -> int:
     of (d + 1) over the base-p digits d of n, the count of k <= n with
     binom(n, k) prime to p."""
     return prod(d + 1 for d in _expand(n, p))
-
-
-def _lucas_digit_product(m, n, p) -> int:
-    """binom(m, n) mod p as the product over base-p digits of binom(a, b) mod p
-    (Lucas), for a proven prime p and m, n >= 0, unchecked: for callers that
-    have checked p once and ask many binomials. It is 0 when n > m or at the
-    first digit pair with b > a; a factor with b <= a < p is
-    `math.comb(a, b) % p`, which is prime to p. The digits of m above those
-    of n contribute binom(a, 0) = 1."""
-    if n > m:
-        return 0
-    out = 1
-    while n:
-        m, a = divmod(m, p)
-        n, b = divmod(n, p)
-        if b > a:
-            return 0
-        out = out * comb(a, b) % p
-    return out
 
 
 def lucas_rows(limit, p) -> list[bytes]:

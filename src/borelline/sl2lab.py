@@ -7,7 +7,7 @@ about socles, heads, irreducibility, and the transition to higher levels is
 checked here by exact linear algebra: intertwiners to the dual and back,
 read off the shape of one checked operator per level, fixed spaces,
 spinning vectors, and splitting by idempotents in the endomorphism ring. The costandard
-modules are checked as symmetric powers of the natural module, whose
+modules are built as symmetric powers of the natural module, whose
 presentation each level checks once.
 
 The lab speaks the int codes of the module's coefficient level
@@ -32,12 +32,11 @@ its scale on every cell.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb
 
 from .characters import TruncatedCharacter
 from .digits import (
-    ArgumentError, PreconditionError, RelationError, _fine_dim, _lucas_digit_product,
-    _pascal_rows_mod, power_sum, record,
+    ArgumentError, PreconditionError, RelationError, _fine_dim, _pascal_rows_mod, lucas_rows,
+    power_sum, record,
 )
 from .linalg import (
     DenseMap,
@@ -465,8 +464,8 @@ def case_verdict(module: InducedModule):
 # -- costandard modules ------------------------------------------------------
 
 # A costandard module costs q (q + (n+1)^2): its level's q x q tables, built
-# once, and its q stored eps maps, q (n+1)^2 entries, which its Sym^n check
-# reads with q (n+1)^2 table reads. The cap admits every
+# once, and its q stored eps maps, q (n+1)^2 entries, which Pascal's rule
+# builds with as many table reads. The cap admits every
 # n <= q - 1 at q <= 64 (n <= 90 at q = 64) and n <= 2 at q = 729 = 3^6,
 # the largest field a module reaches, whose tables take 13 MB; it refuses
 # q = 733, the next field, at n = 0. It bounds library calls only: no request
@@ -478,8 +477,7 @@ class _NaturalLevel(_SL2Module):
     """SL_2(F_q) on its natural module F_q^2 = span{x, y} by its own
     matrices, eps(t) = [[1, t], [0, 1]], h(u) = diag(u, 1/u) and
     s = [[0, 1], [-1, 0]], built and checked once per level
-    (`_natural_level`): each `CostandardModule` there is checked as its
-    Sym^n."""
+    (`_natural_level`): each `CostandardModule` there is its Sym^n."""
 
     def __init__(self, p, coeff_level):
         self.p, self.coeff_level, self.dim = p, coeff_level, 2
@@ -500,37 +498,20 @@ class _NaturalLevel(_SL2Module):
 _natural_level = lru_cache(maxsize=None)(_NaturalLevel)
 
 
-def _binomial_codes(codes, dim, p):
-    """The codes of binom(i, j) mod p for i, j < dim, by Lucas's rule: for
-    i = a + p i' with a < p, binom(i, b + p j') = binom(a, b) binom(i', j')
-    mod p, which is 0 for b > a. So row i is row i // p, built before it,
-    written at the offsets b, b + p, ... for each b <= a and scaled by the
-    code of binom(a, b) mod p. The rows hold codes, so any prime p will do."""
-    mul, scalars = codes.mul, codes.scalars
-    rows = [[1] + [0] * (dim - 1)]
-    for i in range(1, dim):
-        a, parent = i % p, rows[i // p]
-        row = [0] * dim
-        for b in range(a + 1):  # a <= i < dim
-            scale, count = scalars[comb(a, b) % p], len(range(b, dim, p))
-            row[b::p] = parent[:count] if scale == 1 else map(mul[scale].__getitem__,
-                                                               parent[:count])
-        rows.append(row)
-    return tuple(map(tuple, rows))
-
-
 class CostandardModule(_SL2Module):
     """The (n+1)-dimensional module with basis v_0..v_n and
-    eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j.
+    eps(t) v_i = sum_(j<=i) binom(i, j) t^(i-j) v_j: Sym^n of its level's
+    natural module (`_NaturalLevel`), on v_i = x^(n-i) y^i.
 
     An `_SL2Module` over the one field at coeff_level: the group acts
     there, its points are taken there, and the coordinates live there. The
     eps(t) act densely; h(u) is diagonal and s a signed antidiagonal, both
-    monomial maps. Each eps(t) is built once, at construction, by Lucas's
-    theorem, and stored; `eps`, `generators` and `pi_image` read the stored
-    maps. Its relations are its level's natural module's
-    (`_check_symmetric_power`, which checks the stored maps through `eps`);
-    `_check_relations` stays as the reference route.
+    monomial maps. Each eps(t) is built once, at construction, as Sym^n of
+    the natural eps(t) by Pascal's rule (`_pascal_eps`), and stored; `eps`,
+    `generators`, `l_submodule` and `pi_image` read the stored maps. h(u)
+    and s keep their closed forms, which `_check_symmetric_power` holds to
+    Sym^n of the natural maps. Its relations are thus its level's natural
+    module's; `_check_relations` stays as the reference route.
     """
 
     def __init__(self, n, p, coeff_level):
@@ -548,29 +529,37 @@ class CostandardModule(_SL2Module):
         self.coeff_level = coeff_level
         natural = _natural_level(p, coeff_level)
         self.tower = natural.tower
-        self.codes = codes = natural.codes
+        self.codes = natural.codes
         self.dim = n + 1
-        # p is proven prime by field_order
-        self._binom = _binomial_codes(codes, self.dim, p)
-        self._eps = tuple(map(self._lucas_eps, range(q)))
+        self._eps = tuple(map(self._pascal_eps, range(q)))
         self._check_symmetric_power()
 
+    def _pascal_eps(self, t) -> DenseMap:
+        """eps(t) as Sym^n of the natural [[1, t], [0, 1]], in (n+1)^2 reads
+        of the level's add and mul tables: it sends v_i to
+        x^(n-i) (t x + y)^i, column i - 1 times t x + y, so its columns
+        follow Pascal's rule in t, col_i[j] = col_(i-1)[j-1] + t col_(i-1)[j],
+        and col_i[j] is binom(i, j) t^(i-j)."""
+        add, times_t = self.codes.add, self.codes.mul[t]
+        cols = [[1] + [0] * self.n]
+        for _ in range(self.n):
+            col = cols[-1]
+            cols.append([times_t[col[0]], *(add[a][times_t[b]] for a, b in zip(col, col[1:]))])
+        return DenseMap(self.codes, zip(*cols))
+
     def _check_symmetric_power(self):
-        """Every map the module hands out is Sym^n of its level's natural
-        map (`_NaturalLevel`), on v_i = x^(n-i) y^i, in O(q n^2) reads of the
-        level's add and mul tables. eps(t) sends v_i to x^(n-i) (t x + y)^i,
-        column i - 1 times t x + y, so its columns follow Pascal's rule in
-        t, col_i[j] = col_(i-1)[j-1] + t col_(i-1)[j], while the stored maps
-        that `eps` hands out read their binomials off Lucas's theorem
-        (`_lucas_eps`); h(u) scales v_i by u^(n-i) (1/u)^i,
-        and s sends it to (-1)^(n-i) v_(n-i), both by iterated products.
+        """h(u) and s, each built by its closed form, are Sym^n of the
+        level's natural maps on v_i = x^(n-i) y^i, in O(q n) reads of the
+        level's mul table: h(u) scales v_i by u^(n-i) (1/u)^i, and s sends
+        it to (-1)^(n-i) v_(n-i), both by iterated products. The stored
+        eps(t) are Sym^n as built (`_pascal_eps`).
 
         Sym^n(AB) = Sym^n(A) Sym^n(B), so every relation of the natural maps
         holds in the module: the level's check of Steinberg's presentation
         on them proves it here, for every x, u and t.
         """
         codes, n, dim = self.codes, self.n, self.dim
-        add, mul, coords = codes.add, codes.mul, codes.coords
+        mul, coords = codes.mul, codes.coords
 
         def powers(c):
             out = [1]
@@ -578,14 +567,6 @@ class CostandardModule(_SL2Module):
                 out.append(mul[out[-1]][c])
             return out
 
-        for t in range(codes.q):
-            times_t, col, cols = mul[t], [1] + [0] * n, []
-            for _ in range(dim):
-                cols.append(tuple(col))
-                col = [times_t[col[0]]] + [add[a][times_t[b]] for a, b in zip(col, col[1:])]
-            if tuple(zip(*self.eps(t).rows)) != tuple(cols):
-                raise RelationError(
-                    f"eps is not Sym^n of the natural eps: eps(t) differs at t = {coords[t]}")
         for u in range(1, codes.q):
             on_x, on_y = powers(u), powers(codes.inv[u])
             if self.h(u) != MonomialMap(codes, range(dim),
@@ -600,22 +581,6 @@ class CostandardModule(_SL2Module):
     def eps(self, t) -> DenseMap:
         """The stored eps(t), built at construction."""
         return self._eps[t]
-
-    def _lucas_eps(self, t) -> DenseMap:
-        """eps(t), its entries binom(i, j) t^(i - j) from the module's
-        Lucas binomials and the powers of t."""
-        mul = self.codes.mul
-        powers = [1]
-        times_t = mul[t]
-        for _ in range(self.n):
-            powers.append(times_t[powers[-1]])
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1):
-                b = self._binom[i][j]
-                if b:
-                    rows[j][i] = mul[b][powers[i - j]]
-        return DenseMap(self.codes, rows)
 
     def h(self, u) -> MonomialMap:
         """Diagonal: v_i is scaled by u^(n - 2i)."""
@@ -632,12 +597,13 @@ class CostandardModule(_SL2Module):
 
 
 def l_submodule(cm: CostandardModule) -> Subspace:
-    """Span of the v_i with binom(n, i) nonzero mod p, read off the
-    module's last binomial row; checked stable. The span S is a coordinate
-    subspace, so it is stable exactly when each generator's column i
-    vanishes off S for every i in S: read off a dense map's rows and a
-    monomial map's permutation, with no product and no row reduction."""
-    in_span = cm._binom[cm.n]
+    """Span of the v_i with binom(n, i) nonzero mod p, read off column n
+    of the stored eps(1), whose entry in row i is binom(n, i); checked
+    stable. The span S is a coordinate subspace, so it is stable exactly
+    when each generator's column i vanishes off S for every i in S: read
+    off a dense map's rows and a monomial map's permutation, with no
+    product and no row reduction."""
+    in_span = [row[cm.n] for row in cm.eps(1).rows]
     support = [i for i, b in enumerate(in_span) if b]
     outside = [j for j, b in enumerate(in_span) if not b]
     for g in cm.generators:
@@ -666,12 +632,13 @@ class PiImageRecord:
 
 def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
     """sum over a in F_(p^(r!)) of eps(a) . v_(m_t) inside the costandard
-    module of weight m_t, computed two independent ways.
+    module of weight m_t, computed two independent ways, on two theorems.
 
-    Direct route: sum the actions of the module's stored eps(a). Closed
-    route: binomials mod p times power sums, nonzero only at depths
-    k (p^(r!) - 1). Both must agree entrywise; the caller reads off
-    nonzero-ness.
+    Direct route: sum the actions of the module's stored eps(a), built by
+    Pascal's rule. Closed route: row m_t of binomials mod p by Lucas's
+    theorem (`digits.lucas_rows`; the module's cap has bounded p <= 27),
+    times power sums, nonzero only at depths k (p^(r!) - 1). Both must
+    agree entrywise; the caller reads off nonzero-ness.
     """
     if not 1 <= r < t:
         raise ArgumentError("need 1 <= r < t")
@@ -686,8 +653,7 @@ def pi_image(theta: TruncatedCharacter, r, t) -> PiImageRecord:
         total = vec_add(cm.codes, total, cm.eps(a).apply(top))
     qr = field_order(p, r)
     closed = [0] * cm.dim
-    for ell in range(m_t + 1):
-        b = _lucas_digit_product(m_t, ell, p)
+    for ell, b in enumerate(lucas_rows(m_t, p)[m_t]):
         closed[m_t - ell] = (b * power_sum(qr, ell, include_zero=True)) % p
     if tuple(map(cm.codes.scalars.__getitem__, closed)) != total:
         raise RelationError("closed form and direct summation disagree")

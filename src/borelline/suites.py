@@ -147,9 +147,9 @@ def _sl2_characters(p):
 
 def suite_sl2_relations(p_filter=None) -> dict:
     """Construction-time relation checks, once per level, of the induced module at its
-    first character and of the natural module at its first costandard module, which
-    each costandard module is checked against as Sym^n; a failed level is not kept,
-    so each module built on it reports it."""
+    first character and of the natural module at its first costandard module, whose
+    Sym^n each costandard module is; a failed level is not kept, so each module built
+    on it reports it."""
     failures = []
     cases = 0
     for p, a in SL2_GRID:

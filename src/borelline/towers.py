@@ -22,7 +22,7 @@ Exact linear algebra reads every sum, difference and product off the
 level's q x q tables. `FieldTower.codes(level)` builds them on its first
 call, with list slices and maps and no polynomial product: q^2 entries per
 table, 4 096 at q = 64 and 531 441 at q = 729, the largest field a module
-can reach (a costandard module with n <= 3 at p = 3, level 3), where the
+can reach (a costandard module with n <= 2 at p = 3, level 3), where the
 three tables take about 13 MB. A level whose elements alone are used never
 pays for them. A module takes every point as a code, from `Codes` and
 `FieldTower.subfield_codes`.

@@ -94,25 +94,20 @@ def monomial_apply_calls(monkeypatch):
 
 @pytest.fixture
 def lucas_calls(monkeypatch):
-    """A Counter of the calls of digits.lucas_rows and
-    digits._lucas_digit_product, the one single binomial, from now on,
-    keyed by function name: a machine-independent measure of how often
-    binomials are asked for. Each is patched in every module that binds it
-    by name."""
+    """A Counter of the calls of digits.lucas_rows, the one place of
+    Lucas's rule in src/, from now on, keyed by its name: a
+    machine-independent measure of how often binomials are asked for. It is
+    patched in every module that binds it by name."""
     calls = Counter()
+    real = digits.lucas_rows
 
-    def counting(name, real):
-        def fn(*args):
-            calls[name] += 1
-            return real(*args)
-        return fn
+    def counting(*args):
+        calls["lucas_rows"] += 1
+        return real(*args)
 
-    for name in ("lucas_rows", "_lucas_digit_product"):
-        real = getattr(digits, name)
-        wrapper = counting(name, real)
-        for module in (digits, suites, sl2lab, characters):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, wrapper)
+    for module in (digits, suites, sl2lab, characters):
+        if getattr(module, "lucas_rows", None) is real:
+            monkeypatch.setattr(module, "lucas_rows", counting)
     return calls
 
 

@@ -23,8 +23,9 @@ it before it read the step off work it already does.
   `sl2lab.HeckeOperators.idempotent_split`, which reads both off
   t_s = J - I in closed form;
 - the Lucas witness search by enumeration, each k(p^(r!) - 1) <= m_s in
-  turn held to the digit product, against `characters.lucas_criterion`,
-  which reads the least witness off m_s's digit classes.
+  turn held to the digit product, binom(m, n) mod p one entry at a time,
+  against `characters.lucas_criterion`, which reads the least witness off
+  m_s's digit classes.
 - the pattern roundtrip with one truncation and one `extract_pattern` per
   draw, against `suites.suite_pattern_roundtrip`, which reads each
   distinct drawn pattern back once.
@@ -37,7 +38,7 @@ FieldElement route. The polynomial helpers of Rabin's test, `add` and
 from __future__ import annotations
 
 import random
-from math import factorial
+from math import comb, factorial
 
 from borelline.characters import (
     GaloisTwist,
@@ -48,7 +49,7 @@ from borelline.characters import (
     extract_pattern,
     truncate,
 )
-from borelline.digits import RelationError, _lucas_digit_product
+from borelline.digits import RelationError
 from borelline.linalg import reduce_vector, rref, vec_add
 from borelline.polyfp import degree, mul, poly_mod, trim
 from borelline.sl2lab import HeckeOperators, InducedModule, Subspace, _raised, _raised_entries
@@ -251,6 +252,25 @@ def is_stable(module, sub) -> bool:
                for g in module.generators for r in rows)
 
 
+def lucas_digit_product(m, n, p) -> int:
+    """binom(m, n) mod p as the product over base-p digits of binom(a, b) mod p
+    (Lucas), for a proven prime p and m, n >= 0, unchecked, one entry at a
+    time, where `digits.lucas_rows` builds whole rows. It is 0 when n > m or
+    at the first digit pair with b > a; a factor with b <= a < p is
+    `math.comb(a, b) % p`, which is prime to p. The digits of m above those
+    of n contribute binom(a, 0) = 1."""
+    if n > m:
+        return 0
+    out = 1
+    while n:
+        m, a = divmod(m, p)
+        n, b = divmod(n, p)
+        if b > a:
+            return 0
+        out = out * comb(a, b) % p
+    return out
+
+
 def lucas_search(tc, r) -> LucasSearch:
     """The least s in (r, N], and for it the least k >= 1, with
     binom(m_s, k(p^(r!) - 1)) != 0 mod p, by trying each k in turn: up to
@@ -260,7 +280,7 @@ def lucas_search(tc, r) -> LucasSearch:
     for s in range(r + 1, tc.level + 1):
         m_s = tc.residue(s)
         for k in range(1, m_s // step + 1):
-            if _lucas_digit_product(m_s, k * step, p):
+            if lucas_digit_product(m_s, k * step, p):
                 return LucasSearch(True, s, k)
     return LucasSearch(False, None, None)
 

@@ -12,7 +12,6 @@ from borelline.digits import (
     CapabilityError,
     RelationError,
     check_digit_lemma,
-    _lucas_digit_product,
     expand,
     lucas_rows,
     power_sum,
@@ -21,6 +20,7 @@ from borelline.digits import (
     require_prime,
 )
 from borelline.suites import LUCAS_BOUND, LUCAS_PRIMES
+from proof_route import lucas_digit_product
 
 
 def test_expand_roundtrip():
@@ -80,17 +80,17 @@ def test_prime_power_base():
         prime_power_base(1)
 
 
-# binom(m, n) mod p one entry at a time is `_lucas_digit_product`, the digit
-# product of the Lucas search, which takes a proven prime and checks nothing;
-# the tests of the Lucas binomial below ask it.
+# binom(m, n) mod p one entry at a time is `proof_route.lucas_digit_product`,
+# the digit product of the reference Lucas search, which takes a proven prime
+# and checks nothing; the tests of the Lucas binomial below ask it.
 
 
 def test_lucas_binom_examples():
-    assert _lucas_digit_product(5, 2, 2) == 0
-    assert _lucas_digit_product(7, 3, 2) == 1
-    assert _lucas_digit_product(5, 2, 5) == 0
-    assert _lucas_digit_product(6, 2, 3) == 0
-    assert _lucas_digit_product(4, 2, 3) == 0
+    assert lucas_digit_product(5, 2, 2) == 0
+    assert lucas_digit_product(7, 3, 2) == 1
+    assert lucas_digit_product(5, 2, 5) == 0
+    assert lucas_digit_product(6, 2, 3) == 0
+    assert lucas_digit_product(4, 2, 3) == 0
 
 
 def test_lucas_binom_matches_factorials():
@@ -98,12 +98,12 @@ def test_lucas_binom_matches_factorials():
     for p in (2, 3, 5, 7, 11):
         for m in range(61):
             for n in range(61):
-                assert _lucas_digit_product(m, n, p) == math.comb(m, n) % p
+                assert lucas_digit_product(m, n, p) == math.comb(m, n) % p
 
 
 def test_lucas_binom_out_of_range():
-    assert _lucas_digit_product(3, 5, 2) == 0
-    assert _lucas_digit_product(0, 0, 3) == 1
+    assert lucas_digit_product(3, 5, 2) == 0
+    assert lucas_digit_product(0, 0, 3) == 1
 
 
 def lucas_row(m, p, width):
@@ -120,11 +120,11 @@ def lucas_row(m, p, width):
 
 def test_lucas_row_agrees_with_lucas_binom_on_the_lucas_suite_grid():
     # entry by entry on the lucas suite grid, the digit product that the
-    # Lucas search and the costandard modules ask agrees with the exact row
+    # reference Lucas search asks agrees with the exact row
     width = LUCAS_BOUND + 1
     for p in LUCAS_PRIMES:
         for m in range(width):
-            assert [_lucas_digit_product(m, n, p) for n in range(width)] == lucas_row(m, p, width), (p, m)
+            assert [lucas_digit_product(m, n, p) for n in range(width)] == lucas_row(m, p, width), (p, m)
 
 
 def test_lucas_digit_product_asks_one_binomial_per_digit_of_n(monkeypatch):
@@ -136,17 +136,17 @@ def test_lucas_digit_product_asks_one_binomial_per_digit_of_n(monkeypatch):
         calls.append((a, b))
         return math.comb(a, b)
 
-    monkeypatch.setattr("borelline.digits.comb", counting)
+    monkeypatch.setattr("proof_route.comb", counting)
     p = 1000003
-    assert [_lucas_digit_product(10 ** 6 + 2, n, p) for n in range(3)] == [1, 1000002, 1]
+    assert [lucas_digit_product(10 ** 6 + 2, n, p) for n in range(3)] == [1, 1000002, 1]
     assert calls == [(10 ** 6 + 2, 1), (10 ** 6 + 2, 2)]
     del calls[:]
     # m = 5 + 3p and n = 2 + p: binom(5, 2) binom(3, 1) = 30
-    assert _lucas_digit_product(5 + 3 * p, 2 + p, p) == 30
+    assert lucas_digit_product(5 + 3 * p, 2 + p, p) == 30
     assert calls == [(5, 2), (3, 1)]
     del calls[:]
     for m, p, n in ((3 ** 40 - 1, 3, 10), (5 ** 9 - 1, 5, 199)):
-        assert _lucas_digit_product(m, n, p) == math.comb(m, n) % p
+        assert lucas_digit_product(m, n, p) == math.comb(m, n) % p
         assert len(calls) == len(expand(n, p))
         del calls[:]
 
@@ -203,16 +203,17 @@ def test_power_sum_with_zero_kills_constant():
         assert power_sum(q, q - 1, include_zero=True) == power_sum(q, q - 1, False)
 
 
-PRIME_POWERS_TO_32 = tuple(q for q in range(2, 33)
+PRIME_POWERS_TO_64 = tuple(q for q in range(2, 65)
                            if len({d for d in range(2, q + 1) if q % d == 0
                                    and all(d % e for e in range(2, d))}) == 1)
 
 
 def test_power_sum_matches_direct():
     # the oracle's product table and the closed form agree at every prime
-    # power q <= 32, for every k <= 3(q - 1) and both ranges
-    assert len(PRIME_POWERS_TO_32) == 18
-    for q in PRIME_POWERS_TO_32:
+    # power q <= 64, the 23 field orders the lab builds among them, for
+    # every k <= 3(q - 1) and both ranges
+    assert len(PRIME_POWERS_TO_64) == 27
+    for q in PRIME_POWERS_TO_64:
         direct = power_sums_direct(q, 3 * (q - 1))
         assert all(len(sums) == 3 * (q - 1) + 1 for sums in direct.values())
         for k in range(3 * (q - 1) + 1):

@@ -12,7 +12,7 @@ from borelline import cli, sl2lab, suites
 import proof_route
 from census_route import CensusReport, b_stable_lines, census_report, census_socle, within
 from borelline.characters import LucasSearch, RationalPower, lucas_criterion, truncate
-from borelline.digits import ArgumentError, _fine_dim, _lucas_digit_product
+from borelline.digits import ArgumentError, _fine_dim
 from borelline.linalg import DenseMap, MonomialMap, mat_mul, mat_vec, rref, vec_scale
 from borelline.sl2lab import (
     CostandardModule,
@@ -99,16 +99,17 @@ def _generator(module):
 
 # (generator, element it is broken at, columns negated, relation named by
 # the presentation check, map and point named by a costandard module's
-# check against Sym^n of its natural module, at p = 3). At p = 3 a negated
-# column is a different map; at p = 2 it is the same one. Column 0 of an
-# induced module is the stable line, so breaking column 1 leaves the line
-# checks passing.
+# check against Sym^n of its natural module, at p = 3, or None for eps,
+# which a costandard module builds as Sym^n and does not check). At p = 3 a
+# negated column is a different map; at p = 2 it is the same one. Column 0
+# of an induced module is the stable line, so breaking column 1 leaves the
+# line checks passing.
 BROKEN_GENERATORS = (
-    ("eps", _zero, {1}, "eps is not additive", "eps(t) differs at t = (0,)"),
+    ("eps", _zero, {1}, "eps is not additive", None),
     # eps(1) times -1 off column 0 still fixes the line; its cube is not 1
-    ("eps", _one, range(1, 4), "eps(b)^p is not the identity", "eps(t) differs at t = (1,)"),
+    ("eps", _one, range(1, 4), "eps(b)^p is not the identity", None),
     # -1 is no basis element of F_3; the check composes eps(1) eps(1)
-    ("eps", _minus_one, {1}, "eps(x) != eps(x - b) eps(b)", "eps(t) differs at t = (2,)"),
+    ("eps", _minus_one, {1}, "eps(x) != eps(x - b) eps(b)", None),
     ("h", _one, {1}, "h is not multiplicative", "h(u) differs at u = (1,)"),
     ("s", None, {0}, "s^2 must equal h(-1)", "s is not Sym^n of the natural s"),
     # -s still squares to h(-1), but negates one side of the conjugation word
@@ -228,11 +229,13 @@ def test_relation_checker_catches_a_broken_induced_module(monkeypatch, fresh_cac
 def test_relation_checker_catches_a_broken_costandard_module(monkeypatch, fresh_caches,
                                                              name, at, cols, relation, sym_n):
     # the mutant breaks the module's map, not its natural module's: the
-    # module's check against Sym^n of the natural maps names the map and
-    # the point, and the pairwise route the relation
+    # module's check against Sym^n of the natural maps names h or s and the
+    # point, and the pairwise route the relation. eps(t) is Sym^n as built,
+    # and a mutant that breaks the stored map is left to the pairwise route
     _break_generator(monkeypatch, CostandardModule, name, at, cols)
-    with pytest.raises(RelationError, match=re.escape(sym_n)):
-        CostandardModule(2, 3, coeff_level=1)
+    if sym_n is not None:
+        with pytest.raises(RelationError, match=re.escape(sym_n)):
+            CostandardModule(2, 3, coeff_level=1)
     module = _build_unchecked(monkeypatch, lambda: CostandardModule(2, 3, coeff_level=1))
     with pytest.raises(RelationError):
         _check_relations_pairwise(module)
@@ -252,16 +255,19 @@ def test_relation_checker_catches_a_broken_natural_module(monkeypatch, fresh_cac
         _check_relations_pairwise(module)
 
 
-def _binomial_row_off_by_one(monkeypatch):
-    """Row i of a costandard module's binomials read from row i - 1 for
-    i >= 2: rows 0 and 1 stay right, so ∇(0) and ∇(1) still pass."""
-    real = sl2lab._binomial_codes
+def _pascal_step_scaled_on_the_left(monkeypatch):
+    """eps(t) built by col_i[j] = t col_(i-1)[j-1] + col_(i-1)[j], t on the
+    wrong term of Pascal's rule: eps(1) stays right, so every generator of
+    a prime field does too."""
+    def pascal_eps(self, t):
+        add, times_t = self.codes.add, self.codes.mul[t]
+        cols = [[1] + [0] * self.n]
+        for _ in range(self.n):
+            col = cols[-1]
+            cols.append([times_t[col[0]], *(add[times_t[a]][b] for a, b in zip(col, col[1:]))])
+        return DenseMap(self.codes, zip(*cols))
 
-    def shifted(codes, dim, p):
-        rows = real(codes, dim, p)
-        return rows[:2] + rows[1:-1]
-
-    monkeypatch.setattr(sl2lab, "_binomial_codes", shifted)
+    monkeypatch.setattr(CostandardModule, "_pascal_eps", pascal_eps)
 
 
 def _s_sign_flipped(monkeypatch):
@@ -292,13 +298,13 @@ def _eps_entry_negated_off_the_basis(monkeypatch):
     monkeypatch.setattr(CostandardModule, "eps", eps)
 
 
-# (mutant, map and point the Sym^n check names on ∇(4) at q = 9)
+# (mutant, map and point the Sym^n check names on ∇(4) at q = 9, or None
+# for an eps mutant, which construction does not check)
 SYM_N_MUTANTS = (
-    (_binomial_row_off_by_one, "eps is not Sym^n of the natural eps: eps(t) differs at t = (0, 0)"),
+    (_pascal_step_scaled_on_the_left, None),
     (_s_sign_flipped, "s is not Sym^n of the natural s"),
     (_h_exponent_off_by_one, "h is not Sym^n of the natural h: h(u) differs at u = (0, 1)"),
-    (_eps_entry_negated_off_the_basis,
-     "eps is not Sym^n of the natural eps: eps(t) differs at t = (2, 0)"),
+    (_eps_entry_negated_off_the_basis, None),
 )
 
 
@@ -308,13 +314,21 @@ def test_the_symmetric_power_check_catches_costandard_mutants(monkeypatch, fresh
                                                              mutate, named):
     # the natural module, built and checked first under each mutant, passes:
     # the mutants break only the costandard module's own maps. The check
-    # against Sym^n of the natural maps catches each, and so does the
-    # pairwise route, so that both stay live
+    # against Sym^n of the natural maps catches each h or s mutant. An eps
+    # mutant builds, as construction checks no eps(t); the level bridge,
+    # which sums the stored eps(a) against Lucas's binomials, catches it,
+    # so `verify` exits 1. The pairwise route catches every mutant, so that
+    # each check stays live
     mutate(monkeypatch)
     natural = sl2lab._natural_level(3, 2)
     assert natural.codes.neg[1] not in natural.codes.basis
-    with pytest.raises(RelationError, match=re.escape(named)):
-        CostandardModule(4, 3, coeff_level=2)
+    if named is None:
+        assert CostandardModule(4, 3, coeff_level=2).dim == 5
+        with pytest.raises(RelationError, match="closed form and direct summation disagree"):
+            suites.suite_sl2_chain()
+    else:
+        with pytest.raises(RelationError, match=re.escape(named)):
+            CostandardModule(4, 3, coeff_level=2)
     module = _build_unchecked(monkeypatch, lambda: CostandardModule(4, 3, coeff_level=2))
     with pytest.raises(RelationError):
         _check_relations_pairwise(module)
@@ -1576,12 +1590,13 @@ def test_costandard_actions_and_relations():
 
 
 def test_costandard_eps_is_binomial_lower_triangular():
+    # eps(1), built by Pascal's rule, against Lucas's digit product
     cm = CostandardModule(4, 3, coeff_level=1)
     t = cm.tower.scalar(1, 1)
     rows = cm.eps(cm.codes.code(t)).rows
     for i in range(5):
         for j in range(5):
-            expected = _lucas_digit_product(i, j, 3)
+            expected = proof_route.lucas_digit_product(i, j, 3)
             x = cm.codes.elements[rows[j][i]]
             got = 0 if x.is_zero() else 1 if x == t else 2
             assert got == expected
@@ -1600,8 +1615,8 @@ def test_costandard_check_level_guard(fresh_caches):
 
 
 def test_verify_sl2_relations_asks_no_single_binomial(lucas_calls):
-    # each costandard module builds its binomials a row at a time; one
-    # digit product per entry made 570 at p = 2
+    # each costandard module builds its maps by Pascal's rule and asks no
+    # Lucas row; one digit product per entry made 570 at p = 2
     assert suites.suite_sl2_relations(p_filter=2)["ok"] is True
     assert lucas_calls == Counter()
 
@@ -1616,18 +1631,19 @@ def _chain_costandard_modules():
 
 def test_costandard_binomials_are_the_codes_of_the_factorial_formula():
     # every costandard module the suites build, one at 727, the largest
-    # prime whose field RELATION_WORK_CAP admits, some whose rows reach past
-    # p^2, each row built from row i // p, which was built from its own, and
-    # one past a byte, at p = 257, where lucas_rows refuses:
-    # binom(i, j) mod p for all i, j <= n, zero above the diagonal
+    # prime whose field RELATION_WORK_CAP admits, some whose columns reach
+    # past p^2, and one past a byte, at p = 257, where lucas_rows refuses:
+    # column i of the stored eps(1), built by Pascal's rule, holds
+    # binom(i, j) mod p in row j for all i, j <= n, zero below the diagonal
     modules = [m for m in _relation_grid() if isinstance(m, CostandardModule)]
     modules += _chain_costandard_modules()
     modules += [CostandardModule(n, p, coeff_level=1)
                 for n, p in ((2, 727), (299, 2), (249, 3), (59, 7), (8, 257))]
     for cm in modules:
         scalars = cm.codes.scalars
-        assert cm._binom == tuple(tuple(scalars[comb(i, j) % cm.p] for j in range(cm.dim))
-                                  for i in range(cm.dim)), (cm.n, cm.p, cm.coeff_level)
+        assert tuple(zip(*cm.eps(1).rows)) == tuple(
+            tuple(scalars[comb(i, j) % cm.p] for j in range(cm.dim))
+            for i in range(cm.dim)), (cm.n, cm.p, cm.coeff_level)
     assert l_submodule(modules[-1]).dim == 9    # binom(8, i) is nonzero mod 257
 
 
@@ -1686,6 +1702,37 @@ def test_l_submodule_reads_stability_as_the_row_reduction_route_does(p, a):
         assert proof_route.is_stable(cm, sub), (n, p, a)
 
 
+def _frobenius_map(module, cm):
+    """Phi: Ind theta_m -> ∇(m) by Frobenius reciprocity, as a dense map:
+    the line goes to v_0 = x^m, which eps fixes and h(u) scales by
+    u^m = theta(u), and the cell eps(t) s line to eps(t) s v_0."""
+    v_0 = cm.unit_vector(0)
+    s_v_0 = cm.s().apply(v_0)
+    cols = [v_0, *(cm.eps(t).apply(s_v_0) for t in range(module.q))]
+    return DenseMap(cm.codes, zip(*cols))
+
+
+@pytest.mark.parametrize("p, a", SELF_DUAL_FIELDS,
+                         ids=[f"q={p ** factorial(a)}" for p, a in SELF_DUAL_FIELDS])
+def test_frobenius_reciprocity_maps_the_induced_module_onto_the_digit_span(p, a):
+    # on every nontrivial character theta_m with q <= 25, Phi commutes with
+    # each generator, so it is a G-map, and its image is a quotient of
+    # Ind theta_m, which has one maximal submodule: the image has the
+    # head's dimension, so it is the head, and it is the digit span L(m) of
+    # the Pascal-built ∇(m). The head is thus L(m) as a module, not only in
+    # dimension
+    q = p ** factorial(a)
+    for m in range(1, q - 1):
+        module = InducedModule(p, a, power_char(m, p, a))
+        cm = CostandardModule(m, p, coeff_level=a)
+        phi = _frobenius_map(module, cm)
+        for g, g_cm in zip(module.generators, cm.generators, strict=True):
+            assert phi.compose(g) == g_cm.compose(phi), (p, a, m)
+        image = rref(cm.codes, zip(*phi.rows))
+        assert image == l_submodule(cm).code_rows, (p, a, m)
+        assert len(image) == socle_head_report(module).head_dim, (p, a, m)
+
+
 def test_a_generator_off_the_digit_span_fails_both_stability_routes():
     # at p = 3, ∇(3)'s digit span is span{v_0, v_3}; one extra nonzero entry
     # of the first eps generator, in column 3 at row 1, sends v_3 off it
@@ -1719,8 +1766,8 @@ def _counting_dense_maps(monkeypatch):
                          ids=("4-q=9", "8-q=4", "0-q=5", "24-q=25"))
 def test_a_costandard_module_builds_each_eps_once(monkeypatch, fresh_caches, n, p, a):
     # q eps maps, one per point, built and stored at construction; the
-    # Sym^n check, the generators and l_submodule read the stored maps and
-    # build no dense map
+    # generators and l_submodule read the stored maps and build no dense
+    # map, and the Sym^n check reads only h and s
     sl2lab._natural_level(p, a)
     built = _counting_dense_maps(monkeypatch)
     cm = CostandardModule(n, p, coeff_level=a)
@@ -1731,11 +1778,12 @@ def test_a_costandard_module_builds_each_eps_once(monkeypatch, fresh_caches, n, 
     assert len(built) == cm.codes.q
 
 
-def test_pi_image_builds_only_its_modules_eps(monkeypatch, fresh_caches):
+def test_pi_image_builds_only_its_modules_eps(monkeypatch, fresh_caches, lucas_calls):
     # pi_image sums its module's stored eps(a) over the subfield: q_t maps,
     # those of the construction, where each sum built the subfield's eps(a)
     # a second time. sl2-chain now builds 65 eps maps, where 25 of its 90
-    # were those repeats
+    # were those repeats, each once, by Pascal's rule. Its closed route reads
+    # one Lucas row per case
     for p in (2, 3):
         sl2lab._natural_level(p, 2)
     built = _counting_dense_maps(monkeypatch)
@@ -1743,16 +1791,18 @@ def test_pi_image_builds_only_its_modules_eps(monkeypatch, fresh_caches):
         built.clear()
         pi_image(power_char(lam, p), 1, 2)
         assert len(built) == p ** 2, (p, lam)
-    lucas_builds = []
-    real = CostandardModule._lucas_eps
+    pascal_builds = []
+    real = CostandardModule._pascal_eps
 
     def counting(self, t):
-        lucas_builds.append(t)
+        pascal_builds.append(t)
         return real(self, t)
 
-    monkeypatch.setattr(CostandardModule, "_lucas_eps", counting)
+    monkeypatch.setattr(CostandardModule, "_pascal_eps", counting)
+    lucas_calls.clear()
     assert suites.suite_sl2_chain()["ok"] is True
-    assert len(lucas_builds) == len(suites.CHAIN_POWERS) * (4 + 9) == 65
+    assert len(pascal_builds) == len(suites.CHAIN_POWERS) * (4 + 9) == 65
+    assert lucas_calls["lucas_rows"] == len(suites.CHAIN_POWERS) * 2 == 10
 
 
 def test_pi_image_trivial_character_vanishes():

@@ -183,11 +183,10 @@ def test_lucas_suite_computes_its_exact_anchors_once(monkeypatch, p_filter, anch
 
 def test_lucas_suite_asks_one_row_per_m(lucas_calls):
     # one digit-product triangle per prime, compared with the Pascal triangle
-    # a row at a time; no row or binomial is asked on its own
+    # a row at a time; no row is asked on its own
     rec = suite_lucas(p_filter=2)
     assert rec["ok"] is True and rec["cases"] == 513 * 513
     assert lucas_calls["lucas_rows"] == 1
-    assert lucas_calls["_lucas_digit_product"] == 0
 
 
 def _lucas_failures_with(monkeypatch, wrong):
