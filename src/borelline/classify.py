@@ -82,9 +82,7 @@ class X1Factor:
     twist: GaloisTwist
 
 
-def steinberg_decompose(
-    tchar: TorusCharacter, p, level=LEVEL_CAP, classes=None
-) -> tuple[X1Factor, ...]:
+def steinberg_decompose(tchar: TorusCharacter, p, level, classes) -> tuple[X1Factor, ...]:
     """Pool the per-index digit factors over J, grouped by equal twist.
 
     Within one index the twists are pairwise distinct, so no group receives
@@ -92,21 +90,15 @@ def steinberg_decompose(
     bound is asserted, not assumed.
 
     `classes` maps each 0-based index of J to the CharacterClass of its
-    restriction, as `report` has them; without it every restriction is
-    classified here. Either way each restriction is classified once.
+    restriction, bounded by construction (`_bounded_classes`), as `report`
+    has them; nothing is classified here.
     """
     require_prime(p)
-    if classes is None:
-        classes = _bounded_classes(tchar, p, level)
     indices = sorted(classes)
     rank = tchar.datum.rank
     pooled: dict[tuple[int, ...], tuple[GaloisTwist, dict[int, int]]] = {}
     for i in indices:
         cls = classes[i]
-        if not cls.bounded:
-            raise ArgumentError(
-                f"index {i + 1} has unbounded digit sums and cannot be decomposed"
-            )
         if cls.pattern is None:
             raise CapabilityError(
                 f"index {i + 1}: {cls.note or 'no pattern at this level'}"

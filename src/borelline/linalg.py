@@ -3,23 +3,26 @@
 Entries are the int codes of `towers.Codes`, 0 for zero and k + 1 for g^k,
 so one is 1 and a vector is zero exactly when `any` finds nothing in it.
 Vectors are tuples of codes; matrices are row tuples. Every routine takes
-the level's `Codes` first, and every map holds one; each sum, difference
-and product is one lookup in its tables. Nothing here codes or decodes a
-FieldElement: the SL_2 lab hands in codes and decodes only the rows of a
-finished subspace. A canonical echelon row leads with a one after zeros
-only, so its leading index is `row.index(1)`; callers read it that way.
+the level's `Codes` first, and every map holds one; each sum and product
+is one lookup in its two tables, `mul` and `add`, and a difference a - c b
+is a + (-c) b, the product read off the row of -c. Nothing here codes or
+decodes a FieldElement: the SL_2 lab hands in codes and decodes only the
+rows of a finished subspace. A canonical echelon row leads with a one
+after zeros only, so its leading index is `row.index(1)`; callers read it
+that way.
 
 Monomial maps (one nonzero entry per column) get a compact representation
 because every group generator acting on an induced module has that shape,
 and so do the torus and the Weyl element on a costandard module. A
 monomial map composed with a dense one, either way round, permutes and
-scales its rows or columns instead of a matrix product, and the common
-fixed space of monomial maps is read off their orbits.
+scales its rows or columns instead of a matrix product. The common fixed
+space of permutations, monomial maps whose scales are all 1, is read off
+their orbits with no table.
 """
 
 from __future__ import annotations
 
-from .digits import ArgumentError
+from .digits import ArgumentError, RelationError
 
 
 def vec_add(codes, u, v):
@@ -43,13 +46,14 @@ def rref(codes, rows):
 
 def reduce_vector(codes, v, rows):
     """Residual of v against canonical echelon rows: each row, times the
-    entry of v at its leading one, is subtracted in turn."""
-    sub, mul = codes.sub, codes.mul
+    entry of v at its leading one, is subtracted in turn, as the row times
+    minus that entry is added."""
+    add, mul, neg = codes.add, codes.mul, codes.neg
     for row in rows:
         c = v[row.index(1)]
         if c:
-            times_c = mul[c]
-            v = tuple([sub[a][times_c[b]] for a, b in zip(v, row)])
+            times_c = mul[neg[c]]
+            v = tuple([add[a][times_c[b]] for a, b in zip(v, row)])
     return v
 
 
@@ -64,7 +68,7 @@ def rref_insert(codes, rows, v):
     if not c:
         return rows, None
     lead = w.index(c)
-    sub, mul = codes.sub, codes.mul
+    add, mul, neg = codes.add, codes.mul, codes.neg
     if c != 1:
         w = vec_scale(codes, codes.inv[c], w)
     # w is zero at the leads of the rows: clear its lead from each row and
@@ -76,8 +80,8 @@ def rref_insert(codes, rows, v):
             at = i
         x = row[lead]
         if x:
-            times_x = mul[x]
-            row = tuple([sub[a][times_x[b]] for a, b in zip(row, w)])
+            times_x = mul[neg[x]]
+            row = tuple([add[a][times_x[b]] for a, b in zip(row, w)])
         out.append(row)
     out.insert(at, w)
     return tuple(out), w
@@ -111,39 +115,35 @@ def mat_mul(codes, a, b):
     return tuple(out)
 
 
-def monomial_fixed_rows(codes, maps, dim):
-    """Canonical rows of the common fixed space of monomial maps on `dim`
-    coordinates, read off their orbits with no row reduction.
+def permutation_fixed_rows(maps, dim):
+    """Canonical rows of the common fixed space of permutations on `dim`
+    coordinates: the 0/1 indicator of each of their orbits, read with no
+    table and no row reduction.
 
-    v is fixed iff v[perm[j]] = scale[j] v[j] for every map and every j, so
-    on one orbit of the maps v is its entry at the orbit's least index r
-    times the values that walking the maps from v[r] = 1 gives. Those
-    values make a fixed row when every map's scales agree with them; else
-    v vanishes on the orbit. Rows on disjoint orbits, each leading with 1
-    at its least index, are in canonical echelon form.
+    v is fixed iff v[perm[j]] = v[j] for every map and every j, that is
+    iff v is constant on each orbit. Rows on disjoint orbits, each leading
+    with 1 at its least index, are in canonical echelon form. A map with a
+    scale other than 1 is no permutation, and is refused.
     """
-    mul = codes.mul
-    value = [0] * dim
+    if any(c != 1 for g in maps for c in g.scale):
+        raise RelationError("a fixed-space walk over permutations met a scale other than 1")
+    seen = [False] * dim
     rows = []
     for r in range(dim):
-        if value[r]:
+        if seen[r]:
             continue
-        value[r] = 1
-        orbit, closes = [r], True
+        seen[r] = True
+        orbit = [r]
         for j in orbit:
-            v = value[j]
             for g in maps:
-                i, w = g.perm[j], mul[g.scale[j]][v]
-                if not value[i]:
-                    value[i] = w
+                i = g.perm[j]
+                if not seen[i]:
+                    seen[i] = True
                     orbit.append(i)
-                elif value[i] != w:
-                    closes = False
-        if closes:
-            row = [0] * dim
-            for i in orbit:
-                row[i] = value[i]
-            rows.append(tuple(row))
+        row = [0] * dim
+        for i in orbit:
+            row[i] = 1
+        rows.append(tuple(row))
     return tuple(rows)
 
 

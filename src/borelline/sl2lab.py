@@ -41,7 +41,7 @@ from .digits import (
 from .linalg import (
     DenseMap,
     MonomialMap,
-    monomial_fixed_rows,
+    permutation_fixed_rows,
     rref,
     rref_insert,
     vec_add,
@@ -111,7 +111,7 @@ class _SL2Module:
         other map is built once.
         """
         codes = self.codes
-        q, sub, mul, neg, inv = codes.q, codes.sub, codes.mul, codes.neg, codes.inv
+        q, add, mul, neg, inv = codes.q, codes.add, codes.mul, codes.neg, codes.inv
         basis, g, coords = codes.basis, codes.generator, codes.coords
         *eps_b, h_g, s = self.generators
         eps = {x: self.eps(x) for x in range(q) if x not in basis} | dict(zip(basis, eps_b))
@@ -134,7 +134,7 @@ class _SL2Module:
                                         f"commute at b = {coords[b]}, c = {coords[c]}")
         for x in range(1, q):
             b = basis[next(i for i, c in enumerate(coords[x]) if c)]
-            if eps[sub[x][b]].compose(eps[b]) != eps[x]:
+            if eps[add[x][neg[b]]].compose(eps[b]) != eps[x]:
                 raise RelationError(
                     f"eps is not additive: eps(x) != eps(x - b) eps(b) at x = {coords[x]}")
         u = g
@@ -194,25 +194,27 @@ class _InducedLevel(_SL2Module):
     @cached_property
     def u_fixed_rows(self):
         """The canonical code rows of M^U, the fixed space of the eps
-        generators, read off their orbits (`linalg.monomial_fixed_rows`)."""
-        return monomial_fixed_rows(self.codes, self.generators[:-2], self.dim)
+        generators: each eps(b) permutes the basis with every scale 1, so
+        M^U is spanned by the 0/1 indicators of their orbits
+        (`linalg.permutation_fixed_rows`, which refuses any other scale)."""
+        return permutation_fixed_rows(self.generators[:-2], self.dim)
 
-    def line_sum_vector(self, subfield_level=None):
-        """sum over u in the chosen subfield of u . s . line, one cell each."""
-        level = self.a if subfield_level is None else subfield_level
-        if level > self.a:
+    def line_sum_vector(self, subfield_level):
+        """sum over u in the subfield of level `subfield_level` of
+        u . s . line, one cell each."""
+        if subfield_level > self.a:
             raise ArgumentError("subfield level exceeds the group level")
-        cells = {1 + c for c in self.tower.subfield_codes(level, self.a)}
+        cells = {1 + c for c in self.tower.subfield_codes(subfield_level, self.a)}
         return tuple(int(i in cells) for i in range(self.dim))
 
     def _t_s_columns(self):
         """t_s by its closed form, read off no map: the line goes to the sum
         L of all cells, and the cell eps(t) s line to eps(t) s' L, s' the
         dual's s, which has theta(-1) on the line and (w - t)^m at cell(w):
-        column t of the sub table raised to m."""
+        row -t of the add table, which is symmetric, raised to m."""
         codes = self.codes
         cols = ((0,) + (1,) * self.q,
-                *((codes.neg[1],) + d for d in zip(*codes.sub)))
+                *((codes.neg[1], *codes.add[codes.neg[t]]) for t in range(self.q)))
         return _raised_entries(codes, cols, self.m)
 
     @cached_property
@@ -467,7 +469,7 @@ def case_verdict(module: InducedModule):
 # once, and its q stored eps maps, q (n+1)^2 entries, which Pascal's rule
 # builds with as many table reads. The cap admits every
 # n <= q - 1 at q <= 64 (n <= 90 at q = 64) and n <= 2 at q = 729 = 3^6,
-# the largest field a module reaches, whose tables take 13 MB; it refuses
+# the largest field a module reaches, whose two tables take 9 MB; it refuses
 # q = 733, the next field, at n = 0. It bounds library calls only: no request
 # builds a costandard module outside the `verify` grids, where q <= 9.
 RELATION_WORK_CAP = 729 * 738
@@ -676,10 +678,9 @@ def verify_irreducibility_chain(theta: TruncatedCharacter, r, t) -> ChainRecord:
     """Bridge check at one level pair: the subfield-averaged cell vector
     spans the whole level-t module exactly when the costandard image is
     nonzero."""
-    module = InducedModule(theta.p, t, theta)
-    vec = module.line_sum_vector(subfield_level=r)
-    sub = spin(module, vec)
     pi = pi_image(theta, r, t)
+    module = InducedModule(theta.p, t, theta)
+    sub = spin(module, module.line_sum_vector(r))
     return ChainRecord(pi.m_t, sub.dim == module.dim, not pi.is_zero)
 
 

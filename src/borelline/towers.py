@@ -18,14 +18,15 @@ equality is identity: `+ - *` refuse mixed levels with ArgumentError, and
 `embed` first moves an element up to the other's level. FieldElements
 compute only inside the tower, in its embeddings.
 
-Exact linear algebra reads every sum, difference and product off the
-level's q x q tables. `FieldTower.codes(level)` builds them on its first
-call, with list slices and maps and no polynomial product: q^2 entries per
-table, 4 096 at q = 64 and 531 441 at q = 729, the largest field a module
-can reach (a costandard module with n <= 2 at p = 3, level 3), where the
-three tables take about 13 MB. A level whose elements alone are used never
-pays for them. A module takes every point as a code, from `Codes` and
-`FieldTower.subfield_codes`.
+Exact linear algebra reads every sum and product off the level's two
+q x q tables, `mul` and `add`, and a difference a - c b as a + (-c) b, one
+entry of the row `neg` away. `FieldTower.codes(level)` builds them on its
+first call, with list slices and maps and no polynomial product: q^2
+entries per table, 4 096 at q = 64 and 531 441 at q = 729, the largest
+field a module can reach (a costandard module with n <= 2 at p = 3,
+level 3), where the two tables take about 9 MB. A level whose elements
+alone are used never pays for them. A module takes every point as a code,
+from `Codes` and `FieldTower.subfield_codes`.
 """
 
 from __future__ import annotations
@@ -83,13 +84,14 @@ class Codes:
     `one_plus` are rows of q codes, of -c, 1/c and 1 + c, with inv[0] = 0
     standing in for the inverse zero lacks. `basis` codes the power basis of
     f_n, `generator` is g's code and `scalars[c]` codes the residue c mod p.
-    `mul`, `add` and `sub` are q x q tables, indexed [a][b] by two codes,
-    None until `FieldTower.codes` builds them. `decode` stays for
+    `mul` and `add` are q x q tables, indexed [a][b] by two codes, None
+    until `FieldTower.codes` builds them; a difference a - b is
+    add[a][neg[b]]. `decode` stays for
     `sl2lab.Subspace.rows`, which the benchmark tracer reads.
     """
 
     __slots__ = ("q", "elements", "coords", "by_coords", "neg", "inv", "one_plus", "basis",
-                 "generator", "scalars", "mul", "add", "sub")
+                 "generator", "scalars", "mul", "add")
 
     def __init__(self, tower, level, powers):
         """The level whose units are the walk's `powers` of g, in O(q)."""
@@ -110,20 +112,19 @@ class Codes:
         self.scalars = scalars = [0]             # 0, 1, 1 + 1, ...
         while one_plus[scalars[-1]]:
             scalars.append(one_plus[scalars[-1]])
-        self.mul = self.add = self.sub = None
+        self.mul = self.add = None
 
     def _tabulate(self):
-        """The q x q tables: g^k g^j = g^(k + j), and
+        """The two q x q tables: g^k g^j = g^(k + j), and
         g^k + g^j = g^k (1 + g^(j - k)), the sum read off `one_plus`."""
         q = self.q
         units = q - 1
         cyc = list(range(1, q)) * 2              # cyc[i] is the code of g^i
         self.mul = mul = [[0] * q] + [[0] + cyc[k:k + units] for k in range(units)]
         one_plus = self.one_plus[1:] * 2         # one_plus[d] is the code of 1 + g^d
-        self.add = add = [list(range(q))] + [
+        self.add = [list(range(q))] + [
             [a] + list(map(mul[a].__getitem__, one_plus[units - a + 1:2 * units - a + 1]))
             for a in range(1, q)]
-        self.sub = [list(map(row.__getitem__, self.neg)) for row in add]
 
     def times(self, a, b) -> int:
         """The code of a b: exponents add."""

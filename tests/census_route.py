@@ -52,7 +52,7 @@ def b_stable_lines(module):
     # column i holds the coordinates of h(g) rows[i] on the rows
     matrix = [[images[i][pivots[j]] for i in range(d)] for j in range(d)]
     for lam in range(1, codes.q):
-        shifted = [[codes.sub[x][lam] if i == j else x for i, x in enumerate(row)]
+        shifted = [[codes.add[x][codes.neg[lam]] if i == j else x for i, x in enumerate(row)]
                    for j, row in enumerate(matrix)]
         eigen = kernel(codes, shifted, d)
         if eigen:

@@ -4,9 +4,10 @@ the tower points the library hands out as codes, taken as FieldElements.
 Every sum, difference and product here is a FieldElement operator, so no
 code table is read; a map's entries are decoded once, through the level's
 `elements`, and applied by the same operators. The library's int-coded
-`linalg` and `sl2lab.spin` / `fixed_subspace` must give these rows, entry
-for entry. `Contragredient` is the dual module by its definition, each map
-the transpose of an inverse, against which `InducedModule.dual` is checked.
+`linalg`, `sl2lab.spin` and `u_fixed_rows` (against `fixed_subspace` here)
+must give these rows, entry for entry. `Contragredient` is the dual module
+by its definition, each map the transpose of an inverse, against which
+`proof_route.dual`, the induced module of theta^-1, is checked.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ it before it read the step off work it already does.
 - f_n by Rabin's test plus a primitivity test of the root, against
   `polyfp.primitive_walk`, which finds and proves it with one walk;
 - M^U as the kernel of the stacked g - 1 over the eps generators, against
-  the orbits of `linalg.monomial_fixed_rows`;
+  the orbit indicators of their permutations,
+  `linalg.permutation_fixed_rows`;
 - the socle as the span of the columns of t_s', the maximal submodule as
   the kernel of t_s and the head's dimension as rank t_s, by row
   reduction, against `sl2lab.socle_head_report`, which reads the socle's
@@ -167,8 +168,8 @@ def kernel(codes, rows, ncols):
 
 
 def vec_sub(codes, u, v):
-    sub = codes.sub
-    return tuple([sub[a][b] for a, b in zip(u, v)])
+    add, neg = codes.add, codes.neg
+    return tuple([add[a][neg[b]] for a, b in zip(u, v)])
 
 
 def fixed_subspace(codes, maps, dim):
@@ -214,7 +215,7 @@ def t_s_from_maps(module):
     from its own raised maps. The line goes to the sum L of all cells, and
     the cell eps(t) s line to eps'(t) s' L, g' being the dual's g, g with
     its scales inverted."""
-    line_sum = module.line_sum_vector()
+    line_sum = module.line_sum_vector(module.a)
     s_image = _raised(module.generators[-1], -1).apply(line_sum)
     return (line_sum,) + tuple(_raised(module.eps(t), -1).apply(s_image)
                                for t in range(module.q))

@@ -8,6 +8,7 @@ import pytest
 from borelline.characters import GaloisTwist, RationalPower, Trivial, TwistedDigitSum
 from borelline.classify import (
     TorusCharacter,
+    _bounded_classes,
     _require_finite_type,
     report,
     report_to_json,
@@ -21,6 +22,11 @@ from borelline.weyl import RootDatum
 
 A1 = RootDatum(((2,),))
 A2 = RootDatum(((2, -1), (-1, 2)))
+
+
+def _decompose(tchar, p, level=3):
+    """The factors from the classes `report` hands `steinberg_decompose`."""
+    return steinberg_decompose(tchar, p, level, _bounded_classes(tchar, p, level))
 
 
 def test_torus_character_needs_simply_connected():
@@ -63,14 +69,14 @@ def test_x0_support_collects_bounded_indices():
 
 def test_steinberg_decompose_two_indices():
     tchar = TorusCharacter(A2, (RationalPower(1), RationalPower(2)))
-    factors = steinberg_decompose(tchar, 2, 3)
+    factors = _decompose(tchar, 2)
     data = [(f.weights, f.twist.residues) for f in factors]
     assert data == [((1, 0), (0, 0, 0)), ((0, 1), (0, 1, 1))]
 
 
 def test_steinberg_decompose_pools_by_twist():
     tchar = TorusCharacter(A1, (RationalPower(5),))
-    factors = steinberg_decompose(tchar, 3, 3)
+    factors = _decompose(tchar, 3)
     data = [(f.weights, f.twist.residues) for f in factors]
     assert data == [((2,), (0, 0, 0)), ((1,), (0, 1, 1))]
 
@@ -101,7 +107,7 @@ def test_a_twisted_document_builds_one_twist_per_parsed_and_pattern_factor(monke
 
 def test_steinberg_decompose_weights_below_p():
     tchar = TorusCharacter(A1, (RationalPower(5),))
-    for f in steinberg_decompose(tchar, 3, 3):
+    for f in _decompose(tchar, 3):
         assert all(0 <= w < 3 for w in f.weights)
 
 
@@ -196,7 +202,7 @@ def test_central_character_passthrough():
 def test_twisted_restriction_decomposes():
     sc = TwistedDigitSum(((1, GaloisTwist.from_position(1, 3)),))
     tchar = TorusCharacter(A1, (sc,))
-    factors = steinberg_decompose(tchar, 3, 3)
+    factors = _decompose(tchar, 3)
     assert [(f.weights, f.twist.residues) for f in factors] == [((1,), (0, 1, 1))]
 
 
@@ -354,7 +360,7 @@ def test_report_classifies_each_restriction_once(classified, name):
     del classified[:]
     j0 = x0_support(tchar, 3, 3)
     assert rep.j_set == tuple(i + 1 for i in sorted(j0))
-    assert rep.factors == steinberg_decompose(tchar, 3, 3)
+    assert rep.factors == _decompose(tchar, 3)
     assert rep.finite_dimensional is (name == "rank-8")
     assert len(classified) == 2 * len(restrictions)
 
@@ -376,7 +382,7 @@ def test_report_raises_the_classification_and_decomposition_errors_unchanged():
     datum = RootDatum(tuple(map(tuple, _chain(3))))
     for restrictions, message in cases:
         tchar = TorusCharacter(datum, restrictions)
-        for step in (report, steinberg_decompose):
+        for step in (report, _decompose):
             args = (datum, tchar) if step is report else (tchar,)
             with pytest.raises(CapabilityError) as refusal:
                 step(*args, 3, 2)

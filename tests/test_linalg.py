@@ -10,15 +10,15 @@ from borelline.linalg import (
     MonomialMap,
     mat_mul,
     mat_vec,
-    monomial_fixed_rows,
+    permutation_fixed_rows,
     reduce_vector,
     rref,
     rref_insert,
     vec_add,
     vec_scale,
 )
-from borelline.digits import ArgumentError
-from borelline.towers import make_tower
+from borelline.digits import ArgumentError, RelationError
+from borelline.towers import FieldTower, make_tower
 from proof_route import fixed_subspace, kernel, span_contains
 
 
@@ -176,42 +176,40 @@ def test_kernel_of_identity_is_trivial():
     assert kernel(F, rows, 2) == ()
 
 
-def test_monomial_fixed_rows_drop_an_orbit_whose_scales_do_not_close():
-    # over F_5, g of order 4: coordinate 0 fixed with scale 1; a 3-cycle
-    # 1 -> 2 -> 3 -> 1 with scales g, g, 1, whose product g^2 is not 1, so
-    # a fixed v has v[1] = g^2 v[1] = 0 on it; a 2-cycle 4 <-> 5 with scales
-    # g and 1/g, which close, giving the row e_4 + g e_5
-    F = field(5, 1)
-    g = F.generator
-    cycle = MonomialMap(F, (0, 2, 3, 1, 5, 4), (1, g, g, 1, g, F.inv[g]))
-    rows = monomial_fixed_rows(F, [cycle], 6)
-    assert rows == ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, g))
-    assert rows == fixed_subspace(F, [cycle], 6)
-    # a second map scaling coordinate 0 by g leaves that orbit no row either
-    scaled = MonomialMap(F, range(6), (g, 1, 1, 1, 1, 1))
-    assert monomial_fixed_rows(F, [cycle, scaled], 6) == ((0, 0, 0, 0, 1, g),)
-
-
 @pytest.mark.parametrize("p, level", FIELDS)
 def test_monomial_fixed_rows_match_the_stacked_kernel(p, level):
-    # maps D P D^-1, D diagonal and P a permutation, fix D times each orbit's
-    # indicator, so some orbits close; random scales mostly break them
+    # seeded random sets of permutations, monomial maps with every scale 1:
+    # their orbit indicators are the stacked kernel of g - 1. The walk runs
+    # on maps over a fresh level whose tables are not built, so it reads none
     F = field(p, level)
-    units = range(1, F.q)
+    bare = FieldTower(p)._level(level)
+    assert bare.mul is bare.add is None
     rng = random.Random(100 * p + level)
     for n in (1, 3, 7, 12):
         for _ in range(8):
-            d = [rng.choice(units) for _ in range(n)]
-            maps = []
+            perms = []
             for _ in range(rng.randrange(1, 4)):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                if rng.random() < 0.7:
-                    scale = [F.mul[d[perm[j]]][F.inv[d[j]]] for j in range(n)]
-                else:
-                    scale = [rng.choice(units) for _ in range(n)]
-                maps.append(MonomialMap(F, perm, scale))
-            assert monomial_fixed_rows(F, maps, n) == fixed_subspace(F, maps, n)
+                perms.append(perm)
+            rows = permutation_fixed_rows([MonomialMap(bare, g, [1] * n) for g in perms], n)
+            assert rows == fixed_subspace(F, [MonomialMap(F, g, [1] * n) for g in perms], n)
+            assert all(set(row) <= {0, 1} for row in rows)
+    assert bare.mul is bare.add is None
+
+
+def test_permutation_fixed_rows_refuse_a_scale_other_than_one():
+    # a 2-cycle with scales g and 1/g fixes e_0 + g e_1, which no orbit
+    # indicator gives: the walk refuses the map rather than answer wrong
+    F = field(5, 1)
+    g = F.generator
+    swap = MonomialMap(F, (1, 0, 2), (1, 1, 1))
+    scaled = MonomialMap(F, (1, 0, 2), (g, F.inv[g], 1))
+    assert permutation_fixed_rows([swap], 3) == ((1, 1, 0), (0, 0, 1))
+    assert fixed_subspace(F, [scaled], 3) == ((1, g, 0), (0, 0, 1))
+    for maps in ([scaled], [swap, scaled]):
+        with pytest.raises(RelationError, match="scale other than 1"):
+            permutation_fixed_rows(maps, 3)
 
 
 def test_monomial_apply_and_compose():

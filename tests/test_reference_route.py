@@ -51,7 +51,7 @@ def _check_module(p, a, m):
         # maximal submodule is the annihilator of its spin in the dual, the
         # module itself when theta^2 = 1
         rep = socle_head_report(module)
-        line_sum = module.codes.decode(module.line_sum_vector())
+        line_sum = module.codes.decode(module.line_sum_vector(module.a))
         dual_socle = ref.spin(proof_route.dual(module), line_sum)
         socle = proof_route.socle(module)
         assert socle.rows == ref.spin(module, line_sum) and rep.socle_dim == socle.dim

@@ -717,7 +717,7 @@ def test_spin_of_line_for_generic_character_is_whole():
 
 def test_spin_canonical_and_monotone():
     module = InducedModule(2, 2, power_char(1, 2))
-    v = module.line_sum_vector()
+    v = module.line_sum_vector(module.a)
     s1 = spin(module, v)
     s2 = spin(module, v)
     assert s1 == s2
@@ -738,7 +738,7 @@ def test_fixed_subspace_of_unipotent():
         fs = Subspace(module, proof_route.fixed_subspace(module.codes, maps, module.dim))
         assert fs.dim == 2
         assert _contains(fs, ref.encode(module.codes, ref.unit_vector(module, 0)))
-        assert _contains(fs, module.line_sum_vector())
+        assert _contains(fs, module.line_sum_vector(module.a))
 
 
 def test_fixed_subspace_within():
@@ -832,8 +832,8 @@ def test_the_counts_off_t_s_shape_match_the_rref_route(p, a):
 def _translate_the_cell_block(level, cols):
     """T with each cell column's cell block moved down one translate: the
     column of the cell t reads (w - 1 - t)^m at the cell w."""
-    sub = level.codes.sub
-    return cols[:1] + tuple(col[:1] + tuple(col[1 + sub[w][1]] for w in range(level.q))
+    add, minus_one = level.codes.add, level.codes.neg[1]
+    return cols[:1] + tuple(col[:1] + tuple(col[1 + add[w][minus_one]] for w in range(level.q))
                             for col in cols[1:])
 
 
@@ -966,7 +966,7 @@ def _exhaustive_socle_head(module):
     is everything."""
     whole = _whole(module)
     spins = [sp for _, sp in _orbit_spins(module, whole.code_rows)]
-    socle = spin(module, module.line_sum_vector())
+    socle = spin(module, module.line_sum_vector(module.a))
     union = rref(module.codes, [row for sp in spins if sp != whole for row in sp.code_rows])
     return (socle if all(within(socle, sp) for sp in spins) else None,
             None if len(union) == module.dim else Subspace(module, union))
@@ -1841,6 +1841,17 @@ def test_pi_image_validates_levels():
         pi_image(power_char(1, 2, 2), 1, 3)
 
 
+@pytest.mark.parametrize("r, t", ((2, 2), (3, 2), (2, 1), (0, 2)))
+def test_chain_refuses_an_invalid_level_pair_before_any_work(fresh_caches, r, t):
+    # pi_image checks the pair first, so every invalid pair gets its one
+    # message and no tower, level or module is built
+    with pytest.raises(ArgumentError) as refusal:
+        verify_irreducibility_chain(power_char(1, 2, 3), r, t)
+    assert str(refusal.value) == "need 1 <= r < t"
+    assert make_tower.cache_info().currsize == 0
+    assert sl2lab._induced_level.cache_info().currsize == 0
+
+
 def test_chain_agreement_full_grid():
     expected_span = {
         (2, -2): True, (2, -1): True, (2, 0): False, (2, 1): True, (2, 2): True,
@@ -1943,13 +1954,13 @@ def test_trivial_character_verdict_computes_the_u_fixed_space_once(
     # column made 2(d + 2)(q + 1) - 1 more applies (2730 and 114), and
     # building t_s's columns through eps(t) made q more (64 and 4).
     calls = []
-    real = sl2lab.monomial_fixed_rows
+    real = sl2lab.permutation_fixed_rows
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(sl2lab, "monomial_fixed_rows", counting)
+    monkeypatch.setattr(sl2lab, "permutation_fixed_rows", counting)
     module = InducedModule(p, a, trivial_character(p, a))
     del monomial_apply_calls[:]
     assert case_verdict(module)[3] == {}
@@ -1965,11 +1976,26 @@ LAB_FIELDS = ([(p, 1) for p in range(2, 62) if all(p % d for d in range(2, p))]
 @pytest.mark.parametrize("p, a", LAB_FIELDS, ids=[f"q={p ** factorial(a)}" for p, a in LAB_FIELDS])
 def test_u_fixed_rows_match_the_stacked_kernel(p, a):
     # eps reads no theta, so one module per field holds every M^U the field
-    # has: the line and the sum of the cells, read off the eps orbits
+    # has: the line and the sum of the cells, the orbit indicators of the
+    # eps permutations
     module = InducedModule(p, a, power_char(1, p, a))
     rows = module.u_fixed_rows
     assert rows == proof_route.fixed_subspace(module.codes, module.generators[:-2], module.dim)
     assert rows == (module.unit_vector(0), (0,) + (1,) * module.q)
+
+
+def test_an_eps_with_one_scaled_cell_is_refused_by_the_fixed_space_walk():
+    # each eps(b) permutes the basis with every scale 1, so M^U is read off
+    # the orbit indicators; an eps(b) with one cell scaled by g fixes other
+    # vectors, and the level's walk refuses it rather than read it wrong
+    level = sl2lab._InducedLevel(5, 1)
+    codes = level.codes
+    eps, rest = level.generators[0], level.generators[1:]
+    scale = list(eps.scale)
+    scale[1] = codes.generator
+    vars(level)["generators"] = (MonomialMap(codes, eps.perm, scale), *rest)
+    with pytest.raises(RelationError, match="scale other than 1"):
+        level.u_fixed_rows
 
 
 def _lab_documents_and_records(capsys, p):

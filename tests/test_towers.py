@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import element_route as ref
 from borelline import polyfp
 from borelline.digits import ArgumentError
-from borelline.towers import CapabilityError, FieldTower, make_tower
+from borelline.towers import CapabilityError, Codes, FieldTower, make_tower
 from proof_route import least_primitive, pow_mod
 
 
@@ -356,13 +357,15 @@ def test_tables_are_built_lazily(polyfp_mul_calls):
 
 def _code_table_errors(codes):
     """Every entry of the code tables of one level that disagrees with the
-    FieldElement operators, as (table, a, b)."""
-    elems = codes.elements
+    FieldElement operators, as (table, a, b); "sub" is the difference a - b
+    as `linalg` reads it, add[a][neg[b]]."""
+    elems, add, neg = codes.elements, codes.add, codes.neg
     errors = []
     for a, x in enumerate(elems):
         for b, y in enumerate(elems):
-            for name, want in (("mul", x * y), ("add", x + y), ("sub", x - y)):
-                if elems[getattr(codes, name)[a][b]] is not want:
+            for name, got, want in (("mul", codes.mul[a][b], x * y), ("add", add[a][b], x + y),
+                                    ("sub", add[a][neg[b]], x - y)):
+                if elems[got] is not want:
                     errors.append((name, a, b))
         if elems[codes.neg[a]] is not -x:
             errors.append(("neg", a, None))
@@ -383,7 +386,7 @@ def test_code_tables_agree_with_the_field_operators(p, level):
     t = make_tower(p)
     codes = t.codes(level)
     assert codes is t.codes(level)
-    assert codes.q == t.order(level) and len(codes.mul) == len(codes.sub) == codes.q
+    assert codes.q == t.order(level) and len(codes.mul) == len(codes.add) == codes.q
     # zero, then the powers of the generator from one
     assert codes.elements[0].is_zero() and codes.elements[1] is t.scalar(1, level)
     assert all(x.code == c for c, x in enumerate(codes.elements))
@@ -391,13 +394,16 @@ def test_code_tables_agree_with_the_field_operators(p, level):
     assert _code_table_errors(codes) == []
 
 
-@pytest.mark.parametrize("table", ("mul", "sub"))
+@pytest.mark.parametrize("table", ("mul", "add"))
 def test_a_wrong_code_table_entry_fails_the_table_check(monkeypatch, table):
+    # a wrong sum also makes the one difference that reads it wrong,
+    # 2 - b with -b = 3
     codes = make_tower(5).codes(1)
     wrong = [list(row) for row in getattr(codes, table)]
     wrong[2][3] = wrong[2][4]
     monkeypatch.setattr(codes, table, wrong)
-    assert _code_table_errors(codes) == [(table, 2, 3)]
+    also = [("sub", 2, codes.neg[3])] if table == "add" else []
+    assert sorted(_code_table_errors(codes)) == sorted([(table, 2, 3)] + also)
 
 
 def _polynomial_route_errors(t, level):
@@ -414,13 +420,14 @@ def _polynomial_route_errors(t, level):
         return _padded(polyfp.poly_mod(polyfp.mul(x, y, p), f, p), d)
 
     errors = []
+    add, neg = codes.add, codes.neg
     for a, (ca, pa) in enumerate(zip(coords, polys)):
         for b, (cb, pb) in enumerate(zip(coords, polys)):
-            for name, want in (
-                    ("mul", product(pa, pb)),
-                    ("add", tuple((x + y) % p for x, y in zip(ca, cb))),
-                    ("sub", tuple((x - y) % p for x, y in zip(ca, cb)))):
-                if coords[getattr(codes, name)[a][b]] != want:
+            for name, got, want in (
+                    ("mul", codes.mul[a][b], product(pa, pb)),
+                    ("add", add[a][b], tuple((x + y) % p for x, y in zip(ca, cb))),
+                    ("sub", add[a][neg[b]], tuple((x - y) % p for x, y in zip(ca, cb)))):
+                if coords[got] != want:
                     errors.append((name, a, b))
         if coords[codes.neg[a]] != tuple(-x % p for x in ca):
             errors.append(("neg", a, None))
@@ -441,7 +448,7 @@ def test_code_tables_agree_with_the_polynomial_route(p, level):
 
 def test_a_wrong_one_plus_entry_fails_the_polynomial_route():
     # 1 + g is taken for 1 + g^2: every sum a + b with b = g a goes wrong,
-    # in the add table and in the sub table read off it
+    # in the add table and in the differences read off it
     t = FieldTower(5)
     codes = t.codes(1)
     codes.one_plus[2] = codes.one_plus[3]
@@ -449,6 +456,23 @@ def test_a_wrong_one_plus_entry_fails_the_polynomial_route():
     errors = _polynomial_route_errors(t, 1)
     assert {name for name, _, _ in errors} == {"add", "sub", "one_plus"}
     assert ("add", 2, 3) in errors and ("one_plus", 2, None) in errors
+
+
+def test_the_largest_field_keeps_two_code_tables_in_under_10_mb():
+    # q = 729, the largest field a module reaches: mul and add, 531 441
+    # entries each, retain 8.6 MB; a third table, of differences, took
+    # them to 13.1 MB
+    t = FieldTower(3)
+    t.scalar(1, 3)
+    tracemalloc.start()
+    try:
+        codes = t.codes(3)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert codes.q == 729 and len(codes.mul) == len(codes.add) == 729
+    assert not hasattr(codes, "sub") and "sub" not in Codes.__slots__
+    assert retained <= 10 * 10 ** 6, retained
 
 
 def test_code_tables_take_no_polynomial_product(polyfp_mul_calls):
